@@ -9,14 +9,14 @@ overhead.
 
 Workloads (why each was chosen):
 
-* corpus: twenty mid-size programs per seed, one for each (kind,
-  pattern) pair, so every job covers straight-line arithmetic, diamonds,
-  memory, helper calls with short recursion, and counted loops, under
-  each observation pattern. Each slot's structure is fixed and its size
-  stratified over 50..400 instructions; the seed draws the content, so
-  the total work of a job barely moves with the seed. Programs are large
-  and traces short, so the front end and the passes do most of their
-  work here.
+* corpus: eleven mid-size programs per seed, one per slot of SLOTS, so
+  every job covers straight-line arithmetic, diamonds, memory, helper
+  calls with short recursion, and counted loops on both sides of 16
+  trips, and every observation pattern. Each slot's structure is fixed
+  and its size set by a stratum of 50..400 instructions; the seed draws
+  the content, so the total work of a job barely moves with the seed.
+  Programs are large and traces short, so the front end and the passes
+  do most of their work here.
 * long-loop: one tiny program whose single counted loop runs a trip
   count read from input (a few hundred), with a memory store/load and a
   decoupled observation anchored by tail I/O in every iteration. Compile
@@ -46,7 +46,6 @@ MASK = 0xFFFFFFFF
 
 PRESETS = ("P0", "P1", "P2", "P3", "Ps", "Pz")
 UNSAFE = "unsafe"  # unsafe_const_fold_opaque, a column beside the presets
-KINDS = ("straight", "diamond", "memory", "calls", "loop")
 PATTERNS = ("monolithic", "decoupled_tailio", "cc", "opacify")
 
 CORPUS_SIZES = (50, 400)
@@ -56,9 +55,9 @@ CORPUS_SIZES = (50, 400)
 # instructions with observations, and a spread of 0.8 of the median
 # across seeds even at 50. The corpus therefore audits the stripped
 # twins, whose only opaque events are io, and not those of the helper
-# calls: their recursion depth comes from the input, so the reruns of
-# one twin range from 60 to 3,840 with the draw. chain-audit carries the
-# audit of observations.
+# calls: their recursion depth comes from the input, which the audit
+# samples, so their reruns vary widely with the draw. chain-audit
+# carries the audit of observations.
 AUDITED_KINDS = ("straight", "diamond", "memory", "loop")
 LONG_LOOP_TRIPS = 300
 CHAIN_TRIPS = 2
@@ -78,7 +77,7 @@ class Case:
     expected_out: tuple[tuple[int, ...], ...]  # values written to `out`, per input
     presets: tuple[str, ...]
     audit_preset: str | None  # preset whose result gets the chain audit
-    audit_text: str | None  # audit this program instead (see METRICS.md)
+    audit_twin: bool  # audit the twin rather than the program (METRICS.md)
 
     @property
     def foldable(self) -> bool:
@@ -374,7 +373,9 @@ def _body_calls(b: Builder, pool: list[str], budget: int, functions: list[str]) 
         b.emit(f"{r} = h{h}({pool[-1]})")
         b.vals[r] = models[h](b.vals[pool[-1]])
         pool.append(b.observe(r))
-        n = b.binop("&", pool[-1], 7)
+        # The recursion depth, 4 or 5, follows the value, but the work of
+        # a job hardly moves with the seed.
+        n = b.binop("+", b.binop("&", pool[-1], 1), 4)
         q = b.fresh("q")
         b.emit(f"{q} = rec({n})")
         b.vals[q] = _rec_model(b.vals[n])
@@ -396,38 +397,28 @@ def _body_loop(b: Builder, pool: list[str], budget: int, trips: int, capture: bo
     b.emit(f"{c} = {i} < {trips}")
     b.emit(f"br {c}, {body}, {done}" if capture else f"br {c}, {body}, {done}({acc})")
     b.label(body)
-    # The body is modelled symbolically once, then iterated: each step
-    # reads acc, i, an earlier step or a loop-invariant name.
-    outer = list(pool[-6:])
+    # Each step extends the chain from acc with a literal right operand,
+    # as in Builder.arith: a name there could be acc or a value derived
+    # from it, and `(acc + k) - acc` cancels depending on the draw.
     steps = []
-    names = [acc, i]
-    for s in range(b.rng.randrange(3, 7)):
+    cur = acc
+    for _ in range(5):
         op = b.rng.choice("+-^|*")
-        a = names[-1] if s else acc
-        # Operands as in Builder.arith. That also keeps `* i` out:
-        # unrolled, the first iteration would multiply by 0 and drop the
-        # dependence on acc whenever the draw put it on the path.
-        names_ok = [n for n in names + outer if n != a]
-        other = b.rng.choice(names_ok + [None]) if op in "+-" else None
-        k = (b.rng.randrange(1, 1 << 16) | (op == "*")) if other is None else other
+        k = b.rng.randrange(1, 1 << 16) | (op == "*")
         v = b.fresh()
-        b.emit(f"{v} = {a} {op} {k}")
-        steps.append((v, op, a, k))
-        names.append(v)
-    last = names[-1]
-    obs_name = b.observe(last)
+        b.emit(f"{v} = {cur} {op} {k}")
+        steps.append((op, k))
+        cur = v
+    obs_name = b.observe(cur)
     b.anchor()
     nxt = b.fresh("i")
     b.emit(f"{nxt} = {i} + 1")
     b.emit(f"br {head}({nxt}, {obs_name})")
 
-    env = {n: b.vals[n] for n in outer}
     a_v = b.vals[start]
-    for it in range(trips):
-        env[acc], env[i] = a_v, it
-        for v, op, a, k in steps:
-            env[v] = _OPS[op](env[a], env[k] if isinstance(k, str) else k)
-        a_v = env[last]
+    for _ in range(trips):
+        for op, k in steps:
+            a_v = _OPS[op](a_v, k)
     if capture:
         b.label(done)
         r = acc
@@ -473,7 +464,7 @@ def corpus_case(rng: random.Random, slot: int, kind: str, pattern: str, size: in
     elif kind == "calls":
         _body_calls(b, pool, budget, functions)
     else:
-        trips = rng.randrange(10, 15) if loop_small else rng.randrange(18, 23)
+        trips = rng.randrange(12, 14) if loop_small else rng.randrange(19, 21)
         _body_loop(b, pool, budget, trips, loop_capture)
         flags.append("exit_capture" if loop_capture else "exit_arg")
         flags.append("trips_le16" if loop_small else "trips_gt16")
@@ -496,43 +487,56 @@ def corpus_case(rng: random.Random, slot: int, kind: str, pattern: str, size: in
         expected_out=(tuple(b.out),),
         presets=PRESETS + (UNSAFE,),
         audit_preset="P2" if kind in AUDITED_KINDS else None,
-        audit_text=text(True),
+        audit_twin=True,
     )
 
 
-# Loop shape per pattern: (trip count at most 16, exit captures the
-# header parameter). Monolithic meets both Pz defects, opacify unrolls
-# cleanly, and the other two keep their loops.
+# The corpus slots. Every kind is paired with two patterns and every
+# pattern with two or three kinds. The loops take three shapes, (trip
+# count at most 16, exit captures the header parameter): monolithic meets
+# both Pz defects, opacify unrolls cleanly, and decoupled_tailio counts
+# past 16 and keeps its loop. Both straight-line programs end in the xor
+# cancellation.
+SLOTS = (
+    ("straight", "decoupled_tailio"),
+    ("straight", "opacify"),
+    ("diamond", "monolithic"),
+    ("diamond", "cc"),
+    ("memory", "decoupled_tailio"),
+    ("memory", "cc"),
+    ("calls", "monolithic"),
+    ("calls", "opacify"),
+    ("loop", "monolithic"),
+    ("loop", "opacify"),
+    ("loop", "decoupled_tailio"),
+)
 LOOP_SHAPES = {
     "monolithic": (True, True),
-    "decoupled_tailio": (False, False),
-    "cc": (False, True),
     "opacify": (True, False),
+    "decoupled_tailio": (False, False),
 }
 
 
 def corpus(seed: int) -> list[Case]:
-    """One program per (kind, pattern), twenty in all. The structure of
-    each slot is fixed: a Latin square gives every kind and every pattern
-    one size stratum in each band of the size range, loops take the
-    shapes above, half the programs hold a foldable region, and the
-    straight-line programs of two patterns end in a xor cancellation.
-    The seed draws the content: operations, operands, constants, inputs,
-    trip counts and the size within the stratum. So the work of a job
-    hardly moves with the seed."""
+    """One program per slot. The structure of each slot is fixed: slot i
+    takes the middle of size stratum 7i mod 11 of the size range, so
+    every kind gets a small and a large program; loops take the shapes
+    above, every other program holds a foldable region, and the
+    straight-line programs end in a xor cancellation. The seed draws the
+    content: operations, operands, constants, inputs and trip counts
+    within a narrow range. So the work of a job hardly moves with the
+    seed."""
     rng = random.Random(seed)
     lo, hi = CORPUS_SIZES
-    width = (hi - lo) / (len(KINDS) * len(PATTERNS))
+    width = (hi - lo) / len(SLOTS)
     cases = []
-    for k, kind in enumerate(KINDS):
-        for p, pattern in enumerate(PATTERNS):
-            stratum = ((k + p) % len(PATTERNS)) * len(KINDS) + k
-            size = int(lo + width * (stratum + rng.random()))
-            small, capture = LOOP_SHAPES[pattern]
-            cases.append(corpus_case(
-                rng, len(cases), kind, pattern, size, small, capture,
-                foldable=(k + p) % 2 == 0, xor_cancel=p % 2 == 1,
-            ))
+    for i, (kind, pattern) in enumerate(SLOTS):
+        size = int(lo + width * (7 * i % len(SLOTS) + 0.5))
+        small, capture = LOOP_SHAPES.get(pattern, (False, False))
+        cases.append(corpus_case(
+            rng, i, kind, pattern, size, small, capture,
+            foldable=i % 2 == 0, xor_cancel=kind == "straight",
+        ))
     return cases
 
 
@@ -570,7 +574,10 @@ def long_loop(seed: int) -> list[Case]:
     trips = LONG_LOOP_TRIPS + rng.randrange(-3, 4)
     src = _LONG_LOOP.replace("SEED", str(start)).replace("MUL", str(mul))
     text = src.replace("OBS", _LONG_LOOP_OBS + "  i2 = i + 1\n")
-    twin = src.replace("OBS", "  i2 = i + 1\n")
+    # The twin still reads the trip count but loops to it as a literal:
+    # reading it from input would make the twin's chain audit sample u32
+    # trip counts (METRICS.md).
+    twin = src.replace("OBS", "  i2 = i + 1\n").replace("c = i < n", f"c = i < {trips}")
     acc = start
     for i in range(trips):
         acc = (acc * mul + i) & MASK
@@ -586,9 +593,7 @@ def long_loop(seed: int) -> list[Case]:
             expected_out=((acc,),),
             presets=("P3",),
             audit_preset="P3",
-            # The twin with the trip count as a literal: reading it from
-            # input makes the audit sample u32 trip counts (METRICS.md).
-            audit_text=twin.replace("n = io(inp)", f"n = {trips}"),
+            audit_twin=True,
         )
     ]
 
@@ -657,7 +662,7 @@ def chain_audit(seed: int) -> list[Case]:
             expected_out=((acc,),),
             presets=PRESETS,
             audit_preset="P3",
-            audit_text=None,
+            audit_twin=False,
         )
     ]
 

@@ -44,9 +44,12 @@ EXPECTED = BENCH / "expected.json"
 SETUP_REPEATS = 9
 # A shared machine's speed drifts by a quarter within seconds (other tenants
 # of the host). Every timed section is scaled by the probe run before and
-# after it, to a machine on which the probe takes NOMINAL_PROBE_S.
+# after it, to a machine on which the probe takes NOMINAL_PROBE_S. The
+# probe runs at a section boundary once PROBE_EVERY_S have passed since
+# the last one, and at the end of every program.
 PROBE_LOOPS = 100_000
 NOMINAL_PROBE_S = 0.012
+PROBE_EVERY_S = 0.5
 MIN_JOBS = 3
 EXCLUDED_CHANNELS = frozenset({"tailio", "cc"})
 MODULES = ("ir", "patterns", "passes", "interp", "deps", "validate")
@@ -100,11 +103,11 @@ class Job:
     """Timings, counts and outcomes of one pass over the workload."""
 
     def __init__(self):
-        self.times: Counter = Counter()  # (case name, stage) -> seconds
-        self.scale: dict[str, float] = {}  # case name -> speed scale
+        self.times: Counter = Counter()  # (case name, stage) -> scaled seconds
+        self.pending: list[tuple[tuple[str, str], float]] = []  # not yet scaled
+        self.last_probe = probe()
+        self.mark = time.perf_counter()  # end of the last probe
         self.wall_s = 0.0
-        self.attempted = 0
-        self.failed = 0
         self.outcomes: dict[tuple[str, str], str] = {}
         self.steps_ratio: list[float] = []
         self.overhead: dict[str, list[float]] = defaultdict(list)
@@ -112,8 +115,29 @@ class Job:
         self.affected: Counter = Counter()
         self.instrs_out = 0
         self.verdicts: Counter = Counter()
-        self.failures: set[str] = set()
+        self.ir_errors: set[str] = set()  # IRError messages
         self.errors: list[str] = []  # outputs that differ from the expected ones
+
+    def record(self, case: str, stage: str, t0: float) -> None:
+        """Add the section of `case` that began at t0 to `stage`."""
+        self.pending.append(((case, stage), time.perf_counter() - t0))
+        self.tick(case)
+
+    def tick(self, case: str, force: bool = False) -> None:
+        """Probe if it is time, or if forced, and scale everything since
+        the last probe by the mean of the two: the pending sections, and
+        the whole stretch as the job time of `case`."""
+        now = time.perf_counter()
+        if not force and now - self.mark < PROBE_EVERY_S:
+            return
+        p = probe()
+        scale = NOMINAL_PROBE_S * 2 / (self.last_probe + p)
+        self.pending.append(((case, "job"), now - self.mark))
+        for key, seconds in self.pending:
+            self.times[key] += seconds * scale
+        self.pending = []
+        self.last_probe = p
+        self.mark = time.perf_counter()
 
 
 def _outcome(report) -> str:
@@ -136,7 +160,7 @@ def run_case(api, L, case, job: Job) -> None:
     t0 = now()
     program, info = L.prepare(case.text)
     twin, twin_info = L.prepare(case.twin)
-    job.times[(case.name, "compile")] += now() - t0
+    job.record(case.name, "compile", t0)
     specs = [api.interp.parse_input(t) for t in case.inputs]
 
     refs = [L.run(program, s, type_info=info.var_types) for s in specs]
@@ -150,7 +174,6 @@ def run_case(api, L, case, job: Job) -> None:
 
     size = _n_instrs(api, program)
     for preset in case.presets:
-        job.attempted += 1
         t0 = now()
         try:
             if preset == gen.UNSAFE:
@@ -158,12 +181,11 @@ def run_case(api, L, case, job: Job) -> None:
             else:
                 res, twin_res = L.optimize(program, preset=preset), L.optimize(twin, preset=preset)
         except IRError as exc:
-            job.times[(case.name, "compile")] += now() - t0
-            job.failed += 1
+            job.record(case.name, "compile", t0)
             job.outcomes[(case.key, preset)] = "IRError"
-            job.failures.add(f"{case.name} {preset}: {str(exc).split(';')[0]}")
+            job.ir_errors.add(f"{case.name} {preset}: {str(exc).split(';')[0]}")
             continue
-        job.times[(case.name, "compile")] += now() - t0
+        job.record(case.name, "compile", t0)
         opts = [L.run(res.program, s) for s in specs]
         twin_opts = [L.run(twin_res.program, s) for s in specs] if twin_res else []
         for ref, opt in zip(refs, opts):
@@ -172,26 +194,19 @@ def run_case(api, L, case, job: Job) -> None:
 
         t0 = now()
         report = L.check(program, res.program, res.provenance, specs)
-        job.times[(case.name, "validate")] += now() - t0
+        job.record(case.name, "validate", t0)
         outcome = _outcome(report)
         job.outcomes[(case.key, preset)] = outcome
         job.verdicts["pass" if report.passed else "fail"] += 1
 
         if preset == case.audit_preset:
-            if case.audit_text is None:
-                ref, opt, prov = refs[0], opts[0], res.provenance
-            elif case.audit_text == case.twin:
+            if case.audit_twin:
                 ref, opt, prov = twin_refs[0], twin_opts[0], twin_res.provenance
             else:
-                t0 = now()
-                audited, audited_info = L.prepare(case.audit_text)
-                audited_res = L.optimize(audited, preset=preset)
-                job.times[(case.name, "compile")] += now() - t0
-                ref = L.run(audited, specs[0], type_info=audited_info.var_types)
-                opt, prov = L.run(audited_res.program, specs[0]), audited_res.provenance
+                ref, opt, prov = refs[0], opts[0], res.provenance
             t0 = now()
             verdict = L.audit(ref, opt, prov, inputs=specs[0])
-            job.times[(case.name, "audit")] += now() - t0
+            job.record(case.name, "audit", t0)
             job.outcomes[(case.key, f"audit@{preset}")] = "pass" if verdict.passed else "fail"
         if preset == gen.UNSAFE:
             continue
@@ -210,17 +225,12 @@ def run_case(api, L, case, job: Job) -> None:
 
 
 def run_job(api, L, cases) -> Job:
-    """One pass over the cases, with the probe run between them."""
+    """One pass over the cases."""
     job = Job()
     t_start = time.perf_counter()
-    before = probe()
     for case in cases:
-        t0 = time.perf_counter()
         run_case(api, L, case, job)
-        job.times[(case.name, "job")] += time.perf_counter() - t0
-        after = probe()
-        job.scale[case.name] = NOMINAL_PROBE_S * 2 / (before + after)
-        before = after
+        job.tick(case.name, force=True)
     job.wall_s = time.perf_counter() - t_start
     return job
 
@@ -264,24 +274,30 @@ def layer_calls(api, tracer=None) -> SimpleNamespace:
 # --------------------------------------------------------------------------
 
 
-def gate(job: Job, cases, table: dict) -> list[str]:
-    """Compare a job's verdicts with their expected answers. P0 passes
-    every check; the unsafe fold fails exactly where the program holds a
-    foldable observed opaque region; every other verdict is the one
-    recorded in expected.json when the benchmark was defined."""
+def gate(job: Job, cases, table: dict) -> tuple[list[str], list[str]]:
+    """Check a job's outcomes; return the errors and the failed operations.
+
+    An operation is one verdict: a (program, preset) compilation and
+    validation, the unsafe fold's included, or an audit. The errors are
+    wrong outputs, which void the run: a reference or optimized run that
+    writes the wrong values, a P0 verdict other than pass, or an unsafe
+    fold that passes where the program holds a foldable observed opaque
+    region or fails where it holds none. An operation fails when it
+    raised `IRError` or its verdict differs from the one recorded in
+    expected.json when the benchmark was defined."""
     by_key = {c.key: c for c in cases}
     errors = list(job.errors)
+    failed = []
     for (key, column), got in sorted(job.outcomes.items()):
-        case = by_key[key]
-        if column == gen.UNSAFE and case.foldable and got == "pass":
-            errors.append(f"{key} {column}: the fold of an observed opaque passed")
-        if column == "P0" or (column == gen.UNSAFE and not case.foldable):
-            want = "pass"
-        else:
-            want = table.get(key, {}).get(column)
-        if got != want:
-            errors.append(f"{key} {column}: got {got}, expected {want}")
-    return errors
+        if column in ("P0", gen.UNSAFE):
+            want = "pass" if column == "P0" or not by_key[key].foldable else "fail"
+            if got.split(":")[0] != want:
+                errors.append(f"{key} {column}: got {got}, expected {want}")
+                continue
+        recorded = table.get(key, {}).get(column)
+        if got == "IRError" or got != recorded:
+            failed.append(f"{key} {column}: got {got}, expected {recorded}")
+    return errors, failed
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +320,7 @@ def stage_time(jobs: list[Job], stage: str) -> float:
     than per job keep a burst of load from other processes, which hits a
     few programs of one job, out."""
     keys = {key for j in jobs for key in j.times if key[1] == stage}
-    return sum(statistics.median(j.times[key] * j.scale[key[0]] for j in jobs) for key in keys)
+    return sum(statistics.median(j.times[key] for j in jobs) for key in keys)
 
 
 def end_to_end(setup_s: float, jobs: list[Job]) -> dict:
@@ -325,7 +341,6 @@ def end_to_end(setup_s: float, jobs: list[Job]) -> dict:
 
 
 PASS_NAMES = ("copyprop", "constprop", "instcombine", "dse", "dce", "loop_unroll")
-PATTERN_NAMES = ("monolithic", "decoupled_tailio", "cc", "opacify")
 
 
 def per_layer(tracer, traced: list[Job], untraced: list[Job]) -> dict:
@@ -356,7 +371,7 @@ def per_layer(tracer, traced: list[Job], untraced: list[Job]) -> dict:
         out[f"passes.{p}.affected"] = metric(last.affected[p], "count")
     out["passes.pipeline_s"] = s("passes.pipeline")
     out["passes.instrs_out"] = metric(last.instrs_out, "count")
-    for p in PATTERN_NAMES:
+    for p in gen.PATTERNS:
         out[f"patterns.protection_overhead.{p}"] = metric(geomean(last.overhead.get(p, ())), "ratio")
     run_s = per(totals.get("interp.run", 0.0))
     out["interp.run_s"] = metric(run_s, "s")
@@ -419,6 +434,7 @@ def main(argv=None) -> int:
     untraced: list[Job] = []
     traced: list[Job] = []
     errors: list[str] = []
+    failed: list[str] = []
     deadline = time.perf_counter() + args.seconds
     i = 0
     while True:
@@ -429,7 +445,9 @@ def main(argv=None) -> int:
         else:
             job = run_job(api, plain, cases)
             untraced.append(job)
-        errors += gate(job, cases, table)
+        job_errors, job_failed = gate(job, cases, table)
+        errors += job_errors
+        failed += job_failed
         i += 1
         enough = len(untraced) >= MIN_JOBS and (tracer is None or len(traced) >= MIN_JOBS)
         if errors or (enough and time.perf_counter() >= deadline):
@@ -444,14 +462,16 @@ def main(argv=None) -> int:
         metrics = per_layer(tracer, traced, untraced)
     else:
         metrics = end_to_end(setup_s, untraced)
-    for f in sorted(set().union(*(j.failures for j in jobs))):
+    for f in sorted(set().union(*(j.ir_errors for j in jobs))):
+        print(f"IRError: {f}", file=sys.stderr)
+    for f in sorted(set(failed)):
         print(f"failed: {f}", file=sys.stderr)
     for e in errors[:20]:
         print(f"gate: {e}", file=sys.stderr)
     print(json.dumps({
         "correct": not errors,
-        "attempted": sum(j.attempted for j in jobs),
-        "failed": sum(j.failed for j in jobs),
+        "attempted": sum(len(j.outcomes) for j in jobs),
+        "failed": len(failed),
         "metrics": metrics,
     }))
     return 1 if errors else 0

@@ -37,6 +37,22 @@ def test_same_seed_gives_identical_programs():
     assert [c.text for c in gen.corpus(11)] != [c.text for c in gen.corpus(12)]
 
 
+def test_gate_counts_a_changed_verdict_as_failed_and_a_wrong_output_as_error():
+    case = gen.chain_audit(5)[0]
+    table = {case.key: {"P0": "pass", "P3": "pass", "Pz": "IRError"}}
+    job = run.Job()
+    job.outcomes = {
+        (case.key, "P0"): "pass",
+        (case.key, "P3"): "fail:ordering",
+        (case.key, "Pz"): "IRError",
+    }
+    errors, failed = run.gate(job, [case], table)
+    assert errors == [] and len(failed) == 2
+    job.outcomes[(case.key, "P0")] = "fail:ordering"
+    errors, failed = run.gate(job, [case], table)
+    assert len(errors) == 1 and len(failed) == 2
+
+
 def measure(workload, cases):
     """One untraced and one traced job; both metric sets and the gate."""
     api = run.load_api()
@@ -44,20 +60,24 @@ def measure(workload, cases):
     tracer = Tracer()
     traced = run.traced_job(api, tracer, cases)
     table = json.loads(run.EXPECTED.read_text())[workload]
-    errors = run.gate(untraced, cases, table) + run.gate(traced, cases, table)
+    errors, failed = run.gate(untraced, cases, table)
+    traced_errors, traced_failed = run.gate(traced, cases, table)
     return (
         run.end_to_end(0.1, [untraced]),
         run.per_layer(tracer, [traced], [untraced]),
-        errors,
+        errors + traced_errors,
+        failed + traced_failed,
     )
 
 
 def test_counts_repeat_and_every_metric_is_emitted():
     for workload in gen.WORKLOADS:
         cases = gen.WORKLOADS[workload](5)
-        first_e2e, first_layer, errors = measure(workload, cases)
+        first_e2e, first_layer, errors, failed = measure(workload, cases)
         assert errors == []
-        second_e2e, second_layer, _ = measure(workload, cases)
+        # The only failed operations are the recorded IRErrors.
+        assert all(f.endswith("got IRError, expected IRError") for f in failed), failed
+        second_e2e, second_layer, _, _ = measure(workload, cases)
         assert set(first_e2e) == {m["name"] for m in SPEC["end_to_end"]}
         assert {m["name"] for m in SPEC["per_layer"]} <= set(first_layer)
         for name in DETERMINISTIC:
