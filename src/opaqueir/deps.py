@@ -6,11 +6,15 @@ Three dependence relations are extracted from a run:
                 directly by the interpreter);
   * reads-from: the storing event behind each load (memory and
                 references, also captured by the interpreter);
-  * control:    an event depends on every conditional branch that is
+  * control:    an event depends on the conditional branches that are
                 still "open" in its activation, i.e. whose postdominator
                 has not executed yet. Loop re-entries keep earlier
                 branches open, so later iterations depend on the branches
-                that let them happen.
+                that let them happen. Only the innermost open branch is
+                stored: it is itself control dependent on the others, so
+                the transitive closure is unchanged and traces cost
+                linear space (Xin & Zhang, ISSTA'07). `DepInfo.controls`
+                tells whether a branch is still open at an event.
 
 Their union `dep` drives two derived structures. Happens-before is the
 transitive closure of I/O order, dependence into observation events, and
@@ -72,10 +76,12 @@ DEFAULT_SEED = 0
 class DepInfo:
     run: RunResult
     dep_sources: list[frozenset[int]]  # indexed by event seq
+    # The innermost open conditional branch, if any: at most one element.
     cd_sources: list[frozenset[int]]
     obs_seqs: tuple[int, ...]
     io_seqs: tuple[int, ...]
     _dep_out: dict[int, list[int]] = field(default_factory=dict)
+    _closes: dict[int, int] = field(default_factory=dict)  # branch -> closing seq or trace length
     _anchor_reach: Optional[dict[int, frozenset[int]]] = None
 
     @property
@@ -101,13 +107,11 @@ class DepInfo:
                     frontier.append(t)
         return False
 
-    def dependent_events(self, src: int) -> set[int]:
-        """All events with a dep path from `src` (src included)."""
-        out = {src}
-        for ev in self.run.events[src + 1 :]:
-            if self.dep_sources[ev.seq] & out:
-                out.add(ev.seq)
-        return out
+    def controls(self, b: int, e: int) -> bool:
+        """Whether event e is control dependent on event b: b is a
+        conditional branch still open at e, in e's activation."""
+        events = self.run.events
+        return b < e < self._closes.get(b, -1) and events[b].activation == events[e].activation
 
     # -- happens-before among anchors
 
@@ -135,31 +139,30 @@ class DepInfo:
         for chain in by_channel.values():
             for a, b in zip(chain, chain[1:]):
                 succ[a].add(b)
+        # Observation ordering: a dependence path from an earlier
+        # observation, through any intermediate events. Paths stop at
+        # observations (later edges plus transitive closure cover longer
+        # ones) but pass through everything else, io events included: a
+        # plain dependence into an io event is not a happens-before edge.
+        # One forward pass gives each event the observations reaching it.
         obs_set = set(self.obs_seqs)
-        for target in self.obs_seqs:
+        empty: frozenset[int] = frozenset()
+        reached_by: list[frozenset[int]] = []
+        for seq, sources in enumerate(self.dep_sources):
+            parts = [reached_by[s] for s in sources if reached_by[s]]
+            into = empty if not parts else parts[0] if len(parts) == 1 else empty.union(*parts)
+            if seq not in obs_set:
+                reached_by.append(into)
+                continue
+            reached_by.append(frozenset((seq,)))
+            for s in into:
+                succ[s].add(seq)
             # Observe-from: the events directly defining values the
             # observing instruction uses. Only anchor sources can extend
             # anchor-to-anchor paths, so others are dropped here.
-            for _, src in self.run.events[target].du:
+            for _, src in self.run.events[seq].du:
                 if src in anchor_set:
-                    succ[src].add(target)
-            # Observation ordering: a dependence path from an earlier
-            # observation, through any intermediate events. The backward
-            # walk stops at observations (their own walks plus transitive
-            # closure cover longer paths) but passes through everything
-            # else, io events included: a plain dependence into an io
-            # event is not a happens-before edge.
-            stack = list(self.dep_sources[target])
-            seen = {target}
-            while stack:
-                s = stack.pop()
-                if s in seen:
-                    continue
-                seen.add(s)
-                if s in obs_set:
-                    succ[s].add(target)
-                    continue
-                stack.extend(self.dep_sources[s])
+                    succ[src].add(seq)
         # Transitive closure, walking anchors newest first so successor
         # sets are final when referenced.
         reach: dict[int, frozenset[int]] = {}
@@ -191,28 +194,28 @@ def analyze(program: Program, result: RunResult) -> DepInfo:
     cd_sources: list[frozenset[int]] = []
     obs_seqs: list[int] = []
     io_seqs: list[int] = []
-    # Per-activation stack of open conditional branches: (seq, block label).
-    open_branches: dict[int, list[tuple[int, str]]] = {}
+    # Per activation, the open conditional branches by block label, oldest
+    # first: branches of one block close together.
+    open_branches: dict[int, dict[str, list[int]]] = {}
+    closes: dict[int, int] = {}
     dep_out: dict[int, list[int]] = {}
 
     for ev in result.events:
         cd: frozenset[int] = frozenset()
         if ev.kind != "init":
-            stack = open_branches.setdefault(ev.activation, [])
-            if stack:
+            by_block = open_branches.setdefault(ev.activation, {})
+            if by_block:
                 pd = pdoms.get(ev.func, {})
-                kept = [
-                    entry
-                    for entry in stack
-                    if not (entry[1] != ev.block and ev.block in pd.get(entry[1], set()))
-                ]
-                if len(kept) != len(stack):
-                    stack[:] = kept
-                cd = frozenset(seq for seq, _ in stack)
+                for block in [b for b in by_block if b != ev.block and ev.block in pd.get(b, ())]:
+                    for seq in by_block.pop(block):
+                        closes[seq] = ev.seq
+                if by_block:
+                    cd = frozenset((max(seqs[-1] for seqs in by_block.values()),))
             if ev.kind == "branch" and ev.iid is not None:
                 instr = instr_at(program, ev.iid)
                 if isinstance(instr, Branch) and instr.cond is not None:
-                    stack.append((ev.seq, ev.block))
+                    by_block.setdefault(ev.block, []).append(ev.seq)
+                    closes[ev.seq] = len(result.events)
         du = frozenset(src for _, src in ev.du)
         rf = frozenset(ev.rf)
         deps = du | rf | cd
@@ -232,6 +235,7 @@ def analyze(program: Program, result: RunResult) -> DepInfo:
         obs_seqs=tuple(obs_seqs),
         io_seqs=tuple(io_seqs),
         _dep_out=dep_out,
+        _closes=closes,
     )
 
 
@@ -605,14 +609,14 @@ def _rule_engine(
         ev = events[seq]
         if ev.is_opaque or ev.iid is None:
             return None
-        if info.cd_sources[seq] & path_set:
+        if any(info.controls(b, seq) for b in path_set):
             return None  # control hop inside the path
         nxt = _transfer(instr_at(program, ev.iid), ev, tracked_from, current, ty)
         if nxt is None:
             return None
         current = nxt
         tracked_from = seq
-    if info.cd_sources[k] & path_set:
+    if any(info.controls(b, k) for b in path_set):
         return None
 
     if current.kind == "exact":

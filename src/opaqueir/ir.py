@@ -9,7 +9,7 @@ variables are scoped to their region and captured in dominated blocks.
 Concrete syntax is line oriented: an instruction ends at end of line or at
 `;` (several instructions may share a line; a trailing semicolon is an
 empty statement and is ignored). `//` starts a comment running to end of
-line. See docs/ir-reference.md for the grammar.
+line.
 
 Opaque regions are the central construct. An instruction defining values
 from an `opaque { ... }` expression executes its whole region atomically

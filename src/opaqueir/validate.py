@@ -386,16 +386,18 @@ def check_ordering(
     *,
     ref_info: Optional[DepInfo] = None,
     opt_info: Optional[DepInfo] = None,
+    delta: Optional[TraceDelta] = None,
 ) -> Verdict:
     """Happens-before preservation: every hb pair of io/observation
     events in the reference whose counterparts both exist must be an hb
     pair in the optimized run. A reference io event without a
-    counterpart fails outright."""
+    counterpart fails outright. `delta` is the observation-trace
+    comparison of the two runs, when the caller already has it."""
     ref_info = ref_info or analyze(ref.program, ref)
     opt_info = opt_info or analyze(opt.program, opt)
 
     counterparts, lost = _io_counterparts(ref, opt)
-    delta = compare_traces(observation_trace(ref), observation_trace(opt))
+    delta = delta or compare_traces(observation_trace(ref), observation_trace(opt))
     for seq, targets in _obs_counterparts(delta).items():
         counterparts.setdefault(seq, set()).update(targets)
     if prov is not None:
@@ -488,7 +490,7 @@ def check_observation_preserving(
                 missing = ()  # condition applies conditionally: vacuous here
         fwd_w.extend(tag + w for w in missing + delta.mismatched)
         bwd_w.extend(tag + w for w in delta.invented)
-        ord_w.extend(tag + w for w in check_ordering(ref, opt, prov).witnesses)
+        ord_w.extend(tag + w for w in check_ordering(ref, opt, prov, delta=delta).witnesses)
 
     return ValidationReport(
         io_equality=Verdict.of(io_w),

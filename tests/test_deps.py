@@ -17,7 +17,7 @@ from opaqueir.deps import (
     opaque_value_set,
 )
 from opaqueir.interp import parse_input, run
-from opaqueir.ir import Type, typecheck
+from opaqueir.ir import Branch, Type, compute_postdominators, instr_at, typecheck
 from opaqueir.patterns import prepare
 
 
@@ -108,7 +108,7 @@ def test_cd_loop_iterations_stack_up():
     assert len(body_defs) == 3
     # iteration n is control dependent on guards 1..n (all still open)
     for n, ev in enumerate(body_defs, start=1):
-        assert set(guards[:n]) <= info.cd_sources[ev.seq]
+        assert all(info.controls(g, ev.seq) for g in guards[:n])
     # the final io sits at the loop's postdominator: no open guard
     out = event_of(result, lambda e: e.ios)
     assert not (set(guards) & info.cd_sources[out.seq])
@@ -199,6 +199,226 @@ function main() {
     obs2 = event_of(result, lambda e: e.obs and e.defs and e.defs[0][0] == "w2")
     assert not info.hb(obs1.seq, obs2.seq)
     assert not info.hb(obs2.seq, obs1.seq)
+
+
+# --------------------------------------------------------------------------
+# Innermost-branch control dependence against the full open-branch stack
+# --------------------------------------------------------------------------
+
+
+def full_stack_cd(program, result):
+    """Reference: every conditional branch still open in the event's
+    activation, kept as one stack per activation."""
+    pdoms = {f.name: compute_postdominators(f.region) for f in program.functions}
+    stacks = {}
+    out = []
+    for ev in result.events:
+        cd = frozenset()
+        if ev.kind != "init":
+            stack = stacks.setdefault(ev.activation, [])
+            pd = pdoms.get(ev.func, {})
+            stack[:] = [(s, b) for s, b in stack if b == ev.block or ev.block not in pd.get(b, ())]
+            cd = frozenset(s for s, _ in stack)
+            if ev.kind == "branch" and ev.iid is not None:
+                instr = instr_at(program, ev.iid)
+                if isinstance(instr, Branch) and instr.cond is not None:
+                    stack.append((ev.seq, ev.block))
+        out.append(cd)
+    return out
+
+
+def backward_walk_hb(info, dep_sources):
+    """Reference: happens-before from one backward walk per observation
+    over the given dependence sources, then transitive closure."""
+    events = info.run.events
+    anchors = info.anchor_seqs
+    succ = {a: set() for a in anchors}
+    by_channel = {}
+    for s in info.io_seqs:
+        for rec in events[s].ios:
+            if rec.ordered or rec.direction == "r":
+                chain = by_channel.setdefault(rec.channel, [])
+                if not chain or chain[-1] != s:
+                    chain.append(s)
+    for chain in by_channel.values():
+        for a, b in zip(chain, chain[1:]):
+            succ[a].add(b)
+    obs = set(info.obs_seqs)
+    for target in info.obs_seqs:
+        for _, src in events[target].du:
+            if src in succ:
+                succ[src].add(target)
+        stack, seen = list(dep_sources[target]), {target}
+        while stack:
+            s = stack.pop()
+            if s in seen:
+                continue
+            seen.add(s)
+            if s in obs:
+                succ[s].add(target)
+            else:
+                stack.extend(dep_sources[s])
+    reach = {}
+    for a in reversed(anchors):
+        reach[a] = set(succ[a]).union(*(reach[b] for b in succ[a]))
+    return {(a, b) for a, bs in reach.items() for b in bs}
+
+
+def ancestors(dep_sources):
+    """Transitive closure of the dependence sources, one bitmask per event."""
+    out = []
+    for sources in dep_sources:
+        mask = 0
+        for s in sources:
+            mask |= out[s] | (1 << s)
+        out.append(mask)
+    return out
+
+
+NESTED_LOOP = """
+function main() {
+  br outer(0, 0)
+outer(i, acc):
+  c = i < 3
+  br c, inner_entry, done
+inner_entry:
+  br inner(0, acc)
+inner(j, a):
+  d = j < i
+  br d, step, next
+step:
+  a2 = a + j
+  o = observe_and_opacify(a2)
+  io(out, o)
+  j2 = j + 1
+  br inner(j2, o)
+next:
+  i2 = i + 1
+  br outer(i2, a)
+done:
+  io(out, acc)
+  return()
+}
+"""
+
+RECURSIVE = """
+function f(n: u32) -> (u32) {
+  c = n == 0
+  br c, base, step
+base:
+  return(1)
+step:
+  m = n - 1
+  r = f(m)
+  o = observe_and_opacify(r)
+  s = o + n
+  return(s)
+}
+function main() {
+  a = io(input)
+  b = f(a)
+  io(out, b)
+  return()
+}
+"""
+
+DIAMOND_IN_LOOP = """
+function main() {
+  br head(0, 0)
+head(i, acc):
+  c = i < 4
+  br c, body, done
+body:
+  odd = i & 1
+  br odd, left, right
+left:
+  l = acc + i
+  t = observe_decoupled(l)
+  br join(l)
+right:
+  r = acc ^ i
+  br join(r)
+join(v):
+  io(out, v)
+  i2 = i + 1
+  br head(i2, v)
+done:
+  return()
+}
+"""
+
+# The exit test inside the body stays open until the loop exits, so open
+# branches of two blocks interleave on the stack.
+LOOP_WITH_BREAK = """
+function main() {
+  br head(0, 0)
+head(i, acc):
+  c = i < 5
+  br c, body, done
+body:
+  stop = acc > 100
+  br stop, done, latch
+latch:
+  a2 = acc + i
+  o = observe_and_opacify(a2)
+  i2 = i + 1
+  br head(i2, o)
+done:
+  io(out, acc)
+  return()
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, inputs",
+    [
+        (DIAMOND, "desc flag in ordered\n1\n"),
+        (DIAMOND, "desc flag in ordered\n0\n"),
+        (LOOP, None),
+        (HB_PROGRAM, "desc input in ordered\n5\n"),
+        (NESTED_LOOP, None),
+        (RECURSIVE, "desc input in ordered\n3\n"),
+        (DIAMOND_IN_LOOP, None),
+        (LOOP_WITH_BREAK, None),
+    ],
+)
+def test_innermost_branch_keeps_dependence_and_hb(text, inputs):
+    program, types, spec, result, info = setup(text, inputs)
+    full_cd = full_stack_cd(program, result)
+    assert all(len(cd) <= 1 for cd in info.cd_sources)
+    for ev in result.events:
+        for b in range(len(result.events)):
+            assert info.controls(b, ev.seq) == (b in full_cd[ev.seq])
+    full_deps = [
+        frozenset(src for _, src in ev.du) | frozenset(ev.rf) | full_cd[ev.seq]
+        for ev in result.events
+    ]
+    assert ancestors(info.dep_sources) == ancestors(full_deps)
+    assert info.hb_pairs() == backward_walk_hb(info, full_deps)
+
+
+def test_cd_sources_stay_linear_on_a_long_loop():
+    text = """
+function main() {
+  br head(0, 1)
+head(i, acc):
+  c = i < 2000
+  br c, body, done
+body:
+  x = acc + i
+  t = observe_decoupled(x)
+  u = observe_tailio(t)
+  i2 = i + 1
+  br head(i2, x)
+done:
+  io(out, acc)
+  return()
+}
+"""
+    program, types, spec, result, info = setup(text)
+    assert all(len(s) <= 1 for s in info.cd_sources)
+    assert sum(len(s) for s in info.cd_sources) <= len(result.events)
 
 
 # --------------------------------------------------------------------------
