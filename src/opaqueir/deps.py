@@ -601,7 +601,7 @@ def _rule_engine(
         cur_seq = ps[0]
         rev_path.append(cur_seq)
     path = list(reversed(rev_path))  # j .. k inclusive
-    path_set = set(path)
+    branches = [seq for seq in path if seq in info._closes]  # conditional ones
 
     current = _SetAbs.full()
     tracked_from = j
@@ -609,14 +609,14 @@ def _rule_engine(
         ev = events[seq]
         if ev.is_opaque or ev.iid is None:
             return None
-        if any(info.controls(b, seq) for b in path_set):
+        if any(info.controls(b, seq) for b in branches):
             return None  # control hop inside the path
         nxt = _transfer(instr_at(program, ev.iid), ev, tracked_from, current, ty)
         if nxt is None:
             return None
         current = nxt
         tracked_from = seq
-    if any(info.controls(b, k) for b in path_set):
+    if any(info.controls(b, k) for b in branches):
         return None
 
     if current.kind == "exact":
