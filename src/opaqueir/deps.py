@@ -315,12 +315,6 @@ class ValueSetReport:
     status: str  # enumerated | rule | rule_derived | sampled | unknown
     values: Optional[frozenset] = None
 
-    @property
-    def is_exact(self) -> bool:
-        return self.status == "enumerated" or (
-            self.status == "rule" and self.values is not None
-        )
-
 
 _BOTTOM = None  # outcome "the dependent instruction never executed"
 
@@ -439,32 +433,27 @@ def opaque_value_set(
         return ValueSetReport(0, "unknown")
     k_sig = instr_signature(instr_at(program, ev_k.iid))
 
+    observed = dict(ev_j.defs).get(var)
     domain = _domain(ty)
     if domain is not None and len(domain) <= enumeration_cap:
-        observed = dict(ev_j.defs).get(var)
-        outcomes = {value_at_dependent(program, info.run, info, j, k_sig)}
-        for alt_value in domain:
-            if alt_value == observed:
-                continue
-            alt = run(program, inputs, patch=(j, var, alt_value), type_info=var_types)
-            alt_info = analyze(program, alt)
-            outcomes.add(value_at_dependent(program, alt, alt_info, j, k_sig))
-        return ValueSetReport(len(outcomes), "enumerated", frozenset(outcomes))
+        status, alt_values = "enumerated", domain
+    else:
+        report = _rule_engine(program, info, j, k, ty)
+        if report is not None:
+            return report
+        # Seeded sampling fallback for 32-bit results the rules cannot cover.
+        status, alt_values = "sampled", _sample_values(ty, seed, observed)
 
-    report = _rule_engine(program, info, j, k, ty)
-    if report is not None:
-        return report
-
-    # Seeded sampling fallback for 32-bit results the rules cannot cover.
-    observed = dict(ev_j.defs).get(var)
     outcomes = {value_at_dependent(program, info.run, info, j, k_sig)}
-    for alt_value in _sample_values(ty, seed, observed):
+    for alt_value in alt_values:
+        if alt_value == observed:
+            continue
         alt = run(program, inputs, patch=(j, var, alt_value), type_info=var_types)
         alt_info = analyze(program, alt)
         outcomes.add(value_at_dependent(program, alt, alt_info, j, k_sig))
-        if len(outcomes) >= 2:
+        if status == "sampled" and len(outcomes) >= 2:
             break  # two distinct outcomes already witness the link
-    return ValueSetReport(len(outcomes), "sampled", frozenset(outcomes))
+    return ValueSetReport(len(outcomes), status, frozenset(outcomes))
 
 
 # -- rule engine -------------------------------------------------------------

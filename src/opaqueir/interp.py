@@ -30,8 +30,6 @@ from .ir import (
     AtomExpr,
     Atom,
     BinaryExpr,
-    Block,
-    BlockCall,
     Branch,
     CallExpr,
     Const,
@@ -39,12 +37,10 @@ from .ir import (
     Desc,
     DescValue,
     DescriptorExpr,
-    Function,
     InstrId,
     IoRead,
     IoWrite,
     IRError,
-    Instr,
     LoadMem,
     LoadRef,
     MemStore,
@@ -61,7 +57,6 @@ from .ir import (
     Use,
     Var,
     Yield,
-    DESCRIPTOR_CONSTANTS,
     TAILIO_CHANNEL,
     CC_CHANNEL,
     _unsealed,
@@ -119,7 +114,10 @@ def _parse_value(text: str, lineno: int):
     for suffix, ty in (("u8", Type.U8), ("i32", Type.I32), ("u32", Type.U32)):
         if body.endswith(suffix) and body[: -len(suffix)].isdigit():
             value = int(body[: -len(suffix)])
-            return -value if neg else value
+            value = -value if neg else value
+            if _wrap(value, ty) != value:  # the program literals' limits
+                raise InterpError(f"input value {text!r} out of range for {suffix}", (lineno, 1))
+            return value
     if body.isdigit():
         value = int(body)
         return -value if neg else value
@@ -190,23 +188,19 @@ class Event:
     activation: int
     func: str
     block: str
-    defs: tuple[tuple[str, object], ...]
-    uses: tuple[str, ...]
-    du: tuple[tuple[str, int], ...]
-    rf: tuple[int, ...]
-    loads: tuple[tuple[int, int], ...]
-    stores: tuple[tuple[int, int], ...]
-    ref_reads: tuple[tuple[str, object], ...]
-    ref_writes: tuple[tuple[str, object], ...]
-    ios: tuple[IoRecord, ...]
-    obs: tuple[ObsRecord, ...]
-    is_opaque: bool
-    operands: tuple[tuple[str, object], ...]
+    defs: tuple[tuple[str, object], ...] = ()
+    uses: tuple[str, ...] = ()
+    du: tuple[tuple[str, int], ...] = ()
+    rf: tuple[int, ...] = ()
+    loads: tuple[tuple[int, int], ...] = ()
+    stores: tuple[tuple[int, int], ...] = ()
+    ref_reads: tuple[tuple[str, object], ...] = ()
+    ref_writes: tuple[tuple[str, object], ...] = ()
+    ios: tuple[IoRecord, ...] = ()
+    obs: tuple[ObsRecord, ...] = ()
+    is_opaque: bool = False
+    operands: tuple[tuple[str, object], ...] = ()
     branch_taken: Optional[str] = None
-
-    @property
-    def performs_io(self) -> bool:
-        return bool(self.ios)
 
     def def_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.defs)
@@ -308,17 +302,13 @@ def eval_binary(op: str, a, b, ty: Type):
         return _wrap(r, ty)
     if op in ("<<", ">>"):
         bits = {Type.U8: 8, Type.U32: 32, Type.I32: 32}[ty]
-        count = b & _MASK[_type_of_count(b)]
+        count = b & _MASK[Type.U32]
         if count >= bits:
             return 0  # shifting by the full width or more yields zero
         if op == "<<":
             return _wrap((a & _MASK[ty]) << count, ty)
         return _wrap((a & _MASK[ty]) >> count, ty)
     raise AssertionError(op)
-
-
-def _type_of_count(b: int) -> Type:
-    return Type.U32
 
 
 # --------------------------------------------------------------------------
@@ -333,20 +323,6 @@ class RunResult:
     trapped: Optional[str]
     memory: dict[int, int]
     steps: int
-
-    def observation_records(self) -> list[tuple[Event, ObsRecord]]:
-        out = []
-        for ev in self.events:
-            for rec in ev.obs:
-                out.append((ev, rec))
-        return out
-
-    def io_records(self) -> list[tuple[Event, IoRecord]]:
-        out = []
-        for ev in self.events:
-            for rec in ev.ios:
-                out.append((ev, rec))
-        return out
 
     def io_behavior(self, exclude: frozenset[str] = frozenset()) -> dict:
         """Per-channel I/O behavior: ordered channels map to the value
@@ -558,16 +534,6 @@ class _Interp:
         self.write_count[channel] = tag + 1
         return tag
 
-    def _result_type(self, fname: str, instr: Define, fallback: Type = Type.U32) -> Type:
-        # Static type of the first result, for wrap-around arithmetic.
-        if instr.ann and instr.ann[0] is not None:
-            return instr.ann[0]
-        if instr.results and isinstance(instr.results[0], str):
-            ty = self.type_info.get((fname, instr.results[0]))
-            if ty is not None:
-                return ty
-        return fallback
-
     type_info: dict[tuple[str, str], Type] = {}
 
     def operand_type(self, fname: str, atom: Atom, value) -> Type:
@@ -584,8 +550,7 @@ class _Interp:
         scopes: Optional[list[dict]],
         instr: Define,
         acc: _UseAcc,
-        agg: Optional[_Agg],
-        opaque_steps: Optional[list[int]],
+        agg: _Agg,
         seq_for_writes: int,
     ) -> tuple:
         """Evaluate a Define right-hand side to a tuple of values."""
@@ -605,35 +570,31 @@ class _Interp:
         if isinstance(expr, LoadMem):
             addr = self.atom_value(frame, scopes, expr.addr, acc)
             value, writer = self.memory.get(addr, (0, 0))
-            if agg is not None:
-                agg.loads.append((addr, value))
-                if writer != seq_for_writes and writer not in agg.rf:
-                    agg.rf.append(writer)
+            agg.loads.append((addr, value))
+            if writer != seq_for_writes and writer not in agg.rf:
+                agg.rf.append(writer)
             return (value,)
         if isinstance(expr, LoadRef):
             if expr.ref not in frame.refs:
                 raise _Trap(f"reference {expr.ref} read before assignment")
             value, writer = frame.refs[expr.ref]
-            if agg is not None:
-                agg.ref_reads.append((expr.ref, value))
-                if writer != seq_for_writes and writer not in agg.rf:
-                    agg.rf.append(writer)
+            agg.ref_reads.append((expr.ref, value))
+            if writer != seq_for_writes and writer not in agg.rf:
+                agg.rf.append(writer)
             return (value,)
         if isinstance(expr, IoRead):
             dv = self.desc_value(frame, scopes, expr.desc, acc)
             direction, ordered = self.channel_config(dv.channel)
             value, tag = self.io_read(dv.channel)
-            if agg is not None:
-                agg.ios.append(
-                    IoRecord(dv.channel, ordered, "r", tag, (value,), agg.next_pos())
-                )
+            agg.ios.append(
+                IoRecord(dv.channel, ordered, "r", tag, (value,), agg.next_pos())
+            )
             return (value,)
         if isinstance(expr, DescriptorExpr):
             return (DescValue(expr.channel),)
         if isinstance(expr, SnapshotExpr):
             values = tuple(self.atom_value(frame, scopes, a, acc) for a in expr.args)
-            if agg is not None:
-                agg.obs.append(ObsRecord(expr.tags, values, agg.next_pos()))
+            agg.obs.append(ObsRecord(expr.tags, values, agg.next_pos()))
             return values
         raise AssertionError(f"unexpected expression {expr!r}")
 
@@ -661,9 +622,7 @@ class _Interp:
                         elif isinstance(inner.rhs, CallExpr):
                             raise _Trap("function call inside an opaque region")
                         else:
-                            values = self.eval_expr(
-                                frame, scopes, inner, acc, agg, opaque_steps, seq
-                            )
+                            values = self.eval_expr(frame, scopes, inner, acc, agg, seq)
                         for res, val in zip(inner.results, values):
                             env[res] = val
                     elif isinstance(inner, Use):
@@ -783,14 +742,6 @@ class _Interp:
                 defs=tuple(defs),
                 uses=uses,
                 du=du,
-                rf=(),
-                loads=(),
-                stores=(),
-                ref_reads=(),
-                ref_writes=(),
-                ios=(),
-                obs=(),
-                is_opaque=False,
                 operands=operands,
             )
         )
@@ -826,7 +777,7 @@ class _Interp:
                     acc = _UseAcc()
                     agg = _Agg()
                     seq = self.next_seq()
-                    values = self.eval_expr(frame, None, instr, acc, agg, None, seq)
+                    values = self.eval_expr(frame, None, instr, acc, agg, seq)
                     defs = []
                     for res, val in zip(instr.results, values):
                         defs.append((res, self.bind(frame, res, val, seq)))
@@ -844,9 +795,7 @@ class _Interp:
                             du=tuple(acc.du),
                             rf=tuple(agg.rf),
                             loads=tuple(agg.loads),
-                            stores=tuple(agg.stores),
                             ref_reads=tuple(agg.ref_reads),
-                            ref_writes=tuple(agg.ref_writes),
                             ios=tuple(agg.ios),
                             obs=tuple(agg.obs),
                             is_opaque=bool(agg.ios),
@@ -859,7 +808,7 @@ class _Interp:
                     value = self.atom_value(frame, None, instr.value, acc)
                     frame.refs[instr.ref] = (value, seq)
                     self._simple_event(
-                        seq, "instr", iid, instr.loc, frame, block.label, acc,
+                        seq, iid, instr.loc, frame, block.label, acc,
                         ref_writes=((instr.ref, value),),
                     )
                 elif isinstance(instr, MemStore):
@@ -869,7 +818,7 @@ class _Interp:
                     value = self.atom_value(frame, None, instr.value, acc)
                     self.memory[addr] = (value, seq)
                     self._simple_event(
-                        seq, "instr", iid, instr.loc, frame, block.label, acc,
+                        seq, iid, instr.loc, frame, block.label, acc,
                         stores=((addr, value),),
                     )
                 elif isinstance(instr, IoWrite):
@@ -880,7 +829,7 @@ class _Interp:
                     direction, ordered = self.channel_config(dv.channel)
                     tag = self.io_write(dv.channel, values)
                     self._simple_event(
-                        seq, "instr", iid, instr.loc, frame, block.label, acc,
+                        seq, iid, instr.loc, frame, block.label, acc,
                         ios=(IoRecord(dv.channel, ordered, "w", tag, values, 1),),
                         is_opaque=True,
                     )
@@ -889,7 +838,7 @@ class _Interp:
                     seq = self.next_seq()
                     for a in instr.args:
                         self.atom_value(frame, None, a, acc)
-                    self._simple_event(seq, "instr", iid, instr.loc, frame, block.label, acc)
+                    self._simple_event(seq, iid, instr.loc, frame, block.label, acc)
                 elif isinstance(instr, Branch):
                     acc = _UseAcc()
                     seq = self.next_seq()
@@ -916,14 +865,6 @@ class _Interp:
                             defs=tuple(defs),
                             uses=tuple(acc.uses),
                             du=tuple(acc.du),
-                            rf=(),
-                            loads=(),
-                            stores=(),
-                            ref_reads=(),
-                            ref_writes=(),
-                            ios=(),
-                            obs=(),
-                            is_opaque=False,
                             operands=tuple(acc.operands),
                             branch_taken=target.label,
                         )
@@ -952,14 +893,6 @@ class _Interp:
                             defs=tuple(ret_defs),
                             uses=tuple(acc.uses),
                             du=tuple(acc.du),
-                            rf=(),
-                            loads=(),
-                            stores=(),
-                            ref_reads=(),
-                            ref_writes=(),
-                            ios=(),
-                            obs=(),
-                            is_opaque=False,
                             operands=tuple(acc.operands),
                         )
                     )
@@ -969,31 +902,20 @@ class _Interp:
             if not advanced:
                 raise _Trap(f"block {block.label} has no terminator")
 
-    def _simple_event(
-        self, seq, kind, iid, loc, frame, blabel, acc,
-        stores=(), ios=(), ref_writes=(), is_opaque=False,
-    ):
+    def _simple_event(self, seq, iid, loc, frame, blabel, acc, **effects):
         self.emit(
             Event(
                 seq=seq,
-                kind=kind,
+                kind="instr",
                 iid=iid,
                 loc=loc,
                 activation=frame.activation,
                 func=frame.fname,
                 block=blabel,
-                defs=(),
                 uses=tuple(acc.uses),
                 du=tuple(acc.du),
-                rf=(),
-                loads=(),
-                stores=tuple(stores),
-                ref_reads=(),
-                ref_writes=tuple(ref_writes),
-                ios=tuple(ios),
-                obs=(),
-                is_opaque=is_opaque,
                 operands=tuple(acc.operands),
+                **effects,
             )
         )
 
@@ -1009,18 +931,6 @@ class _Interp:
                 activation=0,
                 func="",
                 block="",
-                defs=(),
-                uses=(),
-                du=(),
-                rf=(),
-                loads=(),
-                stores=(),
-                ref_reads=(),
-                ref_writes=(),
-                ios=(),
-                obs=(),
-                is_opaque=False,
-                operands=(),
             )
         )
         try:
@@ -1054,12 +964,3 @@ def run(
 
         interp.type_info = typecheck(program).var_types
     return interp.run()
-
-
-def run_with_patch(
-    program: Program,
-    inputs: Optional[InputSpec],
-    patch: tuple[int, str, object],
-    **kw,
-) -> RunResult:
-    return run(program, inputs, patch=patch, **kw)

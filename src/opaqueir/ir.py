@@ -79,11 +79,6 @@ TYPE_NAMES = {
 
 INT_TYPES = (Type.U8, Type.U32, Type.I32)
 
-TYPE_BITS = {Type.U8: 8, Type.U32: 32, Type.I32: 32}
-
-# Domain size per type, for opaque value set enumeration.
-DOMAIN_SIZE = {Type.BOOL: 2, Type.U8: 256, Type.U32: 2**32, Type.I32: 2**32, Type.UNIT: 1}
-
 
 class Unit:
     """The single value of the unit (token) type."""
@@ -108,25 +103,6 @@ DESCRIPTOR_CONSTANTS = {
 }
 TAILIO_CHANNEL = "tailio"
 CC_CHANNEL = "cc"
-
-KEYWORDS = frozenset(
-    [
-        "function",
-        "macro",
-        "opaque",
-        "snapshot",
-        "io",
-        "mem",
-        "use",
-        "br",
-        "return",
-        "yield",
-        "true",
-        "false",
-        "unit_value",
-    ]
-    + list(DESCRIPTOR_CONSTANTS)
-)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from importlib import resources
 from .ir import (
     CallExpr,
     Define,
-    IRError,
     Macro,
     Program,
     TypeInfo,
@@ -17,7 +16,6 @@ from .ir import (
     map_region_instrs,
     parse_program,
     typecheck,
-    validate_ssa,
 )
 
 # Short names for the most common patterns.
@@ -73,16 +71,3 @@ def prepare(text: str, prelude: bool = True) -> tuple[Program, TypeInfo]:
     program = expand_macros(program)
     info = typecheck(program)
     return program, info
-
-
-def lint_messages(text: str, prelude: bool = True) -> list[str]:
-    """Parse and expand, then return printable diagnostics (errors and
-    lints) without raising."""
-    program = parse_program(text)
-    if prelude:
-        program = inject_prelude(program)
-    try:
-        program = expand_macros(program)
-    except IRError as exc:
-        return [str(exc)]
-    return [str(d) for d in validate_ssa(program)]

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .deps import DepInfo, analyze, chain_reports
+from .deps import analyze, chain_reports
 from .interp import Event, InputSpec, RunResult, run, value_text
 from .ir import (
     AtomExpr,
@@ -59,6 +59,7 @@ from .ir import (
     SnapshotExpr,
     UnaryExpr,
     Var,
+    instr_operand_atoms,
     region_defined_names,
     typecheck,
 )
@@ -83,23 +84,9 @@ class Verdict:
         return cls(True)
 
     @classmethod
-    def fail(cls, witnesses: Iterable[str]) -> "Verdict":
-        ws = tuple(witnesses)
-        assert ws, "a failing verdict needs at least one witness"
-        return cls(False, ws)
-
-    @classmethod
     def of(cls, witnesses: Iterable[str]) -> "Verdict":
         ws = tuple(witnesses)
         return cls(not ws, ws)
-
-    def prefixed(self, prefix: str) -> "Verdict":
-        return Verdict(self.passed, tuple(prefix + w for w in self.witnesses))
-
-    def merge(self, other: "Verdict") -> "Verdict":
-        return Verdict(
-            self.passed and other.passed, self.witnesses + other.witnesses
-        )
 
 
 @dataclass(frozen=True)
@@ -108,21 +95,14 @@ class ValidationReport:
     value_integrity_fwd: Verdict
     value_integrity_bwd: Verdict
     ordering: Verdict
-    chain_preservation: Optional[Verdict] = None
-    secret_branch: Optional[Verdict] = None
 
     def checks(self) -> list[tuple[str, Verdict]]:
-        out = [
+        return [
             ("io_equality", self.io_equality),
             ("value_integrity_fwd", self.value_integrity_fwd),
             ("value_integrity_bwd", self.value_integrity_bwd),
             ("ordering", self.ordering),
         ]
-        if self.chain_preservation is not None:
-            out.append(("chain_preservation", self.chain_preservation))
-        if self.secret_branch is not None:
-            out.append(("secret_branch", self.secret_branch))
-        return out
 
     @property
     def passed(self) -> bool:
@@ -384,8 +364,6 @@ def check_ordering(
     opt: RunResult,
     prov: Optional[ProvenanceMap] = None,
     *,
-    ref_info: Optional[DepInfo] = None,
-    opt_info: Optional[DepInfo] = None,
     delta: Optional[TraceDelta] = None,
 ) -> Verdict:
     """Happens-before preservation: every hb pair of io/observation
@@ -393,8 +371,8 @@ def check_ordering(
     pair in the optimized run. A reference io event without a
     counterpart fails outright. `delta` is the observation-trace
     comparison of the two runs, when the caller already has it."""
-    ref_info = ref_info or analyze(ref.program, ref)
-    opt_info = opt_info or analyze(opt.program, opt)
+    ref_info = analyze(ref.program, ref)
+    opt_info = analyze(opt.program, opt)
 
     counterparts, lost = _io_counterparts(ref, opt)
     delta = delta or compare_traces(observation_trace(ref), observation_trace(opt))
@@ -693,7 +671,7 @@ def check_secret_branches(
                                 changed = True
                             dirty = callee in tainted_returns
                         elif isinstance(rhs, (AtomExpr, UnaryExpr, BinaryExpr, SnapshotExpr)):
-                            dirty = any(hot(f.name, a) for a in _expr_args(rhs))
+                            dirty = any(hot(f.name, a) for a in instr_operand_atoms(instr))
                         else:
                             dirty = False
                         if dirty:
@@ -746,18 +724,6 @@ def check_secret_branches(
                         f"{instr.cond.name}"
                     )
     return Verdict.of(witnesses)
-
-
-def _expr_args(rhs) -> tuple:
-    if isinstance(rhs, AtomExpr):
-        return (rhs.atom,)
-    if isinstance(rhs, UnaryExpr):
-        return (rhs.a,)
-    if isinstance(rhs, BinaryExpr):
-        return (rhs.a, rhs.b)
-    if isinstance(rhs, SnapshotExpr):
-        return rhs.args
-    raise AssertionError(rhs)
 
 
 # --------------------------------------------------------------------------

@@ -3,12 +3,14 @@ chains, and value-set audits with hand-computed expectations."""
 
 import pytest
 
-from opaqueir import parse_program
+from opaqueir import deps, parse_program
 from opaqueir.deps import (
+    DEFAULT_SEED,
     ChainReport,
     OpaqueChain,
     _BOTTOM,
     _REACHED,
+    _sample_values,
     analyze,
     chain_reports,
     classify_chain,
@@ -495,6 +497,37 @@ function main() {
     assert report.values == frozenset(range(256))
 
 
+def counting_reruns(monkeypatch):
+    """Wrap the rerun primitive behind value sets and record each patch."""
+    patches = []
+    original = deps.run
+
+    def counted(*args, **kw):
+        patches.append(kw["patch"])
+        return original(*args, **kw)
+
+    monkeypatch.setattr(deps, "run", counted)
+    return patches
+
+
+def test_ov_enumerated_u8_link_reruns_every_other_value(monkeypatch):
+    text = """
+function main() {
+  a = opaque { yield(42u8) }
+  b = a ^ 1u8
+  w = opaque { s = snapshot(b); yield(unit_value) }
+  return()
+}
+"""
+    program, types, spec, result, info = setup(text)
+    j, k = links(result)
+    patches = counting_reruns(monkeypatch)
+    report = opaque_value_set(program, spec, info, j, k, types)
+    assert report.status == "enumerated"
+    assert len(patches) == 255
+    assert sorted(value for _, _, value in patches) == [v for v in range(256) if v != 42]
+
+
 def test_ov_u8_self_xor_collapses_to_singleton():
     text = """
 function main() {
@@ -708,6 +741,18 @@ def test_ov_sampling_stops_after_second_outcome():
     report = u32_link(["b = a % 7"])
     assert report.status == "sampled"
     assert report.bound >= 2
+
+
+def test_ov_sampling_reruns_until_the_second_outcome(monkeypatch):
+    # The observed a = 7 reaches b as 7 % 7 = 0; the reruns stop at the
+    # first sample whose remainder differs.
+    patches = counting_reruns(monkeypatch)
+    report = u32_link(["b = a % 7"])
+    samples = _sample_values(Type.U32, DEFAULT_SEED, 7)
+    first_new = next(i for i, v in enumerate(samples) if v % 7 != 0)
+    assert report.status == "sampled"
+    assert report.bound == 2
+    assert [value for _, _, value in patches] == samples[: first_new + 1]
 
 
 def test_ov_rule_join_bails_to_sampling():

@@ -11,7 +11,6 @@ from opaqueir.interp import (
     InterpError,
     parse_input,
     run,
-    run_with_patch,
 )
 from opaqueir.patterns import prepare
 
@@ -211,6 +210,30 @@ def test_reserved_channels_not_declarable():
         parse_input("desc tailio in ordered\n")
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["256u8", "300u8", "-1u8", "4294967296u32", "-1u32", "2147483648i32", "-2147483649i32"],
+)
+def test_out_of_range_input_values_are_rejected(value):
+    with pytest.raises(InterpError) as exc:
+        parse_input(f"desc inp in ordered\n1u8\n{value}\n")
+    assert exc.value.loc == (3, 1)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ("255u8", 255),
+        ("0u8", 0),
+        ("4294967295u32", 2**32 - 1),
+        ("2147483647i32", 2**31 - 1),
+        ("-2147483648i32", -(2**31)),
+    ],
+)
+def test_input_values_at_the_type_limits_are_accepted(value, expected):
+    assert parse_input(f"desc inp in ordered\n{value}\n").channels["inp"].values == [expected]
+
+
 def test_tailio_is_unordered():
     r = run_main("  t = observe_decoupled(1)\n  t2 = __io(t)\n  io(out, 0)")
     behavior = r.io_behavior()
@@ -261,7 +284,7 @@ def test_patch_changes_downstream_values():
     base = run(program, None, type_info=info.var_types)
     assert final_def(base, "b") == 2
     a_def = [e for e in base.events if ("a", 1) in e.defs][0]
-    patched = run_with_patch(program, None, (a_def.seq, "a", 10), type_info=info.var_types)
+    patched = run(program, None, patch=(a_def.seq, "a", 10), type_info=info.var_types)
     assert final_def(patched, "b") == 11
 
 
@@ -277,5 +300,5 @@ def test_patch_on_branch_condition_switches_path():
     base = run(program, None, type_info=info.var_types)
     assert base.io_behavior()[("w", "out")] == ("ordered", ((1,),))
     c_def = [e for e in base.events if e.kind == "opaque"][0]
-    patched = run_with_patch(program, None, (c_def.seq, "c", False), type_info=info.var_types)
+    patched = run(program, None, patch=(c_def.seq, "c", False), type_info=info.var_types)
     assert patched.io_behavior()[("w", "out")] == ("ordered", ((0,),))

@@ -25,6 +25,7 @@ from opaqueir.validate import (
     audit_chain_preservation,
     audit_erasure,
     audit_interleaving,
+    audit_value_utilization,
     check_line,
     check_observation_preserving,
     check_ordering,
@@ -526,6 +527,33 @@ b:
     assert verdict.passed, verdict.witnesses
 
 
+def test_value_utilization_catches_the_folded_opaque():
+    src = """
+function main() {
+  k = io(inp)
+  x = opaque { s = snapshot(k); yield(7) }
+  y = x + k
+  io(out, y)
+  return()
+}
+"""
+    program = prog(src)
+    spec = parse_input(ONE_INPUT)
+    ref = run(program, spec)
+    consumers = [("main", "y")]
+
+    res = optimize(program, preset="P2")
+    verdict = audit_value_utilization(ref, run(res.program, spec), res.provenance, consumers)
+    assert verdict.passed, verdict.witnesses
+
+    folded = unsafe_const_fold_opaque(program)
+    res = optimize(folded.program, preset="P2")
+    prov = folded.provenance.compose(res.provenance)
+    verdict = audit_value_utilization(ref, run(res.program, spec), prov, consumers)
+    assert not verdict.passed
+    assert any(w.endswith("lost before main.y") for w in verdict.witnesses), verdict.witnesses
+
+
 # --------------------------------------------------------------------------
 # Secret branches
 # --------------------------------------------------------------------------
@@ -842,7 +870,7 @@ def test_report_aggregates_optional_checks():
         "value_integrity_bwd",
         "ordering",
     ]
-    full = ValidationReport(ok, ok, ok, ok, chain_preservation=ok, secret_branch=bad)
-    assert not full.passed
-    assert full.lines()[-1] == "CHECK secret_branch FAIL w"
-    assert full.render().endswith("\n")
+    failing = ValidationReport(ok, ok, ok, bad)
+    assert not failing.passed
+    assert failing.lines()[-1] == "CHECK ordering FAIL w"
+    assert failing.render().endswith("\n")
