@@ -30,6 +30,7 @@ from .ir import (
     AtomExpr,
     Atom,
     BinaryExpr,
+    BlockCall,
     Branch,
     CallExpr,
     Const,
@@ -59,6 +60,7 @@ from .ir import (
     Yield,
     TAILIO_CHANNEL,
     CC_CHANNEL,
+    _SUFFIXES,
     _unsealed,
 )
 
@@ -111,17 +113,15 @@ def _parse_value(text: str, lineno: int):
         return _LITERALS[text]
     neg = text.startswith("-")
     body = text[1:] if neg else text
-    for suffix, ty in (("u8", Type.U8), ("i32", Type.I32), ("u32", Type.U32)):
-        if body.endswith(suffix) and body[: -len(suffix)].isdigit():
-            value = int(body[: -len(suffix)])
-            value = -value if neg else value
-            if _wrap(value, ty) != value:  # the program literals' limits
-                raise InterpError(f"input value {text!r} out of range for {suffix}", (lineno, 1))
-            return value
-    if body.isdigit():
-        value = int(body)
-        return -value if neg else value
-    raise InterpError(f"bad input value {text!r}", (lineno, 1))
+    suffix = next((s for s in _SUFFIXES if body.endswith(s)), "")
+    ty = _SUFFIXES.get(suffix, Type.U32)  # unsuffixed is u32, as for program literals
+    digits = body[: len(body) - len(suffix)]
+    if not digits.isdigit():
+        raise InterpError(f"bad input value {text!r}", (lineno, 1))
+    value = -int(digits) if neg else int(digits)
+    if _wrap(value, ty) != value:  # the program literals' limits
+        raise InterpError(f"input value {text!r} out of range for {ty.value}", (lineno, 1))
+    return value
 
 
 def parse_input(text: str) -> InputSpec:
@@ -392,30 +392,20 @@ class _Frame:
         self.refs: dict[str, tuple[object, int]] = {}
 
 
-class _UseAcc:
-    """Collects variable uses, their defining events and operand values."""
+class _Agg:
+    """Event buffer for one executed instruction: the variables it uses,
+    their defining events and values, and the effects it performs (all
+    of them, for an opaque instruction's whole region)."""
 
-    __slots__ = ("uses", "du", "operands")
+    __slots__ = (
+        "uses", "du", "operands",
+        "loads", "stores", "rf", "ref_reads", "ref_writes", "ios", "obs", "pos",
+    )
 
     def __init__(self):
         self.uses: list[str] = []
         self.du: list[tuple[str, int]] = []
         self.operands: list[tuple[str, object]] = []
-
-    def note(self, name: str, value, src: Optional[int]):
-        if name not in self.uses:
-            self.uses.append(name)
-            self.operands.append((name, value))
-            if src is not None:
-                self.du.append((name, src))
-
-
-class _Agg:
-    """Aggregation buffer for one opaque instruction instance."""
-
-    __slots__ = ("loads", "stores", "rf", "ref_reads", "ref_writes", "ios", "obs", "pos")
-
-    def __init__(self):
         self.loads: list[tuple[int, int]] = []
         self.stores: list[tuple[int, int]] = []
         self.rf: list[int] = []
@@ -424,6 +414,13 @@ class _Agg:
         self.ios: list[IoRecord] = []
         self.obs: list[ObsRecord] = []
         self.pos = 0
+
+    def note(self, name: str, value, src: Optional[int]):
+        if name not in self.uses:
+            self.uses.append(name)
+            self.operands.append((name, value))
+            if src is not None:
+                self.du.append((name, src))
 
     def next_pos(self) -> int:
         self.pos += 1
@@ -466,9 +463,6 @@ class _Interp:
             if opaque_steps[0] > self.opaque_budget:
                 raise _Trap("opaque region budget exceeded")
 
-    def next_seq(self) -> int:
-        return len(self.events)
-
     def emit(self, event: Event):
         assert event.seq == len(self.events)
         self.events.append(event)
@@ -482,7 +476,7 @@ class _Interp:
 
     # -- evaluation
 
-    def atom_value(self, frame: _Frame, scopes: Optional[list[dict]], atom: Atom, acc: _UseAcc):
+    def atom_value(self, frame: _Frame, scopes: Optional[list[dict]], atom: Atom, agg: _Agg):
         if isinstance(atom, Const):
             return atom.value
         assert isinstance(atom, Var), atom
@@ -493,13 +487,13 @@ class _Interp:
                     return env[name]
         if name in frame.env:
             value = frame.env[name]
-            acc.note(name, value, frame.def_ev.get(name))
+            agg.note(name, value, frame.def_ev.get(name))
             return value
         raise _Trap(f"undefined variable {name}")
 
-    def desc_value(self, frame: _Frame, scopes: Optional[list[dict]], desc: Desc, acc: _UseAcc) -> DescValue:
+    def desc_value(self, frame: _Frame, scopes: Optional[list[dict]], desc: Desc, agg: _Agg) -> DescValue:
         if desc.is_var:
-            value = self.atom_value(frame, scopes, Var(desc.name), acc)
+            value = self.atom_value(frame, scopes, Var(desc.name), agg)
             if not isinstance(value, DescValue):
                 raise _Trap(f"{desc.name} does not hold a descriptor")
             return value
@@ -544,165 +538,139 @@ class _Interp:
             return ty
         return _type_of_value(value)
 
-    def eval_expr(
+    def exec_instr(
         self,
         frame: _Frame,
         scopes: Optional[list[dict]],
-        instr: Define,
-        acc: _UseAcc,
+        instr,
         agg: _Agg,
-        seq_for_writes: int,
+        seq: int,
     ) -> tuple:
-        """Evaluate a Define right-hand side to a tuple of values."""
-        expr = instr.rhs
-        fname = frame.fname
-        if isinstance(expr, AtomExpr):
-            return (self.atom_value(frame, scopes, expr.atom, acc),)
-        if isinstance(expr, UnaryExpr):
-            a = self.atom_value(frame, scopes, expr.a, acc)
-            ty = self.operand_type(fname, expr.a, a)
-            return (eval_unary(expr.op, a, ty),)
-        if isinstance(expr, BinaryExpr):
-            a = self.atom_value(frame, scopes, expr.a, acc)
-            b = self.atom_value(frame, scopes, expr.b, acc)
-            ty = self.operand_type(fname, expr.a, a)
-            return (eval_binary(expr.op, a, b, ty),)
-        if isinstance(expr, LoadMem):
-            addr = self.atom_value(frame, scopes, expr.addr, acc)
-            value, writer = self.memory.get(addr, (0, 0))
-            agg.loads.append((addr, value))
-            if writer != seq_for_writes and writer not in agg.rf:
-                agg.rf.append(writer)
-            return (value,)
-        if isinstance(expr, LoadRef):
-            if expr.ref not in frame.refs:
-                raise _Trap(f"reference {expr.ref} read before assignment")
-            value, writer = frame.refs[expr.ref]
-            agg.ref_reads.append((expr.ref, value))
-            if writer != seq_for_writes and writer not in agg.rf:
-                agg.rf.append(writer)
-            return (value,)
-        if isinstance(expr, IoRead):
-            dv = self.desc_value(frame, scopes, expr.desc, acc)
+        """Execute one non-control instruction at function level (no
+        `scopes`) or inside an opaque region, recording what it uses and
+        does in `agg` on behalf of event `seq`. Returns the values a
+        Define computes; a call or an opaque region is the caller's."""
+        if isinstance(instr, Define):
+            expr = instr.rhs
+            fname = frame.fname
+            if isinstance(expr, AtomExpr):
+                return (self.atom_value(frame, scopes, expr.atom, agg),)
+            if isinstance(expr, UnaryExpr):
+                a = self.atom_value(frame, scopes, expr.a, agg)
+                ty = self.operand_type(fname, expr.a, a)
+                return (eval_unary(expr.op, a, ty),)
+            if isinstance(expr, BinaryExpr):
+                a = self.atom_value(frame, scopes, expr.a, agg)
+                b = self.atom_value(frame, scopes, expr.b, agg)
+                ty = self.operand_type(fname, expr.a, a)
+                return (eval_binary(expr.op, a, b, ty),)
+            if isinstance(expr, LoadMem):
+                addr = self.atom_value(frame, scopes, expr.addr, agg)
+                value, writer = self.memory.get(addr, (0, 0))
+                agg.loads.append((addr, value))
+                if writer != seq and writer not in agg.rf:
+                    agg.rf.append(writer)
+                return (value,)
+            if isinstance(expr, LoadRef):
+                if expr.ref not in frame.refs:
+                    raise _Trap(f"reference {expr.ref} read before assignment")
+                value, writer = frame.refs[expr.ref]
+                agg.ref_reads.append((expr.ref, value))
+                if writer != seq and writer not in agg.rf:
+                    agg.rf.append(writer)
+                return (value,)
+            if isinstance(expr, IoRead):
+                dv = self.desc_value(frame, scopes, expr.desc, agg)
+                direction, ordered = self.channel_config(dv.channel)
+                value, tag = self.io_read(dv.channel)
+                agg.ios.append(
+                    IoRecord(dv.channel, ordered, "r", tag, (value,), agg.next_pos())
+                )
+                return (value,)
+            if isinstance(expr, DescriptorExpr):
+                return (DescValue(expr.channel),)
+            if isinstance(expr, SnapshotExpr):
+                values = tuple(self.atom_value(frame, scopes, a, agg) for a in expr.args)
+                agg.obs.append(ObsRecord(expr.tags, values, agg.next_pos()))
+                return values
+            if isinstance(expr, CallExpr):
+                raise _Trap("function call inside an opaque region")
+            raise AssertionError(f"unexpected expression {expr!r}")
+        if isinstance(instr, Use):
+            for a in instr.args:
+                self.atom_value(frame, scopes, a, agg)
+        elif isinstance(instr, RefAssign):
+            value = self.atom_value(frame, scopes, instr.value, agg)
+            frame.refs[instr.ref] = (value, seq)
+            agg.ref_writes.append((instr.ref, value))
+        elif isinstance(instr, MemStore):
+            addr = self.atom_value(frame, scopes, instr.addr, agg)
+            value = self.atom_value(frame, scopes, instr.value, agg)
+            self.memory[addr] = (value, seq)
+            agg.stores.append((addr, value))
+        elif isinstance(instr, IoWrite):
+            dv = self.desc_value(frame, scopes, instr.desc, agg)
+            values = tuple(self.atom_value(frame, scopes, v, agg) for v in instr.values)
             direction, ordered = self.channel_config(dv.channel)
-            value, tag = self.io_read(dv.channel)
-            agg.ios.append(
-                IoRecord(dv.channel, ordered, "r", tag, (value,), agg.next_pos())
-            )
-            return (value,)
-        if isinstance(expr, DescriptorExpr):
-            return (DescValue(expr.channel),)
-        if isinstance(expr, SnapshotExpr):
-            values = tuple(self.atom_value(frame, scopes, a, acc) for a in expr.args)
-            agg.obs.append(ObsRecord(expr.tags, values, agg.next_pos()))
-            return values
-        raise AssertionError(f"unexpected expression {expr!r}")
+            tag = self.io_write(dv.channel, values)
+            agg.ios.append(IoRecord(dv.channel, ordered, "w", tag, values, agg.next_pos()))
+        else:
+            where = "in an opaque region" if scopes is not None else "at function level"
+            raise _Trap(f"illegal instruction {where}: {instr!r}")
+        return ()
+
+    def take_branch(
+        self, frame: _Frame, scopes: Optional[list[dict]], instr: Branch, agg: _Agg
+    ) -> tuple[BlockCall, tuple]:
+        """The branch's target and the values of its arguments."""
+        target = instr.then
+        if instr.cond is not None:
+            cond = self.atom_value(frame, scopes, instr.cond, agg)
+            taken = cond if isinstance(cond, bool) else cond != 0
+            target = instr.then if taken else instr.els
+        return target, tuple(self.atom_value(frame, scopes, a, agg) for a in target.args)
 
     # -- opaque regions
 
-    def exec_opaque(self, frame: _Frame, instr: Define, iid: InstrId) -> None:
-        seq = self.next_seq()
-        acc = _UseAcc()
-        agg = _Agg()
-        opaque_steps = [0]
-
-        def run_region(expr: OpaqueExpr, parent_scopes: list[dict]) -> tuple:
-            with _unsealed():
-                region = expr.region
-            env: dict[str, object] = {}
-            scopes = parent_scopes + [env]
-            block = region.blocks[0]
-            while True:
-                result: Optional[tuple] = None
-                for inner in block.instrs:
-                    self.tick(opaque_steps)
-                    if isinstance(inner, Define):
-                        if isinstance(inner.rhs, OpaqueExpr):
-                            values = run_region(inner.rhs, scopes)
-                        elif isinstance(inner.rhs, CallExpr):
-                            raise _Trap("function call inside an opaque region")
-                        else:
-                            values = self.eval_expr(frame, scopes, inner, acc, agg, seq)
-                        for res, val in zip(inner.results, values):
-                            env[res] = val
-                    elif isinstance(inner, Use):
-                        for a in inner.args:
-                            self.atom_value(frame, scopes, a, acc)
-                    elif isinstance(inner, RefAssign):
-                        value = self.atom_value(frame, scopes, inner.value, acc)
-                        frame.refs[inner.ref] = (value, seq)
-                        agg.ref_writes.append((inner.ref, value))
-                    elif isinstance(inner, MemStore):
-                        addr = self.atom_value(frame, scopes, inner.addr, acc)
-                        value = self.atom_value(frame, scopes, inner.value, acc)
-                        self.memory[addr] = (value, seq)
-                        agg.stores.append((addr, value))
-                    elif isinstance(inner, IoWrite):
-                        dv = self.desc_value(frame, scopes, inner.desc, acc)
-                        values = tuple(
-                            self.atom_value(frame, scopes, v, acc) for v in inner.values
-                        )
-                        direction, ordered = self.channel_config(dv.channel)
-                        tag = self.io_write(dv.channel, values)
-                        agg.ios.append(
-                            IoRecord(dv.channel, ordered, "w", tag, values, agg.next_pos())
-                        )
-                    elif isinstance(inner, Branch):
-                        target = inner.then
-                        if inner.cond is not None:
-                            cond = self.atom_value(frame, scopes, inner.cond, acc)
-                            taken = cond if isinstance(cond, bool) else cond != 0
-                            target = inner.then if taken else inner.els
-                        args = tuple(
-                            self.atom_value(frame, scopes, a, acc) for a in target.args
-                        )
-                        block = region.block(target.label)
-                        for p, v in zip(block.params, args):
-                            env[p.name] = v
-                        break
-                    elif isinstance(inner, Yield):
-                        result = tuple(
-                            self.atom_value(frame, scopes, v, acc) for v in inner.values
-                        )
-                        break
+    def run_region(
+        self,
+        frame: _Frame,
+        expr: OpaqueExpr,
+        scopes: list[dict],
+        agg: _Agg,
+        seq: int,
+        opaque_steps: list[int],
+    ) -> tuple:
+        """Execute an opaque region atomically on behalf of event `seq`
+        and return the values it yields. Region-local names live in
+        `scopes`, innermost last; free names read the frame."""
+        with _unsealed():
+            region = expr.region
+        env: dict[str, object] = {}
+        scopes = scopes + [env]
+        block = region.blocks[0]
+        while True:
+            for instr in block.instrs:
+                self.tick(opaque_steps)
+                if isinstance(instr, Define):
+                    if isinstance(instr.rhs, OpaqueExpr):
+                        values = self.run_region(frame, instr.rhs, scopes, agg, seq, opaque_steps)
                     else:
-                        raise _Trap(f"illegal instruction in opaque region: {inner!r}")
+                        values = self.exec_instr(frame, scopes, instr, agg, seq)
+                    for res, val in zip(instr.results, values):
+                        env[res] = val
+                elif isinstance(instr, Branch):
+                    target, args = self.take_branch(frame, scopes, instr, agg)
+                    block = region.block(target.label)
+                    for p, v in zip(block.params, args):
+                        env[p.name] = v
+                    break
+                elif isinstance(instr, Yield):
+                    return tuple(self.atom_value(frame, scopes, v, agg) for v in instr.values)
                 else:
-                    raise _Trap("opaque region block fell through")
-                if result is not None:
-                    return result
-
-        values = run_region(instr.rhs, [])
-        defs = []
-        for res, val in zip(instr.results, values):
-            defs.append((res, self.bind(frame, res, val, seq)))
-        self.emit(
-            Event(
-                seq=seq,
-                kind="opaque",
-                iid=iid,
-                loc=instr.loc,
-                activation=frame.activation,
-                func=frame.fname,
-                block=self._label_of(iid),
-                defs=tuple(defs),
-                uses=tuple(acc.uses),
-                du=tuple(acc.du),
-                rf=tuple(agg.rf),
-                loads=tuple(agg.loads),
-                stores=tuple(agg.stores),
-                ref_reads=tuple(agg.ref_reads),
-                ref_writes=tuple(agg.ref_writes),
-                ios=tuple(agg.ios),
-                obs=tuple(agg.obs),
-                is_opaque=True,
-                operands=tuple(acc.operands),
-            )
-        )
-
-    def _label_of(self, iid: InstrId) -> str:
-        fn, bi, _ = iid
-        return self.program.function(fn).region.blocks[bi].label
+                    self.exec_instr(frame, scopes, instr, agg, seq)
+            else:
+                raise _Trap("opaque region block fell through")
 
     # -- function execution
 
@@ -710,7 +678,7 @@ class _Interp:
         self,
         fname: str,
         args: tuple,
-        arg_info: tuple[tuple[str, ...], tuple[tuple[str, int], ...], tuple],
+        arg_agg: _Agg,
         call_iid: Optional[InstrId],
         call_loc: tuple[int, int],
         caller: Optional[_Frame],
@@ -724,11 +692,10 @@ class _Interp:
         frame = _Frame(fname, self.activations)
 
         # The call event defines the callee's parameters.
-        seq = self.next_seq()
+        seq = len(self.events)
         defs = []
         for p, v in zip(fn.params, args):
             defs.append((p.name, self.bind(frame, p.name, v, seq)))
-        uses, du, operands = arg_info
         # The call instruction executes in the caller's control context.
         self.emit(
             Event(
@@ -738,11 +705,15 @@ class _Interp:
                 loc=call_loc,
                 activation=caller.activation if caller else frame.activation,
                 func=caller.fname if caller else fname,
-                block=self._label_of(call_iid) if call_iid else fn.region.blocks[0].label,
+                block=(
+                    self.program.function(call_iid[0]).region.blocks[call_iid[1]].label
+                    if call_iid
+                    else fn.region.blocks[0].label
+                ),
                 defs=tuple(defs),
-                uses=uses,
-                du=du,
-                operands=operands,
+                uses=tuple(arg_agg.uses),
+                du=tuple(arg_agg.du),
+                operands=tuple(arg_agg.operands),
             )
         )
 
@@ -750,23 +721,21 @@ class _Interp:
         block = region.blocks[0]
         bi = 0
         while True:
-            advanced = False
             for pos, instr in enumerate(block.instrs):
                 self.tick()
                 iid = (fname, bi, pos)
+                agg = _Agg()
+                seq = len(self.events)
+                kind = "instr"
+                defs = []
                 if isinstance(instr, Define):
-                    if isinstance(instr.rhs, OpaqueExpr):
-                        self.exec_opaque(frame, instr, iid)
-                        continue
-                    if isinstance(instr.rhs, CallExpr):
-                        acc = _UseAcc()
-                        call_args = tuple(
-                            self.atom_value(frame, None, a, acc) for a in instr.rhs.args
-                        )
+                    rhs = instr.rhs
+                    if isinstance(rhs, CallExpr):
+                        call_args = tuple(self.atom_value(frame, None, a, agg) for a in rhs.args)
                         self.call_function(
-                            instr.rhs.callee,
+                            rhs.callee,
                             call_args,
-                            (tuple(acc.uses), tuple(acc.du), tuple(acc.operands)),
+                            agg,
                             iid,
                             instr.loc,
                             frame,
@@ -774,83 +743,17 @@ class _Interp:
                             depth + 1,
                         )
                         continue
-                    acc = _UseAcc()
-                    agg = _Agg()
-                    seq = self.next_seq()
-                    values = self.eval_expr(frame, None, instr, acc, agg, seq)
-                    defs = []
+                    if isinstance(rhs, OpaqueExpr):
+                        kind = "opaque"
+                        values = self.run_region(frame, rhs, [], agg, seq, [0])
+                    else:
+                        values = self.exec_instr(frame, None, instr, agg, seq)
                     for res, val in zip(instr.results, values):
                         defs.append((res, self.bind(frame, res, val, seq)))
-                    self.emit(
-                        Event(
-                            seq=seq,
-                            kind="instr",
-                            iid=iid,
-                            loc=instr.loc,
-                            activation=frame.activation,
-                            func=fname,
-                            block=block.label,
-                            defs=tuple(defs),
-                            uses=tuple(acc.uses),
-                            du=tuple(acc.du),
-                            rf=tuple(agg.rf),
-                            loads=tuple(agg.loads),
-                            ref_reads=tuple(agg.ref_reads),
-                            ios=tuple(agg.ios),
-                            obs=tuple(agg.obs),
-                            is_opaque=bool(agg.ios),
-                            operands=tuple(acc.operands),
-                        )
-                    )
-                elif isinstance(instr, RefAssign):
-                    acc = _UseAcc()
-                    seq = self.next_seq()
-                    value = self.atom_value(frame, None, instr.value, acc)
-                    frame.refs[instr.ref] = (value, seq)
-                    self._simple_event(
-                        seq, iid, instr.loc, frame, block.label, acc,
-                        ref_writes=((instr.ref, value),),
-                    )
-                elif isinstance(instr, MemStore):
-                    acc = _UseAcc()
-                    seq = self.next_seq()
-                    addr = self.atom_value(frame, None, instr.addr, acc)
-                    value = self.atom_value(frame, None, instr.value, acc)
-                    self.memory[addr] = (value, seq)
-                    self._simple_event(
-                        seq, iid, instr.loc, frame, block.label, acc,
-                        stores=((addr, value),),
-                    )
-                elif isinstance(instr, IoWrite):
-                    acc = _UseAcc()
-                    seq = self.next_seq()
-                    dv = self.desc_value(frame, None, instr.desc, acc)
-                    values = tuple(self.atom_value(frame, None, v, acc) for v in instr.values)
-                    direction, ordered = self.channel_config(dv.channel)
-                    tag = self.io_write(dv.channel, values)
-                    self._simple_event(
-                        seq, iid, instr.loc, frame, block.label, acc,
-                        ios=(IoRecord(dv.channel, ordered, "w", tag, values, 1),),
-                        is_opaque=True,
-                    )
-                elif isinstance(instr, Use):
-                    acc = _UseAcc()
-                    seq = self.next_seq()
-                    for a in instr.args:
-                        self.atom_value(frame, None, a, acc)
-                    self._simple_event(seq, iid, instr.loc, frame, block.label, acc)
                 elif isinstance(instr, Branch):
-                    acc = _UseAcc()
-                    seq = self.next_seq()
-                    target = instr.then
-                    if instr.cond is not None:
-                        cond = self.atom_value(frame, None, instr.cond, acc)
-                        taken = cond if isinstance(cond, bool) else cond != 0
-                        target = instr.then if taken else instr.els
-                    args = tuple(self.atom_value(frame, None, a, acc) for a in target.args)
-                    next_bi = self.block_index[(fname, target.label)]
-                    next_block = region.blocks[next_bi]
-                    defs = []
+                    target, args = self.take_branch(frame, None, instr, agg)
+                    bi = self.block_index[(fname, target.label)]
+                    next_block = region.blocks[bi]
                     for p, v in zip(next_block.params, args):
                         defs.append((p.name, self.bind(frame, p.name, v, seq)))
                     self.emit(
@@ -863,24 +766,19 @@ class _Interp:
                             func=fname,
                             block=block.label,
                             defs=tuple(defs),
-                            uses=tuple(acc.uses),
-                            du=tuple(acc.du),
-                            operands=tuple(acc.operands),
+                            uses=tuple(agg.uses),
+                            du=tuple(agg.du),
+                            operands=tuple(agg.operands),
                             branch_taken=target.label,
                         )
                     )
                     block = next_block
-                    bi = next_bi
-                    advanced = True
                     break
                 elif isinstance(instr, Return):
-                    acc = _UseAcc()
-                    seq = self.next_seq()
-                    values = tuple(self.atom_value(frame, None, v, acc) for v in instr.values)
-                    ret_defs = []
+                    values = tuple(self.atom_value(frame, None, v, agg) for v in instr.values)
                     if caller is not None:
                         for res, val in zip(result_names, values):
-                            ret_defs.append((res, self.bind(caller, res, val, seq)))
+                            defs.append((res, self.bind(caller, res, val, seq)))
                     self.emit(
                         Event(
                             seq=seq,
@@ -890,34 +788,40 @@ class _Interp:
                             activation=frame.activation,
                             func=fname,
                             block=block.label,
-                            defs=tuple(ret_defs),
-                            uses=tuple(acc.uses),
-                            du=tuple(acc.du),
-                            operands=tuple(acc.operands),
+                            defs=tuple(defs),
+                            uses=tuple(agg.uses),
+                            du=tuple(agg.du),
+                            operands=tuple(agg.operands),
                         )
                     )
                     return values
                 else:
-                    raise _Trap(f"illegal instruction at function level: {instr!r}")
-            if not advanced:
+                    self.exec_instr(frame, None, instr, agg, seq)
+                self.emit(
+                    Event(
+                        seq=seq,
+                        kind=kind,
+                        iid=iid,
+                        loc=instr.loc,
+                        activation=frame.activation,
+                        func=fname,
+                        block=block.label,
+                        defs=tuple(defs),
+                        uses=tuple(agg.uses),
+                        du=tuple(agg.du),
+                        rf=tuple(agg.rf),
+                        loads=tuple(agg.loads),
+                        stores=tuple(agg.stores),
+                        ref_reads=tuple(agg.ref_reads),
+                        ref_writes=tuple(agg.ref_writes),
+                        ios=tuple(agg.ios),
+                        obs=tuple(agg.obs),
+                        is_opaque=kind == "opaque" or bool(agg.ios),
+                        operands=tuple(agg.operands),
+                    )
+                )
+            else:
                 raise _Trap(f"block {block.label} has no terminator")
-
-    def _simple_event(self, seq, iid, loc, frame, blabel, acc, **effects):
-        self.emit(
-            Event(
-                seq=seq,
-                kind="instr",
-                iid=iid,
-                loc=loc,
-                activation=frame.activation,
-                func=frame.fname,
-                block=blabel,
-                uses=tuple(acc.uses),
-                du=tuple(acc.du),
-                operands=tuple(acc.operands),
-                **effects,
-            )
-        )
 
     def run(self) -> RunResult:
         trapped = None
@@ -934,7 +838,7 @@ class _Interp:
             )
         )
         try:
-            self.call_function("main", (), ((), (), ()), None, (0, 0), None, (), 0)
+            self.call_function("main", (), _Agg(), None, (0, 0), None, (), 0)
         except _Trap as trap:
             trapped = trap.reason
         memory = {addr: value for addr, (value, _) in self.memory.items()}

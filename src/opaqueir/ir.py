@@ -15,9 +15,10 @@ Opaque regions are the central construct. An instruction defining values
 from an `opaque { ... }` expression executes its whole region atomically
 and in isolation; optimization passes may only query a region through the
 `OpaqueSummary` barrier (uses, read/write effects, performs-I/O, identity
-up to variable renaming). The `sealed_opaque_regions` context manager
-enforces the barrier at runtime: while sealed, touching `OpaqueExpr.region`
-raises `OpacityBreach`.
+up to variable renaming) and may rewrite it only through the sanctioned
+rewrites `rename_instr`, `freshen` and `merge_obs_metadata`. The
+`sealed_opaque_regions` context manager enforces the barrier at runtime:
+while sealed, touching `OpaqueExpr.region` raises `OpacityBreach`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import contextvars
 import re
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
-from typing import Callable, Iterator, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 
 class IRError(Exception):
@@ -532,10 +534,20 @@ def instr_operand_atoms(instr: Instr) -> Iterator[Atom]:
         yield from instr.values
 
 
+def walk_blocks(region: Region) -> Iterator[Block]:
+    """Every block of a region and of the opaque regions nested in it;
+    a block comes before the regions its instructions open."""
+    for block in region.blocks:
+        yield block
+        for instr in block.instrs:
+            if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
+                yield from walk_blocks(instr.rhs._body)
+
+
 def region_defined_names(region: Region) -> set[str]:
     """All names defined anywhere in a region, including nested regions."""
     names: set[str] = set()
-    for block in region.blocks:
+    for block in walk_blocks(region):
         for p in block.params:
             names.add(p.name)
         for instr in block.instrs:
@@ -543,67 +555,53 @@ def region_defined_names(region: Region) -> set[str]:
                 for r in instr.results:
                     if isinstance(r, str):
                         names.add(r)
-                if isinstance(instr.rhs, OpaqueExpr):
-                    with _unsealed():
-                        names |= region_defined_names(instr.rhs.region)
     return names
 
 
 def region_ref_names(region: Region) -> set[str]:
     refs: set[str] = set()
-    for block in region.blocks:
+    for block in walk_blocks(region):
         for instr in block.instrs:
             if isinstance(instr, RefAssign):
                 refs.add(instr.ref)
             elif isinstance(instr, Define) and isinstance(instr.rhs, LoadRef):
                 refs.add(instr.rhs.ref)
-            elif isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
-                with _unsealed():
-                    refs |= region_ref_names(instr.rhs.region)
     return refs
 
 
 def _summarize_region(body: Region) -> OpaqueSummary:
     bound = region_defined_names(body)
-    uses: list[str] = []
-    seen: set[str] = set()
+    # Free uses in first-use order; a nested region's summary lists its
+    # own in that order, which keeps the whole walk in program order.
+    uses: dict[str, None] = {}
+    yield_arity = 0
+    for block in body.blocks:
+        for instr in block.instrs:
+            if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
+                names = instr.rhs.summary.uses
+            else:
+                names = [a.name for a in instr_operand_atoms(instr) if isinstance(a, Var)]
+            for name in names:
+                if name not in bound:
+                    uses.setdefault(name)
+            if isinstance(instr, Yield):
+                yield_arity = len(instr.values)
     has_read = has_write = performs_io = False
     snapshots = 0
-    yield_arity = 0
-
-    def visit(region: Region):
-        nonlocal has_read, has_write, performs_io, snapshots, yield_arity
-        for block in region.blocks:
-            for instr in block.instrs:
-                for atom in instr_operand_atoms(instr):
-                    for name in _atom_vars(atom):
-                        if name not in bound and name not in seen:
-                            seen.add(name)
-                            uses.append(name)
-                if isinstance(instr, MemStore):
-                    has_write = True
-                elif isinstance(instr, RefAssign):
-                    has_write = True
-                elif isinstance(instr, IoWrite):
+    for block in walk_blocks(body):
+        for instr in block.instrs:
+            if isinstance(instr, (MemStore, RefAssign)):
+                has_write = True
+            elif isinstance(instr, IoWrite):
+                performs_io = True
+            elif isinstance(instr, Define):
+                rhs = instr.rhs
+                if isinstance(rhs, (LoadMem, LoadRef)):
+                    has_read = True
+                elif isinstance(rhs, IoRead):
                     performs_io = True
-                elif isinstance(instr, Yield) and region is body:
-                    yield_arity = len(instr.values)
-                elif isinstance(instr, Define):
-                    rhs = instr.rhs
-                    if isinstance(rhs, (LoadMem, LoadRef)):
-                        has_read = True
-                    elif isinstance(rhs, IoRead):
-                        performs_io = True
-                    elif isinstance(rhs, SnapshotExpr):
-                        snapshots += 1
-                    elif isinstance(rhs, OpaqueExpr):
-                        for name in rhs.summary.uses:
-                            if name not in bound and name not in seen:
-                                seen.add(name)
-                                uses.append(name)
-                        visit(rhs._body)
-
-    visit(body)
+                elif isinstance(rhs, SnapshotExpr):
+                    snapshots += 1
     return OpaqueSummary(
         uses=tuple(uses),
         has_read=has_read,
@@ -1416,19 +1414,24 @@ def _instr_loc(instr: Instr) -> tuple[int, int]:
 
 def map_region_instrs(region: Region, fn: Callable[[Instr], Instr]) -> Region:
     """Rebuild a region, applying `fn` to each instruction. Recurses into
-    opaque regions (the callback sees inner instructions too)."""
+    opaque regions (the callback sees inner instructions too). A region
+    whose instructions all come back as the same objects is returned as
+    is; instruction equality ignores `loc`, so equal is not enough."""
     new_blocks = []
+    changed = False
     for block in region.blocks:
         new_instrs = []
         for instr in block.instrs:
+            new = instr
             if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
-                with _unsealed():
-                    inner = map_region_instrs(instr.rhs.region, fn)
-                if inner != instr.rhs._body:
-                    instr = dc_replace(instr, rhs=OpaqueExpr(inner))
-            new_instrs.append(fn(instr))
+                inner = map_region_instrs(instr.rhs._body, fn)
+                if inner is not instr.rhs._body:
+                    new = dc_replace(instr, rhs=OpaqueExpr(inner))
+            new = fn(new)
+            changed = changed or new is not instr
+            new_instrs.append(new)
         new_blocks.append(dc_replace(block, instrs=tuple(new_instrs)))
-    return Region(tuple(new_blocks))
+    return Region(tuple(new_blocks)) if changed else region
 
 
 def _resolve_names(program: Program) -> Program:
@@ -1749,8 +1752,8 @@ class _Expander:
         """Rename macro locals, substitute formals, splice variadic groups.
         Every instruction gets the call site's source location."""
         args = call.rhs.args
-        fixed = macro.formals.fixed
-        if macro.formals.variadic is None:
+        fixed, variadic = macro.formals.fixed, macro.formals.variadic
+        if variadic is None:
             if len(args) != len(fixed):
                 raise MacroError(
                     f"macro {macro.name} takes {len(fixed)} arguments, got {len(args)}",
@@ -1764,144 +1767,38 @@ class _Expander:
                     call.loc,
                 )
             var_actuals = args[len(fixed):]
-        subst: dict[str, Atom] = dict(zip(fixed, args))
-        locals_ = region_defined_names(macro.region) | region_ref_names(macro.region)
-        rename = {name: self.fresh(name) for name in sorted(locals_)}
-        label_map = {b.label: self.fresh(b.label) for b in macro.region.blocks}
-        groups: dict[tuple[str, str], tuple[Atom, ...]] = {}
-        if macro.formals.variadic is not None:
-            groups[macro.formals.variadic] = var_actuals
+        subst: dict[object, object] = dict(zip(fixed, args))
+        if variadic is not None:
+            subst[VarGroup(*variadic)] = var_actuals
             if var_actuals:
-                subst.setdefault(macro.formals.variadic[0], var_actuals[0])
-                subst.setdefault(macro.formals.variadic[1], var_actuals[-1])
-
-        def group_atoms(g: VarGroup) -> tuple[Atom, ...]:
-            key = (g.first, g.last)
-            if key not in groups:
-                if macro.formals.variadic is None:
-                    raise MacroError(
-                        f"'{g.first}, ..., {g.last}' in non-variadic macro {macro.name}",
-                        call.loc,
-                    )
-                fresh_names = tuple(
-                    Var(self.fresh(g.first)) for _ in range(len(var_actuals))
-                )
-                groups[key] = fresh_names
-                # The group's first and last names also stand alone: after
-                # `w1, ..., wk = snapshot(...)`, `yield(w1)` means the
-                # first fresh result.
-                if fresh_names:
-                    subst[g.first] = fresh_names[0]
-                    subst[g.last] = fresh_names[-1]
-            return groups[key]
-
-        def sub_atom(atom: Atom) -> tuple[Atom, ...]:
-            if isinstance(atom, VarGroup):
-                return group_atoms(atom)
-            if isinstance(atom, Var):
-                if atom.name in subst:
-                    return (subst[atom.name],)
-                if atom.name in rename:
-                    return (Var(rename[atom.name]),)
-            return (atom,)
-
-        def sub_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
-            out: list[Atom] = []
-            for a in atoms:
-                out.extend(sub_atom(a))
-            return tuple(out)
-
-        def sub_one(atom: Atom, loc) -> Atom:
-            subbed = sub_atom(atom)
-            if len(subbed) != 1:
-                raise MacroError("a variadic group cannot be used as a single value", loc)
-            return subbed[0]
-
-        def sub_desc(desc: Desc) -> Desc:
-            if desc.is_var and desc.name in rename:
-                return Desc(rename[desc.name], is_var=True)
-            return desc
-
-        def sub_results(results: tuple[object, ...]) -> tuple[str, ...]:
-            out: list[str] = []
-            for r in results:
-                if isinstance(r, VarGroup):
-                    out.extend(v.name for v in group_atoms(r))
-                elif r in rename:
-                    out.append(rename[r])
-                else:
-                    out.append(r)
-            return tuple(out)
-
-        def sub_expr(expr: Expr, loc) -> Expr:
-            if isinstance(expr, AtomExpr):
-                return AtomExpr(sub_one(expr.atom, loc))
-            if isinstance(expr, UnaryExpr):
-                return UnaryExpr(expr.op, sub_one(expr.a, loc))
-            if isinstance(expr, BinaryExpr):
-                return BinaryExpr(expr.op, sub_one(expr.a, loc), sub_one(expr.b, loc))
-            if isinstance(expr, LoadMem):
-                return LoadMem(sub_one(expr.addr, loc))
-            if isinstance(expr, LoadRef):
-                return LoadRef(rename.get(expr.ref, expr.ref))
-            if isinstance(expr, IoRead):
-                return IoRead(sub_desc(expr.desc))
-            if isinstance(expr, SnapshotExpr):
-                return SnapshotExpr(sub_atoms(expr.args), expr.tags)
-            if isinstance(expr, CallExpr):
-                return CallExpr(expr.callee, sub_atoms(expr.args))
-            if isinstance(expr, DescriptorExpr):
-                return expr
-            if isinstance(expr, OpaqueExpr):
-                with _unsealed():
-                    inner = sub_region(expr.region)
-                return OpaqueExpr(inner)
-            raise TypeError(expr)
-
-        def sub_instr(instr: Instr, loc) -> Instr:
-            if isinstance(instr, Define):
-                results = sub_results(instr.results)
-                ann = instr.ann
-                if len(ann) != len(results):
-                    ann = tuple(list(ann) + [None] * (len(results) - len(ann)))[: len(results)]
-                return Define(results, sub_expr(instr.rhs, loc), ann=ann, loc=loc)
-            if isinstance(instr, RefAssign):
-                return RefAssign(rename.get(instr.ref, instr.ref), sub_one(instr.value, loc), loc=loc)
-            if isinstance(instr, MemStore):
-                return MemStore(sub_one(instr.addr, loc), sub_one(instr.value, loc), loc=loc)
-            if isinstance(instr, IoWrite):
-                return IoWrite(sub_desc(instr.desc), sub_atoms(instr.values), loc=loc)
-            if isinstance(instr, Use):
-                return Use(sub_atoms(instr.args), loc=loc)
-            if isinstance(instr, Branch):
-                def sub_target(bc: Optional[BlockCall]) -> Optional[BlockCall]:
-                    if bc is None:
-                        return None
-                    return BlockCall(label_map.get(bc.label, bc.label), sub_atoms(bc.args))
-
-                cond = sub_one(instr.cond, loc) if instr.cond is not None else None
-                return Branch(cond, sub_target(instr.then), sub_target(instr.els), loc=loc)
-            if isinstance(instr, Return):
-                return Return(sub_atoms(instr.values), loc=loc)
-            if isinstance(instr, Yield):
-                return Yield(sub_atoms(instr.values), loc=loc)
-            raise TypeError(instr)
-
-        def sub_region(region: Region) -> Region:
-            new_blocks = []
-            for b in region.blocks:
-                params = tuple(Param(rename.get(p.name, p.name), p.type) for p in b.params)
-                new_blocks.append(
-                    Block(
-                        label_map.get(b.label, b.label),
-                        params,
-                        tuple(sub_instr(i, call.loc) for i in b.instrs),
-                        b.implicit,
-                    )
-                )
-            return Region(tuple(new_blocks))
-
-        return sub_region(macro.region)
+                subst.setdefault(variadic[0], var_actuals[0])
+                subst.setdefault(variadic[1], var_actuals[-1])
+        locals_ = region_defined_names(macro.region) | region_ref_names(macro.region)
+        binds = {name: self.fresh(name) for name in sorted(locals_)}
+        labels = {b.label: self.fresh(b.label) for b in macro.region.blocks}
+        for block in walk_blocks(macro.region):
+            for instr in block.instrs:
+                bound = instr.results if isinstance(instr, Define) else ()
+                for g in (*bound, *instr_operand_atoms(instr)):
+                    if not isinstance(g, VarGroup) or g in subst:
+                        continue
+                    if variadic is None:
+                        raise MacroError(
+                            f"'{g.first}, ..., {g.last}' in non-variadic macro {macro.name}",
+                            call.loc,
+                        )
+                    group = tuple(Var(self.fresh(g.first)) for _ in var_actuals)
+                    subst[g] = group
+                    # The group's first and last names also stand alone:
+                    # after `w1, ..., wk = snapshot(...)`, `yield(w1)`
+                    # means the first fresh result.
+                    if group:
+                        subst[g.first] = group[0]
+                        subst[g.last] = group[-1]
+        uses = {name: Var(new) for name, new in binds.items()}
+        uses.update(subst)
+        stamped = map_region_instrs(macro.region, lambda i: dc_replace(i, loc=call.loc))
+        return rename_region(stamped, uses, binds, labels)
 
 
 def expand_macros(program: Program) -> Program:
@@ -1973,169 +1870,184 @@ def finalize_observations(program: Program) -> Program:
     return Program(tuple(fix_function(f) for f in program.functions), program.macros)
 
 
+# --------------------------------------------------------------------------
+# Barrier-sanctioned rewrites
+# --------------------------------------------------------------------------
+
+
 def merge_obs_metadata(dst: Define, src: Define) -> Define:
     """Barrier-sanctioned metadata merge: when combining two identical
     snapshot-bearing opaque instructions, the surviving one carries the
-    observation tags of both (positionally, per snapshot)."""
+    observation tags of both, each snapshot its own and its twin's."""
     if not isinstance(dst.rhs, OpaqueExpr) or not isinstance(src.rhs, OpaqueExpr):
         raise ValueError("metadata merge applies to opaque instructions")
-
-    with _unsealed():
-        src_tags = [
-            i.rhs.tags
-            for b in src.rhs.region.blocks
-            for i in b.instrs
-            if isinstance(i, Define) and isinstance(i.rhs, SnapshotExpr)
-        ]
-        src_nested = [
-            i
-            for b in src.rhs.region.blocks
-            for i in b.instrs
-            if isinstance(i, Define) and isinstance(i.rhs, OpaqueExpr)
-        ]
-        if src_nested:
-            for inner in src_nested:
-                src_tags.extend(
-                    j.rhs.tags
-                    for b in inner.rhs.region.blocks
-                    for j in b.instrs
-                    if isinstance(j, Define) and isinstance(j.rhs, SnapshotExpr)
-                )
-        slot = 0
-
-        def fix(instr: Instr) -> Instr:
-            nonlocal slot
-            if isinstance(instr, Define) and isinstance(instr.rhs, SnapshotExpr):
-                merged = instr.rhs.tags + (src_tags[slot] if slot < len(src_tags) else ())
-                slot += 1
-                return dc_replace(instr, rhs=dc_replace(instr.rhs, tags=merged))
-            return instr
-
-        new_region = map_region_instrs(dst.rhs.region, fix)
-    return dc_replace(dst, rhs=OpaqueExpr(new_region))
+    if dst.rhs.summary.identity != src.rhs.summary.identity:
+        raise ValueError("metadata merge applies to identical opaque regions")
+    return dc_replace(dst, rhs=OpaqueExpr(_merge_tags(dst.rhs._body, src.rhs._body)))
 
 
-def substitute_free_uses(expr: OpaqueExpr, mapping: dict[str, Atom]) -> OpaqueExpr:
-    """Barrier-sanctioned rewrite of an opaque region's free variable uses
-    (copy propagation and constant propagation use this; bound names are
-    untouched, so the region's behavior is preserved value-for-value)."""
-    with _unsealed():
-        bound = region_defined_names(expr.region)
-        live = {k: v for k, v in mapping.items() if k not in bound}
-        if not live:
-            return expr
-
-        def sub(atom: Atom) -> Atom:
-            if isinstance(atom, Var) and atom.name in live:
-                return live[atom.name]
-            return atom
-
-        def fix(instr: Instr) -> Instr:
-            return substitute_atoms(instr, sub)
-
-        return OpaqueExpr(map_region_instrs(expr.region, fix))
+def _merge_tags(dst: Region, src: Region) -> Region:
+    # Equal identities mean equal shapes, so the two regions zip
+    # instruction by instruction, nested regions included.
+    blocks = []
+    for db, sb in zip(dst.blocks, src.blocks):
+        instrs = []
+        for d, s in zip(db.instrs, sb.instrs):
+            if isinstance(d, Define) and isinstance(d.rhs, SnapshotExpr):
+                d = dc_replace(d, rhs=dc_replace(d.rhs, tags=d.rhs.tags + s.rhs.tags))
+            elif isinstance(d, Define) and isinstance(d.rhs, OpaqueExpr):
+                d = dc_replace(d, rhs=OpaqueExpr(_merge_tags(d.rhs._body, s.rhs._body)))
+            instrs.append(d)
+        blocks.append(dc_replace(db, instrs=tuple(instrs)))
+    return Region(tuple(blocks))
 
 
-def substitute_atoms(instr: Instr, sub: Callable[[Atom], Atom]) -> Instr:
-    """Rebuild one instruction with operand atoms rewritten. Does not
-    descend into opaque regions (use substitute_free_uses for that)."""
-    if isinstance(instr, Define):
-        rhs = instr.rhs
-        if isinstance(rhs, AtomExpr):
-            rhs = AtomExpr(sub(rhs.atom))
-        elif isinstance(rhs, UnaryExpr):
-            rhs = UnaryExpr(rhs.op, sub(rhs.a))
-        elif isinstance(rhs, BinaryExpr):
-            rhs = BinaryExpr(rhs.op, sub(rhs.a), sub(rhs.b))
-        elif isinstance(rhs, LoadMem):
-            rhs = LoadMem(sub(rhs.addr))
-        elif isinstance(rhs, SnapshotExpr):
-            rhs = dc_replace(rhs, args=tuple(sub(a) for a in rhs.args))
-        elif isinstance(rhs, CallExpr):
-            rhs = CallExpr(rhs.callee, tuple(sub(a) for a in rhs.args))
-        elif isinstance(rhs, OpaqueExpr):
-            mapping = {}
-            for name in rhs.summary.uses:
-                new = sub(Var(name))
-                if not (isinstance(new, Var) and new.name == name):
-                    mapping[name] = new
-            rhs = substitute_free_uses(rhs, mapping) if mapping else rhs
-        return dc_replace(instr, rhs=rhs)
-    if isinstance(instr, RefAssign):
-        return dc_replace(instr, value=sub(instr.value))
-    if isinstance(instr, MemStore):
-        return dc_replace(instr, addr=sub(instr.addr), value=sub(instr.value))
-    if isinstance(instr, IoWrite):
-        return dc_replace(instr, values=tuple(sub(v) for v in instr.values))
-    if isinstance(instr, Use):
-        return dc_replace(instr, args=tuple(sub(a) for a in instr.args))
-    if isinstance(instr, Branch):
-        def sub_target(bc: Optional[BlockCall]) -> Optional[BlockCall]:
-            if bc is None:
-                return None
-            return BlockCall(bc.label, tuple(sub(a) for a in bc.args))
-
-        cond = sub(instr.cond) if instr.cond is not None else None
-        return dc_replace(instr, cond=cond, then=sub_target(instr.then), els=sub_target(instr.els))
-    if isinstance(instr, Return):
-        return dc_replace(instr, values=tuple(sub(v) for v in instr.values))
-    if isinstance(instr, Yield):
-        return dc_replace(instr, values=tuple(sub(v) for v in instr.values))
-    return instr
+_NO_NAMES: Mapping = MappingProxyType({})
 
 
-def alpha_rename_opaque(expr: OpaqueExpr, fresh: Callable[[str], str]) -> OpaqueExpr:
-    """Barrier-sanctioned alpha renaming of an opaque region's bound names
-    (definitions, block parameters, labels). Free uses, reference names,
-    and observation metadata stay as they are, so behavior and identity
-    are preserved. Passes that duplicate instructions run copies through
-    this to keep the whole function in single-assignment form."""
-    with _unsealed():
-        region = expr.region
-        renames = {n: fresh(n) for n in region_defined_names(region)}
-        label_map = {b.label: fresh(b.label) for b in region.blocks}
+def rename_instr(
+    instr: Instr,
+    uses: Mapping,
+    binds: Mapping[str, str] = _NO_NAMES,
+    labels: Mapping[str, str] = _NO_NAMES,
+) -> Instr:
+    """Barrier-sanctioned renaming of one instruction, through the opaque
+    regions nested in it.
 
-    def sub(atom: Atom) -> Atom:
-        if isinstance(atom, Var) and atom.name in renames:
-            return Var(renames[atom.name])
+    `uses` maps a used name (an operand or a descriptor variable) to the
+    atom that replaces it, and a `VarGroup` to the atoms spliced in its
+    place (group results take those atoms' names). `binds` maps bound
+    names (results, block parameters, references) to new names, and
+    `labels` maps block labels.
+
+    Shadowing rule: inside an opaque region, a name bound there and not
+    remapped by `binds` keeps its uses, so a region's behavior is
+    preserved value for value whatever `uses` says about outer names.
+    """
+
+    def one(atom: Atom) -> Atom:
+        if isinstance(atom, Var):
+            return uses.get(atom.name, atom)
+        if isinstance(atom, VarGroup) and atom in uses:
+            group = uses[atom]
+            if len(group) != 1:
+                raise MacroError("a variadic group cannot be used as a single value", instr.loc)
+            return group[0]
         return atom
 
-    free_map = {k: Var(v) for k, v in renames.items()}
-    new_blocks = []
-    for block in region.blocks:
-        params = tuple(
-            dc_replace(p, name=renames.get(p.name, p.name)) for p in block.params
-        )
-        instrs: list[Instr] = []
-        for instr in block.instrs:
-            if isinstance(instr, Define):
-                results = tuple(
-                    renames.get(r, r) if isinstance(r, str) else r for r in instr.results
-                )
-                if isinstance(instr.rhs, OpaqueExpr):
-                    # Uses of outer bound names are rewritten as free uses,
-                    # then the nested region gets fresh names of its own.
-                    inner = substitute_free_uses(instr.rhs, free_map)
-                    inner = alpha_rename_opaque(inner, fresh)
-                    instr = dc_replace(instr, results=results, rhs=inner)
-                else:
-                    instr = dc_replace(substitute_atoms(instr, sub), results=results)
-            elif isinstance(instr, Branch):
-                instr = substitute_atoms(instr, sub)
-                then = dc_replace(instr.then, label=label_map[instr.then.label])
-                els = (
-                    dc_replace(instr.els, label=label_map[instr.els.label])
-                    if instr.els is not None
-                    else None
-                )
-                instr = dc_replace(instr, then=then, els=els)
+    def many(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
+        out: list[Atom] = []
+        for a in atoms:
+            if isinstance(a, VarGroup) and a in uses:
+                out.extend(uses[a])
             else:
-                instr = substitute_atoms(instr, sub)
-            instrs.append(instr)
-        new_blocks.append(
-            Block(label_map[block.label], params, tuple(instrs), implicit=block.implicit)
+                out.append(one(a))
+        return tuple(out)
+
+    def desc(d: Desc) -> Desc:
+        new = uses.get(d.name) if d.is_var else None
+        return Desc(new.name, is_var=True) if isinstance(new, Var) else d
+
+    def target(bc: Optional[BlockCall]) -> Optional[BlockCall]:
+        if bc is None:
+            return None
+        return BlockCall(labels.get(bc.label, bc.label), many(bc.args))
+
+    if isinstance(instr, Define):
+        rhs = instr.rhs
+        if isinstance(rhs, OpaqueExpr):
+            if not binds and uses.keys().isdisjoint(rhs.summary.uses):
+                return instr
+            body = rhs._body
+            shadowed = {n for n in region_defined_names(body) if n in uses and n not in binds}
+            if shadowed:
+                uses = {k: v for k, v in uses.items() if k not in shadowed}
+            rhs = OpaqueExpr(rename_region(body, uses, binds, labels))
+        elif isinstance(rhs, AtomExpr):
+            rhs = AtomExpr(one(rhs.atom))
+        elif isinstance(rhs, UnaryExpr):
+            rhs = UnaryExpr(rhs.op, one(rhs.a))
+        elif isinstance(rhs, BinaryExpr):
+            rhs = BinaryExpr(rhs.op, one(rhs.a), one(rhs.b))
+        elif isinstance(rhs, LoadMem):
+            rhs = LoadMem(one(rhs.addr))
+        elif isinstance(rhs, LoadRef):
+            rhs = LoadRef(binds.get(rhs.ref, rhs.ref))
+        elif isinstance(rhs, IoRead):
+            rhs = IoRead(desc(rhs.desc))
+        elif isinstance(rhs, SnapshotExpr):
+            rhs = SnapshotExpr(many(rhs.args), rhs.tags)
+        elif isinstance(rhs, CallExpr):
+            rhs = CallExpr(rhs.callee, many(rhs.args))
+        results: list[str] = []
+        for r in instr.results:
+            if isinstance(r, VarGroup) and r in uses:
+                results.extend(a.name for a in uses[r])
+            else:
+                results.append(binds.get(r, r))
+        ann = instr.ann
+        if len(results) != len(instr.results):
+            ann = (ann + (None,) * len(results))[: len(results)]
+        return Define(tuple(results), rhs, ann, instr.loc)
+    if isinstance(instr, RefAssign):
+        return RefAssign(binds.get(instr.ref, instr.ref), one(instr.value), instr.loc)
+    if isinstance(instr, MemStore):
+        return MemStore(one(instr.addr), one(instr.value), instr.loc)
+    if isinstance(instr, IoWrite):
+        return IoWrite(desc(instr.desc), many(instr.values), instr.loc)
+    if isinstance(instr, Use):
+        return Use(many(instr.args), instr.loc)
+    if isinstance(instr, Branch):
+        cond = one(instr.cond) if instr.cond is not None else None
+        return Branch(cond, target(instr.then), target(instr.els), instr.loc)
+    if isinstance(instr, Return):
+        return Return(many(instr.values), instr.loc)
+    if isinstance(instr, Yield):
+        return Yield(many(instr.values), instr.loc)
+    raise TypeError(instr)
+
+
+def rename_region(
+    region: Region,
+    uses: Mapping,
+    binds: Mapping[str, str] = _NO_NAMES,
+    labels: Mapping[str, str] = _NO_NAMES,
+) -> Region:
+    """`rename_instr` over a whole region, block labels and parameters
+    included."""
+    return Region(
+        tuple(
+            Block(
+                labels.get(b.label, b.label),
+                tuple(Param(binds.get(p.name, p.name), p.type) for p in b.params),
+                tuple(rename_instr(i, uses, binds, labels) for i in b.instrs),
+                b.implicit,
+            )
+            for b in region.blocks
         )
-    return OpaqueExpr(Region(tuple(new_blocks)))
+    )
+
+
+def freshen(instr: Instr, renames: dict[str, str], fresh: Callable[[str], str]) -> Instr:
+    """Barrier-sanctioned copy of an instruction for code duplication:
+    the names in `renames` are renamed, and every name and label bound
+    inside an opaque region gets a fresh one, so the copies stay in
+    single-assignment form. Free uses, references and observation
+    metadata stay as they are, so behavior and identity are preserved."""
+    labels: dict[str, str] = {}
+    if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
+        renames = dict(renames)
+        for block in walk_blocks(instr.rhs._body):
+            labels[block.label] = fresh(block.label)
+            for p in block.params:
+                renames[p.name] = fresh(p.name)
+            for i in block.instrs:
+                if isinstance(i, Define):
+                    for r in i.results:
+                        if isinstance(r, str):
+                            renames[r] = fresh(r)
+    uses = {name: Var(new) for name, new in renames.items()}
+    return rename_instr(instr, uses, renames, labels)
 
 
 # --------------------------------------------------------------------------

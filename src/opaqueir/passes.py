@@ -18,8 +18,10 @@ its event matching off these edges.
 
 Passes treat `opaque { ... }` instructions as indivisible: decisions may
 consult the published summary (free uses, effect bits, yield arity, the
-renaming-invariant identity) and the sanctioned rewrites (free-use
-substitution, bound-name freshening, metadata merge), nothing else.
+renaming-invariant identity), and rewrites go through the three that
+`ir` sanctions: `rename_instr` (free-use substitution), `freshen`
+(renaming a copy, bound names inside regions made fresh) and
+`merge_obs_metadata`; nothing else.
 `run_pipeline` executes with the opacity seal engaged, so a pass that
 tries to peek raises instead of miscompiling. The deliberately unsound
 `unsafe_const_fold_opaque` exists to prove the point and belongs to no
@@ -57,15 +59,14 @@ from .ir import (
     Var,
     Yield,
     _FRESH_SUFFIX_RE,
-    alpha_rename_opaque,
     block_successors,
+    freshen,
     instr_operand_atoms,
     instr_signature,
     merge_obs_metadata,
     region_defined_names,
+    rename_instr,
     sealed_opaque_regions,
-    substitute_atoms,
-    substitute_free_uses,
     typecheck,
 )
 from .interp import eval_binary, eval_unary
@@ -290,13 +291,7 @@ def copyprop(program: Program) -> PassResult:
         resolved = roots[fname]
         if not resolved:
             return None
-
-        def sub(atom):
-            if isinstance(atom, Var) and atom.name in resolved:
-                return resolved[atom.name]
-            return atom
-
-        new = substitute_atoms(instr, sub)
+        new = rename_instr(instr, resolved)
         if new == instr:
             return None
         return [(new, "kept")]
@@ -420,13 +415,9 @@ def constprop(program: Program) -> PassResult:
                                     values[param.name] = new
                                     changed = True
 
-        def sub(atom):
-            if isinstance(atom, Var):
-                v = values.get(atom.name, _TOP)
-                if v != _TOP and v[0] == "const":
-                    return Const(v[1], v[2])
-            return atom
-
+        consts = {
+            name: Const(v[1], v[2]) for name, v in values.items() if v[0] == "const"
+        }
         rb = _FnRebuild(f.name)
         for bi, block in enumerate(f.region.blocks):
             if block.label not in executable:
@@ -437,11 +428,8 @@ def constprop(program: Program) -> PassResult:
                 if isinstance(instr, Branch) and instr.cond is not None:
                     outs = taken.get(block.label, [instr.then, instr.els])
                     if len(outs) == 1:
-                        target = BlockCall(
-                            outs[0].label, tuple(sub(a) for a in outs[0].args)
-                        )
                         rb.emit(
-                            Branch(None, target, None, instr.loc),
+                            rename_instr(Branch(None, outs[0], None, instr.loc), consts),
                             [(iid, "rewritten")],
                         )
                         continue
@@ -458,7 +446,7 @@ def constprop(program: Program) -> PassResult:
                         )
                         rb.emit(new, [(iid, "rewritten")])
                         continue
-                rb.emit(substitute_atoms(instr, sub), [(iid, "kept")])
+                rb.emit(rename_instr(instr, consts), [(iid, "kept")])
             rb.close_block()
         functions.append(rb.finish(f, pm))
     return PassResult(Program(tuple(functions), program.macros), pm)
@@ -1104,37 +1092,12 @@ def _match_counted_loop(
     return None
 
 
-def _clone_instr(instr, renames: dict[str, str], fresh: Callable[[str], str]):
-    def sub(atom):
-        if isinstance(atom, Var) and atom.name in renames:
-            return Var(renames[atom.name])
-        return atom
-
-    if isinstance(instr, Define):
-        results = tuple(
-            renames.get(r, r) if isinstance(r, str) else r for r in instr.results
-        )
-        if isinstance(instr.rhs, OpaqueExpr):
-            rhs = instr.rhs
-            free_map = {
-                name: Var(renames[name])
-                for name in rhs.summary.uses
-                if name in renames
-            }
-            if free_map:
-                rhs = substitute_free_uses(rhs, free_map)
-            rhs = alpha_rename_opaque(rhs, fresh)
-            return dc_replace(instr, results=results, rhs=rhs)
-        return dc_replace(substitute_atoms(instr, sub), results=results)
-    return substitute_atoms(instr, sub)
-
-
 def loop_unroll(program: Program, factor: int = DEFAULT_UNROLL_FACTOR) -> PassResult:
     """Fully unroll counted loops with a known trip count of at most
     `factor`. Each iteration becomes a straight-line clone with fresh
-    names; opaque interiors are freshened through the sanctioned alpha
-    renaming, so their identities and observation metadata survive. The
-    original header and body blocks die with the loop."""
+    names; opaque interiors are freshened through `freshen`, so their
+    identities and observation metadata survive. The original header
+    and body blocks die with the loop."""
     var_types = typecheck(program).var_types
     pm = ProvenanceMap()
     functions = []
@@ -1171,26 +1134,19 @@ def loop_unroll(program: Program, factor: int = DEFAULT_UNROLL_FACTOR) -> PassRe
                             if isinstance(r, str):
                                 renames.setdefault(r, fresh(r))
 
-            def sub(atom, renames=renames):
-                if isinstance(atom, Var) and atom.name in renames:
-                    return Var(renames[atom.name])
-                return atom
-
             params = tuple(dc_replace(p, name=renames[p.name]) for p in header.params)
             instrs: list = []
             srcs: list[InstrId] = []
             for pos, instr in enumerate(header.instrs[:-1]):
-                instrs.append(_clone_instr(instr, renames, fresh))
+                instrs.append(freshen(instr, renames, fresh))
                 srcs.append((f.name, loop.header_index, pos))
             if t < loop.trips:
                 instrs.append(
                     Branch(None, BlockCall(body_labels[t]), None, exit_term.loc)
                 )
             else:
-                taken = BlockCall(
-                    exit_call.label, tuple(sub(a) for a in exit_call.args)
-                )
-                instrs.append(Branch(None, taken, None, exit_term.loc))
+                taken = Branch(None, exit_call, None, exit_term.loc)
+                instrs.append(freshen(taken, renames, fresh))
             srcs.append(header_term_src)
             cloned.append(Block(hdr_labels[t], params, tuple(instrs)))
             cloned_srcs.append(srcs)
@@ -1199,13 +1155,11 @@ def loop_unroll(program: Program, factor: int = DEFAULT_UNROLL_FACTOR) -> PassRe
                 break
             instrs, srcs = [], []
             for pos, instr in enumerate(body.instrs[:-1]):
-                instrs.append(_clone_instr(instr, renames, fresh))
+                instrs.append(freshen(instr, renames, fresh))
                 srcs.append((f.name, loop.body_index, pos))
             back: Branch = body.instrs[-1]
-            next_call = BlockCall(
-                hdr_labels[t + 1], tuple(sub(a) for a in back.then.args)
-            )
-            instrs.append(Branch(None, next_call, None, back.loc))
+            next_call = BlockCall(hdr_labels[t + 1], back.then.args)
+            instrs.append(freshen(Branch(None, next_call, None, back.loc), renames, fresh))
             srcs.append(body_term_src)
             cloned.append(Block(body_labels[t], (), tuple(instrs)))
             cloned_srcs.append(srcs)

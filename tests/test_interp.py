@@ -212,7 +212,17 @@ def test_reserved_channels_not_declarable():
 
 @pytest.mark.parametrize(
     "value",
-    ["256u8", "300u8", "-1u8", "4294967296u32", "-1u32", "2147483648i32", "-2147483649i32"],
+    [
+        "256u8",
+        "300u8",
+        "-1u8",
+        "4294967296u32",
+        "-1u32",
+        "2147483648i32",
+        "-2147483649i32",
+        "4294967296",
+        "-5",
+    ],
 )
 def test_out_of_range_input_values_are_rejected(value):
     with pytest.raises(InterpError) as exc:
@@ -226,6 +236,7 @@ def test_out_of_range_input_values_are_rejected(value):
         ("255u8", 255),
         ("0u8", 0),
         ("4294967295u32", 2**32 - 1),
+        ("4294967295", 2**32 - 1),
         ("2147483647i32", 2**31 - 1),
         ("-2147483648i32", -(2**31)),
     ],

@@ -20,8 +20,8 @@ from opaqueir.ir import (
     merge_obs_metadata,
     parse_program,
     print_program,
+    rename_instr,
     sealed_opaque_regions,
-    substitute_free_uses,
     validate_ssa,
     Var,
 )
@@ -439,13 +439,52 @@ function main() {
     assert snap.rhs.tags[1].source_id[0] == 5
 
 
+def snapshot_tags(region):
+    """Tags of every snapshot in a region, nested regions included."""
+    found = []
+    for block in region.blocks:
+        for instr in block.instrs:
+            if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
+                found += snapshot_tags(instr.rhs.region)
+            elif isinstance(instr, Define) and isinstance(instr.rhs, SnapshotExpr):
+                found.append(instr.rhs.tags)
+    return found
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "y{s} = opaque {{ p{s} = snapshot(b); yield(p{s}) }}; q{s} = snapshot(a); yield(q{s})",
+        "y{s} = opaque {{ u{s} = opaque {{ r{s} = snapshot(c); yield(r{s}) }}; "
+        "p{s} = snapshot(b); yield(p{s}) }}; q{s} = snapshot(a); yield(q{s})",
+    ],
+)
+def test_merge_obs_metadata_pairs_each_snapshot_with_its_twin(body):
+    src = (
+        "function main() {\n  a = 1; b = 2; c = 3\n"
+        f"  x = opaque {{ {body.format(s=1)} }}\n"
+        f"  z = opaque {{ {body.format(s=2)} }}\n"
+        "  w = opaque { s = snapshot(c); yield(s) }\n}\n"
+    )
+    instrs = expand_macros(parse_program(src)).function("main").region.blocks[0].instrs
+    dx, dz, dw = instrs[3:6]
+    tags = snapshot_tags(merge_obs_metadata(dx, dz).rhs.region)
+    assert len(tags) == body.count("snapshot")
+    for own, twin in tags:
+        # lines 3 and 4 of src; each snapshot observes a different name
+        assert (own.source_id[0], twin.source_id[0]) == (3, 4)
+        assert own.names == twin.names
+    with pytest.raises(ValueError):
+        merge_obs_metadata(dx, dw)
+
+
 def test_substitute_free_uses_respects_binding():
     p = parse_program(
         "function main() {\n  a = 1\n  x = opaque { w = a + a; v = w + a; yield(v); }\n}\n"
     )
-    opq = p.function("main").region.blocks[0].instrs[1].rhs
-    new = substitute_free_uses(opq, {"a": Const(9, Type.U32), "w": Const(7, Type.U32)})
-    instrs = new.region.blocks[0].instrs
+    define = p.function("main").region.blocks[0].instrs[1]
+    new = rename_instr(define, {"a": Const(9, Type.U32), "w": Const(7, Type.U32)})
+    instrs = new.rhs.region.blocks[0].instrs
     assert instrs[0].rhs.a == Const(9, Type.U32)
     # `w` is bound inside the region and must not be rewritten.
     assert instrs[1].rhs.a == Var("w")

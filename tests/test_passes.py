@@ -15,6 +15,8 @@ from opaqueir.ir import (
     OpaqueExpr,
     Type,
     Var,
+    sealed_opaque_regions,
+    validate_ssa,
 )
 from opaqueir.passes import (
     PASSES,
@@ -907,3 +909,70 @@ def test_passes_decide_from_summaries_not_interiors():
     # with nothing anchoring it, the region is swept either way, and the
     # two programs optimize to the very same thing
     assert optimize(v1, preset="P3").program == optimize(v2, preset="P3").program
+
+
+# --------------------------------------------------------------------------
+# Every pass leaves well-formed IR
+# --------------------------------------------------------------------------
+
+# Each site observes `{v}` and carries a value on as `{n}`.
+PATTERN_SITES = {
+    "monolithic": "o = observe_monolithic({v})\n  {n} = {v} + 1",
+    "decoupled_tailio": "o = observe_decoupled({v})\n  p = observe_tailio(o)\n  {n} = {v} + 1",
+    "cc": "observe_cc({v})\n  {n} = {v} + 1",
+    "artificial_def_cc": "{n} = artificial_def_cc({v})",
+    "pair": "mem[{v}] <- {v}\n  o = observe_pair({v})\n  {n} = {v} + 1",
+    "opacify": "{n} = observe_and_opacify({v})",
+}
+
+LOOP = """
+function main() {{
+  a = io(inp)
+  br head(0, a)
+head(i, acc):
+  c = i < {trips}
+  br c, body, {exit_call}
+body:
+  {site}
+  i2 = i + 1
+  br head(i2, nxt)
+done({exit_param}):
+  io(out, {result})
+  return()
+}}
+"""
+
+
+def sweep_program(shape, pattern):
+    if shape == "straight":
+        site = PATTERN_SITES[pattern].format(v="a", n="b")
+        return f"function main() {{\n  a = io(inp)\n  {site}\n  io(out, b)\n  return()\n}}\n"
+    site = PATTERN_SITES[pattern].format(v="acc", n="nxt")
+    if shape == "exit_capture":
+        # the exit reads the header parameter directly, not through an argument
+        return LOOP.format(trips=3, exit_call="done", site=site, exit_param="", result="acc")
+    trips = {"loop3": 3, "loop20": 20}[shape]
+    return LOOP.format(trips=trips, exit_call="done(acc)", site=site, exit_param="r", result="r")
+
+
+EXIT_CAPTURE_XFAIL = pytest.mark.xfail(
+    strict=True,
+    reason="loop_unroll renames header parameters, so an exit block reading one "
+    "directly reads an undefined name. Fixing it turns the corpus loop/monolithic/"
+    "exit_capture Pz verdict recorded as IRError in perfbench/expected.json into "
+    "pass, which perfbench/test_perfbench.py rejects until the benchmark re-records it.",
+)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("pattern", sorted(PATTERN_SITES))
+@pytest.mark.parametrize("shape", ["straight", "loop3", "loop20", "exit_capture"])
+def test_every_pass_leaves_well_formed_ir(request, shape, pattern, preset):
+    if shape == "exit_capture" and preset == "Pz":
+        request.applymarker(EXIT_CAPTURE_XFAIL)
+    program = prog(sweep_program(shape, pattern))
+    with sealed_opaque_regions():
+        for name in PRESETS[preset]:
+            program = PASSES[name](program).program
+            errors = [str(d) for d in validate_ssa(program) if d.severity == "error"]
+            assert not errors, f"after {name}: {errors[:3]}"

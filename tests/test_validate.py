@@ -225,6 +225,22 @@ function main() {
     assert len(recs) == 1 and len(recs[0].tags) == 2
 
 
+def test_merged_nested_observations_keep_their_own_values():
+    src = """
+function main() {
+  a = io(inp)
+  b = io(inp)
+  x = opaque { y = opaque { p = snapshot(b); yield(p) }; q = snapshot(a); yield(q) }
+  z = opaque { y2 = opaque { p2 = snapshot(b); yield(p2) }; q2 = snapshot(a); yield(q2) }
+  s = x + z
+  io(out, s)
+  return()
+}
+"""
+    report = validate(src, "P2", ["desc inp in ordered\n1\n2\n"])
+    assert report.passed, report.render()
+
+
 def test_hoisted_arms_pass_both_ways():
     src = """
 function main() {
@@ -285,6 +301,44 @@ done(tf):
     report = check_observation_preserving(
         program, res.program, res.provenance, [None]
     )
+    assert report.passed, report.render()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "t = observe_monolithic(i, a)",
+        "u = observe_decoupled(i, a)\n  t = observe_tailio(u)",
+        "observe_cc(i, a)",
+        "d = artificial_def_cc(i)\n  io(out, d)",
+        "d = ordered_set_descriptor\n  io(d, i)",
+    ],
+)
+def test_unrolled_descriptor_uses_follow_their_clones(body):
+    # Each clone of the loop body binds the descriptor afresh, inside an
+    # opaque region or at function level; its io must use that clone's.
+    src = f"""
+function main() {{
+  a = io(inp)
+  br head(0)
+head(i):
+  c = i < 3
+  br c, body, done
+body:
+  {body}
+  i2 = i + 1
+  br head(i2)
+done:
+  io(out, a)
+  return()
+}}
+"""
+    program = prog(src)
+    res = optimize(program, preset="Pz")
+    assert len(res.program.function("main").region.blocks) > 4, "the loop should be unrolled"
+    spec = parse_input(ONE_INPUT)
+    assert run(res.program, spec).io_behavior() == run(program, spec).io_behavior()
+    report = check_observation_preserving(program, res.program, res.provenance, [spec])
     assert report.passed, report.render()
 
 
