@@ -31,11 +31,13 @@ at least two elements. Boolean and byte results are enumerated outright;
 unit tokens live in an abstract two-point domain and are never
 enumerated, otherwise every token chain would collapse to a singleton;
 32-bit results go through a small per-operation rule engine and fall
-back to seeded sampling.
+back to seeded sampling. Each patched value is rerun once, and that rerun
+is shared by every audited link out of the same opaque event.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -64,6 +66,7 @@ from .interp import Event, InputSpec, RunResult, eval_binary, eval_unary, run
 
 ENUMERATION_CAP = 256
 SAMPLE_COUNT = 64
+CHAIN_CAP = 10_000
 DEFAULT_SEED = 0
 
 
@@ -184,11 +187,14 @@ class DepInfo:
         return {(a, b) for a, bs in reach.items() for b in bs}
 
 
-def analyze(program: Program, result: RunResult) -> DepInfo:
-    """Compute dependence sources for every event of a run."""
-    pdoms: dict[str, dict[str, set[str]]] = {}
-    for f in program.functions:
-        pdoms[f.name] = compute_postdominators(f.region)
+def _postdominators(program: Program) -> dict[str, dict[str, set[str]]]:
+    return {f.name: compute_postdominators(f.region) for f in program.functions}
+
+
+def analyze(program: Program, result: RunResult, *, _postdoms=None) -> DepInfo:
+    """Compute dependence sources for every event of a run. The chain
+    audit passes `_postdoms` so the reruns of one program share them."""
+    pdoms = _postdominators(program) if _postdoms is None else _postdoms
 
     dep_sources: list[frozenset[int]] = []
     cd_sources: list[frozenset[int]] = []
@@ -275,9 +281,10 @@ class OpaqueChain:
         return len(self.events)
 
 
-def find_chains(info: DepInfo, cap: int = 10_000) -> list[OpaqueChain]:
+def find_chains(info: DepInfo) -> list[OpaqueChain]:
     """Maximal paths through the opaque skeleton. Isolated opaque events
-    become singleton chains. Enumeration is capped for pathological DAGs."""
+    become singleton chains. Enumeration stops at `CHAIN_CAP` chains for
+    pathological DAGs; a list that long may be incomplete."""
     skel = opaque_skeleton(info)
     has_pred: set[int] = set()
     for ts in skel.values():
@@ -285,7 +292,7 @@ def find_chains(info: DepInfo, cap: int = 10_000) -> list[OpaqueChain]:
     chains: list[OpaqueChain] = []
 
     def extend(path: list[int]):
-        if len(chains) >= cap:
+        if len(chains) >= CHAIN_CAP:
             return
         succs = skel.get(path[-1], ())
         if not succs:
@@ -349,20 +356,15 @@ def witness_var(info: DepInfo, j: int, k: int) -> Optional[str]:
     return used[0] if used else names[0]
 
 
-def value_at_dependent(
-    program: Program,
-    alt: RunResult,
-    alt_info: DepInfo,
-    j: int,
-    k_sig: str,
-) -> object:
+def value_at_dependent(alt: RunResult, alt_info: DepInfo, j: int, k_sig: str, sign) -> object:
     """Scan a trace for the first event that depends on event j and
     executes an instruction identical (up to renaming) to the later
-    opaque, and return the operand value that arrived there. Never
-    reaching one is the bottom outcome (`None`); reaching one through
-    control or effects alone is its own outcome. The scan stops at any
-    other dependent opaque event, since the value would then flow through
-    a different opaque region first."""
+    opaque, and return the operand value that arrived there. `sign` maps
+    an instruction id to its `instr_signature`. Never reaching one is the
+    bottom outcome (`None`); reaching one through control or effects
+    alone is its own outcome. The scan stops at any other dependent
+    opaque event, since the value would then flow through a different
+    opaque region first."""
     events = alt.events
     if j >= len(events):
         return _BOTTOM
@@ -373,7 +375,7 @@ def value_at_dependent(
         dependent.add(ev.seq)
         if ev.iid is None:
             continue
-        if instr_signature(instr_at(program, ev.iid)) == k_sig:
+        if sign(ev.iid) == k_sig:
             for name, src in ev.du:
                 if src in dependent:
                     return dict(ev.operands)[name]
@@ -384,11 +386,10 @@ def value_at_dependent(
 
 
 def _domain(ty: Type) -> Optional[list]:
-    if ty is Type.BOOL:
-        return [False, True]
-    if ty is Type.U8:
-        return list(range(256))
-    return None
+    """The values to enumerate for a result of type ty, if they fit the
+    enumeration cap."""
+    domain = [False, True] if ty is Type.BOOL else list(range(256)) if ty is Type.U8 else None
+    return domain if domain is not None and len(domain) <= ENUMERATION_CAP else None
 
 
 def _sample_values(ty: Type, seed: int, observed) -> list:
@@ -412,48 +413,64 @@ def opaque_value_set(
     k: int,
     var_types: dict[tuple[str, str], Type],
     seed: int = DEFAULT_SEED,
-    enumeration_cap: int = ENUMERATION_CAP,
 ) -> ValueSetReport:
     """Size of the value set of event j's result as seen at event k."""
+    return _value_sets(program, inputs, info, [(j, k)], var_types, seed)[j, k]
+
+
+def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
+    """`opaque_value_set` for every link (j, k) of `pairs`. A rerun
+    patches only event j's witness variable, so the links out of one
+    (j, variable) share their reruns: each alternative value is run and
+    analysed once, and every link that still needs an outcome reads its
+    own from that rerun."""
     events = info.run.events
-    ev_j, ev_k = events[j], events[k]
-    var = witness_var(info, j, k)
-    if var is None:
-        # No defined value: the link is carried by effects alone, which
-        # get the same two-point treatment as unit tokens.
-        return ValueSetReport(2, "rule_derived")
-    ty = var_types.get((ev_j.func, var))
-    if ty is None:
-        return ValueSetReport(0, "unknown")
-    if ty is Type.UNIT:
-        # Unit tokens: abstract two-point domain. Enumerating the runtime
-        # domain would make every token link look like a singleton.
-        return ValueSetReport(2, "rule_derived")
-    if ev_k.iid is None:
-        return ValueSetReport(0, "unknown")
-    k_sig = instr_signature(instr_at(program, ev_k.iid))
+    reports: dict[tuple[int, int], ValueSetReport] = {}
+    groups: dict[tuple[int, str], dict[int, str]] = {}  # (j, var) -> {k: k_sig}
+    sign = functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
+    for j, k in pairs:
+        var = witness_var(info, j, k)
+        ty = None if var is None else var_types.get((events[j].func, var))
+        if var is None or ty is Type.UNIT:
+            # No defined value: the link is carried by effects alone. Unit
+            # tokens live in an abstract two-point domain: enumerating the
+            # runtime domain would make every token link a singleton.
+            reports[j, k] = ValueSetReport(2, "rule_derived")
+        elif ty is None or events[k].iid is None:
+            reports[j, k] = ValueSetReport(0, "unknown")
+        elif _domain(ty) is not None or (report := _rule_engine(program, info, j, k, ty)) is None:
+            groups.setdefault((j, var), {})[k] = sign(events[k].iid)
+        else:
+            reports[j, k] = report
 
-    observed = dict(ev_j.defs).get(var)
-    domain = _domain(ty)
-    if domain is not None and len(domain) <= enumeration_cap:
-        status, alt_values = "enumerated", domain
-    else:
-        report = _rule_engine(program, info, j, k, ty)
-        if report is not None:
-            return report
-        # Seeded sampling fallback for 32-bit results the rules cannot cover.
-        status, alt_values = "sampled", _sample_values(ty, seed, observed)
-
-    outcomes = {value_at_dependent(program, info.run, info, j, k_sig)}
-    for alt_value in alt_values:
-        if alt_value == observed:
-            continue
-        alt = run(program, inputs, patch=(j, var, alt_value), type_info=var_types)
-        alt_info = analyze(program, alt)
-        outcomes.add(value_at_dependent(program, alt, alt_info, j, k_sig))
-        if status == "sampled" and len(outcomes) >= 2:
-            break  # two distinct outcomes already witness the link
-    return ValueSetReport(len(outcomes), status, frozenset(outcomes))
+    postdoms = _postdominators(program)
+    for (j, var), k_sigs in groups.items():
+        ty = var_types[events[j].func, var]
+        observed = dict(events[j].defs).get(var)
+        domain = _domain(ty)
+        if domain is not None:
+            status, alt_values = "enumerated", domain
+        else:
+            # Seeded sampling fallback for 32-bit results the rules cannot cover.
+            status, alt_values = "sampled", _sample_values(ty, seed, observed)
+        outcomes = {k: {value_at_dependent(info.run, info, j, s, sign)} for k, s in k_sigs.items()}
+        pending = k_sigs
+        for alt_value in alt_values:
+            if alt_value == observed:
+                continue
+            alt = run(program, inputs, patch=(j, var, alt_value), type_info=var_types)
+            alt_info = analyze(program, alt, _postdoms=postdoms)
+            for k, sig in pending.items():
+                outcomes[k].add(value_at_dependent(alt, alt_info, j, sig, sign))
+            del alt, alt_info  # one rerun alive at a time
+            if status == "sampled":
+                # Two distinct outcomes already witness a link.
+                pending = {k: sig for k, sig in pending.items() if len(outcomes[k]) < 2}
+                if not pending:
+                    break
+        for k, seen in outcomes.items():
+            reports[j, k] = ValueSetReport(len(seen), status, frozenset(seen))
+    return reports
 
 
 # -- rule engine -------------------------------------------------------------
@@ -697,19 +714,7 @@ def classify_chain(
     set provably has at least two elements; broken means some link's set
     is a singleton (for sampled links: no second outcome was found, which
     is evidence rather than proof); unconfirmed covers the rest."""
-    witnesses = tuple(
-        opaque_value_set(program, inputs, info, a, b, var_types, seed=seed)
-        for a, b in zip(chain.events, chain.events[1:])
-    )
-    verdict = "confirmed"
-    for w in witnesses:
-        if w.status == "unknown":
-            verdict = "unconfirmed"
-            break
-        if w.bound < 2:
-            verdict = "broken"
-            break
-    return ChainReport(chain, witnesses, verdict)
+    return _classify(program, inputs, info, [chain], var_types, seed)[0]
 
 
 def chain_reports(
@@ -720,7 +725,24 @@ def chain_reports(
     seed: int = DEFAULT_SEED,
 ) -> list[ChainReport]:
     """Find and classify every opaque chain of a run."""
-    return [
-        classify_chain(program, inputs, info, chain, var_types, seed=seed)
-        for chain in find_chains(info)
-    ]
+    return _classify(program, inputs, info, find_chains(info), var_types, seed)
+
+
+def _classify(program, inputs, info, chains, var_types, seed) -> list[ChainReport]:
+    """`classify_chain` for every chain, auditing each distinct link once."""
+    links = [list(zip(chain.events, chain.events[1:])) for chain in chains]
+    pairs = dict.fromkeys(p for ls in links for p in ls)
+    value_sets = _value_sets(program, inputs, info, pairs, var_types, seed)
+    reports = []
+    for chain, ls in zip(chains, links):
+        witnesses = tuple(value_sets[p] for p in ls)
+        verdict = "confirmed"
+        for w in witnesses:
+            if w.status == "unknown":
+                verdict = "unconfirmed"
+                break
+            if w.bound < 2:
+                verdict = "broken"
+                break
+        reports.append(ChainReport(chain, witnesses, verdict))
+    return reports

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
+from . import deps
 from .deps import analyze, chain_reports
 from .interp import Event, InputSpec, RunResult, run, value_text
 from .ir import (
@@ -496,15 +497,18 @@ def audit_chain_preservation(
     and a dependence path to the tail's counterpart. A broken chain
     (some link's value set is a singleton) was never an opaque chain and
     is exempt; a chain nobody could confirm fails, never silently
-    trusted."""
+    trusted, and so does an enumeration stopped at `CHAIN_CAP` chains."""
     ref_info = analyze(ref.program, ref)
     opt_info = analyze(opt.program, opt)
     var_types = typecheck(ref.program).var_types
     em = EventMap(ref.events, opt.events, prov)
     io_map, _ = _io_counterparts(ref, opt)
 
+    reports = chain_reports(ref.program, inputs, ref_info, var_types, seed=seed)
     witnesses: list[str] = []
-    for report in chain_reports(ref.program, inputs, ref_info, var_types, seed=seed):
+    if len(reports) >= deps.CHAIN_CAP:
+        witnesses.append(f"chain enumeration stopped at {deps.CHAIN_CAP} chains")
+    for report in reports:
         head = report.chain.events[0]
         tail = report.chain.events[-1]
         if not ref.events[tail].ios:

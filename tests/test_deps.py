@@ -784,8 +784,7 @@ function main() {
     assert report.values is None  # never enumerated
 
 
-def test_token_threaded_chain_is_confirmed():
-    text = """
+TOKEN_THREADED = """
 function main() {
   a = io(input)
   t1 = opaque { s1 = snapshot(a); yield(unit_value) }
@@ -794,7 +793,10 @@ function main() {
   return()
 }
 """
-    program, types, spec, result, info = setup(text, "desc input in ordered\n5\n")
+
+
+def test_token_threaded_chain_is_confirmed():
+    program, types, spec, result, info = setup(TOKEN_THREADED, "desc input in ordered\n5\n")
     reports = chain_reports(program, spec, info, types)
     threaded = [
         r
@@ -807,8 +809,7 @@ function main() {
     assert statuses == ["rule", "rule_derived"]
 
 
-def test_broken_link_marks_the_chain_broken():
-    text = """
+BROKEN_LINK = """
 function main() {
   a = opaque { yield(42u8) }
   b = a ^ a
@@ -816,22 +817,27 @@ function main() {
   return()
 }
 """
-    program, types, spec, result, info = setup(text)
+
+
+def test_broken_link_marks_the_chain_broken():
+    program, types, spec, result, info = setup(BROKEN_LINK)
     reports = chain_reports(program, spec, info, types)
     assert len(reports) == 1
     assert reports[0].verdict == "broken"
     assert reports[0].witnesses[0].bound == 1
 
 
-def test_singleton_chain_is_vacuously_confirmed():
-    text = """
+SINGLETON = """
 function main() {
   lone = opaque { yield(9) }
   use(lone)
   return()
 }
 """
-    program, types, spec, result, info = setup(text)
+
+
+def test_singleton_chain_is_vacuously_confirmed():
+    program, types, spec, result, info = setup(SINGLETON)
     reports = chain_reports(program, spec, info, types)
     assert len(reports) == 1
     assert len(reports[0].chain) == 1
@@ -839,8 +845,7 @@ function main() {
     assert reports[0].witnesses == ()
 
 
-def test_prelude_observation_chain_through_tailio():
-    text = """
+PRELUDE_CHAIN = """
 function main() {
   a = io(input)
   t = observe_decoupled(a)
@@ -848,7 +853,135 @@ function main() {
   return()
 }
 """
-    program, types, spec, result, info = setup(text, "desc input in ordered\n5\n")
+
+
+def test_prelude_observation_chain_through_tailio():
+    program, types, spec, result, info = setup(PRELUDE_CHAIN, "desc input in ordered\n5\n")
     reports = chain_reports(program, spec, info, types)
     # input read -> snapshot+token -> token+tailio write
     assert any(len(r.chain) == 3 and r.verdict == "confirmed" for r in reports)
+
+
+# --------------------------------------------------------------------------
+# Shared reruns: every link out of one opaque event uses the same reruns
+# --------------------------------------------------------------------------
+
+
+# A byte accumulator carried through `observe_and_opacify` by a counted
+# loop, with a token observation at the exit: the input read and each
+# iteration's opacified byte are enumerated chain heads.
+CHAIN_LOOP = """
+function main() {
+  a: u8 = io(inp)
+  br head(0, a)
+head(i, acc):
+  c = i < TRIPS
+  br c, body, done(acc)
+body:
+  x = acc ^ 90u8
+  o = observe_and_opacify(x)
+  y = o + 17u8
+  i2 = i + 1
+  br head(i2, y)
+done(r):
+  t = observe_decoupled(r)
+  u = observe_tailio(t)
+  io(out, r)
+  return()
+}
+"""
+CHAIN_LOOP_INPUT = "desc inp in ordered\n200u8\n"
+
+# Two sampled links out of one u32 opaque: neither operation has a rule.
+# The observed 7 reaches w1 as b = 0. The scan for w2 stops at w1, an
+# opaque event that also depends on a, so w2 is reached only when c is
+# nonzero and the branch skips w1: b sees another value at the first
+# sample, c only once a sample reaches 4,000,000,000.
+SAMPLED_FORK = """
+function main() {
+  a = opaque { yield(7) }
+  b = a % 7
+  c = a / 4000000000
+  br c, join, hit
+hit:
+  w1 = opaque { s = snapshot(b); yield(unit_value) }
+  br join
+join:
+  w2 = opaque { use(c); yield(unit_value) }
+  return()
+}
+"""
+
+CHAIN_PROGRAMS = [
+    pytest.param(TOKEN_THREADED, "desc input in ordered\n5\n", id="token-threaded"),
+    pytest.param(BROKEN_LINK, None, id="broken-link"),
+    pytest.param(SINGLETON, None, id="singleton"),
+    pytest.param(PRELUDE_CHAIN, "desc input in ordered\n5\n", id="prelude-chain"),
+    pytest.param(SAMPLED_FORK, None, id="sampled-fork"),
+    pytest.param(CHAIN_LOOP.replace("TRIPS", "2"), CHAIN_LOOP_INPUT, id="loop-2-trips"),
+    pytest.param(CHAIN_LOOP.replace("TRIPS", "4"), CHAIN_LOOP_INPUT, id="loop-4-trips"),
+]
+
+
+def per_link_reports(program, spec, info, types):
+    """Reference for `chain_reports`: each distinct link audited on its
+    own by `opaque_value_set`, and the verdict rule spelled out."""
+    value_sets = {}
+    reports = []
+    for chain in find_chains(info):
+        witnesses = []
+        for j, k in zip(chain.events, chain.events[1:]):
+            if (j, k) not in value_sets:
+                value_sets[j, k] = opaque_value_set(program, spec, info, j, k, types)
+            witnesses.append(value_sets[j, k])
+        bad = [w for w in witnesses if w.status == "unknown" or w.bound < 2]
+        verdict = "confirmed" if not bad else "unconfirmed" if bad[0].status == "unknown" else "broken"
+        reports.append(ChainReport(chain, tuple(witnesses), verdict))
+    return reports
+
+
+@pytest.mark.parametrize("text, inputs", CHAIN_PROGRAMS)
+def test_chain_reports_equal_per_link_audits(text, inputs):
+    program, types, spec, result, info = setup(text, inputs)
+    reports = chain_reports(program, spec, info, types)
+    assert reports == per_link_reports(program, spec, info, types)
+    assert classify_chain(program, spec, info, reports[0].chain, types) == reports[0]
+
+
+@pytest.mark.parametrize("trips, heads", [(2, 3), (4, 5)])
+def test_chain_loop_reruns_each_head_value_once(monkeypatch, trips, heads):
+    program, types, spec, result, info = setup(
+        CHAIN_LOOP.replace("TRIPS", str(trips)), CHAIN_LOOP_INPUT
+    )
+    patches = counting_reruns(monkeypatch)
+    chain_reports(program, spec, info, types)
+    assert len(patches) == heads * 255  # 765 at 2 trips, 1,275 at 4
+    by_head = {}
+    for j, var, value in patches:
+        by_head.setdefault((j, var), []).append(value)
+    assert len(by_head) == heads
+    for (j, var), values in by_head.items():
+        observed = dict(result.events[j].defs)[var]
+        assert values == [v for v in range(256) if v != observed]
+
+
+def test_sampled_group_reruns_until_its_last_link_has_two_outcomes(monkeypatch):
+    program, types, spec, result, info = setup(SAMPLED_FORK)
+    a, w1, w2 = (ev.seq for ev in opaque_events(result))
+    samples = _sample_values(Type.U32, DEFAULT_SEED, 7)
+    first_c = next(i for i, v in enumerate(samples) if v >= 4000000000)
+    first_b = next(i for i, v in enumerate(samples) if v % 7 != 0 or v >= 4000000000)
+    assert first_b < first_c
+    patches = counting_reruns(monkeypatch)
+    reports = {r.chain.events: r.witnesses for r in chain_reports(program, spec, info, types)}
+    assert [value for _, _, value in patches] == samples[: first_c + 1]
+    assert set(reports) == {(a, w1), (a, w2)}
+    for k in (w1, w2):
+        assert reports[a, k][0].status == "sampled"
+        assert reports[a, k][0].bound == 2
+    patches.clear()
+    assert reports[a, w1] == (opaque_value_set(program, spec, info, a, w1, types),)
+    assert len(patches) == first_b + 1
+    patches.clear()
+    assert reports[a, w2] == (opaque_value_set(program, spec, info, a, w2, types),)
+    assert len(patches) == first_c + 1

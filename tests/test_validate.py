@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from opaqueir import deps
 from opaqueir.interp import parse_input, run
 from opaqueir.passes import (
     PRESETS,
@@ -554,6 +555,24 @@ function main() {
     )
     assert not verdict.passed
     assert any("severed" in w or "lost" in w for w in verdict.witnesses)
+
+
+def test_capped_chain_enumeration_fails_the_audit(monkeypatch):
+    # CHAINED branches: the first read heads a chain through both
+    # observations and another straight to the write.
+    program = prog(CHAINED)
+    spec = parse_input(TWO_INPUTS)
+    ref = run(program, spec)
+    res = optimize(program, preset="P3")
+    opt = run(res.program, spec)
+    assert audit_chain_preservation(ref, opt, res.provenance, inputs=spec).passed
+    n_chains = len(deps.find_chains(deps.analyze(program, ref)))
+    assert n_chains > 2
+    monkeypatch.setattr(deps, "CHAIN_CAP", n_chains - 1)
+    assert len(deps.find_chains(deps.analyze(program, ref))) == n_chains - 1
+    verdict = audit_chain_preservation(ref, opt, res.provenance, inputs=spec)
+    assert not verdict.passed
+    assert verdict.witnesses == (f"chain enumeration stopped at {n_chains - 1} chains",)
 
 
 def test_constant_valued_links_are_exempt_from_the_audit():
