@@ -443,7 +443,7 @@ def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
         else:
             reports[j, k] = report
 
-    postdoms = _postdominators(program)
+    postdoms = _postdominators(program) if groups else None
     for (j, var), k_sigs in groups.items():
         ty = var_types[events[j].func, var]
         observed = dict(events[j].defs).get(var)
