@@ -27,12 +27,14 @@ paths are the opaque chains.
 A chain link is audited by patching the earlier opaque's result and
 rerunning: the set of values arriving at the later opaque (with "the
 rerun never got there" counting as one more possible outcome) must have
-at least two elements. Boolean and byte results are enumerated outright;
-unit tokens live in an abstract two-point domain and are never
-enumerated, otherwise every token chain would collapse to a singleton;
-32-bit results go through a small per-operation rule engine and fall
-back to seeded sampling. Each patched value is rerun once, and that rerun
-is shared by every audited link out of the same opaque event.
+at least two elements. Boolean and byte results are enumerated until a
+second outcome turns up, so only a singleton runs the whole domain; unit
+tokens live in an abstract two-point domain and are never enumerated,
+otherwise every token chain would collapse to a singleton; 32-bit
+results go through a small per-operation rule engine and fall back to
+seeded sampling, which stops the same way. Each patched value is rerun
+once, and that rerun is shared by every audited link out of the same
+opaque event.
 """
 
 from __future__ import annotations
@@ -315,8 +317,11 @@ def find_chains(info: DepInfo) -> list[OpaqueChain]:
 @dataclass(frozen=True)
 class ValueSetReport:
     """How many distinct outcomes the later opaque can see, and how we
-    know. `values` is populated when the set itself is known; a rerun
-    that never reaches the later opaque contributes the outcome `None`."""
+    know. `values` holds the outcomes found; a rerun that never reaches
+    the later opaque contributes the outcome `None`. Reruns stop at the
+    second distinct outcome, so for an enumerated or sampled link with
+    two outcomes `bound` and `values` say "at least 2", not the exact
+    set; a link with one outcome ran its whole domain or sample list."""
 
     bound: int
     status: str  # enumerated | rule | rule_derived | sampled | unknown
@@ -362,9 +367,10 @@ def value_at_dependent(alt: RunResult, alt_info: DepInfo, j: int, k_sig: str, si
     opaque, and return the operand value that arrived there. `sign` maps
     an instruction id to its `instr_signature`. Never reaching one is the
     bottom outcome (`None`); reaching one through control or effects
-    alone is its own outcome. The scan stops at any other dependent
-    opaque event, since the value would then flow through a different
-    opaque region first."""
+    alone is its own outcome. Dependence does not propagate through any
+    other opaque event, as in `opaque_skeleton`: a value flowing through
+    a different opaque region first belongs to another link, but the
+    scan goes on past it."""
     events = alt.events
     if j >= len(events):
         return _BOTTOM
@@ -381,7 +387,7 @@ def value_at_dependent(alt: RunResult, alt_info: DepInfo, j: int, k_sig: str, si
                     return dict(ev.operands)[name]
             return _REACHED  # via control or effects only, but it ran
         if ev.is_opaque:
-            return _BOTTOM
+            dependent.discard(ev.seq)
     return _BOTTOM
 
 
@@ -423,7 +429,8 @@ def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
     patches only event j's witness variable, so the links out of one
     (j, variable) share their reruns: each alternative value is run and
     analysed once, and every link that still needs an outcome reads its
-    own from that rerun."""
+    own from that rerun. A link leaves its group at its second distinct
+    outcome, and the group stops once none is left."""
     events = info.run.events
     reports: dict[tuple[int, int], ValueSetReport] = {}
     groups: dict[tuple[int, str], dict[int, str]] = {}  # (j, var) -> {k: k_sig}
@@ -463,11 +470,10 @@ def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
             for k, sig in pending.items():
                 outcomes[k].add(value_at_dependent(alt, alt_info, j, sig, sign))
             del alt, alt_info  # one rerun alive at a time
-            if status == "sampled":
-                # Two distinct outcomes already witness a link.
-                pending = {k: sig for k, sig in pending.items() if len(outcomes[k]) < 2}
-                if not pending:
-                    break
+            # Two distinct outcomes already witness a link.
+            pending = {k: sig for k, sig in pending.items() if len(outcomes[k]) < 2}
+            if not pending:
+                break
         for k, seen in outcomes.items():
             reports[j, k] = ValueSetReport(len(seen), status, frozenset(seen))
     return reports
@@ -702,21 +708,6 @@ class ChainReport:
     verdict: str  # confirmed | broken | unconfirmed
 
 
-def classify_chain(
-    program: Program,
-    inputs: Optional[InputSpec],
-    info: DepInfo,
-    chain: OpaqueChain,
-    var_types: dict[tuple[str, str], Type],
-    seed: int = DEFAULT_SEED,
-) -> ChainReport:
-    """Audit every link of a chain. Confirmed means every link's value
-    set provably has at least two elements; broken means some link's set
-    is a singleton (for sampled links: no second outcome was found, which
-    is evidence rather than proof); unconfirmed covers the rest."""
-    return _classify(program, inputs, info, [chain], var_types, seed)[0]
-
-
 def chain_reports(
     program: Program,
     inputs: Optional[InputSpec],
@@ -724,12 +715,12 @@ def chain_reports(
     var_types: dict[tuple[str, str], Type],
     seed: int = DEFAULT_SEED,
 ) -> list[ChainReport]:
-    """Find and classify every opaque chain of a run."""
-    return _classify(program, inputs, info, find_chains(info), var_types, seed)
-
-
-def _classify(program, inputs, info, chains, var_types, seed) -> list[ChainReport]:
-    """`classify_chain` for every chain, auditing each distinct link once."""
+    """Find every opaque chain of a run and audit each distinct link
+    once. Confirmed means every link's value set provably has at least
+    two elements; broken means some link's set is a singleton (for
+    sampled links: no second outcome was found, which is evidence rather
+    than proof); unconfirmed covers the rest."""
+    chains = find_chains(info)
     links = [list(zip(chain.events, chain.events[1:])) for chain in chains]
     pairs = dict.fromkeys(p for ls in links for p in ls)
     value_sets = _value_sets(program, inputs, info, pairs, var_types, seed)

@@ -495,9 +495,10 @@ def audit_chain_preservation(
     """Every confirmed opaque chain of the reference run whose tail
     performs io must survive: the head needs an optimized counterpart
     and a dependence path to the tail's counterpart. A broken chain
-    (some link's value set is a singleton) was never an opaque chain and
-    is exempt; a chain nobody could confirm fails, never silently
-    trusted, and so does an enumeration stopped at `CHAIN_CAP` chains."""
+    (some link reached one outcome over its whole enumerated domain, by
+    rule, or over every sample) was never an opaque chain and is exempt;
+    a chain nobody could confirm fails, never silently trusted, and so
+    does an enumeration stopped at `CHAIN_CAP` chains."""
     ref_info = analyze(ref.program, ref)
     opt_info = analyze(opt.program, opt)
     var_types = typecheck(ref.program).var_types

@@ -1,6 +1,8 @@
 """Dependence analysis: control dependence, happens-before, opaque
 chains, and value-set audits with hand-computed expectations."""
 
+import functools
+
 import pytest
 
 from opaqueir import deps, parse_program
@@ -8,19 +10,23 @@ from opaqueir.deps import (
     DEFAULT_SEED,
     ChainReport,
     OpaqueChain,
+    ValueSetReport,
     _BOTTOM,
     _REACHED,
     _sample_values,
     analyze,
     chain_reports,
-    classify_chain,
     find_chains,
     opaque_skeleton,
     opaque_value_set,
+    value_at_dependent,
+    witness_var,
 )
 from opaqueir.interp import parse_input, run
-from opaqueir.ir import Branch, Type, compute_postdominators, instr_at, typecheck
+from opaqueir.ir import Branch, Type, compute_postdominators, instr_at, instr_signature, typecheck
+from opaqueir.passes import optimize
 from opaqueir.patterns import prepare
+from opaqueir.validate import audit_chain_preservation
 
 
 def setup(text, inputs=None):
@@ -480,6 +486,28 @@ def links(result):
     return ops[0].seq, ops[1].seq
 
 
+def full_domain_outcomes(program, spec, info, types, j, ks):
+    """Reference for the rerun loop of a value-set audit, without its stop
+    at the second outcome: patch event j's witness variable to every other
+    value of its domain (each byte or boolean, else every sample), once
+    each, and collect the outcome of every link (j, k) of `ks`."""
+    events = info.run.events
+    var = witness_var(info, j, ks[0])
+    ty = types[events[j].func, var]
+    observed = dict(events[j].defs)[var]
+    sign = functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
+    sigs = {k: sign(events[k].iid) for k in ks}
+    outcomes = {k: {value_at_dependent(info.run, info, j, sigs[k], sign)} for k in ks}
+    for value in deps._domain(ty) or _sample_values(ty, DEFAULT_SEED, observed):
+        if value == observed:
+            continue
+        alt = deps.run(program, spec, patch=(j, var, value), type_info=types)
+        alt_info = analyze(program, alt)
+        for k in ks:
+            outcomes[k].add(value_at_dependent(alt, alt_info, j, sigs[k], sign))
+    return outcomes
+
+
 def test_ov_u8_bijection_enumerates_full_domain():
     text = """
 function main() {
@@ -491,10 +519,12 @@ function main() {
 """
     program, types, spec, result, info = setup(text)
     j, k = links(result)
+    assert full_domain_outcomes(program, spec, info, types, j, [k])[k] == set(range(256))
+    # The audit stops at the second outcome: the first patched byte, 0.
     report = opaque_value_set(program, spec, info, j, k, types)
     assert report.status == "enumerated"
-    assert report.bound == 256
-    assert report.values == frozenset(range(256))
+    assert report.bound == 2
+    assert report.values == frozenset({42 ^ 1, 0 ^ 1})
 
 
 def counting_reruns(monkeypatch):
@@ -522,10 +552,14 @@ function main() {
     program, types, spec, result, info = setup(text)
     j, k = links(result)
     patches = counting_reruns(monkeypatch)
-    report = opaque_value_set(program, spec, info, j, k, types)
-    assert report.status == "enumerated"
+    full_domain_outcomes(program, spec, info, types, j, [k])
     assert len(patches) == 255
     assert sorted(value for _, _, value in patches) == [v for v in range(256) if v != 42]
+    patches.clear()
+    report = opaque_value_set(program, spec, info, j, k, types)
+    assert report.status == "enumerated"
+    assert report.bound == 2
+    assert patches == [(j, "a", 0)]  # the first byte other than the observed 42
 
 
 def test_ov_u8_self_xor_collapses_to_singleton():
@@ -720,12 +754,14 @@ function main() {
     result = run(program, None, type_info=types.var_types)
     info = analyze(program, result)
     j, k = links(result)
+    reference = full_domain_outcomes(program, None, info, types.var_types, j, [k])[k]
+    assert len(reference) == 16
     enum_report = opaque_value_set(program, None, info, j, k, types.var_types)
     assert enum_report.status == "enumerated"
-    assert enum_report.bound == 16
+    assert enum_report.bound == 2
     rule_report = u32_link(["b = a & 15"])
     assert rule_report.status == "rule"
-    assert 2 <= rule_report.bound <= enum_report.bound * (2**28)
+    assert 2 <= rule_report.bound <= len(reference) * (2**28)
 
 
 def test_ov_sampling_self_subtraction_finds_single_outcome():
@@ -893,10 +929,10 @@ done(r):
 CHAIN_LOOP_INPUT = "desc inp in ordered\n200u8\n"
 
 # Two sampled links out of one u32 opaque: neither operation has a rule.
-# The observed 7 reaches w1 as b = 0. The scan for w2 stops at w1, an
-# opaque event that also depends on a, so w2 is reached only when c is
-# nonzero and the branch skips w1: b sees another value at the first
-# sample, c only once a sample reaches 4,000,000,000.
+# The observed 7 reaches w1 as b = 0 and w2 as c = 0. The scan for w2
+# goes on past w1, an opaque event that also depends on a: b sees another
+# value at the first sample, c (or w1 skipped by the branch) only once a
+# sample reaches 4,000,000,000.
 SAMPLED_FORK = """
 function main() {
   a = opaque { yield(7) }
@@ -922,6 +958,26 @@ CHAIN_PROGRAMS = [
     pytest.param(CHAIN_LOOP.replace("TRIPS", "4"), CHAIN_LOOP_INPUT, id="loop-4-trips"),
 ]
 
+# Two links out of a: w1 depends on a through b, but lies off the path
+# a -> c -> w2, so the scan for w2 must go on past it.
+OFF_PATH_OPAQUE = """
+function main() {
+  a = opaque { yield(7) }
+  b = a % 7
+  c = a / 4000000000
+  w1 = opaque { s = snapshot(b); yield(unit_value) }
+  w2 = opaque { use(c); yield(unit_value) }
+  return()
+}
+"""
+
+
+def chain_verdict(witnesses):
+    """The verdict rule spelled out: the first link that is unknown or
+    has fewer than two outcomes decides."""
+    bad = [w for w in witnesses if w.status == "unknown" or w.bound < 2]
+    return "confirmed" if not bad else "unconfirmed" if bad[0].status == "unknown" else "broken"
+
 
 def per_link_reports(program, spec, info, types):
     """Reference for `chain_reports`: each distinct link audited on its
@@ -934,9 +990,7 @@ def per_link_reports(program, spec, info, types):
             if (j, k) not in value_sets:
                 value_sets[j, k] = opaque_value_set(program, spec, info, j, k, types)
             witnesses.append(value_sets[j, k])
-        bad = [w for w in witnesses if w.status == "unknown" or w.bound < 2]
-        verdict = "confirmed" if not bad else "unconfirmed" if bad[0].status == "unknown" else "broken"
-        reports.append(ChainReport(chain, tuple(witnesses), verdict))
+        reports.append(ChainReport(chain, tuple(witnesses), chain_verdict(witnesses)))
     return reports
 
 
@@ -945,24 +999,90 @@ def test_chain_reports_equal_per_link_audits(text, inputs):
     program, types, spec, result, info = setup(text, inputs)
     reports = chain_reports(program, spec, info, types)
     assert reports == per_link_reports(program, spec, info, types)
-    assert classify_chain(program, spec, info, reports[0].chain, types) == reports[0]
 
 
-@pytest.mark.parametrize("trips, heads", [(2, 3), (4, 5)])
+@pytest.mark.parametrize(
+    "text, inputs",
+    CHAIN_PROGRAMS + [pytest.param(OFF_PATH_OPAQUE, None, id="off-path-opaque")],
+)
+def test_chain_verdicts_match_the_full_domain_reference(text, inputs):
+    program, types, spec, result, info = setup(text, inputs)
+    reports = chain_reports(program, spec, info, types)
+    rerun_links = {}  # head -> the links audited by reruns
+    for r in reports:
+        for (j, k), w in zip(zip(r.chain.events, r.chain.events[1:]), r.witnesses):
+            if w.status in ("enumerated", "sampled"):
+                rerun_links.setdefault(j, set()).add(k)
+    # On the chain loop this reruns every other byte of every head: 765
+    # reruns at 2 trips and 1,275 at 4, where the audit makes 3 and 5.
+    reference = {}
+    for j, ks in rerun_links.items():
+        for k, outcomes in full_domain_outcomes(program, spec, info, types, j, sorted(ks)).items():
+            reference[j, k] = outcomes
+    for r in reports:
+        full = []
+        for link, w in zip(zip(r.chain.events, r.chain.events[1:]), r.witnesses):
+            if link in reference:
+                assert (w.bound >= 2) == (len(reference[link]) >= 2), link
+                assert w.values <= reference[link]
+                w = ValueSetReport(len(reference[link]), w.status, frozenset(reference[link]))
+            full.append(w)
+        assert r.verdict == chain_verdict(full), r.chain
+
+
+def test_link_past_an_off_path_opaque_is_confirmed():
+    program, types, spec, result, info = setup(OFF_PATH_OPAQUE)
+    a, w1, w2 = (ev.seq for ev in opaque_events(result))
+    reports = {r.chain.events: r for r in chain_reports(program, spec, info, types)}
+    assert set(reports) == {(a, w1), (a, w2)}
+    assert reports[a, w2].verdict == "confirmed"
+    # c = 7 / 4,000,000,000 = 0, and 1 once a sample reaches 4,000,000,000
+    assert reports[a, w2].witnesses == (ValueSetReport(2, "sampled", frozenset({0, 1})),)
+
+
+# A byte read masked to zero before it is written: whatever the read
+# yields, the write sees 0, so the link is a singleton.
+MASKED_BYTE = """
+function main() {
+  a: u8 = io(inp)
+  b = a & 0u8
+  io(out, b)
+  return()
+}
+"""
+
+
+def test_singleton_enumerated_link_runs_its_whole_domain_and_is_exempt(monkeypatch):
+    program, types, spec, result, info = setup(MASKED_BYTE, "desc inp in ordered\n5u8\n")
+    patches = counting_reruns(monkeypatch)
+    reports = chain_reports(program, spec, info, types)
+    assert sorted(value for _, _, value in patches) == [v for v in range(256) if v != 5]
+    assert len(reports) == 1
+    assert reports[0].verdict == "broken"
+    assert reports[0].witnesses == (ValueSetReport(1, "enumerated", frozenset({0})),)
+    # P3 folds b to 0u8, so no dependence joins the read to the write;
+    # the broken chain is exempt from the audit.
+    res = optimize(program, preset="P3")
+    opt = run(res.program, spec)
+    read, write = (ev.seq for ev in opaque_events(opt))
+    assert not analyze(res.program, opt).dep_reachable(read, write)
+    assert audit_chain_preservation(result, opt, res.provenance, inputs=spec).passed
+
+
+@pytest.mark.parametrize("trips, heads", [(2, 3), (4, 5), (8, 9), (12, 13)])
 def test_chain_loop_reruns_each_head_value_once(monkeypatch, trips, heads):
+    # Every head's first patched byte already gives a second outcome, so
+    # the audit makes one rerun per head: reruns grow linearly in trips.
     program, types, spec, result, info = setup(
         CHAIN_LOOP.replace("TRIPS", str(trips)), CHAIN_LOOP_INPUT
     )
     patches = counting_reruns(monkeypatch)
     chain_reports(program, spec, info, types)
-    assert len(patches) == heads * 255  # 765 at 2 trips, 1,275 at 4
-    by_head = {}
+    assert len(patches) == heads == trips + 1
+    assert len({(j, var) for j, var, _ in patches}) == heads
     for j, var, value in patches:
-        by_head.setdefault((j, var), []).append(value)
-    assert len(by_head) == heads
-    for (j, var), values in by_head.items():
         observed = dict(result.events[j].defs)[var]
-        assert values == [v for v in range(256) if v != observed]
+        assert value == next(v for v in range(256) if v != observed)
 
 
 def test_sampled_group_reruns_until_its_last_link_has_two_outcomes(monkeypatch):
