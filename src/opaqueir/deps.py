@@ -21,8 +21,10 @@ transitive closure of I/O order, dependence into observation events, and
 dependence between observation events; it is only ever queried between
 anchor events (those that observe or perform I/O), and anchor-to-anchor
 paths never leave the anchor set. The opaque skeleton connects opaque
-events by dep paths with no opaque event in the interior; its maximal
-paths are the opaque chains.
+events by dep paths with no opaque event in the interior. An opaque
+chain runs from a head (no skeleton predecessor) to a tail (no
+successor); chains are reported per (head, tail) pair and verdict, never
+enumerated path by path.
 
 A chain link is audited by patching the earlier opaque's result and
 rerunning: the set of values arriving at the later opaque (with "the
@@ -68,7 +70,6 @@ from .interp import Event, InputSpec, RunResult, eval_binary, eval_unary, run
 
 ENUMERATION_CAP = 256
 SAMPLE_COUNT = 64
-CHAIN_CAP = 10_000
 DEFAULT_SEED = 0
 
 
@@ -248,7 +249,7 @@ def analyze(program: Program, result: RunResult, *, _postdoms=None) -> DepInfo:
 
 
 # --------------------------------------------------------------------------
-# Opaque skeleton and chains
+# Opaque skeleton
 # --------------------------------------------------------------------------
 
 
@@ -273,40 +274,6 @@ def opaque_skeleton(info: DepInfo) -> dict[int, tuple[int, ...]]:
             frontier.extend(info.dep_out(s))
         edges[start] = tuple(sorted(found))
     return edges
-
-
-@dataclass(frozen=True)
-class OpaqueChain:
-    events: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.events)
-
-
-def find_chains(info: DepInfo) -> list[OpaqueChain]:
-    """Maximal paths through the opaque skeleton. Isolated opaque events
-    become singleton chains. Enumeration stops at `CHAIN_CAP` chains for
-    pathological DAGs; a list that long may be incomplete."""
-    skel = opaque_skeleton(info)
-    has_pred: set[int] = set()
-    for ts in skel.values():
-        has_pred.update(ts)
-    chains: list[OpaqueChain] = []
-
-    def extend(path: list[int]):
-        if len(chains) >= CHAIN_CAP:
-            return
-        succs = skel.get(path[-1], ())
-        if not succs:
-            chains.append(OpaqueChain(tuple(path)))
-            return
-        for t in succs:
-            extend(path + [t])
-
-    for start in sorted(skel):
-        if start not in has_pred:
-            extend([start])
-    return chains
 
 
 # --------------------------------------------------------------------------
@@ -703,9 +670,47 @@ def _transfer(instr, ev: Event, tracked_src: int, cur: _SetAbs, ty: Type) -> Opt
 
 @dataclass(frozen=True)
 class ChainReport:
-    chain: OpaqueChain
-    witnesses: tuple[ValueSetReport, ...]
+    """A verdict that some maximal skeleton path from its head to its
+    tail gets. A path is decided by its first link that is unknown
+    (unconfirmed) or has fewer than two outcomes (broken); with none it
+    is confirmed."""
+
+    events: tuple[int, int]  # (head, tail); an isolated event is both
     verdict: str  # confirmed | broken | unconfirmed
+
+
+def find_chains(
+    skel: dict[int, tuple[int, ...]], value_sets: dict[tuple[int, int], ValueSetReport]
+) -> list[ChainReport]:
+    """One report per (head, tail, verdict) that a maximal path through
+    the skeleton gets, given every link's value set. One walk, latest
+    event first, collects the tails each event reaches under each
+    verdict, so the cost grows with links times tails, not with the
+    number of paths."""
+    reach: dict[int, dict[str, set[int]]] = {}
+    heads = set(skel)
+    for j in sorted(skel, reverse=True):
+        if not skel[j]:
+            reach[j] = {"confirmed": {j}}
+            continue
+        out: dict[str, set[int]] = {}
+        for k in skel[j]:
+            heads.discard(k)
+            w = value_sets[j, k]
+            if w.status == "unknown" or w.bound < 2:
+                # The first bad link decides every path through it.
+                verdict = "unconfirmed" if w.status == "unknown" else "broken"
+                out.setdefault(verdict, set()).update(*reach[k].values())
+                continue
+            for verdict, tails in reach[k].items():
+                out.setdefault(verdict, set()).update(tails)
+        reach[j] = out
+    return [
+        ChainReport((h, t), verdict)
+        for h in sorted(heads)
+        for verdict, tails in sorted(reach[h].items())
+        for t in sorted(tails)
+    ]
 
 
 def chain_reports(
@@ -715,25 +720,11 @@ def chain_reports(
     var_types: dict[tuple[str, str], Type],
     seed: int = DEFAULT_SEED,
 ) -> list[ChainReport]:
-    """Find every opaque chain of a run and audit each distinct link
-    once. Confirmed means every link's value set provably has at least
-    two elements; broken means some link's set is a singleton (for
-    sampled links: no second outcome was found, which is evidence rather
-    than proof); unconfirmed covers the rest."""
-    chains = find_chains(info)
-    links = [list(zip(chain.events, chain.events[1:])) for chain in chains]
-    pairs = dict.fromkeys(p for ls in links for p in ls)
-    value_sets = _value_sets(program, inputs, info, pairs, var_types, seed)
-    reports = []
-    for chain, ls in zip(chains, links):
-        witnesses = tuple(value_sets[p] for p in ls)
-        verdict = "confirmed"
-        for w in witnesses:
-            if w.status == "unknown":
-                verdict = "unconfirmed"
-                break
-            if w.bound < 2:
-                verdict = "broken"
-                break
-        reports.append(ChainReport(chain, witnesses, verdict))
-    return reports
+    """Audit every link of the run's opaque skeleton once and classify
+    its chains with `find_chains`. Confirmed means every link's value
+    set provably has at least two elements; broken means some link's set
+    is a singleton (for sampled links: no second outcome was found,
+    which is evidence rather than proof); unconfirmed covers the rest."""
+    skel = opaque_skeleton(info)
+    links = [(j, k) for j, ks in skel.items() for k in ks]
+    return find_chains(skel, _value_sets(program, inputs, info, links, var_types, seed))

@@ -4,12 +4,12 @@ chains, and value-set audits with hand-computed expectations."""
 import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opaqueir import deps, parse_program
 from opaqueir.deps import (
     DEFAULT_SEED,
-    ChainReport,
-    OpaqueChain,
     ValueSetReport,
     _BOTTOM,
     _REACHED,
@@ -466,12 +466,78 @@ function main() {
 }
 """
     program, types, spec, result, info = setup(text, "desc input in ordered\n5\n")
-    chains = find_chains(info)
-    lengths = sorted(len(c) for c in chains)
-    assert lengths == [1, 2]
     read = event_of(result, lambda e: e.ios)
     w = event_of(result, lambda e: e.obs)
-    assert OpaqueChain((read.seq, w.seq)) in chains
+    lone = event_of(result, lambda e: e.is_opaque and not e.obs and not e.ios)
+    reports = chain_reports(program, spec, info, types)
+    assert sorted(r.events for r in reports) == [(read.seq, w.seq), (lone.seq, lone.seq)]
+
+
+def chain_verdict(witnesses):
+    """The verdict rule spelled out: the first link that is unknown or
+    has fewer than two outcomes decides."""
+    bad = [w for w in witnesses if w.status == "unknown" or w.bound < 2]
+    return "confirmed" if not bad else "unconfirmed" if bad[0].status == "unknown" else "broken"
+
+
+def path_chains(skel, value_sets):
+    """Reference for `find_chains`: enumerate every maximal path of the
+    skeleton, isolated events included, and give each its verdict. The
+    result is the set of (head, tail, verdict) triples."""
+    has_pred = {k for ks in skel.values() for k in ks}
+    triples = set()
+
+    def extend(path):
+        if not skel[path[-1]]:
+            witnesses = [value_sets[link] for link in zip(path, path[1:])]
+            triples.add((path[0], path[-1], chain_verdict(witnesses)))
+            return
+        for k in skel[path[-1]]:
+            extend(path + [k])
+
+    for head in sorted(set(skel) - has_pred):
+        extend([head])
+    return triples
+
+
+def triples(reports):
+    """The (head, tail, verdict) set of a report list, which must hold no
+    report twice."""
+    out = {(*r.events, r.verdict) for r in reports}
+    assert len(out) == len(reports), reports
+    return out
+
+
+LINK_KINDS = {
+    "confirmed": ValueSetReport(2, "enumerated", frozenset({0, 1})),
+    "singleton": ValueSetReport(1, "rule", frozenset({0})),
+    "unknown": ValueSetReport(0, "unknown"),
+}
+
+
+@st.composite
+def skeletons(draw):
+    """A random skeleton DAG on up to 9 events, with every link confirmed,
+    a singleton or unknown."""
+    n = draw(st.integers(1, 9))
+    kinds = st.sampled_from([None, *LINK_KINDS])
+    skel, value_sets = {}, {}
+    for j in range(n):
+        succs = []
+        for k in range(j + 1, n):
+            kind = draw(kinds)
+            if kind is not None:
+                succs.append(k)
+                value_sets[j, k] = LINK_KINDS[kind]
+        skel[j] = tuple(succs)
+    return skel, value_sets
+
+
+@settings(deadline=None, derandomize=True)
+@given(skeletons())
+def test_find_chains_equals_the_path_enumeration(graph):
+    skel, value_sets = graph
+    assert triples(find_chains(skel, value_sets)) == path_chains(skel, value_sets)
 
 
 # --------------------------------------------------------------------------
@@ -833,16 +899,16 @@ function main() {
 
 def test_token_threaded_chain_is_confirmed():
     program, types, spec, result, info = setup(TOKEN_THREADED, "desc input in ordered\n5\n")
-    reports = chain_reports(program, spec, info, types)
+    read = event_of(result, lambda e: e.ios and e.ios[0].channel == "input").seq
+    t1, t2 = (ev.seq for ev in result.events if ev.obs)
+    skel = opaque_skeleton(info)
+    assert t1 in skel[read] and skel[t1] == (t2,) and skel[t2] == ()
     threaded = [
-        r
-        for r in reports
-        if len(r.chain) == 3 and result.events[r.chain.events[1]].obs
+        opaque_value_set(program, spec, info, j, k, types) for j, k in [(read, t1), (t1, t2)]
     ]
-    assert threaded, [r.chain for r in reports]
-    assert threaded[0].verdict == "confirmed"
-    statuses = [w.status for w in threaded[0].witnesses]
-    assert statuses == ["rule", "rule_derived"]
+    assert [w.status for w in threaded] == ["rule", "rule_derived"]
+    assert chain_verdict(threaded) == "confirmed"
+    assert (read, t2, "confirmed") in triples(chain_reports(program, spec, info, types))
 
 
 BROKEN_LINK = """
@@ -857,10 +923,10 @@ function main() {
 
 def test_broken_link_marks_the_chain_broken():
     program, types, spec, result, info = setup(BROKEN_LINK)
+    j, k = links(result)
     reports = chain_reports(program, spec, info, types)
-    assert len(reports) == 1
-    assert reports[0].verdict == "broken"
-    assert reports[0].witnesses[0].bound == 1
+    assert [(r.events, r.verdict) for r in reports] == [((j, k), "broken")]
+    assert opaque_value_set(program, spec, info, j, k, types).bound == 1
 
 
 SINGLETON = """
@@ -874,11 +940,10 @@ function main() {
 
 def test_singleton_chain_is_vacuously_confirmed():
     program, types, spec, result, info = setup(SINGLETON)
+    (lone,) = (ev.seq for ev in opaque_events(result))
     reports = chain_reports(program, spec, info, types)
-    assert len(reports) == 1
-    assert len(reports[0].chain) == 1
-    assert reports[0].verdict == "confirmed"
-    assert reports[0].witnesses == ()
+    assert [(r.events, r.verdict) for r in reports] == [((lone, lone), "confirmed")]
+    assert opaque_skeleton(info) == {lone: ()}  # no link to witness
 
 
 PRELUDE_CHAIN = """
@@ -893,9 +958,13 @@ function main() {
 
 def test_prelude_observation_chain_through_tailio():
     program, types, spec, result, info = setup(PRELUDE_CHAIN, "desc input in ordered\n5\n")
-    reports = chain_reports(program, spec, info, types)
     # input read -> snapshot+token -> token+tailio write
-    assert any(len(r.chain) == 3 and r.verdict == "confirmed" for r in reports)
+    read = event_of(result, lambda e: e.ios and e.ios[0].channel == "input").seq
+    token = event_of(result, lambda e: e.obs).seq
+    write = event_of(result, lambda e: e.ios and e.ios[0].channel == "tailio").seq
+    skel = opaque_skeleton(info)
+    assert skel[read] == (token,) and skel[token] == (write,)
+    assert triples(chain_reports(program, spec, info, types)) == {(read, write, "confirmed")}
 
 
 # --------------------------------------------------------------------------
@@ -972,33 +1041,42 @@ function main() {
 """
 
 
-def chain_verdict(witnesses):
-    """The verdict rule spelled out: the first link that is unknown or
-    has fewer than two outcomes decides."""
-    bad = [w for w in witnesses if w.status == "unknown" or w.bound < 2]
-    return "confirmed" if not bad else "unconfirmed" if bad[0].status == "unknown" else "broken"
+# The chained observations of two reads from `test_validate`: the first
+# read heads a chain through both observations and another to the write.
+CHAINED = """
+function main() {
+  a = io(inp)
+  b = io(inp)
+  t1 = observe_decoupled(a)
+  t2 = observe_decoupled(b, t1)
+  u = observe_tailio(t2)
+  io(out, a)
+  return()
+}
+"""
 
 
-def per_link_reports(program, spec, info, types):
-    """Reference for `chain_reports`: each distinct link audited on its
-    own by `opaque_value_set`, and the verdict rule spelled out."""
-    value_sets = {}
-    reports = []
-    for chain in find_chains(info):
-        witnesses = []
-        for j, k in zip(chain.events, chain.events[1:]):
-            if (j, k) not in value_sets:
-                value_sets[j, k] = opaque_value_set(program, spec, info, j, k, types)
-            witnesses.append(value_sets[j, k])
-        reports.append(ChainReport(chain, tuple(witnesses), chain_verdict(witnesses)))
-    return reports
+def per_link_value_sets(program, spec, info, types):
+    """The skeleton of a run, and each of its links audited on its own
+    by `opaque_value_set`."""
+    skel = opaque_skeleton(info)
+    value_sets = {
+        (j, k): opaque_value_set(program, spec, info, j, k, types) for j, ks in skel.items() for k in ks
+    }
+    return skel, value_sets
 
 
-@pytest.mark.parametrize("text, inputs", CHAIN_PROGRAMS)
+@pytest.mark.parametrize(
+    "text, inputs",
+    CHAIN_PROGRAMS + [pytest.param(CHAINED, "desc inp in ordered\n5\n9\n", id="chained")],
+)
 def test_chain_reports_equal_per_link_audits(text, inputs):
     program, types, spec, result, info = setup(text, inputs)
+    skel, value_sets = per_link_value_sets(program, spec, info, types)
+    # Shared reruns give every link the report it gets on its own.
+    assert deps._value_sets(program, spec, info, list(value_sets), types, DEFAULT_SEED) == value_sets
     reports = chain_reports(program, spec, info, types)
-    assert reports == per_link_reports(program, spec, info, types)
+    assert triples(reports) == path_chains(skel, value_sets)
 
 
 @pytest.mark.parametrize(
@@ -1007,37 +1085,33 @@ def test_chain_reports_equal_per_link_audits(text, inputs):
 )
 def test_chain_verdicts_match_the_full_domain_reference(text, inputs):
     program, types, spec, result, info = setup(text, inputs)
-    reports = chain_reports(program, spec, info, types)
+    skel, value_sets = per_link_value_sets(program, spec, info, types)
     rerun_links = {}  # head -> the links audited by reruns
-    for r in reports:
-        for (j, k), w in zip(zip(r.chain.events, r.chain.events[1:]), r.witnesses):
-            if w.status in ("enumerated", "sampled"):
-                rerun_links.setdefault(j, set()).add(k)
+    for (j, k), w in value_sets.items():
+        if w.status in ("enumerated", "sampled"):
+            rerun_links.setdefault(j, set()).add(k)
     # On the chain loop this reruns every other byte of every head: 765
     # reruns at 2 trips and 1,275 at 4, where the audit makes 3 and 5.
-    reference = {}
+    full = dict(value_sets)
     for j, ks in rerun_links.items():
         for k, outcomes in full_domain_outcomes(program, spec, info, types, j, sorted(ks)).items():
-            reference[j, k] = outcomes
-    for r in reports:
-        full = []
-        for link, w in zip(zip(r.chain.events, r.chain.events[1:]), r.witnesses):
-            if link in reference:
-                assert (w.bound >= 2) == (len(reference[link]) >= 2), link
-                assert w.values <= reference[link]
-                w = ValueSetReport(len(reference[link]), w.status, frozenset(reference[link]))
-            full.append(w)
-        assert r.verdict == chain_verdict(full), r.chain
+            w = value_sets[j, k]
+            assert (w.bound >= 2) == (len(outcomes) >= 2), (j, k)
+            assert w.values <= outcomes
+            full[j, k] = ValueSetReport(len(outcomes), w.status, frozenset(outcomes))
+    assert triples(chain_reports(program, spec, info, types)) == path_chains(skel, full)
 
 
 def test_link_past_an_off_path_opaque_is_confirmed():
     program, types, spec, result, info = setup(OFF_PATH_OPAQUE)
     a, w1, w2 = (ev.seq for ev in opaque_events(result))
-    reports = {r.chain.events: r for r in chain_reports(program, spec, info, types)}
-    assert set(reports) == {(a, w1), (a, w2)}
-    assert reports[a, w2].verdict == "confirmed"
+    reports = chain_reports(program, spec, info, types)
+    assert sorted(r.events for r in reports) == [(a, w1), (a, w2)]
+    assert (a, w2, "confirmed") in triples(reports)
     # c = 7 / 4,000,000,000 = 0, and 1 once a sample reaches 4,000,000,000
-    assert reports[a, w2].witnesses == (ValueSetReport(2, "sampled", frozenset({0, 1})),)
+    assert opaque_value_set(program, spec, info, a, w2, types) == ValueSetReport(
+        2, "sampled", frozenset({0, 1})
+    )
 
 
 # A byte read masked to zero before it is written: whatever the read
@@ -1054,12 +1128,14 @@ function main() {
 
 def test_singleton_enumerated_link_runs_its_whole_domain_and_is_exempt(monkeypatch):
     program, types, spec, result, info = setup(MASKED_BYTE, "desc inp in ordered\n5u8\n")
+    j, k = links(result)
     patches = counting_reruns(monkeypatch)
     reports = chain_reports(program, spec, info, types)
     assert sorted(value for _, _, value in patches) == [v for v in range(256) if v != 5]
-    assert len(reports) == 1
-    assert reports[0].verdict == "broken"
-    assert reports[0].witnesses == (ValueSetReport(1, "enumerated", frozenset({0})),)
+    assert [(r.events, r.verdict) for r in reports] == [((j, k), "broken")]
+    assert opaque_value_set(program, spec, info, j, k, types) == ValueSetReport(
+        1, "enumerated", frozenset({0})
+    )
     # P3 folds b to 0u8, so no dependence joins the read to the write;
     # the broken chain is exempt from the audit.
     res = optimize(program, preset="P3")
@@ -1069,7 +1145,7 @@ def test_singleton_enumerated_link_runs_its_whole_domain_and_is_exempt(monkeypat
     assert audit_chain_preservation(result, opt, res.provenance, inputs=spec).passed
 
 
-@pytest.mark.parametrize("trips, heads", [(2, 3), (4, 5), (8, 9), (12, 13)])
+@pytest.mark.parametrize("trips, heads", [(2, 3), (4, 5), (8, 9), (12, 13), (20, 21)])
 def test_chain_loop_reruns_each_head_value_once(monkeypatch, trips, heads):
     # Every head's first patched byte already gives a second outcome, so
     # the audit makes one rerun per head: reruns grow linearly in trips.
@@ -1085,6 +1161,18 @@ def test_chain_loop_reruns_each_head_value_once(monkeypatch, trips, heads):
         assert value == next(v for v in range(256) if v != observed)
 
 
+@pytest.mark.parametrize("trips", [20, 60])
+def test_long_chain_loop_audits_two_pairs_and_passes(trips):
+    # 2^trips paths, but one head reaching two tails.
+    program, types, spec, result, info = setup(
+        CHAIN_LOOP.replace("TRIPS", str(trips)), CHAIN_LOOP_INPUT
+    )
+    assert len(chain_reports(program, spec, info, types)) == 2
+    res = optimize(program, preset="P3")
+    verdict = audit_chain_preservation(result, run(res.program, spec), res.provenance, inputs=spec)
+    assert verdict.passed, verdict.witnesses
+
+
 def test_sampled_group_reruns_until_its_last_link_has_two_outcomes(monkeypatch):
     program, types, spec, result, info = setup(SAMPLED_FORK)
     a, w1, w2 = (ev.seq for ev in opaque_events(result))
@@ -1093,15 +1181,14 @@ def test_sampled_group_reruns_until_its_last_link_has_two_outcomes(monkeypatch):
     first_b = next(i for i, v in enumerate(samples) if v % 7 != 0 or v >= 4000000000)
     assert first_b < first_c
     patches = counting_reruns(monkeypatch)
-    reports = {r.chain.events: r.witnesses for r in chain_reports(program, spec, info, types)}
+    reports = chain_reports(program, spec, info, types)
     assert [value for _, _, value in patches] == samples[: first_c + 1]
-    assert set(reports) == {(a, w1), (a, w2)}
-    for k in (w1, w2):
-        assert reports[a, k][0].status == "sampled"
-        assert reports[a, k][0].bound == 2
-    patches.clear()
-    assert reports[a, w1] == (opaque_value_set(program, spec, info, a, w1, types),)
-    assert len(patches) == first_b + 1
-    patches.clear()
-    assert reports[a, w2] == (opaque_value_set(program, spec, info, a, w2, types),)
-    assert len(patches) == first_c + 1
+    assert triples(reports) == {(a, w1, "confirmed"), (a, w2, "confirmed")}
+    shared = deps._value_sets(program, spec, info, [(a, w1), (a, w2)], types, DEFAULT_SEED)
+    for k, first in ((w1, first_b), (w2, first_c)):
+        patches.clear()
+        report = opaque_value_set(program, spec, info, a, k, types)
+        assert len(patches) == first + 1
+        assert report.status == "sampled"
+        assert report.bound == 2
+        assert shared[a, k] == report
