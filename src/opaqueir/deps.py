@@ -191,13 +191,16 @@ class DepInfo:
 
 
 def _postdominators(program: Program) -> dict[str, dict[str, set[str]]]:
-    return {f.name: compute_postdominators(f.region) for f in program.functions}
+    """Per function; stored on the immutable program like its `typecheck`."""
+    if (pdoms := getattr(program, "_postdominators", None)) is None:
+        pdoms = {f.name: compute_postdominators(f.region) for f in program.functions}
+        object.__setattr__(program, "_postdominators", pdoms)
+    return pdoms
 
 
-def analyze(program: Program, result: RunResult, *, _postdoms=None) -> DepInfo:
-    """Compute dependence sources for every event of a run. The chain
-    audit passes `_postdoms` so the reruns of one program share them."""
-    pdoms = _postdominators(program) if _postdoms is None else _postdoms
+def analyze(program: Program, result: RunResult) -> DepInfo:
+    """Compute dependence sources for every event of a run."""
+    pdoms = _postdominators(program)
 
     dep_sources: list[frozenset[int]] = []
     cd_sources: list[frozenset[int]] = []
@@ -417,7 +420,6 @@ def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
         else:
             reports[j, k] = report
 
-    postdoms = _postdominators(program) if groups else None
     for (j, var), k_sigs in groups.items():
         ty = var_types[events[j].func, var]
         observed = dict(events[j].defs).get(var)
@@ -433,7 +435,7 @@ def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
             if alt_value == observed:
                 continue
             alt = run(program, inputs, patch=(j, var, alt_value), type_info=var_types)
-            alt_info = analyze(program, alt, _postdoms=postdoms)
+            alt_info = analyze(program, alt)
             for k, sig in pending.items():
                 outcomes[k].add(value_at_dependent(alt, alt_info, j, sig, sign))
             del alt, alt_info  # one rerun alive at a time

@@ -858,8 +858,8 @@ def run(
 
     `patch`, when given, is `(seq, var, value)`: immediately after event
     `seq` binds `var`, the binding is replaced with `value` and execution
-    continues. This is the rerun primitive behind opaque value sets.
-    """
+    continues. This is the rerun primitive behind opaque value sets;
+    `type_info` only overrides the types `typecheck` caches on `program`."""
     interp = _Interp(program, inputs, step_budget, opaque_budget, patch)
     if type_info is not None:
         interp.type_info = type_info

@@ -2137,17 +2137,14 @@ class Diagnostic:
         return f"{self.loc[0]}:{self.loc[1]}: {self.severity}: {self.message}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TypeInfo:
-    """Types inferred by validate(): per-function variable and reference
-    types plus function return types."""
+    """Per-function variable and reference types and function return types,
+    shared by every `typecheck` caller on one program: never mutate it."""
 
     var_types: dict[tuple[str, str], Type]
     ref_types: dict[tuple[str, str], Type]
     ret_types: dict[str, tuple[Type, ...]]
-
-    def var(self, func: str, name: str) -> Optional[Type]:
-        return self.var_types.get((func, name))
 
 
 _ARITH_OPS = frozenset(["+", "-", "*", "/", "%"])
@@ -2591,10 +2588,11 @@ def validate_ssa(program: Program) -> list[Diagnostic]:
 
 
 def typecheck(program: Program) -> TypeInfo:
-    """Run validation and return inferred types, raising on errors."""
-    v = _Validator(program)
-    diags, info = v.validate()
-    errors = [d for d in diags if d.severity == "error"]
-    if errors:
-        raise IRError("; ".join(str(d) for d in errors[:5]))
+    """Run validation and return inferred types, raising on errors. Only a
+    success is stored on the immutable program, for later calls to share."""
+    if (info := getattr(program, "_type_info", None)) is None:
+        diags, info = _Validator(program).validate()
+        if errors := [d for d in diags if d.severity == "error"]:
+            raise IRError("; ".join(str(d) for d in errors[:5]))
+        object.__setattr__(program, "_type_info", info)
     return info

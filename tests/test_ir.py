@@ -1,11 +1,15 @@
 """Parser, printer, macro expansion, opacity barrier and validation."""
 
+import dataclasses
+
 import pytest
 
+from opaqueir import ir
 from opaqueir.ir import (
     Branch,
     Const,
     Define,
+    IRError,
     MacroError,
     OpacityBreach,
     OpaqueExpr,
@@ -22,6 +26,7 @@ from opaqueir.ir import (
     print_program,
     rename_instr,
     sealed_opaque_regions,
+    typecheck,
     validate_ssa,
     Var,
 )
@@ -194,6 +199,66 @@ function main() {
 def test_validate_yield_placement():
     diags = validate_ssa(parse_program("function main() {\n  yield(1)\n}\n"))
     assert any("yield outside" in d.message for d in diags)
+
+
+# -- typecheck memo
+
+LINTED = "function main() {\n  x = 1\n  use(x)\n}\n"
+
+
+def counting_validators(monkeypatch):
+    built = []
+
+    class Counted(ir._Validator):
+        def __init__(self, program):
+            built.append(program)
+            super().__init__(program)
+
+    monkeypatch.setattr(ir, "_Validator", Counted)
+    return built
+
+
+def test_typecheck_validates_each_program_once(monkeypatch):
+    built = counting_validators(monkeypatch)
+    p = parse_program(LINTED)
+    info = typecheck(p)
+    assert typecheck(p) is info
+    assert len(built) == 1 and built[0] is p
+    # A replaced program is a new instance, validated afresh.
+    q = dataclasses.replace(p, functions=p.functions)
+    assert q == p and typecheck(q) is not info
+    assert typecheck(q) == info
+    assert len(built) == 2 and built[1] is q
+
+
+def test_ill_formed_program_raises_on_every_typecheck(monkeypatch):
+    built = counting_validators(monkeypatch)
+    p = parse_program("function main() {\n  x = 1\n  x = 2\n}\n")
+    for _ in range(3):
+        with pytest.raises(IRError, match="more than once"):
+            typecheck(p)
+    assert len(built) == 3
+
+
+def test_cached_types_leave_program_equality_hash_and_repr_alone():
+    p = parse_program(LINTED)
+    before = (hash(p), repr(p))
+    info = typecheck(p)
+    assert (hash(p), repr(p)) == before
+    assert p == parse_program(LINTED)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        info.var_types = {}
+
+
+def test_validate_ssa_reports_lints_on_every_call_after_typecheck():
+    expected = validate_ssa(parse_program(LINTED))
+    assert {(d.severity, d.message) for d in expected} == {
+        ("lint", "use() outside an opaque region")
+    }
+    p = parse_program(LINTED)
+    typecheck(p)
+    assert validate_ssa(p) == expected
+    assert validate_ssa(p) == expected
 
 
 # -- macros

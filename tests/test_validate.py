@@ -1,10 +1,12 @@
 """Differential validation: trace comparison, ordering, chain audit,
 secret-branch taint, and the protection-specific audits."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from opaqueir import deps, ir
 from opaqueir.interp import parse_input, run
 from opaqueir.passes import (
     PRESETS,
@@ -178,6 +180,69 @@ def test_p0_is_the_identity_baseline():
         report = validate(src, "P0", [inputs])
         assert report.passed
         assert all(v.witnesses == () for _, v in report.checks())
+
+
+def test_every_preset_shares_one_typecheck_and_postdominators_per_program(monkeypatch):
+    """The checks under every preset, and the chain audit's reruns, reuse
+    the types and post-dominators of each program they run."""
+    validated = []
+    pdom_regions = []
+
+    class Counted(ir._Validator):
+        def __init__(self, program):
+            validated.append(program)
+            super().__init__(program)
+
+    def counted_pdoms(region):
+        pdom_regions.append(region)
+        return ir.compute_postdominators(region)
+
+    monkeypatch.setattr(ir, "_Validator", Counted)
+    monkeypatch.setattr(deps, "compute_postdominators", counted_pdoms)
+    program = prog(
+        """
+function mix(v: u32) -> (u32) {
+  w = v ^ 21
+  return(w)
+}
+function main() {
+  a = io(inp)
+  b = mix(a)
+  t1 = observe_decoupled(a)
+  t2 = observe_decoupled(b, t1)
+  u = observe_tailio(t2)
+  io(out, b)
+  return()
+}
+"""
+    )
+    spec = parse_input(ONE_INPUT)
+    results = {preset: optimize(program, preset=preset) for preset in sorted(PRESETS)}
+    for res in results.values():
+        report = check_observation_preserving(program, res.program, res.provenance, [spec])
+        assert report.passed, report.render()
+    checked = {id(p): p for p in [program] + [res.program for res in results.values()]}
+    # Every program, intermediate pass outputs included, is validated once.
+    times = Counter(map(id, validated))
+    assert all(times[i] == 1 for i in checked) and set(times.values()) == {1}
+    # Post-dominators: once per (checked program, function).
+    expected_pdoms = sum(len(p.functions) for p in checked.values())
+    assert len(pdom_regions) == expected_pdoms
+
+    reruns = []
+
+    def counted_rerun(*args, **kw):
+        reruns.append(args)
+        return run(*args, **kw)
+
+    monkeypatch.setattr(deps, "run", counted_rerun)
+    res = results["P3"]
+    verdict = audit_chain_preservation(
+        run(program, spec), run(res.program, spec), res.provenance, inputs=spec
+    )
+    assert verdict.passed and reruns
+    assert len(validated) == sum(times.values())
+    assert len(pdom_regions) == expected_pdoms
 
 
 def test_unsafe_fold_fails_integrity_and_ordering():
