@@ -2154,28 +2154,36 @@ _CMP_OPS = frozenset(["==", "!="])
 _ORD_OPS = frozenset(["<", "<=", ">", ">="])
 
 
+def _dominates(site: tuple[str, int], dom: dict[str, set[str]], label: str, pos: int) -> bool:
+    """Whether a definition at `site` reaches position `pos` of block `label`.
+    A site is (block label, position): position -1 for a block parameter,
+    label "" for a function parameter."""
+    dblock, dpos = site
+    if dblock == label:
+        return dpos < pos
+    return dblock == "" or dblock in dom.get(label, ())
+
+
 class _Validator:
     def __init__(self, program: Program):
         self.program = program
-        self.diags: list[Diagnostic] = []
+        # An insertion-ordered set: a check that runs again reports nothing new.
+        self.diags: dict[Diagnostic, None] = {}
         self.info = TypeInfo({}, {}, {})
         self.fn_map = {f.name: f for f in program.functions}
         self.macro_names = {m.name for m in program.macros}
         self._inferring: set[str] = set()
 
     def error(self, loc, message):
-        self.diags.append(Diagnostic(loc, message))
+        self.diags[Diagnostic(loc, message)] = None
 
     def lint(self, loc, message):
-        self.diags.append(Diagnostic(loc, message, "lint"))
+        self.diags[Diagnostic(loc, message, "lint")] = None
 
     # -- function return types (call graph order, recursion detected)
 
     def fn_ret_types(self, name: str, loc) -> Optional[tuple[Type, ...]]:
-        fn = self.fn_map.get(name)
-        if fn is None:
-            self.error(loc, f"call to unknown function {name!r}")
-            return None
+        fn = self.fn_map[name]
         if fn.ret_types is not None:
             return fn.ret_types
         if name in self.info.ret_types:
@@ -2188,28 +2196,23 @@ class _Validator:
             self.check_function(fn)
         finally:
             self._inferring.discard(name)
-        return self.info.ret_types.get(name)
+        return self.info.ret_types[name]
 
     def validate(self) -> tuple[list[Diagnostic], TypeInfo]:
         names = [f.name for f in self.program.functions]
-        for name in set(names):
+        for name in dict.fromkeys(names):
             if names.count(name) > 1:
                 self.error((0, 0), f"duplicate function {name!r}")
-        if self.program.macros:
-            for m in self.program.macros:
-                self.lint(m.loc, f"unexpanded macro {m.name!r} (run expand_macros first)")
+        for m in self.program.macros:
+            self.lint(m.loc, f"unexpanded macro {m.name!r} (run expand_macros first)")
         if "main" not in self.fn_map:
             self.error((0, 0), "program has no function 'main'")
-        else:
-            main = self.fn_map["main"]
-            if main.params:
-                self.error(main.loc, "'main' takes no parameters")
-        checked: set[str] = set()
-        for f in self.program.functions:
-            if f.name not in self.info.ret_types and f.name not in checked:
-                checked.add(f.name)
+        elif self.fn_map["main"].params:
+            self.error(self.fn_map["main"].loc, "'main' takes no parameters")
+        with _unsealed():
+            for f in self.program.functions:
                 self.check_function(f)
-        return self.diags, self.info
+        return list(self.diags), self.info
 
     # -- per-function checks
 
@@ -2218,339 +2221,276 @@ class _Validator:
             return
         region = fn.region
 
-        # Unique names and reference/SSA separation.
-        defined: dict[str, tuple[int, int]] = {}
-        ssa_names = region_defined_names(region)
-        ref_names = region_ref_names(region)
-        for p in fn.params:
-            self._register(defined, p.name, fn.loc)
-            ssa_names.add(p.name)
-        for name in sorted(ssa_names & ref_names):
-            self.error(fn.loc, f"{name!r} is used both as a variable and a reference in {fn.name}")
-
-        var_ty: dict[str, Optional[Type]] = {}
-        for p in fn.params:
-            var_ty[p.name] = p.type
-        ref_ty: dict[str, Optional[Type]] = {}
-        returns: list[tuple[tuple[Type, ...], tuple[int, int]]] = []
-
         labels = [b.label for b in region.blocks]
-        for label in set(labels):
+        for label in dict.fromkeys(labels):
             if labels.count(label) > 1:
                 self.error(fn.loc, f"duplicate block label {label!r} in {fn.name}")
-        block_map = {b.label: b for b in region.blocks}
 
-        # Collect definitions (uniqueness) over the whole region tree.
-        def collect_defs(r: Region, loc_of=lambda i: _instr_loc(i)):
+        # Unique names over the whole region tree, and the def sites and
+        # dominators of the function body and of each opaque region in it.
+        defined: dict[str, tuple[int, int]] = {}
+        for p in fn.params:
+            self._register(defined, p.name, fn.loc)
+        scopes: dict[int, tuple[dict[str, tuple[str, int]], dict[str, set[str]]]] = {}
+
+        def collect_defs(r: Region, sites: dict[str, tuple[str, int]]):
             for b in r.blocks:
                 for p in b.params:
                     self._register(defined, p.name, (0, 0))
-                for instr in b.instrs:
+                    sites[p.name] = (b.label, -1)
+                for pos, instr in enumerate(b.instrs):
                     if isinstance(instr, Define):
                         for res in instr.results:
                             if isinstance(res, str):
                                 self._register(defined, res, instr.loc)
+                                sites.setdefault(res, (b.label, pos))
                             else:
                                 self.error(instr.loc, "unexpanded '...' group")
                         if isinstance(instr.rhs, OpaqueExpr):
-                            with _unsealed():
-                                collect_defs(instr.rhs.region)
+                            collect_defs(instr.rhs.region, {})
+            scopes[id(r)] = sites, compute_dominators(r)
 
-        collect_defs(region)
+        collect_defs(region, {p.name: ("", -1) for p in fn.params})
+        ref_names = region_ref_names(region)
+        for name in sorted(defined.keys() & ref_names):
+            self.error(fn.loc, f"{name!r} is used both as a variable and a reference in {fn.name}")
 
-        # Dominance-aware use checking + type inference, iterated because
-        # block parameter types flow around loops.
-        dom = compute_dominators(region)
-        order = list(region.blocks)
+        var_ty: dict[str, Type] = {p.name: p.type for p in fn.params if p.type is not None}
+        ref_ty: dict[str, Type] = {}
+        returns: list[tuple[tuple[Type, ...], tuple[int, int]]] = []
+        # (var_ty or ref_ty, name) for each read of a name not typed yet
+        missed: list[tuple[dict[str, Type], str]] = []
 
-        # def site of every name: (block label, position) or 'param'
-        def_site: dict[str, tuple[str, int]] = {}
-        for p in fn.params:
-            def_site[p.name] = ("", -1)
-        for b in region.blocks:
-            for p in b.params:
-                def_site[p.name] = (b.label, -1)
-            for pos, instr in enumerate(b.instrs):
-                if isinstance(instr, Define):
-                    for res in instr.results:
-                        if isinstance(res, str):
-                            def_site.setdefault(res, (b.label, pos))
+        def read(types: dict[str, Type], name: str) -> Optional[Type]:
+            ty = types.get(name)
+            if ty is None:
+                missed.append((types, name))
+            return ty
 
-        def dominates(site: tuple[str, int], label: str, pos: int) -> bool:
-            dblock, dpos = site
-            if dblock == "":
-                return True
-            if dblock == label:
-                return dpos < pos
-            return dblock in dom.get(label, set()) and dblock != label
-
-        def check_use(name: str, label: str, pos: int, loc, ambient: bool):
-            if name in ref_names:
+        def check_use(name: str, scope, opaque: bool, label: str, pos: int, loc):
+            sites, dom = scope
+            site = sites.get(name)
+            if name in ref_names and (site is None or not opaque):
                 self.error(loc, f"reference {name!r} used as an operand")
-                return
-            if ambient:
-                # Use inside a nested region: membership in the function's
-                # definition tree is enough (dominance is checked where the
-                # name is region-local).
-                if name not in defined:
-                    self.error(loc, f"use of undefined variable {name!r}")
-                return
-            if name not in def_site:
+            elif site is not None:
+                if not _dominates(site, dom, label, pos):
+                    self.error(loc, f"use of {name!r} is not dominated by its definition")
+            elif not opaque or name not in defined:
+                # An opaque region may use any name its function defines:
+                # dominance is checked only where the name is region-local.
                 self.error(loc, f"use of undefined variable {name!r}")
-                return
-            if not dominates(def_site[name], label, pos):
-                self.error(loc, f"use of {name!r} is not dominated by its definition")
 
-        # Types: fixpoint over the function (branch args feed block params).
-        for _ in range(len(region.blocks) + 2):
-            changed = False
+        def note_var(name: str, ty: Optional[Type], loc) -> None:
+            if ty is not None and (old := var_ty.setdefault(name, ty)) is not ty:
+                self.error(loc, f"{name!r} has conflicting types {old.value} and {ty.value}")
 
-            def note_var(name: str, ty: Optional[Type], loc) -> None:
-                nonlocal changed
+        def atom_type(atom: Atom, loc) -> Optional[Type]:
+            if isinstance(atom, Const):
+                return atom.type
+            if isinstance(atom, VarGroup):
+                self.error(loc, "unexpanded '...' group")
+                return None
+            return read(var_ty, atom.name)
+
+        def expr_types(expr: Expr, instr: Define) -> Optional[list[Optional[Type]]]:
+            loc = instr.loc
+            if isinstance(expr, AtomExpr):
+                return [atom_type(expr.atom, loc)]
+            if isinstance(expr, UnaryExpr):
+                ty = atom_type(expr.a, loc)
                 if ty is None:
-                    return
-                old = var_ty.get(name)
-                if old is None:
-                    var_ty[name] = ty
-                    changed = True
-                elif old is not ty:
-                    self.error(loc, f"{name!r} has conflicting types {old.value} and {ty.value}")
-
-            def atom_type(atom: Atom, loc) -> Optional[Type]:
-                if isinstance(atom, Const):
-                    return atom.type
-                if isinstance(atom, VarGroup):
-                    self.error(loc, "unexpanded '...' group")
+                    return [None]
+                if expr.op == "!":
+                    if ty is not Type.BOOL:
+                        self.error(loc, "'!' applies to bool values")
+                    return [Type.BOOL]
+                if ty not in INT_TYPES:
+                    self.error(loc, f"'{expr.op}' applies to integer values")
+                    return [None]
+                return [ty]
+            if isinstance(expr, BinaryExpr):
+                ta = atom_type(expr.a, loc)
+                tb = atom_type(expr.b, loc)
+                op = expr.op
+                if ta is None or tb is None:
+                    if op in _CMP_OPS or op in _ORD_OPS:
+                        return [Type.BOOL]
+                    return [ta or tb] if op in _SHIFT_OPS else [ta if ta is not None else tb]
+                if op in _SHIFT_OPS:
+                    if ta not in INT_TYPES or tb not in INT_TYPES:
+                        self.error(loc, "shift operands must be integers")
+                    return [ta]
+                if ta is not tb:
+                    self.error(loc, f"operand types {ta.value} and {tb.value} do not agree")
+                    return [None]
+                if op in _ARITH_OPS:
+                    if ta not in INT_TYPES:
+                        self.error(loc, f"'{op}' applies to integer values")
+                    return [ta]
+                if op in _BIT_OPS:
+                    if ta not in INT_TYPES and ta is not Type.BOOL:
+                        self.error(loc, f"'{op}' applies to integer or bool values")
+                    return [ta]
+                if op in _CMP_OPS:
+                    return [Type.BOOL]
+                if op in _ORD_OPS:
+                    if ta not in INT_TYPES:
+                        self.error(loc, "ordered comparison applies to integer values")
+                    return [Type.BOOL]
+                raise AssertionError(op)
+            if isinstance(expr, LoadMem):
+                ty = atom_type(expr.addr, loc)
+                if ty is not None and ty is not Type.U32:
+                    self.error(loc, "memory addresses are u32 values")
+                return [Type.U32]
+            if isinstance(expr, LoadRef):
+                return [read(ref_ty, expr.ref)]
+            if isinstance(expr, IoRead):
+                ann = instr.ann[0] if instr.ann else None
+                return [ann or Type.U32]
+            if isinstance(expr, SnapshotExpr):
+                return [atom_type(a, loc) for a in expr.args]
+            if isinstance(expr, CallExpr):
+                callee = self.fn_map.get(expr.callee)
+                if callee is None:
+                    if expr.callee not in self.macro_names:
+                        self.error(loc, f"call to unknown function {expr.callee!r}")
                     return None
-                return var_ty.get(atom.name)
-
-            def expr_types(expr: Expr, instr: Define, fn_name: str) -> Optional[list[Optional[Type]]]:
-                loc = instr.loc
-                if isinstance(expr, AtomExpr):
-                    return [atom_type(expr.atom, loc)]
-                if isinstance(expr, UnaryExpr):
-                    ty = atom_type(expr.a, loc)
-                    if ty is None:
-                        return [None]
-                    if expr.op == "!":
-                        if ty is not Type.BOOL:
-                            self.error(loc, "'!' applies to bool values")
-                        return [Type.BOOL]
-                    if ty not in INT_TYPES:
-                        self.error(loc, f"'{expr.op}' applies to integer values")
-                        return [None]
-                    return [ty]
-                if isinstance(expr, BinaryExpr):
-                    ta = atom_type(expr.a, loc)
-                    tb = atom_type(expr.b, loc)
-                    op = expr.op
-                    if ta is None or tb is None:
-                        if op in _CMP_OPS or op in _ORD_OPS:
-                            return [Type.BOOL]
-                        return [ta or tb] if op in _SHIFT_OPS else [ta if ta is not None else tb]
-                    if op in _SHIFT_OPS:
-                        if ta not in INT_TYPES or tb not in INT_TYPES:
-                            self.error(loc, "shift operands must be integers")
-                        return [ta]
-                    if ta is not tb:
-                        self.error(loc, f"operand types {ta.value} and {tb.value} do not agree")
-                        return [None]
-                    if op in _ARITH_OPS:
-                        if ta not in INT_TYPES:
-                            self.error(loc, f"'{op}' applies to integer values")
-                        return [ta]
-                    if op in _BIT_OPS:
-                        if ta not in INT_TYPES and ta is not Type.BOOL:
-                            self.error(loc, f"'{op}' applies to integer or bool values")
-                        return [ta]
-                    if op in _CMP_OPS:
-                        return [Type.BOOL]
-                    if op in _ORD_OPS:
-                        if ta not in INT_TYPES:
-                            self.error(loc, "ordered comparison applies to integer values")
-                        return [Type.BOOL]
-                    raise AssertionError(op)
-                if isinstance(expr, LoadMem):
-                    ty = atom_type(expr.addr, loc)
-                    if ty is not None and ty is not Type.U32:
-                        self.error(loc, "memory addresses are u32 values")
-                    return [Type.U32]
-                if isinstance(expr, LoadRef):
-                    return [ref_ty.get(expr.ref)]
-                if isinstance(expr, IoRead):
-                    ann = instr.ann[0] if instr.ann else None
-                    return [ann or Type.U32]
-                if isinstance(expr, SnapshotExpr):
-                    return [atom_type(a, loc) for a in expr.args]
-                if isinstance(expr, CallExpr):
-                    callee = self.fn_map.get(expr.callee)
-                    if callee is None:
-                        if expr.callee not in self.macro_names:
-                            self.error(loc, f"call to unknown function {expr.callee!r}")
-                        return None
-                    if len(expr.args) != len(callee.params):
+                if len(expr.args) != len(callee.params):
+                    self.error(
+                        loc,
+                        f"{expr.callee} takes {len(callee.params)} arguments, "
+                        f"got {len(expr.args)}",
+                    )
+                for a, p in zip(expr.args, callee.params):
+                    ta = atom_type(a, loc)
+                    if ta is not None and p.type is not None and ta is not p.type:
                         self.error(
                             loc,
-                            f"{expr.callee} takes {len(callee.params)} arguments, "
-                            f"got {len(expr.args)}",
+                            f"argument {p.name!r} of {expr.callee} expects "
+                            f"{p.type.value}, got {ta.value}",
                         )
-                    for a, p in zip(expr.args, callee.params):
-                        ta = atom_type(a, loc)
-                        if ta is not None and p.type is not None and ta is not p.type:
-                            self.error(
-                                loc,
-                                f"argument {p.name!r} of {expr.callee} expects "
-                                f"{p.type.value}, got {ta.value}",
-                            )
-                    rts = self.fn_ret_types(expr.callee, loc)
-                    return list(rts) if rts is not None else None
-                if isinstance(expr, DescriptorExpr):
-                    return [Type.DESC]
-                if isinstance(expr, OpaqueExpr):
-                    with _unsealed():
-                        ytypes: Optional[list[Optional[Type]]] = None
-                        for b in expr.region.blocks:
-                            last = b.instrs[-1]
-                            if isinstance(last, Yield):
-                                tys = [atom_type(v, loc) for v in last.values]
-                                if ytypes is None:
-                                    ytypes = tys
-                                elif len(tys) != len(ytypes):
-                                    self.error(loc, "yields with different arities in one region")
-                    return ytypes if ytypes is not None else []
-                raise TypeError(expr)
+                rts = self.fn_ret_types(expr.callee, loc)
+                return list(rts) if rts is not None else None
+            if isinstance(expr, DescriptorExpr):
+                return [Type.DESC]
+            if isinstance(expr, OpaqueExpr):
+                ytypes: Optional[list[Optional[Type]]] = None
+                for b in expr.region.blocks:
+                    last = b.instrs[-1]
+                    if isinstance(last, Yield):
+                        tys = [atom_type(v, loc) for v in last.values]
+                        if ytypes is None:
+                            ytypes = tys
+                        elif len(tys) != len(ytypes):
+                            self.error(loc, "yields with different arities in one region")
+                return ytypes if ytypes is not None else []
+            raise TypeError(expr)
 
-            def visit_region(r: Region, opaque: bool, ambient: bool):
-                nonlocal changed
-                if r.blocks[0].params:
-                    self.error(
-                        _instr_loc(r.blocks[0].instrs[0]) if r.blocks[0].instrs else (0, 0),
-                        "entry block must not take parameters",
-                    )
-                local_dom = dom if r is region else compute_dominators(r)
-                local_sites: dict[str, tuple[str, int]] = {}
-                if r is not region:
-                    for b in r.blocks:
-                        for p in b.params:
-                            local_sites[p.name] = (b.label, -1)
-                        for pos, instr in enumerate(b.instrs):
-                            if isinstance(instr, Define):
-                                for res in instr.results:
-                                    if isinstance(res, str):
-                                        local_sites.setdefault(res, (b.label, pos))
-                local_map = {b.label: b for b in r.blocks}
-
-                def check_use_local(name, label, pos, loc):
-                    if name in local_sites:
-                        dblock, dpos = local_sites[name]
-                        ok = (
-                            dblock == label and dpos < pos
-                            or dblock != label
-                            and dblock in local_dom.get(label, set())
-                        )
-                        if not ok:
-                            self.error(loc, f"use of {name!r} is not dominated by its definition")
-                    else:
-                        check_use(name, label, pos, loc, ambient=r is not region)
-
-                for b in r.blocks:
-                    for pos, instr in enumerate(b.instrs):
-                        loc = _instr_loc(instr)
-                        for atom in instr_operand_atoms(instr):
-                            for name in _atom_vars(atom):
-                                if r is region:
-                                    check_use(name, b.label, pos, loc, ambient=False)
-                                else:
-                                    check_use_local(name, b.label, pos, loc)
-                        if isinstance(instr, Define):
-                            if isinstance(instr.rhs, SnapshotExpr) and not opaque:
-                                self.lint(loc, "snapshot outside an opaque region")
-                            if (
-                                isinstance(instr.rhs, CallExpr)
-                                and opaque
-                                and instr.rhs.callee in self.fn_map
+        def visit_region(r: Region, opaque: bool):
+            if r.blocks[0].params:
+                self.error(
+                    _instr_loc(r.blocks[0].instrs[0]) if r.blocks[0].instrs else (0, 0),
+                    "entry block must not take parameters",
+                )
+            scope = scopes[id(r)]
+            block_map = {b.label: b for b in r.blocks}
+            for b in r.blocks:
+                for pos, instr in enumerate(b.instrs):
+                    loc = _instr_loc(instr)
+                    for atom in instr_operand_atoms(instr):
+                        for name in _atom_vars(atom):
+                            check_use(name, scope, opaque, b.label, pos, loc)
+                    if isinstance(instr, Define):
+                        if isinstance(instr.rhs, SnapshotExpr) and not opaque:
+                            self.lint(loc, "snapshot outside an opaque region")
+                        if (
+                            isinstance(instr.rhs, CallExpr)
+                            and opaque
+                            and instr.rhs.callee in self.fn_map
+                        ):
+                            self.error(loc, "function call inside an opaque region")
+                        if isinstance(instr.rhs, OpaqueExpr):
+                            visit_region(instr.rhs.region, True)
+                        tys = expr_types(instr.rhs, instr)
+                        if tys is not None:
+                            n = len(instr.results)
+                            if isinstance(instr.rhs, (SnapshotExpr, CallExpr, OpaqueExpr)):
+                                if n not in (0, len(tys)):
+                                    self.error(
+                                        loc,
+                                        f"expected 0 or {len(tys)} results, got {n}",
+                                    )
+                            elif n != len(tys):
+                                self.error(loc, f"expected {len(tys)} results, got {n}")
+                            for res, ty, ann in zip(
+                                instr.results, tys, instr.ann or (None,) * n
                             ):
-                                self.error(loc, "function call inside an opaque region")
-                            if isinstance(instr.rhs, OpaqueExpr):
-                                with _unsealed():
-                                    visit_region(instr.rhs.region, True, True)
-                            tys = expr_types(instr.rhs, instr, fn.name)
-                            if tys is not None:
-                                n = len(instr.results)
-                                if isinstance(instr.rhs, (SnapshotExpr, CallExpr, OpaqueExpr)):
-                                    if n not in (0, len(tys)):
+                                if isinstance(res, str):
+                                    if ann is not None and ty is not None and ann is not ty:
                                         self.error(
                                             loc,
-                                            f"expected 0 or {len(tys)} results, got {n}",
+                                            f"{res!r} annotated {ann.value} but has type {ty.value}",
                                         )
-                                elif n != len(tys):
-                                    self.error(loc, f"expected {len(tys)} results, got {n}")
-                                for res, ty, ann in zip(
-                                    instr.results, tys, instr.ann or (None,) * n
-                                ):
-                                    if isinstance(res, str):
-                                        if ann is not None and ty is not None and ann is not ty:
-                                            self.error(
-                                                loc,
-                                                f"{res!r} annotated {ann.value} but has type {ty.value}",
-                                            )
-                                        note_var(res, ann or ty, loc)
-                        elif isinstance(instr, Use):
-                            if not opaque:
-                                self.lint(loc, "use() outside an opaque region")
-                        elif isinstance(instr, RefAssign):
-                            ty = atom_type(instr.value, loc)
-                            if ty is not None:
-                                old = ref_ty.get(instr.ref)
-                                if old is None:
-                                    ref_ty[instr.ref] = ty
-                                    changed = True
-                                elif old is not ty:
-                                    self.error(
-                                        loc,
-                                        f"reference {instr.ref!r} assigned both "
-                                        f"{old.value} and {ty.value}",
-                                    )
-                        elif isinstance(instr, MemStore):
-                            at = atom_type(instr.addr, loc)
-                            vt = atom_type(instr.value, loc)
-                            if at is not None and at is not Type.U32:
-                                self.error(loc, "memory addresses are u32 values")
-                            if vt is not None and vt is not Type.U32:
-                                self.error(loc, "memory cells hold u32 values")
-                        elif isinstance(instr, Branch):
-                            if instr.cond is not None:
-                                ct = atom_type(instr.cond, loc)
-                                if ct is not None and ct is not Type.BOOL and ct not in INT_TYPES:
-                                    self.error(loc, "branch condition must be bool or integer")
-                            for bc in (instr.then, instr.els):
-                                if bc is None:
-                                    continue
-                                target = local_map.get(bc.label)
-                                if target is None:
-                                    self.error(loc, f"branch to unknown block {bc.label!r}")
-                                    continue
-                                if len(bc.args) != len(target.params):
-                                    self.error(
-                                        loc,
-                                        f"block {bc.label!r} takes {len(target.params)} "
-                                        f"arguments, got {len(bc.args)}",
-                                    )
-                                for a, p in zip(bc.args, target.params):
-                                    note_var(p.name, p.type or atom_type(a, loc), loc)
-                        elif isinstance(instr, Return):
-                            if opaque:
-                                self.error(loc, "return inside an opaque region")
-                            elif r is region:
-                                tys = tuple(atom_type(v, loc) for v in instr.values)
-                                if all(t is not None for t in tys):
-                                    returns.append((tys, loc))
-                        elif isinstance(instr, Yield):
-                            if not opaque:
-                                self.error(loc, "yield outside an opaque region")
+                                    note_var(res, ann or ty, loc)
+                    elif isinstance(instr, Use):
+                        if not opaque:
+                            self.lint(loc, "use() outside an opaque region")
+                    elif isinstance(instr, RefAssign):
+                        ty = atom_type(instr.value, loc)
+                        if ty is not None and (old := ref_ty.setdefault(instr.ref, ty)) is not ty:
+                            self.error(
+                                loc,
+                                f"reference {instr.ref!r} assigned both "
+                                f"{old.value} and {ty.value}",
+                            )
+                    elif isinstance(instr, MemStore):
+                        at = atom_type(instr.addr, loc)
+                        vt = atom_type(instr.value, loc)
+                        if at is not None and at is not Type.U32:
+                            self.error(loc, "memory addresses are u32 values")
+                        if vt is not None and vt is not Type.U32:
+                            self.error(loc, "memory cells hold u32 values")
+                    elif isinstance(instr, Branch):
+                        if instr.cond is not None:
+                            ct = atom_type(instr.cond, loc)
+                            if ct is not None and ct is not Type.BOOL and ct not in INT_TYPES:
+                                self.error(loc, "branch condition must be bool or integer")
+                        for bc in (instr.then, instr.els):
+                            if bc is None:
+                                continue
+                            target = block_map.get(bc.label)
+                            if target is None:
+                                self.error(loc, f"branch to unknown block {bc.label!r}")
+                                continue
+                            if len(bc.args) != len(target.params):
+                                self.error(
+                                    loc,
+                                    f"block {bc.label!r} takes {len(target.params)} "
+                                    f"arguments, got {len(bc.args)}",
+                                )
+                            for a, p in zip(bc.args, target.params):
+                                note_var(p.name, p.type or atom_type(a, loc), loc)
+                    elif isinstance(instr, Return):
+                        if opaque:
+                            self.error(loc, "return inside an opaque region")
+                        else:
+                            tys = tuple(atom_type(v, loc) for v in instr.values)
+                            if all(t is not None for t in tys):
+                                returns.append((tys, loc))
+                    elif isinstance(instr, Yield):
+                        if not opaque:
+                            self.error(loc, "yield outside an opaque region")
 
-            visit_region(region, False, False)
-            if not changed:
+        # Block parameter types flow around loops and blocks may be listed
+        # after their uses, so a walk may read a name before typing it; then
+        # it walks again. A retry follows a walk that typed a name it had read
+        # untyped, and a name once typed keeps its type, so there are at most
+        # as many retries as names.
+        while True:
+            missed.clear()
+            visit_region(region, False)
+            if all(types.get(name) is None for types, name in missed):
                 break
 
         # Settle return types.
@@ -2564,15 +2504,11 @@ class _Validator:
                     f"return types {[t.value for t in tys]} disagree with "
                     f"{[t.value for t in rts]}",
                 )
-        self.info.ret_types[fn.name] = rts if rts is not None else ()
+        self.info.ret_types[fn.name] = rts or ()
         if fn.name == "main" and rts:
             self.error(fn.loc, "'main' must not return values")
-        for name, ty in var_ty.items():
-            if ty is not None:
-                self.info.var_types[(fn.name, name)] = ty
-        for name, ty in ref_ty.items():
-            if ty is not None:
-                self.info.ref_types[(fn.name, name)] = ty
+        self.info.var_types.update({(fn.name, name): ty for name, ty in var_ty.items()})
+        self.info.ref_types.update({(fn.name, name): ty for name, ty in ref_ty.items()})
 
     def _register(self, defined: dict, name: str, loc):
         if name in defined:
@@ -2582,17 +2518,21 @@ class _Validator:
 
 def validate_ssa(program: Program) -> list[Diagnostic]:
     """Full structural + SSA + type validation. Returns diagnostics
-    (errors and lints); an empty list means the program is well formed."""
+    (errors and lints), each once, in the order they were first found; an
+    empty list means the program is well formed."""
     diags, _ = _Validator(program).validate()
     return diags
 
 
 def typecheck(program: Program) -> TypeInfo:
-    """Run validation and return inferred types, raising on errors. Only a
-    success is stored on the immutable program, for later calls to share."""
+    """Run validation and return inferred types, raising on errors: the
+    message lists the first five, each once in the order found, and counts
+    the rest. Only a success is stored on the immutable program, for later
+    calls to share."""
     if (info := getattr(program, "_type_info", None)) is None:
         diags, info = _Validator(program).validate()
-        if errors := [d for d in diags if d.severity == "error"]:
-            raise IRError("; ".join(str(d) for d in errors[:5]))
+        if errors := [str(d) for d in diags if d.severity == "error"]:
+            more = f"; and {len(errors) - 5} more" if len(errors) > 5 else ""
+            raise IRError("; ".join(errors[:5]) + more)
         object.__setattr__(program, "_type_info", info)
     return info

@@ -1,8 +1,14 @@
 """Parser, printer, macro expansion, opacity barrier and validation."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opaqueir import ir
 from opaqueir.ir import (
@@ -199,6 +205,396 @@ function main() {
 def test_validate_yield_placement():
     diags = validate_ssa(parse_program("function main() {\n  yield(1)\n}\n"))
     assert any("yield outside" in d.message for d in diags)
+
+
+# -- validator characterization: one small program per diagnostic
+
+
+def main_fn(body: str, after: str = "") -> str:
+    return "function main() {\n" + body + "}\n" + after
+
+
+F_U32 = "function f(x: u32) -> (u32) {\n  return(x)\n}\n"
+
+# `x` is defined in a block listed after its use; `y = x + 1u8` is typed
+# only on a second walk.
+OUT_OF_ORDER = main_fn(
+    "  br bb_b\nbb_c:\n  y = x + 1u8\n  io(out, y)\n  return()\n"
+    "bb_b:\n  x = 1\n  br bb_c\n"
+)
+# The same shape with a reference: `y = r` is read before `r <- 1` is walked.
+REF_LOOP = main_fn(
+    "  br bb_b\nbb_c:\n  y = r\n  z = y + 1u8\n  io(out, z)\n  return()\n"
+    "bb_b:\n  r <- 1\n  br bb_c\n"
+)
+
+DIAGNOSTICS = {
+    "duplicate-function": (
+        "function main() {\n}\nfunction f() {\n}\nfunction f() {\n}\n",
+        [("error", (0, 0), "duplicate function 'f'")],
+    ),
+    "unexpanded-macro": (
+        "macro m(v) {\nbb_m:\n  return(v)\n}\nfunction main() {\n}\n",
+        [("lint", (1, 1), "unexpanded macro 'm' (run expand_macros first)")],
+    ),
+    "no-main": ("function f() {\n}\n", [("error", (0, 0), "program has no function 'main'")]),
+    "main-params": (
+        "function main(x: u32) {\n}\n",
+        [("error", (1, 1), "'main' takes no parameters")],
+    ),
+    "main-returns": (
+        main_fn("  return(1)\n"),
+        [("error", (1, 1), "'main' must not return values")],
+    ),
+    "unknown-function": (
+        main_fn("  x = g(1)\n"),
+        [("error", (2, 3), "call to unknown function 'g'")],
+    ),
+    "recursion-unannotated": (
+        main_fn("  f(1)\n", "function f(n: u32) {\n  x = f(n)\n  return(x)\n}\n"),
+        [("error", (5, 3), "recursive function 'f' needs a return type annotation")],
+    ),
+    "variable-and-reference": (
+        main_fn("  r <- 1\n  r = 2\n"),
+        [("error", (1, 1), "'r' is used both as a variable and a reference in main")],
+    ),
+    "duplicate-label": (
+        main_fn("  br bb\nbb:\n  br bb2\nbb:\n  br bb2\nbb2:\n"),
+        [("error", (1, 1), "duplicate block label 'bb' in main")],
+    ),
+    "reference-operand": (
+        main_fn("  r <- 1\n  io(out, r)\n"),
+        [("error", (3, 3), "reference 'r' used as an operand")],
+    ),
+    "undefined": (
+        main_fn("  io(out, x)\n"),
+        [("error", (2, 3), "use of undefined variable 'x'")],
+    ),
+    "not-dominated": (
+        main_fn(
+            "  c = io(flag)\n  br c, bb_b, bb_c\nbb_b:\n  x = 1\n  br bb_d\n"
+            "bb_c:\n  br bb_d\nbb_d:\n  io(out, x)\n"
+        ),
+        [("error", (10, 3), "use of 'x' is not dominated by its definition")],
+    ),
+    "defined-twice": (
+        main_fn("  x = 1\n  x = 2\n"),
+        [("error", (3, 3), "'x' defined more than once (single assignment)")],
+    ),
+    "conflicting-types": (
+        main_fn(
+            "  c = io(flag)\n  br c, bb_a, bb_b\nbb_a:\n  br bb_j(1u8)\n"
+            "bb_b:\n  br bb_j(1)\nbb_j(x):\n  io(out, x)\n"
+        ),
+        [("error", (7, 3), "'x' has conflicting types u8 and u32")],
+    ),
+    "not-of-integer": (
+        main_fn("  a = 1\n  b = !a\n"),
+        [("error", (3, 3), "'!' applies to bool values")],
+    ),
+    "complement-of-bool": (
+        main_fn("  a = true\n  b = ~a\n"),
+        [("error", (3, 3), "'~' applies to integer values")],
+    ),
+    "shift-of-bool": (
+        main_fn("  a = true\n  b = a << 1\n"),
+        [("error", (3, 3), "shift operands must be integers")],
+    ),
+    "operand-types": (
+        main_fn("  a = 1u8\n  b = a + 1\n"),
+        [("error", (3, 3), "operand types u8 and u32 do not agree")],
+    ),
+    "arithmetic-on-bool": (
+        main_fn("  a = true\n  b = a + a\n"),
+        [("error", (3, 3), "'+' applies to integer values")],
+    ),
+    "bits-of-descriptor": (
+        main_fn("  d = tagged_unit_unordered_set_descriptor\n  e = d & d\n"),
+        [("error", (3, 3), "'&' applies to integer or bool values")],
+    ),
+    "ordered-bool": (
+        main_fn("  a = true\n  b = a < a\n"),
+        [("error", (3, 3), "ordered comparison applies to integer values")],
+    ),
+    "load-address": (
+        main_fn("  a = 1u8\n  b = mem[a]\n"),
+        [("error", (3, 3), "memory addresses are u32 values")],
+    ),
+    "store-address": (
+        main_fn("  a = 1u8\n  mem[a] <- 1\n"),
+        [("error", (3, 3), "memory addresses are u32 values")],
+    ),
+    "store-value": (
+        main_fn("  mem[0] <- 1u8\n"),
+        [("error", (2, 3), "memory cells hold u32 values")],
+    ),
+    "call-arity": (
+        main_fn("  y = f()\n", F_U32),
+        [("error", (2, 3), "f takes 1 arguments, got 0")],
+    ),
+    "call-argument-type": (
+        main_fn("  y = f(1u8)\n", F_U32),
+        [("error", (2, 3), "argument 'x' of f expects u32, got u8")],
+    ),
+    "yield-arities": (
+        main_fn(
+            "  x = opaque {\n    c = io(flag)\n    br c, bb_a, bb_b\n  bb_a:\n    yield(1)\n"
+            "  bb_b:\n    yield(1, 2)\n  }\n"
+        ),
+        [("error", (2, 3), "yields with different arities in one region")],
+    ),
+    "entry-params": (
+        "function main() {\nbb(x: u32):\n  io(out, x)\n}\n",
+        [("error", (3, 3), "entry block must not take parameters")],
+    ),
+    "snapshot-outside": (
+        main_fn("  a = 1\n  s = snapshot(a)\n"),
+        [("lint", (3, 3), "snapshot outside an opaque region")],
+    ),
+    "call-in-opaque": (
+        main_fn(
+            "  x = opaque { v = f(); yield(v); }\n",
+            "function f() -> (u32) {\n  return(1)\n}\n",
+        ),
+        [("error", (2, 16), "function call inside an opaque region")],
+    ),
+    "results-0-or-n": (
+        main_fn("  x = f()\n", "function f() -> (u32, u32) {\n  return(1, 2)\n}\n"),
+        [("error", (2, 3), "expected 0 or 2 results, got 1")],
+    ),
+    "results-n": (
+        main_fn("  a, b = 1\n"),
+        [("error", (2, 3), "expected 1 results, got 2")],
+    ),
+    "annotation": (
+        main_fn("  a: u8 = 1\n"),
+        [("error", (2, 3), "'a' annotated u8 but has type u32")],
+    ),
+    "use-outside": (
+        main_fn("  x = 1\n  use(x)\n  use(x)\n"),
+        [
+            ("lint", (3, 3), "use() outside an opaque region"),
+            ("lint", (4, 3), "use() outside an opaque region"),
+        ],
+    ),
+    "reference-types": (
+        main_fn("  r <- 1\n  r <- 1u8\n"),
+        [("error", (3, 3), "reference 'r' assigned both u32 and u8")],
+    ),
+    "branch-condition": (
+        main_fn("  d = tagged_unit_unordered_set_descriptor\n  br d, bb_a\nbb_a:\n"),
+        [("error", (3, 3), "branch condition must be bool or integer")],
+    ),
+    "unknown-block": (
+        main_fn("  br nowhere\n"),
+        [("error", (2, 3), "branch to unknown block 'nowhere'")],
+    ),
+    "block-arity": (
+        main_fn("  br bb(1)\nbb:\n"),
+        [("error", (2, 3), "block 'bb' takes 0 arguments, got 1")],
+    ),
+    "return-in-opaque": (
+        main_fn("  x = opaque { return() }\n"),
+        [
+            ("error", (2, 16), "return inside an opaque region"),
+            ("error", (2, 3), "expected 0 or 0 results, got 1"),
+        ],
+    ),
+    "yield-outside": (
+        main_fn("  yield(1)\n"),
+        [("error", (2, 3), "yield outside an opaque region")],
+    ),
+    "return-types": (
+        main_fn(
+            "  f(true)\n",
+            "function f(c: bool) {\n  br c, bb_a, bb_b\nbb_a:\n  return(1)\n"
+            "bb_b:\n  return(1u8)\n}\n",
+        ),
+        [("error", (9, 3), "return types ['u8'] disagree with ['u32']")],
+    ),
+    "outoforder": (OUT_OF_ORDER, [("error", (4, 3), "operand types u32 and u8 do not agree")]),
+    "refloop": (REF_LOOP, [("error", (5, 3), "operand types u32 and u8 do not agree")]),
+}
+
+
+@pytest.mark.parametrize("src, expected", DIAGNOSTICS.values(), ids=DIAGNOSTICS)
+def test_each_diagnostic_once_in_order(src, expected):
+    diags = validate_ssa(parse_program(src))
+    assert [(d.severity, d.loc, d.message) for d in diags] == expected
+
+
+def test_unexpanded_group_is_reported():
+    # Only a macro body may hold `...` groups; validate one as a function.
+    body = parse_program(
+        "macro m(v1, ..., vk) {\nbb_m:\n  w1, ..., wk = snapshot(v1, ..., vk)\n  return()\n}\n"
+    ).macros[0].region
+    diags = validate_ssa(ir.Program((ir.Function("main", (), body),)))
+    assert [(d.severity, d.loc, d.message) for d in diags] == [
+        ("error", (3, 3), "unexpanded '...' group"),
+        ("lint", (3, 3), "snapshot outside an opaque region"),
+    ]
+
+
+def test_duplicate_names_are_reported_in_source_order_under_any_hash_seed():
+    src = (
+        "function beta() {\n}\nfunction alpha() {\n}\nfunction gamma() {\n}\n"
+        + main_fn("  br b3\nb3:\n  br b1\nb1:\n  br b2\nb2:\n  br b3\nb3:\n  br b1\nb1:\n  br b2\nb2:\n")
+        + "function gamma() {\n}\nfunction alpha() {\n}\nfunction beta() {\n}\n"
+    )
+    script = (
+        "import json, sys\nfrom opaqueir.ir import parse_program, validate_ssa\n"
+        "print(json.dumps([d.message for d in validate_ssa(parse_program(sys.stdin.read()))]))\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(ir.__file__))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            input=src,
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src_dir},
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]) == [
+        "duplicate function 'beta'",
+        "duplicate function 'alpha'",
+        "duplicate function 'gamma'",
+        "duplicate block label 'b3' in main",
+        "duplicate block label 'b1' in main",
+        "duplicate block label 'b2' in main",
+    ]
+
+
+def test_typecheck_message_counts_the_errors_it_leaves_out():
+    p = parse_program(main_fn("".join(f"  io(out, v{i})\n" for i in range(7))))
+    with pytest.raises(IRError) as exc:
+        typecheck(p)
+    shown = str(exc.value).split("; ")
+    assert shown[:5] == [f"{i + 2}:3: error: use of undefined variable 'v{i}'" for i in range(5)]
+    assert shown[5:] == ["and 2 more"]
+    with pytest.raises(IRError) as exc:
+        typecheck(parse_program(main_fn("  io(out, v)\n")))
+    assert str(exc.value) == "2:3: error: use of undefined variable 'v'"
+
+
+# -- validator walks
+
+
+def count_walks(monkeypatch, program) -> dict:
+    """Validate `program`, counting dominator computations and walks: a walk
+    reads the operands of every instruction of the function once."""
+    counts = {"dominators": 0, "operand_reads": 0}
+
+    def dominators(region):
+        counts["dominators"] += 1
+        return compute_dominators(region)
+
+    def operands(instr):
+        counts["operand_reads"] += 1
+        return original_operands(instr)
+
+    original_operands = ir.instr_operand_atoms
+    monkeypatch.setattr(ir, "compute_dominators", dominators)
+    monkeypatch.setattr(ir, "instr_operand_atoms", operands)
+    counts["diags"], counts["info"] = ir._Validator(program).validate()
+    with ir._unsealed():
+        n_instrs = sum(len(b.instrs) for f in program.functions for b in ir.walk_blocks(f.region))
+    counts["walks"] = counts.pop("operand_reads") / n_instrs
+    return counts
+
+
+NESTED_OPAQUE = main_fn(
+    "  a = io(flag)\n"
+    "  w = opaque {\n"
+    "    s = snapshot(a)\n"
+    "    c = s < 3\n"
+    "    br c, small, big\n"
+    "  big:\n"
+    "    t = s + 1\n"
+    "    u = opaque { use(t); yield(unit_value) }\n"
+    "    br fin(t)\n"
+    "  small:\n"
+    "    br fin(s)\n"
+    "  fin(v):\n"
+    "    yield(v)\n"
+    "  }\n"
+    "  io(out, w)\n"
+)
+
+
+def test_one_walk_and_one_dominator_computation_per_region(monkeypatch):
+    counts = count_walks(monkeypatch, parse_program(NESTED_OPAQUE))
+    assert counts["diags"] == []
+    # The function body and its two opaque regions.
+    assert counts["dominators"] == 3
+    assert counts["walks"] == 1
+
+
+@pytest.mark.parametrize(
+    "src, var, ty",
+    [(OUT_OF_ORDER, "x", Type.U32), (REF_LOOP, "y", Type.U32)],
+    ids=["outoforder", "refloop"],
+)
+def test_a_name_read_before_it_is_typed_costs_one_retry(monkeypatch, src, var, ty):
+    counts = count_walks(monkeypatch, parse_program(src))
+    assert counts["walks"] == 2
+    assert counts["info"].var_types[("main", var)] is ty
+    assert [d.message for d in counts["diags"]] == ["operand types u32 and u8 do not agree"]
+
+
+BLOCK_ORDER_PROGRAMS = {
+    "loop": main_fn(
+        "  n = io(flag)\n  br head(0, 0u8)\n"
+        "head(i, acc):\n  c = i < n\n  br c, body, done\n"
+        "body:\n  i2 = i + 1\n  acc2 = acc + 1u8\n  br head(i2, acc2)\n"
+        "done:\n  io(out, acc)\n  return()\n"
+    ),
+    "diamond": main_fn(
+        "  c = io(flag)\n  br c, left, right\n"
+        "left:\n  a = 1u8\n  br join(a, true)\n"
+        "right:\n  b = 2u8\n  br join(b, false)\n"
+        "join(x, f):\n  g = !f\n  io(out, x)\n  return()\n"
+    ),
+    "reference": main_fn(
+        "  n = io(flag)\n  br set\n"
+        "use_it:\n  y = r\n  z = y + 1u8\n  io(out, z)\n  return()\n"
+        "set:\n  m = n & 7\n  k = m == 0\n  br k, small, big\n"
+        "small:\n  r <- 1u8\n  br use_it\n"
+        "big:\n  r <- 2u8\n  br use_it\n"
+    ),
+    "opaque": NESTED_OPAQUE,
+}
+
+
+def permute_blocks(region: ir.Region, order: list[int]) -> ir.Region:
+    rest = region.blocks[1:]
+    return dataclasses.replace(region, blocks=(region.blocks[0],) + tuple(rest[i] for i in order))
+
+
+@pytest.mark.parametrize("src", BLOCK_ORDER_PROGRAMS.values(), ids=BLOCK_ORDER_PROGRAMS)
+@settings(deadline=None, derandomize=True)
+@given(data=st.data())
+def test_block_order_changes_no_type(src, data):
+    p = parse_program(src)
+    fn = p.function("main")
+    blocks = []
+    for block in fn.region.blocks:
+        instrs = []
+        for instr in block.instrs:
+            if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
+                inner = instr.rhs.region
+                order = data.draw(st.permutations(range(len(inner.blocks) - 1)))
+                instr = dataclasses.replace(instr, rhs=OpaqueExpr(permute_blocks(inner, order)))
+            instrs.append(instr)
+        blocks.append(dataclasses.replace(block, instrs=tuple(instrs)))
+    region = ir.Region(tuple(blocks))
+    order = data.draw(st.permutations(range(len(region.blocks) - 1)))
+    q = ir.Program((dataclasses.replace(fn, region=permute_blocks(region, order)),))
+    assert [d for d in validate_ssa(q) if d.severity == "error"] == []
+    assert typecheck(q) == typecheck(p)
 
 
 # -- typecheck memo
