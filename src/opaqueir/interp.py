@@ -7,6 +7,9 @@ the caller's result variables. An opaque instruction executes its whole
 region atomically and appears as a single aggregated event carrying the
 loads, stores, I/O and observations performed inside.
 
+Each event is an `Event`, an immutable record (a named tuple): events
+with equal fields are equal and hash alike.
+
 Events capture precise dynamic dependence sources:
 
   * `du`   — for each variable operand, the event that defined it;
@@ -19,12 +22,16 @@ Semantics are deterministic and total except for traps: division or
 remainder by zero, reading an exhausted or undeclared input channel,
 reading a reference before assignment, and exceeded step budgets. A trap
 ends the run; the events up to that point are kept.
+
+A program's functions are decoded once and the result is stored on the
+program, so the class each instruction dispatches on is found once, not on
+every execution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ir import (
     AtomExpr,
@@ -41,6 +48,7 @@ from .ir import (
     InstrId,
     IoRead,
     IoWrite,
+    INT_TYPES,
     IRError,
     LoadMem,
     LoadRef,
@@ -49,6 +57,7 @@ from .ir import (
     OpaqueExpr,
     Program,
     RefAssign,
+    Region,
     Return,
     SnapshotExpr,
     Type,
@@ -94,14 +103,6 @@ class Channel:
 @dataclass
 class InputSpec:
     channels: dict[str, Channel] = field(default_factory=dict)
-
-    def copy(self) -> "InputSpec":
-        return InputSpec(
-            {
-                n: Channel(c.name, c.direction, c.ordered, list(c.values))
-                for n, c in self.channels.items()
-            }
-        )
 
 
 _LITERALS = {"true": True, "false": False, "unit_value": UNIT_VALUE}
@@ -179,8 +180,10 @@ class ObsRecord:
     pos: int = 0
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """One event of a run: an immutable record (a named tuple) of these
+    fields; events with equal fields are equal and hash alike."""
+
     seq: int
     kind: str  # init | instr | opaque | branch | call | ret
     iid: Optional[InstrId]
@@ -220,11 +223,20 @@ def value_text(v) -> str:
 # Arithmetic
 # --------------------------------------------------------------------------
 
-_MASK = {Type.U8: 0xFF, Type.U32: 0xFFFFFFFF, Type.I32: 0xFFFFFFFF}
+def _mask(ty: Type) -> int:
+    """The all-ones value of an integer type. Types are compared by identity:
+    hashing an Enum member runs Python code."""
+    if ty is Type.U32 or ty is Type.I32:
+        return 0xFFFFFFFF
+    if ty is Type.U8:
+        return 0xFF
+    raise KeyError(ty)
 
 
 def _wrap(value: int, ty: Type) -> int:
-    value &= _MASK[ty]
+    if ty is Type.U32:
+        return value & 0xFFFFFFFF
+    value &= _mask(ty)
     if ty is Type.I32 and value >= 2**31:
         value -= 2**32
     return value
@@ -243,7 +255,7 @@ def _type_of_value(v) -> Type:
 def eval_unary(op: str, a, ty: Type):
     if op == "!":
         return not a
-    if isinstance(a, bool) or ty not in _MASK:
+    if isinstance(a, bool) or ty not in INT_TYPES:
         raise _Trap(f"operator {op} on non-integer value")
     if op == "-":
         return _wrap(-a, ty)
@@ -252,63 +264,58 @@ def eval_unary(op: str, a, ty: Type):
     raise AssertionError(op)
 
 
+def _quotient(a: int, b: int, what: str) -> int:
+    """a / b truncated toward zero."""
+    if b == 0:
+        raise _Trap(f"{what} by zero")
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
+def _shift(a: int, b: int, ty: Type, left: bool) -> int:
+    mask = _mask(ty)
+    count = b & 0xFFFFFFFF
+    if count >= mask.bit_length():
+        return 0  # shifting by the full width or more yields zero
+    return _wrap((a & mask) << count if left else (a & mask) >> count, ty)
+
+
+_COMPARISONS = {
+    "==": lambda a, b, ty: a == b,
+    "!=": lambda a, b, ty: a != b,
+    "<": lambda a, b, ty: a < b,
+    "<=": lambda a, b, ty: a <= b,
+    ">": lambda a, b, ty: a > b,
+    ">=": lambda a, b, ty: a >= b,
+}
+_BINARY = {
+    **_COMPARISONS,
+    "+": lambda a, b, ty: _wrap(a + b, ty),
+    "-": lambda a, b, ty: _wrap(a - b, ty),
+    "*": lambda a, b, ty: _wrap(a * b, ty),
+    "/": lambda a, b, ty: _wrap(_quotient(a, b, "division"), ty),
+    "%": lambda a, b, ty: _wrap(a - _quotient(a, b, "remainder") * b, ty),
+    "&": lambda a, b, ty: _wrap(a & b, ty),
+    "|": lambda a, b, ty: _wrap(a | b, ty),
+    "^": lambda a, b, ty: _wrap(a ^ b, ty),
+    "<<": lambda a, b, ty: _shift(a, b, ty, True),
+    ">>": lambda a, b, ty: _shift(a, b, ty, False),
+}
+_BOOL_BINARY = {
+    "&": lambda a, b: a and b,
+    "|": lambda a, b: a or b,
+    "^": lambda a, b: a != b,
+}
+
+
 def eval_binary(op: str, a, b, ty: Type):
     """Evaluate a binary operator; `ty` is the type of the left operand
     (which by the type rules is the result type for arithmetic)."""
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if isinstance(a, bool) and isinstance(b, bool):
-        if op == "&":
-            return a and b
-        if op == "|":
-            return a or b
-        if op == "^":
-            return a != b
-        raise _Trap(f"operator {op} on bool values")
-    if op == "+":
-        return _wrap(a + b, ty)
-    if op == "-":
-        return _wrap(a - b, ty)
-    if op == "*":
-        return _wrap(a * b, ty)
-    if op == "/":
-        if b == 0:
-            raise _Trap("division by zero")
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return _wrap(q, ty)
-    if op == "%":
-        if b == 0:
-            raise _Trap("remainder by zero")
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return _wrap(a - q * b, ty)
-    if op in ("&", "|", "^"):
-        bits = _MASK[ty]
-        ua, ub = a & bits, b & bits
-        r = ua & ub if op == "&" else ua | ub if op == "|" else ua ^ ub
-        return _wrap(r, ty)
-    if op in ("<<", ">>"):
-        bits = {Type.U8: 8, Type.U32: 32, Type.I32: 32}[ty]
-        count = b & _MASK[Type.U32]
-        if count >= bits:
-            return 0  # shifting by the full width or more yields zero
-        if op == "<<":
-            return _wrap((a & _MASK[ty]) << count, ty)
-        return _wrap((a & _MASK[ty]) >> count, ty)
-    raise AssertionError(op)
+    if type(a) is bool and type(b) is bool and op not in _COMPARISONS:
+        if op not in _BOOL_BINARY:
+            raise _Trap(f"operator {op} on bool values")
+        return _BOOL_BINARY[op](a, b)
+    return _BINARY[op](a, b, ty)
 
 
 # --------------------------------------------------------------------------
@@ -381,50 +388,101 @@ class RunResult:
 # --------------------------------------------------------------------------
 
 
+class _Code:
+    """A region decoded for execution: per block its label, parameter names
+    and steps, and each label's block index. A step is (instr, kind, iid,
+    body): `kind` is the class the executor dispatches on, the
+    expression's for a Define; `iid` is the instruction's id at function
+    level; `body` is the decoded region of an opaque instruction."""
+
+    __slots__ = ("blocks", "index")
+
+    def __init__(self, region: Region, fname: Optional[str] = None):
+        self.blocks: list[tuple[str, tuple[str, ...], tuple]] = []
+        self.index: dict[str, int] = {}
+        for bi, block in enumerate(region.blocks):
+            steps = []
+            for pos, instr in enumerate(block.instrs):
+                kind = type(instr.rhs) if type(instr) is Define else type(instr)
+                body = _Code(instr.rhs.region) if kind is OpaqueExpr else None
+                iid = (fname, bi, pos) if fname is not None else None
+                steps.append((instr, kind, iid, body))
+            params = tuple(p.name for p in block.params)
+            self.blocks.append((block.label, params, tuple(steps)))
+            self.index[block.label] = bi
+
+
+def _functions(program: Program) -> dict[str, tuple[tuple[str, ...], _Code]]:
+    """Each function's parameter names and decoded body, stored on the
+    immutable program like its `typecheck`."""
+    if (code := getattr(program, "_code", None)) is None:
+        code = {}
+        with _unsealed():
+            for f in program.functions:
+                if f.name not in code:  # the first of a duplicate, as Program.function
+                    code[f.name] = (tuple(p.name for p in f.params), _Code(f.region, f.name))
+        object.__setattr__(program, "_code", code)
+    return code
+
+
 class _Frame:
-    __slots__ = ("fname", "activation", "env", "def_ev", "refs")
+    __slots__ = ("fname", "activation", "env", "refs")
 
     def __init__(self, fname: str, activation: int):
         self.fname = fname
         self.activation = activation
-        self.env: dict[str, object] = {}
-        self.def_ev: dict[str, int] = {}
-        self.refs: dict[str, tuple[object, int]] = {}
+        self.env: dict[str, tuple[object, int]] = {}  # name -> (value, defining event)
+        self.refs: dict[str, tuple[object, int]] = {}  # ref -> (value, writer event)
 
 
-class _Agg:
-    """Event buffer for one executed instruction: the variables it uses,
-    their defining events and values, and the effects it performs (all
-    of them, for an opaque instruction's whole region)."""
+class _Effects:
+    """The memory, reference and I/O effects and observations of one event,
+    in Event field order; `pos` numbers I/O and observations."""
 
-    __slots__ = (
-        "uses", "du", "operands",
-        "loads", "stores", "rf", "ref_reads", "ref_writes", "ios", "obs", "pos",
-    )
+    __slots__ = ("rf", "loads", "stores", "ref_reads", "ref_writes", "ios", "obs", "pos")
 
     def __init__(self):
-        self.uses: list[str] = []
-        self.du: list[tuple[str, int]] = []
-        self.operands: list[tuple[str, object]] = []
+        self.rf: list[int] = []
         self.loads: list[tuple[int, int]] = []
         self.stores: list[tuple[int, int]] = []
-        self.rf: list[int] = []
         self.ref_reads: list[tuple[str, object]] = []
         self.ref_writes: list[tuple[str, object]] = []
         self.ios: list[IoRecord] = []
         self.obs: list[ObsRecord] = []
         self.pos = 0
 
-    def note(self, name: str, value, src: Optional[int]):
-        if name not in self.uses:
-            self.uses.append(name)
-            self.operands.append((name, value))
-            if src is not None:
-                self.du.append((name, src))
-
     def next_pos(self) -> int:
         self.pos += 1
         return self.pos
+
+    def fields(self) -> tuple:
+        return (
+            tuple(self.rf), tuple(self.loads), tuple(self.stores), tuple(self.ref_reads),
+            tuple(self.ref_writes), tuple(self.ios), tuple(self.obs),
+        )
+
+
+_NO_EFFECTS = ((),) * 7
+
+
+class _Agg:
+    """Event buffer for one executed instruction: the variables it uses,
+    their defining events and values, and, once it performs one, the
+    effects it performs (all of them, for an opaque instruction's whole
+    region)."""
+
+    __slots__ = ("uses", "du", "operands", "fx")
+
+    def __init__(self):
+        self.uses: list[str] = []
+        self.du: list[tuple[str, int]] = []
+        self.operands: list[tuple[str, object]] = []
+        self.fx: Optional[_Effects] = None
+
+    def effects(self) -> _Effects:
+        if self.fx is None:
+            self.fx = _Effects()
+        return self.fx
 
 
 class _Interp:
@@ -435,61 +493,55 @@ class _Interp:
         step_budget: int,
         opaque_budget: int,
         patch: Optional[tuple[int, str, object]],
+        type_info: dict[tuple[str, str], Type],
     ):
+        self.functions = _functions(program)
         self.program = program
-        self.inputs = (inputs or InputSpec()).copy()
+        self.channels = inputs.channels if inputs is not None else {}  # only read
         self.step_budget = step_budget
         self.opaque_budget = opaque_budget
-        self.patch = patch
+        self.patch_seq, self.patch_name, self.patch_value = patch or (-1, None, None)
+        self.type_info = type_info
         self.steps = 0
+        self.region_steps = 0  # steps of the function-level opaque instruction running
         self.events: list[Event] = []
         self.memory: dict[int, tuple[int, int]] = {}  # addr -> (value, writer seq)
         self.read_cursor: dict[str, int] = {}
         self.write_count: dict[str, int] = {}
         self.activations = 0
-        self.block_index: dict[tuple[str, str], int] = {}
-        for f in program.functions:
-            for i, b in enumerate(f.region.blocks):
-                self.block_index[(f.name, b.label)] = i
 
     # -- plumbing
 
-    def tick(self, opaque_steps: Optional[list[int]] = None):
-        self.steps += 1
-        if self.steps > self.step_budget:
-            raise _Trap("step budget exceeded")
-        if opaque_steps is not None:
-            opaque_steps[0] += 1
-            if opaque_steps[0] > self.opaque_budget:
-                raise _Trap("opaque region budget exceeded")
-
-    def emit(self, event: Event):
-        assert event.seq == len(self.events)
-        self.events.append(event)
-
-    def bind(self, frame: _Frame, name: str, value, seq: int):
-        if self.patch is not None and self.patch[0] == seq and self.patch[1] == name:
-            value = self.patch[2]
-        frame.env[name] = value
-        frame.def_ev[name] = seq
-        return value
+    def bind(self, frame: _Frame, names: tuple[str, ...], values: tuple, seq: int) -> tuple:
+        """Bind `names` to `values` in `frame` as event `seq`'s definitions,
+        the patched one replaced, and return them as the event's defs."""
+        defs = tuple(zip(names, values))
+        if seq == self.patch_seq:
+            defs = tuple((n, self.patch_value if n == self.patch_name else v) for n, v in defs)
+        env = frame.env
+        for name, value in defs:
+            env[name] = (value, seq)
+        return defs
 
     # -- evaluation
 
     def atom_value(self, frame: _Frame, scopes: Optional[list[dict]], atom: Atom, agg: _Agg):
-        if isinstance(atom, Const):
+        if type(atom) is Const:
             return atom.value
-        assert isinstance(atom, Var), atom
         name = atom.name
-        if scopes is not None:
+        if scopes:
             for env in reversed(scopes):
                 if name in env:
                     return env[name]
-        if name in frame.env:
-            value = frame.env[name]
-            agg.note(name, value, frame.def_ev.get(name))
-            return value
-        raise _Trap(f"undefined variable {name}")
+        entry = frame.env.get(name)
+        if entry is None:
+            raise _Trap(f"undefined variable {name}")
+        value = entry[0]
+        if name not in agg.uses:
+            agg.uses.append(name)
+            agg.operands.append((name, value))
+            agg.du.append((name, entry[1]))
+        return value
 
     def desc_value(self, frame: _Frame, scopes: Optional[list[dict]], desc: Desc, agg: _Agg) -> DescValue:
         if desc.is_var:
@@ -504,14 +556,14 @@ class _Interp:
             return ("out", False)
         if channel == CC_CHANNEL:
             return ("out", True)
-        cfg = self.inputs.channels.get(channel)
+        cfg = self.channels.get(channel)
         if cfg is not None:
             return (cfg.direction, cfg.ordered)
         return ("out", True)  # writes auto-declare an ordered output channel
 
     def io_read(self, channel: str) -> tuple[object, int]:
         direction, _ = self.channel_config(channel)
-        cfg = self.inputs.channels.get(channel)
+        cfg = self.channels.get(channel)
         if cfg is None or direction != "in":
             raise _Trap(f"read from undeclared input channel {channel}")
         cursor = self.read_cursor.get(channel, 0)
@@ -528,12 +580,10 @@ class _Interp:
         self.write_count[channel] = tag + 1
         return tag
 
-    type_info: dict[tuple[str, str], Type] = {}
-
     def operand_type(self, fname: str, atom: Atom, value) -> Type:
-        if isinstance(atom, Const):
+        if type(atom) is Const:
             return atom.type
-        ty = self.type_info.get((fname, atom.name)) if isinstance(atom, Var) else None
+        ty = self.type_info.get((fname, atom.name))
         if ty is not None:
             return ty
         return _type_of_value(value)
@@ -543,81 +593,86 @@ class _Interp:
         frame: _Frame,
         scopes: Optional[list[dict]],
         instr,
+        kind: type,
         agg: _Agg,
         seq: int,
     ) -> tuple:
-        """Execute one non-control instruction at function level (no
-        `scopes`) or inside an opaque region, recording what it uses and
-        does in `agg` on behalf of event `seq`. Returns the values a
-        Define computes; a call or an opaque region is the caller's."""
-        if isinstance(instr, Define):
+        """Execute one non-control instruction of dispatch class `kind` at
+        function level (no `scopes`) or inside an opaque region, recording
+        what it uses and does in `agg` on behalf of event `seq`. Returns
+        the values a Define computes; a call or an opaque region is the
+        caller's."""
+        if kind is BinaryExpr:
             expr = instr.rhs
-            fname = frame.fname
-            if isinstance(expr, AtomExpr):
-                return (self.atom_value(frame, scopes, expr.atom, agg),)
-            if isinstance(expr, UnaryExpr):
-                a = self.atom_value(frame, scopes, expr.a, agg)
-                ty = self.operand_type(fname, expr.a, a)
-                return (eval_unary(expr.op, a, ty),)
-            if isinstance(expr, BinaryExpr):
-                a = self.atom_value(frame, scopes, expr.a, agg)
-                b = self.atom_value(frame, scopes, expr.b, agg)
-                ty = self.operand_type(fname, expr.a, a)
-                return (eval_binary(expr.op, a, b, ty),)
-            if isinstance(expr, LoadMem):
-                addr = self.atom_value(frame, scopes, expr.addr, agg)
-                value, writer = self.memory.get(addr, (0, 0))
-                agg.loads.append((addr, value))
-                if writer != seq and writer not in agg.rf:
-                    agg.rf.append(writer)
-                return (value,)
-            if isinstance(expr, LoadRef):
-                if expr.ref not in frame.refs:
-                    raise _Trap(f"reference {expr.ref} read before assignment")
-                value, writer = frame.refs[expr.ref]
-                agg.ref_reads.append((expr.ref, value))
-                if writer != seq and writer not in agg.rf:
-                    agg.rf.append(writer)
-                return (value,)
-            if isinstance(expr, IoRead):
-                dv = self.desc_value(frame, scopes, expr.desc, agg)
-                direction, ordered = self.channel_config(dv.channel)
-                value, tag = self.io_read(dv.channel)
-                agg.ios.append(
-                    IoRecord(dv.channel, ordered, "r", tag, (value,), agg.next_pos())
-                )
-                return (value,)
-            if isinstance(expr, DescriptorExpr):
-                return (DescValue(expr.channel),)
-            if isinstance(expr, SnapshotExpr):
-                values = tuple(self.atom_value(frame, scopes, a, agg) for a in expr.args)
-                agg.obs.append(ObsRecord(expr.tags, values, agg.next_pos()))
-                return values
-            if isinstance(expr, CallExpr):
-                raise _Trap("function call inside an opaque region")
-            raise AssertionError(f"unexpected expression {expr!r}")
-        if isinstance(instr, Use):
-            for a in instr.args:
-                self.atom_value(frame, scopes, a, agg)
-        elif isinstance(instr, RefAssign):
-            value = self.atom_value(frame, scopes, instr.value, agg)
-            frame.refs[instr.ref] = (value, seq)
-            agg.ref_writes.append((instr.ref, value))
-        elif isinstance(instr, MemStore):
-            addr = self.atom_value(frame, scopes, instr.addr, agg)
-            value = self.atom_value(frame, scopes, instr.value, agg)
-            self.memory[addr] = (value, seq)
-            agg.stores.append((addr, value))
-        elif isinstance(instr, IoWrite):
+            a = self.atom_value(frame, scopes, expr.a, agg)
+            b = self.atom_value(frame, scopes, expr.b, agg)
+            return (eval_binary(expr.op, a, b, self.operand_type(frame.fname, expr.a, a)),)
+        if kind is AtomExpr:
+            return (self.atom_value(frame, scopes, instr.rhs.atom, agg),)
+        if kind is UnaryExpr:
+            expr = instr.rhs
+            a = self.atom_value(frame, scopes, expr.a, agg)
+            return (eval_unary(expr.op, a, self.operand_type(frame.fname, expr.a, a)),)
+        if kind is LoadMem:
+            addr = self.atom_value(frame, scopes, instr.rhs.addr, agg)
+            value, writer = self.memory.get(addr, (0, 0))
+            fx = agg.effects()
+            fx.loads.append((addr, value))
+            if writer != seq and writer not in fx.rf:
+                fx.rf.append(writer)
+            return (value,)
+        if kind is SnapshotExpr:
+            expr = instr.rhs
+            values = tuple(self.atom_value(frame, scopes, a, agg) for a in expr.args)
+            fx = agg.effects()
+            fx.obs.append(ObsRecord(expr.tags, values, fx.next_pos()))
+            return values
+        if kind is IoRead:
+            dv = self.desc_value(frame, scopes, instr.rhs.desc, agg)
+            direction, ordered = self.channel_config(dv.channel)
+            value, tag = self.io_read(dv.channel)
+            fx = agg.effects()
+            fx.ios.append(IoRecord(dv.channel, ordered, "r", tag, (value,), fx.next_pos()))
+            return (value,)
+        if kind is IoWrite:
             dv = self.desc_value(frame, scopes, instr.desc, agg)
             values = tuple(self.atom_value(frame, scopes, v, agg) for v in instr.values)
             direction, ordered = self.channel_config(dv.channel)
             tag = self.io_write(dv.channel, values)
-            agg.ios.append(IoRecord(dv.channel, ordered, "w", tag, values, agg.next_pos()))
-        else:
-            where = "in an opaque region" if scopes is not None else "at function level"
-            raise _Trap(f"illegal instruction {where}: {instr!r}")
-        return ()
+            fx = agg.effects()
+            fx.ios.append(IoRecord(dv.channel, ordered, "w", tag, values, fx.next_pos()))
+            return ()
+        if kind is MemStore:
+            addr = self.atom_value(frame, scopes, instr.addr, agg)
+            value = self.atom_value(frame, scopes, instr.value, agg)
+            self.memory[addr] = (value, seq)
+            agg.effects().stores.append((addr, value))
+            return ()
+        if kind is Use:
+            for a in instr.args:
+                self.atom_value(frame, scopes, a, agg)
+            return ()
+        if kind is LoadRef:
+            ref = instr.rhs.ref
+            if ref not in frame.refs:
+                raise _Trap(f"reference {ref} read before assignment")
+            value, writer = frame.refs[ref]
+            fx = agg.effects()
+            fx.ref_reads.append((ref, value))
+            if writer != seq and writer not in fx.rf:
+                fx.rf.append(writer)
+            return (value,)
+        if kind is RefAssign:
+            value = self.atom_value(frame, scopes, instr.value, agg)
+            frame.refs[instr.ref] = (value, seq)
+            agg.effects().ref_writes.append((instr.ref, value))
+            return ()
+        if kind is DescriptorExpr:
+            return (DescValue(instr.rhs.channel),)
+        if kind is CallExpr:
+            raise _Trap("function call inside an opaque region")
+        where = "in an opaque region" if scopes is not None else "at function level"
+        raise _Trap(f"illegal instruction {where}: {instr!r}")
 
     def take_branch(
         self, frame: _Frame, scopes: Optional[list[dict]], instr: Branch, agg: _Agg
@@ -633,42 +688,36 @@ class _Interp:
     # -- opaque regions
 
     def run_region(
-        self,
-        frame: _Frame,
-        expr: OpaqueExpr,
-        scopes: list[dict],
-        agg: _Agg,
-        seq: int,
-        opaque_steps: list[int],
+        self, frame: _Frame, code: _Code, scopes: list[dict], agg: _Agg, seq: int
     ) -> tuple:
-        """Execute an opaque region atomically on behalf of event `seq`
-        and return the values it yields. Region-local names live in
+        """Execute a decoded opaque region atomically on behalf of event
+        `seq` and return the values it yields. Region-local names live in
         `scopes`, innermost last; free names read the frame."""
-        with _unsealed():
-            region = expr.region
         env: dict[str, object] = {}
         scopes = scopes + [env]
-        block = region.blocks[0]
+        blocks, index = code.blocks, code.index
+        steps = blocks[0][2]
         while True:
-            for instr in block.instrs:
-                self.tick(opaque_steps)
-                if isinstance(instr, Define):
-                    if isinstance(instr.rhs, OpaqueExpr):
-                        values = self.run_region(frame, instr.rhs, scopes, agg, seq, opaque_steps)
-                    else:
-                        values = self.exec_instr(frame, scopes, instr, agg, seq)
-                    for res, val in zip(instr.results, values):
-                        env[res] = val
-                elif isinstance(instr, Branch):
+            for instr, kind, _, body in steps:
+                self.steps += 1
+                if self.steps > self.step_budget:
+                    raise _Trap("step budget exceeded")
+                self.region_steps += 1
+                if self.region_steps > self.opaque_budget:
+                    raise _Trap("opaque region budget exceeded")
+                if kind is Branch:
                     target, args = self.take_branch(frame, scopes, instr, agg)
-                    block = region.block(target.label)
-                    for p, v in zip(block.params, args):
-                        env[p.name] = v
+                    _, params, steps = blocks[index[target.label]]
+                    env.update(zip(params, args))
                     break
-                elif isinstance(instr, Yield):
+                if kind is Yield:
                     return tuple(self.atom_value(frame, scopes, v, agg) for v in instr.values)
+                if body is not None:
+                    values = self.run_region(frame, body, scopes, agg, seq)
                 else:
-                    self.exec_instr(frame, scopes, instr, agg, seq)
+                    values = self.exec_instr(frame, scopes, instr, kind, agg, seq)
+                if values:
+                    env.update(zip(instr.results, values))
             else:
                 raise _Trap("opaque region block fell through")
 
@@ -682,163 +731,108 @@ class _Interp:
         call_iid: Optional[InstrId],
         call_loc: tuple[int, int],
         caller: Optional[_Frame],
+        caller_block: str,
         result_names: tuple[str, ...],
         depth: int,
     ) -> tuple:
         if depth > 200:
             raise _Trap("call stack too deep")
-        fn = self.program.function(fname)
+        params, code = self.functions[fname]
+        blocks, index = code.blocks, code.index
+        label, _, steps = blocks[0]
         self.activations += 1
         frame = _Frame(fname, self.activations)
+        activation = frame.activation
+        events = self.events
 
-        # The call event defines the callee's parameters.
-        seq = len(self.events)
-        defs = []
-        for p, v in zip(fn.params, args):
-            defs.append((p.name, self.bind(frame, p.name, v, seq)))
-        # The call instruction executes in the caller's control context.
-        self.emit(
+        # The call event defines the callee's parameters. The call
+        # instruction executes in the caller's control context.
+        seq = len(events)
+        events.append(
             Event(
-                seq=seq,
-                kind="call",
-                iid=call_iid,
-                loc=call_loc,
-                activation=caller.activation if caller else frame.activation,
-                func=caller.fname if caller else fname,
-                block=(
-                    self.program.function(call_iid[0]).region.blocks[call_iid[1]].label
-                    if call_iid
-                    else fn.region.blocks[0].label
-                ),
-                defs=tuple(defs),
-                uses=tuple(arg_agg.uses),
-                du=tuple(arg_agg.du),
-                operands=tuple(arg_agg.operands),
+                seq, "call", call_iid, call_loc,
+                caller.activation if caller else activation,
+                caller.fname if caller else fname,
+                caller_block if caller else label,
+                self.bind(frame, params, args, seq),
+                tuple(arg_agg.uses), tuple(arg_agg.du), *_NO_EFFECTS,
+                False, tuple(arg_agg.operands), None,
             )
         )
 
-        region = fn.region
-        block = region.blocks[0]
-        bi = 0
         while True:
-            for pos, instr in enumerate(block.instrs):
-                self.tick()
-                iid = (fname, bi, pos)
+            for instr, kind, iid, body in steps:
+                self.steps += 1
+                if self.steps > self.step_budget:
+                    raise _Trap("step budget exceeded")
                 agg = _Agg()
-                seq = len(self.events)
-                kind = "instr"
-                defs = []
-                if isinstance(instr, Define):
+                seq = len(events)
+                if kind is CallExpr:
                     rhs = instr.rhs
-                    if isinstance(rhs, CallExpr):
-                        call_args = tuple(self.atom_value(frame, None, a, agg) for a in rhs.args)
-                        self.call_function(
-                            rhs.callee,
-                            call_args,
-                            agg,
-                            iid,
-                            instr.loc,
-                            frame,
-                            tuple(r for r in instr.results if isinstance(r, str)),
-                            depth + 1,
-                        )
-                        continue
-                    if isinstance(rhs, OpaqueExpr):
-                        kind = "opaque"
-                        values = self.run_region(frame, rhs, [], agg, seq, [0])
-                    else:
-                        values = self.exec_instr(frame, None, instr, agg, seq)
-                    for res, val in zip(instr.results, values):
-                        defs.append((res, self.bind(frame, res, val, seq)))
-                elif isinstance(instr, Branch):
+                    call_args = tuple(self.atom_value(frame, None, a, agg) for a in rhs.args)
+                    self.call_function(
+                        rhs.callee,
+                        call_args,
+                        agg,
+                        iid,
+                        instr.loc,
+                        frame,
+                        label,
+                        tuple(r for r in instr.results if isinstance(r, str)),
+                        depth + 1,
+                    )
+                    continue
+                if kind is Branch:
                     target, args = self.take_branch(frame, None, instr, agg)
-                    bi = self.block_index[(fname, target.label)]
-                    next_block = region.blocks[bi]
-                    for p, v in zip(next_block.params, args):
-                        defs.append((p.name, self.bind(frame, p.name, v, seq)))
-                    self.emit(
+                    next_label, params, steps = blocks[index[target.label]]
+                    events.append(
                         Event(
-                            seq=seq,
-                            kind="branch",
-                            iid=iid,
-                            loc=instr.loc,
-                            activation=frame.activation,
-                            func=fname,
-                            block=block.label,
-                            defs=tuple(defs),
-                            uses=tuple(agg.uses),
-                            du=tuple(agg.du),
-                            operands=tuple(agg.operands),
-                            branch_taken=target.label,
+                            seq, "branch", iid, instr.loc, activation, fname, label,
+                            self.bind(frame, params, args, seq),
+                            tuple(agg.uses), tuple(agg.du), *_NO_EFFECTS,
+                            False, tuple(agg.operands), target.label,
                         )
                     )
-                    block = next_block
+                    label = next_label
                     break
-                elif isinstance(instr, Return):
+                if kind is Return:
                     values = tuple(self.atom_value(frame, None, v, agg) for v in instr.values)
-                    if caller is not None:
-                        for res, val in zip(result_names, values):
-                            defs.append((res, self.bind(caller, res, val, seq)))
-                    self.emit(
+                    events.append(
                         Event(
-                            seq=seq,
-                            kind="ret",
-                            iid=iid,
-                            loc=instr.loc,
-                            activation=frame.activation,
-                            func=fname,
-                            block=block.label,
-                            defs=tuple(defs),
-                            uses=tuple(agg.uses),
-                            du=tuple(agg.du),
-                            operands=tuple(agg.operands),
+                            seq, "ret", iid, instr.loc, activation, fname, label,
+                            self.bind(caller, result_names, values, seq) if caller else (),
+                            tuple(agg.uses), tuple(agg.du), *_NO_EFFECTS,
+                            False, tuple(agg.operands), None,
                         )
                     )
                     return values
+                opaque = body is not None
+                if opaque:
+                    self.region_steps = 0
+                    values = self.run_region(frame, body, [], agg, seq)
                 else:
-                    self.exec_instr(frame, None, instr, agg, seq)
-                self.emit(
+                    values = self.exec_instr(frame, None, instr, kind, agg, seq)
+                fx = agg.fx
+                events.append(
                     Event(
-                        seq=seq,
-                        kind=kind,
-                        iid=iid,
-                        loc=instr.loc,
-                        activation=frame.activation,
-                        func=fname,
-                        block=block.label,
-                        defs=tuple(defs),
-                        uses=tuple(agg.uses),
-                        du=tuple(agg.du),
-                        rf=tuple(agg.rf),
-                        loads=tuple(agg.loads),
-                        stores=tuple(agg.stores),
-                        ref_reads=tuple(agg.ref_reads),
-                        ref_writes=tuple(agg.ref_writes),
-                        ios=tuple(agg.ios),
-                        obs=tuple(agg.obs),
-                        is_opaque=kind == "opaque" or bool(agg.ios),
-                        operands=tuple(agg.operands),
+                        seq, "opaque" if opaque else "instr", iid, instr.loc, activation, fname,
+                        label,
+                        self.bind(frame, instr.results, values, seq) if values else (),
+                        tuple(agg.uses), tuple(agg.du),
+                        *(fx.fields() if fx else _NO_EFFECTS),
+                        opaque or (fx is not None and bool(fx.ios)),
+                        tuple(agg.operands), None,
                     )
                 )
             else:
-                raise _Trap(f"block {block.label} has no terminator")
+                raise _Trap(f"block {label} has no terminator")
 
     def run(self) -> RunResult:
         trapped = None
         # The initial event: everything constant is already defined here.
-        self.emit(
-            Event(
-                seq=0,
-                kind="init",
-                iid=None,
-                loc=(0, 0),
-                activation=0,
-                func="",
-                block="",
-            )
-        )
+        self.events.append(Event(0, "init", None, (0, 0), 0, "", ""))
         try:
-            self.call_function("main", (), _Agg(), None, (0, 0), None, (), 0)
+            self.call_function("main", (), _Agg(), None, (0, 0), None, "", (), 0)
         except _Trap as trap:
             trapped = trap.reason
         memory = {addr: value for addr, (value, _) in self.memory.items()}
@@ -859,12 +853,10 @@ def run(
     `patch`, when given, is `(seq, var, value)`: immediately after event
     `seq` binds `var`, the binding is replaced with `value` and execution
     continues. This is the rerun primitive behind opaque value sets;
-    `type_info` only overrides the types `typecheck` caches on `program`."""
-    interp = _Interp(program, inputs, step_budget, opaque_budget, patch)
-    if type_info is not None:
-        interp.type_info = type_info
-    else:
+    `type_info` only overrides the types `typecheck` caches on `program`.
+    `inputs` is only read, so one spec serves any number of runs."""
+    if type_info is None:
         from .ir import typecheck
 
-        interp.type_info = typecheck(program).var_types
-    return interp.run()
+        type_info = typecheck(program).var_types
+    return _Interp(program, inputs, step_budget, opaque_budget, patch, type_info).run()

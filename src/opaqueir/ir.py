@@ -2191,11 +2191,7 @@ class _Validator:
         if name in self._inferring:
             self.error(loc, f"recursive function {name!r} needs a return type annotation")
             return None
-        self._inferring.add(name)
-        try:
-            self.check_function(fn)
-        finally:
-            self._inferring.discard(name)
+        self.check_function(fn)
         return self.info.ret_types[name]
 
     def validate(self) -> tuple[list[Diagnostic], TypeInfo]:
@@ -2219,6 +2215,9 @@ class _Validator:
     def check_function(self, fn: Function):
         if fn.name in self.info.ret_types:
             return
+        # A call to `fn` met while it is walked is recursion, whichever
+        # function the walk started from.
+        self._inferring.add(fn.name)
         region = fn.region
 
         labels = [b.label for b in region.blocks]
@@ -2505,6 +2504,7 @@ class _Validator:
                     f"{[t.value for t in rts]}",
                 )
         self.info.ret_types[fn.name] = rts or ()
+        self._inferring.discard(fn.name)
         if fn.name == "main" and rts:
             self.error(fn.loc, "'main' must not return values")
         self.info.var_types.update({(fn.name, name): ty for name, ty in var_ty.items()})

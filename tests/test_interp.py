@@ -7,11 +7,11 @@ computed with the code under test.
 import pytest
 
 from opaqueir.interp import (
-    Event,
     InterpError,
     parse_input,
     run,
 )
+from opaqueir.ir import UNIT_VALUE as unit_value, DescValue
 from opaqueir.patterns import prepare
 
 
@@ -187,6 +187,305 @@ function main() {
     assert final_def(r, "x") == 1
 
 
+# -- pinned traces: every field of every event, as plain tuples
+
+FIELDS = (
+    "seq", "kind", "iid", "loc", "activation", "func", "block",
+    "defs", "uses", "du", "rf", "loads", "stores", "ref_reads", "ref_writes",
+    "ios", "obs", "is_opaque", "operands", "branch_taken",
+)
+OPTIONAL = dict(
+    defs=(), uses=(), du=(), rf=(), loads=(), stores=(), ref_reads=(), ref_writes=(),
+    ios=(), obs=(), is_opaque=False, operands=(), branch_taken=None,
+)
+
+
+def E(seq, kind, iid, loc, activation, func, block, **rest):
+    """An expected event as a plain tuple in FIELDS order; `ios` entries are
+    (channel, ordered, direction, tag, values, pos) and `obs` entries are
+    (((source_id, names), ...), values, pos)."""
+    assert rest.keys() <= OPTIONAL.keys()
+    return (seq, kind, iid, loc, activation, func, block) + tuple(
+        rest.get(name, default) for name, default in OPTIONAL.items()
+    )
+
+
+def plain(ev) -> tuple:
+    row = [getattr(ev, name) for name in FIELDS]
+    row[FIELDS.index("ios")] = tuple(
+        (r.channel, r.ordered, r.direction, r.tag, r.values, r.pos) for r in ev.ios
+    )
+    row[FIELDS.index("obs")] = tuple(
+        (tuple((t.source_id, t.names) for t in r.tags), r.values, r.pos) for r in ev.obs
+    )
+    return tuple(row)
+
+
+CALLS = """
+function add(x: u32, y: u32) -> (u32, bool) {
+  s = x + y
+  c = s > 10
+  return(s, c)
+}
+function main() {
+  a = 7
+  b, big = add(a, 5)
+  br big, bb_hi(b, a), bb_lo(a)
+bb_lo(v: u32):
+  io(out, v)
+  br bb_end
+bb_hi(p: u32, q: u32):
+  d = p - q
+  io(out, d)
+  br bb_end
+bb_end:
+  return()
+}
+"""
+
+CALLS_TRACE = [
+    E(0, "init", None, (0, 0), 0, "", ""),
+    E(1, "call", None, (0, 0), 1, "main", "entry"),
+    E(2, "instr", ("main", 0, 0), (8, 3), 1, "main", "entry",
+      defs=(("a", 7),)),
+    E(3, "call", ("main", 0, 1), (9, 3), 1, "main", "entry",
+      defs=(("x", 7), ("y", 5)), uses=("a",), du=(("a", 2),), operands=(("a", 7),)),
+    E(4, "instr", ("add", 0, 0), (3, 3), 2, "add", "entry",
+      defs=(("s", 12),), uses=("x", "y"), du=(("x", 3), ("y", 3)), operands=(("x", 7), ("y", 5))),
+    E(5, "instr", ("add", 0, 1), (4, 3), 2, "add", "entry",
+      defs=(("c", True),), uses=("s",), du=(("s", 4),), operands=(("s", 12),)),
+    E(6, "ret", ("add", 0, 2), (5, 3), 2, "add", "entry",
+      defs=(("b", 12), ("big", True)), uses=("s", "c"), du=(("s", 4), ("c", 5)),
+      operands=(("s", 12), ("c", True))),
+    E(7, "branch", ("main", 0, 2), (10, 3), 1, "main", "entry",
+      defs=(("p", 12), ("q", 7)), uses=("big", "b", "a"), du=(("big", 6), ("b", 6), ("a", 2)),
+      operands=(("big", True), ("b", 12), ("a", 7)), branch_taken="bb_hi"),
+    E(8, "instr", ("main", 2, 0), (15, 3), 1, "main", "bb_hi",
+      defs=(("d", 5),), uses=("p", "q"), du=(("p", 7), ("q", 7)), operands=(("p", 12), ("q", 7))),
+    E(9, "instr", ("main", 2, 1), (16, 3), 1, "main", "bb_hi",
+      uses=("d",), du=(("d", 8),), ios=(("out", True, "w", 0, (5,), 1),), is_opaque=True,
+      operands=(("d", 5),)),
+    E(10, "branch", ("main", 2, 2), (17, 3), 1, "main", "bb_hi",
+      branch_taken="bb_end"),
+    E(11, "ret", ("main", 3, 0), (19, 3), 1, "main", "bb_end"),
+]
+
+# Patching `big` at the return takes the other arm.
+CALLS_PATCHED_TRACE = CALLS_TRACE[:6] + [
+    E(6, "ret", ("add", 0, 2), (5, 3), 2, "add", "entry",
+      defs=(("b", 12), ("big", False)), uses=("s", "c"), du=(("s", 4), ("c", 5)),
+      operands=(("s", 12), ("c", True))),
+    E(7, "branch", ("main", 0, 2), (10, 3), 1, "main", "entry",
+      defs=(("v", 7),), uses=("big", "a"), du=(("big", 6), ("a", 2)),
+      operands=(("big", False), ("a", 7)), branch_taken="bb_lo"),
+    E(8, "instr", ("main", 1, 0), (12, 3), 1, "main", "bb_lo",
+      uses=("v",), du=(("v", 7),), ios=(("out", True, "w", 0, (7,), 1),), is_opaque=True,
+      operands=(("v", 7),)),
+    E(9, "branch", ("main", 1, 1), (13, 3), 1, "main", "bb_lo",
+      branch_taken="bb_end"),
+    E(10, "ret", ("main", 3, 0), (19, 3), 1, "main", "bb_end"),
+]
+
+# A nested region that loads, stores, reads and writes a reference, reads
+# and writes I/O and observes, all aggregated into event 5 in `pos` order.
+OPAQUE = """
+function main() {
+  a = 1000
+  mem[a] <- 7
+  r <- 3
+  t = opaque {
+    v = mem[a];
+    mem[a] <- 8;
+    w = r;
+    r <- 4;
+    b, c = snapshot(a, v);
+    x = io(inp);
+    io(out, x, w);
+    u = opaque {
+      use(b, c);
+      mem[a] <- 9;
+      z = mem[a];
+      s = snapshot(z);
+      io(out, s);
+      yield(z);
+    };
+    yield(u);
+  }
+  y = mem[a]
+  k = r
+  io(out, y, t, k)
+}
+"""
+
+OPAQUE_TRACE = [
+    E(0, "init", None, (0, 0), 0, "", ""),
+    E(1, "call", None, (0, 0), 1, "main", "entry"),
+    E(2, "instr", ("main", 0, 0), (3, 3), 1, "main", "entry",
+      defs=(("a", 1000),)),
+    E(3, "instr", ("main", 0, 1), (4, 3), 1, "main", "entry",
+      uses=("a",), du=(("a", 2),), stores=((1000, 7),), operands=(("a", 1000),)),
+    E(4, "instr", ("main", 0, 2), (5, 3), 1, "main", "entry",
+      ref_writes=(("r", 3),)),
+    E(5, "opaque", ("main", 0, 3), (6, 3), 1, "main", "entry",
+      defs=(("t", 9),), uses=("a",), du=(("a", 2),), rf=(3, 4), loads=((1000, 7), (1000, 9)),
+      stores=((1000, 8), (1000, 9)), ref_reads=(("r", 3),), ref_writes=(("r", 4),),
+      ios=(
+          ("inp", True, "r", 0, (5,), 2),
+          ("out", True, "w", 0, (5, 3), 3),
+          ("out", True, "w", 1, (9,), 5),
+      ),
+      obs=(((((11, 5), ("a", "mem[a]")),), (1000, 7), 1), ((((18, 7), ("mem[a]",)),), (9,), 4)),
+      is_opaque=True, operands=(("a", 1000),)),
+    E(6, "instr", ("main", 0, 4), (24, 3), 1, "main", "entry",
+      defs=(("y", 9),), uses=("a",), du=(("a", 2),), rf=(5,), loads=((1000, 9),),
+      operands=(("a", 1000),)),
+    E(7, "instr", ("main", 0, 5), (25, 3), 1, "main", "entry",
+      defs=(("k", 4),), rf=(5,), ref_reads=(("r", 4),)),
+    E(8, "instr", ("main", 0, 6), (26, 3), 1, "main", "entry",
+      uses=("y", "t", "k"), du=(("y", 6), ("t", 5), ("k", 7)),
+      ios=(("out", True, "w", 2, (9, 9, 4), 1),), is_opaque=True,
+      operands=(("y", 9), ("t", 9), ("k", 4))),
+    E(9, "ret", ("main", 0, 7), (26, 3), 1, "main", "entry"),
+]
+
+# rf across events, ordered and unordered I/O, and the tailio/cc channels.
+CHANNELS = """
+function main() {
+  p = 10
+  mem[p] <- 1
+  q = 11
+  mem[q] <- 2
+  x = mem[p]
+  mem[p] <- 3
+  y = mem[p]
+  z = mem[q]
+  a = io(nums)
+  b = io(bag)
+  io(outs, a, b)
+  io(out, x, y, z)
+  t = observe_decoupled(x, y)
+  t2 = __io(t)
+  observe_cc(z)
+  v = artificial_def_cc(a)
+  d = ordered_set_descriptor
+  io(d, v)
+}
+"""
+
+CHANNELS_IN = "desc nums in ordered\n4\n6\ndesc bag in unordered\n9u8\ndesc outs out unordered\n"
+
+CHANNELS_TRACE = [
+    E(0, "init", None, (0, 0), 0, "", ""),
+    E(1, "call", None, (0, 0), 1, "main", "entry"),
+    E(2, "instr", ("main", 0, 0), (3, 3), 1, "main", "entry",
+      defs=(("p", 10),)),
+    E(3, "instr", ("main", 0, 1), (4, 3), 1, "main", "entry",
+      uses=("p",), du=(("p", 2),), stores=((10, 1),), operands=(("p", 10),)),
+    E(4, "instr", ("main", 0, 2), (5, 3), 1, "main", "entry",
+      defs=(("q", 11),)),
+    E(5, "instr", ("main", 0, 3), (6, 3), 1, "main", "entry",
+      uses=("q",), du=(("q", 4),), stores=((11, 2),), operands=(("q", 11),)),
+    E(6, "instr", ("main", 0, 4), (7, 3), 1, "main", "entry",
+      defs=(("x", 1),), uses=("p",), du=(("p", 2),), rf=(3,), loads=((10, 1),),
+      operands=(("p", 10),)),
+    E(7, "instr", ("main", 0, 5), (8, 3), 1, "main", "entry",
+      uses=("p",), du=(("p", 2),), stores=((10, 3),), operands=(("p", 10),)),
+    E(8, "instr", ("main", 0, 6), (9, 3), 1, "main", "entry",
+      defs=(("y", 3),), uses=("p",), du=(("p", 2),), rf=(7,), loads=((10, 3),),
+      operands=(("p", 10),)),
+    E(9, "instr", ("main", 0, 7), (10, 3), 1, "main", "entry",
+      defs=(("z", 2),), uses=("q",), du=(("q", 4),), rf=(5,), loads=((11, 2),),
+      operands=(("q", 11),)),
+    E(10, "instr", ("main", 0, 8), (11, 3), 1, "main", "entry",
+      defs=(("a", 4),), ios=(("nums", True, "r", 0, (4,), 1),), is_opaque=True),
+    E(11, "instr", ("main", 0, 9), (12, 3), 1, "main", "entry",
+      defs=(("b", 9),), ios=(("bag", False, "r", 0, (9,), 1),), is_opaque=True),
+    E(12, "instr", ("main", 0, 10), (13, 3), 1, "main", "entry",
+      uses=("a", "b"), du=(("a", 10), ("b", 11)), ios=(("outs", False, "w", 0, (4, 9), 1),),
+      is_opaque=True, operands=(("a", 4), ("b", 9))),
+    E(13, "instr", ("main", 0, 11), (14, 3), 1, "main", "entry",
+      uses=("x", "y", "z"), du=(("x", 6), ("y", 8), ("z", 9)),
+      ios=(("out", True, "w", 0, (1, 3, 2), 1),), is_opaque=True,
+      operands=(("x", 1), ("y", 3), ("z", 2))),
+    E(14, "opaque", ("main", 0, 12), (15, 3), 1, "main", "entry",
+      defs=(("u1__2", unit_value),), uses=("x", "y"), du=(("x", 6), ("y", 8)),
+      obs=(((((15, 3), ("x", "y")),), (1, 3), 1),), is_opaque=True, operands=(("x", 1), ("y", 3))),
+    E(15, "instr", ("main", 0, 13), (15, 3), 1, "main", "entry",
+      defs=(("t", unit_value),), uses=("u1__2",), du=(("u1__2", 14),),
+      operands=(("u1__2", unit_value),)),
+    E(16, "opaque", ("main", 0, 14), (16, 3), 1, "main", "entry",
+      defs=(("v__9", unit_value),), uses=("t",), du=(("t", 15),),
+      ios=(("tailio", False, "w", 0, (), 1),), is_opaque=True, operands=(("t", unit_value),)),
+    E(17, "instr", ("main", 0, 15), (16, 3), 1, "main", "entry",
+      defs=(("t2", unit_value),), uses=("v__9",), du=(("v__9", 16),),
+      operands=(("v__9", unit_value),)),
+    E(18, "opaque", ("main", 0, 16), (17, 3), 1, "main", "entry",
+      uses=("z",), du=(("z", 9),), ios=(("cc", True, "w", 0, (), 2),),
+      obs=(((((17, 3), ("z",)),), (2,), 1),), is_opaque=True, operands=(("z", 2),)),
+    E(19, "opaque", ("main", 0, 17), (18, 3), 1, "main", "entry",
+      defs=(("u__19", 4),), uses=("a",), du=(("a", 10),), ios=(("cc", True, "w", 1, (), 1),),
+      is_opaque=True, operands=(("a", 4),)),
+    E(20, "instr", ("main", 0, 18), (18, 3), 1, "main", "entry",
+      defs=(("v", 4),), uses=("u__19",), du=(("u__19", 19),), operands=(("u__19", 4),)),
+    E(21, "instr", ("main", 0, 19), (19, 3), 1, "main", "entry",
+      defs=(("d", DescValue(channel="cc")),)),
+    E(22, "instr", ("main", 0, 20), (20, 3), 1, "main", "entry",
+      uses=("d", "v"), du=(("d", 21), ("v", 20)), ios=(("cc", True, "w", 2, (4,), 1),),
+      is_opaque=True, operands=(("d", DescValue(channel="cc")), ("v", 4))),
+    E(23, "ret", ("main", 0, 21), (20, 3), 1, "main", "entry"),
+]
+
+# The division inside `div` traps after its call event.
+TRAP = """
+function div(n: u32, m: u32) -> (u32) {
+  q = n / m
+  return(q)
+}
+function main() {
+  a = io(nums)
+  io(out, a)
+  b = io(nums)
+  c = div(a, b)
+  io(out, c)
+}
+"""
+
+TRAP_TRACE = [
+    E(0, "init", None, (0, 0), 0, "", ""),
+    E(1, "call", None, (0, 0), 1, "main", "entry"),
+    E(2, "instr", ("main", 0, 0), (7, 3), 1, "main", "entry",
+      defs=(("a", 8),), ios=(("nums", True, "r", 0, (8,), 1),), is_opaque=True),
+    E(3, "instr", ("main", 0, 1), (8, 3), 1, "main", "entry",
+      uses=("a",), du=(("a", 2),), ios=(("out", True, "w", 0, (8,), 1),), is_opaque=True,
+      operands=(("a", 8),)),
+    E(4, "instr", ("main", 0, 2), (9, 3), 1, "main", "entry",
+      defs=(("b", 0),), ios=(("nums", True, "r", 1, (0,), 1),), is_opaque=True),
+    E(5, "call", ("main", 0, 3), (10, 3), 1, "main", "entry",
+      defs=(("n", 8), ("m", 0)), uses=("a", "b"), du=(("a", 2), ("b", 4)),
+      operands=(("a", 8), ("b", 0))),
+]
+
+PINNED = {
+    "calls": (CALLS, "", None, CALLS_TRACE, 10, None, {}),
+    "calls-patched": (CALLS, "", (6, "big", False), CALLS_PATCHED_TRACE, 9, None, {}),
+    "opaque": (OPAQUE, "desc inp in ordered\n5\n", None, OPAQUE_TRACE, 23, None, {1000: 9}),
+    "channels": (CHANNELS, CHANNELS_IN, None, CHANNELS_TRACE, 42, None, {10: 3, 11: 2}),
+    "trap": (TRAP, "desc nums in ordered\n8\n0\n", None, TRAP_TRACE, 5, "division by zero", {}),
+}
+
+
+@pytest.mark.parametrize(
+    "src, inputs, patch, trace, steps, trapped, memory", PINNED.values(), ids=PINNED
+)
+def test_pinned_trace(src, inputs, patch, trace, steps, trapped, memory):
+    program, _ = prepare(src)
+    r = run(program, parse_input(inputs) if inputs else None, patch=patch)
+    got = [plain(ev) for ev in r.events]
+    assert got == trace
+    assert repr(got) == repr(trace)  # tells True from 1
+    assert (r.steps, r.trapped, r.memory) == (steps, trapped, memory)
+
+
 # -- I/O
 
 def test_input_consumption_and_behavior():
@@ -313,3 +612,56 @@ def test_patch_on_branch_condition_switches_path():
     c_def = [e for e in base.events if e.kind == "opaque"][0]
     patched = run(program, None, patch=(c_def.seq, "c", False), type_info=info.var_types)
     assert patched.io_behavior()[("w", "out")] == ("ordered", ((0,),))
+
+
+@pytest.mark.parametrize(
+    "patch, defs, out",
+    [
+        ((7, "p", 20), (("p", 20), ("q", 7)), 13),  # a block parameter
+        ((3, "x", 100), (("x", 100), ("y", 5)), 98),  # a callee parameter
+        ((6, "b", 30), (("b", 30), ("big", True)), 23),  # a call result bound in the caller
+    ],
+)
+def test_patch_replaces_each_kind_of_binding(patch, defs, out):
+    program, _ = prepare(CALLS)
+    r = run(program, None, patch=patch)
+    assert r.events[patch[0]].defs == defs
+    assert r.io_behavior()[("w", "out")] == ("ordered", ((out,),))
+
+
+# -- budgets, to the step
+
+LOOP = "  br loop(0)\nloop(i: u32):\n  j = i + 1\n  br loop(j)"
+# Seven steps: a, the opaque instruction, its three region instructions
+# (which alone count against the opaque budget), the io and the return.
+SHORT = "  a = 1\n  x = opaque {\n    b = a + 1;\n    c = b + 1;\n    yield(c);\n  }\n  io(out, x)"
+
+
+@pytest.mark.parametrize(
+    "body, budgets, steps, n_events, trapped",
+    [
+        (LOOP, dict(step_budget=500), 501, 502, "step budget exceeded"),
+        (SHORT, {}, 7, 6, None),
+        (SHORT, dict(step_budget=7), 7, 6, None),
+        (SHORT, dict(step_budget=6), 7, 5, "step budget exceeded"),
+        (SHORT, dict(step_budget=4), 5, 3, "step budget exceeded"),
+        (SHORT, dict(opaque_budget=3), 7, 6, None),
+        (SHORT, dict(opaque_budget=2), 5, 3, "opaque region budget exceeded"),
+        # Both budgets run out on the same step: the step budget is checked first.
+        (SHORT, dict(step_budget=2, opaque_budget=0), 3, 3, "step budget exceeded"),
+    ],
+)
+def test_budgets_trap_at_the_exact_step(body, budgets, steps, n_events, trapped):
+    r = run_main(body, **budgets)
+    assert (r.steps, len(r.events), r.trapped) == (steps, n_events, trapped)
+
+
+def test_runs_leave_the_input_spec_alone():
+    spec = parse_input(CHANNELS_IN)
+    before = {n: (c.name, c.direction, c.ordered, list(c.values)) for n, c in spec.channels.items()}
+    program, _ = prepare(CHANNELS)
+    first = run(program, spec)
+    second = run(program, spec)
+    after = {n: (c.name, c.direction, c.ordered, list(c.values)) for n, c in spec.channels.items()}
+    assert after == before
+    assert first.trapped is None and first.events == second.events

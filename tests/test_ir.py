@@ -254,6 +254,10 @@ DIAGNOSTICS = {
         main_fn("  f(1)\n", "function f(n: u32) {\n  x = f(n)\n  return(x)\n}\n"),
         [("error", (5, 3), "recursive function 'f' needs a return type annotation")],
     ),
+    "recursion-unannotated-listed-first": (
+        "function f(n: u32) {\n  x = f(n)\n  return(x)\n}\n" + main_fn("  f(1)\n"),
+        [("error", (2, 3), "recursive function 'f' needs a return type annotation")],
+    ),
     "variable-and-reference": (
         main_fn("  r <- 1\n  r = 2\n"),
         [("error", (1, 1), "'r' is used both as a variable and a reference in main")],
