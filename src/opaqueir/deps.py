@@ -36,7 +36,8 @@ otherwise every token chain would collapse to a singleton; 32-bit
 results go through a small per-operation rule engine and fall back to
 seeded sampling, which stops the same way. Each patched value is rerun
 once, and that rerun is shared by every audited link out of the same
-opaque event.
+opaque event. Each run is analysed once: `analyze` stores its `DepInfo`
+on the run, which holds the run's events, not the run, so no cycle forms.
 """
 
 from __future__ import annotations
@@ -80,19 +81,19 @@ DEFAULT_SEED = 0
 
 @dataclass
 class DepInfo:
-    run: RunResult
+    """Dependence info of one run. It holds the run's events, not the run,
+    so the run can keep it (see `analyze`) without a reference cycle."""
+
+    events: tuple[Event, ...]
     dep_sources: list[frozenset[int]]  # indexed by event seq
     # The innermost open conditional branch, if any: at most one element.
     cd_sources: list[frozenset[int]]
     obs_seqs: tuple[int, ...]
     io_seqs: tuple[int, ...]
+    anchor_seqs: tuple[int, ...]  # observation and io events, in order
     _dep_out: dict[int, list[int]] = field(default_factory=dict)
     _closes: dict[int, int] = field(default_factory=dict)  # branch -> closing seq or trace length
     _anchor_reach: Optional[dict[int, frozenset[int]]] = None
-
-    @property
-    def anchor_seqs(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.obs_seqs) | set(self.io_seqs)))
 
     def dep_out(self, seq: int) -> list[int]:
         return self._dep_out.get(seq, [])
@@ -116,7 +117,7 @@ class DepInfo:
     def controls(self, b: int, e: int) -> bool:
         """Whether event e is control dependent on event b: b is a
         conditional branch still open at e, in e's activation."""
-        events = self.run.events
+        events = self.events
         return b < e < self._closes.get(b, -1) and events[b].activation == events[e].activation
 
     # -- happens-before among anchors
@@ -136,7 +137,7 @@ class DepInfo:
         # compare.
         by_channel: dict[str, list[int]] = {}
         for s in self.io_seqs:
-            for rec in self.run.events[s].ios:
+            for rec in self.events[s].ios:
                 if not (rec.ordered or rec.direction == "r"):
                     continue
                 chain = by_channel.setdefault(rec.channel, [])
@@ -166,7 +167,7 @@ class DepInfo:
             # Observe-from: the events directly defining values the
             # observing instruction uses. Only anchor sources can extend
             # anchor-to-anchor paths, so others are dropped here.
-            for _, src in self.run.events[seq].du:
+            for _, src in self.events[seq].du:
                 if src in anchor_set:
                     succ[src].add(seq)
         # Transitive closure, walking anchors newest first so successor
@@ -199,7 +200,11 @@ def _postdominators(program: Program) -> dict[str, dict[str, set[str]]]:
 
 
 def analyze(program: Program, result: RunResult) -> DepInfo:
-    """Compute dependence sources for every event of a run."""
+    """Compute dependence sources for every event of a run. With the run's
+    own program, the info is stored on the run and reused while it lives."""
+    shared = program is result.program
+    if shared and (info := getattr(result, "_deps", None)) is not None:
+        return info
     pdoms = _postdominators(program)
 
     dep_sources: list[frozenset[int]] = []
@@ -240,15 +245,19 @@ def analyze(program: Program, result: RunResult) -> DepInfo:
         if ev.ios:
             io_seqs.append(ev.seq)
 
-    return DepInfo(
-        run=result,
+    info = DepInfo(
+        events=result.events,
         dep_sources=dep_sources,
         cd_sources=cd_sources,
         obs_seqs=tuple(obs_seqs),
         io_seqs=tuple(io_seqs),
+        anchor_seqs=tuple(sorted({*obs_seqs, *io_seqs})),
         _dep_out=dep_out,
         _closes=closes,
     )
+    if shared:
+        object.__setattr__(result, "_deps", info)  # the run is frozen
+    return info
 
 
 # --------------------------------------------------------------------------
@@ -259,7 +268,7 @@ def analyze(program: Program, result: RunResult) -> DepInfo:
 def opaque_skeleton(info: DepInfo) -> dict[int, tuple[int, ...]]:
     """Edges between opaque events whose connecting dep paths contain no
     opaque event in the interior."""
-    events = info.run.events
+    events = info.events
     opaque = [ev.seq for ev in events if ev.is_opaque]
     edges: dict[int, tuple[int, ...]] = {}
     for start in opaque:
@@ -315,13 +324,13 @@ _REACHED = _Reached()
 def witness_var(info: DepInfo, j: int, k: int) -> Optional[str]:
     """Which variable defined by event j feeds the dep path to event k.
     Usually the single result of the opaque instruction."""
-    ev = info.run.events[j]
+    ev = info.events[j]
     names = [n for n, _ in ev.defs]
     if len(names) <= 1:
         return names[0] if names else None
     dependent = {j}
     used: list[str] = []
-    for e in info.run.events[j + 1 : k + 1]:
+    for e in info.events[j + 1 : k + 1]:
         if not (info.dep_sources[e.seq] & dependent):
             continue
         dependent.add(e.seq)
@@ -331,8 +340,8 @@ def witness_var(info: DepInfo, j: int, k: int) -> Optional[str]:
     return used[0] if used else names[0]
 
 
-def value_at_dependent(alt: RunResult, alt_info: DepInfo, j: int, k_sig: str, sign) -> object:
-    """Scan a trace for the first event that depends on event j and
+def value_at_dependent(info: DepInfo, j: int, k_sig: str, sign) -> object:
+    """Scan a run's events for the first event that depends on event j and
     executes an instruction identical (up to renaming) to the later
     opaque, and return the operand value that arrived there. `sign` maps
     an instruction id to its `instr_signature`. Never reaching one is the
@@ -341,12 +350,12 @@ def value_at_dependent(alt: RunResult, alt_info: DepInfo, j: int, k_sig: str, si
     other opaque event, as in `opaque_skeleton`: a value flowing through
     a different opaque region first belongs to another link, but the
     scan goes on past it."""
-    events = alt.events
+    events = info.events
     if j >= len(events):
         return _BOTTOM
     dependent = {j}
     for ev in events[j + 1 :]:
-        if not (alt_info.dep_sources[ev.seq] & dependent):
+        if not (info.dep_sources[ev.seq] & dependent):
             continue
         dependent.add(ev.seq)
         if ev.iid is None:
@@ -401,7 +410,7 @@ def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
     analysed once, and every link that still needs an outcome reads its
     own from that rerun. A link leaves its group at its second distinct
     outcome, and the group stops once none is left."""
-    events = info.run.events
+    events = info.events
     reports: dict[tuple[int, int], ValueSetReport] = {}
     groups: dict[tuple[int, str], dict[int, str]] = {}  # (j, var) -> {k: k_sig}
     sign = functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
@@ -429,7 +438,7 @@ def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
         else:
             # Seeded sampling fallback for 32-bit results the rules cannot cover.
             status, alt_values = "sampled", _sample_values(ty, seed, observed)
-        outcomes = {k: {value_at_dependent(info.run, info, j, s, sign)} for k, s in k_sigs.items()}
+        outcomes = {k: {value_at_dependent(info, j, s, sign)} for k, s in k_sigs.items()}
         pending = k_sigs
         for alt_value in alt_values:
             if alt_value == observed:
@@ -437,7 +446,7 @@ def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
             alt = run(program, inputs, patch=(j, var, alt_value), type_info=var_types)
             alt_info = analyze(program, alt)
             for k, sig in pending.items():
-                outcomes[k].add(value_at_dependent(alt, alt_info, j, sig, sign))
+                outcomes[k].add(value_at_dependent(alt_info, j, sig, sign))
             del alt, alt_info  # one rerun alive at a time
             # Two distinct outcomes already witness a link.
             pending = {k: sig for k, sig in pending.items() if len(outcomes[k]) < 2}
@@ -562,7 +571,7 @@ def _rule_engine(
     per-operation image rules over the full domain of the patched result.
     Bails out (returns None) on joins, correlated operands, control hops,
     or operations without a rule."""
-    events = info.run.events
+    events = info.events
     dependent = {j}
     preds: dict[int, list[int]] = {}
     for ev in events[j + 1 : k + 1]:

@@ -25,13 +25,15 @@ ends the run; the events up to that point are kept.
 
 A program's functions are decoded once and the result is stored on the
 program, so the class each instruction dispatches on is found once, not on
-every execution.
+every execution. Runs are stored there too, weakly, and shared (see `run`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from .ir import (
     AtomExpr,
@@ -323,12 +325,14 @@ def eval_binary(op: str, a, b, ty: Type):
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
+    """One execution, immutable as equal runs share it (see `run`)."""
+
     program: Program
-    events: list[Event]
+    events: tuple[Event, ...]
     trapped: Optional[str]
-    memory: dict[int, int]
+    memory: Mapping[int, int]
     steps: int
 
     def io_behavior(self, exclude: frozenset[str] = frozenset()) -> dict:
@@ -835,8 +839,8 @@ class _Interp:
             self.call_function("main", (), _Agg(), None, (0, 0), None, "", (), 0)
         except _Trap as trap:
             trapped = trap.reason
-        memory = {addr: value for addr, (value, _) in self.memory.items()}
-        return RunResult(self.program, self.events, trapped, memory, self.steps)
+        memory = MappingProxyType({addr: value for addr, (value, _) in self.memory.items()})
+        return RunResult(self.program, tuple(self.events), trapped, memory, self.steps)
 
 
 def run(
@@ -854,9 +858,26 @@ def run(
     `seq` binds `var`, the binding is replaced with `value` and execution
     continues. This is the rerun primitive behind opaque value sets;
     `type_info` only overrides the types `typecheck` caches on `program`.
-    `inputs` is only read, so one spec serves any number of runs."""
+    `inputs` is only read, so one spec serves any number of runs.
+
+    Unpatched runs with the cached types are memoized on `program`, keyed by
+    the content of `inputs` and both budgets, and held weakly: an equal run
+    returns the same `RunResult` while some caller still holds it."""
     if type_info is None:
         from .ir import typecheck
 
         type_info = typecheck(program).var_types
-    return _Interp(program, inputs, step_budget, opaque_budget, patch, type_info).run()
+    types = getattr(program, "_type_info", None)  # what `typecheck` caches
+    if patch is not None or types is None or type_info is not types.var_types:
+        return _Interp(program, inputs, step_budget, opaque_budget, patch, type_info).run()
+    if (runs := getattr(program, "_runs", None)) is None:
+        object.__setattr__(program, "_runs", runs := weakref.WeakValueDictionary())
+    # What the run reads of `inputs`, values typed: `true == 1` traces apart.
+    channels = inputs.channels.items() if inputs is not None else ()
+    key = (step_budget, opaque_budget, *(
+        (n, c.direction, c.ordered, tuple((type(v), v) for v in c.values)) for n, c in channels
+    ))
+    if (result := runs.get(key)) is None:
+        result = _Interp(program, inputs, step_budget, opaque_budget, None, type_info).run()
+        runs[key] = result
+    return result

@@ -238,7 +238,7 @@ def full_stack_cd(program, result):
 def backward_walk_hb(info, dep_sources):
     """Reference: happens-before from one backward walk per observation
     over the given dependence sources, then transitive closure."""
-    events = info.run.events
+    events = info.events
     anchors = info.anchor_seqs
     succ = {a: set() for a in anchors}
     by_channel = {}
@@ -557,20 +557,20 @@ def full_domain_outcomes(program, spec, info, types, j, ks):
     at the second outcome: patch event j's witness variable to every other
     value of its domain (each byte or boolean, else every sample), once
     each, and collect the outcome of every link (j, k) of `ks`."""
-    events = info.run.events
+    events = info.events
     var = witness_var(info, j, ks[0])
     ty = types[events[j].func, var]
     observed = dict(events[j].defs)[var]
     sign = functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
     sigs = {k: sign(events[k].iid) for k in ks}
-    outcomes = {k: {value_at_dependent(info.run, info, j, sigs[k], sign)} for k in ks}
+    outcomes = {k: {value_at_dependent(info, j, sigs[k], sign)} for k in ks}
     for value in deps._domain(ty) or _sample_values(ty, DEFAULT_SEED, observed):
         if value == observed:
             continue
         alt = deps.run(program, spec, patch=(j, var, value), type_info=types)
         alt_info = analyze(program, alt)
         for k in ks:
-            outcomes[k].add(value_at_dependent(alt, alt_info, j, sigs[k], sign))
+            outcomes[k].add(value_at_dependent(alt_info, j, sigs[k], sign))
     return outcomes
 
 

@@ -4,9 +4,17 @@ Expected values in the arithmetic tests are written out by hand, not
 computed with the code under test.
 """
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
+from opaqueir.deps import analyze
 from opaqueir.interp import (
+    DEFAULT_STEP_BUDGET,
+    Channel,
+    InputSpec,
     InterpError,
     parse_input,
     run,
@@ -661,7 +669,92 @@ def test_runs_leave_the_input_spec_alone():
     before = {n: (c.name, c.direction, c.ordered, list(c.values)) for n, c in spec.channels.items()}
     program, _ = prepare(CHANNELS)
     first = run(program, spec)
-    second = run(program, spec)
+    # A copy of the program shares no memoized run, so this one executes.
+    second = run(dataclasses.replace(program), spec)
     after = {n: (c.name, c.direction, c.ordered, list(c.values)) for n, c in spec.channels.items()}
     assert after == before
+    assert second is not first
     assert first.trapped is None and first.events == second.events
+
+
+# -- shared runs
+
+
+ECHO = "function main() {\n  a = io(inp)\n  io(out, a)\n}\n"
+
+
+def test_equal_runs_share_one_result():
+    program, _ = prepare(CHANNELS)
+    first = run(program, parse_input(CHANNELS_IN))
+    assert run(program, parse_input(CHANNELS_IN)) is first
+    assert run(program, parse_input(CHANNELS_IN), step_budget=DEFAULT_STEP_BUDGET) is first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.steps = 0
+    with pytest.raises(TypeError):
+        first.memory[10] = 0
+    assert isinstance(first.events, tuple)
+
+
+def test_a_changed_spec_runs_afresh():
+    program, _ = prepare(CHANNELS)
+    spec = parse_input(CHANNELS_IN)
+    first = run(program, spec)
+    spec.channels["nums"].values[0] = 7
+    second = run(program, spec)
+    assert second is not first
+    assert second.io_behavior()[("w", "outs")] == ("unordered", ((7, 9),))
+    spec.channels["nums"].values[0] = 4
+    assert run(program, spec) is first  # equal content again, and still held
+    spec.channels["bag"].ordered = True
+    assert run(program, spec) is not first
+
+
+def test_true_and_one_never_share_a_run():
+    program, _ = prepare(ECHO)
+    one = run(program, InputSpec({"inp": Channel("inp", "in", True, [1])}))
+    true = run(program, InputSpec({"inp": Channel("inp", "in", True, [True])}))
+    assert true is not one
+    assert (one.render_trace(), true.render_trace()) == ("IO out 0=1\n", "IO out 0=true\n")
+
+
+def test_unshared_runs_execute_afresh():
+    program, info = prepare(CHANNELS)
+    spec = parse_input(CHANNELS_IN)
+    base = run(program, spec, type_info=info.var_types)
+    assert run(program, spec) is base  # the types `typecheck` caches
+    x_def = next(ev for ev in base.events if ev.def_names() == ("x",))
+    patch = (x_def.seq, "x", 5)
+    assert run(program, spec, patch=patch) is not run(program, spec, patch=patch)
+    assert run(program, spec, step_budget=1000) is not base
+    assert run(program, spec, opaque_budget=1000) is not base
+    types = dict(info.var_types)
+    assert run(program, spec, type_info=types) is not base
+    assert run(program, spec, type_info=types) is not run(program, spec, type_info=types)
+    # Dependence info is stored on a run analysed with its own program only.
+    dep_info = analyze(program, base)
+    assert analyze(program, base) is dep_info
+    other = analyze(dataclasses.replace(program), base)
+    assert other is not dep_info and other.dep_sources == dep_info.dep_sources
+    assert analyze(program, base) is dep_info
+
+
+def test_a_dropped_run_and_its_analysis_leave_nothing_behind():
+    """Nothing but the caller keeps a run alive: the memo holds it weakly
+    and its dependence info holds its events, not the run, so no cycle
+    waits for the collector."""
+    program, _ = prepare(CHANNELS)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = run(program, parse_input(CHANNELS_IN))
+        info = analyze(program, result)
+        alive = weakref.ref(result)
+        assert len(program._runs) == 1
+        del result
+        assert alive() is None and len(program._runs) == 0
+        assert info.events[0].kind == "init"  # the info keeps the events only
+        del info
+        assert len(program._runs) == 0
+    finally:
+        if enabled:
+            gc.enable()

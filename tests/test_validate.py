@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from opaqueir import deps, ir
+from opaqueir import deps, interp, ir
+from opaqueir.deps import DepInfo
 from opaqueir.interp import parse_input, run
 from opaqueir.passes import (
     PRESETS,
@@ -182,6 +183,23 @@ def test_p0_is_the_identity_baseline():
         assert all(v.witnesses == () for _, v in report.checks())
 
 
+MIXED = """
+function mix(v: u32) -> (u32) {
+  w = v ^ 21
+  return(w)
+}
+function main() {
+  a = io(inp)
+  b = mix(a)
+  t1 = observe_decoupled(a)
+  t2 = observe_decoupled(b, t1)
+  u = observe_tailio(t2)
+  io(out, b)
+  return()
+}
+"""
+
+
 def test_every_preset_shares_one_typecheck_and_postdominators_per_program(monkeypatch):
     """The checks under every preset, and the chain audit's reruns, reuse
     the types and post-dominators of each program they run."""
@@ -199,23 +217,7 @@ def test_every_preset_shares_one_typecheck_and_postdominators_per_program(monkey
 
     monkeypatch.setattr(ir, "_Validator", Counted)
     monkeypatch.setattr(deps, "compute_postdominators", counted_pdoms)
-    program = prog(
-        """
-function mix(v: u32) -> (u32) {
-  w = v ^ 21
-  return(w)
-}
-function main() {
-  a = io(inp)
-  b = mix(a)
-  t1 = observe_decoupled(a)
-  t2 = observe_decoupled(b, t1)
-  u = observe_tailio(t2)
-  io(out, b)
-  return()
-}
-"""
-    )
+    program = prog(MIXED)
     spec = parse_input(ONE_INPUT)
     results = {preset: optimize(program, preset=preset) for preset in sorted(PRESETS)}
     for res in results.values():
@@ -588,6 +590,61 @@ def test_event_map_requires_edges():
 # --------------------------------------------------------------------------
 # Chain preservation
 # --------------------------------------------------------------------------
+
+
+def counting_runs_and_analyses(monkeypatch):
+    """The patch of every interpreter execution, and the events of every
+    run analysed, memo hits excluded."""
+    executed, analysed = [], []
+
+    class Counted(interp._Interp):
+        def run(self):
+            executed.append(None if self.patch_seq < 0 else self.patch_seq)
+            return super().run()
+
+    def counted_info(**fields):
+        analysed.append(fields["events"])
+        return DepInfo(**fields)
+
+    monkeypatch.setattr(interp, "_Interp", Counted)
+    monkeypatch.setattr(deps, "DepInfo", counted_info)
+    return executed, analysed
+
+
+def test_checks_and_the_audit_share_each_run_and_its_analysis(monkeypatch):
+    """A held reference run, checked under every preset, is analysed once;
+    the audit then reuses the checked runs and their analyses, and makes
+    as many reruns as on runs nothing shares."""
+    program = prog(MIXED)
+    spec = parse_input(ONE_INPUT)
+    results = {preset: optimize(program, preset=preset) for preset in sorted(PRESETS)}
+    assert len(results) == 6
+    executed, analysed = counting_runs_and_analyses(monkeypatch)
+    ref = run(program, spec)
+    opts = {preset: run(res.program, spec) for preset, res in results.items()}
+    held = {id(r.events) for r in [ref, *opts.values()]}
+    assert len(executed) == len(held)
+    for res in results.values():
+        report = check_observation_preserving(program, res.program, res.provenance, [spec])
+        assert report.passed, report.render()
+    assert len(executed) == len(held)  # every check ran nothing
+    times = Counter(map(id, analysed))
+    assert times[id(ref.events)] == 1
+    assert set(times) == held and set(times.values()) == {1}
+
+    executed.clear()
+    analysed.clear()
+    res = results["P3"]
+    verdict = audit_chain_preservation(ref, opts["P3"], res.provenance, inputs=spec)
+    assert verdict.passed
+    assert held.isdisjoint(map(id, analysed))
+    reruns = list(executed)
+    assert reruns and None not in reruns  # patched reruns only
+
+    fresh = [run(replace(r.program), spec) for r in (ref, opts["P3"])]  # shared with nothing
+    executed.clear()
+    assert audit_chain_preservation(*fresh, res.provenance, inputs=spec).passed
+    assert executed == reruns
 
 
 def test_chain_audit_passes_across_presets():
