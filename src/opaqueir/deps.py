@@ -14,7 +14,9 @@ Three dependence relations are extracted from a run:
                 stored: it is itself control dependent on the others, so
                 the transitive closure is unchanged and traces cost
                 linear space (Xin & Zhang, ISSTA'07). `DepInfo.controls`
-                tells whether a branch is still open at an event.
+                tells whether a branch is still open at an event. An
+                event's function and block come from its instruction id,
+                and postdominators are kept per block index.
 
 Their union `dep` drives two derived structures. Happens-before is the
 transitive closure of I/O order, dependence into observation events, and
@@ -191,10 +193,15 @@ class DepInfo:
         return {(a, b) for a, bs in reach.items() for b in bs}
 
 
-def _postdominators(program: Program) -> dict[str, dict[str, set[str]]]:
-    """Per function; stored on the immutable program like its `typecheck`."""
+def _postdominators(program: Program) -> dict[str, dict[int, set[int]]]:
+    """Per function, each block's postdominators, blocks by index as in an
+    `iid`; stored on the immutable program like its `typecheck`."""
     if (pdoms := getattr(program, "_postdominators", None)) is None:
-        pdoms = {f.name: compute_postdominators(f.region) for f in program.functions}
+        pdoms = {}
+        for f in program.functions:
+            index = {b.label: bi for bi, b in enumerate(f.region.blocks)}
+            pdom = compute_postdominators(f.region)
+            pdoms[f.name] = {index[b]: {index[p] for p in ps} for b, ps in pdom.items()}
         object.__setattr__(program, "_postdominators", pdoms)
     return pdoms
 
@@ -211,27 +218,28 @@ def analyze(program: Program, result: RunResult) -> DepInfo:
     cd_sources: list[frozenset[int]] = []
     obs_seqs: list[int] = []
     io_seqs: list[int] = []
-    # Per activation, the open conditional branches by block label, oldest
+    # Per activation, the open conditional branches by block index, oldest
     # first: branches of one block close together.
-    open_branches: dict[int, dict[str, list[int]]] = {}
+    open_branches: dict[int, dict[int, list[int]]] = {}
     closes: dict[int, int] = {}
     dep_out: dict[int, list[int]] = {}
 
     for ev in result.events:
         cd: frozenset[int] = frozenset()
-        if ev.kind != "init":
+        if (iid := ev.iid) is not None:  # not init, nor the call of main
+            bi = iid[1]
             by_block = open_branches.setdefault(ev.activation, {})
             if by_block:
-                pd = pdoms.get(ev.func, {})
-                for block in [b for b in by_block if b != ev.block and ev.block in pd.get(b, ())]:
-                    for seq in by_block.pop(block):
+                pd = pdoms.get(iid[0], {})
+                for b in [b for b in by_block if b != bi and bi in pd.get(b, ())]:
+                    for seq in by_block.pop(b):
                         closes[seq] = ev.seq
                 if by_block:
                     cd = frozenset((max(seqs[-1] for seqs in by_block.values()),))
-            if ev.kind == "branch" and ev.iid is not None:
-                instr = instr_at(program, ev.iid)
+            if ev.kind == "branch":
+                instr = instr_at(program, iid)
                 if isinstance(instr, Branch) and instr.cond is not None:
-                    by_block.setdefault(ev.block, []).append(ev.seq)
+                    by_block.setdefault(bi, []).append(ev.seq)
                     closes[ev.seq] = len(result.events)
         du = frozenset(src for _, src in ev.du)
         rf = frozenset(ev.rf)
@@ -416,7 +424,7 @@ def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
     sign = functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
     for j, k in pairs:
         var = witness_var(info, j, k)
-        ty = None if var is None else var_types.get((events[j].func, var))
+        ty = None if var is None else var_types.get((events[j].iid[0], var))
         if var is None or ty is Type.UNIT:
             # No defined value: the link is carried by effects alone. Unit
             # tokens live in an abstract two-point domain: enumerating the
@@ -430,7 +438,7 @@ def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
             reports[j, k] = report
 
     for (j, var), k_sigs in groups.items():
-        ty = var_types[events[j].func, var]
+        ty = var_types[events[j].iid[0], var]
         observed = dict(events[j].defs).get(var)
         domain = _domain(ty)
         if domain is not None:

@@ -5,10 +5,13 @@ instruction at function level, with branches defining their target's block
 parameters, calls defining the callee's parameters and returns defining
 the caller's result variables. An opaque instruction executes its whole
 region atomically and appears as a single aggregated event carrying the
-loads, stores, I/O and observations performed inside.
+stores, I/O and observations performed inside and the events its loads
+read from.
 
 Each event is an `Event`, an immutable record (a named tuple): events
-with equal fields are equal and hash alike.
+with equal fields are equal and hash alike. An event stores only what a
+consumer reads; static facts of its instruction (source location,
+function, block) are found through its `iid`.
 
 Events capture precise dynamic dependence sources:
 
@@ -183,32 +186,38 @@ class ObsRecord:
 
 
 class Event(NamedTuple):
-    """One event of a run: an immutable record (a named tuple) of these
-    fields; events with equal fields are equal and hash alike."""
+    """One event of a run: an immutable record (a named tuple); events with
+    equal fields are equal and hash alike. Fields and their readers:
+
+    * `seq`, `kind`: all; `activation`: `deps` control dependence.
+    * `iid`, the instruction executed (None only for `init` and the call of
+      `main`): `deps` for its function, block and signature, `validate` for
+      `EventMap` and witness locations, both through `ir.instr_at`.
+    * `defs`, the (variable, value) pairs bound, a patch applied (a call
+      binds the callee's parameters, a return the caller's results): the
+      `deps` value sets and `validate.audit_value_utilization`.
+    * `du`, (variable, defining event) per operand variable, and `rf`, the
+      events whose store or reference write it reads: `deps`.
+    * `stores`, (address, value): `validate.audit_erasure`.
+    * `ios`, `obs`: `RunResult`, `deps` happens-before and `validate`.
+    * `operands`, (variable, value) in `du` order: the `deps` value sets."""
 
     seq: int
     kind: str  # init | instr | opaque | branch | call | ret
     iid: Optional[InstrId]
-    loc: tuple[int, int]
     activation: int
-    func: str
-    block: str
     defs: tuple[tuple[str, object], ...] = ()
-    uses: tuple[str, ...] = ()
     du: tuple[tuple[str, int], ...] = ()
     rf: tuple[int, ...] = ()
-    loads: tuple[tuple[int, int], ...] = ()
     stores: tuple[tuple[int, int], ...] = ()
-    ref_reads: tuple[tuple[str, object], ...] = ()
-    ref_writes: tuple[tuple[str, object], ...] = ()
     ios: tuple[IoRecord, ...] = ()
     obs: tuple[ObsRecord, ...] = ()
-    is_opaque: bool = False
     operands: tuple[tuple[str, object], ...] = ()
-    branch_taken: Optional[str] = None
 
-    def def_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.defs)
+    @property
+    def is_opaque(self) -> bool:
+        """An opaque instruction or an I/O: what the opaque skeleton links."""
+        return self.kind == "opaque" or bool(self.ios)
 
 
 def value_text(v) -> str:
@@ -440,17 +449,14 @@ class _Frame:
 
 
 class _Effects:
-    """The memory, reference and I/O effects and observations of one event,
-    in Event field order; `pos` numbers I/O and observations."""
+    """The events one event reads from, its stores, I/O and observations, in
+    Event field order; `pos` numbers I/O and observations."""
 
-    __slots__ = ("rf", "loads", "stores", "ref_reads", "ref_writes", "ios", "obs", "pos")
+    __slots__ = ("rf", "stores", "ios", "obs", "pos")
 
     def __init__(self):
         self.rf: list[int] = []
-        self.loads: list[tuple[int, int]] = []
         self.stores: list[tuple[int, int]] = []
-        self.ref_reads: list[tuple[str, object]] = []
-        self.ref_writes: list[tuple[str, object]] = []
         self.ios: list[IoRecord] = []
         self.obs: list[ObsRecord] = []
         self.pos = 0
@@ -460,26 +466,19 @@ class _Effects:
         return self.pos
 
     def fields(self) -> tuple:
-        return (
-            tuple(self.rf), tuple(self.loads), tuple(self.stores), tuple(self.ref_reads),
-            tuple(self.ref_writes), tuple(self.ios), tuple(self.obs),
-        )
-
-
-_NO_EFFECTS = ((),) * 7
+        return tuple(self.rf), tuple(self.stores), tuple(self.ios), tuple(self.obs)
 
 
 class _Agg:
-    """Event buffer for one executed instruction: the variables it uses,
-    their defining events and values, and, once it performs one, the
-    effects it performs (all of them, for an opaque instruction's whole
-    region)."""
+    """Event buffer for one executed instruction: each variable it uses
+    with its defining event (`du`, first use first) and value, and, once it
+    performs one, the effects it performs (all of them, for an opaque
+    instruction's whole region)."""
 
-    __slots__ = ("uses", "du", "operands", "fx")
+    __slots__ = ("du", "operands", "fx")
 
     def __init__(self):
-        self.uses: list[str] = []
-        self.du: list[tuple[str, int]] = []
+        self.du: dict[str, int] = {}
         self.operands: list[tuple[str, object]] = []
         self.fx: Optional[_Effects] = None
 
@@ -541,10 +540,9 @@ class _Interp:
         if entry is None:
             raise _Trap(f"undefined variable {name}")
         value = entry[0]
-        if name not in agg.uses:
-            agg.uses.append(name)
+        if name not in agg.du:
+            agg.du[name] = entry[1]
             agg.operands.append((name, value))
-            agg.du.append((name, entry[1]))
         return value
 
     def desc_value(self, frame: _Frame, scopes: Optional[list[dict]], desc: Desc, agg: _Agg) -> DescValue:
@@ -621,7 +619,6 @@ class _Interp:
             addr = self.atom_value(frame, scopes, instr.rhs.addr, agg)
             value, writer = self.memory.get(addr, (0, 0))
             fx = agg.effects()
-            fx.loads.append((addr, value))
             if writer != seq and writer not in fx.rf:
                 fx.rf.append(writer)
             return (value,)
@@ -662,14 +659,12 @@ class _Interp:
                 raise _Trap(f"reference {ref} read before assignment")
             value, writer = frame.refs[ref]
             fx = agg.effects()
-            fx.ref_reads.append((ref, value))
             if writer != seq and writer not in fx.rf:
                 fx.rf.append(writer)
             return (value,)
         if kind is RefAssign:
             value = self.atom_value(frame, scopes, instr.value, agg)
             frame.refs[instr.ref] = (value, seq)
-            agg.effects().ref_writes.append((instr.ref, value))
             return ()
         if kind is DescriptorExpr:
             return (DescValue(instr.rhs.channel),)
@@ -733,9 +728,7 @@ class _Interp:
         args: tuple,
         arg_agg: _Agg,
         call_iid: Optional[InstrId],
-        call_loc: tuple[int, int],
         caller: Optional[_Frame],
-        caller_block: str,
         result_names: tuple[str, ...],
         depth: int,
     ) -> tuple:
@@ -750,17 +743,14 @@ class _Interp:
         events = self.events
 
         # The call event defines the callee's parameters. The call
-        # instruction executes in the caller's control context.
+        # instruction executes in the caller's control context. Control
+        # events have no effects; fields are passed by position, the cheap way.
         seq = len(events)
         events.append(
             Event(
-                seq, "call", call_iid, call_loc,
-                caller.activation if caller else activation,
-                caller.fname if caller else fname,
-                caller_block if caller else label,
-                self.bind(frame, params, args, seq),
-                tuple(arg_agg.uses), tuple(arg_agg.du), *_NO_EFFECTS,
-                False, tuple(arg_agg.operands), None,
+                seq, "call", call_iid, caller.activation if caller else activation,
+                self.bind(frame, params, args, seq), tuple(arg_agg.du.items()),
+                (), (), (), (), tuple(arg_agg.operands),
             )
         )
 
@@ -774,39 +764,26 @@ class _Interp:
                 if kind is CallExpr:
                     rhs = instr.rhs
                     call_args = tuple(self.atom_value(frame, None, a, agg) for a in rhs.args)
-                    self.call_function(
-                        rhs.callee,
-                        call_args,
-                        agg,
-                        iid,
-                        instr.loc,
-                        frame,
-                        label,
-                        tuple(r for r in instr.results if isinstance(r, str)),
-                        depth + 1,
-                    )
+                    results = tuple(r for r in instr.results if isinstance(r, str))
+                    self.call_function(rhs.callee, call_args, agg, iid, frame, results, depth + 1)
                     continue
                 if kind is Branch:
                     target, args = self.take_branch(frame, None, instr, agg)
-                    next_label, params, steps = blocks[index[target.label]]
+                    label, params, steps = blocks[index[target.label]]
                     events.append(
                         Event(
-                            seq, "branch", iid, instr.loc, activation, fname, label,
-                            self.bind(frame, params, args, seq),
-                            tuple(agg.uses), tuple(agg.du), *_NO_EFFECTS,
-                            False, tuple(agg.operands), target.label,
+                            seq, "branch", iid, activation, self.bind(frame, params, args, seq),
+                            tuple(agg.du.items()), (), (), (), (), tuple(agg.operands),
                         )
                     )
-                    label = next_label
                     break
                 if kind is Return:
                     values = tuple(self.atom_value(frame, None, v, agg) for v in instr.values)
                     events.append(
                         Event(
-                            seq, "ret", iid, instr.loc, activation, fname, label,
+                            seq, "ret", iid, activation,
                             self.bind(caller, result_names, values, seq) if caller else (),
-                            tuple(agg.uses), tuple(agg.du), *_NO_EFFECTS,
-                            False, tuple(agg.operands), None,
+                            tuple(agg.du.items()), (), (), (), (), tuple(agg.operands),
                         )
                     )
                     return values
@@ -816,16 +793,12 @@ class _Interp:
                     values = self.run_region(frame, body, [], agg, seq)
                 else:
                     values = self.exec_instr(frame, None, instr, kind, agg, seq)
-                fx = agg.fx
+                rf, stores, ios, obs = agg.fx.fields() if agg.fx else ((), (), (), ())
                 events.append(
                     Event(
-                        seq, "opaque" if opaque else "instr", iid, instr.loc, activation, fname,
-                        label,
+                        seq, "opaque" if opaque else "instr", iid, activation,
                         self.bind(frame, instr.results, values, seq) if values else (),
-                        tuple(agg.uses), tuple(agg.du),
-                        *(fx.fields() if fx else _NO_EFFECTS),
-                        opaque or (fx is not None and bool(fx.ios)),
-                        tuple(agg.operands), None,
+                        tuple(agg.du.items()), rf, stores, ios, obs, tuple(agg.operands),
                     )
                 )
             else:
@@ -834,9 +807,9 @@ class _Interp:
     def run(self) -> RunResult:
         trapped = None
         # The initial event: everything constant is already defined here.
-        self.events.append(Event(0, "init", None, (0, 0), 0, "", ""))
+        self.events.append(Event(0, "init", None, 0))
         try:
-            self.call_function("main", (), _Agg(), None, (0, 0), None, "", (), 0)
+            self.call_function("main", (), _Agg(), None, None, (), 0)
         except _Trap as trap:
             trapped = trap.reason
         memory = MappingProxyType({addr: value for addr, (value, _) in self.memory.items()})

@@ -59,6 +59,7 @@ from .ir import (
     SnapshotExpr,
     UnaryExpr,
     Var,
+    instr_at,
     instr_operand_atoms,
     region_defined_names,
     typecheck,
@@ -125,6 +126,11 @@ def check_line(name: str, verdict: Verdict) -> str:
 
 def _loc_text(loc: tuple[int, int]) -> str:
     return f"{loc[0]}:{loc[1]}"
+
+
+def _event_loc(result: RunResult, seq: int) -> str:
+    """The source location of the instruction that event `seq` executes."""
+    return _loc_text(instr_at(result.program, result.events[seq].iid).loc)
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +393,6 @@ def check_ordering(
                     counterparts[seq] = {target}
 
     witnesses = list(lost)
-    events = ref.events
     for a, b in sorted(ref_info.hb_pairs()):
         images_a = counterparts.get(a)
         images_b = counterparts.get(b)
@@ -397,8 +402,7 @@ def check_ordering(
             for y in images_b:
                 if x != y and not opt_info.hb(x, y):
                     witnesses.append(
-                        f"{_loc_text(events[a].loc)} before "
-                        f"{_loc_text(events[b].loc)} not preserved"
+                        f"{_event_loc(ref, a)} before {_event_loc(ref, b)} not preserved"
                     )
     return Verdict.of(witnesses)
 
@@ -511,8 +515,7 @@ def audit_chain_preservation(
         head, tail = report.events
         if not ref.events[tail].ios:
             continue  # tail not transformation-preserved: not audited
-        head_loc = _loc_text(ref.events[head].loc)
-        tail_loc = _loc_text(ref.events[tail].loc)
+        head_loc, tail_loc = _event_loc(ref, head), _event_loc(ref, tail)
         if report.verdict == "broken":
             continue
         if report.verdict == "unconfirmed":
@@ -548,14 +551,20 @@ def audit_value_utilization(
     ref_info = analyze(ref.program, ref)
     opt_info = analyze(opt.program, opt)
     em = EventMap(ref.events, opt.events, prov)
+    # The events binding each (function, variable): a call binds in the
+    # callee, a return in the caller, every other event in its own function.
+    binders: dict[tuple[str, str], list[int]] = {}
+    stack: list[str] = []
+    for ev in ref.events:
+        if ev.kind == "call":
+            stack.append(instr_at(ref.program, ev.iid).rhs.callee if ev.iid else "main")
+        elif ev.kind == "ret":
+            stack.pop()
+        for name, _ in ev.defs:
+            binders.setdefault((stack[-1], name), []).append(ev.seq)
     witnesses: list[str] = []
     for fname, var in consumers:
-        targets = [
-            ev.seq
-            for ev in ref.events
-            if ev.func == fname and var in ev.def_names()
-        ]
-        for c in targets:
+        for c in binders.get((fname, var), ()):
             heads = [
                 ev.seq
                 for ev in ref.events
@@ -569,7 +578,7 @@ def audit_value_utilization(
                 continue
             for h in heads:
                 h_img = em.counterpart(h)
-                loc = _loc_text(ref.events[h].loc)
+                loc = _event_loc(ref, h)
                 if h_img is None:
                     witnesses.append(f"opacified value {loc} lost before {fname}.{var}")
                 elif not opt_info.dep_reachable(h_img, c_img):

@@ -47,6 +47,16 @@ def opaque_events(result):
     return [ev for ev in result.events if ev.is_opaque]
 
 
+def block_label(program, ev):
+    """The label of the block the instruction of `ev` sits in."""
+    fname, bi, _ = ev.iid
+    return program.function(fname).region.blocks[bi].label
+
+
+def is_conditional_branch(program, ev):
+    return ev.kind == "branch" and instr_at(program, ev.iid).cond is not None
+
+
 # --------------------------------------------------------------------------
 # Control dependence
 # --------------------------------------------------------------------------
@@ -71,19 +81,19 @@ join(v):
 
 def test_cd_diamond_arms_depend_on_branch():
     program, types, spec, result, info = setup(DIAMOND, "desc flag in ordered\n1\n")
-    branch = event_of(result, lambda e: e.kind == "branch" and e.block == "entry")
+    branch = event_of(result, lambda e: e.kind == "branch" and block_label(program, e) == "entry")
     arm = event_of(result, lambda e: e.defs and e.defs[0][0] == "a")
     assert branch.seq in info.cd_sources[arm.seq]
 
 
 def test_cd_join_is_free_of_the_branch():
     program, types, spec, result, info = setup(DIAMOND, "desc flag in ordered\n1\n")
-    branch = event_of(result, lambda e: e.kind == "branch" and e.block == "entry")
+    branch = event_of(result, lambda e: e.kind == "branch" and block_label(program, e) == "entry")
     out = event_of(result, lambda e: e.ios and e.ios[0].direction == "w")
     assert branch.seq not in info.cd_sources[out.seq]
     # but the join still data-depends on the taken arm: the arm's branch
     # event defines the block argument v, so it shows up as a du source
-    arm_br = event_of(result, lambda e: e.kind == "branch" and e.block == "left")
+    arm_br = event_of(result, lambda e: e.kind == "branch" and block_label(program, e) == "left")
     assert arm_br.seq in info.dep_sources[out.seq]
 
 
@@ -109,7 +119,7 @@ def test_cd_loop_iterations_stack_up():
     guards = [
         ev.seq
         for ev in result.events
-        if ev.kind == "branch" and ev.block == "head" and ev.branch_taken is not None
+        if is_conditional_branch(program, ev) and block_label(program, ev) == "head"
     ]
     assert len(guards) == 4  # i = 0,1,2 taken, i = 3 exits
     body_defs = [ev for ev in result.events if ev.defs and ev.defs[0][0] == "acc2"]
@@ -126,7 +136,7 @@ def test_cd_unconditional_branches_never_open():
     program, types, spec, result, info = setup(LOOP)
     for ev in result.events:
         for src in info.cd_sources[ev.seq]:
-            assert result.events[src].branch_taken is not None
+            assert is_conditional_branch(program, result.events[src])
 
 
 # --------------------------------------------------------------------------
@@ -222,15 +232,16 @@ def full_stack_cd(program, result):
     out = []
     for ev in result.events:
         cd = frozenset()
-        if ev.kind != "init":
+        if ev.iid is not None:  # not init, nor the call of main
+            block = block_label(program, ev)
             stack = stacks.setdefault(ev.activation, [])
-            pd = pdoms.get(ev.func, {})
-            stack[:] = [(s, b) for s, b in stack if b == ev.block or ev.block not in pd.get(b, ())]
+            pd = pdoms.get(ev.iid[0], {})
+            stack[:] = [(s, b) for s, b in stack if b == block or block not in pd.get(b, ())]
             cd = frozenset(s for s, _ in stack)
-            if ev.kind == "branch" and ev.iid is not None:
+            if ev.kind == "branch":
                 instr = instr_at(program, ev.iid)
                 if isinstance(instr, Branch) and instr.cond is not None:
-                    stack.append((ev.seq, ev.block))
+                    stack.append((ev.seq, block))
         out.append(cd)
     return out
 
@@ -559,7 +570,7 @@ def full_domain_outcomes(program, spec, info, types, j, ks):
     each, and collect the outcome of every link (j, k) of `ks`."""
     events = info.events
     var = witness_var(info, j, ks[0])
-    ty = types[events[j].func, var]
+    ty = types[events[j].iid[0], var]
     observed = dict(events[j].defs)[var]
     sign = functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
     sigs = {k: sign(events[k].iid) for k in ks}

@@ -14,6 +14,7 @@ from opaqueir.deps import analyze
 from opaqueir.interp import (
     DEFAULT_STEP_BUDGET,
     Channel,
+    Event,
     InputSpec,
     InterpError,
     parse_input,
@@ -158,7 +159,6 @@ def test_opaque_event_aggregates_everything():
         "  io(out, 1)"
     )
     opq = [e for e in r.events if e.kind == "opaque"][0]
-    assert opq.loads == ((1000, 7),)
     assert opq.obs and opq.obs[0].values == (1000, 7)
     assert opq.is_opaque
     store = [e for e in r.events if e.stores][0]
@@ -195,38 +195,47 @@ function main() {
     assert final_def(r, "x") == 1
 
 
-# -- pinned traces: every field of every event, as plain tuples
+# -- pinned traces: every field of every event, as plain tuples, and what
+# an event with an instruction id finds through it: the instruction's
+# location, its function and block, and whether the event is opaque
 
-FIELDS = (
+COLUMNS = (
     "seq", "kind", "iid", "loc", "activation", "func", "block",
-    "defs", "uses", "du", "rf", "loads", "stores", "ref_reads", "ref_writes",
-    "ios", "obs", "is_opaque", "operands", "branch_taken",
+    "defs", "du", "rf", "stores", "ios", "obs", "is_opaque", "operands",
 )
-OPTIONAL = dict(
-    defs=(), uses=(), du=(), rf=(), loads=(), stores=(), ref_reads=(), ref_writes=(),
-    ios=(), obs=(), is_opaque=False, operands=(), branch_taken=None,
-)
+DERIVED = ("loc", "func", "block", "is_opaque")
+OPTIONAL = dict(defs=(), du=(), rf=(), stores=(), ios=(), obs=(), is_opaque=False, operands=())
 
 
 def E(seq, kind, iid, loc, activation, func, block, **rest):
-    """An expected event as a plain tuple in FIELDS order; `ios` entries are
+    """An expected event as a plain tuple in COLUMNS order; `ios` entries are
     (channel, ordered, direction, tag, values, pos) and `obs` entries are
-    (((source_id, names), ...), values, pos)."""
+    (((source_id, names), ...), values, pos). An event without an `iid`
+    has no `loc`, `func` or `block` (None)."""
     assert rest.keys() <= OPTIONAL.keys()
     return (seq, kind, iid, loc, activation, func, block) + tuple(
         rest.get(name, default) for name, default in OPTIONAL.items()
     )
 
 
-def plain(ev) -> tuple:
-    row = [getattr(ev, name) for name in FIELDS]
-    row[FIELDS.index("ios")] = tuple(
+def plain(program, ev) -> tuple:
+    row = ev._asdict()
+    row["ios"] = tuple(
         (r.channel, r.ordered, r.direction, r.tag, r.values, r.pos) for r in ev.ios
     )
-    row[FIELDS.index("obs")] = tuple(
+    row["obs"] = tuple(
         (tuple((t.source_id, t.names) for t in r.tags), r.values, r.pos) for r in ev.obs
     )
-    return tuple(row)
+    row["is_opaque"] = ev.is_opaque
+    if ev.iid is not None:
+        fname, bi, pos = ev.iid
+        block = program.function(fname).region.blocks[bi]
+        row.update(loc=block.instrs[pos].loc, func=fname, block=block.label)
+    return tuple(row.get(name) for name in COLUMNS)
+
+
+def test_pinned_tables_store_every_event_field():
+    assert tuple(c for c in COLUMNS if c not in DERIVED) == Event._fields
 
 
 CALLS = """
@@ -252,45 +261,43 @@ bb_end:
 """
 
 CALLS_TRACE = [
-    E(0, "init", None, (0, 0), 0, "", ""),
-    E(1, "call", None, (0, 0), 1, "main", "entry"),
+    E(0, "init", None, None, 0, None, None),
+    E(1, "call", None, None, 1, None, None),
     E(2, "instr", ("main", 0, 0), (8, 3), 1, "main", "entry",
       defs=(("a", 7),)),
     E(3, "call", ("main", 0, 1), (9, 3), 1, "main", "entry",
-      defs=(("x", 7), ("y", 5)), uses=("a",), du=(("a", 2),), operands=(("a", 7),)),
+      defs=(("x", 7), ("y", 5)), du=(("a", 2),), operands=(("a", 7),)),
     E(4, "instr", ("add", 0, 0), (3, 3), 2, "add", "entry",
-      defs=(("s", 12),), uses=("x", "y"), du=(("x", 3), ("y", 3)), operands=(("x", 7), ("y", 5))),
+      defs=(("s", 12),), du=(("x", 3), ("y", 3)), operands=(("x", 7), ("y", 5))),
     E(5, "instr", ("add", 0, 1), (4, 3), 2, "add", "entry",
-      defs=(("c", True),), uses=("s",), du=(("s", 4),), operands=(("s", 12),)),
+      defs=(("c", True),), du=(("s", 4),), operands=(("s", 12),)),
     E(6, "ret", ("add", 0, 2), (5, 3), 2, "add", "entry",
-      defs=(("b", 12), ("big", True)), uses=("s", "c"), du=(("s", 4), ("c", 5)),
+      defs=(("b", 12), ("big", True)), du=(("s", 4), ("c", 5)),
       operands=(("s", 12), ("c", True))),
     E(7, "branch", ("main", 0, 2), (10, 3), 1, "main", "entry",
-      defs=(("p", 12), ("q", 7)), uses=("big", "b", "a"), du=(("big", 6), ("b", 6), ("a", 2)),
-      operands=(("big", True), ("b", 12), ("a", 7)), branch_taken="bb_hi"),
+      defs=(("p", 12), ("q", 7)), du=(("big", 6), ("b", 6), ("a", 2)),
+      operands=(("big", True), ("b", 12), ("a", 7))),
     E(8, "instr", ("main", 2, 0), (15, 3), 1, "main", "bb_hi",
-      defs=(("d", 5),), uses=("p", "q"), du=(("p", 7), ("q", 7)), operands=(("p", 12), ("q", 7))),
+      defs=(("d", 5),), du=(("p", 7), ("q", 7)), operands=(("p", 12), ("q", 7))),
     E(9, "instr", ("main", 2, 1), (16, 3), 1, "main", "bb_hi",
-      uses=("d",), du=(("d", 8),), ios=(("out", True, "w", 0, (5,), 1),), is_opaque=True,
+      du=(("d", 8),), ios=(("out", True, "w", 0, (5,), 1),), is_opaque=True,
       operands=(("d", 5),)),
-    E(10, "branch", ("main", 2, 2), (17, 3), 1, "main", "bb_hi",
-      branch_taken="bb_end"),
+    E(10, "branch", ("main", 2, 2), (17, 3), 1, "main", "bb_hi"),
     E(11, "ret", ("main", 3, 0), (19, 3), 1, "main", "bb_end"),
 ]
 
 # Patching `big` at the return takes the other arm.
 CALLS_PATCHED_TRACE = CALLS_TRACE[:6] + [
     E(6, "ret", ("add", 0, 2), (5, 3), 2, "add", "entry",
-      defs=(("b", 12), ("big", False)), uses=("s", "c"), du=(("s", 4), ("c", 5)),
+      defs=(("b", 12), ("big", False)), du=(("s", 4), ("c", 5)),
       operands=(("s", 12), ("c", True))),
     E(7, "branch", ("main", 0, 2), (10, 3), 1, "main", "entry",
-      defs=(("v", 7),), uses=("big", "a"), du=(("big", 6), ("a", 2)),
-      operands=(("big", False), ("a", 7)), branch_taken="bb_lo"),
+      defs=(("v", 7),), du=(("big", 6), ("a", 2)),
+      operands=(("big", False), ("a", 7))),
     E(8, "instr", ("main", 1, 0), (12, 3), 1, "main", "bb_lo",
-      uses=("v",), du=(("v", 7),), ios=(("out", True, "w", 0, (7,), 1),), is_opaque=True,
+      du=(("v", 7),), ios=(("out", True, "w", 0, (7,), 1),), is_opaque=True,
       operands=(("v", 7),)),
-    E(9, "branch", ("main", 1, 1), (13, 3), 1, "main", "bb_lo",
-      branch_taken="bb_end"),
+    E(9, "branch", ("main", 1, 1), (13, 3), 1, "main", "bb_lo"),
     E(10, "ret", ("main", 3, 0), (19, 3), 1, "main", "bb_end"),
 ]
 
@@ -326,17 +333,15 @@ function main() {
 """
 
 OPAQUE_TRACE = [
-    E(0, "init", None, (0, 0), 0, "", ""),
-    E(1, "call", None, (0, 0), 1, "main", "entry"),
+    E(0, "init", None, None, 0, None, None),
+    E(1, "call", None, None, 1, None, None),
     E(2, "instr", ("main", 0, 0), (3, 3), 1, "main", "entry",
       defs=(("a", 1000),)),
     E(3, "instr", ("main", 0, 1), (4, 3), 1, "main", "entry",
-      uses=("a",), du=(("a", 2),), stores=((1000, 7),), operands=(("a", 1000),)),
-    E(4, "instr", ("main", 0, 2), (5, 3), 1, "main", "entry",
-      ref_writes=(("r", 3),)),
+      du=(("a", 2),), stores=((1000, 7),), operands=(("a", 1000),)),
+    E(4, "instr", ("main", 0, 2), (5, 3), 1, "main", "entry"),
     E(5, "opaque", ("main", 0, 3), (6, 3), 1, "main", "entry",
-      defs=(("t", 9),), uses=("a",), du=(("a", 2),), rf=(3, 4), loads=((1000, 7), (1000, 9)),
-      stores=((1000, 8), (1000, 9)), ref_reads=(("r", 3),), ref_writes=(("r", 4),),
+      defs=(("t", 9),), du=(("a", 2),), rf=(3, 4), stores=((1000, 8), (1000, 9)),
       ios=(
           ("inp", True, "r", 0, (5,), 2),
           ("out", True, "w", 0, (5, 3), 3),
@@ -345,12 +350,11 @@ OPAQUE_TRACE = [
       obs=(((((11, 5), ("a", "mem[a]")),), (1000, 7), 1), ((((18, 7), ("mem[a]",)),), (9,), 4)),
       is_opaque=True, operands=(("a", 1000),)),
     E(6, "instr", ("main", 0, 4), (24, 3), 1, "main", "entry",
-      defs=(("y", 9),), uses=("a",), du=(("a", 2),), rf=(5,), loads=((1000, 9),),
-      operands=(("a", 1000),)),
+      defs=(("y", 9),), du=(("a", 2),), rf=(5,), operands=(("a", 1000),)),
     E(7, "instr", ("main", 0, 5), (25, 3), 1, "main", "entry",
-      defs=(("k", 4),), rf=(5,), ref_reads=(("r", 4),)),
+      defs=(("k", 4),), rf=(5,)),
     E(8, "instr", ("main", 0, 6), (26, 3), 1, "main", "entry",
-      uses=("y", "t", "k"), du=(("y", 6), ("t", 5), ("k", 7)),
+      du=(("y", 6), ("t", 5), ("k", 7)),
       ios=(("out", True, "w", 2, (9, 9, 4), 1),), is_opaque=True,
       operands=(("y", 9), ("t", 9), ("k", 4))),
     E(9, "ret", ("main", 0, 7), (26, 3), 1, "main", "entry"),
@@ -383,62 +387,59 @@ function main() {
 CHANNELS_IN = "desc nums in ordered\n4\n6\ndesc bag in unordered\n9u8\ndesc outs out unordered\n"
 
 CHANNELS_TRACE = [
-    E(0, "init", None, (0, 0), 0, "", ""),
-    E(1, "call", None, (0, 0), 1, "main", "entry"),
+    E(0, "init", None, None, 0, None, None),
+    E(1, "call", None, None, 1, None, None),
     E(2, "instr", ("main", 0, 0), (3, 3), 1, "main", "entry",
       defs=(("p", 10),)),
     E(3, "instr", ("main", 0, 1), (4, 3), 1, "main", "entry",
-      uses=("p",), du=(("p", 2),), stores=((10, 1),), operands=(("p", 10),)),
+      du=(("p", 2),), stores=((10, 1),), operands=(("p", 10),)),
     E(4, "instr", ("main", 0, 2), (5, 3), 1, "main", "entry",
       defs=(("q", 11),)),
     E(5, "instr", ("main", 0, 3), (6, 3), 1, "main", "entry",
-      uses=("q",), du=(("q", 4),), stores=((11, 2),), operands=(("q", 11),)),
+      du=(("q", 4),), stores=((11, 2),), operands=(("q", 11),)),
     E(6, "instr", ("main", 0, 4), (7, 3), 1, "main", "entry",
-      defs=(("x", 1),), uses=("p",), du=(("p", 2),), rf=(3,), loads=((10, 1),),
-      operands=(("p", 10),)),
+      defs=(("x", 1),), du=(("p", 2),), rf=(3,), operands=(("p", 10),)),
     E(7, "instr", ("main", 0, 5), (8, 3), 1, "main", "entry",
-      uses=("p",), du=(("p", 2),), stores=((10, 3),), operands=(("p", 10),)),
+      du=(("p", 2),), stores=((10, 3),), operands=(("p", 10),)),
     E(8, "instr", ("main", 0, 6), (9, 3), 1, "main", "entry",
-      defs=(("y", 3),), uses=("p",), du=(("p", 2),), rf=(7,), loads=((10, 3),),
-      operands=(("p", 10),)),
+      defs=(("y", 3),), du=(("p", 2),), rf=(7,), operands=(("p", 10),)),
     E(9, "instr", ("main", 0, 7), (10, 3), 1, "main", "entry",
-      defs=(("z", 2),), uses=("q",), du=(("q", 4),), rf=(5,), loads=((11, 2),),
-      operands=(("q", 11),)),
+      defs=(("z", 2),), du=(("q", 4),), rf=(5,), operands=(("q", 11),)),
     E(10, "instr", ("main", 0, 8), (11, 3), 1, "main", "entry",
       defs=(("a", 4),), ios=(("nums", True, "r", 0, (4,), 1),), is_opaque=True),
     E(11, "instr", ("main", 0, 9), (12, 3), 1, "main", "entry",
       defs=(("b", 9),), ios=(("bag", False, "r", 0, (9,), 1),), is_opaque=True),
     E(12, "instr", ("main", 0, 10), (13, 3), 1, "main", "entry",
-      uses=("a", "b"), du=(("a", 10), ("b", 11)), ios=(("outs", False, "w", 0, (4, 9), 1),),
+      du=(("a", 10), ("b", 11)), ios=(("outs", False, "w", 0, (4, 9), 1),),
       is_opaque=True, operands=(("a", 4), ("b", 9))),
     E(13, "instr", ("main", 0, 11), (14, 3), 1, "main", "entry",
-      uses=("x", "y", "z"), du=(("x", 6), ("y", 8), ("z", 9)),
+      du=(("x", 6), ("y", 8), ("z", 9)),
       ios=(("out", True, "w", 0, (1, 3, 2), 1),), is_opaque=True,
       operands=(("x", 1), ("y", 3), ("z", 2))),
     E(14, "opaque", ("main", 0, 12), (15, 3), 1, "main", "entry",
-      defs=(("u1__2", unit_value),), uses=("x", "y"), du=(("x", 6), ("y", 8)),
+      defs=(("u1__2", unit_value),), du=(("x", 6), ("y", 8)),
       obs=(((((15, 3), ("x", "y")),), (1, 3), 1),), is_opaque=True, operands=(("x", 1), ("y", 3))),
     E(15, "instr", ("main", 0, 13), (15, 3), 1, "main", "entry",
-      defs=(("t", unit_value),), uses=("u1__2",), du=(("u1__2", 14),),
+      defs=(("t", unit_value),), du=(("u1__2", 14),),
       operands=(("u1__2", unit_value),)),
     E(16, "opaque", ("main", 0, 14), (16, 3), 1, "main", "entry",
-      defs=(("v__9", unit_value),), uses=("t",), du=(("t", 15),),
+      defs=(("v__9", unit_value),), du=(("t", 15),),
       ios=(("tailio", False, "w", 0, (), 1),), is_opaque=True, operands=(("t", unit_value),)),
     E(17, "instr", ("main", 0, 15), (16, 3), 1, "main", "entry",
-      defs=(("t2", unit_value),), uses=("v__9",), du=(("v__9", 16),),
+      defs=(("t2", unit_value),), du=(("v__9", 16),),
       operands=(("v__9", unit_value),)),
     E(18, "opaque", ("main", 0, 16), (17, 3), 1, "main", "entry",
-      uses=("z",), du=(("z", 9),), ios=(("cc", True, "w", 0, (), 2),),
+      du=(("z", 9),), ios=(("cc", True, "w", 0, (), 2),),
       obs=(((((17, 3), ("z",)),), (2,), 1),), is_opaque=True, operands=(("z", 2),)),
     E(19, "opaque", ("main", 0, 17), (18, 3), 1, "main", "entry",
-      defs=(("u__19", 4),), uses=("a",), du=(("a", 10),), ios=(("cc", True, "w", 1, (), 1),),
+      defs=(("u__19", 4),), du=(("a", 10),), ios=(("cc", True, "w", 1, (), 1),),
       is_opaque=True, operands=(("a", 4),)),
     E(20, "instr", ("main", 0, 18), (18, 3), 1, "main", "entry",
-      defs=(("v", 4),), uses=("u__19",), du=(("u__19", 19),), operands=(("u__19", 4),)),
+      defs=(("v", 4),), du=(("u__19", 19),), operands=(("u__19", 4),)),
     E(21, "instr", ("main", 0, 19), (19, 3), 1, "main", "entry",
       defs=(("d", DescValue(channel="cc")),)),
     E(22, "instr", ("main", 0, 20), (20, 3), 1, "main", "entry",
-      uses=("d", "v"), du=(("d", 21), ("v", 20)), ios=(("cc", True, "w", 2, (4,), 1),),
+      du=(("d", 21), ("v", 20)), ios=(("cc", True, "w", 2, (4,), 1),),
       is_opaque=True, operands=(("d", DescValue(channel="cc")), ("v", 4))),
     E(23, "ret", ("main", 0, 21), (20, 3), 1, "main", "entry"),
 ]
@@ -459,17 +460,17 @@ function main() {
 """
 
 TRAP_TRACE = [
-    E(0, "init", None, (0, 0), 0, "", ""),
-    E(1, "call", None, (0, 0), 1, "main", "entry"),
+    E(0, "init", None, None, 0, None, None),
+    E(1, "call", None, None, 1, None, None),
     E(2, "instr", ("main", 0, 0), (7, 3), 1, "main", "entry",
       defs=(("a", 8),), ios=(("nums", True, "r", 0, (8,), 1),), is_opaque=True),
     E(3, "instr", ("main", 0, 1), (8, 3), 1, "main", "entry",
-      uses=("a",), du=(("a", 2),), ios=(("out", True, "w", 0, (8,), 1),), is_opaque=True,
+      du=(("a", 2),), ios=(("out", True, "w", 0, (8,), 1),), is_opaque=True,
       operands=(("a", 8),)),
     E(4, "instr", ("main", 0, 2), (9, 3), 1, "main", "entry",
       defs=(("b", 0),), ios=(("nums", True, "r", 1, (0,), 1),), is_opaque=True),
     E(5, "call", ("main", 0, 3), (10, 3), 1, "main", "entry",
-      defs=(("n", 8), ("m", 0)), uses=("a", "b"), du=(("a", 2), ("b", 4)),
+      defs=(("n", 8), ("m", 0)), du=(("a", 2), ("b", 4)),
       operands=(("a", 8), ("b", 0))),
 ]
 
@@ -488,7 +489,7 @@ PINNED = {
 def test_pinned_trace(src, inputs, patch, trace, steps, trapped, memory):
     program, _ = prepare(src)
     r = run(program, parse_input(inputs) if inputs else None, patch=patch)
-    got = [plain(ev) for ev in r.events]
+    got = [plain(program, ev) for ev in r.events]
     assert got == trace
     assert repr(got) == repr(trace)  # tells True from 1
     assert (r.steps, r.trapped, r.memory) == (steps, trapped, memory)
@@ -722,7 +723,7 @@ def test_unshared_runs_execute_afresh():
     spec = parse_input(CHANNELS_IN)
     base = run(program, spec, type_info=info.var_types)
     assert run(program, spec) is base  # the types `typecheck` caches
-    x_def = next(ev for ev in base.events if ev.def_names() == ("x",))
+    x_def = next(ev for ev in base.events if ev.defs == (("x", 1),))
     patch = (x_def.seq, "x", 5)
     assert run(program, spec, patch=patch) is not run(program, spec, patch=patch)
     assert run(program, spec, step_budget=1000) is not base

@@ -477,8 +477,7 @@ function main() {
     )
     spec = parse_input(ONE_INPUT)
     verdict = check_ordering(run(ref, spec), run(opt, spec))
-    assert not verdict.passed
-    assert "not preserved" in verdict.witnesses[0]
+    assert verdict.witnesses == ("3:3 before 4:3 not preserved",)  # the read, the observation
 
 
 def test_ordering_accepts_chained_observations_after_p3():
@@ -748,8 +747,35 @@ function main() {
     res = optimize(folded.program, preset="P2")
     prov = folded.provenance.compose(res.provenance)
     verdict = audit_value_utilization(ref, run(res.program, spec), prov, consumers)
-    assert not verdict.passed
-    assert any(w.endswith("lost before main.y") for w in verdict.witnesses), verdict.witnesses
+    assert verdict.witnesses == ("opacified value 4:3 lost before main.y",)
+
+
+CALLED = """
+function add(x: u32, y: u32) -> (u32) {
+  s = x + y
+  return(s)
+}
+function main() {
+  a = io(inp)
+  k = opaque { yield(a) }
+  b = add(k, 5)
+  io(out, b)
+  return()
+}
+"""
+
+
+@pytest.mark.parametrize("consumer", [("main", "b"), ("add", "x"), ("add", "s")])
+def test_value_utilization_audits_values_bound_by_calls(consumer):
+    # A return binds the caller's result b and a call the callee's
+    # parameter x: each is audited in the function that binds it.
+    ref = prog(CALLED)
+    spec = parse_input(ONE_INPUT)
+    ref_run, prov = run(ref, spec), ProvenanceMap.identity(ref)
+    assert audit_value_utilization(ref_run, run(prog(CALLED), spec), prov, [consumer]).passed
+    opt = prog(CALLED.replace("add(k, 5)", "add(a, 5)"))  # same layout, k unused
+    verdict = audit_value_utilization(ref_run, run(opt, spec), prov, [consumer])
+    assert verdict.witnesses == (f"8:3 no longer feeds {consumer[0]}.{consumer[1]}",)
 
 
 # --------------------------------------------------------------------------
