@@ -1923,7 +1923,10 @@ def rename_instr(
     Shadowing rule: inside an opaque region, a name bound there and not
     remapped by `binds` keeps its uses, so a region's behavior is
     preserved value for value whatever `uses` says about outer names.
+    An empty renaming returns `instr` itself.
     """
+    if not (uses or binds or labels):
+        return instr
 
     def one(atom: Atom) -> Atom:
         if isinstance(atom, Var):

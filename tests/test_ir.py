@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -953,6 +954,51 @@ def test_substitute_free_uses_respects_binding():
     assert instrs[0].rhs.a == Const(9, Type.U32)
     # `w` is bound inside the region and must not be rewritten.
     assert instrs[1].rhs.a == Var("w")
+
+
+EVERY_INSTR_KIND = """
+function helper(x: u32) -> (u32) {
+  return(x)
+}
+function main() {
+  a = io(inp)
+  b = a
+  c = ~a
+  d = a + 1
+  mem[a] <- d
+  e = mem[a]
+  r <- d
+  f = r
+  g = helper(a)
+  h = tagged_unit_unordered_set_descriptor
+  x = opaque { w = snapshot(a); use(w); yield(w); }
+  io(out, b, c, e, f, g, x)
+  k = d < 3
+  br k, yes, no
+yes:
+  br no
+no:
+  return()
+}
+"""
+
+
+def test_empty_renaming_returns_the_instruction_itself():
+    def walk(region):
+        for block in region.blocks:
+            for instr in block.instrs:
+                yield instr
+                if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
+                    yield from walk(instr.rhs.region)
+
+    p = parse_program(EVERY_INSTR_KIND)
+    assert validate_ssa(p) == []
+    instrs = [i for f in p.functions for i in walk(f.region)]
+    assert {type(i) for i in instrs} == set(typing.get_args(ir.Instr))
+    rhs_kinds = {type(i.rhs) for i in instrs if isinstance(i, Define)}
+    assert rhs_kinds == set(typing.get_args(ir.Expr))
+    for instr in instrs:
+        assert rename_instr(instr, {}) is instr
 
 
 # -- prelude

@@ -10,6 +10,7 @@ from opaqueir.ir import (
     Branch,
     Const,
     Define,
+    IRError,
     MemStore,
     OpacityBreach,
     OpaqueExpr,
@@ -21,6 +22,9 @@ from opaqueir.ir import (
 from opaqueir.passes import (
     PASSES,
     PRESETS,
+    ProvenanceMap,
+    _instr_uses,
+    _removable,
     constprop,
     copyprop,
     dce,
@@ -656,6 +660,80 @@ fin:
     assert writes(out) == [(1,)]
 
 
+def rescan_dce(program, live_labels):
+    """The dead-definition search by rescanning each function until a round
+    removes nothing. Returns the kept (source iid, instruction) pairs of the
+    blocks in `live_labels`, in order, and the most rounds any function took."""
+    kept, rounds = [], 0
+    for f in program.functions:
+        sites = {
+            (f.name, bi, pos): instr
+            for bi, b in enumerate(f.region.blocks)
+            if b.label in live_labels
+            for pos, instr in enumerate(b.instrs)
+        }
+        dead, n = set(), 0
+        while True:
+            used = set().union(*(_instr_uses(i) for s, i in sites.items() if s not in dead))
+            new = {
+                s
+                for s, i in sites.items()
+                if s not in dead
+                and _removable(i)
+                and not used.intersection(r for r in i.results if isinstance(r, str))
+            }
+            if not new:
+                break
+            dead |= new
+            n += 1
+        kept += [(s, i) for s, i in sites.items() if s not in dead]
+        rounds = max(rounds, n)
+    return kept, rounds
+
+
+def assert_dce_matches_rescan(program):
+    """dce keeps exactly what the rescan keeps, the same objects in the same
+    order, with one kept edge from each survivor's old place to its new one."""
+    res = dce(program)
+    live = {b.label for f in res.program.functions for b in f.region.blocks}
+    kept, rounds = rescan_dce(program, live)
+    out = [
+        ((f.name, bi, pos), instr)
+        for f in res.program.functions
+        for bi, b in enumerate(f.region.blocks)
+        for pos, instr in enumerate(b.instrs)
+    ]
+    assert len(out) == len(kept)
+    assert all(new is old for (_, new), (_, old) in zip(out, kept))
+    assert res.provenance.rows() == sorted(
+        (src, dst, "kept") for (src, _), (dst, _) in zip(kept, out)
+    )
+    return res, rounds
+
+
+def test_dce_sweeps_a_dead_chain_in_one_pass():
+    p = prog(
+        """
+function main() {
+  a = io(inp)
+  b = a + 1
+  c = b * 2
+  d = c ^ b
+  e = d - 1
+  io(out, a)
+  return()
+}
+"""
+    )
+    res, rounds = assert_dce_matches_rescan(p)
+    assert rounds == 4  # the rescan frees one link of the chain per round
+    assert [type(i).__name__ for i in main_instrs(res.program)] == [
+        "Define",
+        "IoWrite",
+        "Return",
+    ]
+
+
 # --------------------------------------------------------------------------
 # loop_unroll
 # --------------------------------------------------------------------------
@@ -976,3 +1054,125 @@ def test_every_pass_leaves_well_formed_ir(request, shape, pattern, preset):
             program = PASSES[name](program).program
             errors = [str(d) for d in validate_ssa(program) if d.severity == "error"]
             assert not errors, f"after {name}: {errors[:3]}"
+
+
+# --------------------------------------------------------------------------
+# Sweeps: dce against the rescan, pass results shared across presets
+# --------------------------------------------------------------------------
+
+SWEEP = [
+    (shape, pattern)
+    for shape in ("straight", "loop3", "loop20", "exit_capture")
+    for pattern in sorted(PATTERN_SITES)
+]
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_dce_matches_the_rescan_inside_every_preset(shape, pattern):
+    for preset in PRESETS:
+        program = prog(sweep_program(shape, pattern))
+        with sealed_opaque_regions():
+            try:
+                for name in PRESETS[preset]:
+                    if name == "dce":
+                        assert_dce_matches_rescan(program)
+                    program = PASSES[name](program).program
+            except IRError:
+                assert (shape, preset) == ("exit_capture", "Pz")
+
+
+def optimize_or_error(program, preset):
+    try:
+        return optimize(program, preset=preset)
+    except IRError as exc:
+        return str(exc)
+
+
+def outcome(res):
+    """What a caller sees of a pipeline: the program with every location,
+    the provenance rows and the log; or the IRError message."""
+    if isinstance(res, str):
+        return res
+    locs = [[i.loc for b in f.region.blocks for i in b.instrs] for f in res.program.functions]
+    return res.program, locs, res.provenance.rows(), res.log
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_shared_pass_results_match_fresh_pipelines(shape, pattern):
+    shared = prog(sweep_program(shape, pattern))
+    for preset in sorted(PRESETS):
+        fresh = prog(sweep_program(shape, pattern))
+        want = outcome(optimize_or_error(fresh, preset))
+        assert outcome(optimize_or_error(shared, preset)) == want, preset
+
+
+def changed_nothing(before, result):
+    """Identity provenance, and every block label, parameter and instruction
+    object where it was."""
+    blocks = [[b for f in p.functions for b in f.region.blocks] for p in (before, result.program)]
+    return result.provenance.edges == ProvenanceMap.identity(before).edges and [
+        (b.label, b.params, [id(i) for i in b.instrs]) for b in blocks[0]
+    ] == [(b.label, b.params, [id(i) for i in b.instrs]) for b in blocks[1]]
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_each_pass_runs_once_per_changed_prefix(monkeypatch, shape, pattern):
+    calls = []  # every pass call, raising ones included
+    runs = []  # (names of the passes that changed the input, pass name)
+    lineage = {}  # id of a pass output -> the changed names that produced it
+    outputs = []  # keeps every output alive, so no id is reused
+    for name, fn in list(PASSES.items()):
+
+        def counted(program, name=name, fn=fn):
+            calls.append(name)
+            result = fn(program)
+            prefix = lineage.get(id(program), ())
+            runs.append((prefix, name))
+            changed = not changed_nothing(program, result)
+            lineage[id(result.program)] = prefix + (name,) if changed else prefix
+            outputs.append(result.program)
+            return result
+
+        monkeypatch.setitem(PASSES, name, counted)
+    p = prog(sweep_program(shape, pattern))
+    for preset in sorted(PRESETS):
+        optimize_or_error(p, preset)
+    assert len(set(runs)) == len(runs) < sum(len(passes) for passes in PRESETS.values())
+    # a second round is served from the memo; only a raising pass reruns
+    ran = len(calls)
+    for preset in sorted(PRESETS):
+        optimize_or_error(p, preset)
+    assert calls[ran:] == (["instcombine"] if shape == "exit_capture" else [])
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_non_empty_presets_never_return_their_input(shape, pattern):
+    p = prog(sweep_program(shape, pattern))
+    for preset in sorted(PRESETS):
+        res = optimize_or_error(p, preset)
+        if not isinstance(res, str):
+            assert (res.program is p) == (PRESETS[preset] == ()), preset
+
+
+class Replaced(Exception):
+    pass
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_replacing_a_pass_takes_effect(monkeypatch, shape, pattern):
+    p = prog(sweep_program(shape, pattern))
+    before = {preset: outcome(optimize_or_error(p, preset)) for preset in sorted(PRESETS)}
+    for name in sorted({n for passes in PRESETS.values() for n in passes}):
+        original = PASSES[name]
+
+        def replaced(program, name=name):
+            raise Replaced(name)
+
+        monkeypatch.setitem(PASSES, name, replaced)
+        for preset, passes in PRESETS.items():
+            if name in passes and not isinstance(before[preset], str):
+                with pytest.raises(Replaced):
+                    optimize(p, preset=preset)
+        monkeypatch.setitem(PASSES, name, original)
+        for preset in PRESETS:
+            assert outcome(optimize_or_error(p, preset)) == before[preset]
