@@ -27,21 +27,20 @@ tries to peek raises instead of miscompiling. The deliberately unsound
 `unsafe_const_fold_opaque` exists to prove the point and belongs to no
 preset.
 
-`run_pipeline` memoizes each pass's result on the program it was given,
-for that program's lifetime: output, provenance, affected count and
-whether it was a no-op (identity provenance, the same instruction
-objects in place). The key is the pass functions that changed something
-so far plus the next one: presets sharing a prefix run it once, and a
-patched `PASSES` entry is never served a stale result. No-ops log 0 and
-stay out of the key and provenance; raising passes are not stored. A
-non-empty pipeline never returns its input: runs are memoized on the
-program, so that would share the caller's reference runs with the
-optimized ones and move the collector's work between timed sections.
+`run_pipeline` memoizes pass results on the program it is given, for
+that program's lifetime, keyed by the pass functions that changed
+something so far plus the next one: presets that share a prefix run it
+once, and a patched `PASSES` entry is never served a stale result. An
+entry holds the output, provenance, affected count and a no-op flag; a
+no-op logs 0 and stays out of the key and the provenance. Raising
+passes are not stored. A non-empty pipeline never returns its input,
+which would share the caller's reference runs (memoized on the program)
+with the optimized ones and move the collector's work between timed
+sections.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Optional
 
@@ -123,16 +122,19 @@ class ProvenanceMap:
 
     @classmethod
     def identity(cls, program: Program) -> "ProvenanceMap":
-        return cls({(iid, iid): "kept" for iid in program_iids(program)})
+        pm = cls()
+        for iid in program_iids(program):
+            pm.add(iid, iid, "kept")
+        return pm
 
 
 def program_iids(program: Program) -> list[InstrId]:
-    return [
-        (f.name, bi, pos)
-        for f in program.functions
-        for bi, block in enumerate(f.region.blocks)
-        for pos in range(len(block.instrs))
-    ]
+    out = []
+    for f in program.functions:
+        for bi, block in enumerate(f.region.blocks):
+            for pos in range(len(block.instrs)):
+                out.append((f.name, bi, pos))
+    return out
 
 
 @dataclass
@@ -157,23 +159,34 @@ class _FnRebuild:
         self._label: Optional[str] = None
         self._params: tuple[Param, ...] = ()
         self._implicit = False
-        # the open block's instructions and, for each, its sources
-        self.instrs: list = []
-        self.srcs: list[list[tuple[InstrId, str]]] = []
+        self._instrs: list = []
+        self._srcs: list[list[tuple[InstrId, str]]] = []
 
     def open_block(self, label: str, params: tuple[Param, ...], implicit=False):
         self._label, self._params, self._implicit = label, params, implicit
-        self.instrs, self.srcs = [], []
+        self._instrs, self._srcs = [], []
 
     def emit(self, instr, srcs: list[tuple[InstrId, str]]):
-        self.instrs.append(instr)
-        self.srcs.append(list(srcs))
+        self._instrs.append(instr)
+        self._srcs.append(list(srcs))
+
+    def instr_at(self, index: int):
+        return self._instrs[index]
+
+    def replace_at(self, index: int, instr) -> None:
+        self._instrs[index] = instr
+
+    def add_source(self, index: int, src: tuple[InstrId, str]) -> None:
+        self._srcs[index].append(src)
+
+    def next_index(self) -> int:
+        return len(self._instrs)
 
     def close_block(self):
         self.blocks.append(
-            Block(self._label, self._params, tuple(self.instrs), implicit=self._implicit)
+            Block(self._label, self._params, tuple(self._instrs), implicit=self._implicit)
         )
-        self.sources.append(self.srcs)
+        self.sources.append(self._srcs)
         self._label = None
 
     def finish(self, fn: Function, pm: ProvenanceMap) -> Function:
@@ -760,14 +773,14 @@ def instcombine(program: Program) -> PassResult:
                         key = (s.identity, s.uses)
                         survivor = opaque_groups.get(key)
                         if survivor is not None:
-                            kept = rb.instrs[survivor]
+                            kept = rb.instr_at(survivor)
                             merged = (
                                 merge_obs_metadata(kept, instr)
                                 if s.snapshot_slots
                                 else kept
                             )
-                            rb.instrs[survivor] = merged
-                            rb.srcs[survivor].append((iid, "combined"))
+                            rb.replace_at(survivor, merged)
+                            rb.add_source(survivor, (iid, "combined"))
                             for mine, theirs in zip(instr.results, merged.results):
                                 if isinstance(mine, str) and isinstance(theirs, str):
                                     copy = Define(
@@ -775,7 +788,7 @@ def instcombine(program: Program) -> PassResult:
                                     )
                                     rb.emit(copy, [])
                             continue
-                        opaque_groups[key] = len(rb.instrs)
+                        opaque_groups[key] = rb.next_index()
                 rb.emit(instr, [(iid, "kept")])
             rb.close_block()
         functions.append(rb.finish(f, pm))
@@ -910,29 +923,24 @@ def dce(program: Program) -> PassResult:
         live_blocks = [
             (bi, b) for bi, b in enumerate(f.region.blocks) if b.label in reach
         ]
-        # A removable definition dies once no live instruction uses any of
-        # its results; each death may free the definitions of its operands.
-        sites = {(bi, pos): i for bi, b in live_blocks for pos, i in enumerate(b.instrs)}
-        uses = {site: _instr_uses(i) for site, i in sites.items()}
-        counts = Counter(n for names in uses.values() for n in names)
-        defs: dict[str, list[tuple[int, int]]] = {}
-        for site, instr in sites.items():
-            for r in instr.results if _removable(instr) else ():
-                defs.setdefault(r, []).append(site)
-
-        def unused(site) -> bool:
-            return _removable(sites[site]) and not any(map(counts.get, sites[site].results))
-
-        work = list(filter(unused, sites))
         dead: set[tuple[int, int]] = set()
-        while work:
-            if (site := work.pop()) in dead:
-                continue
-            dead.add(site)
-            for n in uses[site]:
-                counts[n] -= 1
-                if not counts[n]:
-                    work.extend(filter(unused, defs.get(n, ())))
+        while True:
+            used: set[str] = set()
+            for bi, block in live_blocks:
+                for pos, instr in enumerate(block.instrs):
+                    if (bi, pos) not in dead:
+                        used |= _instr_uses(instr)
+            grew = False
+            for bi, block in live_blocks:
+                for pos, instr in enumerate(block.instrs):
+                    if (bi, pos) in dead or not _removable(instr):
+                        continue
+                    names = [r for r in instr.results if isinstance(r, str)]
+                    if all(n not in used for n in names):
+                        dead.add((bi, pos))
+                        grew = True
+            if not grew:
+                break
 
         rb = _FnRebuild(f.name)
         for bi, block in live_blocks:
@@ -1303,14 +1311,14 @@ def resolve_passes(
     return names
 
 
-def _same_instrs(before: Program, after: Program) -> bool:
-    """Same block labels, parameters and instruction objects (`==` ignores `loc`)."""
-    blocks = [[b for f in p.functions for b in f.region.blocks] for p in (before, after)]
-    return len(blocks[0]) == len(blocks[1]) and all(
-        (a.label, a.params, len(a.instrs)) == (b.label, b.params, len(b.instrs))
-        and all(x is y for x, y in zip(a.instrs, b.instrs))
-        for a, b in zip(*blocks)
-    )
+def _layout(program: Program) -> list[tuple]:
+    """Each block's label, parameters and instruction objects (by `id`:
+    `==` ignores `loc`)."""
+    return [
+        (b.label, b.params, *map(id, b.instrs))
+        for f in program.functions
+        for b in f.region.blocks
+    ]
 
 
 def run_pipeline(program: Program, pass_names: list[str]) -> PipelineResult:
@@ -1331,12 +1339,8 @@ def run_pipeline(program: Program, pass_names: list[str]) -> PipelineResult:
                 for (s, _), k in result.provenance.edges.items():
                     kinds.setdefault(s, set()).add(k)
                 affected = sum(kinds.get(iid) != {"kept"} for iid in iids)
-                noop = (
-                    not affected
-                    and len(result.provenance.edges) == len(iids)
-                    and all(s == d for s, d in result.provenance.edges)
-                    and _same_instrs(current, result.program)
-                )
+                noop = result.provenance.edges == {(i, i): "kept" for i in iids}
+                noop = noop and _layout(current) == _layout(result.program)
                 step = memo[key] = (result, affected, noop)
             result, affected, noop = step
             log.append((name, affected))

@@ -1,6 +1,8 @@
 """Optimization passes: rewrites, provenance, and what the pipeline does
 to observations that are or are not kept alive."""
 
+from dataclasses import replace as dc_replace
+
 import pytest
 
 from opaqueir.interp import parse_input, run
@@ -14,6 +16,8 @@ from opaqueir.ir import (
     MemStore,
     OpacityBreach,
     OpaqueExpr,
+    Program,
+    Region,
     Type,
     Var,
     sealed_opaque_regions,
@@ -22,9 +26,8 @@ from opaqueir.ir import (
 from opaqueir.passes import (
     PASSES,
     PRESETS,
+    PassResult,
     ProvenanceMap,
-    _instr_uses,
-    _removable,
     constprop,
     copyprop,
     dce,
@@ -32,6 +35,7 @@ from opaqueir.passes import (
     instcombine,
     loop_unroll,
     optimize,
+    program_iids,
     resolve_passes,
     run_pipeline,
     unsafe_const_fold_opaque,
@@ -660,80 +664,6 @@ fin:
     assert writes(out) == [(1,)]
 
 
-def rescan_dce(program, live_labels):
-    """The dead-definition search by rescanning each function until a round
-    removes nothing. Returns the kept (source iid, instruction) pairs of the
-    blocks in `live_labels`, in order, and the most rounds any function took."""
-    kept, rounds = [], 0
-    for f in program.functions:
-        sites = {
-            (f.name, bi, pos): instr
-            for bi, b in enumerate(f.region.blocks)
-            if b.label in live_labels
-            for pos, instr in enumerate(b.instrs)
-        }
-        dead, n = set(), 0
-        while True:
-            used = set().union(*(_instr_uses(i) for s, i in sites.items() if s not in dead))
-            new = {
-                s
-                for s, i in sites.items()
-                if s not in dead
-                and _removable(i)
-                and not used.intersection(r for r in i.results if isinstance(r, str))
-            }
-            if not new:
-                break
-            dead |= new
-            n += 1
-        kept += [(s, i) for s, i in sites.items() if s not in dead]
-        rounds = max(rounds, n)
-    return kept, rounds
-
-
-def assert_dce_matches_rescan(program):
-    """dce keeps exactly what the rescan keeps, the same objects in the same
-    order, with one kept edge from each survivor's old place to its new one."""
-    res = dce(program)
-    live = {b.label for f in res.program.functions for b in f.region.blocks}
-    kept, rounds = rescan_dce(program, live)
-    out = [
-        ((f.name, bi, pos), instr)
-        for f in res.program.functions
-        for bi, b in enumerate(f.region.blocks)
-        for pos, instr in enumerate(b.instrs)
-    ]
-    assert len(out) == len(kept)
-    assert all(new is old for (_, new), (_, old) in zip(out, kept))
-    assert res.provenance.rows() == sorted(
-        (src, dst, "kept") for (src, _), (dst, _) in zip(kept, out)
-    )
-    return res, rounds
-
-
-def test_dce_sweeps_a_dead_chain_in_one_pass():
-    p = prog(
-        """
-function main() {
-  a = io(inp)
-  b = a + 1
-  c = b * 2
-  d = c ^ b
-  e = d - 1
-  io(out, a)
-  return()
-}
-"""
-    )
-    res, rounds = assert_dce_matches_rescan(p)
-    assert rounds == 4  # the rescan frees one link of the chain per round
-    assert [type(i).__name__ for i in main_instrs(res.program)] == [
-        "Define",
-        "IoWrite",
-        "Return",
-    ]
-
-
 # --------------------------------------------------------------------------
 # loop_unroll
 # --------------------------------------------------------------------------
@@ -1057,7 +987,7 @@ def test_every_pass_leaves_well_formed_ir(request, shape, pattern, preset):
 
 
 # --------------------------------------------------------------------------
-# Sweeps: dce against the rescan, pass results shared across presets
+# Pass results shared across presets
 # --------------------------------------------------------------------------
 
 SWEEP = [
@@ -1065,20 +995,6 @@ SWEEP = [
     for shape in ("straight", "loop3", "loop20", "exit_capture")
     for pattern in sorted(PATTERN_SITES)
 ]
-
-
-@pytest.mark.parametrize("shape, pattern", SWEEP)
-def test_dce_matches_the_rescan_inside_every_preset(shape, pattern):
-    for preset in PRESETS:
-        program = prog(sweep_program(shape, pattern))
-        with sealed_opaque_regions():
-            try:
-                for name in PRESETS[preset]:
-                    if name == "dce":
-                        assert_dce_matches_rescan(program)
-                    program = PASSES[name](program).program
-            except IRError:
-                assert (shape, preset) == ("exit_capture", "Pz")
 
 
 def optimize_or_error(program, preset):
@@ -1152,6 +1068,39 @@ def test_non_empty_presets_never_return_their_input(shape, pattern):
         res = optimize_or_error(p, preset)
         if not isinstance(res, str):
             assert (res.program is p) == (PRESETS[preset] == ()), preset
+
+
+def relocate(program):
+    """Equal instructions (`==` ignores `loc`) at new locations."""
+    functions = []
+    for f in program.functions:
+        blocks = [
+            dc_replace(b, instrs=tuple(dc_replace(i, loc=(99, 0)) for i in b.instrs))
+            for b in f.region.blocks
+        ]
+        functions.append(dc_replace(f, region=Region(tuple(blocks))))
+    return PassResult(Program(tuple(functions), program.macros), ProvenanceMap.identity(program))
+
+
+def reprovenance(program):
+    """The same instruction objects in place, each reported rewritten."""
+    pm = ProvenanceMap()
+    for iid in program_iids(program):
+        pm.add(iid, iid, "rewritten")
+    return PassResult(Program(program.functions, program.macros), pm)
+
+
+def test_new_locations_or_provenance_are_not_a_no_op(monkeypatch):
+    text = sweep_program("straight", "opacify")
+    monkeypatch.setitem(PASSES, "relocate", relocate)
+    monkeypatch.setitem(PASSES, "reprovenance", reprovenance)
+    shared = prog(text)
+    for fake in ("relocate", "reprovenance"):
+        for passes in ([fake, "copyprop"], ["copyprop"]):
+            want = outcome(optimize(prog(text), passes=passes))
+            assert outcome(optimize(shared, passes=passes)) == want, passes
+    res = optimize(shared, passes=["reprovenance"])
+    assert {kind for _, _, kind in res.provenance.rows()} == {"rewritten"}
 
 
 class Replaced(Exception):
