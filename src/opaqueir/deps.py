@@ -40,6 +40,9 @@ seeded sampling, which stops the same way. Each patched value is rerun
 once, and that rerun is shared by every audited link out of the same
 opaque event. Each run is analysed once: `analyze` stores its `DepInfo`
 on the run, which holds the run's events, not the run, so no cycle forms.
+`analyze` computes dep and cd sources, branch closes and anchors; reverse
+dep edges wait for the first reachability query and the anchor hb closure
+for the first hb query, since most analyses (every rerun's) need neither.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from .ir import (
@@ -84,7 +88,8 @@ DEFAULT_SEED = 0
 @dataclass
 class DepInfo:
     """Dependence info of one run. It holds the run's events, not the run,
-    so the run can keep it (see `analyze`) without a reference cycle."""
+    so the run can keep it (see `analyze`) without a reference cycle. The
+    reverse dep edges wait for the first `dep_out` or `dep_reachable`."""
 
     events: tuple[Event, ...]
     dep_sources: list[frozenset[int]]  # indexed by event seq
@@ -93,22 +98,33 @@ class DepInfo:
     obs_seqs: tuple[int, ...]
     io_seqs: tuple[int, ...]
     anchor_seqs: tuple[int, ...]  # observation and io events, in order
-    _dep_out: dict[int, list[int]] = field(default_factory=dict)
+    _dep_out: Optional[dict[int, list[int]]] = None
     _closes: dict[int, int] = field(default_factory=dict)  # branch -> closing seq or trace length
     _anchor_reach: Optional[dict[int, frozenset[int]]] = None
 
+    def _out_edges(self) -> dict[int, list[int]]:
+        """Each event's dependents in ascending seq, built on first use."""
+        if self._dep_out is None:
+            out: dict[int, list[int]] = {}
+            for seq, sources in enumerate(self.dep_sources):
+                for src in sources:
+                    out.setdefault(src, []).append(seq)
+            self._dep_out = out
+        return self._dep_out
+
     def dep_out(self, seq: int) -> list[int]:
-        return self._dep_out.get(seq, [])
+        return self._out_edges().get(seq, [])
 
     def dep_reachable(self, src: int, dst: int) -> bool:
         """Forward reachability over dep edges."""
         if src == dst:
             return True
+        out = self._out_edges()
         seen = {src}
         frontier = [src]
         while frontier:
             s = frontier.pop()
-            for t in self._dep_out.get(s, []):
+            for t in out.get(s, []):
                 if t == dst:
                     return True
                 if t not in seen and t < dst:
@@ -207,60 +223,63 @@ def _postdominators(program: Program) -> dict[str, dict[int, set[int]]]:
 
 
 def analyze(program: Program, result: RunResult) -> DepInfo:
-    """Compute dependence sources for every event of a run. With the run's
-    own program, the info is stored on the run and reused while it lives."""
+    """Compute dependence sources for every event of a run in one pass, but
+    no reverse edges (see `DepInfo`). With the run's own program, the info
+    is stored on the run and reused while it lives."""
     shared = program is result.program
     if shared and (info := getattr(result, "_deps", None)) is not None:
         return info
     pdoms = _postdominators(program)
-
+    events = result.events
+    empty: frozenset[int] = frozenset()
     dep_sources: list[frozenset[int]] = []
     cd_sources: list[frozenset[int]] = []
     obs_seqs: list[int] = []
     io_seqs: list[int] = []
-    # Per activation, the open conditional branches by block index, oldest
-    # first: branches of one block close together.
-    open_branches: dict[int, dict[int, list[int]]] = {}
     closes: dict[int, int] = {}
-    dep_out: dict[int, list[int]] = {}
+    second = itemgetter(1)
+    conditional = functools.cache(lambda iid: instr_at(program, iid).cond is not None)
+    # Per activation: the block index of its latest event, its open
+    # conditional branches by block index (oldest first: branches of one
+    # block close together), and the innermost of them as a cd set.
+    acts: dict[int, list] = {}
 
-    for ev in result.events:
-        cd: frozenset[int] = frozenset()
-        if (iid := ev.iid) is not None:  # not init, nor the call of main
+    for seq, kind, iid, activation, _, du, rf, _, ios, obs, _ in events:
+        cd = empty
+        if iid is not None:  # not init, nor the call of main
             bi = iid[1]
-            by_block = open_branches.setdefault(ev.activation, {})
-            if by_block:
+            if (act := acts.get(activation)) is None:
+                act = acts[activation] = [bi, {}, empty]
+            elif act[0] != bi and (by_block := act[1]):
+                # A branch opens at the end of its block: only moving on can close one.
                 pd = pdoms.get(iid[0], {})
-                for b in [b for b in by_block if b != bi and bi in pd.get(b, ())]:
-                    for seq in by_block.pop(b):
-                        closes[seq] = ev.seq
-                if by_block:
-                    cd = frozenset((max(seqs[-1] for seqs in by_block.values()),))
-            if ev.kind == "branch":
-                instr = instr_at(program, iid)
-                if isinstance(instr, Branch) and instr.cond is not None:
-                    by_block.setdefault(bi, []).append(ev.seq)
-                    closes[ev.seq] = len(result.events)
-        du = frozenset(src for _, src in ev.du)
-        rf = frozenset(ev.rf)
-        deps = du | rf | cd
+                if closed := [b for b in by_block if b != bi and bi in pd.get(b, ())]:
+                    for b in closed:
+                        closes.update(dict.fromkeys(by_block.pop(b), seq))
+                    act[2] = frozenset((max(s[-1] for s in by_block.values()),)) if by_block else empty
+            act[0] = bi
+            cd = act[2]
+            if kind == "branch" and conditional(iid):
+                act[1].setdefault(bi, []).append(seq)
+                closes[seq] = len(events)
+                act[2] = frozenset((seq,))
+        deps = frozenset(map(second, du))  # the defining events
+        if rf or cd:
+            deps = deps.union(rf, cd)
         dep_sources.append(deps)
         cd_sources.append(cd)
-        for src in deps:
-            dep_out.setdefault(src, []).append(ev.seq)
-        if ev.obs:
-            obs_seqs.append(ev.seq)
-        if ev.ios:
-            io_seqs.append(ev.seq)
+        if obs:
+            obs_seqs.append(seq)
+        if ios:
+            io_seqs.append(seq)
 
     info = DepInfo(
-        events=result.events,
+        events=events,
         dep_sources=dep_sources,
         cd_sources=cd_sources,
         obs_seqs=tuple(obs_seqs),
         io_seqs=tuple(io_seqs),
         anchor_seqs=tuple(sorted({*obs_seqs, *io_seqs})),
-        _dep_out=dep_out,
         _closes=closes,
     )
     if shared:

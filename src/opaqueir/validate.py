@@ -258,7 +258,9 @@ class EventMap:
     the counts agree, otherwise by grouping the reference side at repeat
     boundaries (a new group starts when a source instruction repeats
     within the current one) and matching whole groups to single
-    optimized events. Events that fit neither way stay unmapped."""
+    optimized events. Events that fit neither way stay unmapped.
+    `check_ordering` and `audit_chain_preservation` build one only when
+    they need a counterpart that io and observation tags do not give."""
 
     def __init__(
         self,
@@ -375,8 +377,10 @@ def check_ordering(
     """Happens-before preservation: every hb pair of io/observation
     events in the reference whose counterparts both exist must be an hb
     pair in the optimized run. A reference io event without a
-    counterpart fails outright. `delta` is the observation-trace
-    comparison of the two runs, when the caller already has it."""
+    counterpart fails outright. Anchors without an io or observation
+    counterpart go through an `EventMap` of `prov`, built only when there
+    is such an anchor. `delta` is the observation-trace comparison of the
+    two runs, when the caller already has it."""
     ref_info = analyze(ref.program, ref)
     opt_info = analyze(opt.program, opt)
 
@@ -384,13 +388,12 @@ def check_ordering(
     delta = delta or compare_traces(observation_trace(ref), observation_trace(opt))
     for seq, targets in _obs_counterparts(delta).items():
         counterparts.setdefault(seq, set()).update(targets)
-    if prov is not None:
+    unmatched = [seq for seq in ref_info.anchor_seqs if seq not in counterparts]
+    if prov is not None and unmatched:
         em = EventMap(ref.events, opt.events, prov)
-        for seq in ref_info.anchor_seqs:
-            if seq not in counterparts:
-                target = em.counterpart(seq)
-                if target is not None:
-                    counterparts[seq] = {target}
+        for seq in unmatched:
+            if (target := em.counterpart(seq)) is not None:
+                counterparts[seq] = {target}
 
     witnesses = list(lost)
     for a, b in sorted(ref_info.hb_pairs()):
@@ -502,11 +505,12 @@ def audit_chain_preservation(
     rule, or over every sample) was never an opaque chain and is exempt;
     a chain nobody could confirm fails, never silently trusted. Chains
     are audited per (head, tail) pair and verdict, so however many paths
-    join a pair, each verdict gives it at most one witness."""
+    join a pair, each verdict gives it at most one witness. The
+    `EventMap` is built at the first chain that needs a counterpart."""
     ref_info = analyze(ref.program, ref)
     opt_info = analyze(opt.program, opt)
     var_types = typecheck(ref.program).var_types
-    em = EventMap(ref.events, opt.events, prov)
+    em = None
     io_map, _ = _io_counterparts(ref, opt)
 
     reports = chain_reports(ref.program, inputs, ref_info, var_types, seed=seed)
@@ -521,6 +525,7 @@ def audit_chain_preservation(
         if report.verdict == "unconfirmed":
             witnesses.append(f"chain {head_loc}->{tail_loc} unconfirmed")
             continue
+        em = em or EventMap(ref.events, opt.events, prov)
         head_img = em.counterpart(head)
         if head_img is None:
             witnesses.append(f"chain head {head_loc} lost")

@@ -1,6 +1,7 @@
 """Dependence analysis: control dependence, happens-before, opaque
 chains, and value-set audits with hand-computed expectations."""
 
+import dataclasses
 import functools
 
 import pytest
@@ -23,10 +24,19 @@ from opaqueir.deps import (
     witness_var,
 )
 from opaqueir.interp import parse_input, run
-from opaqueir.ir import Branch, Type, compute_postdominators, instr_at, instr_signature, typecheck
-from opaqueir.passes import optimize
+from opaqueir.ir import (
+    Branch,
+    IRError,
+    Type,
+    compute_postdominators,
+    instr_at,
+    instr_signature,
+    typecheck,
+)
+from opaqueir.passes import PRESETS, optimize
 from opaqueir.patterns import prepare
 from opaqueir.validate import audit_chain_preservation
+from test_passes import SWEEP, sweep_program
 
 
 def setup(text, inputs=None):
@@ -389,19 +399,19 @@ done:
 """
 
 
-@pytest.mark.parametrize(
-    "text, inputs",
-    [
-        (DIAMOND, "desc flag in ordered\n1\n"),
-        (DIAMOND, "desc flag in ordered\n0\n"),
-        (LOOP, None),
-        (HB_PROGRAM, "desc input in ordered\n5\n"),
-        (NESTED_LOOP, None),
-        (RECURSIVE, "desc input in ordered\n3\n"),
-        (DIAMOND_IN_LOOP, None),
-        (LOOP_WITH_BREAK, None),
-    ],
-)
+INNERMOST_PROGRAMS = [
+    (DIAMOND, "desc flag in ordered\n1\n"),
+    (DIAMOND, "desc flag in ordered\n0\n"),
+    (LOOP, None),
+    (HB_PROGRAM, "desc input in ordered\n5\n"),
+    (NESTED_LOOP, None),
+    (RECURSIVE, "desc input in ordered\n3\n"),
+    (DIAMOND_IN_LOOP, None),
+    (LOOP_WITH_BREAK, None),
+]
+
+
+@pytest.mark.parametrize("text, inputs", INNERMOST_PROGRAMS)
 def test_innermost_branch_keeps_dependence_and_hb(text, inputs):
     program, types, spec, result, info = setup(text, inputs)
     full_cd = full_stack_cd(program, result)
@@ -438,6 +448,94 @@ done:
     program, types, spec, result, info = setup(text)
     assert all(len(s) <= 1 for s in info.cd_sources)
     assert sum(len(s) for s in info.cd_sources) <= len(result.events)
+
+
+# --------------------------------------------------------------------------
+# One-pass analysis against the per-event reference
+# --------------------------------------------------------------------------
+
+
+def reference_analysis(program, result):
+    """The per-event loop `analyze` once ran, kept as its reference: every
+    field read through the event, every open branch tested at every event,
+    and the innermost one recomputed at each."""
+    pdoms = deps._postdominators(program)
+    dep_sources, cd_sources, obs_seqs, io_seqs = [], [], [], []
+    open_branches, closes = {}, {}
+    for ev in result.events:
+        cd = frozenset()
+        if (iid := ev.iid) is not None:
+            bi = iid[1]
+            by_block = open_branches.setdefault(ev.activation, {})
+            if by_block:
+                pd = pdoms.get(iid[0], {})
+                for b in [b for b in by_block if b != bi and bi in pd.get(b, ())]:
+                    for seq in by_block.pop(b):
+                        closes[seq] = ev.seq
+                if by_block:
+                    cd = frozenset((max(seqs[-1] for seqs in by_block.values()),))
+            if ev.kind == "branch":
+                instr = instr_at(program, iid)
+                if isinstance(instr, Branch) and instr.cond is not None:
+                    by_block.setdefault(bi, []).append(ev.seq)
+                    closes[ev.seq] = len(result.events)
+        dep_sources.append(frozenset(src for _, src in ev.du) | frozenset(ev.rf) | cd)
+        cd_sources.append(cd)
+        if ev.obs:
+            obs_seqs.append(ev.seq)
+        if ev.ios:
+            io_seqs.append(ev.seq)
+    anchors = tuple(sorted({*obs_seqs, *io_seqs}))
+    return dep_sources, cd_sources, closes, (tuple(obs_seqs), tuple(io_seqs), anchors)
+
+
+def sweep_runs(shape, pattern):
+    """The reference run of a `test_passes` sweep program and its run under
+    every preset that compiles it."""
+    program = prepare(sweep_program(shape, pattern))[0]
+    spec = parse_input("desc inp in ordered\n5\n")
+    runs = [run(program, spec)]
+    for preset in sorted(PRESETS):
+        try:
+            res = optimize(program, preset=preset)
+        except IRError:
+            continue  # the exit-capture unroll under Pz (ROADMAP item 3)
+        runs.append(run(res.program, spec))
+    return runs
+
+
+def assert_matches_reference(result):
+    info = analyze(result.program, result)
+    dep_sources, cd_sources, closes, seqs = reference_analysis(result.program, result)
+    assert info.dep_sources == dep_sources
+    assert info.cd_sources == cd_sources
+    assert (info.obs_seqs, info.io_seqs, info.anchor_seqs) == seqs
+    acts = [ev.activation for ev in result.events]
+    n = len(acts)
+    for b in range(n):
+        want = [b < e < closes.get(b, -1) and acts[b] == acts[e] for e in range(n)]
+        assert [info.controls(b, e) for e in range(n)] == want, b
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_analyze_matches_the_per_event_reference_on_the_sweep(shape, pattern):
+    for result in sweep_runs(shape, pattern):
+        assert result.trapped is None
+        assert_matches_reference(result)
+
+
+@pytest.mark.parametrize("text, inputs", INNERMOST_PROGRAMS)
+def test_analyze_matches_the_per_event_reference(text, inputs):
+    assert_matches_reference(setup(text, inputs)[3])
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_dep_out_lists_each_events_dependents_in_order(shape, pattern):
+    for result in sweep_runs(shape, pattern):
+        info = analyze(result.program, result)
+        for s in range(len(result.events)):
+            want = [e for e, sources in enumerate(info.dep_sources) if s in sources]
+            assert info.dep_out(s) == want
 
 
 # --------------------------------------------------------------------------
@@ -1154,6 +1252,39 @@ def test_singleton_enumerated_link_runs_its_whole_domain_and_is_exempt(monkeypat
     read, write = (ev.seq for ev in opaque_events(opt))
     assert not analyze(res.program, opt).dep_reachable(read, write)
     assert audit_chain_preservation(result, opt, res.provenance, inputs=spec).passed
+
+
+def counting_reverse_builds(monkeypatch):
+    """Wrap `DepInfo._out_edges` and record the events of each analysis
+    whose reverse dep edges it builds."""
+    built = []
+    original = deps.DepInfo._out_edges
+
+    def counted(self):
+        if self._dep_out is None:
+            built.append(self.events)
+        return original(self)
+
+    monkeypatch.setattr(deps.DepInfo, "_out_edges", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "text, inputs", [p for p in CHAIN_PROGRAMS if p.id not in ("singleton", "prelude-chain")]
+)
+def test_value_set_reruns_never_build_reverse_edges(monkeypatch, text, inputs):
+    program, types, spec, result, info = setup(text, inputs)
+    pairs = [(j, k) for j, ks in opaque_skeleton(info).items() for k in ks]
+    built = counting_reverse_builds(monkeypatch)
+    patches = counting_reruns(monkeypatch)
+    deps._value_sets(program, spec, info, pairs, types, DEFAULT_SEED)
+    assert patches and built == []
+    # a reachability question on a fresh analysis is what builds them
+    twin = dataclasses.replace(program)  # runs and analyses nothing shares
+    fresh = analyze(twin, run(twin, spec))
+    fresh.dep_reachable(0, len(fresh.events) - 1)
+    fresh.dep_out(0)
+    assert built == [fresh.events]
 
 
 @pytest.mark.parametrize("trips, heads", [(2, 3), (4, 5), (8, 9), (12, 13), (20, 21)])

@@ -497,6 +497,96 @@ def test_lost_io_record_always_fails_ordering():
     assert "io out #0 lost" in verdict.witnesses
 
 
+# A region that yields a constant: `unsafe_const_fold_opaque` folds it and
+# its snapshot of the read away, severing the read's chain to the write.
+FOLDABLE = """
+function main() {
+  k = io(inp)
+  x = opaque { s = snapshot(k); yield(7) }
+  io(out, x)
+  return()
+}
+"""
+
+
+def counting_event_maps(monkeypatch):
+    """Record the arguments of every `EventMap` the validator builds."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return EventMap(*args)
+
+    monkeypatch.setattr("opaqueir.validate.EventMap", counted)
+    return built
+
+
+def test_ordering_builds_no_event_map_when_every_anchor_has_a_counterpart(monkeypatch):
+    program = prog(CHAINED)
+    res = optimize(program, preset="P3")
+    spec = parse_input(TWO_INPUTS)
+    ref, opt = run(program, spec), run(res.program, spec)
+    assert deps.analyze(program, ref).hb_pairs()  # there is something to order
+    built = counting_event_maps(monkeypatch)
+    assert check_ordering(ref, opt, res.provenance).passed
+    assert check_observation_preserving(program, res.program, res.provenance, [spec]).passed
+    assert built == []
+
+
+def test_ordering_builds_one_event_map_for_anchors_without_a_counterpart(monkeypatch):
+    program = prog(FOLDABLE)
+    res = unsafe_const_fold_opaque(program)
+    spec = parse_input(ONE_INPUT)
+    built = counting_event_maps(monkeypatch)
+    verdict = check_ordering(run(program, spec), run(res.program, spec), res.provenance)
+    assert len(built) == 1
+    assert verdict.witnesses == ("3:3 before 4:3 not preserved",)  # the read, the region
+
+
+def audited_reports(program, spec):
+    """The chain reports of a reference run, as (verdict, tail does io)."""
+    ref = run(program, spec)
+    info = deps.analyze(program, ref)
+    reports = deps.chain_reports(program, spec, info, ir.typecheck(program).var_types)
+    return [(r.verdict, bool(ref.events[r.events[1]].ios)) for r in reports]
+
+
+def test_chain_audit_builds_an_event_map_only_for_a_chain_it_checks(monkeypatch):
+    masked = "function main() {\n a: u8 = io(inp)\n b = a & 0u8\n io(out, b)\n return()\n}"
+    no_io = "function main() {\n a = opaque { yield(7) }\n b = a + 1\n use(b)\n return()\n}"
+    cases = [
+        (masked, "desc inp in ordered\n5u8\n", [("broken", True)]),
+        (no_io, None, [("confirmed", False)]),
+    ]
+    built = counting_event_maps(monkeypatch)
+    for src, inputs, reports in cases:
+        program = prog(src)
+        spec = parse_input(inputs) if inputs else None
+        assert audited_reports(program, spec) == reports
+        res = optimize(program, preset="P3")
+        verdict = audit_chain_preservation(
+            run(program, spec), run(res.program, spec), res.provenance, inputs=spec
+        )
+        assert verdict.passed and built == [], src
+    # Two confirmed chains end in io: the map is built once, at the first.
+    program = prog(CHAINED)
+    spec = parse_input(TWO_INPUTS)
+    checked = [r for r in audited_reports(program, spec) if r == ("confirmed", True)]
+    assert len(checked) >= 2
+    res = optimize(program, preset="P3")
+    verdict = audit_chain_preservation(
+        run(program, spec), run(res.program, spec), res.provenance, inputs=spec
+    )
+    assert verdict.passed and len(built) == 1
+    program = prog(FOLDABLE)
+    spec = parse_input(ONE_INPUT)
+    res = unsafe_const_fold_opaque(program)
+    verdict = audit_chain_preservation(
+        run(program, spec), run(res.program, spec), res.provenance, inputs=spec
+    )
+    assert verdict.witnesses == ("chain 3:3->5:3 severed",) and len(built) == 2
+
+
 # --------------------------------------------------------------------------
 # The conditional form
 # --------------------------------------------------------------------------
