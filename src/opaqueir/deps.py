@@ -229,7 +229,7 @@ def analyze(program: Program, result: RunResult) -> DepInfo:
     shared = program is result.program
     if shared and (info := getattr(result, "_deps", None)) is not None:
         return info
-    pdoms = _postdominators(program)
+    pdoms = None  # computed at the first close test: only a run that branches needs them
     events = result.events
     empty: frozenset[int] = frozenset()
     dep_sources: list[frozenset[int]] = []
@@ -252,6 +252,7 @@ def analyze(program: Program, result: RunResult) -> DepInfo:
                 act = acts[activation] = [bi, {}, empty]
             elif act[0] != bi and (by_block := act[1]):
                 # A branch opens at the end of its block: only moving on can close one.
+                pdoms = pdoms or _postdominators(program)
                 pd = pdoms.get(iid[0], {})
                 if closed := [b for b in by_block if b != bi and bi in pd.get(b, ())]:
                     for b in closed:

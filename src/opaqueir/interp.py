@@ -26,9 +26,11 @@ remainder by zero, reading an exhausted or undeclared input channel,
 reading a reference before assignment, and exceeded step budgets. A trap
 ends the run; the events up to that point are kept.
 
-A program's functions are decoded once and the result is stored on the
-program, so the class each instruction dispatches on is found once, not on
-every execution. Runs are stored there too, weakly, and shared (see `run`).
+A program's functions are decoded once into steps, stored on the program
+(see `_Code`), and the executor builds each event straight from its step:
+only an opaque instruction or one with effects (a load, store, I/O or
+snapshot) fills an effect buffer. Runs are stored on the program too,
+weakly, and shared (see `run`).
 """
 
 from __future__ import annotations
@@ -40,20 +42,17 @@ from typing import Mapping, NamedTuple, Optional
 
 from .ir import (
     AtomExpr,
-    Atom,
     BinaryExpr,
     BlockCall,
     Branch,
     CallExpr,
     Const,
     Define,
-    Desc,
     DescValue,
     DescriptorExpr,
     InstrId,
     IoRead,
     IoWrite,
-    INT_TYPES,
     IRError,
     LoadMem,
     LoadRef,
@@ -70,7 +69,6 @@ from .ir import (
     UnaryExpr,
     Unit,
     Use,
-    Var,
     Yield,
     TAILIO_CHANNEL,
     CC_CHANNEL,
@@ -266,7 +264,7 @@ def _type_of_value(v) -> Type:
 def eval_unary(op: str, a, ty: Type):
     if op == "!":
         return not a
-    if isinstance(a, bool) or ty not in INT_TYPES:
+    if isinstance(a, bool) or not (ty is Type.U32 or ty is Type.U8 or ty is Type.I32):
         raise _Trap(f"operator {op} on non-integer value")
     if op == "-":
         return _wrap(-a, ty)
@@ -401,28 +399,100 @@ class RunResult:
 # --------------------------------------------------------------------------
 
 
+def _atom(atom) -> tuple:
+    """A decoded operand: (name, None) for a variable, (None, value) for a constant."""
+    return (None, atom.value) if type(atom) is Const else (atom.name, None)
+
+
+def _uses(*atoms: tuple) -> tuple[str, ...]:
+    """The distinct variables among decoded operands, first use first."""
+    return tuple(dict.fromkeys(name for name, _ in atoms if name is not None))
+
+
+def _values(names: Mapping, atoms: tuple) -> tuple:
+    return tuple([value if name is None else names[name] for name, value in atoms])
+
+
+_EFFECTS = frozenset({LoadMem, LoadRef, SnapshotExpr, IoRead, IoWrite, MemStore})
+_new = tuple.__new__  # builds an Event without its Python-level __new__
+
+
 class _Code:
-    """A region decoded for execution: per block its label, parameter names
-    and steps, and each label's block index. A step is (instr, kind, iid,
-    body): `kind` is the class the executor dispatches on, the
-    expression's for a Define; `iid` is the instruction's id at function
-    level; `body` is the decoded region of an opaque instruction."""
+    """A region decoded for execution, once per program: per block its
+    label, parameter names and steps. A step is what executing one
+    instruction needs, as a tuple (kind, iid, results, uses, args, body):
 
-    __slots__ = ("blocks", "index")
+    * `kind`, the class the executor dispatches on (the expression's, for
+      a Define), and `iid`, the instruction's id at function level;
+    * `results`, the names a Define or a call binds;
+    * `uses`, the variables the instruction reads, first read first: at
+      function level, its event's `du` and `operands`;
+    * `args`, the operands, each variable as (name, None) and each
+      constant as (None, value), a literal descriptor as its `DescValue`;
+      with an operator, its `_BINARY` entry and the type key (function,
+      variable) of its left operand, or a constant's type; a branch's
+      targets as (block index, arguments, uses); a call's callee by name
+      (functions may recurse); an instruction illegal where it stands;
+    * `body`, the decoded region of an opaque instruction.
 
-    def __init__(self, region: Region, fname: Optional[str] = None):
-        self.blocks: list[tuple[str, tuple[str, ...], tuple]] = []
-        self.index: dict[str, int] = {}
-        for bi, block in enumerate(region.blocks):
-            steps = []
-            for pos, instr in enumerate(block.instrs):
-                kind = type(instr.rhs) if type(instr) is Define else type(instr)
-                body = _Code(instr.rhs.region) if kind is OpaqueExpr else None
-                iid = (fname, bi, pos) if fname is not None else None
-                steps.append((instr, kind, iid, body))
-            params = tuple(p.name for p in block.params)
-            self.blocks.append((block.label, params, tuple(steps)))
-            self.index[block.label] = bi
+    Only the steps of `_EFFECTS` and opaque instructions fill an `_Effects`."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, region: Region, fname: str, top: bool = False):
+        index = {block.label: bi for bi, block in enumerate(region.blocks)}
+        self.blocks: list[tuple[str, tuple[str, ...], tuple]] = [
+            (b.label, tuple(p.name for p in b.params),
+             tuple(_step(instr, fname, index, (fname, bi, pos) if top else None)
+                   for pos, instr in enumerate(b.instrs)))
+            for bi, b in enumerate(region.blocks)
+        ]
+
+
+def _step(instr, fname: str, index: dict[str, int], iid: Optional[InstrId]) -> tuple:
+    """Decode one instruction (see `_Code`)."""
+    e = instr.rhs if type(instr) is Define else instr
+    kind, reads, args, body = type(e), (), instr, None
+    results = instr.results if e is not instr else ()
+    if kind is BinaryExpr or kind is UnaryExpr:
+        reads = (_atom(e.a), _atom(e.b)) if kind is BinaryExpr else (_atom(e.a),)
+        key = e.a.type if type(e.a) is Const else (fname, e.a.name)  # the left operand's type
+        args = (e.op, _BINARY.get(e.op), *reads, key)
+    elif kind is AtomExpr or kind is LoadMem:
+        reads = (args := _atom(e.atom if kind is AtomExpr else e.addr),)
+    elif kind is MemStore:
+        args = reads = (_atom(e.addr), _atom(e.value))
+    elif kind is RefAssign:
+        reads = (_atom(e.value),)
+        args = (e.ref, *reads)
+    elif kind is LoadRef:
+        args = e.ref
+    elif kind is SnapshotExpr or kind is Use:
+        reads = tuple(map(_atom, e.args))
+        args = (reads, e.tags) if kind is SnapshotExpr else reads
+    elif kind is CallExpr:
+        reads = tuple(map(_atom, e.args))
+        args, results = (e.callee, reads), tuple(r for r in results if isinstance(r, str))
+    elif kind is Return or kind is Yield:
+        reads = tuple(map(_atom, e.values))
+        args = reads if (kind is Return) == (iid is not None) else instr
+    elif kind is IoRead or kind is IoWrite:
+        desc = (e.desc.name, None) if e.desc.is_var else (None, DescValue(e.desc.name))
+        values = tuple(map(_atom, e.values)) if kind is IoWrite else ()
+        args, reads = (desc, values), (desc, *values)
+    elif kind is DescriptorExpr:
+        args = DescValue(e.channel)
+    elif kind is Branch:
+        cond = _atom(e.cond) if e.cond is not None else (None, True)  # always taken
+
+        def target(t: BlockCall) -> tuple:
+            atoms = tuple(map(_atom, t.args))
+            return index[t.label], atoms, _uses(cond, *atoms)
+
+        args = (cond, target(e.then), target(e.els) if e.els is not None else None)
+    elif kind is OpaqueExpr:
+        body = _Code(e.region, fname)
+    return kind, iid, results, _uses(*reads), args, body
 
 
 def _functions(program: Program) -> dict[str, tuple[tuple[str, ...], _Code]]:
@@ -433,19 +503,46 @@ def _functions(program: Program) -> dict[str, tuple[tuple[str, ...], _Code]]:
         with _unsealed():
             for f in program.functions:
                 if f.name not in code:  # the first of a duplicate, as Program.function
-                    code[f.name] = (tuple(p.name for p in f.params), _Code(f.region, f.name))
+                    code[f.name] = (tuple(p.name for p in f.params), _Code(f.region, f.name, True))
         object.__setattr__(program, "_code", code)
     return code
 
 
-class _Frame:
-    __slots__ = ("fname", "activation", "env", "refs")
+class _Names(dict):
+    """Variable values by name. A name missing here is read from `outer`; a
+    mapping that `keeps` also stores it, so the one an opaque region reads
+    its frame through lists the frame variables read, first read first.
+    With no `outer` (a frame's names), a missing name traps."""
 
-    def __init__(self, fname: str, activation: int):
-        self.fname = fname
+    __slots__ = ("outer", "keeps")
+
+    def __init__(self, outer: Optional[Mapping] = None, keeps: bool = False):
+        self.outer, self.keeps = outer, keeps
+
+    def __missing__(self, name: str):
+        if self.outer is None:
+            raise _Trap(f"undefined variable {name}")
+        value = self.outer[name]
+        if self.keeps:
+            self[name] = value
+        return value
+
+
+class _Frame:
+    __slots__ = ("activation", "names", "seqs", "refs")
+
+    def __init__(self, activation: int):
         self.activation = activation
-        self.env: dict[str, tuple[object, int]] = {}  # name -> (value, defining event)
+        self.names = _Names()
+        self.seqs: dict[str, int] = {}  # name -> defining event
         self.refs: dict[str, tuple[object, int]] = {}  # ref -> (value, writer event)
+
+    def reads(self, used) -> tuple[tuple, tuple]:
+        """The `du` and `operands` of an event that read the variables `used`."""
+        if len(used) == 1:
+            (name,) = used
+            return ((name, self.seqs[name]),), ((name, self.names[name]),)
+        return tuple([(n, self.seqs[n]) for n in used]), tuple([(n, self.names[n]) for n in used])
 
 
 class _Effects:
@@ -467,25 +564,6 @@ class _Effects:
 
     def fields(self) -> tuple:
         return tuple(self.rf), tuple(self.stores), tuple(self.ios), tuple(self.obs)
-
-
-class _Agg:
-    """Event buffer for one executed instruction: each variable it uses
-    with its defining event (`du`, first use first) and value, and, once it
-    performs one, the effects it performs (all of them, for an opaque
-    instruction's whole region)."""
-
-    __slots__ = ("du", "operands", "fx")
-
-    def __init__(self):
-        self.du: dict[str, int] = {}
-        self.operands: list[tuple[str, object]] = []
-        self.fx: Optional[_Effects] = None
-
-    def effects(self) -> _Effects:
-        if self.fx is None:
-            self.fx = _Effects()
-        return self.fx
 
 
 class _Interp:
@@ -521,37 +599,13 @@ class _Interp:
         defs = tuple(zip(names, values))
         if seq == self.patch_seq:
             defs = tuple((n, self.patch_value if n == self.patch_name else v) for n, v in defs)
-        env = frame.env
+        env, seqs = frame.names, frame.seqs
         for name, value in defs:
-            env[name] = (value, seq)
+            env[name] = value
+            seqs[name] = seq
         return defs
 
     # -- evaluation
-
-    def atom_value(self, frame: _Frame, scopes: Optional[list[dict]], atom: Atom, agg: _Agg):
-        if type(atom) is Const:
-            return atom.value
-        name = atom.name
-        if scopes:
-            for env in reversed(scopes):
-                if name in env:
-                    return env[name]
-        entry = frame.env.get(name)
-        if entry is None:
-            raise _Trap(f"undefined variable {name}")
-        value = entry[0]
-        if name not in agg.du:
-            agg.du[name] = entry[1]
-            agg.operands.append((name, value))
-        return value
-
-    def desc_value(self, frame: _Frame, scopes: Optional[list[dict]], desc: Desc, agg: _Agg) -> DescValue:
-        if desc.is_var:
-            value = self.atom_value(frame, scopes, Var(desc.name), agg)
-            if not isinstance(value, DescValue):
-                raise _Trap(f"{desc.name} does not hold a descriptor")
-            return value
-        return DescValue(desc.name)
 
     def channel_config(self, channel: str) -> tuple[str, bool]:
         if channel == TAILIO_CHANNEL:
@@ -582,122 +636,102 @@ class _Interp:
         self.write_count[channel] = tag + 1
         return tag
 
-    def operand_type(self, fname: str, atom: Atom, value) -> Type:
-        if type(atom) is Const:
-            return atom.type
-        ty = self.type_info.get((fname, atom.name))
-        if ty is not None:
-            return ty
-        return _type_of_value(value)
-
     def exec_instr(
-        self,
-        frame: _Frame,
-        scopes: Optional[list[dict]],
-        instr,
-        kind: type,
-        agg: _Agg,
-        seq: int,
+        self, frame: _Frame, names: _Names, kind: type, args, fx: Optional[_Effects], seq: int
     ) -> tuple:
-        """Execute one non-control instruction of dispatch class `kind` at
-        function level (no `scopes`) or inside an opaque region, recording
-        what it uses and does in `agg` on behalf of event `seq`. Returns
-        the values a Define computes; a call or an opaque region is the
-        caller's."""
+        """Execute one decoded non-control instruction of class `kind`,
+        reading variables from `names` (the frame's, or an opaque region's
+        scope) and recording its effects, if any, in `fx` for event `seq`.
+        Returns the values a Define computes; a call or a region is the caller's."""
         if kind is BinaryExpr:
-            expr = instr.rhs
-            a = self.atom_value(frame, scopes, expr.a, agg)
-            b = self.atom_value(frame, scopes, expr.b, agg)
-            return (eval_binary(expr.op, a, b, self.operand_type(frame.fname, expr.a, a)),)
+            op, fn, (an, a), (bn, b), ty = args  # ty: a type key for a variable
+            if an is not None:
+                a = names[an]
+                ty = self.type_info.get(ty) or _type_of_value(a)
+            if bn is not None:
+                b = names[bn]
+            if fn is None or (type(a) is bool and type(b) is bool):
+                return (eval_binary(op, a, b, ty),)
+            return (fn(a, b, ty),)
         if kind is AtomExpr:
-            return (self.atom_value(frame, scopes, instr.rhs.atom, agg),)
+            name, value = args
+            return (value if name is None else names[name],)
         if kind is UnaryExpr:
-            expr = instr.rhs
-            a = self.atom_value(frame, scopes, expr.a, agg)
-            return (eval_unary(expr.op, a, self.operand_type(frame.fname, expr.a, a)),)
-        if kind is LoadMem:
-            addr = self.atom_value(frame, scopes, instr.rhs.addr, agg)
-            value, writer = self.memory.get(addr, (0, 0))
-            fx = agg.effects()
+            op, _, (name, a), ty = args
+            if name is not None:
+                a = names[name]
+                ty = self.type_info.get(ty) or _type_of_value(a)
+            return (eval_unary(op, a, ty),)
+        if kind is LoadMem or kind is LoadRef:
+            if kind is LoadRef:
+                if args not in frame.refs:
+                    raise _Trap(f"reference {args} read before assignment")
+                value, writer = frame.refs[args]
+            else:
+                name, addr = args
+                value, writer = self.memory.get(addr if name is None else names[name], (0, 0))
             if writer != seq and writer not in fx.rf:
                 fx.rf.append(writer)
             return (value,)
         if kind is SnapshotExpr:
-            expr = instr.rhs
-            values = tuple(self.atom_value(frame, scopes, a, agg) for a in expr.args)
-            fx = agg.effects()
-            fx.obs.append(ObsRecord(expr.tags, values, fx.next_pos()))
+            atoms, tags = args
+            values = _values(names, atoms)
+            fx.obs.append(ObsRecord(tags, values, fx.next_pos()))
             return values
-        if kind is IoRead:
-            dv = self.desc_value(frame, scopes, instr.rhs.desc, agg)
+        if kind is IoRead or kind is IoWrite:
+            (name, dv), atoms = args
+            if name is not None and not isinstance(dv := names[name], DescValue):
+                raise _Trap(f"{name} does not hold a descriptor")
+            values = _values(names, atoms)  # none for a read
             direction, ordered = self.channel_config(dv.channel)
+            if kind is IoWrite:
+                tag = self.io_write(dv.channel, values)
+                fx.ios.append(IoRecord(dv.channel, ordered, "w", tag, values, fx.next_pos()))
+                return ()
             value, tag = self.io_read(dv.channel)
-            fx = agg.effects()
             fx.ios.append(IoRecord(dv.channel, ordered, "r", tag, (value,), fx.next_pos()))
             return (value,)
-        if kind is IoWrite:
-            dv = self.desc_value(frame, scopes, instr.desc, agg)
-            values = tuple(self.atom_value(frame, scopes, v, agg) for v in instr.values)
-            direction, ordered = self.channel_config(dv.channel)
-            tag = self.io_write(dv.channel, values)
-            fx = agg.effects()
-            fx.ios.append(IoRecord(dv.channel, ordered, "w", tag, values, fx.next_pos()))
-            return ()
         if kind is MemStore:
-            addr = self.atom_value(frame, scopes, instr.addr, agg)
-            value = self.atom_value(frame, scopes, instr.value, agg)
+            addr, value = _values(names, args)
             self.memory[addr] = (value, seq)
-            agg.effects().stores.append((addr, value))
+            fx.stores.append((addr, value))
             return ()
         if kind is Use:
-            for a in instr.args:
-                self.atom_value(frame, scopes, a, agg)
+            _values(names, args)
             return ()
-        if kind is LoadRef:
-            ref = instr.rhs.ref
-            if ref not in frame.refs:
-                raise _Trap(f"reference {ref} read before assignment")
-            value, writer = frame.refs[ref]
-            fx = agg.effects()
-            if writer != seq and writer not in fx.rf:
-                fx.rf.append(writer)
-            return (value,)
         if kind is RefAssign:
-            value = self.atom_value(frame, scopes, instr.value, agg)
-            frame.refs[instr.ref] = (value, seq)
+            ref, (name, value) = args
+            frame.refs[ref] = (value if name is None else names[name], seq)
             return ()
         if kind is DescriptorExpr:
-            return (DescValue(instr.rhs.channel),)
+            return (args,)
         if kind is CallExpr:
             raise _Trap("function call inside an opaque region")
-        where = "in an opaque region" if scopes is not None else "at function level"
-        raise _Trap(f"illegal instruction {where}: {instr!r}")
+        where = "in an opaque region" if names.outer is not None else "at function level"
+        raise _Trap(f"illegal instruction {where}: {args!r}")
 
-    def take_branch(
-        self, frame: _Frame, scopes: Optional[list[dict]], instr: Branch, agg: _Agg
-    ) -> tuple[BlockCall, tuple]:
-        """The branch's target and the values of its arguments."""
-        target = instr.then
-        if instr.cond is not None:
-            cond = self.atom_value(frame, scopes, instr.cond, agg)
-            taken = cond if isinstance(cond, bool) else cond != 0
-            target = instr.then if taken else instr.els
-        return target, tuple(self.atom_value(frame, scopes, a, agg) for a in target.args)
+    def take_branch(self, names: _Names, args: tuple) -> tuple[tuple, tuple]:
+        """The branch's decoded target and the values of its arguments."""
+        (name, value), target, els = args
+        if name is not None:
+            value = names[name]
+        if not (value if isinstance(value, bool) else value != 0):
+            target = els
+        return target, _values(names, target[1])
 
     # -- opaque regions
 
     def run_region(
-        self, frame: _Frame, code: _Code, scopes: list[dict], agg: _Agg, seq: int
+        self, frame: _Frame, code: _Code, outer: _Names, fx: _Effects, seq: int
     ) -> tuple:
         """Execute a decoded opaque region atomically on behalf of event
         `seq` and return the values it yields. Region-local names live in
-        `scopes`, innermost last; free names read the frame."""
-        env: dict[str, object] = {}
-        scopes = scopes + [env]
-        blocks, index = code.blocks, code.index
+        a scope of their own; free names are read from `outer`."""
+        names = _Names(outer)
+        blocks = code.blocks
         steps = blocks[0][2]
         while True:
-            for instr, kind, _, body in steps:
+            for kind, _, results, _, args, body in steps:
                 self.steps += 1
                 if self.steps > self.step_budget:
                     raise _Trap("step budget exceeded")
@@ -705,102 +739,98 @@ class _Interp:
                 if self.region_steps > self.opaque_budget:
                     raise _Trap("opaque region budget exceeded")
                 if kind is Branch:
-                    target, args = self.take_branch(frame, scopes, instr, agg)
-                    _, params, steps = blocks[index[target.label]]
-                    env.update(zip(params, args))
+                    target, values = self.take_branch(names, args)
+                    _, params, steps = blocks[target[0]]
+                    names.update(zip(params, values))
                     break
                 if kind is Yield:
-                    return tuple(self.atom_value(frame, scopes, v, agg) for v in instr.values)
+                    return _values(names, args)
                 if body is not None:
-                    values = self.run_region(frame, body, scopes, agg, seq)
+                    values = self.run_region(frame, body, names, fx, seq)
                 else:
-                    values = self.exec_instr(frame, scopes, instr, kind, agg, seq)
+                    values = self.exec_instr(frame, names, kind, args, fx, seq)
                 if values:
-                    env.update(zip(instr.results, values))
+                    names.update(zip(results, values))
             else:
                 raise _Trap("opaque region block fell through")
 
     # -- function execution
 
-    def call_function(
-        self,
-        fname: str,
-        args: tuple,
-        arg_agg: _Agg,
-        call_iid: Optional[InstrId],
-        caller: Optional[_Frame],
-        result_names: tuple[str, ...],
-        depth: int,
-    ) -> tuple:
+    def call_function(self, fname: str, args: tuple, call_iid: Optional[InstrId],
+                      caller: Optional[_Frame], result_names: tuple, call_reads: tuple, depth: int):
+        """Run `fname` on `args` as a new activation, building each event here:
+        an opaque instruction's `du` and `operands` are the frame variables its
+        region reads, any other's its step's `uses`. `call_reads` is the call
+        event's `du` and `operands`, read in the caller."""
         if depth > 200:
             raise _Trap("call stack too deep")
         params, code = self.functions[fname]
-        blocks, index = code.blocks, code.index
+        blocks = code.blocks
         label, _, steps = blocks[0]
         self.activations += 1
-        frame = _Frame(fname, self.activations)
+        frame = _Frame(self.activations)
         activation = frame.activation
+        names, seqs = frame.names, frame.seqs
         events = self.events
+        patch_seq = self.patch_seq
 
         # The call event defines the callee's parameters. The call
-        # instruction executes in the caller's control context. Control
-        # events have no effects; fields are passed by position, the cheap way.
+        # instruction executes in the caller's control context.
         seq = len(events)
-        events.append(
-            Event(
-                seq, "call", call_iid, caller.activation if caller else activation,
-                self.bind(frame, params, args, seq), tuple(arg_agg.du.items()),
-                (), (), (), (), tuple(arg_agg.operands),
-            )
-        )
+        du, operands = call_reads
+        defs = self.bind(frame, params, args, seq)
+        events.append(_new(Event, (seq, "call", call_iid, caller.activation if caller else
+                                   activation, defs, du, (), (), (), (), operands)))
 
         while True:
-            for instr, kind, iid, body in steps:
+            for kind, iid, results, uses, args, body in steps:
                 self.steps += 1
                 if self.steps > self.step_budget:
                     raise _Trap("step budget exceeded")
-                agg = _Agg()
                 seq = len(events)
-                if kind is CallExpr:
-                    rhs = instr.rhs
-                    call_args = tuple(self.atom_value(frame, None, a, agg) for a in rhs.args)
-                    results = tuple(r for r in instr.results if isinstance(r, str))
-                    self.call_function(rhs.callee, call_args, agg, iid, frame, results, depth + 1)
-                    continue
                 if kind is Branch:
-                    target, args = self.take_branch(frame, None, instr, agg)
-                    label, params, steps = blocks[index[target.label]]
-                    events.append(
-                        Event(
-                            seq, "branch", iid, activation, self.bind(frame, params, args, seq),
-                            tuple(agg.du.items()), (), (), (), (), tuple(agg.operands),
-                        )
-                    )
+                    (bi, _, uses), values = self.take_branch(names, args)
+                    label, params, steps = blocks[bi]
+                    du, operands = frame.reads(uses)
+                    defs = self.bind(frame, params, values, seq)
+                    events.append(_new(Event, (seq, "branch", iid, activation, defs,
+                                               du, (), (), (), (), operands)))
                     break
                 if kind is Return:
-                    values = tuple(self.atom_value(frame, None, v, agg) for v in instr.values)
-                    events.append(
-                        Event(
-                            seq, "ret", iid, activation,
-                            self.bind(caller, result_names, values, seq) if caller else (),
-                            tuple(agg.du.items()), (), (), (), (), tuple(agg.operands),
-                        )
-                    )
+                    values = _values(names, args)
+                    du, operands = frame.reads(uses)
+                    defs = self.bind(caller, result_names, values, seq) if caller else ()
+                    events.append(_new(Event, (seq, "ret", iid, activation, defs,
+                                               du, (), (), (), (), operands)))
                     return values
-                opaque = body is not None
-                if opaque:
+                if kind is CallExpr:
+                    callee, atoms = args
+                    values = _values(names, atoms)
+                    reads = frame.reads(uses)
+                    self.call_function(callee, values, iid, frame, results, reads, depth + 1)
+                    continue
+                fx = _Effects() if body is not None or kind in _EFFECTS else None
+                if body is not None:
                     self.region_steps = 0
-                    values = self.run_region(frame, body, [], agg, seq)
+                    uses = _Names(names, keeps=True)  # the frame variables the region reads
+                    values = self.run_region(frame, body, uses, fx, seq)
                 else:
-                    values = self.exec_instr(frame, None, instr, kind, agg, seq)
-                rf, stores, ios, obs = agg.fx.fields() if agg.fx else ((), (), (), ())
-                events.append(
-                    Event(
-                        seq, "opaque" if opaque else "instr", iid, activation,
-                        self.bind(frame, instr.results, values, seq) if values else (),
-                        tuple(agg.du.items()), rf, stores, ios, obs, tuple(agg.operands),
-                    )
-                )
+                    values = self.exec_instr(frame, names, kind, args, fx, seq)
+                du, operands = frame.reads(uses)
+                rf, stores, ios, obs = fx.fields() if fx is not None else ((), (), (), ())
+                if not values:
+                    defs = ()
+                elif len(values) == 1 and results:  # one result, bound inline
+                    name, value = results[0], values[0]
+                    if seq == patch_seq and name == self.patch_name:
+                        value = self.patch_value
+                    names[name] = value
+                    seqs[name] = seq
+                    defs = ((name, value),)
+                else:
+                    defs = self.bind(frame, results, values, seq)
+                events.append(_new(Event, (seq, "instr" if body is None else "opaque", iid,
+                                           activation, defs, du, rf, stores, ios, obs, operands)))
             else:
                 raise _Trap(f"block {label} has no terminator")
 
@@ -809,7 +839,7 @@ class _Interp:
         # The initial event: everything constant is already defined here.
         self.events.append(Event(0, "init", None, 0))
         try:
-            self.call_function("main", (), _Agg(), None, None, (), 0)
+            self.call_function("main", (), None, None, (), ((), ()), 0)
         except _Trap as trap:
             trapped = trap.reason
         memory = MappingProxyType({addr: value for addr, (value, _) in self.memory.items()})

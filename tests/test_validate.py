@@ -200,9 +200,18 @@ function main() {
 """
 
 
+# MIXED with a conditional branch in `mix`, which its runs take.
+BRANCHING = MIXED.replace(
+    "  w = v ^ 21\n  return(w)",
+    "  c = v > 3\n  br c, big(v), small(v)\nbig(x: u32):\n  w = x ^ 21\n  return(w)\n"
+    "small(y: u32):\n  return(y)",
+)
+
+
 def test_every_preset_shares_one_typecheck_and_postdominators_per_program(monkeypatch):
     """The checks under every preset, and the chain audit's reruns, reuse
-    the types and post-dominators of each program they run."""
+    the types and post-dominators of each program they run; only a
+    program whose run takes a conditional branch computes post-dominators."""
     validated = []
     pdom_regions = []
 
@@ -217,34 +226,44 @@ def test_every_preset_shares_one_typecheck_and_postdominators_per_program(monkey
 
     monkeypatch.setattr(ir, "_Validator", Counted)
     monkeypatch.setattr(deps, "compute_postdominators", counted_pdoms)
-    program = prog(MIXED)
-    spec = parse_input(ONE_INPUT)
-    results = {preset: optimize(program, preset=preset) for preset in sorted(PRESETS)}
-    for res in results.values():
-        report = check_observation_preserving(program, res.program, res.provenance, [spec])
-        assert report.passed, report.render()
-    checked = {id(p): p for p in [program] + [res.program for res in results.values()]}
-    # Every program, intermediate pass outputs included, is validated once.
-    times = Counter(map(id, validated))
-    assert all(times[i] == 1 for i in checked) and set(times.values()) == {1}
-    # Post-dominators: once per (checked program, function).
-    expected_pdoms = sum(len(p.functions) for p in checked.values())
-    assert len(pdom_regions) == expected_pdoms
+    for src in (MIXED, BRANCHING):
+        validated.clear()
+        pdom_regions.clear()
+        program = prog(src)
+        spec = parse_input(ONE_INPUT)
+        results = {preset: optimize(program, preset=preset) for preset in sorted(PRESETS)}
+        for res in results.values():
+            report = check_observation_preserving(program, res.program, res.provenance, [spec])
+            assert report.passed, report.render()
+        checked = {id(p): p for p in [program] + [res.program for res in results.values()]}
+        # Every program, intermediate pass outputs included, is validated once.
+        times = Counter(map(id, validated))
+        assert all(times[i] == 1 for i in checked) and set(times.values()) == {1}
+        # Post-dominators: once per (checked program whose run branches,
+        # function), never for a program whose run takes no conditional branch.
+        branching = [
+            p for p in checked.values()
+            if any(ev.kind == "branch" and ir.instr_at(p, ev.iid).cond is not None
+                   for ev in run(p, spec).events)
+        ]
+        assert len(branching) == (len(checked) if src is BRANCHING else 0)
+        expected_pdoms = Counter(id(f.region) for p in branching for f in p.functions)
+        assert Counter(map(id, pdom_regions)) == expected_pdoms
 
-    reruns = []
+        reruns = []
 
-    def counted_rerun(*args, **kw):
-        reruns.append(args)
-        return run(*args, **kw)
+        def counted_rerun(*args, **kw):
+            reruns.append(args)
+            return run(*args, **kw)
 
-    monkeypatch.setattr(deps, "run", counted_rerun)
-    res = results["P3"]
-    verdict = audit_chain_preservation(
-        run(program, spec), run(res.program, spec), res.provenance, inputs=spec
-    )
-    assert verdict.passed and reruns
-    assert len(validated) == sum(times.values())
-    assert len(pdom_regions) == expected_pdoms
+        monkeypatch.setattr(deps, "run", counted_rerun)
+        res = results["P3"]
+        verdict = audit_chain_preservation(
+            run(program, spec), run(res.program, spec), res.provenance, inputs=spec
+        )
+        assert verdict.passed and reruns
+        assert len(validated) == sum(times.values())
+        assert Counter(map(id, pdom_regions)) == expected_pdoms
 
 
 def test_unsafe_fold_fails_integrity_and_ordering():
