@@ -72,6 +72,7 @@ from .ir import (
     compute_postdominators,
     instr_at,
     instr_signature,
+    typecheck,
 )
 from .interp import Event, InputSpec, RunResult, eval_binary, eval_unary, run
 
@@ -424,14 +425,13 @@ def opaque_value_set(
     info: DepInfo,
     j: int,
     k: int,
-    var_types: dict[tuple[str, str], Type],
     seed: int = DEFAULT_SEED,
 ) -> ValueSetReport:
     """Size of the value set of event j's result as seen at event k."""
-    return _value_sets(program, inputs, info, [(j, k)], var_types, seed)[j, k]
+    return _value_sets(program, inputs, info, [(j, k)], seed)[j, k]
 
 
-def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
+def _value_sets(program, inputs, info, pairs, seed) -> dict:
     """`opaque_value_set` for every link (j, k) of `pairs`. A rerun
     patches only event j's witness variable, so the links out of one
     (j, variable) share their reruns: each alternative value is run and
@@ -439,6 +439,7 @@ def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
     own from that rerun. A link leaves its group at its second distinct
     outcome, and the group stops once none is left."""
     events = info.events
+    var_types = typecheck(program).var_types
     reports: dict[tuple[int, int], ValueSetReport] = {}
     groups: dict[tuple[int, str], dict[int, str]] = {}  # (j, var) -> {k: k_sig}
     sign = functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
@@ -471,7 +472,7 @@ def _value_sets(program, inputs, info, pairs, var_types, seed) -> dict:
         for alt_value in alt_values:
             if alt_value == observed:
                 continue
-            alt = run(program, inputs, patch=(j, var, alt_value), type_info=var_types)
+            alt = run(program, inputs, patch=(j, var, alt_value))
             alt_info = analyze(program, alt)
             for k, sig in pending.items():
                 outcomes[k].add(value_at_dependent(alt_info, j, sig, sign))
@@ -756,7 +757,6 @@ def chain_reports(
     program: Program,
     inputs: Optional[InputSpec],
     info: DepInfo,
-    var_types: dict[tuple[str, str], Type],
     seed: int = DEFAULT_SEED,
 ) -> list[ChainReport]:
     """Audit every link of the run's opaque skeleton once and classify
@@ -766,4 +766,4 @@ def chain_reports(
     which is evidence rather than proof); unconfirmed covers the rest."""
     skel = opaque_skeleton(info)
     links = [(j, k) for j, ks in skel.items() for k in ks]
-    return find_chains(skel, _value_sets(program, inputs, info, links, var_types, seed))
+    return find_chains(skel, _value_sets(program, inputs, info, links, seed))

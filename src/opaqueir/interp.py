@@ -859,20 +859,21 @@ def run(
 
     `patch`, when given, is `(seq, var, value)`: immediately after event
     `seq` binds `var`, the binding is replaced with `value` and execution
-    continues. This is the rerun primitive behind opaque value sets;
-    `type_info` only overrides the types `typecheck` caches on `program`.
-    `inputs` is only read, so one spec serves any number of runs.
+    continues. This is the rerun primitive behind opaque value sets.
+    Types come from `typecheck(program)`; `type_info`, if given, must be
+    its `var_types`. `inputs` is only read, so one spec serves any number
+    of runs.
 
-    Unpatched runs with the cached types are memoized on `program`, keyed by
-    the content of `inputs` and both budgets, and held weakly: an equal run
-    returns the same `RunResult` while some caller still holds it."""
-    if type_info is None:
-        from .ir import typecheck
+    Unpatched runs are memoized on `program`, keyed by the content of
+    `inputs` and both budgets, and held weakly: an equal run returns the
+    same `RunResult` while some caller still holds it."""
+    from .ir import typecheck  # looked up per call: a tracer may wrap `ir.typecheck`
 
-        type_info = typecheck(program).var_types
-    types = getattr(program, "_type_info", None)  # what `typecheck` caches
-    if patch is not None or types is None or type_info is not types.var_types:
-        return _Interp(program, inputs, step_budget, opaque_budget, patch, type_info).run()
+    types = typecheck(program).var_types
+    if type_info is not None and type_info is not types:
+        raise ValueError("type_info must be typecheck(program).var_types")
+    if patch is not None:
+        return _Interp(program, inputs, step_budget, opaque_budget, patch, types).run()
     if (runs := getattr(program, "_runs", None)) is None:
         object.__setattr__(program, "_runs", runs := weakref.WeakValueDictionary())
     # What the run reads of `inputs`, values typed: `true == 1` traces apart.
@@ -881,6 +882,6 @@ def run(
         (n, c.direction, c.ordered, tuple((type(v), v) for v in c.values)) for n, c in channels
     ))
     if (result := runs.get(key)) is None:
-        result = _Interp(program, inputs, step_budget, opaque_budget, None, type_info).run()
+        result = _Interp(program, inputs, step_budget, opaque_budget, None, types).run()
         runs[key] = result
     return result

@@ -842,7 +842,6 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.in_macro = False
-        self.fresh = 0
 
     # -- token plumbing
 

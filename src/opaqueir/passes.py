@@ -668,60 +668,9 @@ def instcombine(program: Program) -> PassResult:
             seen_pure: dict[tuple, str] = {}
             opaque_groups: dict[tuple, int] = {}
 
-            plan: list[tuple] = [
-                ("own", pos, instr) for pos, instr in enumerate(block.instrs)
-            ]
             hoist = hoists.get(block.label)
-            if hoist is not None:
-                t_index, e_index = label_index[hoist[0]], label_index[hoist[1]]
-                t_block = f.region.blocks[t_index]
-                e_block = f.region.blocks[e_index]
-                term_pos = len(block.instrs) - 1
-                plan = plan[:-1]
-                for p, instr in enumerate(t_block.instrs[:-1]):
-                    plan.append(("arm", p, instr, t_index, e_index, e_block))
-                plan.append(
-                    (
-                        "armterm",
-                        len(t_block.instrs) - 1,
-                        t_block.instrs[-1],
-                        t_index,
-                        e_index,
-                        term_pos,
-                    )
-                )
-
-            for entry in plan:
-                if entry[0] == "arm":
-                    _, p, instr, t_index, e_index, e_block = entry
-                    merged = instr
-                    if (
-                        isinstance(instr, Define)
-                        and isinstance(instr.rhs, OpaqueExpr)
-                        and instr.rhs.summary.snapshot_slots
-                    ):
-                        merged = merge_obs_metadata(instr, e_block.instrs[p])
-                    rb.emit(
-                        merged,
-                        [
-                            ((f.name, t_index, p), "combined"),
-                            ((f.name, e_index, p), "combined"),
-                        ],
-                    )
-                    continue
-                if entry[0] == "armterm":
-                    _, p, instr, t_index, e_index, term_pos = entry
-                    rb.emit(
-                        instr,
-                        [
-                            ((f.name, bi, term_pos), "rewritten"),
-                            ((f.name, t_index, p), "combined"),
-                            ((f.name, e_index, p), "combined"),
-                        ],
-                    )
-                    continue
-
-                _, pos, instr = entry
+            own = block.instrs[:-1] if hoist is not None else block.instrs
+            for pos, instr in enumerate(own):
                 iid = (f.name, bi, pos)
                 if (
                     isinstance(instr, Define)
@@ -790,6 +739,23 @@ def instcombine(program: Program) -> PassResult:
                             continue
                         opaque_groups[key] = rb.next_index()
                 rb.emit(instr, [(iid, "kept")])
+            if hoist is not None:
+                # the hoisted arm: each instruction combines both arms' copies,
+                # and its terminator also rewrites the branch
+                t_index, e_index = label_index[hoist[0]], label_index[hoist[1]]
+                t_instrs = f.region.blocks[t_index].instrs
+                e_instrs = f.region.blocks[e_index].instrs
+                for p, instr in enumerate(t_instrs):
+                    if (
+                        isinstance(instr, Define)
+                        and isinstance(instr.rhs, OpaqueExpr)
+                        and instr.rhs.summary.snapshot_slots
+                    ):
+                        instr = merge_obs_metadata(instr, e_instrs[p])
+                    srcs = [((f.name, t_index, p), "combined"), ((f.name, e_index, p), "combined")]
+                    if p == len(t_instrs) - 1:
+                        srcs.insert(0, ((f.name, bi, len(block.instrs) - 1), "rewritten"))
+                    rb.emit(instr, srcs)
             rb.close_block()
         functions.append(rb.finish(f, pm))
 

@@ -48,7 +48,6 @@ from .ir import (
     Define,
     Function,
     InstrId,
-    IoRead,
     LoadMem,
     LoadRef,
     MemStore,
@@ -62,7 +61,8 @@ from .ir import (
     instr_at,
     instr_operand_atoms,
     region_defined_names,
-    typecheck,
+    typecheck,  # unused here, but perfbench/spans.py wraps validate.typecheck
+    walk_blocks,
 )
 from .passes import ProvenanceMap
 
@@ -512,11 +512,10 @@ def audit_chain_preservation(
     `EventMap` is built at the first chain that needs a counterpart."""
     ref_info = analyze(ref.program, ref)
     opt_info = analyze(opt.program, opt)
-    var_types = typecheck(ref.program).var_types
     em = None
     io_map, _ = _io_counterparts(ref, opt)
 
-    reports = chain_reports(ref.program, inputs, ref_info, var_types, seed=seed)
+    reports = chain_reports(ref.program, inputs, ref_info, seed=seed)
     witnesses: list[str] = []
     for report in reports:
         head, tail = report.events
@@ -533,9 +532,7 @@ def audit_chain_preservation(
         if head_img is None:
             witnesses.append(f"chain head {head_loc} lost")
             continue
-        tail_imgs = io_map.get(tail) or (
-            {em.counterpart(tail)} if em.counterpart(tail) is not None else set()
-        )
+        tail_imgs = io_map.get(tail) or {em.counterpart(tail)} - {None}
         if not tail_imgs:
             witnesses.append(f"chain tail {tail_loc} lost")
             continue
@@ -618,6 +615,63 @@ def _function_names(f: Function) -> set[str]:
     return names
 
 
+_MEM = ("", "mem")  # memory is one taint key: field-insensitive
+
+
+def _taint_edges(program: Program):
+    """Every flow the secret taint follows, as (sources, sinks) key
+    lists. A key is (function, variable), (function, "&" + reference),
+    (function, "") for what a function returns, or `_MEM`. An opaque
+    define flows from its free uses, the references its region loads and
+    memory if it reads, into its results, the references its region
+    assigns and memory if it writes."""
+    params = {f.name: [p.name for p in f.params] for f in program.functions}
+    for f in program.functions:
+        fn = f.name
+        blocks = {b.label: b for b in f.region.blocks}
+
+        def keys(atoms) -> list:
+            return [(fn, a.name) for a in atoms if isinstance(a, Var)]
+
+        for block in f.region.blocks:
+            for instr in block.instrs:
+                if isinstance(instr, Define):
+                    rhs = instr.rhs
+                    results = [(fn, r) for r in instr.results if isinstance(r, str)]
+                    if isinstance(rhs, (AtomExpr, UnaryExpr, BinaryExpr, SnapshotExpr)):
+                        yield keys(instr_operand_atoms(instr)), results
+                    elif isinstance(rhs, LoadMem):
+                        yield [_MEM, *keys([rhs.addr])], results
+                    elif isinstance(rhs, LoadRef):
+                        yield [(fn, "&" + rhs.ref)], results
+                    elif isinstance(rhs, CallExpr):
+                        for param, arg in zip(params.get(rhs.callee, ()), rhs.args):
+                            yield keys([arg]), [(rhs.callee, param)]
+                        yield [(rhs.callee, "")], results
+                    elif isinstance(rhs, OpaqueExpr):
+                        s = rhs.summary
+                        sources = [(fn, u) for u in s.uses] + [_MEM] * s.has_read
+                        sinks = results + [_MEM] * s.has_write
+                        for inner in walk_blocks(rhs.region):
+                            for i in inner.instrs:
+                                if isinstance(i, RefAssign):
+                                    sinks.append((fn, "&" + i.ref))
+                                elif isinstance(i, Define) and isinstance(i.rhs, LoadRef):
+                                    sources.append((fn, "&" + i.rhs.ref))
+                        yield sources, sinks
+                elif isinstance(instr, RefAssign):
+                    yield keys([instr.value]), [(fn, "&" + instr.ref)]
+                elif isinstance(instr, MemStore):
+                    yield keys([instr.addr, instr.value]), [_MEM]
+                elif isinstance(instr, Return):
+                    yield keys(instr.values), [(fn, "")]
+                elif isinstance(instr, Branch):
+                    for call in (instr.then, instr.els):
+                        if call is not None and call.label in blocks:
+                            for param, arg in zip(blocks[call.label].params, call.args):
+                                yield keys([arg]), [(fn, param.name)]
+
+
 def check_secret_branches(
     program: Program, secrets: Union[SecretSpec, Iterable[str]]
 ) -> Verdict:
@@ -632,102 +686,15 @@ def check_secret_branches(
         if not any(name in names for names in per_fn_names.values()):
             raise ValueError(f"secret {name!r} names nothing in the program")
 
-    tainted: set[tuple[str, str]] = {
-        (f.name, n)
-        for f in program.functions
-        for n in secrets.names
-        if n in per_fn_names[f.name]
-    }
-    tainted_refs: set[tuple[str, str]] = set()
-    tainted_returns: set[str] = set()
-    mem_tainted = False
-
-    def hot(fname: str, atom) -> bool:
-        return isinstance(atom, Var) and (fname, atom.name) in tainted
-
-    def taint_call(fname: str, target: Sequence, args) -> bool:
-        changed = False
-        for param, arg in zip(target, args):
-            if hot(fname, arg) and (param[0], param[1]) not in tainted:
-                tainted.add((param[0], param[1]))
-                changed = True
-        return changed
-
-    blocks_by_label = {
-        f.name: {b.label: b for b in f.region.blocks} for f in program.functions
-    }
-    fn_params = {f.name: tuple(p.name for p in f.params) for f in program.functions}
-
+    tainted = {(fn, n) for fn, names in per_fn_names.items() for n in secrets.names & names}
+    edges = list(_taint_edges(program))
     changed = True
     while changed:
         changed = False
-        for f in program.functions:
-            for block in f.region.blocks:
-                for instr in block.instrs:
-                    if isinstance(instr, Define):
-                        rhs = instr.rhs
-                        if isinstance(rhs, OpaqueExpr):
-                            dirty = any(
-                                (f.name, u) in tainted for u in rhs.summary.uses
-                            ) or (rhs.summary.has_read and mem_tainted)
-                            if dirty and rhs.summary.has_write and not mem_tainted:
-                                mem_tainted = True
-                                changed = True
-                        elif isinstance(rhs, LoadRef):
-                            dirty = (f.name, rhs.ref) in tainted_refs
-                        elif isinstance(rhs, LoadMem):
-                            dirty = mem_tainted or hot(f.name, rhs.addr)
-                        elif isinstance(rhs, IoRead):
-                            dirty = False
-                        elif isinstance(rhs, CallExpr):
-                            callee = rhs.callee
-                            params = fn_params.get(callee, ())
-                            if taint_call(
-                                f.name,
-                                [(callee, p) for p in params],
-                                rhs.args,
-                            ):
-                                changed = True
-                            dirty = callee in tainted_returns
-                        elif isinstance(rhs, (AtomExpr, UnaryExpr, BinaryExpr, SnapshotExpr)):
-                            dirty = any(hot(f.name, a) for a in instr_operand_atoms(instr))
-                        else:
-                            dirty = False
-                        if dirty:
-                            for r in instr.results:
-                                if isinstance(r, str) and (f.name, r) not in tainted:
-                                    tainted.add((f.name, r))
-                                    changed = True
-                    elif isinstance(instr, RefAssign):
-                        if hot(f.name, instr.value) and (
-                            f.name,
-                            instr.ref,
-                        ) not in tainted_refs:
-                            tainted_refs.add((f.name, instr.ref))
-                            changed = True
-                    elif isinstance(instr, MemStore):
-                        if (hot(f.name, instr.value) or hot(f.name, instr.addr)) and (
-                            not mem_tainted
-                        ):
-                            mem_tainted = True
-                            changed = True
-                    elif isinstance(instr, Return):
-                        if (
-                            any(hot(f.name, v) for v in instr.values)
-                            and f.name not in tainted_returns
-                        ):
-                            tainted_returns.add(f.name)
-                            changed = True
-                    elif isinstance(instr, Branch):
-                        for call in (instr.then, instr.els):
-                            if call is None:
-                                continue
-                            target = blocks_by_label[f.name].get(call.label)
-                            if target is None:
-                                continue
-                            params = [(f.name, p.name) for p in target.params]
-                            if taint_call(f.name, params, call.args):
-                                changed = True
+        for sources, sinks in edges:
+            if not tainted.issuperset(sinks) and not tainted.isdisjoint(sources):
+                tainted.update(sinks)
+                changed = True
 
     witnesses = []
     for f in program.functions:
@@ -735,8 +702,8 @@ def check_secret_branches(
             for instr in block.instrs:
                 if (
                     isinstance(instr, Branch)
-                    and instr.cond is not None
-                    and hot(f.name, instr.cond)
+                    and isinstance(instr.cond, Var)
+                    and (f.name, instr.cond.name) in tainted
                 ):
                     witnesses.append(
                         f"{f.name} {_loc_text(instr.loc)} branches on "

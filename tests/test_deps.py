@@ -42,7 +42,7 @@ from test_passes import SWEEP, sweep_program
 def setup(text, inputs=None):
     program, types = prepare(text)
     spec = parse_input(inputs) if inputs else None
-    result = run(program, spec, type_info=types.var_types)
+    result = run(program, spec)
     assert result.trapped is None
     return program, types.var_types, spec, result, analyze(program, result)
 
@@ -578,7 +578,7 @@ function main() {
     read = event_of(result, lambda e: e.ios)
     w = event_of(result, lambda e: e.obs)
     lone = event_of(result, lambda e: e.is_opaque and not e.obs and not e.ios)
-    reports = chain_reports(program, spec, info, types)
+    reports = chain_reports(program, spec, info)
     assert sorted(r.events for r in reports) == [(read.seq, w.seq), (lone.seq, lone.seq)]
 
 
@@ -676,7 +676,7 @@ def full_domain_outcomes(program, spec, info, types, j, ks):
     for value in deps._domain(ty) or _sample_values(ty, DEFAULT_SEED, observed):
         if value == observed:
             continue
-        alt = deps.run(program, spec, patch=(j, var, value), type_info=types)
+        alt = deps.run(program, spec, patch=(j, var, value))
         alt_info = analyze(program, alt)
         for k in ks:
             outcomes[k].add(value_at_dependent(alt_info, j, sigs[k], sign))
@@ -696,7 +696,7 @@ function main() {
     j, k = links(result)
     assert full_domain_outcomes(program, spec, info, types, j, [k])[k] == set(range(256))
     # The audit stops at the second outcome: the first patched byte, 0.
-    report = opaque_value_set(program, spec, info, j, k, types)
+    report = opaque_value_set(program, spec, info, j, k)
     assert report.status == "enumerated"
     assert report.bound == 2
     assert report.values == frozenset({42 ^ 1, 0 ^ 1})
@@ -731,7 +731,7 @@ function main() {
     assert len(patches) == 255
     assert sorted(value for _, _, value in patches) == [v for v in range(256) if v != 42]
     patches.clear()
-    report = opaque_value_set(program, spec, info, j, k, types)
+    report = opaque_value_set(program, spec, info, j, k)
     assert report.status == "enumerated"
     assert report.bound == 2
     assert patches == [(j, "a", 0)]  # the first byte other than the observed 42
@@ -748,7 +748,7 @@ function main() {
 """
     program, types, spec, result, info = setup(text)
     j, k = links(result)
-    report = opaque_value_set(program, spec, info, j, k, types)
+    report = opaque_value_set(program, spec, info, j, k)
     assert report.status == "enumerated"
     assert report.values == frozenset({0})
     assert report.bound == 1
@@ -765,7 +765,7 @@ function main() {
 """
     program, types, spec, result, info = setup(text)
     j, k = links(result)
-    report = opaque_value_set(program, spec, info, j, k, types)
+    report = opaque_value_set(program, spec, info, j, k)
     assert report.status == "enumerated"
     assert report.values == frozenset({True, False})
 
@@ -785,7 +785,7 @@ function main() {
 """
     program, types, spec, result, info = setup(text)
     j, k = links(result)
-    report = opaque_value_set(program, spec, info, j, k, types)
+    report = opaque_value_set(program, spec, info, j, k)
     assert report.status == "rule"
     assert report.bound == 2**32
 
@@ -804,7 +804,7 @@ miss:
 """
     program, types, spec, result, info = setup(text)
     j, k = links(result)
-    report = opaque_value_set(program, spec, info, j, k, types)
+    report = opaque_value_set(program, spec, info, j, k)
     assert report.status == "enumerated"
     # patched to 0 the opaque disappears; any nonzero value reaches it
     # through control only
@@ -830,12 +830,12 @@ out:
 }
 """
     program, types = prepare(text)
-    result = run(program, None, type_info=types.var_types)
+    result = run(program, None)
     info = analyze(program, result)
     ops = opaque_events(result)
     assert len(ops) == 2
     j, k = ops[0].seq, ops[1].seq
-    report = opaque_value_set(program, None, info, j, k, types.var_types)
+    report = opaque_value_set(program, None, info, j, k)
     assert report.status == "enumerated"
     assert report.values == frozenset({_REACHED})
     assert report.bound == 1
@@ -851,11 +851,11 @@ def u32_link(expr_lines):
     text += "\n".join("  " + l for l in expr_lines)
     text += "\n  w = opaque { s = snapshot(b); yield(unit_value) }\n  return()\n}\n"
     program, types = prepare(text)
-    result = run(program, None, type_info=types.var_types)
+    result = run(program, None)
     assert result.trapped is None
     info = analyze(program, result)
     j, k = links(result)
-    return opaque_value_set(program, None, info, j, k, types.var_types)
+    return opaque_value_set(program, None, info, j, k)
 
 
 def test_ov_rule_direct_use_is_full_domain():
@@ -926,12 +926,12 @@ function main() {
 }
 """
     program, types = prepare(byte)
-    result = run(program, None, type_info=types.var_types)
+    result = run(program, None)
     info = analyze(program, result)
     j, k = links(result)
     reference = full_domain_outcomes(program, None, info, types.var_types, j, [k])[k]
     assert len(reference) == 16
-    enum_report = opaque_value_set(program, None, info, j, k, types.var_types)
+    enum_report = opaque_value_set(program, None, info, j, k)
     assert enum_report.status == "enumerated"
     assert enum_report.bound == 2
     rule_report = u32_link(["b = a & 15"])
@@ -989,7 +989,7 @@ function main() {
 """
     program, types, spec, result, info = setup(text)
     j, k = links(result)
-    report = opaque_value_set(program, spec, info, j, k, types)
+    report = opaque_value_set(program, spec, info, j, k)
     assert report.status == "rule_derived"
     assert report.bound == 2
     assert report.values is None  # never enumerated
@@ -1013,11 +1013,11 @@ def test_token_threaded_chain_is_confirmed():
     skel = opaque_skeleton(info)
     assert t1 in skel[read] and skel[t1] == (t2,) and skel[t2] == ()
     threaded = [
-        opaque_value_set(program, spec, info, j, k, types) for j, k in [(read, t1), (t1, t2)]
+        opaque_value_set(program, spec, info, j, k) for j, k in [(read, t1), (t1, t2)]
     ]
     assert [w.status for w in threaded] == ["rule", "rule_derived"]
     assert chain_verdict(threaded) == "confirmed"
-    assert (read, t2, "confirmed") in triples(chain_reports(program, spec, info, types))
+    assert (read, t2, "confirmed") in triples(chain_reports(program, spec, info))
 
 
 BROKEN_LINK = """
@@ -1033,9 +1033,9 @@ function main() {
 def test_broken_link_marks_the_chain_broken():
     program, types, spec, result, info = setup(BROKEN_LINK)
     j, k = links(result)
-    reports = chain_reports(program, spec, info, types)
+    reports = chain_reports(program, spec, info)
     assert [(r.events, r.verdict) for r in reports] == [((j, k), "broken")]
-    assert opaque_value_set(program, spec, info, j, k, types).bound == 1
+    assert opaque_value_set(program, spec, info, j, k).bound == 1
 
 
 SINGLETON = """
@@ -1050,7 +1050,7 @@ function main() {
 def test_singleton_chain_is_vacuously_confirmed():
     program, types, spec, result, info = setup(SINGLETON)
     (lone,) = (ev.seq for ev in opaque_events(result))
-    reports = chain_reports(program, spec, info, types)
+    reports = chain_reports(program, spec, info)
     assert [(r.events, r.verdict) for r in reports] == [((lone, lone), "confirmed")]
     assert opaque_skeleton(info) == {lone: ()}  # no link to witness
 
@@ -1073,7 +1073,7 @@ def test_prelude_observation_chain_through_tailio():
     write = event_of(result, lambda e: e.ios and e.ios[0].channel == "tailio").seq
     skel = opaque_skeleton(info)
     assert skel[read] == (token,) and skel[token] == (write,)
-    assert triples(chain_reports(program, spec, info, types)) == {(read, write, "confirmed")}
+    assert triples(chain_reports(program, spec, info)) == {(read, write, "confirmed")}
 
 
 # --------------------------------------------------------------------------
@@ -1165,12 +1165,12 @@ function main() {
 """
 
 
-def per_link_value_sets(program, spec, info, types):
+def per_link_value_sets(program, spec, info):
     """The skeleton of a run, and each of its links audited on its own
     by `opaque_value_set`."""
     skel = opaque_skeleton(info)
     value_sets = {
-        (j, k): opaque_value_set(program, spec, info, j, k, types) for j, ks in skel.items() for k in ks
+        (j, k): opaque_value_set(program, spec, info, j, k) for j, ks in skel.items() for k in ks
     }
     return skel, value_sets
 
@@ -1181,10 +1181,10 @@ def per_link_value_sets(program, spec, info, types):
 )
 def test_chain_reports_equal_per_link_audits(text, inputs):
     program, types, spec, result, info = setup(text, inputs)
-    skel, value_sets = per_link_value_sets(program, spec, info, types)
+    skel, value_sets = per_link_value_sets(program, spec, info)
     # Shared reruns give every link the report it gets on its own.
-    assert deps._value_sets(program, spec, info, list(value_sets), types, DEFAULT_SEED) == value_sets
-    reports = chain_reports(program, spec, info, types)
+    assert deps._value_sets(program, spec, info, list(value_sets), DEFAULT_SEED) == value_sets
+    reports = chain_reports(program, spec, info)
     assert triples(reports) == path_chains(skel, value_sets)
 
 
@@ -1194,7 +1194,7 @@ def test_chain_reports_equal_per_link_audits(text, inputs):
 )
 def test_chain_verdicts_match_the_full_domain_reference(text, inputs):
     program, types, spec, result, info = setup(text, inputs)
-    skel, value_sets = per_link_value_sets(program, spec, info, types)
+    skel, value_sets = per_link_value_sets(program, spec, info)
     rerun_links = {}  # head -> the links audited by reruns
     for (j, k), w in value_sets.items():
         if w.status in ("enumerated", "sampled"):
@@ -1208,17 +1208,17 @@ def test_chain_verdicts_match_the_full_domain_reference(text, inputs):
             assert (w.bound >= 2) == (len(outcomes) >= 2), (j, k)
             assert w.values <= outcomes
             full[j, k] = ValueSetReport(len(outcomes), w.status, frozenset(outcomes))
-    assert triples(chain_reports(program, spec, info, types)) == path_chains(skel, full)
+    assert triples(chain_reports(program, spec, info)) == path_chains(skel, full)
 
 
 def test_link_past_an_off_path_opaque_is_confirmed():
     program, types, spec, result, info = setup(OFF_PATH_OPAQUE)
     a, w1, w2 = (ev.seq for ev in opaque_events(result))
-    reports = chain_reports(program, spec, info, types)
+    reports = chain_reports(program, spec, info)
     assert sorted(r.events for r in reports) == [(a, w1), (a, w2)]
     assert (a, w2, "confirmed") in triples(reports)
     # c = 7 / 4,000,000,000 = 0, and 1 once a sample reaches 4,000,000,000
-    assert opaque_value_set(program, spec, info, a, w2, types) == ValueSetReport(
+    assert opaque_value_set(program, spec, info, a, w2) == ValueSetReport(
         2, "sampled", frozenset({0, 1})
     )
 
@@ -1239,10 +1239,10 @@ def test_singleton_enumerated_link_runs_its_whole_domain_and_is_exempt(monkeypat
     program, types, spec, result, info = setup(MASKED_BYTE, "desc inp in ordered\n5u8\n")
     j, k = links(result)
     patches = counting_reruns(monkeypatch)
-    reports = chain_reports(program, spec, info, types)
+    reports = chain_reports(program, spec, info)
     assert sorted(value for _, _, value in patches) == [v for v in range(256) if v != 5]
     assert [(r.events, r.verdict) for r in reports] == [((j, k), "broken")]
-    assert opaque_value_set(program, spec, info, j, k, types) == ValueSetReport(
+    assert opaque_value_set(program, spec, info, j, k) == ValueSetReport(
         1, "enumerated", frozenset({0})
     )
     # P3 folds b to 0u8, so no dependence joins the read to the write;
@@ -1277,7 +1277,7 @@ def test_value_set_reruns_never_build_reverse_edges(monkeypatch, text, inputs):
     pairs = [(j, k) for j, ks in opaque_skeleton(info).items() for k in ks]
     built = counting_reverse_builds(monkeypatch)
     patches = counting_reruns(monkeypatch)
-    deps._value_sets(program, spec, info, pairs, types, DEFAULT_SEED)
+    deps._value_sets(program, spec, info, pairs, DEFAULT_SEED)
     assert patches and built == []
     # a reachability question on a fresh analysis is what builds them
     twin = dataclasses.replace(program)  # runs and analyses nothing shares
@@ -1295,7 +1295,7 @@ def test_chain_loop_reruns_each_head_value_once(monkeypatch, trips, heads):
         CHAIN_LOOP.replace("TRIPS", str(trips)), CHAIN_LOOP_INPUT
     )
     patches = counting_reruns(monkeypatch)
-    chain_reports(program, spec, info, types)
+    chain_reports(program, spec, info)
     assert len(patches) == heads == trips + 1
     assert len({(j, var) for j, var, _ in patches}) == heads
     for j, var, value in patches:
@@ -1309,7 +1309,7 @@ def test_long_chain_loop_audits_two_pairs_and_passes(trips):
     program, types, spec, result, info = setup(
         CHAIN_LOOP.replace("TRIPS", str(trips)), CHAIN_LOOP_INPUT
     )
-    assert len(chain_reports(program, spec, info, types)) == 2
+    assert len(chain_reports(program, spec, info)) == 2
     res = optimize(program, preset="P3")
     verdict = audit_chain_preservation(result, run(res.program, spec), res.provenance, inputs=spec)
     assert verdict.passed, verdict.witnesses
@@ -1323,13 +1323,13 @@ def test_sampled_group_reruns_until_its_last_link_has_two_outcomes(monkeypatch):
     first_b = next(i for i, v in enumerate(samples) if v % 7 != 0 or v >= 4000000000)
     assert first_b < first_c
     patches = counting_reruns(monkeypatch)
-    reports = chain_reports(program, spec, info, types)
+    reports = chain_reports(program, spec, info)
     assert [value for _, _, value in patches] == samples[: first_c + 1]
     assert triples(reports) == {(a, w1, "confirmed"), (a, w2, "confirmed")}
-    shared = deps._value_sets(program, spec, info, [(a, w1), (a, w2)], types, DEFAULT_SEED)
+    shared = deps._value_sets(program, spec, info, [(a, w1), (a, w2)], DEFAULT_SEED)
     for k, first in ((w1, first_b), (w2, first_c)):
         patches.clear()
-        report = opaque_value_set(program, spec, info, a, k, types)
+        report = opaque_value_set(program, spec, info, a, k)
         assert len(patches) == first + 1
         assert report.status == "sampled"
         assert report.bound == 2

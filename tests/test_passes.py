@@ -20,6 +20,7 @@ from opaqueir.ir import (
     Region,
     Type,
     Var,
+    print_program,
     sealed_opaque_regions,
     validate_ssa,
 )
@@ -459,6 +460,60 @@ join:
     opt = run_ok(res.program, flag_inputs)
     assert len(obs_events(ref)) == 1 and len(obs_events(ref)[0].obs[0].tags) == 1
     assert len(obs_events(opt)) == 1 and len(obs_events(opt)[0].obs[0].tags) == 2
+
+
+def test_instcombine_hoist_pins_program_provenance_and_merged_tags():
+    p = prog(
+        """
+function main() {
+  c = io(flag)
+  d = c + 0
+  br d, left, right
+left:
+  w1 = opaque { s1 = snapshot(c); yield(unit_value) }
+  use(w1)
+  br join
+right:
+  w2 = opaque { s2 = snapshot(c); yield(unit_value) }
+  use(w2)
+  br join
+join:
+  io(out, 0)
+  return()
+}
+"""
+    )
+    res = instcombine(p)
+    # the block's own instructions are combined as usual, then the arm
+    # follows with both arms' snapshot tags on its one snapshot
+    assert print_program(res.program) == """function main() {
+  c = io(flag)
+  d = c
+  w1 = opaque {
+    s1 = snapshot(c) [obs 7:17(c), 11:17(c)]
+    yield(unit_value)
+  }
+  use(w1)
+  br join
+join:
+  io(out, 0)
+  return()
+}
+"""
+    entry = [("main", 0, pos) for pos in range(5)]
+    assert res.provenance.rows() == [
+        (("main", 0, 0), entry[0], "kept"),
+        (("main", 0, 1), entry[1], "rewritten"),
+        (("main", 0, 2), entry[4], "rewritten"),  # the branch became the arm's jump
+        (("main", 1, 0), entry[2], "combined"),
+        (("main", 1, 1), entry[3], "combined"),
+        (("main", 1, 2), entry[4], "combined"),
+        (("main", 2, 0), entry[2], "combined"),
+        (("main", 2, 1), entry[3], "combined"),
+        (("main", 2, 2), entry[4], "combined"),
+        (("main", 3, 0), ("main", 1, 0), "kept"),
+        (("main", 3, 1), ("main", 1, 1), "kept"),
+    ]
 
 
 def test_instcombine_leaves_differing_arms_alone():
