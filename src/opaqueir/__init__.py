@@ -23,7 +23,6 @@ from .ir import (  # noqa: F401
     validate_ssa,
 )
 from .validate import (  # noqa: F401
-    SecretSpec,
     ValidationReport,
     Verdict,
     audit_chain_preservation,

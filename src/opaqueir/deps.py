@@ -36,11 +36,12 @@ second outcome turns up, so only a singleton runs the whole domain; unit
 tokens live in an abstract two-point domain and are never enumerated,
 otherwise every token chain would collapse to a singleton; 32-bit
 results go through a small per-operation rule engine and fall back to
-seeded sampling, which stops the same way. Each patched value is rerun
-once, and that rerun is shared by every audited link out of the same
-opaque event. Each run is analysed once: `analyze` stores its `DepInfo`
-on the run, which holds the run's events, not the run, so no cycle forms.
-`analyze` computes dep and cd sources, branch closes and anchors; reverse
+`SAMPLE_COUNT` values drawn from a generator seeded with `SAMPLE_SEED`,
+which stops the same way. Each patched value is rerun once, and that
+rerun is shared by every audited link out of the same opaque event.
+Each run is analysed once: `analyze` stores its `DepInfo` on the run,
+which holds the run's events, not the run, so no cycle forms. `analyze`
+computes dep and cd sources, branch closes and anchors; reverse
 dep edges wait for the first reachability query and the anchor hb closure
 for the first hb query, since most analyses (every rerun's) need neither.
 """
@@ -76,9 +77,8 @@ from .ir import (
 )
 from .interp import Event, InputSpec, RunResult, eval_binary, eval_unary, run
 
-ENUMERATION_CAP = 256
 SAMPLE_COUNT = 64
-DEFAULT_SEED = 0
+SAMPLE_SEED = 0
 
 
 # --------------------------------------------------------------------------
@@ -223,13 +223,13 @@ def _postdominators(program: Program) -> dict[str, dict[int, set[int]]]:
     return pdoms
 
 
-def analyze(program: Program, result: RunResult) -> DepInfo:
+def analyze(result: RunResult) -> DepInfo:
     """Compute dependence sources for every event of a run in one pass, but
-    no reverse edges (see `DepInfo`). With the run's own program, the info
-    is stored on the run and reused while it lives."""
-    shared = program is result.program
-    if shared and (info := getattr(result, "_deps", None)) is not None:
+    no reverse edges (see `DepInfo`). The info is stored on the run and
+    reused while it lives."""
+    if (info := getattr(result, "_deps", None)) is not None:
         return info
+    program = result.program
     pdoms = None  # computed at the first close test: only a run that branches needs them
     events = result.events
     empty: frozenset[int] = frozenset()
@@ -284,8 +284,7 @@ def analyze(program: Program, result: RunResult) -> DepInfo:
         anchor_seqs=tuple(sorted({*obs_seqs, *io_seqs})),
         _closes=closes,
     )
-    if shared:
-        object.__setattr__(result, "_deps", info)  # the run is frozen
+    object.__setattr__(result, "_deps", info)  # the run is frozen
     return info
 
 
@@ -400,14 +399,12 @@ def value_at_dependent(info: DepInfo, j: int, k_sig: str, sign) -> object:
 
 
 def _domain(ty: Type) -> Optional[list]:
-    """The values to enumerate for a result of type ty, if they fit the
-    enumeration cap."""
-    domain = [False, True] if ty is Type.BOOL else list(range(256)) if ty is Type.U8 else None
-    return domain if domain is not None and len(domain) <= ENUMERATION_CAP else None
+    """The values to enumerate for a result of type ty: bool and u8 only."""
+    return [False, True] if ty is Type.BOOL else list(range(256)) if ty is Type.U8 else None
 
 
-def _sample_values(ty: Type, seed: int, observed) -> list:
-    rng = random.Random(seed)
+def _sample_values(ty: Type, observed) -> list:
+    rng = random.Random(SAMPLE_SEED)
     lo, hi = (-(2**31), 2**31 - 1) if ty is Type.I32 else (0, 2**32 - 1)
     chosen = {observed}
     out = []
@@ -425,13 +422,12 @@ def opaque_value_set(
     info: DepInfo,
     j: int,
     k: int,
-    seed: int = DEFAULT_SEED,
 ) -> ValueSetReport:
     """Size of the value set of event j's result as seen at event k."""
-    return _value_sets(program, inputs, info, [(j, k)], seed)[j, k]
+    return _value_sets(program, inputs, info, [(j, k)])[j, k]
 
 
-def _value_sets(program, inputs, info, pairs, seed) -> dict:
+def _value_sets(program, inputs, info, pairs) -> dict:
     """`opaque_value_set` for every link (j, k) of `pairs`. A rerun
     patches only event j's witness variable, so the links out of one
     (j, variable) share their reruns: each alternative value is run and
@@ -466,14 +462,14 @@ def _value_sets(program, inputs, info, pairs, seed) -> dict:
             status, alt_values = "enumerated", domain
         else:
             # Seeded sampling fallback for 32-bit results the rules cannot cover.
-            status, alt_values = "sampled", _sample_values(ty, seed, observed)
+            status, alt_values = "sampled", _sample_values(ty, observed)
         outcomes = {k: {value_at_dependent(info, j, s, sign)} for k, s in k_sigs.items()}
         pending = k_sigs
         for alt_value in alt_values:
             if alt_value == observed:
                 continue
             alt = run(program, inputs, patch=(j, var, alt_value))
-            alt_info = analyze(program, alt)
+            alt_info = analyze(alt)
             for k, sig in pending.items():
                 outcomes[k].add(value_at_dependent(alt_info, j, sig, sign))
             del alt, alt_info  # one rerun alive at a time
@@ -757,7 +753,6 @@ def chain_reports(
     program: Program,
     inputs: Optional[InputSpec],
     info: DepInfo,
-    seed: int = DEFAULT_SEED,
 ) -> list[ChainReport]:
     """Audit every link of the run's opaque skeleton once and classify
     its chains with `find_chains`. Confirmed means every link's value
@@ -766,4 +761,4 @@ def chain_reports(
     which is evidence rather than proof); unconfirmed covers the rest."""
     skel = opaque_skeleton(info)
     links = [(j, k) for j, ks in skel.items() for k in ks]
-    return find_chains(skel, _value_sets(program, inputs, info, links, seed))
+    return find_chains(skel, _value_sets(program, inputs, info, links))

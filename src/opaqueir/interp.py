@@ -73,7 +73,6 @@ from .ir import (
     TAILIO_CHANNEL,
     CC_CHANNEL,
     _SUFFIXES,
-    _unsealed,
 )
 
 DEFAULT_STEP_BUDGET = 10_000_000
@@ -491,7 +490,7 @@ def _step(instr, fname: str, index: dict[str, int], iid: Optional[InstrId]) -> t
 
         args = (cond, target(e.then), target(e.els) if e.els is not None else None)
     elif kind is OpaqueExpr:
-        body = _Code(e.region, fname)
+        body = _Code(e._body, fname)
     return kind, iid, results, _uses(*reads), args, body
 
 
@@ -500,10 +499,9 @@ def _functions(program: Program) -> dict[str, tuple[tuple[str, ...], _Code]]:
     immutable program like its `typecheck`."""
     if (code := getattr(program, "_code", None)) is None:
         code = {}
-        with _unsealed():
-            for f in program.functions:
-                if f.name not in code:  # the first of a duplicate, as Program.function
-                    code[f.name] = (tuple(p.name for p in f.params), _Code(f.region, f.name, True))
+        for f in program.functions:
+            if f.name not in code:  # the first of a duplicate, as Program.function
+                code[f.name] = (tuple(p.name for p in f.params), _Code(f.region, f.name, True))
         object.__setattr__(program, "_code", code)
     return code
 

@@ -18,7 +18,11 @@ and in isolation; optimization passes may only query a region through the
 up to variable renaming) and may rewrite it only through the sanctioned
 rewrites `rename_instr`, `freshen` and `merge_obs_metadata`. The
 `sealed_opaque_regions` context manager enforces the barrier at runtime:
-while sealed, touching `OpaqueExpr.region` raises `OpacityBreach`.
+while sealed, touching `OpaqueExpr.region`, the one public accessor of a
+body, raises `OpacityBreach`. The front end and the sanctioned rewrites
+(parser, printer, signatures, validator, macro expansion, observation
+tagging) and the interpreter read the private `_body` field instead, so
+they work the same whether or not the seal is engaged.
 """
 
 from __future__ import annotations
@@ -457,15 +461,6 @@ def sealed_opaque_regions():
         _BARRIER_SEALED.reset(token)
 
 
-@contextlib.contextmanager
-def _unsealed():
-    token = _BARRIER_SEALED.set(False)
-    try:
-        yield
-    finally:
-        _BARRIER_SEALED.reset(token)
-
-
 @dataclass(frozen=True)
 class OpaqueSummary:
     """Everything a pass is allowed to know about an opaque region."""
@@ -672,8 +667,7 @@ def _sig_expr(expr: Expr, c: _Canon) -> str:
     if isinstance(expr, DescriptorExpr):
         return expr.name
     if isinstance(expr, OpaqueExpr):
-        with _unsealed():
-            return "opaque{" + _sig_region(expr.region, c) + "}"
+        return "opaque{" + _sig_region(expr._body, c) + "}"
     raise TypeError(expr)
 
 
@@ -1538,10 +1532,8 @@ def _expr_text(expr: Expr, indent: int, lines: list[str]) -> str:
     if isinstance(expr, DescriptorExpr):
         return expr.name
     if isinstance(expr, OpaqueExpr):
-        with _unsealed():
-            body = expr.region
         head = "opaque {"
-        _region_lines(body, indent, lines)
+        _region_lines(expr._body, indent, lines)
         return head  # caller appends the closing brace line
     raise TypeError(expr)
 
@@ -1679,8 +1671,7 @@ class _Expander:
             while remaining:
                 instr = remaining.pop(0)
                 if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
-                    with _unsealed():
-                        inner = self.expand_region(instr.rhs.region)
+                    inner = self.expand_region(instr.rhs._body)
                     instrs.append(dc_replace(instr, rhs=OpaqueExpr(inner)))
                     continue
                 if not (
@@ -1850,8 +1841,7 @@ def finalize_observations(program: Program) -> Program:
                     if isinstance(instr, Define):
                         rhs = instr.rhs
                         if isinstance(rhs, OpaqueExpr):
-                            with _unsealed():
-                                inner = fix_region(rhs.region)
+                            inner = fix_region(rhs._body)
                             if inner != rhs._body:
                                 instr = dc_replace(instr, rhs=OpaqueExpr(inner))
                         elif isinstance(rhs, SnapshotExpr) and not rhs.tags:
@@ -2207,9 +2197,8 @@ class _Validator:
             self.error((0, 0), "program has no function 'main'")
         elif self.fn_map["main"].params:
             self.error(self.fn_map["main"].loc, "'main' takes no parameters")
-        with _unsealed():
-            for f in self.program.functions:
-                self.check_function(f)
+        for f in self.program.functions:
+            self.check_function(f)
         return list(self.diags), self.info
 
     # -- per-function checks
@@ -2248,7 +2237,7 @@ class _Validator:
                             else:
                                 self.error(instr.loc, "unexpanded '...' group")
                         if isinstance(instr.rhs, OpaqueExpr):
-                            collect_defs(instr.rhs.region, {})
+                            collect_defs(instr.rhs._body, {})
             scopes[id(r)] = sites, compute_dominators(r)
 
         collect_defs(region, {p.name: ("", -1) for p in fn.params})
@@ -2377,7 +2366,7 @@ class _Validator:
                 return [Type.DESC]
             if isinstance(expr, OpaqueExpr):
                 ytypes: Optional[list[Optional[Type]]] = None
-                for b in expr.region.blocks:
+                for b in expr._body.blocks:
                     last = b.instrs[-1]
                     if isinstance(last, Yield):
                         tys = [atom_type(v, loc) for v in last.values]
@@ -2412,7 +2401,7 @@ class _Validator:
                         ):
                             self.error(loc, "function call inside an opaque region")
                         if isinstance(instr.rhs, OpaqueExpr):
-                            visit_region(instr.rhs.region, True)
+                            visit_region(instr.rhs._body, True)
                         tys = expr_types(instr.rhs, instr)
                         if tys is not None:
                             n = len(instr.results)

@@ -42,7 +42,7 @@ sections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .ir import (
     AtomExpr,
@@ -923,7 +923,7 @@ def dce(program: Program) -> PassResult:
 # loop_unroll
 # --------------------------------------------------------------------------
 
-DEFAULT_UNROLL_FACTOR = 16
+UNROLL_LIMIT = 16  # the most trips a loop may have to be unrolled
 
 
 @dataclass(frozen=True)
@@ -935,9 +935,7 @@ class _CountedLoop:
     trips: int
 
 
-def _match_counted_loop(
-    f: Function, factor: int, var_types: dict
-) -> Optional[_CountedLoop]:
+def _match_counted_loop(f: Function, var_types: dict) -> Optional[_CountedLoop]:
     """Find a loop of the shape
 
         init:           br header(start, ...)
@@ -947,7 +945,7 @@ def _match_counted_loop(
                         i2 = i + step
                         br header(i2, ...)
 
-    whose trip count is statically known and at most `factor`. The trip
+    whose trip count is statically known and at most `UNROLL_LIMIT`. The trip
     simulation runs on the interpreter's arithmetic, so a wrapping
     counter counts exactly as it would execute."""
     region = f.region
@@ -1052,12 +1050,12 @@ def _match_counted_loop(
         cty = var_types.get((f.name, counter), Type.U32)
         trips, t = 0, start_atom.value
         try:
-            while trips <= factor and eval_binary("<", t, limit, cty):
+            while trips <= UNROLL_LIMIT and eval_binary("<", t, limit, cty):
                 trips += 1
                 t = eval_binary("+", t, step, cty)
         except Exception:
             continue
-        if trips == 0 or trips > factor:
+        if trips == 0 or trips > UNROLL_LIMIT:
             continue
         return _CountedLoop(
             header_index=hi,
@@ -1069,9 +1067,9 @@ def _match_counted_loop(
     return None
 
 
-def loop_unroll(program: Program, factor: int = DEFAULT_UNROLL_FACTOR) -> PassResult:
+def loop_unroll(program: Program) -> PassResult:
     """Fully unroll counted loops with a known trip count of at most
-    `factor`. Each iteration becomes a straight-line clone with fresh
+    `UNROLL_LIMIT`. Each iteration becomes a straight-line clone with fresh
     names; opaque interiors are freshened through `freshen`, so their
     identities and observation metadata survive. The original header
     and body blocks die with the loop."""
@@ -1079,7 +1077,7 @@ def loop_unroll(program: Program, factor: int = DEFAULT_UNROLL_FACTOR) -> PassRe
     pm = ProvenanceMap()
     functions = []
     for f in program.functions:
-        loop = _match_counted_loop(f, factor, var_types)
+        loop = _match_counted_loop(f, var_types)
         if loop is None:
             functions.append(f)
             for bi, block in enumerate(f.region.blocks):
@@ -1260,23 +1258,6 @@ class PipelineResult:
     log: tuple[tuple[str, int], ...]  # (pass name, instructions affected)
 
 
-def resolve_passes(
-    preset: Optional[str] = None, passes: Optional[list[str]] = None
-) -> list[str]:
-    if passes:
-        names = list(passes)
-    elif preset is not None:
-        if preset not in PRESETS:
-            raise KeyError(f"unknown preset {preset!r}")
-        names = list(PRESETS[preset])
-    else:
-        names = []
-    for n in names:
-        if n not in PASSES:
-            raise KeyError(f"unknown pass {n!r}")
-    return names
-
-
 def _layout(program: Program) -> list[tuple]:
     """Each block's label, parameters and instruction objects (by `id`:
     `==` ignores `loc`)."""
@@ -1287,7 +1268,7 @@ def _layout(program: Program) -> list[tuple]:
     ]
 
 
-def run_pipeline(program: Program, pass_names: list[str]) -> PipelineResult:
+def run_pipeline(program: Program, pass_names: Iterable[str]) -> PipelineResult:
     """Apply passes in order with the opacity seal engaged, composing
     provenance across the whole pipeline. Each (changed-pass prefix,
     pass) runs once per `program`; see the module docstring."""
@@ -1317,11 +1298,9 @@ def run_pipeline(program: Program, pass_names: list[str]) -> PipelineResult:
     return PipelineResult(current, prov, tuple(log))
 
 
-def optimize(
-    program: Program,
-    preset: Optional[str] = None,
-    passes: Optional[list[str]] = None,
-) -> PipelineResult:
-    """Run a preset, or an explicit pass list, through `run_pipeline`;
-    calls on one program share the pass results memoized on it."""
-    return run_pipeline(program, resolve_passes(preset, passes))
+def optimize(program: Program, preset: str) -> PipelineResult:
+    """Run a preset through `run_pipeline`; calls on one program share the
+    pass results memoized on it."""
+    if preset not in PRESETS:
+        raise KeyError(f"unknown preset {preset!r}")
+    return run_pipeline(program, PRESETS[preset])

@@ -59,15 +59,12 @@ def inject_prelude(program: Program) -> Program:
     return Program(functions, program.macros + extra)
 
 
-def prepare(text: str, prelude: bool = True) -> tuple[Program, TypeInfo]:
+def prepare(text: str) -> tuple[Program, TypeInfo]:
     """Front end: parse, inject the prelude, expand macros, validate.
 
     Returns the macro-free program and its inferred types; raises IRError
     with the first few diagnostics if the program is ill-formed.
     """
-    program = parse_program(text)
-    if prelude:
-        program = inject_prelude(program)
-    program = expand_macros(program)
+    program = expand_macros(inject_prelude(parse_program(text)))
     info = typecheck(program)
     return program, info

@@ -381,8 +381,8 @@ def check_ordering(
     counterpart go through an `EventMap` of `prov`, built only when there
     is such an anchor. `delta` is the observation-trace comparison of the
     two runs, when the caller already has it."""
-    ref_info = analyze(ref.program, ref)
-    opt_info = analyze(opt.program, opt)
+    ref_info = analyze(ref)
+    opt_info = analyze(opt)
 
     counterparts, lost = _io_counterparts(ref, opt)
     delta = delta or compare_traces(observation_trace(ref), observation_trace(opt))
@@ -499,7 +499,6 @@ def audit_chain_preservation(
     prov: ProvenanceMap,
     *,
     inputs: Optional[InputSpec] = None,
-    seed: int = 0,
 ) -> Verdict:
     """Every confirmed opaque chain of the reference run whose tail
     performs io must survive: the head needs an optimized counterpart
@@ -510,12 +509,12 @@ def audit_chain_preservation(
     are audited per (head, tail) pair and verdict, so however many paths
     join a pair, each verdict gives it at most one witness. The
     `EventMap` is built at the first chain that needs a counterpart."""
-    ref_info = analyze(ref.program, ref)
-    opt_info = analyze(opt.program, opt)
+    ref_info = analyze(ref)
+    opt_info = analyze(opt)
     em = None
     io_map, _ = _io_counterparts(ref, opt)
 
-    reports = chain_reports(ref.program, inputs, ref_info, seed=seed)
+    reports = chain_reports(ref.program, inputs, ref_info)
     witnesses: list[str] = []
     for report in reports:
         head, tail = report.events
@@ -553,8 +552,8 @@ def audit_value_utilization(
     must map to an optimized event that still reaches the consumer's
     image. This is the companion to the chain audit for values whose
     chain ends inside the computation rather than at an io."""
-    ref_info = analyze(ref.program, ref)
-    opt_info = analyze(opt.program, opt)
+    ref_info = analyze(ref)
+    opt_info = analyze(opt)
     em = EventMap(ref.events, opt.events, prov)
     # The events binding each (function, variable): a call binds in the
     # callee, a return in the caller, every other event in its own function.
@@ -596,19 +595,6 @@ def audit_value_utilization(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SecretSpec:
-    """Variable names whose values (and anything computed from them,
-    bitmasks and opacified copies included) must never reach a branch
-    condition."""
-
-    names: frozenset[str]
-
-    @classmethod
-    def of(cls, names: Iterable[str]) -> "SecretSpec":
-        return cls(frozenset(names))
-
-
 def _function_names(f: Function) -> set[str]:
     names = set(region_defined_names(f.region))
     names.update(p.name for p in f.params)
@@ -622,9 +608,10 @@ def _taint_edges(program: Program):
     """Every flow the secret taint follows, as (sources, sinks) key
     lists. A key is (function, variable), (function, "&" + reference),
     (function, "") for what a function returns, or `_MEM`. An opaque
-    define flows from its free uses, the references its region loads and
-    memory if it reads, into its results, the references its region
-    assigns and memory if it writes."""
+    define flows from its free uses, the names its region defines, the
+    references its region loads and memory if it reads, into its
+    results, the references its region assigns and memory if it
+    writes."""
     params = {f.name: [p.name for p in f.params] for f in program.functions}
     for f in program.functions:
         fn = f.name
@@ -649,10 +636,11 @@ def _taint_edges(program: Program):
                             yield keys([arg]), [(rhs.callee, param)]
                         yield [(rhs.callee, "")], results
                     elif isinstance(rhs, OpaqueExpr):
-                        s = rhs.summary
-                        sources = [(fn, u) for u in s.uses] + [_MEM] * s.has_read
+                        s, region = rhs.summary, rhs.region
+                        sources = [(fn, u) for u in (*s.uses, *region_defined_names(region))]
+                        sources += [_MEM] * s.has_read
                         sinks = results + [_MEM] * s.has_write
-                        for inner in walk_blocks(rhs.region):
+                        for inner in walk_blocks(region):
                             for i in inner.instrs:
                                 if isinstance(i, RefAssign):
                                     sinks.append((fn, "&" + i.ref))
@@ -672,21 +660,20 @@ def _taint_edges(program: Program):
                                 yield keys([arg]), [(fn, param.name)]
 
 
-def check_secret_branches(
-    program: Program, secrets: Union[SecretSpec, Iterable[str]]
-) -> Verdict:
+def check_secret_branches(program: Program, secrets: Iterable[str]) -> Verdict:
     """Static taint from the secret names through defines, block
     arguments, calls, references, and (field-insensitively) memory;
-    fails on any conditional branch whose condition is tainted."""
-    if not isinstance(secrets, SecretSpec):
-        secrets = SecretSpec.of(secrets)
-
+    fails on any conditional branch whose condition is tainted. The
+    values of the secret names, and anything computed from them
+    (bitmasks and opacified copies included), must never reach a branch
+    condition."""
+    secrets = frozenset(secrets)
     per_fn_names = {f.name: _function_names(f) for f in program.functions}
-    for name in secrets.names:
+    for name in secrets:
         if not any(name in names for names in per_fn_names.values()):
             raise ValueError(f"secret {name!r} names nothing in the program")
 
-    tainted = {(fn, n) for fn, names in per_fn_names.items() for n in secrets.names & names}
+    tainted = {(fn, n) for fn, names in per_fn_names.items() for n in secrets & names}
     edges = list(_taint_edges(program))
     changed = True
     while changed:
@@ -717,14 +704,10 @@ def check_secret_branches(
 # --------------------------------------------------------------------------
 
 
-def audit_erasure(
-    opt_program: Program, result: RunResult, buffer: Union[range, tuple[int, int]]
-) -> Verdict:
-    """The buffer must end the run zeroed, and the optimized program must
+def audit_erasure(result: RunResult, buffer: range) -> Verdict:
+    """The buffer must end the run zeroed, and the run's program must
     still perform stores over the whole range (witnessed dynamically:
     store events covering every address)."""
-    if isinstance(buffer, tuple):
-        buffer = range(buffer[0], buffer[0] + buffer[1])
     witnesses = []
     stored: set[int] = set()
     for ev in result.events:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from opaqueir import deps, parse_program
 from opaqueir.deps import (
-    DEFAULT_SEED,
     ValueSetReport,
     _BOTTOM,
     _REACHED,
@@ -44,7 +43,7 @@ def setup(text, inputs=None):
     spec = parse_input(inputs) if inputs else None
     result = run(program, spec)
     assert result.trapped is None
-    return program, types.var_types, spec, result, analyze(program, result)
+    return program, types.var_types, spec, result, analyze(result)
 
 
 def event_of(result, pred):
@@ -505,7 +504,7 @@ def sweep_runs(shape, pattern):
 
 
 def assert_matches_reference(result):
-    info = analyze(result.program, result)
+    info = analyze(result)
     dep_sources, cd_sources, closes, seqs = reference_analysis(result.program, result)
     assert info.dep_sources == dep_sources
     assert info.cd_sources == cd_sources
@@ -532,7 +531,7 @@ def test_analyze_matches_the_per_event_reference(text, inputs):
 @pytest.mark.parametrize("shape, pattern", SWEEP)
 def test_dep_out_lists_each_events_dependents_in_order(shape, pattern):
     for result in sweep_runs(shape, pattern):
-        info = analyze(result.program, result)
+        info = analyze(result)
         for s in range(len(result.events)):
             want = [e for e, sources in enumerate(info.dep_sources) if s in sources]
             assert info.dep_out(s) == want
@@ -673,11 +672,11 @@ def full_domain_outcomes(program, spec, info, types, j, ks):
     sign = functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
     sigs = {k: sign(events[k].iid) for k in ks}
     outcomes = {k: {value_at_dependent(info, j, sigs[k], sign)} for k in ks}
-    for value in deps._domain(ty) or _sample_values(ty, DEFAULT_SEED, observed):
+    for value in deps._domain(ty) or _sample_values(ty, observed):
         if value == observed:
             continue
         alt = deps.run(program, spec, patch=(j, var, value))
-        alt_info = analyze(program, alt)
+        alt_info = analyze(alt)
         for k in ks:
             outcomes[k].add(value_at_dependent(alt_info, j, sigs[k], sign))
     return outcomes
@@ -831,7 +830,7 @@ out:
 """
     program, types = prepare(text)
     result = run(program, None)
-    info = analyze(program, result)
+    info = analyze(result)
     ops = opaque_events(result)
     assert len(ops) == 2
     j, k = ops[0].seq, ops[1].seq
@@ -853,7 +852,7 @@ def u32_link(expr_lines):
     program, types = prepare(text)
     result = run(program, None)
     assert result.trapped is None
-    info = analyze(program, result)
+    info = analyze(result)
     j, k = links(result)
     return opaque_value_set(program, None, info, j, k)
 
@@ -927,7 +926,7 @@ function main() {
 """
     program, types = prepare(byte)
     result = run(program, None)
-    info = analyze(program, result)
+    info = analyze(result)
     j, k = links(result)
     reference = full_domain_outcomes(program, None, info, types.var_types, j, [k])[k]
     assert len(reference) == 16
@@ -959,7 +958,7 @@ def test_ov_sampling_reruns_until_the_second_outcome(monkeypatch):
     # first sample whose remainder differs.
     patches = counting_reruns(monkeypatch)
     report = u32_link(["b = a % 7"])
-    samples = _sample_values(Type.U32, DEFAULT_SEED, 7)
+    samples = _sample_values(Type.U32, 7)
     first_new = next(i for i, v in enumerate(samples) if v % 7 != 0)
     assert report.status == "sampled"
     assert report.bound == 2
@@ -1183,7 +1182,7 @@ def test_chain_reports_equal_per_link_audits(text, inputs):
     program, types, spec, result, info = setup(text, inputs)
     skel, value_sets = per_link_value_sets(program, spec, info)
     # Shared reruns give every link the report it gets on its own.
-    assert deps._value_sets(program, spec, info, list(value_sets), DEFAULT_SEED) == value_sets
+    assert deps._value_sets(program, spec, info, list(value_sets)) == value_sets
     reports = chain_reports(program, spec, info)
     assert triples(reports) == path_chains(skel, value_sets)
 
@@ -1250,7 +1249,7 @@ def test_singleton_enumerated_link_runs_its_whole_domain_and_is_exempt(monkeypat
     res = optimize(program, preset="P3")
     opt = run(res.program, spec)
     read, write = (ev.seq for ev in opaque_events(opt))
-    assert not analyze(res.program, opt).dep_reachable(read, write)
+    assert not analyze(opt).dep_reachable(read, write)
     assert audit_chain_preservation(result, opt, res.provenance, inputs=spec).passed
 
 
@@ -1277,11 +1276,11 @@ def test_value_set_reruns_never_build_reverse_edges(monkeypatch, text, inputs):
     pairs = [(j, k) for j, ks in opaque_skeleton(info).items() for k in ks]
     built = counting_reverse_builds(monkeypatch)
     patches = counting_reruns(monkeypatch)
-    deps._value_sets(program, spec, info, pairs, DEFAULT_SEED)
+    deps._value_sets(program, spec, info, pairs)
     assert patches and built == []
     # a reachability question on a fresh analysis is what builds them
     twin = dataclasses.replace(program)  # runs and analyses nothing shares
-    fresh = analyze(twin, run(twin, spec))
+    fresh = analyze(run(twin, spec))
     fresh.dep_reachable(0, len(fresh.events) - 1)
     fresh.dep_out(0)
     assert built == [fresh.events]
@@ -1318,7 +1317,7 @@ def test_long_chain_loop_audits_two_pairs_and_passes(trips):
 def test_sampled_group_reruns_until_its_last_link_has_two_outcomes(monkeypatch):
     program, types, spec, result, info = setup(SAMPLED_FORK)
     a, w1, w2 = (ev.seq for ev in opaque_events(result))
-    samples = _sample_values(Type.U32, DEFAULT_SEED, 7)
+    samples = _sample_values(Type.U32, 7)
     first_c = next(i for i, v in enumerate(samples) if v >= 4000000000)
     first_b = next(i for i, v in enumerate(samples) if v % 7 != 0 or v >= 4000000000)
     assert first_b < first_c
@@ -1326,7 +1325,7 @@ def test_sampled_group_reruns_until_its_last_link_has_two_outcomes(monkeypatch):
     reports = chain_reports(program, spec, info)
     assert [value for _, _, value in patches] == samples[: first_c + 1]
     assert triples(reports) == {(a, w1, "confirmed"), (a, w2, "confirmed")}
-    shared = deps._value_sets(program, spec, info, [(a, w1), (a, w2)], DEFAULT_SEED)
+    shared = deps._value_sets(program, spec, info, [(a, w1), (a, w2)])
     for k, first in ((w1, first_b), (w2, first_c)):
         patches.clear()
         report = opaque_value_set(program, spec, info, a, k)

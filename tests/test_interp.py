@@ -1264,12 +1264,9 @@ def test_unshared_runs_execute_afresh():
     assert run(program, spec, opaque_budget=1000) is not base
     with pytest.raises(ValueError, match="typecheck"):
         run(program, spec, type_info=dict(info.var_types))  # types come from typecheck only
-    # Dependence info is stored on a run analysed with its own program only.
-    dep_info = analyze(program, base)
-    assert analyze(program, base) is dep_info
-    other = analyze(dataclasses.replace(program), base)
-    assert other is not dep_info and other.dep_sources == dep_info.dep_sources
-    assert analyze(program, base) is dep_info
+    # Dependence info is stored on the run.
+    dep_info = analyze(base)
+    assert analyze(base) is dep_info
 
 
 def test_a_dropped_run_and_its_analysis_leave_nothing_behind():
@@ -1281,7 +1278,7 @@ def test_a_dropped_run_and_its_analysis_leave_nothing_behind():
     gc.disable()
     try:
         result = run(program, parse_input(CHANNELS_IN))
-        info = analyze(program, result)
+        info = analyze(result)
         alive = weakref.ref(result)
         assert len(program._runs) == 1
         del result

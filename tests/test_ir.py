@@ -505,8 +505,7 @@ def count_walks(monkeypatch, program) -> dict:
     monkeypatch.setattr(ir, "compute_dominators", dominators)
     monkeypatch.setattr(ir, "instr_operand_atoms", operands)
     counts["diags"], counts["info"] = ir._Validator(program).validate()
-    with ir._unsealed():
-        n_instrs = sum(len(b.instrs) for f in program.functions for b in ir.walk_blocks(f.region))
+    n_instrs = sum(len(b.instrs) for f in program.functions for b in ir.walk_blocks(f.region))
     counts["walks"] = counts.pop("operand_reads") / n_instrs
     return counts
 
@@ -838,6 +837,27 @@ def test_sealed_region_access_raises():
         # The summary stays available under seal.
         assert opq.summary.yield_arity == 1
     assert opq.region is not None
+
+
+def test_typecheck_printer_and_signatures_read_nested_regions_under_seal():
+    # They read the private body, so the seal bars only `OpaqueExpr.region`.
+    def opaque_defines(p):
+        outer = p.function("main").region.blocks[0].instrs[1]
+        inner = next(i for b in outer.rhs.region.blocks for i in b.instrs
+                     if isinstance(i, Define) and isinstance(i.rhs, OpaqueExpr))
+        return outer, inner
+
+    want = parse_program(NESTED_OPAQUE)
+    want_sigs = tuple(map(instr_signature, opaque_defines(want)))
+    p = parse_program(NESTED_OPAQUE)
+    defines = opaque_defines(p)
+    with sealed_opaque_regions():
+        assert typecheck(p).var_types == typecheck(want).var_types
+        assert print_program(p) == print_program(want)
+        assert tuple(map(instr_signature, defines)) == want_sigs
+        for d in defines:
+            with pytest.raises(OpacityBreach):
+                d.rhs.region
 
 
 def test_summary_contents():

@@ -37,7 +37,6 @@ from opaqueir.passes import (
     loop_unroll,
     optimize,
     program_iids,
-    resolve_passes,
     run_pipeline,
     unsafe_const_fold_opaque,
 )
@@ -837,7 +836,7 @@ def test_sealed_pipeline_stops_the_peeking_pass():
         run_pipeline(p, ["unsafe_const_fold_opaque"])
 
 
-def test_unsealed_peeking_fold_destroys_the_observation():
+def test_peeking_fold_without_the_seal_destroys_the_observation():
     p = prog(PEEK_TARGET)
     res = unsafe_const_fold_opaque(p)  # no seal: the peek goes through
     assert define_of(res.program, "x").rhs == AtomExpr(Const(7, Type.U32))
@@ -934,12 +933,12 @@ done:
         assert writes(opt, TWO_INPUTS) == ref, preset
 
 
-def test_resolve_passes_rejects_unknown_names():
-    with pytest.raises(KeyError):
-        resolve_passes(preset="P9")
-    with pytest.raises(KeyError):
-        resolve_passes(passes=["constprop", "mystery"])
-    assert resolve_passes(preset="P1", passes=["dce"]) == ["dce"]
+def test_unknown_presets_and_passes_raise_key_error():
+    p = prog(sweep_program("straight", "opacify"))
+    with pytest.raises(KeyError, match="unknown preset 'P9'"):
+        optimize(p, preset="P9")
+    with pytest.raises(KeyError, match="mystery"):
+        run_pipeline(p, ["constprop", "mystery"])
 
 
 # --------------------------------------------------------------------------
@@ -1152,9 +1151,9 @@ def test_new_locations_or_provenance_are_not_a_no_op(monkeypatch):
     shared = prog(text)
     for fake in ("relocate", "reprovenance"):
         for passes in ([fake, "copyprop"], ["copyprop"]):
-            want = outcome(optimize(prog(text), passes=passes))
-            assert outcome(optimize(shared, passes=passes)) == want, passes
-    res = optimize(shared, passes=["reprovenance"])
+            want = outcome(run_pipeline(prog(text), passes))
+            assert outcome(run_pipeline(shared, passes)) == want, passes
+    res = run_pipeline(shared, ["reprovenance"])
     assert {kind for _, _, kind in res.provenance.rows()} == {"rewritten"}
 
 
