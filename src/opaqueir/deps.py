@@ -186,7 +186,7 @@ class DepInfo:
             # Observe-from: the events directly defining values the
             # observing instruction uses. Only anchor sources can extend
             # anchor-to-anchor paths, so others are dropped here.
-            for _, src in self.events[seq].du:
+            for _, _, src in self.events[seq].reads:
                 if src in anchor_set:
                     succ[src].add(seq)
         # Transitive closure, walking anchors newest first so successor
@@ -238,14 +238,14 @@ def analyze(result: RunResult) -> DepInfo:
     obs_seqs: list[int] = []
     io_seqs: list[int] = []
     closes: dict[int, int] = {}
-    second = itemgetter(1)
+    third = itemgetter(2)
     conditional = functools.cache(lambda iid: instr_at(program, iid).cond is not None)
     # Per activation: the block index of its latest event, its open
     # conditional branches by block index (oldest first: branches of one
     # block close together), and the innermost of them as a cd set.
     acts: dict[int, list] = {}
 
-    for seq, kind, iid, activation, _, du, rf, _, ios, obs, _ in events:
+    for seq, kind, iid, activation, _, reads, rf, _, ios, obs in events:
         cd = empty
         if iid is not None:  # not init, nor the call of main
             bi = iid[1]
@@ -265,7 +265,7 @@ def analyze(result: RunResult) -> DepInfo:
                 act[1].setdefault(bi, []).append(seq)
                 closes[seq] = len(events)
                 act[2] = frozenset((seq,))
-        deps = frozenset(map(second, du))  # the defining events
+        deps = frozenset(map(third, reads))  # the defining events
         if rf or cd:
             deps = deps.union(rf, cd)
         dep_sources.append(deps)
@@ -362,7 +362,7 @@ def witness_var(info: DepInfo, j: int, k: int) -> Optional[str]:
         if not (info.dep_sources[e.seq] & dependent):
             continue
         dependent.add(e.seq)
-        for n, src in e.du:
+        for n, _, src in e.reads:
             if src == j and n in names and n not in used:
                 used.append(n)
     return used[0] if used else names[0]
@@ -389,9 +389,9 @@ def value_at_dependent(info: DepInfo, j: int, k_sig: str, sign) -> object:
         if ev.iid is None:
             continue
         if sign(ev.iid) == k_sig:
-            for name, src in ev.du:
+            for _, value, src in ev.reads:
                 if src in dependent:
-                    return dict(ev.operands)[name]
+                    return value
             return _REACHED  # via control or effects only, but it ran
         if ev.is_opaque:
             dependent.discard(ev.seq)
@@ -641,7 +641,7 @@ def _rule_engine(
 
 def _transfer(instr, ev: Event, tracked_src: int, cur: _SetAbs, ty: Type) -> Optional[_SetAbs]:
     """Abstract transfer of one pure event along the tracked path."""
-    tracked_names = {n for n, src in ev.du if src == tracked_src}
+    tracked_names = {n for n, _, src in ev.reads if src == tracked_src}
     if not tracked_names:
         if tracked_src in ev.rf:
             return cur  # reads-from hop: the value is copied through state
@@ -692,7 +692,7 @@ def _transfer(instr, ev: Event, tracked_src: int, cur: _SetAbs, ty: Type) -> Opt
             # Any dependent operand would have shown up as a second
             # predecessor and aborted the path walk, so a variable here is
             # independent of the patch and keeps its observed value.
-            const = dict(ev.operands).get(other.name)
+            const = {n: v for n, v, _ in ev.reads}.get(other.name)
         if isinstance(const, bool) or not isinstance(const, int):
             return None
         return _apply_binop_rule(rhs.op, const, a_tracked, cur, ty)

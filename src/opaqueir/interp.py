@@ -15,11 +15,11 @@ function, block) are found through its `iid`.
 
 Events capture precise dynamic dependence sources:
 
-  * `du`   — for each variable operand, the event that defined it;
-  * `rf`   — for each load, the event whose store produced the value
-             (memory is global, references are activation local);
-  * `operands` — the operand values themselves, used when comparing a
-             dependent instruction's view of a value across reruns.
+  * `reads` — for each variable operand, its value and the event that
+             defined it; the values let reruns compare what a dependent
+             instruction saw of a patched result;
+  * `rf`    — for each load, the event whose store produced the value
+             (memory is global, references are activation local).
 
 Semantics are deterministic and total except for traps: division or
 remainder by zero, reading an exhausted or undeclared input channel,
@@ -193,23 +193,22 @@ class Event(NamedTuple):
     * `defs`, the (variable, value) pairs bound, a patch applied (a call
       binds the callee's parameters, a return the caller's results): the
       `deps` value sets and `validate.audit_value_utilization`.
-    * `du`, (variable, defining event) per operand variable, and `rf`, the
-      events whose store or reference write it reads: `deps`.
+    * `reads`, (variable, value, defining event) per operand variable,
+      first read first, and `rf`, the events whose store or reference
+      write it reads: `deps`, the values for its value sets.
     * `stores`, (address, value): `validate.audit_erasure`.
-    * `ios`, `obs`: `RunResult`, `deps` happens-before and `validate`.
-    * `operands`, (variable, value) in `du` order: the `deps` value sets."""
+    * `ios`, `obs`: `RunResult`, `deps` happens-before and `validate`."""
 
     seq: int
     kind: str  # init | instr | opaque | branch | call | ret
     iid: Optional[InstrId]
     activation: int
     defs: tuple[tuple[str, object], ...] = ()
-    du: tuple[tuple[str, int], ...] = ()
+    reads: tuple[tuple[str, object, int], ...] = ()
     rf: tuple[int, ...] = ()
     stores: tuple[tuple[int, int], ...] = ()
     ios: tuple[IoRecord, ...] = ()
     obs: tuple[ObsRecord, ...] = ()
-    operands: tuple[tuple[str, object], ...] = ()
 
     @property
     def is_opaque(self) -> bool:
@@ -425,7 +424,7 @@ class _Code:
       a Define), and `iid`, the instruction's id at function level;
     * `results`, the names a Define or a call binds;
     * `uses`, the variables the instruction reads, first read first: at
-      function level, its event's `du` and `operands`;
+      function level, its event's `reads`;
     * `args`, the operands, each variable as (name, None) and each
       constant as (None, value), a literal descriptor as its `DescValue`;
       with an operator, its `_BINARY` entry and the type key (function,
@@ -535,12 +534,12 @@ class _Frame:
         self.seqs: dict[str, int] = {}  # name -> defining event
         self.refs: dict[str, tuple[object, int]] = {}  # ref -> (value, writer event)
 
-    def reads(self, used) -> tuple[tuple, tuple]:
-        """The `du` and `operands` of an event that read the variables `used`."""
+    def reads(self, used) -> tuple:
+        """The `reads` of an event that read the variables `used`."""
         if len(used) == 1:
             (name,) = used
-            return ((name, self.seqs[name]),), ((name, self.names[name]),)
-        return tuple([(n, self.seqs[n]) for n in used]), tuple([(n, self.names[n]) for n in used])
+            return ((name, self.names[name], self.seqs[name]),)
+        return tuple([(n, self.names[n], self.seqs[n]) for n in used])
 
 
 class _Effects:
@@ -757,9 +756,9 @@ class _Interp:
     def call_function(self, fname: str, args: tuple, call_iid: Optional[InstrId],
                       caller: Optional[_Frame], result_names: tuple, call_reads: tuple, depth: int):
         """Run `fname` on `args` as a new activation, building each event here:
-        an opaque instruction's `du` and `operands` are the frame variables its
-        region reads, any other's its step's `uses`. `call_reads` is the call
-        event's `du` and `operands`, read in the caller."""
+        an opaque instruction's `reads` are of the frame variables its region
+        reads, any other's of its step's `uses`. `call_reads` is the call
+        event's `reads`, read in the caller."""
         if depth > 200:
             raise _Trap("call stack too deep")
         params, code = self.functions[fname]
@@ -775,10 +774,9 @@ class _Interp:
         # The call event defines the callee's parameters. The call
         # instruction executes in the caller's control context.
         seq = len(events)
-        du, operands = call_reads
         defs = self.bind(frame, params, args, seq)
         events.append(_new(Event, (seq, "call", call_iid, caller.activation if caller else
-                                   activation, defs, du, (), (), (), (), operands)))
+                                   activation, defs, call_reads, (), (), (), ())))
 
         while True:
             for kind, iid, results, uses, args, body in steps:
@@ -789,17 +787,17 @@ class _Interp:
                 if kind is Branch:
                     (bi, _, uses), values = self.take_branch(names, args)
                     label, params, steps = blocks[bi]
-                    du, operands = frame.reads(uses)
+                    reads = frame.reads(uses)
                     defs = self.bind(frame, params, values, seq)
                     events.append(_new(Event, (seq, "branch", iid, activation, defs,
-                                               du, (), (), (), (), operands)))
+                                               reads, (), (), (), ())))
                     break
                 if kind is Return:
                     values = _values(names, args)
-                    du, operands = frame.reads(uses)
+                    reads = frame.reads(uses)
                     defs = self.bind(caller, result_names, values, seq) if caller else ()
                     events.append(_new(Event, (seq, "ret", iid, activation, defs,
-                                               du, (), (), (), (), operands)))
+                                               reads, (), (), (), ())))
                     return values
                 if kind is CallExpr:
                     callee, atoms = args
@@ -814,7 +812,7 @@ class _Interp:
                     values = self.run_region(frame, body, uses, fx, seq)
                 else:
                     values = self.exec_instr(frame, names, kind, args, fx, seq)
-                du, operands = frame.reads(uses)
+                reads = frame.reads(uses)
                 rf, stores, ios, obs = fx.fields() if fx is not None else ((), (), (), ())
                 if not values:
                     defs = ()
@@ -828,7 +826,7 @@ class _Interp:
                 else:
                     defs = self.bind(frame, results, values, seq)
                 events.append(_new(Event, (seq, "instr" if body is None else "opaque", iid,
-                                           activation, defs, du, rf, stores, ios, obs, operands)))
+                                           activation, defs, reads, rf, stores, ios, obs)))
             else:
                 raise _Trap(f"block {label} has no terminator")
 
@@ -837,7 +835,7 @@ class _Interp:
         # The initial event: everything constant is already defined here.
         self.events.append(Event(0, "init", None, 0))
         try:
-            self.call_function("main", (), None, None, (), ((), ()), 0)
+            self.call_function("main", (), None, None, (), (), 0)
         except _Trap as trap:
             trapped = trap.reason
         memory = MappingProxyType({addr: value for addr, (value, _) in self.memory.items()})

@@ -31,12 +31,12 @@ preset.
 that program's lifetime, keyed by the pass functions that changed
 something so far plus the next one: presets that share a prefix run it
 once, and a patched `PASSES` entry is never served a stale result. An
-entry holds the output, provenance, affected count and a no-op flag; a
-no-op logs 0 and stays out of the key and the provenance. Raising
-passes are not stored. A non-empty pipeline never returns its input,
-which would share the caller's reference runs (memoized on the program)
-with the optimized ones and move the collector's work between timed
-sections.
+entry holds the output, provenance and affected count, or only `None`
+for a no-op: a no-op logs 0, stays out of the key and the provenance,
+and the pipeline goes on with its input. So presets that reach the same
+changed passes return one program, and one that changes nothing returns
+its input, sharing the typecheck, decoded code, runs and analyses
+memoized on it. Raising passes are not stored.
 """
 
 from __future__ import annotations
@@ -1280,7 +1280,7 @@ def run_pipeline(program: Program, pass_names: Iterable[str]) -> PipelineResult:
     with sealed_opaque_regions():
         for name in pass_names:
             key = (changed, PASSES[name])
-            if (step := memo.get(key)) is None:
+            if key not in memo:
                 result, iids = key[1](current), program_iids(current)
                 kinds: dict[InstrId, set[str]] = {}
                 for (s, _), k in result.provenance.edges.items():
@@ -1288,12 +1288,14 @@ def run_pipeline(program: Program, pass_names: Iterable[str]) -> PipelineResult:
                 affected = sum(kinds.get(iid) != {"kept"} for iid in iids)
                 noop = result.provenance.edges == {(i, i): "kept" for i in iids}
                 noop = noop and _layout(current) == _layout(result.program)
-                step = memo[key] = (result, affected, noop)
-            result, affected, noop = step
+                memo[key] = None if noop else (result, affected)
+            if (step := memo[key]) is None:  # a no-op: go on with `current`
+                log.append((name, 0))
+                continue
+            result, affected = step
             log.append((name, affected))
-            if not noop:
-                prov = prov.compose(result.provenance)
-                changed += (key[1],)
+            prov = prov.compose(result.provenance)
+            changed += (key[1],)
             current = result.program
     return PipelineResult(current, prov, tuple(log))
 

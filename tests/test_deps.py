@@ -273,7 +273,7 @@ def backward_walk_hb(info, dep_sources):
             succ[a].add(b)
     obs = set(info.obs_seqs)
     for target in info.obs_seqs:
-        for _, src in events[target].du:
+        for _, _, src in events[target].reads:
             if src in succ:
                 succ[src].add(target)
         stack, seen = list(dep_sources[target]), {target}
@@ -419,7 +419,7 @@ def test_innermost_branch_keeps_dependence_and_hb(text, inputs):
         for b in range(len(result.events)):
             assert info.controls(b, ev.seq) == (b in full_cd[ev.seq])
     full_deps = [
-        frozenset(src for _, src in ev.du) | frozenset(ev.rf) | full_cd[ev.seq]
+        frozenset(src for _, _, src in ev.reads) | frozenset(ev.rf) | full_cd[ev.seq]
         for ev in result.events
     ]
     assert ancestors(info.dep_sources) == ancestors(full_deps)
@@ -478,7 +478,7 @@ def reference_analysis(program, result):
                 if isinstance(instr, Branch) and instr.cond is not None:
                     by_block.setdefault(bi, []).append(ev.seq)
                     closes[ev.seq] = len(result.events)
-        dep_sources.append(frozenset(src for _, src in ev.du) | frozenset(ev.rf) | cd)
+        dep_sources.append(frozenset(src for _, _, src in ev.reads) | frozenset(ev.rf) | cd)
         cd_sources.append(cd)
         if ev.obs:
             obs_seqs.append(ev.seq)

@@ -158,7 +158,7 @@ def test_branch_event_defines_block_params():
     assert branch_events[0].defs == (("v", 2),)
     io_event = [e for e in r.events if e.ios][0]
     # The io's use of v traces back to the branch event that defined it.
-    assert dict(io_event.du)["v"] == branch_events[0].seq
+    assert io_event.reads == (("v", 2, branch_events[0].seq),)
 
 
 def test_call_and_return_events():
@@ -177,11 +177,11 @@ function main() {
     r = run(program, None, type_info=info.var_types)
     call = [e for e in r.events if e.kind == "call" and e.iid is not None][0]
     assert call.defs == (("x", 41),)
-    assert dict(call.du)["a"] == 2  # a = 41 is the second event after init/main-call
+    assert call.reads == (("a", 41, 2),)  # a = 41 is the second event after init/main-call
     ret = [e for e in r.events if e.kind == "ret" and e.defs][0]
     assert ret.defs == (("b", 42),)
     io_event = [e for e in r.events if e.ios][0]
-    assert dict(io_event.du)["b"] == ret.seq
+    assert io_event.reads == (("b", 42, ret.seq),)
 
 
 def test_opaque_event_aggregates_everything():
@@ -233,10 +233,10 @@ function main() {
 
 COLUMNS = (
     "seq", "kind", "iid", "loc", "activation", "func", "block",
-    "defs", "du", "rf", "stores", "ios", "obs", "is_opaque", "operands",
+    "defs", "reads", "rf", "stores", "ios", "obs", "is_opaque",
 )
 DERIVED = ("loc", "func", "block", "is_opaque")
-OPTIONAL = dict(defs=(), du=(), rf=(), stores=(), ios=(), obs=(), is_opaque=False, operands=())
+OPTIONAL = dict(defs=(), reads=(), rf=(), stores=(), ios=(), obs=(), is_opaque=False)
 
 
 def E(seq, kind, iid, loc, activation, func, block, **rest):
@@ -298,22 +298,19 @@ CALLS_TRACE = [
     E(2, "instr", ("main", 0, 0), (8, 3), 1, "main", "entry",
       defs=(("a", 7),)),
     E(3, "call", ("main", 0, 1), (9, 3), 1, "main", "entry",
-      defs=(("x", 7), ("y", 5)), du=(("a", 2),), operands=(("a", 7),)),
+      defs=(("x", 7), ("y", 5)), reads=(("a", 7, 2),)),
     E(4, "instr", ("add", 0, 0), (3, 3), 2, "add", "entry",
-      defs=(("s", 12),), du=(("x", 3), ("y", 3)), operands=(("x", 7), ("y", 5))),
+      defs=(("s", 12),), reads=(("x", 7, 3), ("y", 5, 3))),
     E(5, "instr", ("add", 0, 1), (4, 3), 2, "add", "entry",
-      defs=(("c", True),), du=(("s", 4),), operands=(("s", 12),)),
+      defs=(("c", True),), reads=(("s", 12, 4),)),
     E(6, "ret", ("add", 0, 2), (5, 3), 2, "add", "entry",
-      defs=(("b", 12), ("big", True)), du=(("s", 4), ("c", 5)),
-      operands=(("s", 12), ("c", True))),
+      defs=(("b", 12), ("big", True)), reads=(("s", 12, 4), ("c", True, 5))),
     E(7, "branch", ("main", 0, 2), (10, 3), 1, "main", "entry",
-      defs=(("p", 12), ("q", 7)), du=(("big", 6), ("b", 6), ("a", 2)),
-      operands=(("big", True), ("b", 12), ("a", 7))),
+      defs=(("p", 12), ("q", 7)), reads=(("big", True, 6), ("b", 12, 6), ("a", 7, 2))),
     E(8, "instr", ("main", 2, 0), (15, 3), 1, "main", "bb_hi",
-      defs=(("d", 5),), du=(("p", 7), ("q", 7)), operands=(("p", 12), ("q", 7))),
+      defs=(("d", 5),), reads=(("p", 12, 7), ("q", 7, 7))),
     E(9, "instr", ("main", 2, 1), (16, 3), 1, "main", "bb_hi",
-      du=(("d", 8),), ios=(("out", True, "w", 0, (5,), 1),), is_opaque=True,
-      operands=(("d", 5),)),
+      reads=(("d", 5, 8),), ios=(("out", True, "w", 0, (5,), 1),), is_opaque=True),
     E(10, "branch", ("main", 2, 2), (17, 3), 1, "main", "bb_hi"),
     E(11, "ret", ("main", 3, 0), (19, 3), 1, "main", "bb_end"),
 ]
@@ -321,14 +318,11 @@ CALLS_TRACE = [
 # Patching `big` at the return takes the other arm.
 CALLS_PATCHED_TRACE = CALLS_TRACE[:6] + [
     E(6, "ret", ("add", 0, 2), (5, 3), 2, "add", "entry",
-      defs=(("b", 12), ("big", False)), du=(("s", 4), ("c", 5)),
-      operands=(("s", 12), ("c", True))),
+      defs=(("b", 12), ("big", False)), reads=(("s", 12, 4), ("c", True, 5))),
     E(7, "branch", ("main", 0, 2), (10, 3), 1, "main", "entry",
-      defs=(("v", 7),), du=(("big", 6), ("a", 2)),
-      operands=(("big", False), ("a", 7))),
+      defs=(("v", 7),), reads=(("big", False, 6), ("a", 7, 2))),
     E(8, "instr", ("main", 1, 0), (12, 3), 1, "main", "bb_lo",
-      du=(("v", 7),), ios=(("out", True, "w", 0, (7,), 1),), is_opaque=True,
-      operands=(("v", 7),)),
+      reads=(("v", 7, 7),), ios=(("out", True, "w", 0, (7,), 1),), is_opaque=True),
     E(9, "branch", ("main", 1, 1), (13, 3), 1, "main", "bb_lo"),
     E(10, "ret", ("main", 3, 0), (19, 3), 1, "main", "bb_end"),
 ]
@@ -370,25 +364,24 @@ OPAQUE_TRACE = [
     E(2, "instr", ("main", 0, 0), (3, 3), 1, "main", "entry",
       defs=(("a", 1000),)),
     E(3, "instr", ("main", 0, 1), (4, 3), 1, "main", "entry",
-      du=(("a", 2),), stores=((1000, 7),), operands=(("a", 1000),)),
+      reads=(("a", 1000, 2),), stores=((1000, 7),)),
     E(4, "instr", ("main", 0, 2), (5, 3), 1, "main", "entry"),
     E(5, "opaque", ("main", 0, 3), (6, 3), 1, "main", "entry",
-      defs=(("t", 9),), du=(("a", 2),), rf=(3, 4), stores=((1000, 8), (1000, 9)),
+      defs=(("t", 9),), reads=(("a", 1000, 2),), rf=(3, 4), stores=((1000, 8), (1000, 9)),
       ios=(
           ("inp", True, "r", 0, (5,), 2),
           ("out", True, "w", 0, (5, 3), 3),
           ("out", True, "w", 1, (9,), 5),
       ),
       obs=(((((11, 5), ("a", "mem[a]")),), (1000, 7), 1), ((((18, 7), ("mem[a]",)),), (9,), 4)),
-      is_opaque=True, operands=(("a", 1000),)),
+      is_opaque=True),
     E(6, "instr", ("main", 0, 4), (24, 3), 1, "main", "entry",
-      defs=(("y", 9),), du=(("a", 2),), rf=(5,), operands=(("a", 1000),)),
+      defs=(("y", 9),), reads=(("a", 1000, 2),), rf=(5,)),
     E(7, "instr", ("main", 0, 5), (25, 3), 1, "main", "entry",
       defs=(("k", 4),), rf=(5,)),
     E(8, "instr", ("main", 0, 6), (26, 3), 1, "main", "entry",
-      du=(("y", 6), ("t", 5), ("k", 7)),
-      ios=(("out", True, "w", 2, (9, 9, 4), 1),), is_opaque=True,
-      operands=(("y", 9), ("t", 9), ("k", 4))),
+      reads=(("y", 9, 6), ("t", 9, 5), ("k", 4, 7)),
+      ios=(("out", True, "w", 2, (9, 9, 4), 1),), is_opaque=True),
     E(9, "ret", ("main", 0, 7), (26, 3), 1, "main", "entry"),
 ]
 
@@ -424,55 +417,52 @@ CHANNELS_TRACE = [
     E(2, "instr", ("main", 0, 0), (3, 3), 1, "main", "entry",
       defs=(("p", 10),)),
     E(3, "instr", ("main", 0, 1), (4, 3), 1, "main", "entry",
-      du=(("p", 2),), stores=((10, 1),), operands=(("p", 10),)),
+      reads=(("p", 10, 2),), stores=((10, 1),)),
     E(4, "instr", ("main", 0, 2), (5, 3), 1, "main", "entry",
       defs=(("q", 11),)),
     E(5, "instr", ("main", 0, 3), (6, 3), 1, "main", "entry",
-      du=(("q", 4),), stores=((11, 2),), operands=(("q", 11),)),
+      reads=(("q", 11, 4),), stores=((11, 2),)),
     E(6, "instr", ("main", 0, 4), (7, 3), 1, "main", "entry",
-      defs=(("x", 1),), du=(("p", 2),), rf=(3,), operands=(("p", 10),)),
+      defs=(("x", 1),), reads=(("p", 10, 2),), rf=(3,)),
     E(7, "instr", ("main", 0, 5), (8, 3), 1, "main", "entry",
-      du=(("p", 2),), stores=((10, 3),), operands=(("p", 10),)),
+      reads=(("p", 10, 2),), stores=((10, 3),)),
     E(8, "instr", ("main", 0, 6), (9, 3), 1, "main", "entry",
-      defs=(("y", 3),), du=(("p", 2),), rf=(7,), operands=(("p", 10),)),
+      defs=(("y", 3),), reads=(("p", 10, 2),), rf=(7,)),
     E(9, "instr", ("main", 0, 7), (10, 3), 1, "main", "entry",
-      defs=(("z", 2),), du=(("q", 4),), rf=(5,), operands=(("q", 11),)),
+      defs=(("z", 2),), reads=(("q", 11, 4),), rf=(5,)),
     E(10, "instr", ("main", 0, 8), (11, 3), 1, "main", "entry",
       defs=(("a", 4),), ios=(("nums", True, "r", 0, (4,), 1),), is_opaque=True),
     E(11, "instr", ("main", 0, 9), (12, 3), 1, "main", "entry",
       defs=(("b", 9),), ios=(("bag", False, "r", 0, (9,), 1),), is_opaque=True),
     E(12, "instr", ("main", 0, 10), (13, 3), 1, "main", "entry",
-      du=(("a", 10), ("b", 11)), ios=(("outs", False, "w", 0, (4, 9), 1),),
-      is_opaque=True, operands=(("a", 4), ("b", 9))),
+      reads=(("a", 4, 10), ("b", 9, 11)), ios=(("outs", False, "w", 0, (4, 9), 1),),
+      is_opaque=True),
     E(13, "instr", ("main", 0, 11), (14, 3), 1, "main", "entry",
-      du=(("x", 6), ("y", 8), ("z", 9)),
-      ios=(("out", True, "w", 0, (1, 3, 2), 1),), is_opaque=True,
-      operands=(("x", 1), ("y", 3), ("z", 2))),
+      reads=(("x", 1, 6), ("y", 3, 8), ("z", 2, 9)),
+      ios=(("out", True, "w", 0, (1, 3, 2), 1),), is_opaque=True),
     E(14, "opaque", ("main", 0, 12), (15, 3), 1, "main", "entry",
-      defs=(("u1__2", unit_value),), du=(("x", 6), ("y", 8)),
-      obs=(((((15, 3), ("x", "y")),), (1, 3), 1),), is_opaque=True, operands=(("x", 1), ("y", 3))),
+      defs=(("u1__2", unit_value),), reads=(("x", 1, 6), ("y", 3, 8)),
+      obs=(((((15, 3), ("x", "y")),), (1, 3), 1),), is_opaque=True),
     E(15, "instr", ("main", 0, 13), (15, 3), 1, "main", "entry",
-      defs=(("t", unit_value),), du=(("u1__2", 14),),
-      operands=(("u1__2", unit_value),)),
+      defs=(("t", unit_value),), reads=(("u1__2", unit_value, 14),)),
     E(16, "opaque", ("main", 0, 14), (16, 3), 1, "main", "entry",
-      defs=(("v__9", unit_value),), du=(("t", 15),),
-      ios=(("tailio", False, "w", 0, (), 1),), is_opaque=True, operands=(("t", unit_value),)),
+      defs=(("v__9", unit_value),), reads=(("t", unit_value, 15),),
+      ios=(("tailio", False, "w", 0, (), 1),), is_opaque=True),
     E(17, "instr", ("main", 0, 15), (16, 3), 1, "main", "entry",
-      defs=(("t2", unit_value),), du=(("v__9", 16),),
-      operands=(("v__9", unit_value),)),
+      defs=(("t2", unit_value),), reads=(("v__9", unit_value, 16),)),
     E(18, "opaque", ("main", 0, 16), (17, 3), 1, "main", "entry",
-      du=(("z", 9),), ios=(("cc", True, "w", 0, (), 2),),
-      obs=(((((17, 3), ("z",)),), (2,), 1),), is_opaque=True, operands=(("z", 2),)),
+      reads=(("z", 2, 9),), ios=(("cc", True, "w", 0, (), 2),),
+      obs=(((((17, 3), ("z",)),), (2,), 1),), is_opaque=True),
     E(19, "opaque", ("main", 0, 17), (18, 3), 1, "main", "entry",
-      defs=(("u__19", 4),), du=(("a", 10),), ios=(("cc", True, "w", 1, (), 1),),
-      is_opaque=True, operands=(("a", 4),)),
+      defs=(("u__19", 4),), reads=(("a", 4, 10),), ios=(("cc", True, "w", 1, (), 1),),
+      is_opaque=True),
     E(20, "instr", ("main", 0, 18), (18, 3), 1, "main", "entry",
-      defs=(("v", 4),), du=(("u__19", 19),), operands=(("u__19", 4),)),
+      defs=(("v", 4),), reads=(("u__19", 4, 19),)),
     E(21, "instr", ("main", 0, 19), (19, 3), 1, "main", "entry",
       defs=(("d", DescValue(channel="cc")),)),
     E(22, "instr", ("main", 0, 20), (20, 3), 1, "main", "entry",
-      du=(("d", 21), ("v", 20)), ios=(("cc", True, "w", 2, (4,), 1),),
-      is_opaque=True, operands=(("d", DescValue(channel="cc")), ("v", 4))),
+      reads=(("d", DescValue(channel="cc"), 21), ("v", 4, 20)),
+      ios=(("cc", True, "w", 2, (4,), 1),), is_opaque=True),
     E(23, "ret", ("main", 0, 21), (20, 3), 1, "main", "entry"),
 ]
 
@@ -497,16 +487,14 @@ TRAP_TRACE = [
     E(2, "instr", ("main", 0, 0), (7, 3), 1, "main", "entry",
       defs=(("a", 8),), ios=(("nums", True, "r", 0, (8,), 1),), is_opaque=True),
     E(3, "instr", ("main", 0, 1), (8, 3), 1, "main", "entry",
-      du=(("a", 2),), ios=(("out", True, "w", 0, (8,), 1),), is_opaque=True,
-      operands=(("a", 8),)),
+      reads=(("a", 8, 2),), ios=(("out", True, "w", 0, (8,), 1),), is_opaque=True),
     E(4, "instr", ("main", 0, 2), (9, 3), 1, "main", "entry",
       defs=(("b", 0),), ios=(("nums", True, "r", 1, (0,), 1),), is_opaque=True),
     E(5, "call", ("main", 0, 3), (10, 3), 1, "main", "entry",
-      defs=(("n", 8), ("m", 0)), du=(("a", 2), ("b", 4)),
-      operands=(("a", 8), ("b", 0))),
+      defs=(("n", 8), ("m", 0)), reads=(("a", 8, 2), ("b", 0, 4))),
 ]
 
-# A variable read twice is one `du` and one `operands` entry.
+# A variable read twice is one `reads` entry.
 DEDUP = """
 function main() {
   a = io(inp)
@@ -522,12 +510,11 @@ DEDUP_TRACE = [
     E(2, "instr", ("main", 0, 0), (3, 3), 1, "main", "entry",
       defs=(("a", 3),), ios=(("inp", True, "r", 0, (3,), 1),), is_opaque=True),
     E(3, "instr", ("main", 0, 1), (4, 3), 1, "main", "entry",
-      defs=(("b", 6),), du=(("a", 2),), operands=(("a", 3),)),
+      defs=(("b", 6),), reads=(("a", 3, 2),)),
     E(4, "instr", ("main", 0, 2), (5, 3), 1, "main", "entry",
-      defs=(("c", 36),), du=(("b", 3),), operands=(("b", 6),)),
+      defs=(("c", 36),), reads=(("b", 6, 3),)),
     E(5, "instr", ("main", 0, 3), (6, 3), 1, "main", "entry",
-      du=(("c", 4),), ios=(("out", True, "w", 0, (36,), 1),), is_opaque=True,
-      operands=(("c", 36),)),
+      reads=(("c", 36, 4),), ios=(("out", True, "w", 0, (36,), 1),), is_opaque=True),
     E(6, "ret", ("main", 0, 4), (6, 3), 1, "main", "entry"),
 ]
 
@@ -545,25 +532,24 @@ function main() {
 }
 """
 
-PQ = dict(du=(("p", 3), ("q", 4)), operands=(("p", True), ("q", False)))
+PQ = dict(reads=(("p", True, 3), ("q", False, 4)))
 BOOLS_TRACE = [
     E(0, "init", None, None, 0, None, None),
     E(1, "call", None, None, 1, None, None),
     E(2, "instr", ("main", 0, 0), (3, 3), 1, "main", "entry",
       defs=(("a", 3),), ios=(("inp", True, "r", 0, (3,), 1),), is_opaque=True),
     E(3, "instr", ("main", 0, 1), (4, 3), 1, "main", "entry",
-      defs=(("p", True),), du=(("a", 2),), operands=(("a", 3),)),
+      defs=(("p", True),), reads=(("a", 3, 2),)),
     E(4, "instr", ("main", 0, 2), (5, 3), 1, "main", "entry",
-      defs=(("q", False),), du=(("a", 2),), operands=(("a", 3),)),
+      defs=(("q", False),), reads=(("a", 3, 2),)),
     E(5, "instr", ("main", 0, 3), (6, 3), 1, "main", "entry", defs=(("r", False),), **PQ),
     E(6, "instr", ("main", 0, 4), (7, 3), 1, "main", "entry", defs=(("s", True),), **PQ),
     E(7, "instr", ("main", 0, 5), (8, 3), 1, "main", "entry", defs=(("t", True),), **PQ),
     E(8, "instr", ("main", 0, 6), (9, 3), 1, "main", "entry",
-      defs=(("u", False),), du=(("q", 4),), operands=(("q", False),)),
+      defs=(("u", False),), reads=(("q", False, 4),)),
     E(9, "instr", ("main", 0, 7), (10, 3), 1, "main", "entry",
-      du=(("r", 5), ("s", 6), ("t", 7), ("u", 8)),
-      ios=(("out", True, "w", 0, (False, True, True, False), 1),), is_opaque=True,
-      operands=(("r", False), ("s", True), ("t", True), ("u", False))),
+      reads=(("r", False, 5), ("s", True, 6), ("t", True, 7), ("u", False, 8)),
+      ios=(("out", True, "w", 0, (False, True, True, False), 1),), is_opaque=True),
     E(10, "ret", ("main", 0, 8), (10, 3), 1, "main", "entry"),
 ]
 
@@ -584,8 +570,8 @@ function main() {
 """
 
 WRAP_IN = "desc bytes in ordered\n250u8\ndesc words in ordered\n2147483647i32\n"
-X = dict(du=(("x", 2),), operands=(("x", 250),))
-K = dict(du=(("k", 6),), operands=(("k", 2**31 - 1),))
+X = dict(reads=(("x", 250, 2),))
+K = dict(reads=(("k", 2**31 - 1, 6),))
 WRAP_TRACE = [
     E(0, "init", None, None, 0, None, None),
     E(1, "call", None, None, 1, None, None),
@@ -600,9 +586,9 @@ WRAP_TRACE = [
     E(8, "instr", ("main", 0, 6), (9, 3), 1, "main", "entry", defs=(("n", -(2**31)),), **K),
     E(9, "instr", ("main", 0, 7), (10, 3), 1, "main", "entry", defs=(("d", 2**31 - 1),), **K),
     E(10, "instr", ("main", 0, 8), (11, 3), 1, "main", "entry",
-      du=(("y", 3), ("z", 4), ("u", 5), ("m", 7), ("n", 8), ("d", 9)),
-      ios=(("out", True, "w", 0, (4, 4, 5, -(2**31), -(2**31), 2**31 - 1), 1),), is_opaque=True,
-      operands=(("y", 4), ("z", 4), ("u", 5), ("m", -(2**31)), ("n", -(2**31)), ("d", 2**31 - 1))),
+      reads=(("y", 4, 3), ("z", 4, 4), ("u", 5, 5),
+             ("m", -(2**31), 7), ("n", -(2**31), 8), ("d", 2**31 - 1, 9)),
+      ios=(("out", True, "w", 0, (4, 4, 5, -(2**31), -(2**31), 2**31 - 1), 1),), is_opaque=True),
     E(11, "ret", ("main", 0, 9), (11, 3), 1, "main", "entry"),
 ]
 
@@ -625,21 +611,19 @@ CARRIED_TRACE = [
     E(1, "call", None, None, 1, None, None),
     E(2, "branch", ("main", 0, 0), (3, 3), 1, "main", "entry", defs=(("i", 0), ("n", 2))),
     E(3, "instr", ("main", 1, 0), (5, 3), 1, "main", "head",
-      defs=(("j", 1),), du=(("i", 2),), operands=(("i", 0),)),
+      defs=(("j", 1),), reads=(("i", 0, 2),)),
     E(4, "instr", ("main", 1, 1), (6, 3), 1, "main", "head",
-      defs=(("c", True),), du=(("j", 3), ("n", 2)), operands=(("j", 1), ("n", 2))),
+      defs=(("c", True),), reads=(("j", 1, 3), ("n", 2, 2))),
     E(5, "branch", ("main", 1, 2), (7, 3), 1, "main", "head",
-      defs=(("i", 1), ("n", 2)), du=(("c", 4), ("j", 3), ("n", 2)),
-      operands=(("c", True), ("j", 1), ("n", 2))),
+      defs=(("i", 1), ("n", 2)), reads=(("c", True, 4), ("j", 1, 3), ("n", 2, 2))),
     E(6, "instr", ("main", 1, 0), (5, 3), 1, "main", "head",
-      defs=(("j", 2),), du=(("i", 5),), operands=(("i", 1),)),
+      defs=(("j", 2),), reads=(("i", 1, 5),)),
     E(7, "instr", ("main", 1, 1), (6, 3), 1, "main", "head",
-      defs=(("c", False),), du=(("j", 6), ("n", 5)), operands=(("j", 2), ("n", 2))),
+      defs=(("c", False),), reads=(("j", 2, 6), ("n", 2, 5))),
     E(8, "branch", ("main", 1, 2), (7, 3), 1, "main", "head",
-      du=(("c", 7),), operands=(("c", False),)),
+      reads=(("c", False, 7),)),
     E(9, "instr", ("main", 2, 0), (9, 3), 1, "main", "done",
-      du=(("i", 5),), ios=(("out", True, "w", 0, (1,), 1),), is_opaque=True,
-      operands=(("i", 1),)),
+      reads=(("i", 1, 5),), ios=(("out", True, "w", 0, (1,), 1),), is_opaque=True),
     E(10, "ret", ("main", 2, 1), (9, 3), 1, "main", "done"),
 ]
 
@@ -669,9 +653,9 @@ BUDGET_TRACE = [
     E(1, "call", None, None, 1, None, None),
     E(2, "instr", ("main", 0, 0), (3, 3), 1, "main", "entry", defs=(("a", 1),)),
     E(3, "instr", ("main", 0, 1), (4, 3), 1, "main", "entry",
-      defs=(("b", 2),), du=(("a", 2),), operands=(("a", 1),)),
+      defs=(("b", 2),), reads=(("a", 1, 2),)),
     E(4, "instr", ("main", 0, 2), (5, 3), 1, "main", "entry",
-      defs=(("c", 3),), du=(("b", 3),), operands=(("b", 2),)),
+      defs=(("c", 3),), reads=(("b", 2, 3),)),
 ]
 
 ONE_INP = "desc inp in ordered\n3\n"
@@ -728,6 +712,10 @@ class RefFrame:
 class RefAgg:
     def __init__(self):
         self.du, self.operands, self.fx = {}, [], None
+
+    def reads(self):
+        """The event's `reads`: `du` and `operands` zipped, first read first."""
+        return tuple((n, v, src) for (n, src), (_, v) in zip(self.du.items(), self.operands))
 
     def effects(self):
         if self.fx is None:
@@ -930,8 +918,7 @@ class ReferenceInterp:
         seq = len(events)
         events.append(Event(
             seq, "call", call_iid, caller.activation if caller else frame.activation,
-            self.bind(frame, params, args, seq), tuple(arg_agg.du.items()),
-            operands=tuple(arg_agg.operands),
+            self.bind(frame, params, args, seq), arg_agg.reads(),
         ))
         while True:
             for instr, kind, iid, body in steps:
@@ -950,7 +937,7 @@ class ReferenceInterp:
                     label, params, steps = code.blocks[code.index[target.label]]
                     events.append(Event(
                         seq, "branch", iid, frame.activation, self.bind(frame, params, args, seq),
-                        tuple(agg.du.items()), operands=tuple(agg.operands),
+                        agg.reads(),
                     ))
                     break
                 if kind is Return:
@@ -958,7 +945,7 @@ class ReferenceInterp:
                     events.append(Event(
                         seq, "ret", iid, frame.activation,
                         self.bind(caller, result_names, values, seq) if caller else (),
-                        tuple(agg.du.items()), operands=tuple(agg.operands),
+                        agg.reads(),
                     ))
                     return values
                 if body is not None:
@@ -970,8 +957,7 @@ class ReferenceInterp:
                 events.append(Event(
                     seq, "opaque" if body is not None else "instr", iid, frame.activation,
                     self.bind(frame, instr.results, values, seq) if values else (),
-                    tuple(agg.du.items()), tuple(fx.rf), tuple(fx.stores), tuple(fx.ios),
-                    tuple(fx.obs), tuple(agg.operands),
+                    agg.reads(), tuple(fx.rf), tuple(fx.stores), tuple(fx.ios), tuple(fx.obs),
                 ))
             else:
                 raise interp._Trap(f"block {label} has no terminator")

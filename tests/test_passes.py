@@ -1,10 +1,12 @@
 """Optimization passes: rewrites, provenance, and what the pipeline does
 to observations that are or are not kept alive."""
 
+from collections import Counter
 from dataclasses import replace as dc_replace
 
 import pytest
 
+from opaqueir import interp
 from opaqueir.interp import parse_input, run
 from opaqueir.ir import (
     AtomExpr,
@@ -41,6 +43,7 @@ from opaqueir.passes import (
     unsafe_const_fold_opaque,
 )
 from opaqueir.patterns import prepare
+from opaqueir.validate import audit_chain_preservation, check_observation_preserving
 
 
 def prog(text):
@@ -1115,13 +1118,65 @@ def test_each_pass_runs_once_per_changed_prefix(monkeypatch, shape, pattern):
     assert calls[ran:] == (["instcombine"] if shape == "exit_capture" else [])
 
 
+def changed_passes(text, preset):
+    """The passes of `preset` that change their input, on a fresh program,
+    each pass run on the output of the last one that changed it; None if
+    a pass raises."""
+    current, changed = prog(text), ()
+    try:
+        with sealed_opaque_regions():
+            for name in PRESETS[preset]:
+                result = PASSES[name](current)
+                if not changed_nothing(current, result):
+                    current, changed = result.program, changed + (name,)
+    except IRError:
+        return None
+    return changed
+
+
+def verdicts(program, res, spec):
+    """Both validator verdicts on one pipeline result."""
+    report = check_observation_preserving(program, res.program, res.provenance, [spec])
+    ref, opt = run(program, spec), run(res.program, spec)
+    return report, audit_chain_preservation(ref, opt, res.provenance, inputs=spec)
+
+
 @pytest.mark.parametrize("shape, pattern", SWEEP)
-def test_non_empty_presets_never_return_their_input(shape, pattern):
-    p = prog(sweep_program(shape, pattern))
-    for preset in sorted(PRESETS):
-        res = optimize_or_error(p, preset)
+def test_presets_share_one_output_per_changed_pass_sequence(monkeypatch, shape, pattern):
+    text = sweep_program(shape, pattern)
+    spec = parse_input("desc inp in ordered\n5\n")
+    executed = []  # the program of every unpatched run executed
+    execute = interp._Interp.run
+
+    def counted(self):
+        if self.patch_seq == -1:
+            executed.append(self.program)
+        return execute(self)
+
+    monkeypatch.setattr(interp._Interp, "run", counted)
+    p = prog(text)
+    results = {preset: optimize_or_error(p, preset) for preset in sorted(PRESETS)}
+    by_changes = {}  # changed-pass sequence -> the program returned for it
+    for preset, res in results.items():
+        changes = changed_passes(text, preset)
+        assert isinstance(res, str) == (changes is None), preset
+        if changes is not None:
+            # the input itself exactly when every pass was a no-op
+            assert (res.program is p) == (changes == ()), preset
+            assert by_changes.setdefault(changes, res.program) is res.program, preset
+    outputs = list(by_changes.values())
+    assert len(set(map(id, outputs))) == len(outputs)
+    # every preset's run, held alive: each distinct output executes once
+    runs = [run(res.program, spec) for res in results.values() if not isinstance(res, str)]
+    assert len(runs) > len(outputs) and Counter(map(id, executed)) == Counter(map(id, outputs))
+    # a shared output gets the verdicts of an unshared one, and the input those of P0
+    want = verdicts(p, results["P0"], spec)
+    for preset, res in results.items():
         if not isinstance(res, str):
-            assert (res.program is p) == (PRESETS[preset] == ()), preset
+            fresh = prog(text)
+            got = verdicts(p, res, spec)
+            assert got == verdicts(fresh, optimize(fresh, preset), spec), preset
+            assert res.program is not p or got == want, preset
 
 
 def relocate(program):
