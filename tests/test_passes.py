@@ -1142,6 +1142,21 @@ def verdicts(program, res, spec):
 
 
 @pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_non_empty_presets_never_return_their_input(shape, pattern):
+    """A preset returns its input exactly when every pass was a no-op: P0,
+    or passes that change nothing; a pass that changes it never hands the
+    input back."""
+    text = sweep_program(shape, pattern)
+    p = prog(text)
+    for preset in sorted(PRESETS):
+        res = optimize_or_error(p, preset)
+        changes = changed_passes(text, preset)
+        assert isinstance(res, str) == (changes is None), preset
+        if changes is not None:
+            assert (res.program is p) == (changes == ()), preset
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
 def test_presets_share_one_output_per_changed_pass_sequence(monkeypatch, shape, pattern):
     text = sweep_program(shape, pattern)
     spec = parse_input("desc inp in ordered\n5\n")
@@ -1161,8 +1176,6 @@ def test_presets_share_one_output_per_changed_pass_sequence(monkeypatch, shape, 
         changes = changed_passes(text, preset)
         assert isinstance(res, str) == (changes is None), preset
         if changes is not None:
-            # the input itself exactly when every pass was a no-op
-            assert (res.program is p) == (changes == ()), preset
             assert by_changes.setdefault(changes, res.program) is res.program, preset
     outputs = list(by_changes.values())
     assert len(set(map(id, outputs))) == len(outputs)
