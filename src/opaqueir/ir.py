@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 
 class IRError(Exception):
@@ -734,8 +734,7 @@ def instr_signature(instr: Instr) -> str:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | int | punct | newline | eof
     text: str
     line: int
@@ -748,64 +747,50 @@ _PUNCT = [
     "(", ")", "{", "}", "[", "]", ",", ":", "=", "<", ">",
     "+", "-", "*", "/", "%", "&", "|", "^", "!", "~", "@",
 ]
-
-_INT_RE = re.compile(r"\d+")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# One alternative per token class, tried in order; `bad` takes any other
+# character, so every match starts where the last one ended.
+_TOKEN_RE = re.compile(
+    r"(?P<blank>[ \t]+)|(?P<newline>;)"
+    r"|(?P<int>(?P<digits>\d+)(?P<suffix>[A-Za-z_][A-Za-z0-9_]*)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")|(?P<bad>.)"
+)
 _SUFFIXES = {"u8": Type.U8, "u32": Type.U32, "i32": Type.I32}
 
 
 def tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
         comment = line.find("//")
         if comment >= 0:
             line = line[:comment]
-        pos = 0
         produced = False
-        while pos < len(line):
-            ch = line[pos]
-            if ch in " \t":
-                pos += 1
+        for m in _TOKEN_RE.finditer(line):
+            kind = m.lastgroup
+            if kind == "blank":
                 continue
-            col = pos + 1
-            if ch == ";":
+            col = m.start() + 1
+            if kind == "newline":
                 # Instruction separator: acts exactly like a line break.
-                tokens.append(_Token("newline", ";", lineno, col))
-                pos += 1
+                tokens.append(_Token(kind, ";", lineno, col))
                 continue
-            m = _INT_RE.match(line, pos)
-            if m:
-                raw = m.group()
-                pos = m.end()
-                suffix_m = _IDENT_RE.match(line, pos)
-                ty = Type.U32
-                if suffix_m and suffix_m.group() in _SUFFIXES:
-                    ty = _SUFFIXES[suffix_m.group()]
-                    pos = suffix_m.end()
-                elif suffix_m:
-                    raise ParseError(f"bad integer suffix {suffix_m.group()!r}", (lineno, col))
+            produced = True
+            if kind == "int":
+                raw, suffix = m.group("digits", "suffix")
+                ty = _SUFFIXES.get(suffix or "u32")
+                if ty is None:
+                    raise ParseError(f"bad integer suffix {suffix!r}", (lineno, col))
                 value = int(raw)
                 _check_literal_range(value, ty, (lineno, col))
-                tokens.append(_Token("int", raw, lineno, col, Const(value, ty)))
-                produced = True
-                continue
-            m = _IDENT_RE.match(line, pos)
-            if m:
-                tokens.append(_Token("ident", m.group(), lineno, col))
-                pos = m.end()
-                produced = True
-                continue
-            for p in _PUNCT:
-                if line.startswith(p, pos):
-                    tokens.append(_Token("punct", p, lineno, col))
-                    pos += len(p)
-                    produced = True
-                    break
+                tokens.append(_Token(kind, raw, lineno, col, Const(value, ty)))
+            elif kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", (lineno, col))
             else:
-                raise ParseError(f"unexpected character {ch!r}", (lineno, col))
+                tokens.append(_Token(kind, m.group(), lineno, col))
         if produced:
             tokens.append(_Token("newline", "\\n", lineno, len(line) + 1))
-    tokens.append(_Token("eof", "", len(text.splitlines()) + 1, 1))
+    tokens.append(_Token("eof", "", len(lines) + 1, 1))
     return tokens
 
 
@@ -840,7 +825,8 @@ class _Parser:
     # -- token plumbing
 
     def peek(self, k: int = 0) -> _Token:
-        return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
+        # `advance` never moves past eof, so only a lookahead needs the bound
+        return self.tokens[min(self.pos + k, len(self.tokens) - 1) if k else self.pos]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]

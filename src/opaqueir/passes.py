@@ -31,16 +31,19 @@ preset.
 that program's lifetime, keyed by the pass functions that changed
 something so far plus the next one: presets that share a prefix run it
 once, and a patched `PASSES` entry is never served a stale result. An
-entry holds the output, provenance and affected count, or only `None`
-for a no-op: a no-op logs 0, stays out of the key and the provenance,
-and the pipeline goes on with its input. So presets that reach the same
-changed passes return one program, and one that changes nothing returns
-its input, sharing the typecheck, decoded code, runs and analyses
-memoized on it. Raising passes are not stored.
+entry holds the output, the provenance composed from the memo's program
+to that output (so each changed-pass prefix is composed once, and a hit
+composes nothing) and the affected count, or only `None` for a no-op: a
+no-op logs 0, stays out of the key and the provenance, and the pipeline
+goes on with its input. So presets that reach the same changed passes
+return one program and one provenance map, and one that changes nothing
+returns its input, sharing the typecheck, decoded code, runs and
+analyses memoized on it. Raising passes are not stored.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Iterable, Optional
 
@@ -872,8 +875,11 @@ def _removable(instr) -> bool:
 
 def dce(program: Program) -> PassResult:
     """Drop unreachable blocks, then pure definitions whose results
-    nothing uses, iterating to a fixpoint. `use(...)` instructions and
-    io, call, and snapshot defines always stay."""
+    nothing uses. One scan counts each name's uses and puts every
+    removable definition on a worklist; a definition dies when none of
+    its results has a use left, and its death takes one use off each name
+    it reads, queueing the definer of each name that reaches zero. `use(...)`
+    instructions and io, call, and snapshot defines always stay."""
     pm = ProvenanceMap()
     functions = []
     for f in program.functions:
@@ -889,24 +895,28 @@ def dce(program: Program) -> PassResult:
         live_blocks = [
             (bi, b) for bi, b in enumerate(f.region.blocks) if b.label in reach
         ]
+        uses: dict[tuple[int, int], set[str]] = {}
+        results: dict[tuple[int, int], list[str]] = {}  # of removable instructions
+        definer: dict[str, tuple[int, int]] = {}  # SSA: one per name
+        for bi, block in live_blocks:
+            for pos, instr in enumerate(block.instrs):
+                uses[bi, pos] = _instr_uses(instr)
+                if _removable(instr):
+                    results[bi, pos] = [r for r in instr.results if isinstance(r, str)]
+                    for n in results[bi, pos]:
+                        definer[n] = (bi, pos)
+        count = Counter(n for names in uses.values() for n in names)
         dead: set[tuple[int, int]] = set()
-        while True:
-            used: set[str] = set()
-            for bi, block in live_blocks:
-                for pos, instr in enumerate(block.instrs):
-                    if (bi, pos) not in dead:
-                        used |= _instr_uses(instr)
-            grew = False
-            for bi, block in live_blocks:
-                for pos, instr in enumerate(block.instrs):
-                    if (bi, pos) in dead or not _removable(instr):
-                        continue
-                    names = [r for r in instr.results if isinstance(r, str)]
-                    if all(n not in used for n in names):
-                        dead.add((bi, pos))
-                        grew = True
-            if not grew:
-                break
+        work = list(results)
+        while work:
+            at = work.pop()
+            if at in dead or any(count[n] for n in results[at]):
+                continue
+            dead.add(at)
+            for n in uses[at]:
+                count[n] -= 1
+                if not count[n] and n in definer:
+                    work.append(definer[n])
 
         rb = _FnRebuild(f.name)
         for bi, block in live_blocks:
@@ -1253,6 +1263,8 @@ PRESETS: dict[str, tuple[str, ...]] = {
 
 @dataclass
 class PipelineResult:
+    """Program and provenance are shared by pipelines on one input: read-only."""
+
     program: Program
     provenance: ProvenanceMap
     log: tuple[tuple[str, int], ...]  # (pass name, instructions affected)
@@ -1274,29 +1286,31 @@ def run_pipeline(program: Program, pass_names: Iterable[str]) -> PipelineResult:
     pass) runs once per `program`; see the module docstring."""
     if (memo := getattr(program, "_pass_results", None)) is None:
         object.__setattr__(program, "_pass_results", memo := {})
-    prov = ProvenanceMap.identity(program)
     log = []
-    current, changed = program, ()
+    current, prov, changed = program, None, ()
     with sealed_opaque_regions():
         for name in pass_names:
             key = (changed, PASSES[name])
             if key not in memo:
-                result, iids = key[1](current), program_iids(current)
-                kinds: dict[InstrId, set[str]] = {}
-                for (s, _), k in result.provenance.edges.items():
-                    kinds.setdefault(s, set()).add(k)
-                affected = sum(kinds.get(iid) != {"kept"} for iid in iids)
-                noop = result.provenance.edges == {(i, i): "kept" for i in iids}
-                noop = noop and _layout(current) == _layout(result.program)
-                memo[key] = None if noop else (result, affected)
+                result = key[1](current)
+                kept, other, noop = set(), set(), True  # sources by edge kind
+                for (s, d), k in result.provenance.edges.items():
+                    (kept if k == "kept" else other).add(s)
+                    noop = noop and s == d and k == "kept"
+                n = len(program_iids(current))
+                if noop and len(kept) == n and _layout(current) == _layout(result.program):
+                    memo[key] = None
+                else:  # the first changed pass's map already starts at `program`
+                    pm = result.provenance if prov is None else prov.compose(result.provenance)
+                    memo[key] = (result.program, pm, n - len(kept - other))
             if (step := memo[key]) is None:  # a no-op: go on with `current`
                 log.append((name, 0))
                 continue
-            result, affected = step
+            current, prov, affected = step
             log.append((name, affected))
-            prov = prov.compose(result.provenance)
             changed += (key[1],)
-            current = result.program
+    if prov is None:
+        prov = ProvenanceMap.identity(program)
     return PipelineResult(current, prov, tuple(log))
 
 

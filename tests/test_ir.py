@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -37,7 +38,8 @@ from opaqueir.ir import (
     validate_ssa,
     Var,
 )
-from opaqueir.patterns import inject_prelude, prepare
+from opaqueir.patterns import inject_prelude, prelude_source, prepare
+from test_passes import SWEEP, sweep_program
 
 
 BRANCHY = """
@@ -101,6 +103,133 @@ def test_literal_types_and_ranges():
         parse_program("function main() {\n  a = -5\n}\n")
     p = parse_program("function main() {\n  a = -5i32\n}\n")
     assert p.function("main").region.blocks[0].instrs[0].rhs.atom == Const(-5, Type.I32)
+
+
+# --------------------------------------------------------------------------
+# Lexer
+# --------------------------------------------------------------------------
+
+REFERENCE_PUNCT = [
+    "<-", "->", "...", "<<", ">>", "==", "!=", "<=", ">=",
+    "(", ")", "{", "}", "[", "]", ",", ":", "=", "<", ">",
+    "+", "-", "*", "/", "%", "&", "|", "^", "!", "~", "@",
+]
+REFERENCE_INT = re.compile(r"\d+")
+REFERENCE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+REFERENCE_SUFFIXES = {"u8": Type.U8, "u32": Type.U32, "i32": Type.I32}
+
+
+def reference_tokenize(text):
+    """The character-by-character lexer `ir.tokenize` replaced, returning
+    `(kind, text, line, col, value)` tuples."""
+    tokens = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        comment = line.find("//")
+        if comment >= 0:
+            line = line[:comment]
+        pos = 0
+        produced = False
+        while pos < len(line):
+            ch = line[pos]
+            if ch in " \t":
+                pos += 1
+                continue
+            col = pos + 1
+            if ch == ";":
+                tokens.append(("newline", ";", lineno, col, None))
+                pos += 1
+                continue
+            m = REFERENCE_INT.match(line, pos)
+            if m:
+                raw = m.group()
+                pos = m.end()
+                suffix_m = REFERENCE_IDENT.match(line, pos)
+                ty = Type.U32
+                if suffix_m and suffix_m.group() in REFERENCE_SUFFIXES:
+                    ty = REFERENCE_SUFFIXES[suffix_m.group()]
+                    pos = suffix_m.end()
+                elif suffix_m:
+                    raise ParseError(f"bad integer suffix {suffix_m.group()!r}", (lineno, col))
+                value = int(raw)
+                ir._check_literal_range(value, ty, (lineno, col))
+                tokens.append(("int", raw, lineno, col, Const(value, ty)))
+                produced = True
+                continue
+            m = REFERENCE_IDENT.match(line, pos)
+            if m:
+                tokens.append(("ident", m.group(), lineno, col, None))
+                pos = m.end()
+                produced = True
+                continue
+            for p in REFERENCE_PUNCT:
+                if line.startswith(p, pos):
+                    tokens.append(("punct", p, lineno, col, None))
+                    pos += len(p)
+                    produced = True
+                    break
+            else:
+                raise ParseError(f"unexpected character {ch!r}", (lineno, col))
+        if produced:
+            tokens.append(("newline", "\\n", lineno, len(line) + 1, None))
+    tokens.append(("eof", "", len(text.splitlines()) + 1, 1, None))
+    return tokens
+
+
+def lexed(tokenize, text):
+    """The token tuples, or the ParseError's message and location."""
+    try:
+        return [tuple(t) if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col, t.value)
+                for t in tokenize(text)]
+    except ParseError as exc:
+        return ("ParseError", exc.message, exc.loc)
+
+
+LEXER_PIECES = [
+    " ", "\t", ";", "\n", "\r\n", "\r", "//", "/", "#", "é", "٣", " ", ".", "..", "...",
+    "<-", "<<", "<=", "<", "->", "-", ">>", ">=", ">", "==", "=", "!=", "!",
+    "(", ")", "{", "}", "[", "]", ",", ":", "+", "*", "%", "&", "|", "^", "~", "@",
+    "0", "7", "42", "255", "256", "2147483648", "2147483649", "4294967295", "4294967296",
+    "u8", "u32", "i32", "u", "i3", "x", "ab", "_", "a1", "opaque", "io",
+]
+
+
+@settings(deadline=None, derandomize=True, max_examples=500)
+@given(st.lists(st.one_of(st.sampled_from(LEXER_PIECES), st.characters()), max_size=40))
+def test_tokenize_matches_the_character_lexer(pieces):
+    text = "".join(pieces)
+    assert lexed(ir.tokenize, text) == lexed(reference_tokenize, text)
+
+
+def test_tokenize_matches_the_character_lexer_on_the_sweep():
+    texts = [sweep_program(shape, pattern) for shape, pattern in SWEEP]
+    texts.append(prelude_source())
+    for text in texts:
+        tokens = lexed(ir.tokenize, text)
+        assert isinstance(tokens, list) and tokens == lexed(reference_tokenize, text)
+
+
+U32, I32 = Type.U32, Type.I32
+LEXER_CASES = {
+    "semicolon-only line": ("x\n;\n", [
+        ("ident", "x", 1, 1, None), ("newline", "\\n", 1, 2, None),
+        ("newline", ";", 2, 1, None), ("eof", "", 3, 1, None)]),
+    "comment-only line": ("// note\nx // y\n", [
+        ("ident", "x", 2, 1, None), ("newline", "\\n", 2, 3, None), ("eof", "", 3, 1, None)]),
+    "i32 minimum": ("-2147483648i32", [
+        ("punct", "-", 1, 1, None), ("int", "2147483648", 1, 2, Const(2147483648, I32)),
+        ("newline", "\\n", 1, 15, None), ("eof", "", 2, 1, None)]),
+    "u8 out of range": ("a = 256u8", ("ParseError", "literal 256 out of range for u8", (1, 5))),
+    "bad suffix": ("12ab", ("ParseError", "bad integer suffix 'ab'", (1, 1))),
+    "bad character": ("a #", ("ParseError", "unexpected character '#'", (1, 3))),
+    "eof after blank lines": ("7\n\n\n", [
+        ("int", "7", 1, 1, Const(7, U32)), ("newline", "\\n", 1, 2, None), ("eof", "", 4, 1, None)]),
+    "empty text": ("", [("eof", "", 1, 1, None)]),
+}
+
+
+@pytest.mark.parametrize("text, want", LEXER_CASES.values(), ids=LEXER_CASES)
+def test_tokenize_cases(text, want):
+    assert lexed(ir.tokenize, text) == want == lexed(reference_tokenize, text)
 
 
 def test_label_versus_call_distinction():

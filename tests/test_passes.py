@@ -6,7 +6,7 @@ from dataclasses import replace as dc_replace
 
 import pytest
 
-from opaqueir import interp
+from opaqueir import interp, passes
 from opaqueir.interp import parse_input, run
 from opaqueir.ir import (
     AtomExpr,
@@ -22,6 +22,7 @@ from opaqueir.ir import (
     Region,
     Type,
     Var,
+    block_successors,
     print_program,
     sealed_opaque_regions,
     validate_ssa,
@@ -1247,3 +1248,122 @@ def test_replacing_a_pass_takes_effect(monkeypatch, shape, pattern):
         monkeypatch.setitem(PASSES, name, original)
         for preset in PRESETS:
             assert outcome(optimize_or_error(p, preset)) == before[preset]
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed"])
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_presets_keep_their_provenance_after_every_other_preset(shape, pattern, order):
+    """Presets share composed provenance maps through the memo; running the
+    others afterwards leaves each result as a fresh program's."""
+    presets = sorted(PRESETS)
+    if order == "reversed":
+        presets.reverse()
+    shared = prog(sweep_program(shape, pattern))
+    results = {preset: optimize_or_error(shared, preset) for preset in presets}
+    for preset in presets:
+        want = outcome(optimize_or_error(prog(sweep_program(shape, pattern)), preset))
+        assert outcome(results[preset]) == want, preset
+        assert outcome(optimize_or_error(shared, preset)) == want, preset
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_a_warm_memo_composes_no_provenance(monkeypatch, shape, pattern):
+    p = prog(sweep_program(shape, pattern))
+    ok = [preset for preset in sorted(PRESETS) if not isinstance(optimize_or_error(p, preset), str)]
+    composed = []
+    compose = ProvenanceMap.compose
+
+    def counted(self, later):
+        composed.append(later)
+        return compose(self, later)
+
+    monkeypatch.setattr(ProvenanceMap, "compose", counted)
+    for preset in ok:
+        optimize(p, preset)
+    assert composed == []
+
+
+# --------------------------------------------------------------------------
+# dce against the fixpoint it replaced
+# --------------------------------------------------------------------------
+
+
+def reference_dce(program):
+    """The fixpoint `dce` replaced: rescan every live instruction until no
+    definition dies."""
+    pm = ProvenanceMap()
+    functions = []
+    for f in program.functions:
+        succ = block_successors(f.region)
+        reach = {f.region.entry.label}
+        frontier = [f.region.entry.label]
+        while frontier:
+            for t in succ.get(frontier.pop(), []):
+                if t not in reach:
+                    reach.add(t)
+                    frontier.append(t)
+        live_blocks = [(bi, b) for bi, b in enumerate(f.region.blocks) if b.label in reach]
+        dead = set()
+        while True:
+            used = set()
+            for bi, block in live_blocks:
+                for pos, instr in enumerate(block.instrs):
+                    if (bi, pos) not in dead:
+                        used |= passes._instr_uses(instr)
+            grew = False
+            for bi, block in live_blocks:
+                for pos, instr in enumerate(block.instrs):
+                    if (bi, pos) in dead or not passes._removable(instr):
+                        continue
+                    if all(r not in used for r in instr.results if isinstance(r, str)):
+                        dead.add((bi, pos))
+                        grew = True
+            if not grew:
+                break
+        rb = passes._FnRebuild(f.name)
+        for bi, block in live_blocks:
+            rb.open_block(block.label, block.params, block.implicit)
+            for pos, instr in enumerate(block.instrs):
+                if (bi, pos) not in dead:
+                    rb.emit(instr, [((f.name, bi, pos), "kept")])
+            rb.close_block()
+        functions.append(rb.finish(f, pm))
+    return PassResult(Program(tuple(functions), program.macros), pm)
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_dce_matches_the_fixpoint_reference(monkeypatch, shape, pattern):
+    """On the sweep program and on every program `dce` receives in a preset."""
+    received = [prog(sweep_program(shape, pattern))]
+
+    def spy(program):
+        received.append(program)
+        return dce(program)
+
+    monkeypatch.setitem(PASSES, "dce", spy)
+    for preset in sorted(PRESETS):
+        optimize_or_error(prog(sweep_program(shape, pattern)), preset)
+    assert len(received) > 1
+    with sealed_opaque_regions():
+        for program in received:
+            got, want = dce(program), reference_dce(program)
+            assert got.program == want.program
+            assert print_program(got.program) == print_program(want.program)
+            assert got.provenance.rows() == want.provenance.rows()
+
+
+def test_dce_removes_a_dead_copy_chain_in_one_scan(monkeypatch):
+    copies = "\n".join(f"  a{i} = a{i - 1}" for i in range(1, 301))
+    p = prog(f"function main() {{\n  a0 = io(inp)\n{copies}\n  return()\n}}\n")
+    calls = []
+    instr_uses = passes._instr_uses
+
+    def counted(instr):
+        calls.append(instr)
+        return instr_uses(instr)
+
+    monkeypatch.setattr(passes, "_instr_uses", counted)
+    res = dce(p)
+    [block] = res.program.function("main").region.blocks
+    assert len(block.instrs) == 2  # the io and the return
+    assert len(calls) == 302 == len(program_iids(p))
