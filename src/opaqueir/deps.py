@@ -37,8 +37,11 @@ tokens live in an abstract two-point domain and are never enumerated,
 otherwise every token chain would collapse to a singleton; 32-bit
 results go through a small per-operation rule engine and fall back to
 `SAMPLE_COUNT` values drawn from a generator seeded with `SAMPLE_SEED`,
-which stops the same way. Each patched value is rerun once, and that
-rerun is shared by every audited link out of the same opaque event.
+which stops the same way. The reruns of one patched result are shared by
+every audited link out of it: its first alternative value reruns alone,
+and the rest together, one lane per value (delta execution, Tucek et al.,
+ASPLOS'09), unless their lanes diverge; a link reads its outcome at its
+own target instruction.
 Each run is analysed once: `analyze` stores its `DepInfo` on the run,
 which holds the run's events, not the run, so no cycle forms. `analyze`
 computes dep and cd sources, branch closes and anchors; reverse
@@ -61,6 +64,7 @@ from .ir import (
     CallExpr,
     Const,
     Define,
+    InstrId,
     LoadMem,
     LoadRef,
     MemStore,
@@ -75,7 +79,7 @@ from .ir import (
     instr_signature,
     typecheck,
 )
-from .interp import Event, InputSpec, RunResult, eval_binary, eval_unary, run
+from .interp import Diverged, Event, InputSpec, Lanes, RunResult, eval_binary, eval_unary, run
 
 SAMPLE_COUNT = 64
 SAMPLE_SEED = 0
@@ -325,10 +329,11 @@ def opaque_skeleton(info: DepInfo) -> dict[int, tuple[int, ...]]:
 class ValueSetReport:
     """How many distinct outcomes the later opaque can see, and how we
     know. `values` holds the outcomes found; a rerun that never reaches
-    the later opaque contributes the outcome `None`. Reruns stop at the
-    second distinct outcome, so for an enumerated or sampled link with
-    two outcomes `bound` and `values` say "at least 2", not the exact
-    set; a link with one outcome ran its whole domain or sample list."""
+    the later opaque contributes the outcome `None`. Outcomes are taken
+    in value order and stop at the second distinct one, so for an
+    enumerated or sampled link with two outcomes `bound` and `values` say
+    "at least 2", not the exact set; a link with one outcome saw its whole
+    domain or sample list, most of it in one lane-batched rerun."""
 
     bound: int
     status: str  # enumerated | rule | rule_derived | sampled | unknown
@@ -368,34 +373,42 @@ def witness_var(info: DepInfo, j: int, k: int) -> Optional[str]:
     return used[0] if used else names[0]
 
 
-def value_at_dependent(info: DepInfo, j: int, k_sig: str, sign) -> object:
+def value_at_dependent(info: DepInfo, j: int, k_iid: InstrId, sign) -> object:
     """Scan a run's events for the first event that depends on event j and
-    executes an instruction identical (up to renaming) to the later
-    opaque, and return the operand value that arrived there. `sign` maps
-    an instruction id to its `instr_signature`. Never reaching one is the
-    bottom outcome (`None`); reaching one through control or effects
-    alone is its own outcome. Dependence does not propagate through any
-    other opaque event, as in `opaque_skeleton`: a value flowing through
-    a different opaque region first belongs to another link, but the
-    scan goes on past it."""
+    executes the later opaque's own instruction `k_iid`, and return the
+    operand value that arrived there. Only a run that never executes it
+    falls back to the first dependent event whose instruction is identical
+    to it up to renaming, `sign` mapping an instruction id to its
+    `instr_signature`: the arms of a branch may run the same opaque. In
+    a lane-batched rerun (see `interp.run`) the value may be one per lane.
+    Never reaching either is the bottom outcome (`None`); reaching one
+    through control or effects alone is its own outcome. Dependence does
+    not propagate through any other opaque event, as in `opaque_skeleton`:
+    a value flowing through a different opaque region first belongs to
+    another link, but the scan goes on past it."""
     events = info.events
     if j >= len(events):
         return _BOTTOM
     dependent = {j}
+    fallback, k_sig = _BOTTOM, sign(k_iid)
     for ev in events[j + 1 :]:
         if not (info.dep_sources[ev.seq] & dependent):
             continue
         dependent.add(ev.seq)
         if ev.iid is None:
             continue
-        if sign(ev.iid) == k_sig:
-            for _, value, src in ev.reads:
+        if ev.iid == k_iid or (fallback is _BOTTOM and sign(ev.iid) == k_sig):
+            value = _REACHED  # via control or effects only, but it ran
+            for _, read, src in ev.reads:
                 if src in dependent:
-                    return value
-            return _REACHED  # via control or effects only, but it ran
+                    value = read
+                    break
+            if ev.iid == k_iid:
+                return value
+            fallback = value
         if ev.is_opaque:
             dependent.discard(ev.seq)
-    return _BOTTOM
+    return fallback
 
 
 def _domain(ty: Type) -> Optional[list]:
@@ -430,14 +443,17 @@ def opaque_value_set(
 def _value_sets(program, inputs, info, pairs) -> dict:
     """`opaque_value_set` for every link (j, k) of `pairs`. A rerun
     patches only event j's witness variable, so the links out of one
-    (j, variable) share their reruns: each alternative value is run and
-    analysed once, and every link that still needs an outcome reads its
-    own from that rerun. A link leaves its group at its second distinct
-    outcome, and the group stops once none is left."""
+    (j, variable) share their reruns: every link that still needs an
+    outcome reads its own from each. The first alternative value reruns
+    alone, since most links show their second outcome there; the rest
+    rerun together as one lane-batched run (see `interp.run`), analysed
+    and scanned once, or one by one if its lanes diverge. Either way the
+    outcomes are taken in value order: a link leaves its group at its
+    second distinct outcome, and the group stops once none is left."""
     events = info.events
     var_types = typecheck(program).var_types
     reports: dict[tuple[int, int], ValueSetReport] = {}
-    groups: dict[tuple[int, str], dict[int, str]] = {}  # (j, var) -> {k: k_sig}
+    groups: dict[tuple[int, str], dict[int, InstrId]] = {}  # (j, var) -> {k: its iid}
     sign = functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
     for j, k in pairs:
         var = witness_var(info, j, k)
@@ -450,11 +466,11 @@ def _value_sets(program, inputs, info, pairs) -> dict:
         elif ty is None or events[k].iid is None:
             reports[j, k] = ValueSetReport(0, "unknown")
         elif _domain(ty) is not None or (report := _rule_engine(program, info, j, k, ty)) is None:
-            groups.setdefault((j, var), {})[k] = sign(events[k].iid)
+            groups.setdefault((j, var), {})[k] = events[k].iid
         else:
             reports[j, k] = report
 
-    for (j, var), k_sigs in groups.items():
+    for (j, var), targets in groups.items():
         ty = var_types[events[j].iid[0], var]
         observed = dict(events[j].defs).get(var)
         domain = _domain(ty)
@@ -463,18 +479,31 @@ def _value_sets(program, inputs, info, pairs) -> dict:
         else:
             # Seeded sampling fallback for 32-bit results the rules cannot cover.
             status, alt_values = "sampled", _sample_values(ty, observed)
-        outcomes = {k: {value_at_dependent(info, j, s, sign)} for k, s in k_sigs.items()}
-        pending = k_sigs
-        for alt_value in alt_values:
-            if alt_value == observed:
-                continue
-            alt = run(program, inputs, patch=(j, var, alt_value))
-            alt_info = analyze(alt)
-            for k, sig in pending.items():
-                outcomes[k].add(value_at_dependent(alt_info, j, sig, sign))
-            del alt, alt_info  # one rerun alive at a time
+        if observed in alt_values:  # a fresh list without duplicates
+            alt_values.remove(observed)
+        outcomes = {k: {value_at_dependent(info, j, iid, sign)} for k, iid in targets.items()}
+        pending = targets
+
+        def rerun(value) -> dict:
+            """Each pending link's outcome in the rerun patching `var` to `value`."""
+            alt_info = analyze(run(program, inputs, patch=(j, var, value)))
+            return {k: value_at_dependent(alt_info, j, iid, sign) for k, iid in pending.items()}
+
+        batch = None  # each link's outcome in the lane-batched rerun of alt_values[1:]
+        for i, alt_value in enumerate(alt_values):
+            if i == 1:
+                try:
+                    batch = rerun(Lanes(alt_values[1:]))
+                except Diverged:
+                    pass
+            if batch is None:
+                seen = rerun(alt_value)
+            else:
+                seen = {k: v[i - 1] if type(v := batch[k]) is Lanes else v for k in pending}
+            for k, value in seen.items():
+                outcomes[k].add(value)
             # Two distinct outcomes already witness a link.
-            pending = {k: sig for k, sig in pending.items() if len(outcomes[k]) < 2}
+            pending = {k: iid for k, iid in pending.items() if len(outcomes[k]) < 2}
             if not pending:
                 break
         for k, seen in outcomes.items():

@@ -89,6 +89,17 @@ class _Trap(Exception):
         self.reason = reason
 
 
+class Lanes(tuple):
+    """A patched value of a lane-batched rerun, and what is computed from
+    it: one value per lane (see `run`)."""
+
+
+class Diverged(Exception):
+    """The lanes of a batched rerun part: a branch condition whose lanes
+    disagree, a lane value used as an address or descriptor, or a trap in
+    some lane. No single trace stands for them all."""
+
+
 # --------------------------------------------------------------------------
 # Inputs
 # --------------------------------------------------------------------------
@@ -842,6 +853,38 @@ class _Interp:
         return RunResult(self.program, tuple(self.events), trapped, memory, self.steps)
 
 
+class _LaneInterp(_Interp):
+    """A rerun whose patched value is `Lanes`: arithmetic runs per lane, so
+    that every lane follows one path; where they would part, `Diverged`."""
+
+    def exec_instr(self, frame, names, kind, args, fx, seq):
+        if kind is BinaryExpr or kind is UnaryExpr:
+            operands = [value if name is None else names[name] for name, value in args[2:-1]]
+            if lanes := next((len(v) for v in operands if type(v) is Lanes), 0):
+                op, ty, a = args[0], args[-1], operands[0]
+                if args[2][0] is not None:  # a variable left operand: ty is its type key
+                    ty = self.type_info.get(ty) or _type_of_value(a[0] if type(a) is Lanes else a)
+                columns = [v if type(v) is Lanes else (v,) * lanes for v in operands]
+                evaluate = eval_binary if kind is BinaryExpr else eval_unary
+                try:
+                    return (Lanes([evaluate(op, *lane, ty) for lane in zip(*columns)]),)
+                except _Trap as trap:
+                    raise Diverged(trap.reason) from None
+        elif kind is LoadMem or kind is MemStore or kind is IoRead or kind is IoWrite:
+            name = args[0] if kind is LoadMem else args[0][0]  # the address or descriptor
+            if name is not None and type(names[name]) is Lanes:
+                raise Diverged(f"{name} used as an address or descriptor")
+        return super().exec_instr(frame, names, kind, args, fx, seq)
+
+    def take_branch(self, names, args):
+        (name, _), then, els = args
+        if name is not None and type(cond := names[name]) is Lanes:
+            if len(taken := set(map(bool, cond))) > 1:
+                raise Diverged(f"branch on {name}")
+            args = ((None, taken.pop()), then, els)
+        return super().take_branch(names, args)
+
+
 def run(
     program: Program,
     inputs: Optional[InputSpec] = None,
@@ -855,7 +898,11 @@ def run(
 
     `patch`, when given, is `(seq, var, value)`: immediately after event
     `seq` binds `var`, the binding is replaced with `value` and execution
-    continues. This is the rerun primitive behind opaque value sets.
+    continues. This is the rerun primitive behind opaque value sets. A
+    `Lanes` value reruns once for all its values in lockstep: arithmetic
+    on a lane value gives one result per lane, so the run's values may be
+    `Lanes`, and the run stands for each lane's own rerun. It raises
+    `Diverged` where the lanes would take different paths (see there).
     Types come from `typecheck(program)`; `type_info`, if given, must be
     its `var_types`. `inputs` is only read, so one spec serves any number
     of runs.
@@ -869,7 +916,8 @@ def run(
     if type_info is not None and type_info is not types:
         raise ValueError("type_info must be typecheck(program).var_types")
     if patch is not None:
-        return _Interp(program, inputs, step_budget, opaque_budget, patch, types).run()
+        interp = _LaneInterp if type(patch[2]) is Lanes else _Interp
+        return interp(program, inputs, step_budget, opaque_budget, patch, types).run()
     if (runs := getattr(program, "_runs", None)) is None:
         object.__setattr__(program, "_runs", runs := weakref.WeakValueDictionary())
     # What the run reads of `inputs`, values typed: `true == 1` traces apart.

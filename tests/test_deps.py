@@ -22,7 +22,7 @@ from opaqueir.deps import (
     value_at_dependent,
     witness_var,
 )
-from opaqueir.interp import parse_input, run
+from opaqueir.interp import Diverged, Lanes, parse_input, run
 from opaqueir.ir import (
     Branch,
     IRError,
@@ -36,6 +36,7 @@ from opaqueir.passes import PRESETS, optimize
 from opaqueir.patterns import prepare
 from opaqueir.validate import audit_chain_preservation
 from test_passes import SWEEP, sweep_program
+from test_validate import load_benchmark_generator
 
 
 def setup(text, inputs=None):
@@ -670,16 +671,54 @@ def full_domain_outcomes(program, spec, info, types, j, ks):
     ty = types[events[j].iid[0], var]
     observed = dict(events[j].defs)[var]
     sign = functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
-    sigs = {k: sign(events[k].iid) for k in ks}
-    outcomes = {k: {value_at_dependent(info, j, sigs[k], sign)} for k in ks}
+    outcomes = {k: {value_at_dependent(info, j, events[k].iid, sign)} for k in ks}
     for value in deps._domain(ty) or _sample_values(ty, observed):
         if value == observed:
             continue
         alt = deps.run(program, spec, patch=(j, var, value))
         alt_info = analyze(alt)
         for k in ks:
-            outcomes[k].add(value_at_dependent(alt_info, j, sigs[k], sign))
+            outcomes[k].add(value_at_dependent(alt_info, j, events[k].iid, sign))
     return outcomes
+
+
+def reference_value_sets(program, spec, info, pairs):
+    """Reference for `deps._value_sets`, its links grouped and classified
+    the same way, but every alternative value of a group rerun on its
+    own, in order, until each of the group's links has two outcomes."""
+    events = info.events
+    var_types = typecheck(program).var_types
+    sign = functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
+    reports, groups = {}, {}
+    for j, k in pairs:
+        var = witness_var(info, j, k)
+        ty = None if var is None else var_types.get((events[j].iid[0], var))
+        if var is None or ty is Type.UNIT:
+            reports[j, k] = ValueSetReport(2, "rule_derived")
+        elif ty is None or events[k].iid is None:
+            reports[j, k] = ValueSetReport(0, "unknown")
+        elif deps._domain(ty) is None and (report := deps._rule_engine(program, info, j, k, ty)):
+            reports[j, k] = report
+        else:
+            groups.setdefault((j, var), []).append(k)
+    for (j, var), ks in groups.items():
+        ty = var_types[events[j].iid[0], var]
+        observed = dict(events[j].defs)[var]
+        outcomes = {k: {value_at_dependent(info, j, events[k].iid, sign)} for k in ks}
+        pending = set(ks)
+        for value in deps._domain(ty) or _sample_values(ty, observed):
+            if not pending:
+                break
+            if value == observed:
+                continue
+            alt_info = analyze(run(program, spec, patch=(j, var, value)))
+            for k in pending:
+                outcomes[k].add(value_at_dependent(alt_info, j, events[k].iid, sign))
+            pending = {k for k in pending if len(outcomes[k]) < 2}
+        status = "enumerated" if deps._domain(ty) else "sampled"
+        for k, seen in outcomes.items():
+            reports[j, k] = ValueSetReport(len(seen), status, frozenset(seen))
+    return reports
 
 
 def test_ov_u8_bijection_enumerates_full_domain():
@@ -701,14 +740,29 @@ function main() {
     assert report.values == frozenset({42 ^ 1, 0 ^ 1})
 
 
+class Reruns(list):
+    """The patches of the reruns that returned, a lane-batched rerun's
+    flattened into one per value; `runs` counts those executions and
+    `diverged` the lane-batched ones that raised `Diverged`."""
+
+    runs = diverged = 0
+
+
 def counting_reruns(monkeypatch):
     """Wrap the rerun primitive behind value sets and record each patch."""
-    patches = []
+    patches = Reruns()
     original = deps.run
 
     def counted(*args, **kw):
-        patches.append(kw["patch"])
-        return original(*args, **kw)
+        try:
+            result = original(*args, **kw)
+        except Diverged:
+            patches.diverged += 1
+            raise
+        j, var, value = kw["patch"]
+        patches.extend((j, var, v) for v in (value if type(value) is Lanes else [value]))
+        patches.runs += 1
+        return result
 
     monkeypatch.setattr(deps, "run", counted)
     return patches
@@ -838,6 +892,38 @@ out:
     assert report.status == "enumerated"
     assert report.values == frozenset({_REACHED})
     assert report.bound == 1
+
+
+# Two writes alike up to renaming. The second sees c = b - b = 0 whatever
+# a is; read at the first write, its link would see b and be confirmed,
+# and `instcombine` folding b - b would sever it.
+LOOKALIKE_WRITES = """
+function main() {
+  a = opaque { yield(5u32) }
+  b = a * 3
+  c = b - b
+  io(out, b)
+  io(out, c)
+  return()
+}
+"""
+
+
+def test_ov_link_reads_its_outcome_at_its_own_target():
+    program, types, spec, result, info = setup(LOOKALIKE_WRITES)
+    a, write_b, write_c = (ev.seq for ev in opaque_events(result))
+    assert opaque_value_set(program, spec, info, a, write_c) == ValueSetReport(
+        1, "sampled", frozenset({0})
+    )
+    assert opaque_value_set(program, spec, info, a, write_b).bound == 2**32  # 3 is odd
+    assert triples(chain_reports(program, spec, info)) == {
+        (a, write_b, "confirmed"), (a, write_c, "broken")
+    }
+    for preset in ("P2", "P3"):
+        res = optimize(program, preset=preset)
+        opt = run(res.program, spec)
+        verdict = audit_chain_preservation(result, opt, res.provenance, inputs=spec)
+        assert verdict.passed, (preset, verdict.witnesses)
 
 
 # --------------------------------------------------------------------------
@@ -1240,6 +1326,7 @@ def test_singleton_enumerated_link_runs_its_whole_domain_and_is_exempt(monkeypat
     patches = counting_reruns(monkeypatch)
     reports = chain_reports(program, spec, info)
     assert sorted(value for _, _, value in patches) == [v for v in range(256) if v != 5]
+    assert patches.runs == 2  # the first byte alone, the other 254 in one lane-batched rerun
     assert [(r.events, r.verdict) for r in reports] == [((j, k), "broken")]
     assert opaque_value_set(program, spec, info, j, k) == ValueSetReport(
         1, "enumerated", frozenset({0})
@@ -1333,3 +1420,140 @@ def test_sampled_group_reruns_until_its_last_link_has_two_outcomes(monkeypatch):
         assert report.status == "sampled"
         assert report.bound == 2
         assert shared[a, k] == report
+
+
+# --------------------------------------------------------------------------
+# Lane-batched reruns
+# --------------------------------------------------------------------------
+
+
+def audited_links(info):
+    return [(j, k) for j, ks in opaque_skeleton(info).items() for k in ks]
+
+
+@pytest.mark.parametrize(
+    "text, inputs",
+    CHAIN_PROGRAMS + [
+        pytest.param(CHAINED, "desc inp in ordered\n5\n9\n", id="chained"),
+        pytest.param(OFF_PATH_OPAQUE, None, id="off-path-opaque"),
+        pytest.param(LOOKALIKE_WRITES, None, id="lookalike-writes"),
+        pytest.param(MASKED_BYTE, "desc inp in ordered\n5u8\n", id="masked-byte"),
+    ],
+)
+def test_value_sets_equal_the_per_value_reference(text, inputs):
+    program, types, spec, result, info = setup(text, inputs)
+    pairs = audited_links(info)
+    assert deps._value_sets(program, spec, info, pairs) == reference_value_sets(
+        program, spec, info, pairs
+    )
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_value_sets_equal_the_per_value_reference_on_the_sweep(shape, pattern):
+    spec = parse_input("desc inp in ordered\n5\n")
+    for result in sweep_runs(shape, pattern):
+        info = analyze(result)
+        pairs = audited_links(info)
+        got = deps._value_sets(result.program, spec, info, pairs)
+        assert got == reference_value_sets(result.program, spec, info, pairs)
+
+
+def test_value_sets_equal_the_per_value_reference_on_the_benchmark_programs():
+    """Every program the benchmark workloads audit at seeds 1, 2 and 11,
+    as the audit sees it: the reference run of the program or its twin
+    on the first input. Each corpus seed has singleton groups that run
+    all 64 samples."""
+    gen = load_benchmark_generator()
+    sampled_singletons = 0
+    for make in gen.WORKLOADS.values():
+        for seed in (1, 2, 11):
+            for case in make(seed):
+                if case.audit_preset is None:
+                    continue
+                text = case.twin if case.audit_twin else case.text
+                program = prepare(text)[0]
+                spec = parse_input(case.inputs[0])
+                info = analyze(run(program, spec))
+                pairs = audited_links(info)
+                got = deps._value_sets(program, spec, info, pairs)
+                assert got == reference_value_sets(program, spec, info, pairs), case.name
+                sampled_singletons += sum(w.bound == 1 and w.status == "sampled" for w in got.values())
+    assert sampled_singletons  # groups whose lanes ran to the end
+
+
+def lane_case(site, yielded="42u8", helpers=""):
+    """A link from an opaque result `a` to a snapshot of `b`, joined by `site`."""
+    return (
+        f"{helpers}function main() {{\n  a = opaque {{ yield({yielded}) }}\n{site}"
+        "  w = opaque { s = snapshot(b); yield(unit_value) }\n  return()\n}\n"
+    )
+
+
+# Per row: the program, the reruns that return, the lane-batched ones that
+# diverge, and its one link's report. The first alternative value reruns
+# alone; a diverged batch leaves the rest to one rerun each.
+LANE_CASES = [
+    pytest.param(
+        lane_case("  c = a | 1u8\n  br c, hit, miss\nhit:\n  b = a & 0u8\n")
+        .replace("  return()\n}", "  br miss\nmiss:\n  return()\n}"),
+        2, 0, ValueSetReport(1, "enumerated", frozenset({0})), id="branch-one-arm",
+    ),
+    pytest.param(
+        lane_case("  c = a < 5u8\n  br c, hit, miss\nhit:\n  b = a & 0u8\n", yielded="2u8")
+        .replace("  return()\n}", "  br miss\nmiss:\n  return()\n}"),
+        # 0 reaches w; the batch parts at 5; 1, 3 and 4 reach w; 5 misses it
+        5, 1, ValueSetReport(2, "enumerated", frozenset({0, _BOTTOM})), id="branch-split",
+    ),
+    pytest.param(
+        lane_case("  p = a - a\n  mem[p] <- 5\n  b = mem[0]\n", yielded="7"),
+        64, 1, ValueSetReport(1, "sampled", frozenset({5})), id="lane-address",
+    ),
+    pytest.param(
+        lane_case("  mem[3] <- a\n  v = mem[3]\n  b = v / 4000000000\n", yielded="7"),
+        2, 0, ValueSetReport(2, "sampled", frozenset({0, 1})), id="store-and-load",
+    ),
+    pytest.param(
+        lane_case("  c = a - 1u8\n  d = 100u8 / c\n  b = d & 0u8\n"),
+        # 0 divides by 255; the lane of 1 traps, and so does its own rerun
+        2, 1, ValueSetReport(2, "enumerated", frozenset({0, _BOTTOM})), id="division-by-zero",
+    ),
+    pytest.param(
+        lane_case("  b = a / 200u8\n").replace(
+            "w = opaque { s = snapshot(b); yield(unit_value) }",
+            "w = opaque {\n  r0:\n    c = b | 1u8;\n    br c, r1, r2;\n  r1:\n"
+            "    s = snapshot(b);\n    yield(unit_value);\n  r2:\n    yield(unit_value);\n  }",
+        ),
+        2, 0, ValueSetReport(2, "enumerated", frozenset({0, 1})), id="branch-in-region",
+    ),
+    pytest.param(
+        lane_case(
+            "  b = scale(a)\n",
+            helpers="function scale(x: u8) -> (u8) {\n  y = x / 200u8\n  return(y)\n}\n",
+        ),
+        2, 0, ValueSetReport(2, "enumerated", frozenset({0, 1})), id="call-and-return",
+    ),
+    pytest.param(
+        BROKEN_LINK, 2, 0, ValueSetReport(1, "enumerated", frozenset({0})), id="u8-singleton",
+    ),
+    pytest.param(
+        # 2a wraps to a sign of its own: the third sample's is the first >= 0
+        lane_case("  d = a * 2i32\n  b = d < 0i32\n", yielded="-7i32"),
+        2, 0, ValueSetReport(2, "sampled", frozenset({True, False})), id="i32-sampled",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, runs, diverged, report", LANE_CASES)
+def test_lane_batched_reruns(monkeypatch, text, runs, diverged, report):
+    program, types, spec, result, info = setup(text)
+    j, k = links(result)
+    patches = counting_reruns(monkeypatch)
+    got = deps._value_sets(program, spec, info, [(j, k)])
+    assert (patches.runs, patches.diverged) == (runs, diverged)
+    assert got == {(j, k): report}
+    assert got == reference_value_sets(program, spec, info, [(j, k)])
+    # Values are tried in order: a batch's lanes, or its values one by one.
+    (var, observed), = result.events[j].defs
+    ty = types[result.events[j].iid[0], var]
+    alts = [v for v in deps._domain(ty) or _sample_values(ty, observed) if v != observed]
+    assert [value for _, _, value in patches] == alts[: len(patches)]
