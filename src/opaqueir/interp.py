@@ -867,9 +867,11 @@ class _LaneInterp(_Interp):
                 columns = [v if type(v) is Lanes else (v,) * lanes for v in operands]
                 evaluate = eval_binary if kind is BinaryExpr else eval_unary
                 try:
-                    return (Lanes([evaluate(op, *lane, ty) for lane in zip(*columns)]),)
+                    out = [evaluate(op, *lane, ty) for lane in zip(*columns)]
                 except _Trap as trap:
                     raise Diverged(trap.reason) from None
+                # lanes that all agree are one value again, e.g. `a - a`
+                return (out[0] if out.count(out[0]) == lanes else Lanes(out),)
         elif kind is LoadMem or kind is MemStore or kind is IoRead or kind is IoWrite:
             name = args[0] if kind is LoadMem else args[0][0]  # the address or descriptor
             if name is not None and type(names[name]) is Lanes:

@@ -27,18 +27,21 @@ tries to peek raises instead of miscompiling. The deliberately unsound
 `unsafe_const_fold_opaque` exists to prove the point and belongs to no
 preset.
 
+A pass that changes nothing returns its input: the `Program` object it
+was given, with identity provenance. That is the one no-op signal.
 `run_pipeline` memoizes pass results on the program it is given, for
 that program's lifetime, keyed by the pass functions that changed
 something so far plus the next one: presets that share a prefix run it
 once, and a patched `PASSES` entry is never served a stale result. An
 entry holds the output, the provenance composed from the memo's program
 to that output (so each changed-pass prefix is composed once, and a hit
-composes nothing) and the affected count, or only `None` for a no-op: a
-no-op logs 0, stays out of the key and the provenance, and the pipeline
-goes on with its input. So presets that reach the same changed passes
-return one program and one provenance map, and one that changes nothing
-returns its input, sharing the typecheck, decoded code, runs and
-analyses memoized on it. Raising passes are not stored.
+composes nothing) and the affected count, or only `None` when the pass
+returned its input: a no-op logs 0, stays out of the key and the
+provenance, and the pipeline goes on with its input. So presets that
+reach the same changed passes return one program and one provenance
+map, and one that changes nothing returns its input, sharing the
+typecheck, decoded code, runs and analyses memoized on it. Raising
+passes are not stored.
 """
 
 from __future__ import annotations
@@ -173,18 +176,6 @@ class _FnRebuild:
         self._instrs.append(instr)
         self._srcs.append(list(srcs))
 
-    def instr_at(self, index: int):
-        return self._instrs[index]
-
-    def replace_at(self, index: int, instr) -> None:
-        self._instrs[index] = instr
-
-    def add_source(self, index: int, src: tuple[InstrId, str]) -> None:
-        self._srcs[index].append(src)
-
-    def next_index(self) -> int:
-        return len(self._instrs)
-
     def close_block(self):
         self.blocks.append(
             Block(self._label, self._params, tuple(self._instrs), implicit=self._implicit)
@@ -203,25 +194,37 @@ class _FnRebuild:
 def _per_instr_pass(
     program: Program,
     rewrite: Callable[[str, InstrId, object], Optional[list[tuple[object, str]]]],
+    keep: Optional[dict[str, set[str]]] = None,
 ) -> PassResult:
     """Run a pass that maps each instruction independently to zero or more
-    replacements (None keeps it as is). Block structure is unchanged."""
+    replacements (None keeps it as is). Blocks keep their order; `keep`,
+    when given, names each function's blocks to keep, and the others are
+    dropped with their instructions. A pass that changes nothing returns
+    its input: when no rewrite fired and no block was dropped, the result
+    is `program` itself, with identity provenance."""
     pm = ProvenanceMap()
     functions = []
+    changed = False
     for f in program.functions:
         rb = _FnRebuild(f.name)
         for bi, block in enumerate(f.region.blocks):
+            if keep is not None and block.label not in keep[f.name]:
+                changed = True
+                continue
             rb.open_block(block.label, block.params, block.implicit)
             for pos, instr in enumerate(block.instrs):
                 iid = (f.name, bi, pos)
                 out = rewrite(f.name, iid, instr)
                 if out is None:
                     rb.emit(instr, [(iid, "kept")])
-                else:
-                    for new_instr, kind in out:
-                        rb.emit(new_instr, [(iid, kind)])
+                    continue
+                changed = True
+                for new_instr, kind in out:
+                    rb.emit(new_instr, [(iid, kind)])
             rb.close_block()
         functions.append(rb.finish(f, pm))
+    if not changed:
+        return PassResult(program, pm)
     return PassResult(Program(tuple(functions), program.macros), pm)
 
 
@@ -320,7 +323,7 @@ def copyprop(program: Program) -> PassResult:
 _TOP = ("top",)
 _BOT = ("bot",)
 
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+_BOOL_OPS = ("==", "!=", "<", "<=", ">", ">=", "!")  # operators with bool results
 
 
 def _meet(a, b):
@@ -342,8 +345,8 @@ def constprop(program: Program) -> PassResult:
     execute are dropped. Folding goes through the interpreter's own
     operator evaluation, so anything that would trap at runtime stays in
     place instead of folding."""
-    pm = ProvenanceMap()
-    functions = []
+    executable_blocks: dict[str, set[str]] = {}
+    facts: dict[str, tuple] = {}  # per function: blocks, values, taken, consts
     for f in program.functions:
         values: dict[str, tuple] = {p.name: _BOT for p in f.params}
 
@@ -359,26 +362,16 @@ def constprop(program: Program) -> PassResult:
             single = len(instr.results) == 1 and isinstance(instr.results[0], str)
             if isinstance(rhs, AtomExpr) and single:
                 return {instr.results[0]: atom_value(rhs.atom)}
-            if isinstance(rhs, UnaryExpr) and single:
-                v = atom_value(rhs.a)
-                if v == _TOP:
+            if isinstance(rhs, (UnaryExpr, BinaryExpr)) and single:
+                binary = isinstance(rhs, BinaryExpr)
+                vals = [atom_value(a) for a in ((rhs.a, rhs.b) if binary else (rhs.a,))]
+                if _TOP in vals:
                     return {instr.results[0]: _TOP}
-                if v[0] == "const":
+                if all(v[0] == "const" for v in vals):
                     try:
-                        out = eval_unary(rhs.op, v[1], v[2])
-                        ty = Type.BOOL if rhs.op == "!" else v[2]
-                        return {instr.results[0]: ("const", out, ty)}
-                    except Exception:
-                        pass
-                return {instr.results[0]: _BOT}
-            if isinstance(rhs, BinaryExpr) and single:
-                va, vb = atom_value(rhs.a), atom_value(rhs.b)
-                if va == _TOP or vb == _TOP:
-                    return {instr.results[0]: _TOP}
-                if va[0] == "const" and vb[0] == "const":
-                    try:
-                        out = eval_binary(rhs.op, va[1], vb[1], va[2])
-                        ty = Type.BOOL if rhs.op in _CMP_OPS else va[2]
+                        evaluate = eval_binary if binary else eval_unary
+                        out = evaluate(rhs.op, *(v[1] for v in vals), vals[0][2])
+                        ty = Type.BOOL if rhs.op in _BOOL_OPS else vals[0][2]
                         return {instr.results[0]: ("const", out, ty)}
                     except Exception:
                         pass
@@ -432,38 +425,31 @@ def constprop(program: Program) -> PassResult:
         consts = {
             name: Const(v[1], v[2]) for name, v in values.items() if v[0] == "const"
         }
-        rb = _FnRebuild(f.name)
-        for bi, block in enumerate(f.region.blocks):
-            if block.label not in executable:
-                continue  # can never run: drop it and its instructions
-            rb.open_block(block.label, block.params, block.implicit)
-            for pos, instr in enumerate(block.instrs):
-                iid = (f.name, bi, pos)
-                if isinstance(instr, Branch) and instr.cond is not None:
-                    outs = taken.get(block.label, [instr.then, instr.els])
-                    if len(outs) == 1:
-                        rb.emit(
-                            rename_instr(Branch(None, outs[0], None, instr.loc), consts),
-                            [(iid, "rewritten")],
-                        )
-                        continue
-                if (
-                    isinstance(instr, Define)
-                    and len(instr.results) == 1
-                    and isinstance(instr.results[0], str)
-                    and isinstance(instr.rhs, (UnaryExpr, BinaryExpr))
-                ):
-                    folded = values.get(instr.results[0])
-                    if folded is not None and folded != _TOP and folded[0] == "const":
-                        new = dc_replace(
-                            instr, rhs=AtomExpr(Const(folded[1], folded[2]))
-                        )
-                        rb.emit(new, [(iid, "rewritten")])
-                        continue
-                rb.emit(rename_instr(instr, consts), [(iid, "kept")])
-            rb.close_block()
-        functions.append(rb.finish(f, pm))
-    return PassResult(Program(tuple(functions), program.macros), pm)
+        executable_blocks[f.name] = executable
+        facts[f.name] = (f.region.blocks, values, taken, consts)
+
+    def rewrite(fname, iid, instr):
+        blocks, values, taken, consts = facts[fname]
+        if isinstance(instr, Branch) and instr.cond is not None:
+            outs = taken.get(blocks[iid[1]].label, ())
+            if len(outs) == 1:
+                new = rename_instr(Branch(None, outs[0], None, instr.loc), consts)
+                return [(new, "rewritten")]
+        if (
+            isinstance(instr, Define)
+            and len(instr.results) == 1
+            and isinstance(instr.results[0], str)
+            and isinstance(instr.rhs, (UnaryExpr, BinaryExpr))
+        ):
+            folded = values.get(instr.results[0], _TOP)
+            if folded[0] == "const":
+                new = dc_replace(instr, rhs=AtomExpr(Const(folded[1], folded[2])))
+                return [(new, "rewritten")]
+        new = rename_instr(instr, consts)
+        return None if new == instr else [(new, "kept")]
+
+    # blocks that can never run are dropped with their instructions
+    return _per_instr_pass(program, rewrite, executable_blocks)
 
 
 # --------------------------------------------------------------------------
@@ -627,6 +613,7 @@ def instcombine(program: Program) -> PassResult:
     var_types = typecheck(program).var_types
     pm = ProvenanceMap()
     functions = []
+    changed = False
     for f in program.functions:
         binop_defs: dict[str, BinaryExpr] = {}
         for block in f.region.blocks:
@@ -664,15 +651,26 @@ def instcombine(program: Program) -> PassResult:
 
         label_index = {b.label: i for i, b in enumerate(f.region.blocks)}
         rb = _FnRebuild(f.name)
+        changed = changed or bool(hoists)
         for bi, block in enumerate(f.region.blocks):
             if block.label in consumed:
                 continue  # its instructions move into the hoisting block
             rb.open_block(block.label, block.params, block.implicit)
             seen_pure: dict[tuple, str] = {}
-            opaque_groups: dict[tuple, int] = {}
-
             hoist = hoists.get(block.label)
             own = block.instrs[:-1] if hoist is not None else block.instrs
+
+            # plan merges of identical pure opaque instructions: each group's
+            # first member survives and the others become copies of it
+            groups: dict[tuple, list[int]] = {}
+            for pos, instr in enumerate(own):
+                if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
+                    s = instr.rhs.summary
+                    if s.is_pure:
+                        groups.setdefault((s.identity, s.uses), []).append(pos)
+            merges = {pos: g for g in groups.values() if len(g) > 1 for pos in g}
+            changed = changed or bool(merges)
+
             for pos, instr in enumerate(own):
                 iid = (f.name, bi, pos)
                 if (
@@ -717,31 +715,21 @@ def instcombine(program: Program) -> PassResult:
                     elif rhs is not instr.rhs:
                         binop_defs.pop(name, None)
                     if rhs is not instr.rhs:
+                        changed = True
                         rb.emit(dc_replace(instr, rhs=rhs), [(iid, "rewritten")])
                         continue
-                if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
-                    s = instr.rhs.summary
-                    if s.is_pure:
-                        key = (s.identity, s.uses)
-                        survivor = opaque_groups.get(key)
-                        if survivor is not None:
-                            kept = rb.instr_at(survivor)
-                            merged = (
-                                merge_obs_metadata(kept, instr)
-                                if s.snapshot_slots
-                                else kept
-                            )
-                            rb.replace_at(survivor, merged)
-                            rb.add_source(survivor, (iid, "combined"))
-                            for mine, theirs in zip(instr.results, merged.results):
-                                if isinstance(mine, str) and isinstance(theirs, str):
-                                    copy = Define(
-                                        (mine,), AtomExpr(Var(theirs)), (), instr.loc
-                                    )
-                                    rb.emit(copy, [])
-                            continue
-                        opaque_groups[key] = rb.next_index()
-                rb.emit(instr, [(iid, "kept")])
+                group = merges.get(pos)
+                if group is None:
+                    rb.emit(instr, [(iid, "kept")])
+                elif pos == group[0]:
+                    if instr.rhs.summary.snapshot_slots:
+                        for p in group[1:]:
+                            instr = merge_obs_metadata(instr, own[p])
+                    rb.emit(instr, [((f.name, bi, p), "combined") for p in group])
+                else:
+                    for mine, theirs in zip(instr.results, own[group[0]].results):
+                        if isinstance(mine, str) and isinstance(theirs, str):
+                            rb.emit(Define((mine,), AtomExpr(Var(theirs)), (), instr.loc), [])
             if hoist is not None:
                 # the hoisted arm: each instruction combines both arms' copies,
                 # and its terminator also rewrites the branch
@@ -761,18 +749,9 @@ def instcombine(program: Program) -> PassResult:
                     rb.emit(instr, srcs)
             rb.close_block()
         functions.append(rb.finish(f, pm))
-
-    _upgrade_merge_survivors(pm)
+    if not changed:
+        return PassResult(program, pm)
     return PassResult(Program(tuple(functions), program.macros), pm)
-
-
-def _upgrade_merge_survivors(pm: ProvenanceMap) -> None:
-    """A destination that combined several sources is a combination for
-    all of them, the surviving one included."""
-    combined_dsts = {d for (_, d), k in pm.edges.items() if k == "combined"}
-    for (s, d), k in list(pm.edges.items()):
-        if k == "kept" and d in combined_dsts:
-            pm.edges[(s, d)] = "combined"
 
 
 # --------------------------------------------------------------------------
@@ -880,33 +859,32 @@ def dce(program: Program) -> PassResult:
     its results has a use left, and its death takes one use off each name
     it reads, queueing the definer of each name that reaches zero. `use(...)`
     instructions and io, call, and snapshot defines always stay."""
-    pm = ProvenanceMap()
-    functions = []
+    reach: dict[str, set[str]] = {}
+    dead: set[InstrId] = set()
     for f in program.functions:
         succ = block_successors(f.region)
-        reach = {f.region.entry.label}
+        live = reach[f.name] = {f.region.entry.label}
         frontier = [f.region.entry.label]
         while frontier:
             for t in succ.get(frontier.pop(), []):
-                if t not in reach:
-                    reach.add(t)
+                if t not in live:
+                    live.add(t)
                     frontier.append(t)
 
-        live_blocks = [
-            (bi, b) for bi, b in enumerate(f.region.blocks) if b.label in reach
-        ]
-        uses: dict[tuple[int, int], set[str]] = {}
-        results: dict[tuple[int, int], list[str]] = {}  # of removable instructions
-        definer: dict[str, tuple[int, int]] = {}  # SSA: one per name
-        for bi, block in live_blocks:
+        uses: dict[InstrId, set[str]] = {}
+        results: dict[InstrId, list[str]] = {}  # of removable instructions
+        definer: dict[str, InstrId] = {}  # SSA: one per name
+        for bi, block in enumerate(f.region.blocks):
+            if block.label not in live:
+                continue
             for pos, instr in enumerate(block.instrs):
-                uses[bi, pos] = _instr_uses(instr)
+                iid = (f.name, bi, pos)
+                uses[iid] = _instr_uses(instr)
                 if _removable(instr):
-                    results[bi, pos] = [r for r in instr.results if isinstance(r, str)]
-                    for n in results[bi, pos]:
-                        definer[n] = (bi, pos)
+                    results[iid] = [r for r in instr.results if isinstance(r, str)]
+                    for n in results[iid]:
+                        definer[n] = iid
         count = Counter(n for names in uses.values() for n in names)
-        dead: set[tuple[int, int]] = set()
         work = list(results)
         while work:
             at = work.pop()
@@ -918,15 +896,7 @@ def dce(program: Program) -> PassResult:
                 if not count[n] and n in definer:
                     work.append(definer[n])
 
-        rb = _FnRebuild(f.name)
-        for bi, block in live_blocks:
-            rb.open_block(block.label, block.params, block.implicit)
-            for pos, instr in enumerate(block.instrs):
-                if (bi, pos) not in dead:
-                    rb.emit(instr, [((f.name, bi, pos), "kept")])
-            rb.close_block()
-        functions.append(rb.finish(f, pm))
-    return PassResult(Program(tuple(functions), program.macros), pm)
+    return _per_instr_pass(program, lambda fname, iid, instr: [] if iid in dead else None, reach)
 
 
 # --------------------------------------------------------------------------
@@ -1086,6 +1056,7 @@ def loop_unroll(program: Program) -> PassResult:
     var_types = typecheck(program).var_types
     pm = ProvenanceMap()
     functions = []
+    changed = False
     for f in program.functions:
         loop = _match_counted_loop(f, var_types)
         if loop is None:
@@ -1094,6 +1065,7 @@ def loop_unroll(program: Program) -> PassResult:
                 for pos in range(len(block.instrs)):
                     pm.add((f.name, bi, pos), (f.name, bi, pos), "kept")
             continue
+        changed = True
 
         fresh = _fresh_namer(f)
         region = f.region
@@ -1176,6 +1148,8 @@ def loop_unroll(program: Program) -> PassResult:
                 rb.emit(instr, [(iid, "kept")])
             rb.close_block()
         functions.append(rb.finish(f, pm))
+    if not changed:
+        return PassResult(program, pm)
     return PassResult(Program(tuple(functions), program.macros), pm)
 
 
@@ -1270,16 +1244,6 @@ class PipelineResult:
     log: tuple[tuple[str, int], ...]  # (pass name, instructions affected)
 
 
-def _layout(program: Program) -> list[tuple]:
-    """Each block's label, parameters and instruction objects (by `id`:
-    `==` ignores `loc`)."""
-    return [
-        (b.label, b.params, *map(id, b.instrs))
-        for f in program.functions
-        for b in f.region.blocks
-    ]
-
-
 def run_pipeline(program: Program, pass_names: Iterable[str]) -> PipelineResult:
     """Apply passes in order with the opacity seal engaged, composing
     provenance across the whole pipeline. Each (changed-pass prefix,
@@ -1293,16 +1257,14 @@ def run_pipeline(program: Program, pass_names: Iterable[str]) -> PipelineResult:
             key = (changed, PASSES[name])
             if key not in memo:
                 result = key[1](current)
-                kept, other, noop = set(), set(), True  # sources by edge kind
-                for (s, d), k in result.provenance.edges.items():
-                    (kept if k == "kept" else other).add(s)
-                    noop = noop and s == d and k == "kept"
-                n = len(program_iids(current))
-                if noop and len(kept) == n and _layout(current) == _layout(result.program):
+                if result.program is current:  # a pass that changes nothing
                     memo[key] = None
                 else:  # the first changed pass's map already starts at `program`
+                    kept, other = set(), set()  # sources by edge kind
+                    for (s, _), k in result.provenance.edges.items():
+                        (kept if k == "kept" else other).add(s)
                     pm = result.provenance if prov is None else prov.compose(result.provenance)
-                    memo[key] = (result.program, pm, n - len(kept - other))
+                    memo[key] = (result.program, pm, len(program_iids(current)) - len(kept - other))
             if (step := memo[key]) is None:  # a no-op: go on with `current`
                 log.append((name, 0))
                 continue

@@ -1059,6 +1059,27 @@ def test_ov_rule_join_bails_to_sampling():
     assert report.bound == 1
 
 
+def test_ov_two_result_opaque_links_through_the_result_it_uses():
+    """`a, b = opaque {...}` binds both results; only b reaches w, so the
+    link's witness is b and its value set is b's."""
+    program, types, spec, result, info = setup(
+        """
+function main() {
+  x = io(inp)
+  a, b = opaque { yield(7, x) }
+  c = b + 1
+  w = opaque { s = snapshot(c); yield(unit_value) }
+  return()
+}
+""",
+        "desc inp in ordered\n5\n",
+    )
+    j, k = (ev.seq for ev in result.events if ev.kind == "opaque")
+    assert result.events[j].defs == (("a", 7), ("b", 5))
+    assert witness_var(info, j, k) == "b"
+    assert deps._value_sets(program, spec, info, [(j, k)])[j, k].bound >= 2
+
+
 # --------------------------------------------------------------------------
 # Unit tokens and chain classification
 # --------------------------------------------------------------------------
@@ -1506,7 +1527,8 @@ LANE_CASES = [
     ),
     pytest.param(
         lane_case("  p = a - a\n  mem[p] <- 5\n  b = mem[0]\n", yielded="7"),
-        64, 1, ValueSetReport(1, "sampled", frozenset({5})), id="lane-address",
+        # every lane of p is 0, so p is one address and the batch holds
+        2, 0, ValueSetReport(1, "sampled", frozenset({5})), id="lane-address",
     ),
     pytest.param(
         lane_case("  mem[3] <- a\n  v = mem[3]\n  b = v / 4000000000\n", yielded="7"),

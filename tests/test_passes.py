@@ -191,6 +191,28 @@ fin:
     assert writes(res.program) == [(1,)]
 
 
+def test_constprop_folds_unary_operators_to_typed_constants():
+    p = prog(
+        """
+function main() {
+  x = 5u8
+  y = -x
+  z = ~y
+  t = z == 4u8
+  u = !t
+  io(out, y, z, u)
+  return()
+}
+"""
+    )
+    res = optimize(p, preset="P1")
+    assert main_instrs(res.program)[0].values == (
+        Const(251, Type.U8), Const(4, Type.U8), Const(False, Type.BOOL)
+    )
+    assert len(main_instrs(res.program)) == 2
+    assert res.log == (("constprop", 4), ("dce", 5))
+
+
 def test_constprop_leaves_trapping_division_alone():
     p = prog(
         """
@@ -1087,6 +1109,30 @@ def changed_nothing(before, result):
     return result.provenance.edges == ProvenanceMap.identity(before).edges and [
         (b.label, b.params, [id(i) for i in b.instrs]) for b in blocks[0]
     ] == [(b.label, b.params, [id(i) for i in b.instrs]) for b in blocks[1]]
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_a_pass_returns_its_input_exactly_when_it_changes_nothing(monkeypatch, shape, pattern):
+    """Every pass, on the sweep program and on every program a preset
+    feeds it: returning the input object is the one no-op signal."""
+    originals = dict(PASSES)
+    received = {name: [prog(sweep_program(shape, pattern))] for name in PASSES}
+    for name, fn in originals.items():
+
+        def spy(program, name=name, fn=fn):
+            received[name].append(program)
+            return fn(program)
+
+        monkeypatch.setitem(PASSES, name, spy)
+    for preset in sorted(PRESETS):
+        optimize_or_error(prog(sweep_program(shape, pattern)), preset)
+    for name, programs in received.items():
+        for program in programs:
+            try:
+                result = originals[name](program)
+            except IRError:
+                continue
+            assert (result.program is program) == changed_nothing(program, result), name
 
 
 @pytest.mark.parametrize("shape, pattern", SWEEP)

@@ -699,6 +699,32 @@ def test_event_map_requires_edges():
     assert all(em.counterpart(ev.seq) is None for ev in result.events)
 
 
+@pytest.mark.parametrize("preset", ["P2", "P3"])
+def test_merged_opaque_regions_map_many_events_to_one(preset):
+    """instcombine merges two identical pure regions into one survivor with
+    two `combined` sources, so each reference event maps to its one run."""
+    program = prog(
+        """
+function main() {
+  a = opaque { yield(5) }
+  b = opaque { yield(5) }
+  c = a + b
+  io(out, c)
+  return()
+}
+"""
+    )
+    res = optimize(program, preset=preset)
+    assert ("instcombine", 2) in res.log
+    ref, opt = run_ok(program), run_ok(res.program)
+    em = EventMap(ref.events, opt.events, res.provenance)
+    [merged] = [ev.seq for ev in opt.events if ev.kind == "opaque"]
+    ref_opaques = [ev.seq for ev in ref.events if ev.kind == "opaque"]
+    assert len(ref_opaques) == 2
+    assert [em.counterpart(seq) for seq in ref_opaques] == [merged, merged]
+    assert audit_chain_preservation(ref, opt, res.provenance).passed
+
+
 # --------------------------------------------------------------------------
 # Chain preservation
 # --------------------------------------------------------------------------
