@@ -1,4 +1,4 @@
-"""Mini IR core: types, parser, canonical printer, macros, validation.
+"""Mini IR core: types, parser, printer, macros, validation.
 
 The IR is a three-address SSA language with regions, basic blocks and
 block arguments (continuation-passing style: loops carry their state
@@ -20,9 +20,14 @@ rewrites `rename_instr`, `freshen` and `merge_obs_metadata`. The
 `sealed_opaque_regions` context manager enforces the barrier at runtime:
 while sealed, touching `OpaqueExpr.region`, the one public accessor of a
 body, raises `OpacityBreach`. The front end and the sanctioned rewrites
-(parser, printer, signatures, validator, macro expansion, observation
-tagging) and the interpreter read the private `_body` field instead, so
-they work the same whether or not the seal is engaged.
+(parser, printer, validator, macro expansion, observation tagging) and
+the interpreter read the private `_body` field instead, so they work the
+same whether or not the seal is engaged.
+
+One printer gives both program text and identity: the signatures
+(`region_signature`, hence `OpaqueSummary.identity`, `instr_signature`
+and `block_signature`) print as `print_program` does, with names
+numbered by first occurrence.
 """
 
 from __future__ import annotations
@@ -369,7 +374,6 @@ class Block:
     label: str
     params: tuple[Param, ...]
     instrs: tuple[Instr, ...]
-    implicit: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -471,7 +475,9 @@ class OpaqueSummary:
     performs_io: bool
     yield_arity: int
     snapshot_slots: int
-    identity: str  # canonical form, equal iff identical up to renaming
+    # `region_signature`: equal iff identical up to renaming, annotations
+    # and parameter types included, observation tags ignored
+    identity: str
 
     @property
     def is_pure(self) -> bool:
@@ -606,127 +612,6 @@ def _summarize_region(body: Region) -> OpaqueSummary:
         snapshot_slots=snapshots,
         identity=region_signature(body),
     )
-
-
-# --------------------------------------------------------------------------
-# Canonical signatures (identity up to variable renaming)
-# --------------------------------------------------------------------------
-
-
-class _Canon:
-    """Positional renaming of variables/references/labels for signatures."""
-
-    def __init__(self):
-        self.vars: dict[str, str] = {}
-        self.refs: dict[str, str] = {}
-        self.labels: dict[str, str] = {}
-
-    def var(self, name: str) -> str:
-        if name not in self.vars:
-            self.vars[name] = f"%{len(self.vars)}"
-        return self.vars[name]
-
-    def ref(self, name: str) -> str:
-        if name not in self.refs:
-            self.refs[name] = f"&{len(self.refs)}"
-        return self.refs[name]
-
-    def label(self, name: str) -> str:
-        if name not in self.labels:
-            self.labels[name] = f"^{len(self.labels)}"
-        return self.labels[name]
-
-    def atom(self, atom: Atom) -> str:
-        if isinstance(atom, Var):
-            return self.var(atom.name)
-        if isinstance(atom, Const):
-            return _const_text(atom)
-        return f"{atom.first}...{atom.last}"
-
-    def desc(self, desc: Desc) -> str:
-        return self.var(desc.name) if desc.is_var else f"@{desc.name}"
-
-
-def _sig_expr(expr: Expr, c: _Canon) -> str:
-    if isinstance(expr, AtomExpr):
-        return c.atom(expr.atom)
-    if isinstance(expr, UnaryExpr):
-        return f"{expr.op}{c.atom(expr.a)}"
-    if isinstance(expr, BinaryExpr):
-        return f"{c.atom(expr.a)} {expr.op} {c.atom(expr.b)}"
-    if isinstance(expr, LoadMem):
-        return f"mem[{c.atom(expr.addr)}]"
-    if isinstance(expr, LoadRef):
-        return c.ref(expr.ref)
-    if isinstance(expr, IoRead):
-        return f"io({c.desc(expr.desc)})"
-    if isinstance(expr, SnapshotExpr):
-        return f"snapshot({', '.join(c.atom(a) for a in expr.args)})"
-    if isinstance(expr, CallExpr):
-        return f"{expr.callee}({', '.join(c.atom(a) for a in expr.args)})"
-    if isinstance(expr, DescriptorExpr):
-        return expr.name
-    if isinstance(expr, OpaqueExpr):
-        return "opaque{" + _sig_region(expr._body, c) + "}"
-    raise TypeError(expr)
-
-
-def _sig_instr(instr: Instr, c: _Canon) -> str:
-    if isinstance(instr, Define):
-        lhs = ", ".join(
-            c.var(r) if isinstance(r, str) else f"{r.first}...{r.last}"
-            for r in instr.results
-        )
-        rhs = _sig_expr(instr.rhs, c)
-        return f"{lhs} = {rhs}" if lhs else rhs
-    if isinstance(instr, RefAssign):
-        return f"{c.ref(instr.ref)} <- {c.atom(instr.value)}"
-    if isinstance(instr, MemStore):
-        return f"mem[{c.atom(instr.addr)}] <- {c.atom(instr.value)}"
-    if isinstance(instr, IoWrite):
-        parts = [c.desc(instr.desc)] + [c.atom(v) for v in instr.values]
-        return f"io({', '.join(parts)})"
-    if isinstance(instr, Use):
-        return f"use({', '.join(c.atom(a) for a in instr.args)})"
-    if isinstance(instr, Branch):
-        def tgt(bc: BlockCall) -> str:
-            args = ", ".join(c.atom(a) for a in bc.args)
-            return f"{c.label(bc.label)}({args})" if args else c.label(bc.label)
-
-        if instr.cond is None:
-            return f"br {tgt(instr.then)}"
-        return f"br {c.atom(instr.cond)}, {tgt(instr.then)}, {tgt(instr.els)}"
-    if isinstance(instr, Return):
-        return f"return({', '.join(c.atom(v) for v in instr.values)})"
-    if isinstance(instr, Yield):
-        return f"yield({', '.join(c.atom(v) for v in instr.values)})"
-    raise TypeError(instr)
-
-
-def _sig_region(region: Region, c: _Canon) -> str:
-    parts = []
-    for block in region.blocks:
-        c.label(block.label)
-    for block in region.blocks:
-        params = ", ".join(c.var(p.name) for p in block.params)
-        parts.append(f"{c.label(block.label)}({params}):")
-        for instr in block.instrs:
-            parts.append(_sig_instr(instr, c))
-    return " ".join(parts)
-
-
-def region_signature(region: Region) -> str:
-    return _sig_region(region, _Canon())
-
-
-def instr_signature(instr: Instr) -> str:
-    """Canonical form of one instruction, abstracting variable names.
-
-    Two instructions with the same signature are identical expressions up
-    to variable renaming (constants, operators, descriptors and opaque
-    region structure all compared concretely).
-    """
-    return _sig_instr(instr, _Canon())
 
 
 # --------------------------------------------------------------------------
@@ -967,11 +852,11 @@ class _Parser:
         """Parse blocks until the closing brace. `kind` is 'function' or
         'opaque'; it decides which terminator gets synthesized on
         fall-through at the end of the region."""
-        blocks: list[tuple[str, tuple[Param, ...], list[Instr], bool]] = []
+        blocks: list[tuple[str, tuple[Param, ...], list[Instr]]] = []
 
         def ensure_block():
             if not blocks:
-                blocks.append(("entry", (), [], True))
+                blocks.append(("entry", (), []))
 
         self.skip_newlines()
         while True:
@@ -989,18 +874,14 @@ class _Parser:
                     params = self.parse_params(types_required=False)
                     self.expect(")")
                 self.expect(":")
-                blocks.append((name_tok.text, params, [], False))
+                blocks.append((name_tok.text, params, []))
             else:
                 ensure_block()
                 instr = self.parse_instruction()
                 blocks[-1][2].append(instr)
             self.skip_newlines()
-        if not blocks:
-            blocks.append(("entry", (), [], True))
-        return _finish_region(
-            Region(tuple(Block(n, p, tuple(i), implicit=im) for n, p, i, im in blocks)),
-            kind,
-        )
+        ensure_block()
+        return _finish_region(Region(tuple(Block(n, p, tuple(i)) for n, p, i in blocks)), kind)
 
     def at_label(self) -> bool:
         if self.peek().kind != "ident":
@@ -1158,7 +1039,9 @@ class _Parser:
         rhs = self.parse_rhs()
         self.expect_newline()
         res = self.collapse_groups(results, loc)
-        return Define(tuple(res), rhs, ann=tuple(anns[: len(res)]), loc=loc)
+        # `()` is the one spelling of "no annotation"
+        ann = tuple(anns[: len(res)]) if any(a is not None for a in anns) else ()
+        return Define(tuple(res), rhs, ann=ann, loc=loc)
 
     def collapse_groups(self, items: list[object], loc) -> list[object]:
         out: list[object] = []
@@ -1463,8 +1346,42 @@ def parse_program(text: str) -> Program:
 
 
 # --------------------------------------------------------------------------
-# Canonical printer
+# Printer: program text and identity up to renaming
 # --------------------------------------------------------------------------
+
+
+class _Spelling:
+    """How the printer spells names. As written, for `print_program`, it
+    prints observation tags and leaves out a first block label that
+    parsing gives back. Canonical, for signatures, it numbers each
+    variable, reference and label in `bound` (every one when `bound` is
+    None) by its first occurrence and prints the others as written; it
+    leaves out observation tags, which merges combine, and prints every
+    label, whatever its name."""
+
+    def __init__(self, canonical: bool, bound: Optional[dict[str, set[str]]] = None):
+        self.canonical, self.bound = canonical, bound
+        self.seen: dict[str, dict[str, str]] = {"%": {}, "&": {}, "^": {}}
+
+    def _name(self, sigil: str, name: str) -> str:
+        if not self.canonical or (self.bound is not None and name not in self.bound[sigil]):
+            return name
+        seen = self.seen[sigil]
+        if name not in seen:
+            seen[name] = f"{sigil}{len(seen)}"
+        return seen[name]
+
+    def var(self, name: str) -> str:
+        return self._name("%", name)
+
+    def ref(self, name: str) -> str:
+        return self._name("&", name)
+
+    def label(self, name: str) -> str:
+        return self._name("^", name)
+
+
+_WRITTEN = _Spelling(canonical=False)
 
 
 def _const_text(c: Const) -> str:
@@ -1479,52 +1396,52 @@ def _const_text(c: Const) -> str:
     return str(c.value)
 
 
-def _atom_text(atom: Atom) -> str:
+def _atom_text(atom: Atom, sp: _Spelling = _WRITTEN) -> str:
     if isinstance(atom, Var):
-        return atom.name
+        return sp.var(atom.name)
     if isinstance(atom, Const):
         return _const_text(atom)
-    return f"{atom.first}, ..., {atom.last}"
+    return f"{sp.var(atom.first)}, ..., {sp.var(atom.last)}"
 
 
-def _atom_list_text(atoms: Iterator[Atom]) -> str:
-    return ", ".join(_atom_text(a) for a in atoms)
+def _atom_list_text(atoms: tuple[Atom, ...], sp: _Spelling) -> str:
+    return ", ".join(_atom_text(a, sp) for a in atoms)
 
 
-def _expr_text(expr: Expr, indent: int, lines: list[str]) -> str:
-    """Render an expression; opaque regions append their body lines."""
+def _desc_text(desc: Desc, sp: _Spelling) -> str:
+    return sp.var(desc.name) if desc.is_var else desc.name
+
+
+def _expr_text(expr: Expr, sp: _Spelling) -> str:
+    """Render an expression; `_instr_lines` prints opaque regions."""
     if isinstance(expr, AtomExpr):
-        return _atom_text(expr.atom)
+        return _atom_text(expr.atom, sp)
     if isinstance(expr, UnaryExpr):
-        return f"{expr.op}{_atom_text(expr.a)}"
+        return f"{expr.op}{_atom_text(expr.a, sp)}"
     if isinstance(expr, BinaryExpr):
-        return f"{_atom_text(expr.a)} {expr.op} {_atom_text(expr.b)}"
+        return f"{_atom_text(expr.a, sp)} {expr.op} {_atom_text(expr.b, sp)}"
     if isinstance(expr, LoadMem):
-        return f"mem[{_atom_text(expr.addr)}]"
+        return f"mem[{_atom_text(expr.addr, sp)}]"
     if isinstance(expr, LoadRef):
-        return expr.ref
+        return sp.ref(expr.ref)
     if isinstance(expr, IoRead):
-        return f"io({expr.desc.name})"
+        return f"io({_desc_text(expr.desc, sp)})"
     if isinstance(expr, SnapshotExpr):
-        text = f"snapshot({_atom_list_text(iter(expr.args))})"
-        if expr.tags:
+        text = f"snapshot({_atom_list_text(expr.args, sp)})"
+        if expr.tags and not sp.canonical:
             tag_text = ", ".join(
                 f"{t.source_id[0]}:{t.source_id[1]}({','.join(t.names)})" for t in expr.tags
             )
             text += f" [obs {tag_text}]"
         return text
     if isinstance(expr, CallExpr):
-        return f"{expr.callee}({_atom_list_text(iter(expr.args))})"
+        return f"{expr.callee}({_atom_list_text(expr.args, sp)})"
     if isinstance(expr, DescriptorExpr):
         return expr.name
-    if isinstance(expr, OpaqueExpr):
-        head = "opaque {"
-        _region_lines(expr._body, indent, lines)
-        return head  # caller appends the closing brace line
     raise TypeError(expr)
 
 
-def _instr_lines(instr: Instr, indent: int, lines: list[str]):
+def _instr_lines(instr: Instr, sp: _Spelling, indent: int, lines: list[str]):
     pad = " " * indent
 
     def emit(text: str):
@@ -1534,80 +1451,79 @@ def _instr_lines(instr: Instr, indent: int, lines: list[str]):
         lhs_parts = []
         for r, a in zip(instr.results, instr.ann or (None,) * len(instr.results)):
             if isinstance(r, VarGroup):
-                lhs_parts.append(f"{r.first}, ..., {r.last}")
+                lhs_parts.append(_atom_text(r, sp))
             elif a is not None:
-                lhs_parts.append(f"{r}: {a.value}")
+                lhs_parts.append(f"{sp.var(r)}: {a.value}")
             else:
-                lhs_parts.append(r)
+                lhs_parts.append(sp.var(r))
         prefix = ", ".join(lhs_parts) + " = " if lhs_parts else ""
         if isinstance(instr.rhs, OpaqueExpr):
-            sub: list[str] = []
-            _expr_text(instr.rhs, indent + 2, sub)
             emit(prefix + "opaque {")
-            lines.extend(sub)
+            _region_lines(instr.rhs._body, sp, indent + 2, lines)
             emit("}")
         else:
-            emit(prefix + _expr_text(instr.rhs, indent, lines))
+            emit(prefix + _expr_text(instr.rhs, sp))
     elif isinstance(instr, RefAssign):
-        emit(f"{instr.ref} <- {_atom_text(instr.value)}")
+        emit(f"{sp.ref(instr.ref)} <- {_atom_text(instr.value, sp)}")
     elif isinstance(instr, MemStore):
-        emit(f"mem[{_atom_text(instr.addr)}] <- {_atom_text(instr.value)}")
+        emit(f"mem[{_atom_text(instr.addr, sp)}] <- {_atom_text(instr.value, sp)}")
     elif isinstance(instr, IoWrite):
-        parts = [instr.desc.name] + [_atom_text(v) for v in instr.values]
+        parts = [_desc_text(instr.desc, sp)] + [_atom_text(v, sp) for v in instr.values]
         emit(f"io({', '.join(parts)})")
     elif isinstance(instr, Use):
-        emit(f"use({_atom_list_text(iter(instr.args))})")
+        emit(f"use({_atom_list_text(instr.args, sp)})")
     elif isinstance(instr, Branch):
         def tgt(bc: BlockCall) -> str:
             if bc.args:
-                return f"{bc.label}({_atom_list_text(iter(bc.args))})"
-            return bc.label
+                return f"{sp.label(bc.label)}({_atom_list_text(bc.args, sp)})"
+            return sp.label(bc.label)
 
         if instr.cond is None:
             emit(f"br {tgt(instr.then)}")
         else:
-            emit(f"br {_atom_text(instr.cond)}, {tgt(instr.then)}, {tgt(instr.els)}")
+            emit(f"br {_atom_text(instr.cond, sp)}, {tgt(instr.then)}, {tgt(instr.els)}")
     elif isinstance(instr, Return):
-        emit(f"return({_atom_list_text(iter(instr.values))})")
+        emit(f"return({_atom_list_text(instr.values, sp)})")
     elif isinstance(instr, Yield):
-        emit(f"yield({_atom_list_text(iter(instr.values))})")
+        emit(f"yield({_atom_list_text(instr.values, sp)})")
     else:
         raise TypeError(instr)
 
 
-def _region_lines(region: Region, indent: int, lines: list[str]):
-    targeted = set()
-    for block in region.blocks:
-        for instr in block.instrs:
-            if isinstance(instr, Branch):
-                targeted.add(instr.then.label)
-                if instr.els is not None:
-                    targeted.add(instr.els.label)
+def _region_lines(region: Region, sp: _Spelling, indent: int, lines: list[str]):
+    # Parsing gives back a first label left out when it is `entry`, takes
+    # no parameters and no branch targets it; signatures print every label.
+    first = region.blocks[0]
+    hide_first = not sp.canonical and first.label == "entry" and not first.params and not any(
+        isinstance(i, Branch) and "entry" in (i.then.label, i.els and i.els.label)
+        for b in region.blocks
+        for i in b.instrs
+    )
     label_pad = " " * max(indent - 2, 0)
     for i, block in enumerate(region.blocks):
-        show_label = not (i == 0 and block.implicit and block.label not in targeted and not block.params)
-        if show_label:
+        if i or not hide_first:
+            label = sp.label(block.label)
             if block.params:
                 params = ", ".join(
-                    f"{p.name}: {p.type.value}" if p.type else p.name for p in block.params
+                    f"{sp.var(p.name)}: {p.type.value}" if p.type else sp.var(p.name)
+                    for p in block.params
                 )
-                lines.append(f"{label_pad}{block.label}({params}):")
-            else:
-                lines.append(f"{label_pad}{block.label}:")
+                label += f"({params})"
+            lines.append(f"{label_pad}{label}:")
         for instr in block.instrs:
-            _instr_lines(instr, indent, lines)
+            _instr_lines(instr, sp, indent, lines)
 
 
 def print_program(program: Program) -> str:
-    """Canonical text form; parsing it back yields a structurally
-    identical program (source locations aside)."""
+    """Program text; parsing it back yields a structurally identical
+    program (source locations aside)."""
     lines: list[str] = []
     for m in program.macros:
         formals = list(m.formals.fixed)
         if m.formals.variadic:
             formals.append(f"{m.formals.variadic[0]}, ..., {m.formals.variadic[1]}")
         lines.append(f"macro {m.name}({', '.join(formals)}) {{")
-        _region_lines(m.region, 2, lines)
+        _region_lines(m.region, _WRITTEN, 2, lines)
         lines.append("}")
         lines.append("")
     for f in program.functions:
@@ -1616,10 +1532,46 @@ def print_program(program: Program) -> str:
         if f.ret_types is not None:
             head += " -> (" + ", ".join(t.value for t in f.ret_types) + ")"
         lines.append(head + " {")
-        _region_lines(f.region, 2, lines)
+        _region_lines(f.region, _WRITTEN, 2, lines)
         lines.append("}")
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
+
+
+def _canonical(print_lines: Callable, item, bound: Optional[dict] = None) -> str:
+    lines: list[str] = []
+    print_lines(item, _Spelling(True, bound), 0, lines)
+    return "\n".join(lines)
+
+
+def region_signature(region: Region) -> str:
+    """The region printed with every name numbered: equal for two regions
+    exactly when they are identical up to renaming, observation tags
+    aside."""
+    return _canonical(_region_lines, region)
+
+
+def instr_signature(instr: Instr) -> str:
+    """Canonical form of one instruction, abstracting variable names.
+
+    Two instructions with the same signature are identical expressions up
+    to variable renaming (constants, operators, annotations, descriptors
+    and opaque region structure all compared concretely).
+    """
+    return _canonical(_instr_lines, instr)
+
+
+def block_signature(block: Block) -> str:
+    """The block printed with what it binds numbered: its label,
+    parameters and results, and the names and labels bound in its opaque
+    regions. Free names, references and branch targets print as written
+    (and so does a region label named like a target), so two blocks with
+    equal signatures compute the same values from the same inputs and
+    storage, and branch to the same places."""
+    region = Region((block,))
+    labels = {b.label for b in walk_blocks(region)} - set(block_successors(region)[block.label])
+    bound = {"%": region_defined_names(region), "&": set(), "^": labels}
+    return _canonical(_region_lines, region, bound)
 
 
 # --------------------------------------------------------------------------
@@ -1652,7 +1604,6 @@ class _Expander:
             instrs: list[Instr] = []
             block_label = block.label
             block_params = block.params
-            implicit = block.implicit
             remaining = list(block.instrs)
             while remaining:
                 instr = remaining.pop(0)
@@ -1696,7 +1647,7 @@ class _Expander:
                 cont_params = tuple(Param(r) for r in instr.results if isinstance(r, str))
                 entry_label = body.blocks[0].label
                 instrs.append(Branch(None, BlockCall(entry_label), loc=instr.loc))
-                blocks.append(Block(block_label, block_params, tuple(instrs), implicit))
+                blocks.append(Block(block_label, block_params, tuple(instrs)))
                 rewritten = []
                 for mb in body.blocks:
                     fixed: list[Instr] = []
@@ -1716,12 +1667,12 @@ class _Expander:
                 # Process the macro's blocks next, then resume this block
                 # as the continuation taking the call results as params.
                 pending[0:0] = rewritten + [
-                    Block(cont_label, cont_params, tuple(remaining), False)
+                    Block(cont_label, cont_params, tuple(remaining))
                 ]
                 remaining = []
                 block_label = None
             if block_label is not None:
-                blocks.append(Block(block_label, block_params, tuple(instrs), implicit))
+                blocks.append(Block(block_label, block_params, tuple(instrs)))
         return Region(tuple(blocks))
 
     def instantiate(self, macro: Macro, call: Define) -> Region:
@@ -1964,7 +1915,7 @@ def rename_instr(
             else:
                 results.append(binds.get(r, r))
         ann = instr.ann
-        if len(results) != len(instr.results):
+        if ann and len(results) != len(instr.results):
             ann = (ann + (None,) * len(results))[: len(results)]
         return Define(tuple(results), rhs, ann, instr.loc)
     if isinstance(instr, RefAssign):
@@ -1999,7 +1950,6 @@ def rename_region(
                 labels.get(b.label, b.label),
                 tuple(Param(binds.get(p.name, p.name), p.type) for p in b.params),
                 tuple(rename_instr(i, uses, binds, labels) for i in b.instrs),
-                b.implicit,
             )
             for b in region.blocks
         )

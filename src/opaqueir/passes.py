@@ -18,7 +18,8 @@ its event matching off these edges.
 
 Passes treat `opaque { ... }` instructions as indivisible: decisions may
 consult the published summary (free uses, effect bits, yield arity, the
-renaming-invariant identity), and rewrites go through the three that
+renaming-invariant identity) and `block_signature`, which prints a
+region as its identity does, and rewrites go through the three that
 `ir` sanctions: `rename_instr` (free-use substitution), `freshen`
 (renaming a copy, bound names inside regions made fresh) and
 `merge_obs_metadata`; nothing else.
@@ -67,7 +68,6 @@ from .ir import (
     OpaqueExpr,
     Param,
     Program,
-    RefAssign,
     Region,
     Return,
     SnapshotExpr,
@@ -76,10 +76,10 @@ from .ir import (
     Var,
     Yield,
     _FRESH_SUFFIX_RE,
+    block_signature,
     block_successors,
     freshen,
     instr_operand_atoms,
-    instr_signature,
     merge_obs_metadata,
     region_defined_names,
     rename_instr,
@@ -164,12 +164,11 @@ class _FnRebuild:
         self.sources: list[list[list[tuple[InstrId, str]]]] = []
         self._label: Optional[str] = None
         self._params: tuple[Param, ...] = ()
-        self._implicit = False
         self._instrs: list = []
         self._srcs: list[list[tuple[InstrId, str]]] = []
 
-    def open_block(self, label: str, params: tuple[Param, ...], implicit=False):
-        self._label, self._params, self._implicit = label, params, implicit
+    def open_block(self, label: str, params: tuple[Param, ...]):
+        self._label, self._params = label, params
         self._instrs, self._srcs = [], []
 
     def emit(self, instr, srcs: list[tuple[InstrId, str]]):
@@ -177,9 +176,7 @@ class _FnRebuild:
         self._srcs.append(list(srcs))
 
     def close_block(self):
-        self.blocks.append(
-            Block(self._label, self._params, tuple(self._instrs), implicit=self._implicit)
-        )
+        self.blocks.append(Block(self._label, self._params, tuple(self._instrs)))
         self.sources.append(self._srcs)
         self._label = None
 
@@ -211,7 +208,7 @@ def _per_instr_pass(
             if keep is not None and block.label not in keep[f.name]:
                 changed = True
                 continue
-            rb.open_block(block.label, block.params, block.implicit)
+            rb.open_block(block.label, block.params)
             for pos, instr in enumerate(block.instrs):
                 iid = (f.name, bi, pos)
                 out = rewrite(f.name, iid, instr)
@@ -549,59 +546,22 @@ def _xor_reassociate(rhs: BinaryExpr, defs: dict[str, BinaryExpr], ty: Optional[
 
 def _arms_identical(t_block: Block, e_block: Block) -> bool:
     """Whether two branch arms run the same instructions up to renaming of
-    their own definitions, ending in unconditional branches to the same
-    join with matching arguments."""
-    if t_block.params or e_block.params:
+    what they bind (`block_signature`), ending in the same unconditional
+    branch. An arm with an opaque region that reads or writes storage is
+    never hoisted."""
+    last = t_block.instrs[-1]
+    if len(t_block.instrs) != len(e_block.instrs) or t_block.params:
         return False
-    ti, ei = t_block.instrs, e_block.instrs
-    if len(ti) != len(ei) or not ti:
+    if not (isinstance(last, Branch) and last.cond is None):
         return False
-    ren: dict[str, str] = {}
-
-    def atoms_match(a, b):
-        if isinstance(a, Var) and isinstance(b, Var):
-            return ren.get(a.name, a.name) == b.name
-        return a == b
-
-    for it, ie in zip(ti[:-1], ei[:-1]):
-        if instr_signature(it) != instr_signature(ie):
-            return False
-        # signatures abstract reference names; references are shared
-        # storage, so require them to match concretely
-        if isinstance(it, RefAssign) and it.ref != ie.ref:
-            return False
-        if isinstance(it, Define):
-            if isinstance(it.rhs, LoadRef) and it.rhs.ref != ie.rhs.ref:
-                return False
-            if isinstance(it.rhs, OpaqueExpr):
-                st, se = it.rhs.summary, ie.rhs.summary
-                if st.identity != se.identity:
-                    return False
-                if st.has_read or st.has_write:
-                    return False  # interior storage names are abstracted
-                if tuple(ren.get(u, u) for u in st.uses) != se.uses:
-                    return False
-            elif not all(
-                atoms_match(a, b)
-                for a, b in zip(instr_operand_atoms(it), instr_operand_atoms(ie))
-            ):
-                return False
-            for rt, re_ in zip(it.results, ie.results):
-                if isinstance(rt, str) and isinstance(re_, str):
-                    ren[rt] = re_
-        elif not all(
-            atoms_match(a, b)
-            for a, b in zip(instr_operand_atoms(it), instr_operand_atoms(ie))
-        ):
-            return False
-    lt, le = ti[-1], ei[-1]
-    if not (isinstance(lt, Branch) and lt.cond is None and lt.els is None):
+    if any(
+        isinstance(i, Define)
+        and isinstance(i.rhs, OpaqueExpr)
+        and (i.rhs.summary.has_read or i.rhs.summary.has_write)
+        for i in t_block.instrs
+    ):
         return False
-    if not (isinstance(le, Branch) and le.cond is None and le.els is None):
-        return False
-    if lt.then.label != le.then.label or len(lt.then.args) != len(le.then.args):
-        return False
-    return all(atoms_match(a, b) for a, b in zip(lt.then.args, le.then.args))
+    return block_signature(t_block) == block_signature(e_block)
 
 
 def instcombine(program: Program) -> PassResult:
@@ -655,7 +615,7 @@ def instcombine(program: Program) -> PassResult:
         for bi, block in enumerate(f.region.blocks):
             if block.label in consumed:
                 continue  # its instructions move into the hoisting block
-            rb.open_block(block.label, block.params, block.implicit)
+            rb.open_block(block.label, block.params)
             seen_pure: dict[tuple, str] = {}
             hoist = hoists.get(block.label)
             own = block.instrs[:-1] if hoist is not None else block.instrs
@@ -1132,7 +1092,7 @@ def loop_unroll(program: Program) -> PassResult:
                 continue
             if bi == loop.body_index:
                 continue
-            rb.open_block(block.label, block.params, block.implicit)
+            rb.open_block(block.label, block.params)
             for pos, instr in enumerate(block.instrs):
                 iid = (f.name, bi, pos)
                 if bi == loop.init_index and pos == len(block.instrs) - 1:
@@ -1244,6 +1204,19 @@ class PipelineResult:
     log: tuple[tuple[str, int], ...]  # (pass name, instructions affected)
 
 
+def _affected(program: Program, result: PassResult) -> int:
+    """How many of `program`'s instructions a pass touched: all but those
+    a `kept` edge carries to the very same object."""
+    before = {f.name: f.region.blocks for f in program.functions}
+    after = {f.name: f.region.blocks for f in result.program.functions}
+    same = {
+        s
+        for (s, d), k in result.provenance.edges.items()
+        if k == "kept" and after[d[0]][d[1]].instrs[d[2]] is before[s[0]][s[1]].instrs[s[2]]
+    }
+    return len(program_iids(program)) - len(same)
+
+
 def run_pipeline(program: Program, pass_names: Iterable[str]) -> PipelineResult:
     """Apply passes in order with the opacity seal engaged, composing
     provenance across the whole pipeline. Each (changed-pass prefix,
@@ -1260,11 +1233,8 @@ def run_pipeline(program: Program, pass_names: Iterable[str]) -> PipelineResult:
                 if result.program is current:  # a pass that changes nothing
                     memo[key] = None
                 else:  # the first changed pass's map already starts at `program`
-                    kept, other = set(), set()  # sources by edge kind
-                    for (s, _), k in result.provenance.edges.items():
-                        (kept if k == "kept" else other).add(s)
                     pm = result.provenance if prov is None else prov.compose(result.provenance)
-                    memo[key] = (result.program, pm, len(program_iids(current)) - len(kept - other))
+                    memo[key] = (result.program, pm, _affected(current, result))
             if (step := memo[key]) is None:  # a no-op: go on with `current`
                 log.append((name, 0))
                 continue

@@ -210,7 +210,7 @@ function main() {
         Const(251, Type.U8), Const(4, Type.U8), Const(False, Type.BOOL)
     )
     assert len(main_instrs(res.program)) == 2
-    assert res.log == (("constprop", 4), ("dce", 5))
+    assert res.log == (("constprop", 5), ("dce", 5))
 
 
 def test_constprop_leaves_trapping_division_alone():
@@ -564,6 +564,77 @@ join:
     out = instcombine(p).program
     labels = [b.label for b in out.function("main").region.blocks]
     assert labels == ["entry", "left", "right", "join"]
+
+
+ANNOTATED_ARMS = """
+function main() {{
+  c: bool = io(sel)
+  br c, t, e
+t:
+  {t}
+  br join
+e:
+  {e}
+  br join
+join:
+  return()
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "t, e",
+    [
+        ("x: u8 = io(inp); y = x + x; io(out, y)", "x2 = io(inp); y2 = x2 + x2; io(out, y2)"),
+        (
+            "y = opaque { x: u8 = io(inp); s = x + x; io(out, s); yield(s) }",
+            "y2 = opaque { x2 = io(inp); s2 = x2 + x2; io(out, s2); yield(s2) }",
+        ),
+    ],
+    ids=["plain", "opaque"],
+)
+@pytest.mark.parametrize("preset", ["P2", "P3"])
+def test_arms_differing_in_a_result_annotation_are_not_hoisted(t, e, preset):
+    # the u8 arm wraps 200 + 200 to 144; the untyped one writes 400
+    p = prog(ANNOTATED_ARMS.format(t=t, e=e))
+    inputs = "desc sel in ordered\nfalse\ndesc inp in ordered\n200\n"
+    assert writes(p, inputs) == [(400,)]
+    assert writes(optimize(p, preset=preset).program, inputs) == [(400,)]
+
+
+LABEL_SHADOWING_ARMS = """
+function main() {
+  c: bool = io(sel)
+  br c, t, e
+t:
+  y = opaque {
+  a:
+    yield(1u8)
+  }
+  br a
+e:
+  z = opaque {
+  b:
+    yield(1u8)
+  }
+  br b
+a:
+  io(out, 1u8)
+  return()
+b:
+  io(out, 2u8)
+  return()
+}
+"""
+
+
+@pytest.mark.parametrize("preset", ["P2", "P3"])
+def test_arms_branching_to_labels_their_regions_shadow_are_not_hoisted(preset):
+    # each arm's target shares its name with the label inside its own region
+    p = prog(LABEL_SHADOWING_ARMS)
+    inputs = "desc sel in ordered\nfalse\n"
+    assert writes(p, inputs) == [(2,)]
+    assert writes(optimize(p, preset=preset).program, inputs) == [(2,)]
 
 
 # --------------------------------------------------------------------------
@@ -925,8 +996,25 @@ function main() {
 """
     )
     res = optimize(p, preset="P1")
-    assert res.log == (("constprop", 1), ("dce", 1))
+    # constprop folds `x` and writes 5 into the io in place
+    assert res.log == (("constprop", 2), ("dce", 1))
     assert writes(res.program) == [(5,)]
+
+
+def test_pipeline_log_counts_copyprop_renames():
+    p = prog(
+        """
+function main() {
+  a = io(inp)
+  b = a
+  io(out, b)
+  return()
+}
+"""
+    )
+    res = optimize(p, preset="P2")
+    assert res.log == (("copyprop", 1), ("constprop", 0), ("instcombine", 0), ("dce", 1))
+    assert writes(res.program, ONE_INPUT) == [(5,)]
 
 
 def test_every_preset_preserves_io_behavior_here():
@@ -1368,7 +1456,7 @@ def reference_dce(program):
                 break
         rb = passes._FnRebuild(f.name)
         for bi, block in live_blocks:
-            rb.open_block(block.label, block.params, block.implicit)
+            rb.open_block(block.label, block.params)
             for pos, instr in enumerate(block.instrs):
                 if (bi, pos) not in dead:
                     rb.emit(instr, [((f.name, bi, pos), "kept")])
