@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 import re
 from dataclasses import dataclass, field, replace as dc_replace
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 
 class IRError(Exception):
@@ -1581,18 +1582,22 @@ def block_signature(block: Block) -> str:
 _FRESH_SUFFIX_RE = re.compile(r"__\d+$")
 
 
+def fresh_namer(taken: Iterable[str] = ()) -> Callable[[str], str]:
+    """A source of fresh names: each call drops any `__N` suffix from its
+    argument and appends the next `__N`, counting up from the largest
+    suffix in `taken` (from 1 when there is none)."""
+    suffixes = (_FRESH_SUFFIX_RE.search(name) for name in taken)
+    count = itertools.count(1 + max((int(m.group()[2:]) for m in suffixes if m), default=0))
+    return lambda base: f"{_FRESH_SUFFIX_RE.sub('', base)}__{next(count)}"
+
+
 class _Expander:
     _MAX_EXPANSIONS = 10_000
 
     def __init__(self, program: Program):
         self.macros = program.macro_map()
-        self.counter = 0
+        self.fresh = fresh_namer()
         self.expansions = 0
-
-    def fresh(self, base: str) -> str:
-        base = _FRESH_SUFFIX_RE.sub("", base)
-        self.counter += 1
-        return f"{base}__{self.counter}"
 
     def expand_region(self, region: Region) -> Region:
         # Spliced instructions are queued for re-processing, so macros that
@@ -1958,15 +1963,14 @@ def rename_region(
 
 def freshen(instr: Instr, renames: dict[str, str], fresh: Callable[[str], str]) -> Instr:
     """Barrier-sanctioned copy of an instruction for code duplication:
-    the names in `renames` are renamed, and every name and label bound
-    inside an opaque region gets a fresh one, so the copies stay in
-    single-assignment form. Free uses, references and observation
-    metadata stay as they are, so behavior and identity are preserved."""
-    labels: dict[str, str] = {}
+    the names in `renames` are renamed, and every name bound inside an
+    opaque region gets a fresh one, so the copies stay in single-assignment
+    form. Block labels are scoped to their region and stay as they are, as
+    do free uses, references and observation metadata, so behavior and
+    identity are preserved."""
     if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
         renames = dict(renames)
         for block in walk_blocks(instr.rhs._body):
-            labels[block.label] = fresh(block.label)
             for p in block.params:
                 renames[p.name] = fresh(p.name)
             for i in block.instrs:
@@ -1975,7 +1979,7 @@ def freshen(instr: Instr, renames: dict[str, str], fresh: Callable[[str], str]) 
                         if isinstance(r, str):
                             renames[r] = fresh(r)
     uses = {name: Var(new) for name, new in renames.items()}
-    return rename_instr(instr, uses, renames, labels)
+    return rename_instr(instr, uses, renames)
 
 
 # --------------------------------------------------------------------------

@@ -28,8 +28,13 @@ tries to peek raises instead of miscompiling. The deliberately unsound
 `unsafe_const_fold_opaque` exists to prove the point and belongs to no
 preset.
 
-A pass that changes nothing returns its input: the `Program` object it
-was given, with identity provenance. That is the one no-op signal.
+Every pass builds its output through `_rewrite_functions`, which makes
+the program and the provenance from the blocks the pass emits for each
+function it changes. A function a pass leaves alone is carried over as
+the same object with identity edges, and a pass that changes nothing
+returns its input: the `Program` object it was given, with identity
+provenance. That is the one no-op signal.
+
 `run_pipeline` memoizes pass results on the program it is given, for
 that program's lifetime, keyed by the pass functions that changed
 something so far plus the next one: presets that share a prefix run it
@@ -75,9 +80,9 @@ from .ir import (
     UnaryExpr,
     Var,
     Yield,
-    _FRESH_SUFFIX_RE,
     block_signature,
     block_successors,
+    fresh_namer,
     freshen,
     instr_operand_atoms,
     merge_obs_metadata,
@@ -154,38 +159,38 @@ class PassResult:
 # --------------------------------------------------------------------------
 
 
-class _FnRebuild:
-    """Collects new blocks for one function while recording, for every
-    emitted instruction, which source instructions it came from."""
+# A rewritten block: (label, params, [(instruction, [(source iid, kind), ...])]).
+_NewBlock = tuple[str, tuple[Param, ...], list[tuple[object, list[tuple[InstrId, str]]]]]
 
-    def __init__(self, fname: str):
-        self.fname = fname
-        self.blocks: list[Block] = []
-        self.sources: list[list[list[tuple[InstrId, str]]]] = []
-        self._label: Optional[str] = None
-        self._params: tuple[Param, ...] = ()
-        self._instrs: list = []
-        self._srcs: list[list[tuple[InstrId, str]]] = []
 
-    def open_block(self, label: str, params: tuple[Param, ...]):
-        self._label, self._params = label, params
-        self._instrs, self._srcs = [], []
-
-    def emit(self, instr, srcs: list[tuple[InstrId, str]]):
-        self._instrs.append(instr)
-        self._srcs.append(list(srcs))
-
-    def close_block(self):
-        self.blocks.append(Block(self._label, self._params, tuple(self._instrs)))
-        self.sources.append(self._srcs)
-        self._label = None
-
-    def finish(self, fn: Function, pm: ProvenanceMap) -> Function:
-        for bi, block_srcs in enumerate(self.sources):
-            for pos, srcs in enumerate(block_srcs):
+def _rewrite_functions(
+    program: Program, rewrite: Callable[[Function], Optional[list[_NewBlock]]]
+) -> PassResult:
+    """Build a pass's output program and provenance, one function at a
+    time. `rewrite(f)` returns None to carry `f` over as the same object
+    with identity edges, or `f`'s new blocks, each instruction with the
+    source instructions it came from. When every function is carried
+    over, the pass changed nothing and its input comes back."""
+    pm = ProvenanceMap()
+    functions = []
+    for f in program.functions:
+        blocks = rewrite(f)
+        if blocks is None:
+            functions.append(f)
+            for bi, block in enumerate(f.region.blocks):
+                for pos in range(len(block.instrs)):
+                    pm.add((f.name, bi, pos), (f.name, bi, pos), "kept")
+            continue
+        new_blocks = []
+        for bi, (label, params, instrs) in enumerate(blocks):
+            new_blocks.append(Block(label, params, tuple(i for i, _ in instrs)))
+            for pos, (_, srcs) in enumerate(instrs):
                 for src, kind in srcs:
-                    pm.add(src, (self.fname, bi, pos), kind)
-        return dc_replace(fn, region=Region(tuple(self.blocks)))
+                    pm.add(src, (f.name, bi, pos), kind)
+        functions.append(dc_replace(f, region=Region(tuple(new_blocks))))
+    if all(new is old for new, old in zip(functions, program.functions)):
+        return PassResult(program, pm)
+    return PassResult(Program(tuple(functions), program.macros), pm)
 
 
 def _per_instr_pass(
@@ -194,35 +199,31 @@ def _per_instr_pass(
     keep: Optional[dict[str, set[str]]] = None,
 ) -> PassResult:
     """Run a pass that maps each instruction independently to zero or more
-    replacements (None keeps it as is). Blocks keep their order; `keep`,
-    when given, names each function's blocks to keep, and the others are
-    dropped with their instructions. A pass that changes nothing returns
-    its input: when no rewrite fired and no block was dropped, the result
-    is `program` itself, with identity provenance."""
-    pm = ProvenanceMap()
-    functions = []
-    changed = False
-    for f in program.functions:
-        rb = _FnRebuild(f.name)
+    replacements (None keeps it as is) through `_rewrite_functions`.
+    Blocks keep their order; `keep`, when given, names each function's
+    blocks to keep, and the others are dropped with their instructions. A
+    function in which no rewrite fired and no block was dropped is carried
+    over as it is."""
+
+    def rebuild(f: Function) -> Optional[list[_NewBlock]]:
+        blocks, changed = [], False
         for bi, block in enumerate(f.region.blocks):
             if keep is not None and block.label not in keep[f.name]:
                 changed = True
                 continue
-            rb.open_block(block.label, block.params)
+            instrs = []
             for pos, instr in enumerate(block.instrs):
                 iid = (f.name, bi, pos)
                 out = rewrite(f.name, iid, instr)
                 if out is None:
-                    rb.emit(instr, [(iid, "kept")])
-                    continue
-                changed = True
-                for new_instr, kind in out:
-                    rb.emit(new_instr, [(iid, kind)])
-            rb.close_block()
-        functions.append(rb.finish(f, pm))
-    if not changed:
-        return PassResult(program, pm)
-    return PassResult(Program(tuple(functions), program.macros), pm)
+                    instrs.append((instr, [(iid, "kept")]))
+                else:
+                    changed = True
+                    instrs.extend((new, [(iid, kind)]) for new, kind in out)
+            blocks.append((block.label, block.params, instrs))
+        return blocks if changed else None
+
+    return _rewrite_functions(program, rebuild)
 
 
 def _instr_uses(instr) -> set[str]:
@@ -257,19 +258,7 @@ def _fresh_namer(f: Function) -> Callable[[str], str]:
     taken = region_defined_names(f.region)
     taken |= {b.label for b in f.region.blocks}
     taken |= {p.name for p in f.params}
-    floor = 0
-    for name in taken:
-        m = _FRESH_SUFFIX_RE.search(name)
-        if m:
-            floor = max(floor, int(m.group()[2:]))
-    counter = floor
-
-    def fresh(base: str) -> str:
-        nonlocal counter
-        counter += 1
-        return f"{_FRESH_SUFFIX_RE.sub('', base)}__{counter}"
-
-    return fresh
+    return fresh_namer(taken)
 
 
 # --------------------------------------------------------------------------
@@ -571,10 +560,8 @@ def instcombine(program: Program) -> PassResult:
     metadata is concatenated), and hoisting of branch arms that compute
     the same thing."""
     var_types = typecheck(program).var_types
-    pm = ProvenanceMap()
-    functions = []
-    changed = False
-    for f in program.functions:
+
+    def combine(f: Function) -> Optional[list[_NewBlock]]:
         binop_defs: dict[str, BinaryExpr] = {}
         for block in f.region.blocks:
             for instr in block.instrs:
@@ -610,12 +597,12 @@ def instcombine(program: Program) -> PassResult:
                 consumed.update((t_label, e_label))
 
         label_index = {b.label: i for i, b in enumerate(f.region.blocks)}
-        rb = _FnRebuild(f.name)
-        changed = changed or bool(hoists)
+        blocks = []
+        changed = bool(hoists)
         for bi, block in enumerate(f.region.blocks):
             if block.label in consumed:
                 continue  # its instructions move into the hoisting block
-            rb.open_block(block.label, block.params)
+            instrs = []
             seen_pure: dict[tuple, str] = {}
             hoist = hoists.get(block.label)
             own = block.instrs[:-1] if hoist is not None else block.instrs
@@ -676,20 +663,21 @@ def instcombine(program: Program) -> PassResult:
                         binop_defs.pop(name, None)
                     if rhs is not instr.rhs:
                         changed = True
-                        rb.emit(dc_replace(instr, rhs=rhs), [(iid, "rewritten")])
+                        instrs.append((dc_replace(instr, rhs=rhs), [(iid, "rewritten")]))
                         continue
                 group = merges.get(pos)
                 if group is None:
-                    rb.emit(instr, [(iid, "kept")])
+                    instrs.append((instr, [(iid, "kept")]))
                 elif pos == group[0]:
                     if instr.rhs.summary.snapshot_slots:
                         for p in group[1:]:
                             instr = merge_obs_metadata(instr, own[p])
-                    rb.emit(instr, [((f.name, bi, p), "combined") for p in group])
+                    instrs.append((instr, [((f.name, bi, p), "combined") for p in group]))
                 else:
                     for mine, theirs in zip(instr.results, own[group[0]].results):
                         if isinstance(mine, str) and isinstance(theirs, str):
-                            rb.emit(Define((mine,), AtomExpr(Var(theirs)), (), instr.loc), [])
+                            copy = Define((mine,), AtomExpr(Var(theirs)), (), instr.loc)
+                            instrs.append((copy, []))
             if hoist is not None:
                 # the hoisted arm: each instruction combines both arms' copies,
                 # and its terminator also rewrites the branch
@@ -706,12 +694,11 @@ def instcombine(program: Program) -> PassResult:
                     srcs = [((f.name, t_index, p), "combined"), ((f.name, e_index, p), "combined")]
                     if p == len(t_instrs) - 1:
                         srcs.insert(0, ((f.name, bi, len(block.instrs) - 1), "rewritten"))
-                    rb.emit(instr, srcs)
-            rb.close_block()
-        functions.append(rb.finish(f, pm))
-    if not changed:
-        return PassResult(program, pm)
-    return PassResult(Program(tuple(functions), program.macros), pm)
+                    instrs.append((instr, srcs))
+            blocks.append((block.label, block.params, instrs))
+        return blocks if changed else None
+
+    return _rewrite_functions(program, combine)
 
 
 # --------------------------------------------------------------------------
@@ -875,7 +862,7 @@ class _CountedLoop:
     trips: int
 
 
-def _match_counted_loop(f: Function, var_types: dict) -> Optional[_CountedLoop]:
+def _match_counted_loop(f: Function) -> Optional[_CountedLoop]:
     """Find a loop of the shape
 
         init:           br header(start, ...)
@@ -987,7 +974,7 @@ def _match_counted_loop(f: Function, var_types: dict) -> Optional[_CountedLoop]:
         if not isinstance(start_atom, Const) or not isinstance(start_atom.value, int):
             continue
         limit = cond_def.b.value
-        cty = var_types.get((f.name, counter), Type.U32)
+        cty = cond_def.b.type  # `<` takes operands of one type: the counter's
         trips, t = 0, start_atom.value
         try:
             while trips <= UNROLL_LIMIT and eval_binary("<", t, limit, cty):
@@ -1013,104 +1000,63 @@ def loop_unroll(program: Program) -> PassResult:
     names; opaque interiors are freshened through `freshen`, so their
     identities and observation metadata survive. The original header
     and body blocks die with the loop."""
-    var_types = typecheck(program).var_types
-    pm = ProvenanceMap()
-    functions = []
-    changed = False
-    for f in program.functions:
-        loop = _match_counted_loop(f, var_types)
+
+    def unroll(f: Function) -> Optional[list[_NewBlock]]:
+        loop = _match_counted_loop(f)
         if loop is None:
-            functions.append(f)
-            for bi, block in enumerate(f.region.blocks):
-                for pos in range(len(block.instrs)):
-                    pm.add((f.name, bi, pos), (f.name, bi, pos), "kept")
-            continue
-        changed = True
-
+            return None
         fresh = _fresh_namer(f)
-        region = f.region
-        header = region.blocks[loop.header_index]
-        body = region.blocks[loop.body_index]
+        header = f.region.blocks[loop.header_index]
+        body = f.region.blocks[loop.body_index]
         exit_term: Branch = header.instrs[-1]
-        exit_call = exit_term.els
-        header_term_src = (f.name, loop.header_index, len(header.instrs) - 1)
-        body_term_src = (f.name, loop.body_index, len(body.instrs) - 1)
-
+        back: Branch = body.instrs[-1]
         hdr_labels = [fresh(header.label) for _ in range(loop.trips + 1)]
         body_labels = [fresh(body.label) for _ in range(loop.trips)]
 
-        cloned: list[Block] = []
-        cloned_srcs: list[list[InstrId]] = []
+        def clone(bi: int, term: Branch, renames: dict[str, str]) -> list:
+            """Block `bi` copied for one iteration, ending in `term`."""
+            instrs = (*f.region.blocks[bi].instrs[:-1], term)
+            return [
+                (freshen(instr, renames, fresh), [((f.name, bi, pos), "duplicated")])
+                for pos, instr in enumerate(instrs)
+            ]
+
+        clones: list[_NewBlock] = []  # the header and body copies, in order
         for t in range(loop.trips + 1):
             renames = {p.name: fresh(p.name) for p in header.params}
-            cloning = (header, body) if t < loop.trips else (header,)
-            for block in cloning:
+            for block in (header, body) if t < loop.trips else (header,):
                 for instr in block.instrs:
                     if isinstance(instr, Define):
                         for r in instr.results:
                             if isinstance(r, str):
                                 renames.setdefault(r, fresh(r))
-
             params = tuple(dc_replace(p, name=renames[p.name]) for p in header.params)
-            instrs: list = []
-            srcs: list[InstrId] = []
-            for pos, instr in enumerate(header.instrs[:-1]):
-                instrs.append(freshen(instr, renames, fresh))
-                srcs.append((f.name, loop.header_index, pos))
+            taken = BlockCall(body_labels[t]) if t < loop.trips else exit_term.els
+            term = Branch(None, taken, None, exit_term.loc)
+            clones.append((hdr_labels[t], params, clone(loop.header_index, term, renames)))
             if t < loop.trips:
-                instrs.append(
-                    Branch(None, BlockCall(body_labels[t]), None, exit_term.loc)
-                )
-            else:
-                taken = Branch(None, exit_call, None, exit_term.loc)
-                instrs.append(freshen(taken, renames, fresh))
-            srcs.append(header_term_src)
-            cloned.append(Block(hdr_labels[t], params, tuple(instrs)))
-            cloned_srcs.append(srcs)
+                term = Branch(None, BlockCall(hdr_labels[t + 1], back.then.args), None, back.loc)
+                clones.append((body_labels[t], (), clone(loop.body_index, term, renames)))
 
-            if t == loop.trips:
-                break
-            instrs, srcs = [], []
-            for pos, instr in enumerate(body.instrs[:-1]):
-                instrs.append(freshen(instr, renames, fresh))
-                srcs.append((f.name, loop.body_index, pos))
-            back: Branch = body.instrs[-1]
-            next_call = BlockCall(hdr_labels[t + 1], back.then.args)
-            instrs.append(freshen(Branch(None, next_call, None, back.loc), renames, fresh))
-            srcs.append(body_term_src)
-            cloned.append(Block(body_labels[t], (), tuple(instrs)))
-            cloned_srcs.append(srcs)
+        def retarget(call: Optional[BlockCall]) -> Optional[BlockCall]:
+            if call is not None and call.label == header.label:
+                return dc_replace(call, label=hdr_labels[0])
+            return call
 
-        rb = _FnRebuild(f.name)
-        for bi, block in enumerate(region.blocks):
+        blocks = []
+        for bi, block in enumerate(f.region.blocks):
             if bi == loop.header_index:
-                for cb, srcs in zip(cloned, cloned_srcs):
-                    rb.open_block(cb.label, cb.params)
-                    for instr, src in zip(cb.instrs, srcs):
-                        rb.emit(instr, [(src, "duplicated")])
-                    rb.close_block()
-                continue
-            if bi == loop.body_index:
-                continue
-            rb.open_block(block.label, block.params)
-            for pos, instr in enumerate(block.instrs):
-                iid = (f.name, bi, pos)
-                if bi == loop.init_index and pos == len(block.instrs) - 1:
+                blocks.extend(clones)
+            elif bi != loop.body_index:
+                instrs = [(i, [((f.name, bi, pos), "kept")]) for pos, i in enumerate(block.instrs)]
+                if bi == loop.init_index:  # it enters the first header copy
+                    term, srcs = instrs[-1]
+                    term = dc_replace(term, then=retarget(term.then), els=retarget(term.els))
+                    instrs[-1] = (term, srcs)
+                blocks.append((block.label, block.params, instrs))
+        return blocks
 
-                    def retarget(call):
-                        if call is not None and call.label == header.label:
-                            return dc_replace(call, label=hdr_labels[0])
-                        return call
-
-                    instr = dc_replace(
-                        instr, then=retarget(instr.then), els=retarget(instr.els)
-                    )
-                rb.emit(instr, [(iid, "kept")])
-            rb.close_block()
-        functions.append(rb.finish(f, pm))
-    if not changed:
-        return PassResult(program, pm)
-    return PassResult(Program(tuple(functions), program.macros), pm)
+    return _rewrite_functions(program, unroll)
 
 
 # --------------------------------------------------------------------------

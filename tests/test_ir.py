@@ -31,6 +31,7 @@ from opaqueir.ir import (
     compute_dominators,
     compute_postdominators,
     expand_macros,
+    fresh_namer,
     freshen,
     instr_signature,
     merge_obs_metadata,
@@ -862,6 +863,12 @@ function main() {
     assert snap.rhs.args == (Var("a"), Var("b"))
     assert len(snap.results) == 2
     assert validate_ssa(p) == []
+
+
+def test_fresh_namer_counts_up_from_the_largest_taken_suffix():
+    assert fresh_namer({"x__7", "y"})("x__7") == "x__8"
+    fresh = fresh_namer()
+    assert [fresh("a"), fresh("b__5"), fresh("a")] == ["a__1", "b__2", "a__3"]
 
 
 def test_expansion_rejects_recursion():

@@ -26,6 +26,7 @@ from opaqueir.ir import (
     print_program,
     sealed_opaque_regions,
     validate_ssa,
+    walk_blocks,
 )
 from opaqueir.passes import (
     PASSES,
@@ -872,6 +873,44 @@ done:
     assert len({ev.obs[0].tags[0].source_id for ev in events}) == 1
 
 
+def test_loop_unroll_keeps_the_labels_of_the_regions_it_copies():
+    """A label is scoped to its region, so a copied region and the region
+    nested in it keep theirs."""
+    p = prog(
+        """
+function main() {
+  br head(0)
+head(i):
+  c = i < 3
+  br c, body, done
+body:
+  w = opaque {
+  outer:
+    v = opaque {
+    inner:
+      s = snapshot(i)
+      yield(unit_value)
+    }
+    yield(v)
+  }
+  use(w)
+  i2 = i + 1
+  br head(i2)
+done:
+  return()
+}
+"""
+    )
+    out = loop_unroll(p).program
+    regions = [
+        i.rhs.region
+        for i in main_instrs(out)
+        if isinstance(i, Define) and isinstance(i.rhs, OpaqueExpr)
+    ]
+    assert [[b.label for b in walk_blocks(r)] for r in regions] == [["outer", "inner"]] * 3
+    assert [ev.obs[0].values for ev in obs_events(run_ok(out))] == [(0,), (1,), (2,)]
+
+
 def test_loop_unroll_counts_wrapping_counters_like_the_interpreter():
     p = prog(
         """
@@ -1418,6 +1457,76 @@ def test_a_warm_memo_composes_no_provenance(monkeypatch, shape, pattern):
 
 
 # --------------------------------------------------------------------------
+# What every pass returns
+# --------------------------------------------------------------------------
+
+HELPER = """
+function helper(n: u32) -> (u32) {
+  io(out, n)
+  return(n)
+}
+"""
+
+# every pass changes main: a copy, a fold, an identity, a dead store, a
+# dead definition, a constant opaque region and a counted loop
+EVERY_PASS_CHANGES_MAIN = """
+function main() {
+  a = io(inp)
+  b = a
+  k = 2 + 3
+  x = a ^ 0
+  mem[a] <- a
+  d = a + 1
+  o = opaque { yield(7) }
+  y = helper(b)
+  io(out, k)
+  io(out, x)
+  io(out, o)
+  io(out, y)
+  br head(0)
+head(i):
+  c = i < 2
+  br c, body, done
+body:
+  i2 = i + 1
+  br head(i2)
+done:
+  return()
+}
+"""
+
+NO_PASS_CHANGES_MAIN = """
+function main() {
+  a = io(inp)
+  y = helper(a)
+  io(out, y)
+  return()
+}
+"""
+
+
+def carried_over(before, after, pm, fname):
+    """`fname` is the same object in both programs, with identity edges."""
+    identity = {(iid, iid): "kept" for iid in program_iids(before) if iid[0] == fname}
+    edges = {(s, d): k for (s, d), k in pm.edges.items() if fname in (s[0], d[0])}
+    return after.function(fname) is before.function(fname) and edges == identity
+
+
+@pytest.mark.parametrize("name", sorted(PASSES))
+def test_every_pass_carries_untouched_functions_over(name):
+    p = prog(EVERY_PASS_CHANGES_MAIN + HELPER)
+    res = PASSES[name](p)
+    assert res.program is not p
+    assert res.program.function("main") is not p.function("main")
+    assert carried_over(p, res.program, res.provenance, "helper")
+
+    quiet = prog(NO_PASS_CHANGES_MAIN + HELPER)
+    res = PASSES[name](quiet)
+    assert res.program is quiet
+    assert res.provenance.edges == ProvenanceMap.identity(quiet).edges
+
+
+# --------------------------------------------------------------------------
 # dce against the fixpoint it replaced
 # --------------------------------------------------------------------------
 
@@ -1425,11 +1534,10 @@ def test_a_warm_memo_composes_no_provenance(monkeypatch, shape, pattern):
 def reference_dce(program):
     """The fixpoint `dce` replaced: rescan every live instruction until no
     definition dies."""
-    pm = ProvenanceMap()
-    functions = []
+    reaches, dead_iids = {}, set()
     for f in program.functions:
         succ = block_successors(f.region)
-        reach = {f.region.entry.label}
+        reach = reaches[f.name] = {f.region.entry.label}
         frontier = [f.region.entry.label]
         while frontier:
             for t in succ.get(frontier.pop(), []):
@@ -1454,15 +1562,10 @@ def reference_dce(program):
                         grew = True
             if not grew:
                 break
-        rb = passes._FnRebuild(f.name)
-        for bi, block in live_blocks:
-            rb.open_block(block.label, block.params)
-            for pos, instr in enumerate(block.instrs):
-                if (bi, pos) not in dead:
-                    rb.emit(instr, [((f.name, bi, pos), "kept")])
-            rb.close_block()
-        functions.append(rb.finish(f, pm))
-    return PassResult(Program(tuple(functions), program.macros), pm)
+        dead_iids |= {(f.name, bi, pos) for bi, pos in dead}
+    return passes._per_instr_pass(
+        program, lambda fname, iid, instr: [] if iid in dead_iids else None, reaches
+    )
 
 
 @pytest.mark.parametrize("shape, pattern", SWEEP)
