@@ -40,8 +40,8 @@ results go through a small per-operation rule engine and fall back to
 which stops the same way. The reruns of one patched result are shared by
 every audited link out of it: its first alternative value reruns alone,
 and the rest together, one lane per value (delta execution, Tucek et al.,
-ASPLOS'09), unless their lanes diverge; a link reads its outcome at its
-own target instruction.
+ASPLOS'09), unless their lanes diverge; one scan of each run gives every
+link its outcome, read at the link's own target instruction.
 Each run is analysed once: `analyze` stores its `DepInfo` on the run,
 which holds the run's events, not the run, so no cycle forms. `analyze`
 computes dep and cd sources, branch closes and anchors; reverse
@@ -373,42 +373,55 @@ def witness_var(info: DepInfo, j: int, k: int) -> Optional[str]:
     return used[0] if used else names[0]
 
 
-def value_at_dependent(info: DepInfo, j: int, k_iid: InstrId, sign) -> object:
-    """Scan a run's events for the first event that depends on event j and
-    executes the later opaque's own instruction `k_iid`, and return the
-    operand value that arrived there. Only a run that never executes it
-    falls back to the first dependent event whose instruction is identical
-    to it up to renaming, `sign` mapping an instruction id to its
-    `instr_signature`: the arms of a branch may run the same opaque. In
-    a lane-batched rerun (see `interp.run`) the value may be one per lane.
+def dependent_outcomes(info: DepInfo, j: int, targets: dict, sign) -> dict:
+    """Each link's outcome in one run, for links out of event j: `targets`
+    maps a link's key to its later opaque's instruction id. One scan of
+    the events after j grows the set of events depending on j; a link's
+    outcome is the operand value that arrived at the first dependent event
+    executing its own instruction. Only a run that never executes it falls
+    back to the first dependent event whose instruction is identical to it
+    up to renaming, `sign` mapping an instruction id to its
+    `instr_signature`: the arms of a branch may run the same opaque. In a
+    lane-batched rerun (see `interp.run`) the value may be one per lane.
     Never reaching either is the bottom outcome (`None`); reaching one
     through control or effects alone is its own outcome. Dependence does
     not propagate through any other opaque event, as in `opaque_skeleton`:
     a value flowing through a different opaque region first belongs to
-    another link, but the scan goes on past it."""
+    another link, but the scan goes on past it, and stops once every
+    link's own instruction has run."""
     events = info.events
-    if j >= len(events):
-        return _BOTTOM
+    found: dict[InstrId, object] = {}
+    fallback: dict[str, object] = {}  # by signature
+    missing = set(targets.values())  # instructions not run yet
+    unmatched = {sign(iid) for iid in missing}  # signatures without a fallback yet
     dependent = {j}
-    fallback, k_sig = _BOTTOM, sign(k_iid)
     for ev in events[j + 1 :]:
+        if not missing:
+            break
         if not (info.dep_sources[ev.seq] & dependent):
             continue
         dependent.add(ev.seq)
-        if ev.iid is None:
+        if (iid := ev.iid) is None:
             continue
-        if ev.iid == k_iid or (fallback is _BOTTOM and sign(ev.iid) == k_sig):
+        own, sig = iid in missing, sign(iid) if unmatched else None
+        if own or sig in unmatched:
             value = _REACHED  # via control or effects only, but it ran
             for _, read, src in ev.reads:
                 if src in dependent:
                     value = read
                     break
-            if ev.iid == k_iid:
-                return value
-            fallback = value
+            if own:
+                missing.discard(iid)
+                found[iid] = value
+            if sig in unmatched:
+                unmatched.discard(sig)
+                fallback[sig] = value
         if ev.is_opaque:
             dependent.discard(ev.seq)
-    return fallback
+    return {
+        k: found[iid] if iid in found else fallback.get(sign(iid), _BOTTOM)
+        for k, iid in targets.items()
+    }
 
 
 def _domain(ty: Type) -> Optional[list]:
@@ -443,11 +456,13 @@ def opaque_value_set(
 def _value_sets(program, inputs, info, pairs) -> dict:
     """`opaque_value_set` for every link (j, k) of `pairs`. A rerun
     patches only event j's witness variable, so the links out of one
-    (j, variable) share their reruns: every link that still needs an
-    outcome reads its own from each. The first alternative value reruns
-    alone, since most links show their second outcome there; the rest
-    rerun together as one lane-batched run (see `interp.run`), analysed
-    and scanned once, or one by one if its lanes diverge. Either way the
+    (j, variable) share their reruns, and each run is scanned once for
+    all of them: the reference run once for every link of the group,
+    then each rerun once for the links that still need an outcome (see
+    `dependent_outcomes`). The first alternative value reruns alone,
+    since most links show their second outcome there; the rest rerun
+    together as one lane-batched run (see `interp.run`), analysed and
+    scanned once, or one by one if its lanes diverge. Either way the
     outcomes are taken in value order: a link leaves its group at its
     second distinct outcome, and the group stops once none is left."""
     events = info.events
@@ -481,13 +496,13 @@ def _value_sets(program, inputs, info, pairs) -> dict:
             status, alt_values = "sampled", _sample_values(ty, observed)
         if observed in alt_values:  # a fresh list without duplicates
             alt_values.remove(observed)
-        outcomes = {k: {value_at_dependent(info, j, iid, sign)} for k, iid in targets.items()}
+        outcomes = {k: {v} for k, v in dependent_outcomes(info, j, targets, sign).items()}
         pending = targets
 
         def rerun(value) -> dict:
             """Each pending link's outcome in the rerun patching `var` to `value`."""
             alt_info = analyze(run(program, inputs, patch=(j, var, value)))
-            return {k: value_at_dependent(alt_info, j, iid, sign) for k, iid in pending.items()}
+            return dependent_outcomes(alt_info, j, pending, sign)
 
         batch = None  # each link's outcome in the lane-batched rerun of alt_values[1:]
         for i, alt_value in enumerate(alt_values):

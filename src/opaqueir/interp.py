@@ -326,6 +326,18 @@ _BOOL_BINARY = {
 }
 
 
+# Column kernels of lane-batched reruns (see `_LaneInterp`): a u32 operator
+# over two columns of lane values at once, wrapped as `_BINARY` wraps it.
+_U32_COLUMNS = {
+    "+": lambda a, b: [(x + y) & 0xFFFFFFFF for x, y in zip(a, b)],
+    "-": lambda a, b: [(x - y) & 0xFFFFFFFF for x, y in zip(a, b)],
+    "*": lambda a, b: [(x * y) & 0xFFFFFFFF for x, y in zip(a, b)],
+    "&": lambda a, b: [(x & y) & 0xFFFFFFFF for x, y in zip(a, b)],
+    "|": lambda a, b: [(x | y) & 0xFFFFFFFF for x, y in zip(a, b)],
+    "^": lambda a, b: [(x ^ y) & 0xFFFFFFFF for x, y in zip(a, b)],
+}
+
+
 def eval_binary(op: str, a, b, ty: Type):
     """Evaluate a binary operator; `ty` is the type of the left operand
     (which by the type rules is the result type for arithmetic)."""
@@ -855,7 +867,10 @@ class _Interp:
 
 class _LaneInterp(_Interp):
     """A rerun whose patched value is `Lanes`: arithmetic runs per lane, so
-    that every lane follows one path; where they would part, `Diverged`."""
+    that every lane follows one path; where they would part, `Diverged`.
+    A u32 `+ - * & | ^` runs as one `_U32_COLUMNS` kernel over its operand
+    columns, a scalar operand repeated; any other operator runs lane by
+    lane, and a trap in any lane diverges."""
 
     def exec_instr(self, frame, names, kind, args, fx, seq):
         if kind is BinaryExpr or kind is UnaryExpr:
@@ -865,11 +880,14 @@ class _LaneInterp(_Interp):
                 if args[2][0] is not None:  # a variable left operand: ty is its type key
                     ty = self.type_info.get(ty) or _type_of_value(a[0] if type(a) is Lanes else a)
                 columns = [v if type(v) is Lanes else (v,) * lanes for v in operands]
-                evaluate = eval_binary if kind is BinaryExpr else eval_unary
-                try:
-                    out = [evaluate(op, *lane, ty) for lane in zip(*columns)]
-                except _Trap as trap:
-                    raise Diverged(trap.reason) from None
+                if ty is Type.U32 and kind is BinaryExpr and (kernel := _U32_COLUMNS.get(op)):
+                    out = kernel(*columns)
+                else:
+                    evaluate = eval_binary if kind is BinaryExpr else eval_unary
+                    try:
+                        out = [evaluate(op, *lane, ty) for lane in zip(*columns)]
+                    except _Trap as trap:
+                        raise Diverged(trap.reason) from None
                 # lanes that all agree are one value again, e.g. `a - a`
                 return (out[0] if out.count(out[0]) == lanes else Lanes(out),)
         elif kind is LoadMem or kind is MemStore or kind is IoRead or kind is IoWrite:
@@ -903,7 +921,9 @@ def run(
     continues. This is the rerun primitive behind opaque value sets. A
     `Lanes` value reruns once for all its values in lockstep: arithmetic
     on a lane value gives one result per lane, so the run's values may be
-    `Lanes`, and the run stands for each lane's own rerun. It raises
+    `Lanes`, and the run stands for each lane's own rerun: u32 `+ - * &
+    | ^` run as one kernel over the lane columns, other operators lane by
+    lane, and lanes that all agree are one value again. It raises
     `Diverged` where the lanes would take different paths (see there).
     Types come from `typecheck(program)`; `type_info`, if given, must be
     its `var_types`. `inputs` is only read, so one spec serves any number

@@ -279,13 +279,13 @@ class EventMap:
         def union(a, b):
             parent[find(a)] = find(b)
 
-        rows = prov.rows()
-        for src, dst, _kind in rows:
+        # Components do not depend on the order edges are joined in.
+        for src, dst in prov.edges:
             union(("s", src), ("d", dst))
 
         srcs_of: dict[object, set[InstrId]] = {}
         dsts_of: dict[object, set[InstrId]] = {}
-        for src, dst, _kind in rows:
+        for src, dst in prov.edges:
             srcs_of.setdefault(find(("s", src)), set()).add(src)
             dsts_of.setdefault(find(("d", dst)), set()).add(dst)
 
@@ -300,15 +300,15 @@ class EventMap:
 
         self._map: dict[int, int] = {}
         for root, srcs in srcs_of.items():
-            dsts = dsts_of.get(root, set())
-            refs = sorted(
-                (ev for iid in srcs for ev in ref_by_iid.get(iid, [])),
-                key=lambda ev: ev.seq,
-            )
-            opts = sorted(
-                (ev for iid in dsts for ev in opt_by_iid.get(iid, [])),
-                key=lambda ev: ev.seq,
-            )
+            dsts = dsts_of[root]
+            refs = [ev for iid in srcs for ev in ref_by_iid.get(iid, ())]
+            opts = [ev for iid in dsts for ev in opt_by_iid.get(iid, ())]
+            # Execution order: one instruction's events are listed in it
+            # already, and events sort by seq, their first field.
+            if len(srcs) > 1:
+                refs.sort()
+            if len(dsts) > 1:
+                opts.sort()
             if not refs or not opts:
                 continue
             if len(refs) == len(opts):
@@ -507,7 +507,9 @@ def audit_chain_preservation(
     rule, or over every sample) was never an opaque chain and is exempt;
     a chain nobody could confirm fails, never silently trusted. Chains
     are audited per (head, tail) pair and verdict, so however many paths
-    join a pair, each verdict gives it at most one witness. The
+    join a pair, each verdict gives it at most one witness. Each run of
+    the audit, the reference run and every rerun of a link group, is
+    scanned once for all of its links (see `deps._value_sets`). The
     `EventMap` is built at the first chain that needs a counterpart."""
     ref_info = analyze(ref)
     opt_info = analyze(opt)

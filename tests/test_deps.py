@@ -19,7 +19,6 @@ from opaqueir.deps import (
     find_chains,
     opaque_skeleton,
     opaque_value_set,
-    value_at_dependent,
     witness_var,
 )
 from opaqueir.interp import Diverged, Lanes, parse_input, run
@@ -661,6 +660,45 @@ def links(result):
     return ops[0].seq, ops[1].seq
 
 
+def value_at_dependent(info, j, k_iid, sign):
+    """Reference for `deps.dependent_outcomes`, one link at a time: scan
+    the run's events for the first event that depends on event j and
+    executes the later opaque's own instruction `k_iid`, and return the
+    operand value that arrived there. Only a run that never executes it
+    falls back to the first dependent event whose instruction has the
+    same `sign`. Never reaching either is `_BOTTOM`; reaching one through
+    control or effects alone is `_REACHED`. Dependence does not propagate
+    through any other opaque event, but the scan goes on past it."""
+    events = info.events
+    if j >= len(events):
+        return _BOTTOM
+    dependent = {j}
+    fallback, k_sig = _BOTTOM, sign(k_iid)
+    for ev in events[j + 1 :]:
+        if not (info.dep_sources[ev.seq] & dependent):
+            continue
+        dependent.add(ev.seq)
+        if ev.iid is None:
+            continue
+        if ev.iid == k_iid or (fallback is _BOTTOM and sign(ev.iid) == k_sig):
+            value = _REACHED
+            for _, read, src in ev.reads:
+                if src in dependent:
+                    value = read
+                    break
+            if ev.iid == k_iid:
+                return value
+            fallback = value
+        if ev.is_opaque:
+            dependent.discard(ev.seq)
+    return fallback
+
+
+def signatures(program):
+    """The `sign` of `deps._value_sets`: each instruction id's signature."""
+    return functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
+
+
 def full_domain_outcomes(program, spec, info, types, j, ks):
     """Reference for the rerun loop of a value-set audit, without its stop
     at the second outcome: patch event j's witness variable to every other
@@ -670,7 +708,7 @@ def full_domain_outcomes(program, spec, info, types, j, ks):
     var = witness_var(info, j, ks[0])
     ty = types[events[j].iid[0], var]
     observed = dict(events[j].defs)[var]
-    sign = functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
+    sign = signatures(program)
     outcomes = {k: {value_at_dependent(info, j, events[k].iid, sign)} for k in ks}
     for value in deps._domain(ty) or _sample_values(ty, observed):
         if value == observed:
@@ -688,7 +726,7 @@ def reference_value_sets(program, spec, info, pairs):
     own, in order, until each of the group's links has two outcomes."""
     events = info.events
     var_types = typecheck(program).var_types
-    sign = functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
+    sign = signatures(program)
     reports, groups = {}, {}
     for j, k in pairs:
         var = witness_var(info, j, k)
@@ -1579,3 +1617,85 @@ def test_lane_batched_reruns(monkeypatch, text, runs, diverged, report):
     ty = types[result.events[j].iid[0], var]
     alts = [v for v in deps._domain(ty) or _sample_values(ty, observed) if v != observed]
     assert [value for _, _, value in patches] == alts[: len(patches)]
+
+
+# --------------------------------------------------------------------------
+# One dependent scan per group
+# --------------------------------------------------------------------------
+
+
+def checking_scans(monkeypatch):
+    """Wrap `deps.dependent_outcomes` so that each scan the audit makes is
+    checked against `value_at_dependent` link by link; returns the list
+    of the scans' target counts."""
+    scans = []
+    original = deps.dependent_outcomes
+
+    def checked(info, j, targets, sign):
+        got = original(info, j, targets, sign)
+        assert got == {k: value_at_dependent(info, j, iid, sign) for k, iid in targets.items()}
+        scans.append(len(targets))
+        return got
+
+    monkeypatch.setattr(deps, "dependent_outcomes", checked)
+    return scans
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_one_scan_equals_the_per_link_scan_on_the_sweep(monkeypatch, shape, pattern):
+    spec = parse_input("desc inp in ordered\n5\n")
+    checking_scans(monkeypatch)
+    for result in sweep_runs(shape, pattern):
+        info = analyze(result)
+        deps._value_sets(result.program, spec, info, audited_links(info))
+
+
+def test_one_scan_equals_the_per_link_scan_on_the_benchmark_programs(monkeypatch):
+    """Every scan the audit makes, of the reference run and of each rerun,
+    on every program the benchmark workloads audit at seeds 1 and 11."""
+    scans = checking_scans(monkeypatch)
+    gen = load_benchmark_generator()
+    for make in gen.WORKLOADS.values():
+        for seed in (1, 11):
+            for case in make(seed):
+                if case.audit_preset is None:
+                    continue
+                program = prepare(case.twin if case.audit_twin else case.text)[0]
+                spec = parse_input(case.inputs[0])
+                info = analyze(run(program, spec))
+                deps._value_sets(program, spec, info, audited_links(info))
+    assert sum(n > 1 for n in scans)  # scans serving several links at once
+
+
+# `a` picks an arm: `hit` runs w1 and w3, `miss` runs w2, identical to w1
+# up to renaming.
+ARMS_AND_A_LONE_OPAQUE = """
+function main() {
+  a = opaque { yield(1u8) }
+  br a, hit, miss
+hit:
+  w1 = opaque { use(0); yield(unit_value) }
+  w3 = opaque { use(1); yield(unit_value) }
+  br out
+miss:
+  w2 = opaque { use(0); yield(unit_value) }
+  br out
+out:
+  return()
+}
+"""
+
+
+def test_one_scan_falls_back_to_a_lookalike_and_gives_bottom_for_a_target_never_run():
+    program, types, spec, result, info = setup(ARMS_AND_A_LONE_OPAQUE)
+    a, w1, w3 = (ev.seq for ev in opaque_events(result))
+    targets = {w1: result.events[w1].iid, w3: result.events[w3].iid}
+    sign = signatures(program)
+    assert deps.dependent_outcomes(info, a, targets, sign) == {w1: _REACHED, w3: _REACHED}
+    alt = analyze(run(program, spec, patch=(a, "a", 0)))
+    assert [ev.iid for ev in opaque_events(alt)][1] not in targets.values()  # w2 ran
+    assert deps.dependent_outcomes(alt, a, targets, sign) == {w1: _REACHED, w3: _BOTTOM}
+    for run_info in (info, alt):
+        assert deps.dependent_outcomes(run_info, a, targets, sign) == {
+            k: value_at_dependent(run_info, a, iid, sign) for k, iid in targets.items()
+        }

@@ -10,17 +10,22 @@ import weakref
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opaqueir import interp
 from opaqueir.deps import analyze
 from opaqueir.interp import (
     DEFAULT_STEP_BUDGET,
     Channel,
+    Diverged,
     Event,
     InputSpec,
     InterpError,
     IoRecord,
+    Lanes,
     ObsRecord,
+    eval_binary,
     parse_input,
     run,
 )
@@ -44,6 +49,7 @@ from opaqueir.ir import (
     RefAssign,
     Return,
     SnapshotExpr,
+    Type,
     UnaryExpr,
     Use,
     Var,
@@ -1156,6 +1162,57 @@ def test_patch_replaces_each_kind_of_binding(patch, defs, out):
     r = run(program, None, patch=patch)
     assert r.events[patch[0]].defs == defs
     assert r.io_behavior()[("w", "out")] == ("ordered", ((out,),))
+
+
+# -- lane-batched reruns
+
+
+def lane_run(op: str, scalar: int, lanes: list[int]) -> dict:
+    """Run `op` with the opaque result `a` patched to `lanes`, as column
+    and scalar, scalar and column, and two columns (`a` and `~a`); each
+    result as one value per lane."""
+    text = (
+        f"function main() {{\n  a = opaque {{ yield(7) }}\n  s = opaque {{ yield({scalar}) }}\n"
+        f"  b = ~a\n  c = a {op} s\n  d = s {op} a\n  e = a {op} b\n  return()\n}}\n"
+    )
+    program, _ = prepare(text)
+    j = next(ev.seq for ev in run(program, None).events if ev.kind == "opaque")
+    values = {}
+    for ev in run(program, None, patch=(j, "a", Lanes(lanes))).events:
+        for name, v in ev.defs:
+            values[name] = list(v) if type(v) is Lanes else [v] * len(lanes)
+    return values
+
+
+U32_VALUES = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    op=st.sampled_from(sorted(interp._U32_COLUMNS)),
+    scalar=U32_VALUES,
+    lanes=st.lists(U32_VALUES, min_size=2, max_size=6).map(lambda v: [0, 1, 2**31, 2**32 - 1] + v),
+)
+def test_u32_column_kernels_match_eval_binary_lane_by_lane(op, scalar, lanes):
+    values = lane_run(op, scalar, lanes)
+    u32 = Type.U32
+    assert values["b"] == [eval_binary("^", x, 2**32 - 1, u32) for x in lanes]
+    assert values["c"] == [eval_binary(op, x, scalar, u32) for x in lanes]
+    assert values["d"] == [eval_binary(op, scalar, x, u32) for x in lanes]
+    assert values["e"] == [eval_binary(op, x, y, u32) for x, y in zip(lanes, values["b"])]
+
+
+def test_kernel_ops_evaluate_no_lane_alone_and_other_ops_still_diverge(monkeypatch):
+    calls = []
+    original = interp.eval_binary
+    monkeypatch.setattr(interp, "eval_binary", lambda op, *args: calls.append(op) or original(op, *args))
+    for op in interp._U32_COLUMNS:
+        lane_run(op, 9, [3, 0, 5])
+    assert calls == []
+    assert lane_run("%", 9, [3, 4, 5])["d"] == [0, 1, 4]  # lane by lane: no kernel
+    assert calls == ["%"] * 9
+    with pytest.raises(Diverged, match="division by zero"):
+        lane_run("/", 9, [3, 0, 5])
 
 
 # -- budgets, to the step

@@ -11,7 +11,7 @@ import sys
 import typing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opaqueir import ir
@@ -1330,3 +1330,67 @@ bb_d:
     pdom = compute_postdominators(region)
     assert "bb_d" in pdom["bb_a"] and "bb_b" not in pdom["bb_a"]
     assert pdom["bb_b"] == {"bb_b", "bb_d"}
+
+
+def reference_dominators_from(succ, entry):
+    """Reference for `ir._dominators_from`: round-robin over the labels in
+    `succ`'s order, from all-labels sets, until nothing changes."""
+    labels = list(succ)
+    preds = {l: [] for l in labels}
+    for l, ts in succ.items():
+        for t in ts:
+            if t in preds:
+                preds[t].append(l)
+    dom = {l: set(labels) for l in labels}
+    dom[entry] = {entry}
+    changed = True
+    while changed:
+        changed = False
+        for l in labels:
+            if l == entry:
+                continue
+            new = set(labels) if preds[l] else set()
+            for p in preds[l]:
+                new &= dom[p]
+            new.add(l)
+            if new != dom[l]:
+                dom[l] = new
+                changed = True
+    return dom
+
+
+def cfg_region(cfg) -> ir.Region:
+    """A region of one block per entry of `cfg`: `()` returns, `(t,)`
+    jumps to block t, `(t, u)` branches to t or u."""
+    def terminator(targets):
+        if not targets:
+            return Return(())
+        calls = [ir.BlockCall(f"b{t}") for t in targets]
+        return Branch(Var("c") if len(calls) == 2 else None, *calls)
+
+    return ir.Region(tuple(ir.Block(f"b{i}", (), (terminator(ts),)) for i, ts in enumerate(cfg)))
+
+
+CFGS = st.integers(1, 8).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), max_size=2).map(tuple), min_size=n, max_size=n
+    )
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(CFGS)
+# b1/b2 is a loop entered at both blocks, b3 loops on itself, b4 and b5
+# return, b5 to b8 are unreachable, and b8 never reaches an exit.
+@example([(1, 2), (2,), (1, 3), (3, 4), (), (), (2,), (6, 5), (8,)])
+@example([()])
+def test_dominators_equal_the_round_robin_reference_in_block_order(cfg):
+    region = cfg_region(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ir, "_dominators_from", reference_dominators_from)
+        want = compute_dominators(region), compute_postdominators(region)
+    got = compute_dominators(region), compute_postdominators(region)
+    labels = [b.label for b in region.blocks]
+    for have, reference in zip(got, want):
+        assert have == reference
+        assert list(have) == list(reference) == labels

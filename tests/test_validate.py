@@ -725,6 +725,36 @@ function main() {
     assert audit_chain_preservation(ref, opt, res.provenance).passed
 
 
+def test_a_merge_in_a_loop_maps_each_iteration_to_its_own_event():
+    """Two loop-body instructions merged into the first: the reference
+    events of both, in execution order, fall into one group per iteration."""
+    result = run_ok(prog(
+        """
+function main() {
+  br head(0)
+head(i):
+  c = i < 3
+  br c, body, done
+body:
+  a = i + 1
+  b = a * 2
+  br head(a)
+done:
+  return()
+}
+"""
+    ))
+    a_evs = [ev for ev in result.events if ev.defs and ev.defs[0][0] == "a"]
+    b_evs = [ev for ev in result.events if ev.defs and ev.defs[0][0] == "b"]
+    assert len(a_evs) == len(b_evs) == 3
+    prov = ProvenanceMap()
+    prov.add(a_evs[0].iid, a_evs[0].iid, "combined")
+    prov.add(b_evs[0].iid, a_evs[0].iid, "combined")
+    em = EventMap(result.events, result.events, prov)
+    for a, b in zip(a_evs, b_evs):
+        assert em.counterpart(a.seq) == em.counterpart(b.seq) == a.seq
+
+
 # --------------------------------------------------------------------------
 # Chain preservation
 # --------------------------------------------------------------------------
