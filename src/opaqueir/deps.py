@@ -44,9 +44,15 @@ ASPLOS'09), unless their lanes diverge; one scan of each run gives every
 link its outcome, read at the link's own target instruction.
 Each run is analysed once: `analyze` stores its `DepInfo` on the run,
 which holds the run's events, not the run, so no cycle forms. `analyze`
-computes dep and cd sources, branch closes and anchors; reverse
-dep edges wait for the first reachability query and the anchor hb closure
-for the first hb query, since most analyses (every rerun's) need neither.
+computes dep and cd sources, branch closes and anchors; the anchor hb
+closure waits for the first hb query, since most analyses (every
+rerun's) need none. Every other question is one of three walks over the
+dep sources, each written once: a forward frontier (`_nearest`) gives
+each marked event the marked events reaching it through an unmarked
+interior, for the opaque skeleton and the observation edges of
+happens-before; a forward scan (`_dependents`) yields the events that
+depend on one event, for the value-set audits; and `dep_ancestors` walks
+back from one event, for `dep_reachable` and the value-utilization audit.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from .ir import (
     AtomExpr,
@@ -93,8 +99,7 @@ SAMPLE_SEED = 0
 @dataclass
 class DepInfo:
     """Dependence info of one run. It holds the run's events, not the run,
-    so the run can keep it (see `analyze`) without a reference cycle. The
-    reverse dep edges wait for the first `dep_out` or `dep_reachable`."""
+    so the run can keep it (see `analyze`) without a reference cycle."""
 
     events: tuple[Event, ...]
     dep_sources: list[frozenset[int]]  # indexed by event seq
@@ -103,39 +108,25 @@ class DepInfo:
     obs_seqs: tuple[int, ...]
     io_seqs: tuple[int, ...]
     anchor_seqs: tuple[int, ...]  # observation and io events, in order
-    _dep_out: Optional[dict[int, list[int]]] = None
     _closes: dict[int, int] = field(default_factory=dict)  # branch -> closing seq or trace length
     _anchor_reach: Optional[dict[int, frozenset[int]]] = None
 
-    def _out_edges(self) -> dict[int, list[int]]:
-        """Each event's dependents in ascending seq, built on first use."""
-        if self._dep_out is None:
-            out: dict[int, list[int]] = {}
-            for seq, sources in enumerate(self.dep_sources):
-                for src in sources:
-                    out.setdefault(src, []).append(seq)
-            self._dep_out = out
-        return self._dep_out
-
-    def dep_out(self, seq: int) -> list[int]:
-        return self._out_edges().get(seq, [])
-
     def dep_reachable(self, src: int, dst: int) -> bool:
-        """Forward reachability over dep edges."""
-        if src == dst:
-            return True
-        out = self._out_edges()
-        seen = {src}
-        frontier = [src]
+        """Whether a dep path leads from event src to event dst."""
+        return src == dst or src in self.dep_ancestors(dst, src)
+
+    def dep_ancestors(self, dst: int, floor: int = 0):
+        """Each event from `floor` on with a dep path to event dst, as a
+        walk back from dst over dep sources finds it."""
+        dep_sources = self.dep_sources
+        seen = {dst}
+        frontier = [dst]
         while frontier:
-            s = frontier.pop()
-            for t in out.get(s, []):
-                if t == dst:
-                    return True
-                if t not in seen and t < dst:
-                    seen.add(t)
-                    frontier.append(t)
-        return False
+            for s in dep_sources[frontier.pop()]:
+                if s >= floor and s not in seen:
+                    seen.add(s)
+                    frontier.append(s)
+                    yield s
 
     def controls(self, b: int, e: int) -> bool:
         """Whether event e is control dependent on event b: b is a
@@ -174,17 +165,7 @@ class DepInfo:
         # observations (later edges plus transitive closure cover longer
         # ones) but pass through everything else, io events included: a
         # plain dependence into an io event is not a happens-before edge.
-        # One forward pass gives each event the observations reaching it.
-        obs_set = set(self.obs_seqs)
-        empty: frozenset[int] = frozenset()
-        reached_by: list[frozenset[int]] = []
-        for seq, sources in enumerate(self.dep_sources):
-            parts = [reached_by[s] for s in sources if reached_by[s]]
-            into = empty if not parts else parts[0] if len(parts) == 1 else empty.union(*parts)
-            if seq not in obs_set:
-                reached_by.append(into)
-                continue
-            reached_by.append(frozenset((seq,)))
+        for seq, into in _nearest(self.dep_sources, set(self.obs_seqs)).items():
             for s in into:
                 succ[s].add(seq)
             # Observe-from: the events directly defining values the
@@ -212,6 +193,42 @@ class DepInfo:
     def hb_pairs(self) -> set[tuple[int, int]]:
         reach = self._anchor_graph()
         return {(a, b) for a, bs in reach.items() for b in bs}
+
+
+def _nearest(dep_sources, marked: AbstractSet[int]) -> dict[int, frozenset[int]]:
+    """Each marked event, in order, with the marked events that reach it by
+    a dep path whose interior holds no marked event. One forward pass
+    carries each event's set on to its dependents; an event with no marked
+    ancestor carries the empty set, and the pass starts at the first
+    marked event, since nothing before it carries anything."""
+    empty: frozenset[int] = frozenset()
+    carry = [empty] * len(dep_sources)  # what each event passes on
+    nearest: dict[int, frozenset[int]] = {}
+    for seq in range(min(marked, default=len(dep_sources)), len(dep_sources)):
+        into = empty
+        for s in dep_sources[seq]:
+            if c := carry[s]:
+                into = into | c if into else c
+        if seq in marked:
+            nearest[seq] = into
+            carry[seq] = frozenset((seq,))
+        else:
+            carry[seq] = into
+    return nearest
+
+
+def _dependents(info: DepInfo, j: int, end: int, stop_at_opaque: bool = False):
+    """Each event after j and before `end` with a dep path from event j,
+    in order, with its dep sources on such paths. With `stop_at_opaque`,
+    paths end at opaque events: one is yielded but carries nothing on."""
+    dep_sources, events = info.dep_sources, info.events
+    dependent = {j}
+    for seq in range(j + 1, end):
+        if sources := dep_sources[seq] & dependent:
+            ev = events[seq]
+            yield ev, sources
+            if not (stop_at_opaque and ev.is_opaque):
+                dependent.add(seq)
 
 
 def _postdominators(program: Program) -> dict[str, dict[int, set[int]]]:
@@ -299,25 +316,12 @@ def analyze(result: RunResult) -> DepInfo:
 
 def opaque_skeleton(info: DepInfo) -> dict[int, tuple[int, ...]]:
     """Edges between opaque events whose connecting dep paths contain no
-    opaque event in the interior."""
-    events = info.events
-    opaque = [ev.seq for ev in events if ev.is_opaque]
-    edges: dict[int, tuple[int, ...]] = {}
-    for start in opaque:
-        frontier = list(info.dep_out(start))
-        seen: set[int] = set()
-        found: set[int] = set()
-        while frontier:
-            s = frontier.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            if events[s].is_opaque:
-                found.add(s)
-                continue  # stop here: interiors must stay opaque-free
-            frontier.extend(info.dep_out(s))
-        edges[start] = tuple(sorted(found))
-    return edges
+    opaque event in the interior, each event's successors in order."""
+    edges: dict[int, list[int]] = {ev.seq: [] for ev in info.events if ev.is_opaque}
+    for k, into in _nearest(info.dep_sources, edges.keys()).items():
+        for j in into:
+            edges[j].append(k)
+    return {j: tuple(ks) for j, ks in edges.items()}
 
 
 # --------------------------------------------------------------------------
@@ -361,12 +365,8 @@ def witness_var(info: DepInfo, j: int, k: int) -> Optional[str]:
     names = [n for n, _ in ev.defs]
     if len(names) <= 1:
         return names[0] if names else None
-    dependent = {j}
     used: list[str] = []
-    for e in info.events[j + 1 : k + 1]:
-        if not (info.dep_sources[e.seq] & dependent):
-            continue
-        dependent.add(e.seq)
+    for e, _ in _dependents(info, j, k + 1):
         for n, _, src in e.reads:
             if src == j and n in names and n not in used:
                 used.append(n)
@@ -389,25 +389,18 @@ def dependent_outcomes(info: DepInfo, j: int, targets: dict, sign) -> dict:
     a value flowing through a different opaque region first belongs to
     another link, but the scan goes on past it, and stops once every
     link's own instruction has run."""
-    events = info.events
     found: dict[InstrId, object] = {}
     fallback: dict[str, object] = {}  # by signature
     missing = set(targets.values())  # instructions not run yet
     unmatched = {sign(iid) for iid in missing}  # signatures without a fallback yet
-    dependent = {j}
-    for ev in events[j + 1 :]:
-        if not missing:
-            break
-        if not (info.dep_sources[ev.seq] & dependent):
-            continue
-        dependent.add(ev.seq)
+    for ev, sources in _dependents(info, j, len(info.events), stop_at_opaque=True):
         if (iid := ev.iid) is None:
             continue
         own, sig = iid in missing, sign(iid) if unmatched else None
         if own or sig in unmatched:
             value = _REACHED  # via control or effects only, but it ran
             for _, read, src in ev.reads:
-                if src in dependent:
+                if src in sources:
                     value = read
                     break
             if own:
@@ -416,8 +409,8 @@ def dependent_outcomes(info: DepInfo, j: int, targets: dict, sign) -> dict:
             if sig in unmatched:
                 unmatched.discard(sig)
                 fallback[sig] = value
-        if ev.is_opaque:
-            dependent.discard(ev.seq)
+            if not missing:
+                break
     return {
         k: found[iid] if iid in found else fallback.get(sign(iid), _BOTTOM)
         for k, iid in targets.items()
@@ -641,14 +634,7 @@ def _rule_engine(
     Bails out (returns None) on joins, correlated operands, control hops,
     or operations without a rule."""
     events = info.events
-    dependent = {j}
-    preds: dict[int, list[int]] = {}
-    for ev in events[j + 1 : k + 1]:
-        sources = info.dep_sources[ev.seq] & dependent
-        if not sources:
-            continue
-        dependent.add(ev.seq)
-        preds[ev.seq] = sorted(sources)
+    preds = {ev.seq: sorted(sources) for ev, sources in _dependents(info, j, k + 1)}
     if k not in preds:
         return None
     rev_path = [k]

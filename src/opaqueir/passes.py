@@ -536,19 +536,11 @@ def _xor_reassociate(rhs: BinaryExpr, defs: dict[str, BinaryExpr], ty: Optional[
 def _arms_identical(t_block: Block, e_block: Block) -> bool:
     """Whether two branch arms run the same instructions up to renaming of
     what they bind (`block_signature`), ending in the same unconditional
-    branch. An arm with an opaque region that reads or writes storage is
-    never hoisted."""
+    branch."""
     last = t_block.instrs[-1]
     if len(t_block.instrs) != len(e_block.instrs) or t_block.params:
         return False
     if not (isinstance(last, Branch) and last.cond is None):
-        return False
-    if any(
-        isinstance(i, Define)
-        and isinstance(i.rhs, OpaqueExpr)
-        and (i.rhs.summary.has_read or i.rhs.summary.has_write)
-        for i in t_block.instrs
-    ):
         return False
     return block_signature(t_block) == block_signature(e_block)
 

@@ -571,11 +571,7 @@ def audit_value_utilization(
     witnesses: list[str] = []
     for fname, var in consumers:
         for c in binders.get((fname, var), ()):
-            heads = [
-                ev.seq
-                for ev in ref.events
-                if ev.is_opaque and ev.seq != c and ref_info.dep_reachable(ev.seq, c)
-            ]
+            heads = sorted(s for s in ref_info.dep_ancestors(c) if ref.events[s].is_opaque)
             if not heads:
                 continue
             c_img = em.counterpart(c)

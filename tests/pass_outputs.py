@@ -10,7 +10,9 @@ The programs are each workload of `perfbench/gen.py` at seeds 1, 2 and
 The entry for one (program, preset) is the printed program, the provenance
 rows and the log, or the `IRError` message. A workload program's entry also
 holds each `check_observation_preserving` check over the case's inputs: its
-name, whether it passed and its witnesses. At the case's audit preset, the
+name, whether it passed and its witnesses; and per input, the opaque
+skeleton of the reference run and the sorted hb pairs of the reference and
+the optimized runs. At the case's audit preset, the
 entry of the program the benchmark audits (the twin where `audit_twin`)
 holds the chain audit on the first input: the chain reports, each link's
 value-set report (status, bound and outcomes) and the audit verdict. Pytest
@@ -55,6 +57,15 @@ def verdict_entry(verdict) -> list:
     return [verdict.passed, list(verdict.witnesses)]
 
 
+def dependence(program, res, spec) -> dict:
+    """The reference run's opaque skeleton and both runs' hb pairs on one input."""
+    ref, opt = analyze(run(program, spec)), analyze(run(res.program, spec))
+    return {
+        "skeleton": [[j, list(ks)] for j, ks in opaque_skeleton(ref).items()],
+        "hb": [sorted(map(list, info.hb_pairs())) for info in (ref, opt)],
+    }
+
+
 def audit(program, res, spec) -> dict:
     """The chain audit of `res` on one input, as the benchmark makes it."""
     ref = run(program, spec)
@@ -95,6 +106,7 @@ def outputs(program, inputs, audit_preset) -> dict:
         if specs is not None:
             report = check_observation_preserving(program, res.program, res.provenance, specs)
             entry["checks"] = [[name, *verdict_entry(v)] for name, v in report.checks()]
+            entry["dependence"] = [dependence(program, res, spec) for spec in specs]
         if preset == audit_preset:
             entry["audit"] = audit(program, res, specs[0])
     return out

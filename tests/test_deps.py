@@ -528,13 +528,107 @@ def test_analyze_matches_the_per_event_reference(text, inputs):
     assert_matches_reference(setup(text, inputs)[3])
 
 
+# --------------------------------------------------------------------------
+# The walks against forward searches over reverse dep edges
+# --------------------------------------------------------------------------
+
+
+def reverse_edges(info):
+    """Each event's dependents in ascending seq."""
+    out = {}
+    for seq, sources in enumerate(info.dep_sources):
+        for src in sources:
+            out.setdefault(src, []).append(seq)
+    return out
+
+
+def reference_skeleton(info, out):
+    """The opaque skeleton by a depth-first search forward from each opaque
+    event, stopping at the opaque events it meets."""
+    events = info.events
+    edges = {}
+    for start in (ev.seq for ev in events if ev.is_opaque):
+        frontier = list(out.get(start, ()))
+        seen, found = set(), set()
+        while frontier:
+            s = frontier.pop()
+            if s in seen:
+                continue
+            seen.add(s)
+            if events[s].is_opaque:
+                found.add(s)
+                continue
+            frontier.extend(out.get(s, ()))
+        edges[start] = tuple(sorted(found))
+    return edges
+
+
+def reference_reach(out, src):
+    """Every event a dep path from `src` reaches, `src` included, by a
+    forward search."""
+    seen = {src}
+    frontier = [src]
+    while frontier:
+        for t in out.get(frontier.pop(), ()):
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen
+
+
+def assert_walks_match_the_reference(info, later):
+    """The skeleton equals the reference's, and `dep_reachable` agrees with
+    it from every anchor or opaque event to each event `later` names."""
+    out = reverse_edges(info)
+    assert opaque_skeleton(info) == reference_skeleton(info, out)
+    sources = sorted({*info.anchor_seqs, *(ev.seq for ev in info.events if ev.is_opaque)})
+    for i, src in enumerate(sources):
+        reach = reference_reach(out, src)
+        for dst in later(sources, i, len(info.events)):
+            assert info.dep_reachable(src, dst) == (dst in reach), (src, dst)
+
+
+def every_later_event(sources, i, n):
+    return range(sources[i] + 1, n)
+
+
+def later_sources(sources, i, n):
+    """The later anchor and opaque events; a run with over 200 of them,
+    where walks back from far targets make every pair cost minutes, gets
+    the next 16."""
+    return sources[i + 1 : None if len(sources) <= 200 else i + 17]
+
+
+def benchmark_runs():
+    """A run of each program `perfbench/gen.py` makes at seeds 1, 2 and
+    11-13, twins included, on each input of its case."""
+    gen = load_benchmark_generator()
+    for make in gen.WORKLOADS.values():
+        for seed in (1, 2, 11, 12, 13):
+            for case in make(seed):
+                for text in (case.text, case.twin):
+                    program = prepare(text)[0]
+                    for inputs in case.inputs:
+                        yield run(program, parse_input(inputs))
+
+
 @pytest.mark.parametrize("shape, pattern", SWEEP)
-def test_dep_out_lists_each_events_dependents_in_order(shape, pattern):
+def test_walks_match_the_reference_on_the_sweep(shape, pattern):
     for result in sweep_runs(shape, pattern):
         info = analyze(result)
-        for s in range(len(result.events)):
-            want = [e for e, sources in enumerate(info.dep_sources) if s in sources]
-            assert info.dep_out(s) == want
+        assert_walks_match_the_reference(info, every_later_event)
+        out = reverse_edges(info)
+        ancestors = [[] for _ in info.events]
+        for src in range(len(info.events)):
+            for dst in reference_reach(out, src) - {src}:
+                ancestors[dst].append(src)
+        for dst, want in enumerate(ancestors):
+            assert sorted(info.dep_ancestors(dst)) == want, dst
+
+
+def test_walks_match_the_reference_on_the_benchmark_programs():
+    for result in benchmark_runs():
+        assert_walks_match_the_reference(analyze(result), later_sources)
 
 
 # --------------------------------------------------------------------------
@@ -1399,37 +1493,40 @@ def test_singleton_enumerated_link_runs_its_whole_domain_and_is_exempt(monkeypat
     assert audit_chain_preservation(result, opt, res.provenance, inputs=spec).passed
 
 
-def counting_reverse_builds(monkeypatch):
-    """Wrap `DepInfo._out_edges` and record the events of each analysis
-    whose reverse dep edges it builds."""
-    built = []
-    original = deps.DepInfo._out_edges
+def recording(monkeypatch, name):
+    """Wrap the function `deps.<name>` and record the first argument of
+    each call."""
+    calls = []
+    original = getattr(deps, name)
 
-    def counted(self):
-        if self._dep_out is None:
-            built.append(self.events)
-        return original(self)
+    def recorded(first, *args, **kw):
+        calls.append(first)
+        return original(first, *args, **kw)
 
-    monkeypatch.setattr(deps.DepInfo, "_out_edges", counted)
-    return built
+    monkeypatch.setattr(deps, name, recorded)
+    return calls
 
 
 @pytest.mark.parametrize(
     "text, inputs", [p for p in CHAIN_PROGRAMS if p.id not in ("singleton", "prelude-chain")]
 )
-def test_value_set_reruns_never_build_reverse_edges(monkeypatch, text, inputs):
+def test_value_set_reruns_compute_no_frontier_and_no_hb(monkeypatch, text, inputs):
     program, types, spec, result, info = setup(text, inputs)
     pairs = [(j, k) for j, ks in opaque_skeleton(info).items() for k in ks]
-    built = counting_reverse_builds(monkeypatch)
+    frontiers = recording(monkeypatch, "_nearest")
+    analysed = recording(monkeypatch, "analyze")
     patches = counting_reruns(monkeypatch)
     deps._value_sets(program, spec, info, pairs)
-    assert patches and built == []
-    # a reachability question on a fresh analysis is what builds them
+    assert patches and len(analysed) == patches.runs
+    assert frontiers == []
+    assert all(rerun._deps._anchor_reach is None for rerun in analysed)
+    # the skeleton and an hb query on a fresh analysis are what compute them
     twin = dataclasses.replace(program)  # runs and analyses nothing shares
     fresh = analyze(run(twin, spec))
-    fresh.dep_reachable(0, len(fresh.events) - 1)
-    fresh.dep_out(0)
-    assert built == [fresh.events]
+    opaque_skeleton(fresh)
+    fresh.hb_pairs()
+    assert frontiers == [fresh.dep_sources, fresh.dep_sources]
+    assert fresh._anchor_reach is not None
 
 
 @pytest.mark.parametrize("trips, heads", [(2, 3), (4, 5), (8, 9), (12, 13), (20, 21)])

@@ -638,6 +638,66 @@ def test_arms_branching_to_labels_their_regions_shadow_are_not_hoisted(preset):
     assert writes(optimize(p, preset=preset).program, inputs) == [(2,)]
 
 
+STORAGE_ARMS = """
+function main() {{
+  c: bool = io(sel)
+  r <- 3
+  q <- 5
+  br c, t, e
+t:
+  {t}
+  br join
+e:
+  {e}
+  br join
+join:
+  x = r
+  z = q
+  io(out, x, z)
+  return()
+}}
+"""
+
+
+def arm_labels(program):
+    return [b.label for b in program.function("main").region.blocks]
+
+
+@pytest.mark.parametrize("preset", ["P2", "P3"])
+def test_arms_whose_regions_share_a_reference_are_hoisted(preset):
+    p = prog(
+        STORAGE_ARMS.format(
+            t="y = opaque { v = r; w = v + 1; r <- w; s = snapshot(w); yield(w) }\n  use(y)",
+            e="y2 = opaque { v2 = r; w2 = v2 + 1; r <- w2; s2 = snapshot(w2); yield(w2) }\n"
+            "  use(y2)",
+        )
+    )
+    res = optimize(p, preset=preset)
+    assert arm_labels(res.program) == ["entry", "join"]
+    specs = []
+    for sel in ("false", "true"):
+        inputs = f"desc sel in ordered\n{sel}\n"
+        assert writes(res.program, inputs) == writes(p, inputs) == [(4, 5)]
+        specs.append(parse_input(inputs))
+    report = check_observation_preserving(p, res.program, res.provenance, specs)
+    assert report.passed, report.render()
+
+
+@pytest.mark.parametrize("preset", ["P2", "P3"])
+def test_arms_whose_regions_write_different_references_are_not_hoisted(preset):
+    p = prog(
+        STORAGE_ARMS.format(
+            t="y = opaque { r <- 7; yield(unit_value) }\n  use(y)",
+            e="y2 = opaque { q <- 7; yield(unit_value) }\n  use(y2)",
+        )
+    )
+    res = optimize(p, preset=preset)
+    assert arm_labels(res.program) == ["entry", "t", "e", "join"]
+    for sel, want in (("true", (7, 5)), ("false", (3, 7))):
+        inputs = f"desc sel in ordered\n{sel}\n"
+        assert writes(res.program, inputs) == writes(p, inputs) == [want]
+
+
 # --------------------------------------------------------------------------
 # dse
 # --------------------------------------------------------------------------
