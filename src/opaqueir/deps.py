@@ -13,10 +13,9 @@ Three dependence relations are extracted from a run:
                 that let them happen. Only the innermost open branch is
                 stored: it is itself control dependent on the others, so
                 the transitive closure is unchanged and traces cost
-                linear space (Xin & Zhang, ISSTA'07). `DepInfo.controls`
-                tells whether a branch is still open at an event. An
-                event's function and block come from its instruction id,
-                and postdominators are kept per block index.
+                linear space (Xin & Zhang, ISSTA'07). An event's function
+                and block come from its instruction id, and
+                postdominators are kept per block index.
 
 Their union `dep` drives two derived structures. Happens-before is the
 transitive closure of I/O order, dependence into observation events, and
@@ -35,18 +34,18 @@ at least two elements. Boolean and byte results are enumerated until a
 second outcome turns up, so only a singleton runs the whole domain; unit
 tokens live in an abstract two-point domain and are never enumerated,
 otherwise every token chain would collapse to a singleton; 32-bit
-results go through a small per-operation rule engine and fall back to
-`SAMPLE_COUNT` values drawn from a generator seeded with `SAMPLE_SEED`,
-which stops the same way. The reruns of one patched result are shared by
-every audited link out of it: its first alternative value reruns alone,
-and the rest together, one lane per value (delta execution, Tucek et al.,
-ASPLOS'09), unless their lanes diverge; one scan of each run gives every
-link its outcome, read at the link's own target instruction.
+results are patched to `SAMPLE_COUNT` values drawn from a generator
+seeded with `SAMPLE_SEED`, then to c - 1, c and c + 1 for each constant c
+the program compares against, and stop the same way. The reruns of one
+patched result are shared by every audited link out of it: its first
+alternative value reruns alone, and the rest together, one lane per
+value (delta execution, Tucek et al., ASPLOS'09), unless their lanes
+diverge; one scan of each run gives every link its outcome, read at the
+link's own target instruction.
 Each run is analysed once: `analyze` stores its `DepInfo` on the run,
 which holds the run's events, not the run, so no cycle forms. `analyze`
-computes dep and cd sources, branch closes and anchors; the anchor hb
-closure waits for the first hb query, since most analyses (every
-rerun's) need none. Every other question is one of three walks over the
+computes dep and cd sources and anchors; the anchor hb closure waits for
+the first hb query, since most analyses (every rerun's) need none. Every other question is one of three walks over the
 dep sources, each written once: a forward frontier (`_nearest`) gives
 each marked event the marked events reaching it through an unmarked
 interior, for the opaque skeleton and the observation edges of
@@ -59,33 +58,24 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import AbstractSet, Optional
 
 from .ir import (
-    AtomExpr,
     BinaryExpr,
-    Branch,
-    CallExpr,
     Const,
     Define,
     InstrId,
-    LoadMem,
-    LoadRef,
-    MemStore,
     Program,
-    RefAssign,
-    Return,
     Type,
-    UnaryExpr,
-    Var,
     compute_postdominators,
     instr_at,
     instr_signature,
     typecheck,
+    walk_blocks,
 )
-from .interp import Diverged, Event, InputSpec, Lanes, RunResult, eval_binary, eval_unary, run
+from .interp import Diverged, Event, InputSpec, Lanes, RunResult, run
 
 SAMPLE_COUNT = 64
 SAMPLE_SEED = 0
@@ -108,7 +98,6 @@ class DepInfo:
     obs_seqs: tuple[int, ...]
     io_seqs: tuple[int, ...]
     anchor_seqs: tuple[int, ...]  # observation and io events, in order
-    _closes: dict[int, int] = field(default_factory=dict)  # branch -> closing seq or trace length
     _anchor_reach: Optional[dict[int, frozenset[int]]] = None
 
     def dep_reachable(self, src: int, dst: int) -> bool:
@@ -127,12 +116,6 @@ class DepInfo:
                     seen.add(s)
                     frontier.append(s)
                     yield s
-
-    def controls(self, b: int, e: int) -> bool:
-        """Whether event e is control dependent on event b: b is a
-        conditional branch still open at e, in e's activation."""
-        events = self.events
-        return b < e < self._closes.get(b, -1) and events[b].activation == events[e].activation
 
     # -- happens-before among anchors
 
@@ -258,12 +241,11 @@ def analyze(result: RunResult) -> DepInfo:
     cd_sources: list[frozenset[int]] = []
     obs_seqs: list[int] = []
     io_seqs: list[int] = []
-    closes: dict[int, int] = {}
     third = itemgetter(2)
     conditional = functools.cache(lambda iid: instr_at(program, iid).cond is not None)
-    # Per activation: the block index of its latest event, its open
-    # conditional branches by block index (oldest first: branches of one
-    # block close together), and the innermost of them as a cd set.
+    # Per activation: the block index of its latest event, the latest open
+    # conditional branch of each block index (the branches of one block
+    # close together), and the innermost of them as a cd set.
     acts: dict[int, list] = {}
 
     for seq, kind, iid, activation, _, reads, rf, _, ios, obs in events:
@@ -278,13 +260,12 @@ def analyze(result: RunResult) -> DepInfo:
                 pd = pdoms.get(iid[0], {})
                 if closed := [b for b in by_block if b != bi and bi in pd.get(b, ())]:
                     for b in closed:
-                        closes.update(dict.fromkeys(by_block.pop(b), seq))
-                    act[2] = frozenset((max(s[-1] for s in by_block.values()),)) if by_block else empty
+                        del by_block[b]
+                    act[2] = frozenset((max(by_block.values()),)) if by_block else empty
             act[0] = bi
             cd = act[2]
             if kind == "branch" and conditional(iid):
-                act[1].setdefault(bi, []).append(seq)
-                closes[seq] = len(events)
+                act[1][bi] = seq
                 act[2] = frozenset((seq,))
         deps = frozenset(map(third, reads))  # the defining events
         if rf or cd:
@@ -303,7 +284,6 @@ def analyze(result: RunResult) -> DepInfo:
         obs_seqs=tuple(obs_seqs),
         io_seqs=tuple(io_seqs),
         anchor_seqs=tuple(sorted({*obs_seqs, *io_seqs})),
-        _closes=closes,
     )
     object.__setattr__(result, "_deps", info)  # the run is frozen
     return info
@@ -340,7 +320,7 @@ class ValueSetReport:
     domain or sample list, most of it in one lane-batched rerun."""
 
     bound: int
-    status: str  # enumerated | rule | rule_derived | sampled | unknown
+    status: str  # enumerated | rule_derived | sampled | unknown
     values: Optional[frozenset] = None
 
 
@@ -422,7 +402,33 @@ def _domain(ty: Type) -> Optional[list]:
     return [False, True] if ty is Type.BOOL else list(range(256)) if ty is Type.U8 else None
 
 
-def _sample_values(ty: Type, observed) -> list:
+def _comparands(program: Program) -> list[Const]:
+    """Each constant operand of a comparison in the program, nested opaque
+    regions included, in program order; stored on the immutable program
+    like its `_postdominators`."""
+    if (found := getattr(program, "_comparands", None)) is None:
+        found = [
+            c
+            for f in program.functions
+            for block in walk_blocks(f.region)
+            for instr in block.instrs
+            if isinstance(instr, Define)
+            and isinstance(rhs := instr.rhs, BinaryExpr)
+            and rhs.op in ("==", "!=", "<", "<=", ">", ">=")
+            for c in (rhs.a, rhs.b)
+            if isinstance(c, Const)
+        ]
+        object.__setattr__(program, "_comparands", found)
+    return found
+
+
+def _sample_values(program: Program, ty: Type, observed) -> list:
+    """The values a 32-bit result of type ty is patched to, other than
+    `observed` and each once: `SAMPLE_COUNT` draws from a generator seeded
+    with `SAMPLE_SEED`, then c - 1, c and c + 1 within ty's range for each
+    constant c of type ty that a comparison of the program reads. Uniform
+    draws almost never hit the one value an equality tests; the operands
+    of comparisons do (REDQUEEN's dictionary, Aschermann et al., NDSS'19)."""
     rng = random.Random(SAMPLE_SEED)
     lo, hi = (-(2**31), 2**31 - 1) if ty is Type.I32 else (0, 2**32 - 1)
     chosen = {observed}
@@ -432,6 +438,12 @@ def _sample_values(ty: Type, observed) -> list:
         if v not in chosen:
             chosen.add(v)
             out.append(v)
+    for c in _comparands(program):
+        if c.type is ty:
+            for v in (c.value - 1, c.value, c.value + 1):
+                if lo <= v <= hi and v not in chosen:
+                    chosen.add(v)
+                    out.append(v)
     return out
 
 
@@ -473,10 +485,8 @@ def _value_sets(program, inputs, info, pairs) -> dict:
             reports[j, k] = ValueSetReport(2, "rule_derived")
         elif ty is None or events[k].iid is None:
             reports[j, k] = ValueSetReport(0, "unknown")
-        elif _domain(ty) is not None or (report := _rule_engine(program, info, j, k, ty)) is None:
-            groups.setdefault((j, var), {})[k] = events[k].iid
         else:
-            reports[j, k] = report
+            groups.setdefault((j, var), {})[k] = events[k].iid
 
     for (j, var), targets in groups.items():
         ty = var_types[events[j].iid[0], var]
@@ -485,8 +495,8 @@ def _value_sets(program, inputs, info, pairs) -> dict:
         if domain is not None:
             status, alt_values = "enumerated", domain
         else:
-            # Seeded sampling fallback for 32-bit results the rules cannot cover.
-            status, alt_values = "sampled", _sample_values(ty, observed)
+            # 32-bit results: seeded samples, then the program's comparands.
+            status, alt_values = "sampled", _sample_values(program, ty, observed)
         if observed in alt_values:  # a fresh list without duplicates
             alt_values.remove(observed)
         outcomes = {k: {v} for k, v in dependent_outcomes(info, j, targets, sign).items()}
@@ -517,216 +527,6 @@ def _value_sets(program, inputs, info, pairs) -> dict:
         for k, seen in outcomes.items():
             reports[j, k] = ValueSetReport(len(seen), status, frozenset(seen))
     return reports
-
-
-# -- rule engine -------------------------------------------------------------
-
-
-class _SetAbs:
-    """Abstract value set flowing through one operation at a time: the
-    full domain, an exact small set, or a size lower bound."""
-
-    __slots__ = ("kind", "values", "size")
-
-    def __init__(self, kind: str, values: Optional[frozenset] = None, size: int = 0):
-        self.kind = kind  # full | exact | atleast
-        self.values = values
-        self.size = size
-
-    @classmethod
-    def full(cls):
-        return cls("full")
-
-    @classmethod
-    def exact(cls, values):
-        return cls("exact", frozenset(values))
-
-    @classmethod
-    def atleast(cls, n: int):
-        return cls("atleast", size=n)
-
-    def floor(self) -> int:
-        if self.kind == "full":
-            return 2**32
-        if self.kind == "exact":
-            return len(self.values)
-        return self.size
-
-
-_BIJECTIVE_BINOPS = ("^", "+", "-")
-
-
-def _apply_binop_rule(
-    op: str, const: int, tracked_left: bool, cur: _SetAbs, ty: Type
-) -> Optional[_SetAbs]:
-    """Image of the abstract set under `op` with one concrete,
-    uncorrelated operand. None means no rule applies."""
-    if cur.kind == "exact":
-        try:
-            image = frozenset(
-                eval_binary(op, v, const, ty) if tracked_left else eval_binary(op, const, v, ty)
-                for v in cur.values
-            )
-        except Exception:
-            return None  # e.g. division by a zero in the set
-        return _SetAbs.exact(image)
-
-    if op == "*" and const == 0:
-        return _SetAbs.exact({0})
-    if op in _BIJECTIVE_BINOPS or (op == "*" and const % 2 == 1):
-        return cur  # preserves cardinality whichever side is tracked
-
-    if cur.kind != "full":
-        return None  # a bare size bound survives only bijective ops
-
-    bits = 8 if ty is Type.U8 else 32
-    mask = (1 << bits) - 1
-    if op == "&":
-        if const & mask == 0:
-            return _SetAbs.exact({0})
-        return _SetAbs.atleast(2)
-    if op == "|":
-        if const & mask == mask:
-            return _SetAbs.exact({eval_binary(op, 0, const, ty)})
-        return _SetAbs.atleast(2)
-    if op in ("<<", ">>"):
-        if not tracked_left:
-            return None  # tracked shift count: image not worth bounding
-        if (const & 0xFFFFFFFF) >= bits:
-            return _SetAbs.exact({0})
-        return _SetAbs.atleast(2)
-    if op in ("==", "!="):
-        return _SetAbs.exact({True, False})
-    if op in ("<", "<=", ">", ">="):
-        if ty is Type.I32:
-            lo, hi = -(2**31), 2**31 - 1
-        else:
-            lo, hi = 0, mask
-        if tracked_left:
-            folded = {
-                ("<", lo): False,
-                ("<=", hi): True,
-                (">", hi): False,
-                (">=", lo): True,
-            }.get((op, const))
-        else:
-            folded = {
-                ("<", hi): False,
-                ("<=", lo): True,
-                (">", lo): False,
-                (">=", hi): True,
-            }.get((op, const))
-        if folded is not None:
-            return _SetAbs.exact({folded})
-        return _SetAbs.exact({True, False})
-    return None  # division, remainder: fall back to sampling
-
-
-def _rule_engine(
-    program: Program,
-    info: DepInfo,
-    j: int,
-    k: int,
-    ty: Type,
-) -> Optional[ValueSetReport]:
-    """Follow the unique du/rf path from event j to event k, composing
-    per-operation image rules over the full domain of the patched result.
-    Bails out (returns None) on joins, correlated operands, control hops,
-    or operations without a rule."""
-    events = info.events
-    preds = {ev.seq: sorted(sources) for ev, sources in _dependents(info, j, k + 1)}
-    if k not in preds:
-        return None
-    rev_path = [k]
-    cur_seq = k
-    while cur_seq != j:
-        ps = preds.get(cur_seq)
-        if ps is None or len(ps) != 1:
-            return None  # join: the value recombines with itself
-        cur_seq = ps[0]
-        rev_path.append(cur_seq)
-    path = list(reversed(rev_path))  # j .. k inclusive
-    branches = [seq for seq in path if seq in info._closes]  # conditional ones
-
-    current = _SetAbs.full()
-    tracked_from = j
-    for seq in path[1:-1]:
-        ev = events[seq]
-        if ev.is_opaque or ev.iid is None:
-            return None
-        if any(info.controls(b, seq) for b in branches):
-            return None  # control hop inside the path
-        nxt = _transfer(instr_at(program, ev.iid), ev, tracked_from, current, ty)
-        if nxt is None:
-            return None
-        current = nxt
-        tracked_from = seq
-    if any(info.controls(b, k) for b in branches):
-        return None
-
-    if current.kind == "exact":
-        return ValueSetReport(len(current.values), "rule", current.values)
-    return ValueSetReport(min(current.floor(), 2**32), "rule")
-
-
-def _transfer(instr, ev: Event, tracked_src: int, cur: _SetAbs, ty: Type) -> Optional[_SetAbs]:
-    """Abstract transfer of one pure event along the tracked path."""
-    tracked_names = {n for n, _, src in ev.reads if src == tracked_src}
-    if not tracked_names:
-        if tracked_src in ev.rf:
-            return cur  # reads-from hop: the value is copied through state
-        return None
-    if isinstance(instr, MemStore):
-        if isinstance(instr.addr, Var) and instr.addr.name in tracked_names:
-            return None  # address-carried dependence
-        return cur
-    if isinstance(instr, RefAssign):
-        return cur
-    if isinstance(instr, Branch):
-        if (
-            instr.cond is not None
-            and isinstance(instr.cond, Var)
-            and instr.cond.name in tracked_names
-        ):
-            return None  # tracked condition: the hop is control, not data
-        return cur  # block argument passing is a copy
-    if isinstance(instr, Return):
-        return cur
-    if not isinstance(instr, Define):
-        return None
-    rhs = instr.rhs
-    if isinstance(rhs, (AtomExpr, CallExpr, LoadRef)):
-        return cur  # copies
-    if isinstance(rhs, LoadMem):
-        if isinstance(rhs.addr, Var) and rhs.addr.name in tracked_names:
-            return None  # tracked address: the loaded value is unrelated
-        return cur
-    if isinstance(rhs, UnaryExpr):
-        if cur.kind == "exact":
-            try:
-                return _SetAbs.exact(frozenset(eval_unary(rhs.op, v, ty) for v in cur.values))
-            except Exception:
-                return None
-        if rhs.op in ("-", "~"):
-            return cur  # bijective
-        return None
-    if isinstance(rhs, BinaryExpr):
-        a_tracked = isinstance(rhs.a, Var) and rhs.a.name in tracked_names
-        b_tracked = isinstance(rhs.b, Var) and rhs.b.name in tracked_names
-        if a_tracked and b_tracked:
-            return None  # correlated operands (e.g. v ^ v): no simple rule
-        other = rhs.b if a_tracked else rhs.a
-        if isinstance(other, Const):
-            const = other.value
-        else:
-            # Any dependent operand would have shown up as a second
-            # predecessor and aborted the path walk, so a variable here is
-            # independent of the patch and keeps its observed value.
-            const = {n: v for n, v, _ in ev.reads}.get(other.name)
-        if isinstance(const, bool) or not isinstance(const, int):
-            return None
-        return _apply_binop_rule(rhs.op, const, a_tracked, cur, ty)
-    return None
 
 
 # --------------------------------------------------------------------------

@@ -61,7 +61,7 @@ from .ir import (
     instr_at,
     instr_operand_atoms,
     region_defined_names,
-    typecheck,  # unused here, but perfbench/spans.py wraps validate.typecheck
+    typecheck,  # noqa: F401 -- unused here, but perfbench/spans.py wraps validate.typecheck
     walk_blocks,
 )
 from .passes import ProvenanceMap
@@ -503,8 +503,8 @@ def audit_chain_preservation(
     """Every confirmed opaque chain of the reference run whose tail
     performs io must survive: the head needs an optimized counterpart
     and a dependence path to the tail's counterpart. A broken chain
-    (some link reached one outcome over its whole enumerated domain, by
-    rule, or over every sample) was never an opaque chain and is exempt;
+    (some link reached one outcome over its whole enumerated domain or
+    over every sample) was never an opaque chain and is exempt;
     a chain nobody could confirm fails, never silently trusted. Chains
     are audited per (head, tail) pair and verdict, so however many paths
     join a pair, each verdict gives it at most one witness. Each run of

@@ -1,5 +1,6 @@
 """Parser, printer, macro expansion, opacity barrier and validation."""
 
+import ast
 import dataclasses
 import functools
 import itertools
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -1394,3 +1396,47 @@ def test_dominators_equal_the_round_robin_reference_in_block_order(cfg):
     for have, reference in zip(got, want):
         assert have == reference
         assert list(have) == list(reference) == labels
+
+
+# -- the package's own imports
+
+
+def unused_imports(text: str) -> list[tuple[int, str]]:
+    """Each module-level imported name that the module never references,
+    with its line, unless its line or its statement's first line says
+    `# noqa: F401` (a re-export, or a name another module patches)."""
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        for alias in stmt.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            waived = any("# noqa: F401" in lines[n - 1] for n in (stmt.lineno, alias.lineno))
+            if name not in referenced and not waived:
+                unused.append((alias.lineno, name))
+    return unused
+
+
+def test_unused_imports_are_found():
+    text = """from __future__ import annotations
+import os, re
+from x import (
+    a,
+    b,  # noqa: F401
+    c,
+)
+from y import d  # noqa: F401
+os.sep
+c()
+"""
+    assert unused_imports(text) == [(2, "re"), (4, "a")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in Path(ir.__file__).parent.glob("*.py")))
+def test_package_modules_import_no_unused_name(module):
+    assert unused_imports(Path(ir.__file__).with_name(module).read_text()) == []
