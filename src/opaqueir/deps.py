@@ -97,6 +97,7 @@ class DepInfo:
     cd_sources: list[frozenset[int]]
     obs_seqs: tuple[int, ...]
     io_seqs: tuple[int, ...]
+    opaque_seqs: tuple[int, ...]  # opaque instructions and I/O: `Event.is_opaque`
     anchor_seqs: tuple[int, ...]  # observation and io events, in order
     _anchor_reach: Optional[dict[int, frozenset[int]]] = None
 
@@ -241,6 +242,7 @@ def analyze(result: RunResult) -> DepInfo:
     cd_sources: list[frozenset[int]] = []
     obs_seqs: list[int] = []
     io_seqs: list[int] = []
+    opaque_seqs: list[int] = []
     third = itemgetter(2)
     conditional = functools.cache(lambda iid: instr_at(program, iid).cond is not None)
     # Per activation: the block index of its latest event, the latest open
@@ -276,6 +278,8 @@ def analyze(result: RunResult) -> DepInfo:
             obs_seqs.append(seq)
         if ios:
             io_seqs.append(seq)
+        if ios or kind == "opaque":
+            opaque_seqs.append(seq)
 
     info = DepInfo(
         events=events,
@@ -283,6 +287,7 @@ def analyze(result: RunResult) -> DepInfo:
         cd_sources=cd_sources,
         obs_seqs=tuple(obs_seqs),
         io_seqs=tuple(io_seqs),
+        opaque_seqs=tuple(opaque_seqs),
         anchor_seqs=tuple(sorted({*obs_seqs, *io_seqs})),
     )
     object.__setattr__(result, "_deps", info)  # the run is frozen
@@ -297,7 +302,7 @@ def analyze(result: RunResult) -> DepInfo:
 def opaque_skeleton(info: DepInfo) -> dict[int, tuple[int, ...]]:
     """Edges between opaque events whose connecting dep paths contain no
     opaque event in the interior, each event's successors in order."""
-    edges: dict[int, list[int]] = {ev.seq: [] for ev in info.events if ev.is_opaque}
+    edges: dict[int, list[int]] = {seq: [] for seq in info.opaque_seqs}
     for k, into in _nearest(info.dep_sources, edges.keys()).items():
         for j in into:
             edges[j].append(k)

@@ -1796,7 +1796,9 @@ def finalize_observations(program: Program) -> Program:
                 new_blocks.append(dc_replace(block, instrs=tuple(new_instrs)))
             return Region(tuple(new_blocks))
 
-        return dc_replace(f, region=fix_region(f.region))
+        fixed = dc_replace(f, region=fix_region(f.region))
+        fix_region = None  # a recursive closure is a reference cycle: break it
+        return fixed
 
     return Program(tuple(fix_function(f) for f in program.functions), program.macros)
 
@@ -2437,6 +2439,9 @@ class _Validator:
             visit_region(region, False)
             if all(types.get(name) is None for types, name in missed):
                 break
+        # The recursive closures hold themselves and `self`, a reference
+        # cycle that would pin the program until the cyclic collector runs.
+        collect_defs = visit_region = None
 
         # Settle return types.
         rts: Optional[tuple[Type, ...]] = fn.ret_types

@@ -30,10 +30,15 @@ preset.
 
 Every pass builds its output through `_rewrite_functions`, which makes
 the program and the provenance from the blocks the pass emits for each
-function it changes. A function a pass leaves alone is carried over as
-the same object with identity edges, and a pass that changes nothing
-returns its input: the `Program` object it was given, with identity
-provenance. That is the one no-op signal.
+function it changes. Most passes only state their edits, instruction id
+to replacements (none deletes), and `_per_instr_pass` rebuilds just the
+functions with an edit or a dropped block. Edits are found through each
+function's use table, built once per `Function` object: copyprop and
+constprop edit only the readers of the names they resolve. A function a
+pass leaves alone is carried over as the same object, table included,
+with identity edges, and a pass that changes nothing returns its input:
+the `Program` object it was given, with identity provenance. That is the
+one no-op signal.
 
 `run_pipeline` memoizes pass results on the program it is given, for
 that program's lifetime, keyed by the pass functions that changed
@@ -52,7 +57,6 @@ passes are not stored.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Iterable, Optional
 
@@ -133,19 +137,24 @@ class ProvenanceMap:
 
     @classmethod
     def identity(cls, program: Program) -> "ProvenanceMap":
-        pm = cls()
-        for iid in program_iids(program):
-            pm.add(iid, iid, "kept")
-        return pm
+        return cls({(iid, iid): "kept" for iid in program_iids(program)})
+
+
+def _function_iids(f: Function) -> list[InstrId]:
+    blocks = f.region.blocks
+    return [(f.name, bi, pos) for bi, b in enumerate(blocks) for pos in range(len(b.instrs))]
+
+
+def _each_instr(program: Program):
+    """Each instruction of `program`, with its function and its id."""
+    for f in program.functions:
+        for bi, block in enumerate(f.region.blocks):
+            for pos, instr in enumerate(block.instrs):
+                yield f, (f.name, bi, pos), instr
 
 
 def program_iids(program: Program) -> list[InstrId]:
-    out = []
-    for f in program.functions:
-        for bi, block in enumerate(f.region.blocks):
-            for pos in range(len(block.instrs)):
-                out.append((f.name, bi, pos))
-    return out
+    return [iid for f in program.functions for iid in _function_iids(f)]
 
 
 @dataclass
@@ -177,9 +186,7 @@ def _rewrite_functions(
         blocks = rewrite(f)
         if blocks is None:
             functions.append(f)
-            for bi, block in enumerate(f.region.blocks):
-                for pos in range(len(block.instrs)):
-                    pm.add((f.name, bi, pos), (f.name, bi, pos), "kept")
+            pm.edges.update({(iid, iid): "kept" for iid in _function_iids(f)})
             continue
         new_blocks = []
         for bi, (label, params, instrs) in enumerate(blocks):
@@ -193,37 +200,48 @@ def _rewrite_functions(
     return PassResult(Program(tuple(functions), program.macros), pm)
 
 
+# An edit map: instruction id -> its replacements, each with its provenance
+# kind; an empty list deletes the instruction.
+_Edits = dict[InstrId, list[tuple[object, str]]]
+
+
 def _per_instr_pass(
-    program: Program,
-    rewrite: Callable[[str, InstrId, object], Optional[list[tuple[object, str]]]],
-    keep: Optional[dict[str, set[str]]] = None,
+    program: Program, edits: _Edits, keep: Optional[dict[str, set[str]]] = None
 ) -> PassResult:
-    """Run a pass that maps each instruction independently to zero or more
-    replacements (None keeps it as is) through `_rewrite_functions`.
-    Blocks keep their order; `keep`, when given, names each function's
-    blocks to keep, and the others are dropped with their instructions. A
-    function in which no rewrite fired and no block was dropped is carried
-    over as it is."""
+    """Apply an edit map through `_rewrite_functions`: every instruction
+    without an edit is kept. Blocks keep their order; `keep`, when given,
+    names each function's blocks to keep, and the others are dropped with
+    their instructions. A function with no edit and no dropped block is
+    carried over without reading its instructions."""
+    edited = {iid[0] for iid in edits}
 
     def rebuild(f: Function) -> Optional[list[_NewBlock]]:
-        blocks, changed = [], False
+        kept = None if keep is None else keep[f.name]
+        if f.name not in edited and (kept is None or len(kept) == len(f.region.blocks)):
+            return None
+        blocks = []
         for bi, block in enumerate(f.region.blocks):
-            if keep is not None and block.label not in keep[f.name]:
-                changed = True
-                continue
-            instrs = []
-            for pos, instr in enumerate(block.instrs):
-                iid = (f.name, bi, pos)
-                out = rewrite(f.name, iid, instr)
-                if out is None:
-                    instrs.append((instr, [(iid, "kept")]))
-                else:
-                    changed = True
-                    instrs.extend((new, [(iid, kind)]) for new, kind in out)
-            blocks.append((block.label, block.params, instrs))
-        return blocks if changed else None
+            if kept is None or block.label in kept:
+                instrs = []
+                for pos, instr in enumerate(block.instrs):
+                    out = edits.get(iid := (f.name, bi, pos), [(instr, "kept")])
+                    instrs += [(new, [(iid, kind)]) for new, kind in out]
+                blocks.append((block.label, block.params, instrs))
+        return blocks
 
     return _rewrite_functions(program, rebuild)
+
+
+def _result(instr) -> Optional[str]:
+    """The name a single-result define binds, or None."""
+    if isinstance(instr, Define) and len(instr.results) == 1 and isinstance(instr.results[0], str):
+        return instr.results[0]
+    return None
+
+
+def _defines(instrs) -> dict[str, object]:
+    """Each name a single-result define of `instrs` binds, with its rhs."""
+    return {n: i.rhs for i in instrs if (n := _result(i)) is not None}
 
 
 def _instr_uses(instr) -> set[str]:
@@ -232,6 +250,41 @@ def _instr_uses(instr) -> set[str]:
     if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
         names.update(instr.rhs.summary.uses)
     return names
+
+
+# An instruction's slot in its function's use table: block index * _BLOCK +
+# position. Ints, unlike id tuples, are no work for the cyclic collector.
+_BLOCK = 1 << 32
+
+
+def _use_table(f: Function) -> dict[str, tuple[int, ...]]:
+    """Each name `f` reads, with the slots of the instructions that read
+    it. Built once per function object and stored on it, like a program's
+    `typecheck`: a function a pass carries over keeps its table for the
+    passes and presets after it."""
+    if (readers := getattr(f, "_readers", None)) is None:
+        slots: dict[str, list[int]] = {}
+        for bi, block in enumerate(f.region.blocks):
+            for pos, instr in enumerate(block.instrs):
+                for n in _instr_uses(instr):
+                    slots.setdefault(n, []).append(bi * _BLOCK + pos)
+        readers = {n: tuple(ss) for n, ss in slots.items()}
+        object.__setattr__(f, "_readers", readers)  # the function is frozen
+    return readers
+
+
+def _edit_readers(f: Function, uses: dict[str, object], edits: _Edits) -> None:
+    """Give each reader in `f` of a name in `uses` that has no edit yet an
+    edit reading the replacement atoms instead."""
+    if not uses:
+        return
+    readers = _use_table(f)
+    blocks = f.region.blocks
+    for slot in {slot for n in uses for slot in readers.get(n, ())}:
+        bi, pos = divmod(slot, _BLOCK)
+        instr = blocks[bi].instrs[pos]
+        if (f.name, bi, pos) not in edits and (new := rename_instr(instr, uses)) != instr:
+            edits[(f.name, bi, pos)] = [(new, "kept")]
 
 
 def _zero_const(ty: Optional[Type]) -> Const:
@@ -269,37 +322,21 @@ def _fresh_namer(f: Function) -> Callable[[str], str]:
 def copyprop(program: Program) -> PassResult:
     """Forward variable-to-variable copies into their uses. The copy
     definitions stay behind for dce to sweep."""
-
-    roots: dict[str, dict[str, Var]] = {}
+    edits: _Edits = {}
     for f in program.functions:
-        copies: dict[str, str] = {}
-        for block in f.region.blocks:
-            for instr in block.instrs:
-                if (
-                    isinstance(instr, Define)
-                    and len(instr.results) == 1
-                    and isinstance(instr.results[0], str)
-                    and isinstance(instr.rhs, AtomExpr)
-                    and isinstance(instr.rhs.atom, Var)
-                ):
-                    copies[instr.results[0]] = instr.rhs.atom.name
+        defines = _defines(i for b in f.region.blocks for i in b.instrs)
+        copies = {
+            n: rhs.atom.name
+            for n, rhs in defines.items()
+            if isinstance(rhs, AtomExpr) and isinstance(rhs.atom, Var)
+        }
         resolved: dict[str, Var] = {}
         for name, target in copies.items():
             while target in copies:
                 target = copies[target]
             resolved[name] = Var(target)
-        roots[f.name] = resolved
-
-    def rewrite(fname, iid, instr):
-        resolved = roots[fname]
-        if not resolved:
-            return None
-        new = rename_instr(instr, resolved)
-        if new == instr:
-            return None
-        return [(new, "kept")]
-
-    return _per_instr_pass(program, rewrite)
+        _edit_readers(f, resolved, edits)
+    return _per_instr_pass(program, edits)
 
 
 # --------------------------------------------------------------------------
@@ -308,6 +345,7 @@ def copyprop(program: Program) -> PassResult:
 
 _TOP = ("top",)
 _BOT = ("bot",)
+_TRUE = ("const", True, Type.BOOL)
 
 _BOOL_OPS = ("==", "!=", "<", "<=", ">", ">=", "!")  # operators with bool results
 
@@ -322,6 +360,86 @@ def _meet(a, b):
     return _BOT
 
 
+def _atom_value(atom, values: dict[str, tuple]) -> tuple:
+    if isinstance(atom, Const):
+        return ("const", atom.value, atom.type)
+    if isinstance(atom, Var):
+        return values.get(atom.name, _TOP)
+    return _BOT
+
+
+def _eval_define(instr: Define, values: dict[str, tuple]) -> tuple[tuple[str, tuple], ...]:
+    """Each name a define binds, with its value given `values`."""
+    rhs, name = instr.rhs, _result(instr)
+    if name is None or not isinstance(rhs, (AtomExpr, UnaryExpr, BinaryExpr)):
+        return tuple((r, _BOT) for r in instr.results if isinstance(r, str))
+    if isinstance(rhs, AtomExpr):
+        return ((name, _atom_value(rhs.atom, values)),)
+    binary = isinstance(rhs, BinaryExpr)
+    vals = [_atom_value(a, values) for a in ((rhs.a, rhs.b) if binary else (rhs.a,))]
+    if _TOP in vals:
+        return ((name, _TOP),)
+    if all(v[0] == "const" for v in vals):
+        try:
+            evaluate = eval_binary if binary else eval_unary
+            out = evaluate(rhs.op, *(v[1] for v in vals), vals[0][2])
+            return ((name, ("const", out, Type.BOOL if rhs.op in _BOOL_OPS else vals[0][2])),)
+        except Exception:
+            pass
+    return ((name, _BOT),)
+
+
+def _sccp(f: Function):
+    """Worklist SCCP over the CFG and `f`'s use table (Wegman & Zadeck,
+    TOPLAS 1991): a block is read whole when it first becomes executable,
+    and an instruction again only when a value it has read drops. Gives
+    each name's value and the slot that last lowered it, the executable
+    block indices, and each branch's targets by slot."""
+    readers = _use_table(f)
+    blocks = f.region.blocks
+    index = {b.label: bi for bi, b in enumerate(blocks)}
+    values: dict[str, tuple] = {p.name: _BOT for p in f.params}
+    lowered_at: dict[str, int] = {}
+    executable = {0}
+    taken: dict[int, list[BlockCall]] = {}
+    flow, ssa = [0], []  # blocks to read, then instruction slots to read again
+    read: set[int] = set()
+
+    def lower(name: str, val: tuple, at: int) -> None:
+        old = values.get(name, _TOP)
+        if (new := _meet(old, val)) != old:
+            values[name], lowered_at[name] = new, at
+            ssa.extend(slot for slot in readers.get(name, ()) if slot in read)
+
+    while flow or ssa:
+        if flow:
+            bi = flow.pop()
+            visits = [(bi * _BLOCK + pos, i) for pos, i in enumerate(blocks[bi].instrs)]
+        else:
+            bi, pos = divmod(slot := ssa.pop(), _BLOCK)
+            visits = [(slot, blocks[bi].instrs[pos])]
+        for slot, instr in visits:
+            read.add(slot)
+            if isinstance(instr, Define):
+                for name, val in _eval_define(instr, values):
+                    lower(name, val, slot)
+            elif isinstance(instr, Branch):  # an unconditional one branches on true
+                cv = _TRUE if instr.cond is None else _atom_value(instr.cond, values)
+                if cv[0] == "const":
+                    outs = [instr.then if cv[1] else instr.els]
+                else:
+                    outs = [] if cv == _TOP else [instr.then, instr.els]
+                outs = taken[slot] = [o for o in outs if o is not None]
+                for call in outs:
+                    ti = index[call.label]
+                    if ti not in executable:
+                        executable.add(ti)
+                        flow.append(ti)
+                    for param, arg in zip(blocks[ti].params, call.args):
+                        lower(param.name, _atom_value(arg, values), slot)
+    return values, lowered_at, executable, taken
+
+
 def constprop(program: Program) -> PassResult:
     """Sparse conditional constant propagation, one function at a time.
 
@@ -330,112 +448,30 @@ def constprop(program: Program) -> PassResult:
     with constant conditions become unconditional; blocks that can never
     execute are dropped. Folding goes through the interpreter's own
     operator evaluation, so anything that would trap at runtime stays in
-    place instead of folding."""
+    place instead of folding. The edits are the folded defines, the
+    decided branches and the readers of constants."""
+    edits: _Edits = {}
     executable_blocks: dict[str, set[str]] = {}
-    facts: dict[str, tuple] = {}  # per function: blocks, values, taken, consts
     for f in program.functions:
-        values: dict[str, tuple] = {p.name: _BOT for p in f.params}
-
-        def atom_value(atom):
-            if isinstance(atom, Const):
-                return ("const", atom.value, atom.type)
-            if isinstance(atom, Var):
-                return values.get(atom.name, _TOP)
-            return _BOT
-
-        def eval_define(instr: Define):
-            rhs = instr.rhs
-            single = len(instr.results) == 1 and isinstance(instr.results[0], str)
-            if isinstance(rhs, AtomExpr) and single:
-                return {instr.results[0]: atom_value(rhs.atom)}
-            if isinstance(rhs, (UnaryExpr, BinaryExpr)) and single:
-                binary = isinstance(rhs, BinaryExpr)
-                vals = [atom_value(a) for a in ((rhs.a, rhs.b) if binary else (rhs.a,))]
-                if _TOP in vals:
-                    return {instr.results[0]: _TOP}
-                if all(v[0] == "const" for v in vals):
-                    try:
-                        evaluate = eval_binary if binary else eval_unary
-                        out = evaluate(rhs.op, *(v[1] for v in vals), vals[0][2])
-                        ty = Type.BOOL if rhs.op in _BOOL_OPS else vals[0][2]
-                        return {instr.results[0]: ("const", out, ty)}
-                    except Exception:
-                        pass
-                return {instr.results[0]: _BOT}
-            return {r: _BOT for r in instr.results if isinstance(r, str)}
-
-        executable: set[str] = {f.region.entry.label}
-        taken: dict[str, list[BlockCall]] = {}
-        changed = True
-        while changed:
-            changed = False
-            for block in f.region.blocks:
-                if block.label not in executable:
-                    continue
-                for instr in block.instrs:
-                    if isinstance(instr, Define):
-                        for name, val in eval_define(instr).items():
-                            new = _meet(values.get(name, _TOP), val)
-                            if values.get(name, _TOP) != new:
-                                values[name] = new
-                                changed = True
-                    elif isinstance(instr, Branch):
-                        if instr.cond is None:
-                            outs = [instr.then]
-                        else:
-                            cv = atom_value(instr.cond)
-                            if cv == _TOP:
-                                outs = []
-                            elif cv[0] == "const":
-                                outs = [instr.then if bool(cv[1]) else instr.els]
-                            else:
-                                outs = [instr.then, instr.els]
-                        outs = [o for o in outs if o is not None]
-                        old = taken.get(block.label, [])
-                        if [o.label for o in outs] != [o.label for o in old]:
-                            taken[block.label] = outs
-                            changed = True
-                        for call in outs:
-                            if call.label not in executable:
-                                executable.add(call.label)
-                                changed = True
-                            target = f.region.block(call.label)
-                            for param, arg in zip(target.params, call.args):
-                                new = _meet(
-                                    values.get(param.name, _TOP), atom_value(arg)
-                                )
-                                if values.get(param.name, _TOP) != new:
-                                    values[param.name] = new
-                                    changed = True
-
-        consts = {
-            name: Const(v[1], v[2]) for name, v in values.items() if v[0] == "const"
-        }
-        executable_blocks[f.name] = executable
-        facts[f.name] = (f.region.blocks, values, taken, consts)
-
-    def rewrite(fname, iid, instr):
-        blocks, values, taken, consts = facts[fname]
-        if isinstance(instr, Branch) and instr.cond is not None:
-            outs = taken.get(blocks[iid[1]].label, ())
-            if len(outs) == 1:
+        values, lowered_at, executable, taken = _sccp(f)
+        blocks = f.region.blocks
+        executable_blocks[f.name] = {blocks[bi].label for bi in executable}
+        consts = {name: Const(v[1], v[2]) for name, v in values.items() if v[0] == "const"}
+        for name, const in consts.items():
+            bi, pos = divmod(lowered_at[name], _BLOCK)
+            instr = blocks[bi].instrs[pos]
+            if _result(instr) == name and isinstance(instr.rhs, (UnaryExpr, BinaryExpr)):
+                edits[(f.name, bi, pos)] = [(dc_replace(instr, rhs=AtomExpr(const)), "rewritten")]
+        for slot, outs in taken.items():
+            bi, pos = divmod(slot, _BLOCK)
+            instr = blocks[bi].instrs[pos]
+            if instr.cond is not None and len(outs) == 1:
                 new = rename_instr(Branch(None, outs[0], None, instr.loc), consts)
-                return [(new, "rewritten")]
-        if (
-            isinstance(instr, Define)
-            and len(instr.results) == 1
-            and isinstance(instr.results[0], str)
-            and isinstance(instr.rhs, (UnaryExpr, BinaryExpr))
-        ):
-            folded = values.get(instr.results[0], _TOP)
-            if folded[0] == "const":
-                new = dc_replace(instr, rhs=AtomExpr(Const(folded[1], folded[2])))
-                return [(new, "rewritten")]
-        new = rename_instr(instr, consts)
-        return None if new == instr else [(new, "kept")]
+                edits[(f.name, bi, pos)] = [(new, "rewritten")]
+        _edit_readers(f, consts, edits)
 
-    # blocks that can never run are dropped with their instructions
-    return _per_instr_pass(program, rewrite, executable_blocks)
+    # blocks that can never run are dropped with their instructions, edits and all
+    return _per_instr_pass(program, edits, executable_blocks)
 
 
 # --------------------------------------------------------------------------
@@ -554,16 +590,8 @@ def instcombine(program: Program) -> PassResult:
     var_types = typecheck(program).var_types
 
     def combine(f: Function) -> Optional[list[_NewBlock]]:
-        binop_defs: dict[str, BinaryExpr] = {}
-        for block in f.region.blocks:
-            for instr in block.instrs:
-                if (
-                    isinstance(instr, Define)
-                    and len(instr.results) == 1
-                    and isinstance(instr.results[0], str)
-                    and isinstance(instr.rhs, BinaryExpr)
-                ):
-                    binop_defs[instr.results[0]] = instr.rhs
+        defines = _defines(i for b in f.region.blocks for i in b.instrs)
+        binop_defs = {n: rhs for n, rhs in defines.items() if isinstance(rhs, BinaryExpr)}
 
         pred_counts: dict[str, int] = {}
         for _, targets in block_successors(f.region).items():
@@ -612,12 +640,7 @@ def instcombine(program: Program) -> PassResult:
 
             for pos, instr in enumerate(own):
                 iid = (f.name, bi, pos)
-                if (
-                    isinstance(instr, Define)
-                    and len(instr.results) == 1
-                    and isinstance(instr.results[0], str)
-                ):
-                    name = instr.results[0]
+                if (name := _result(instr)) is not None:
                     ty = var_types.get((f.name, name))
                     rhs = instr.rhs
                     while isinstance(rhs, BinaryExpr):
@@ -699,26 +722,15 @@ def instcombine(program: Program) -> PassResult:
 
 
 def _fn_reads_memory(program: Program) -> dict[str, bool]:
+    """Which functions may read memory: themselves, or through a call to
+    one that may (a callee outside the program may)."""
     reads = {f.name: False for f in program.functions}
-    calls: dict[str, set[str]] = {f.name: set() for f in program.functions}
-    for f in program.functions:
-        for block in f.region.blocks:
-            for instr in block.instrs:
-                if not isinstance(instr, Define):
-                    continue
-                if isinstance(instr.rhs, LoadMem):
-                    reads[f.name] = True
-                elif isinstance(instr.rhs, OpaqueExpr) and instr.rhs.summary.has_read:
-                    reads[f.name] = True
-                elif isinstance(instr.rhs, CallExpr):
-                    calls[f.name].add(instr.rhs.callee)
     changed = True
     while changed:
         changed = False
-        for name, callees in calls.items():
-            if not reads[name] and any(reads.get(c, True) for c in callees):
-                reads[name] = True
-                changed = True
+        for f, _, instr in _each_instr(program):
+            if not reads[f.name] and _may_read(instr, reads):
+                reads[f.name] = changed = True
     return reads
 
 
@@ -740,7 +752,6 @@ def dse(program: Program) -> PassResult:
     other function a reachable return keeps it alive, because the
     caller's memory lives on."""
     fn_reads = _fn_reads_memory(program)
-    fn_by_name = {f.name: f for f in program.functions}
     successors = {f.name: block_successors(f.region) for f in program.functions}
 
     def store_is_live(f: Function, bi: int, pos: int) -> bool:
@@ -761,14 +772,11 @@ def dse(program: Program) -> PassResult:
                     worklist.append((nxt, 0))
         return False
 
-    def rewrite(fname, iid, instr):
-        if not isinstance(instr, MemStore):
-            return None
-        if store_is_live(fn_by_name[fname], iid[1], iid[2]):
-            return None
-        return []
-
-    return _per_instr_pass(program, rewrite)
+    return _per_instr_pass(program, {
+        iid: []
+        for f, iid, instr in _each_instr(program)
+        if isinstance(instr, MemStore) and not store_is_live(f, iid[1], iid[2])
+    })
 
 
 # --------------------------------------------------------------------------
@@ -793,13 +801,14 @@ def _removable(instr) -> bool:
 
 def dce(program: Program) -> PassResult:
     """Drop unreachable blocks, then pure definitions whose results
-    nothing uses. One scan counts each name's uses and puts every
-    removable definition on a worklist; a definition dies when none of
-    its results has a use left, and its death takes one use off each name
-    it reads, queueing the definer of each name that reaches zero. `use(...)`
-    instructions and io, call, and snapshot defines always stay."""
+    nothing uses. Each name's uses are counted from the use table, and
+    every removable definition goes on a worklist; a definition dies when
+    none of its results has a use left, and its death takes one use off
+    each name it reads, queueing the definer of each name that reaches
+    zero. `use(...)` instructions and io, call, and snapshot defines
+    always stay."""
     reach: dict[str, set[str]] = {}
-    dead: set[InstrId] = set()
+    dead: _Edits = {}
     for f in program.functions:
         succ = block_successors(f.region)
         live = reach[f.name] = {f.region.entry.label}
@@ -810,32 +819,34 @@ def dce(program: Program) -> PassResult:
                     live.add(t)
                     frontier.append(t)
 
-        uses: dict[InstrId, set[str]] = {}
+        readers = _use_table(f)
+        blocks = f.region.blocks
+        live_bis = {bi for bi, b in enumerate(blocks) if b.label in live}
+        if len(live_bis) == len(blocks):
+            count = {n: len(slots) for n, slots in readers.items()}
+        else:
+            count = {n: sum(s // _BLOCK in live_bis for s in slots) for n, slots in readers.items()}
         results: dict[InstrId, list[str]] = {}  # of removable instructions
         definer: dict[str, InstrId] = {}  # SSA: one per name
-        for bi, block in enumerate(f.region.blocks):
-            if block.label not in live:
-                continue
-            for pos, instr in enumerate(block.instrs):
-                iid = (f.name, bi, pos)
-                uses[iid] = _instr_uses(instr)
+        for bi in live_bis:
+            for pos, instr in enumerate(blocks[bi].instrs):
                 if _removable(instr):
+                    iid = (f.name, bi, pos)
                     results[iid] = [r for r in instr.results if isinstance(r, str)]
                     for n in results[iid]:
                         definer[n] = iid
-        count = Counter(n for names in uses.values() for n in names)
         work = list(results)
         while work:
             at = work.pop()
-            if at in dead or any(count[n] for n in results[at]):
+            if at in dead or any(count.get(n) for n in results[at]):
                 continue
-            dead.add(at)
-            for n in uses[at]:
+            dead[at] = []
+            for n in _instr_uses(blocks[at[1]].instrs[at[2]]):
                 count[n] -= 1
                 if not count[n] and n in definer:
                     work.append(definer[n])
 
-    return _per_instr_pass(program, lambda fname, iid, instr: [] if iid in dead else None, reach)
+    return _per_instr_pass(program, dead, reach)
 
 
 # --------------------------------------------------------------------------
@@ -884,14 +895,7 @@ def _match_counted_loop(f: Function) -> Optional[_CountedLoop]:
             and isinstance(term.cond, Var)
         ):
             continue
-        cond_def = None
-        for instr in header.instrs[:-1]:
-            if (
-                isinstance(instr, Define)
-                and len(instr.results) == 1
-                and instr.results[0] == term.cond.name
-            ):
-                cond_def = instr.rhs
+        cond_def = _defines(header.instrs[:-1]).get(term.cond.name)
         if not (
             isinstance(cond_def, BinaryExpr)
             and cond_def.op == "<"
@@ -924,28 +928,13 @@ def _match_counted_loop(f: Function) -> Optional[_CountedLoop]:
         inc_atom = back.then.args[param_pos]
         if not isinstance(inc_atom, Var):
             continue
-        inc_def = None
-        for instr in body.instrs[:-1]:
-            if (
-                isinstance(instr, Define)
-                and len(instr.results) == 1
-                and instr.results[0] == inc_atom.name
-            ):
-                inc_def = instr.rhs
+        inc_def = _defines(body.instrs[:-1]).get(inc_atom.name)
         step = None
         if isinstance(inc_def, BinaryExpr) and inc_def.op == "+":
-            if (
-                isinstance(inc_def.a, Var)
-                and inc_def.a.name == counter
-                and isinstance(inc_def.b, Const)
-            ):
-                step = inc_def.b.value
-            elif (
-                isinstance(inc_def.b, Var)
-                and inc_def.b.name == counter
-                and isinstance(inc_def.a, Const)
-            ):
-                step = inc_def.a.value
+            for x, c in ((inc_def.a, inc_def.b), (inc_def.b, inc_def.a)):
+                if isinstance(x, Var) and x.name == counter and isinstance(c, Const):
+                    step = c.value
+                    break
         if not isinstance(step, int) or step <= 0:
             continue
         outside = [p for p in preds.get(header.label, []) if p != body_label]
@@ -1075,7 +1064,7 @@ def unsafe_const_fold_opaque(program: Program) -> PassResult:
                 return False
         return isinstance(instrs[-1], Yield)
 
-    def rewrite(fname, iid, instr):
+    def fold(instr) -> Optional[list[tuple[object, str]]]:
         if not (isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr)):
             return None
         region = instr.rhs.region  # the forbidden peek
@@ -1096,7 +1085,8 @@ def unsafe_const_fold_opaque(program: Program) -> PassResult:
             for r, v in zip(instr.results, values)
         ]
 
-    return _per_instr_pass(program, rewrite)
+    edits = {iid: out for _, iid, instr in _each_instr(program) if (out := fold(instr)) is not None}
+    return _per_instr_pass(program, edits)
 
 
 # --------------------------------------------------------------------------

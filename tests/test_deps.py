@@ -456,7 +456,7 @@ def reference_analysis(program, result):
     field read through the event, every open branch tested at every event,
     and the innermost one recomputed at each."""
     pdoms = deps._postdominators(program)
-    dep_sources, cd_sources, obs_seqs, io_seqs = [], [], [], []
+    dep_sources, cd_sources, obs_seqs, io_seqs, opaque_seqs = [], [], [], [], []
     open_branches = {}
     for ev in result.events:
         cd = frozenset()
@@ -479,8 +479,10 @@ def reference_analysis(program, result):
             obs_seqs.append(ev.seq)
         if ev.ios:
             io_seqs.append(ev.seq)
+        if ev.is_opaque:
+            opaque_seqs.append(ev.seq)
     anchors = tuple(sorted({*obs_seqs, *io_seqs}))
-    return dep_sources, cd_sources, (tuple(obs_seqs), tuple(io_seqs), anchors)
+    return dep_sources, cd_sources, (tuple(obs_seqs), tuple(io_seqs), tuple(opaque_seqs), anchors)
 
 
 def sweep_runs(shape, pattern):
@@ -503,7 +505,7 @@ def assert_matches_reference(result):
     dep_sources, cd_sources, seqs = reference_analysis(result.program, result)
     assert info.dep_sources == dep_sources
     assert info.cd_sources == cd_sources
-    assert (info.obs_seqs, info.io_seqs, info.anchor_seqs) == seqs
+    assert (info.obs_seqs, info.io_seqs, info.opaque_seqs, info.anchor_seqs) == seqs
 
 
 @pytest.mark.parametrize("shape, pattern", SWEEP)

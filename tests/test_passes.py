@@ -1,6 +1,8 @@
 """Optimization passes: rewrites, provenance, and what the pipeline does
 to observations that are or are not kept alive."""
 
+import gc
+import weakref
 from collections import Counter
 from dataclasses import replace as dc_replace
 
@@ -21,9 +23,11 @@ from opaqueir.ir import (
     Program,
     Region,
     Type,
+    UnaryExpr,
     Var,
     block_successors,
     print_program,
+    rename_instr,
     sealed_opaque_regions,
     validate_ssa,
     walk_blocks,
@@ -1591,6 +1595,23 @@ def test_every_pass_carries_untouched_functions_over(name):
 # --------------------------------------------------------------------------
 
 
+def received_by(monkeypatch, name, shape, pattern):
+    """The sweep program and every program pass `name` receives in a preset."""
+    received = [prog(sweep_program(shape, pattern))]
+    fn = PASSES[name]
+
+    def spy(program):
+        received.append(program)
+        return fn(program)
+
+    monkeypatch.setitem(PASSES, name, spy)
+    for preset in sorted(PRESETS):
+        optimize_or_error(prog(sweep_program(shape, pattern)), preset)
+    monkeypatch.setitem(PASSES, name, fn)
+    assert len(received) > 1
+    return received
+
+
 def reference_dce(program):
     """The fixpoint `dce` replaced: rescan every live instruction until no
     definition dies."""
@@ -1623,26 +1644,14 @@ def reference_dce(program):
             if not grew:
                 break
         dead_iids |= {(f.name, bi, pos) for bi, pos in dead}
-    return passes._per_instr_pass(
-        program, lambda fname, iid, instr: [] if iid in dead_iids else None, reaches
-    )
+    return passes._per_instr_pass(program, {iid: [] for iid in dead_iids}, reaches)
 
 
 @pytest.mark.parametrize("shape, pattern", SWEEP)
 def test_dce_matches_the_fixpoint_reference(monkeypatch, shape, pattern):
     """On the sweep program and on every program `dce` receives in a preset."""
-    received = [prog(sweep_program(shape, pattern))]
-
-    def spy(program):
-        received.append(program)
-        return dce(program)
-
-    monkeypatch.setitem(PASSES, "dce", spy)
-    for preset in sorted(PRESETS):
-        optimize_or_error(prog(sweep_program(shape, pattern)), preset)
-    assert len(received) > 1
     with sealed_opaque_regions():
-        for program in received:
+        for program in received_by(monkeypatch, "dce", shape, pattern):
             got, want = dce(program), reference_dce(program)
             assert got.program == want.program
             assert print_program(got.program) == print_program(want.program)
@@ -1660,7 +1669,181 @@ def test_dce_removes_a_dead_copy_chain_in_one_scan(monkeypatch):
         return instr_uses(instr)
 
     monkeypatch.setattr(passes, "_instr_uses", counted)
+    passes._use_table(p.function("main"))
+    assert len(calls) == 302 == len(program_iids(p))  # the table reads each once
+    calls.clear()
     res = dce(p)
     [block] = res.program.function("main").region.blocks
     assert len(block.instrs) == 2  # the io and the return
-    assert len(calls) == 302 == len(program_iids(p))
+    assert len(calls) == 300  # each dying copy once more, to take its uses off
+
+
+# --------------------------------------------------------------------------
+# constprop against the round-robin iteration it replaced
+# --------------------------------------------------------------------------
+
+
+def reference_constprop(program):
+    """The round-robin `constprop` SCCP replaced: evaluate every instruction
+    of every executable block until a sweep changes nothing, then rewrite
+    every instruction of the executable blocks."""
+    top, meet = passes._TOP, passes._meet
+    edits, executable_blocks = {}, {}
+    for f in program.functions:
+        values = {p.name: passes._BOT for p in f.params}
+        executable = executable_blocks[f.name] = {f.region.entry.label}
+        taken = {}
+        changed = True
+        while changed:
+            changed = False
+            for block in f.region.blocks:
+                if block.label not in executable:
+                    continue
+                for instr in block.instrs:
+                    lowered = []
+                    if isinstance(instr, Define):
+                        lowered = passes._eval_define(instr, values)
+                    elif isinstance(instr, Branch):
+                        if instr.cond is None:
+                            outs = [instr.then]
+                        else:
+                            cv = passes._atom_value(instr.cond, values)
+                            if cv == top:
+                                outs = []
+                            elif cv[0] == "const":
+                                outs = [instr.then if bool(cv[1]) else instr.els]
+                            else:
+                                outs = [instr.then, instr.els]
+                        outs = [o for o in outs if o is not None]
+                        if [o.label for o in outs] != [o.label for o in taken.get(block.label, [])]:
+                            taken[block.label] = outs
+                            changed = True
+                        for call in outs:
+                            if call.label not in executable:
+                                executable.add(call.label)
+                                changed = True
+                            params = f.region.block(call.label).params
+                            lowered += [
+                                (p.name, passes._atom_value(a, values))
+                                for p, a in zip(params, call.args)
+                            ]
+                    for name, val in lowered:
+                        new = meet(values.get(name, top), val)
+                        if values.get(name, top) != new:
+                            values[name] = new
+                            changed = True
+        consts = {n: Const(v[1], v[2]) for n, v in values.items() if v[0] == "const"}
+        for bi, block in enumerate(f.region.blocks):
+            outs = taken.get(block.label, ())
+            for pos, instr in enumerate(block.instrs if block.label in executable else ()):
+                arith = (
+                    isinstance(instr, Define)
+                    and len(instr.results) == 1
+                    and isinstance(instr.results[0], str)
+                    and isinstance(instr.rhs, (UnaryExpr, BinaryExpr))
+                )
+                if isinstance(instr, Branch) and instr.cond is not None and len(outs) == 1:
+                    new = rename_instr(Branch(None, outs[0], None, instr.loc), consts)
+                    edits[(f.name, bi, pos)] = [(new, "rewritten")]
+                elif arith and (v := values.get(instr.results[0], top))[0] == "const":
+                    new = dc_replace(instr, rhs=AtomExpr(Const(v[1], v[2])))
+                    edits[(f.name, bi, pos)] = [(new, "rewritten")]
+                elif (new := rename_instr(instr, consts)) != instr:
+                    edits[(f.name, bi, pos)] = [(new, "kept")]
+    return passes._per_instr_pass(program, edits, executable_blocks)
+
+
+@pytest.mark.parametrize("shape, pattern", SWEEP)
+def test_constprop_matches_the_round_robin_reference(monkeypatch, shape, pattern):
+    with sealed_opaque_regions():
+        for program in received_by(monkeypatch, "constprop", shape, pattern):
+            got, want = constprop(program), reference_constprop(program)
+            assert got.program == want.program
+            assert print_program(got.program) == print_program(want.program)
+            assert got.provenance.rows() == want.provenance.rows()
+
+
+@pytest.mark.parametrize("start", ["io(inp)", "1"])
+def test_constprop_evaluates_each_define_of_a_chain_once(monkeypatch, start):
+    """Worklist SCCP reads a straight-line chain once, where the round robin
+    needed a second, confirming sweep."""
+    chain = "\n".join(f"  a{i} = a{i - 1} + 1" for i in range(1, 301))
+    p = prog(f"function main() {{\n  a0 = {start}\n{chain}\n  io(out, a300)\n  return()\n}}\n")
+    evaluated = []
+    eval_define = passes._eval_define
+
+    def counted(instr, values):
+        evaluated.append(instr)
+        return eval_define(instr, values)
+
+    monkeypatch.setattr(passes, "_eval_define", counted)
+    res = constprop(p)
+    assert len(evaluated) == 301 == len(set(map(id, evaluated)))
+    evaluated.clear()
+    assert res.program == reference_constprop(p).program
+    assert len(evaluated) == 2 * 301
+
+
+# --------------------------------------------------------------------------
+# The edit map
+# --------------------------------------------------------------------------
+
+
+class Unreadable(tuple):
+    """A block's instructions that may be counted but not read."""
+
+    def __iter__(self):
+        raise AssertionError("an instruction was read")
+
+    def __getitem__(self, index):
+        raise AssertionError("an instruction was read")
+
+
+def test_an_empty_edit_map_returns_the_input():
+    p = prog(EVERY_PASS_CHANGES_MAIN + HELPER)
+    res = passes._per_instr_pass(p, {})
+    assert res.program is p
+    assert res.provenance.edges == ProvenanceMap.identity(p).edges
+
+
+def test_an_edit_map_leaves_other_functions_unread():
+    p = prog(EVERY_PASS_CHANGES_MAIN + HELPER)
+    helper = p.function("helper")
+    blocks = tuple(dc_replace(b, instrs=Unreadable(b.instrs)) for b in helper.region.blocks)
+    helper = dc_replace(helper, region=Region(blocks))
+    p = Program((p.function("main"), helper), p.macros)
+    first = p.function("main").region.blocks[0].instrs[0]
+    res = passes._per_instr_pass(p, {("main", 0, 0): [(first, "rewritten")]})
+    assert res.program.function("main") is not p.function("main")
+    assert res.program.function("main").region.blocks[0].instrs[0] is first
+    assert res.provenance.edges[(("main", 0, 0), ("main", 0, 0))] == "rewritten"
+    assert res.program.function("helper") is helper
+    identity = {(iid, iid) for iid in program_iids(p) if iid[0] == "helper"}
+    assert {e for e in res.provenance.edges if e[0][0] == "helper"} == identity != set()
+
+
+# --------------------------------------------------------------------------
+# Programs are freed without the cyclic collector
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text", [sweep_program("loop3", "opacify"), EVERY_PASS_CHANGES_MAIN + HELPER]
+)
+def test_a_dropped_program_and_its_output_need_no_collector(text):
+    """Preparing (typecheck, observation tags) and optimizing leave no
+    reference cycle, so dropping a program frees it and its output."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        program = prog(text)
+        result = optimize(program, "P3")
+        assert result.program is not program
+        refs = [weakref.ref(program), weakref.ref(result.program)]
+        del program, result
+        assert [ref() for ref in refs] == [None, None]
+        assert gc.collect() == 0  # nothing else was left in a cycle either
+    finally:
+        if enabled:
+            gc.enable()
