@@ -42,16 +42,19 @@ alternative value reruns alone, and the rest together, one lane per
 value (delta execution, Tucek et al., ASPLOS'09), unless their lanes
 diverge; one scan of each run gives every link its outcome, read at the
 link's own target instruction.
-Each run is analysed once: `analyze` stores its `DepInfo` on the run,
-which holds the run's events, not the run, so no cycle forms. `analyze`
-computes dep and cd sources and anchors; the anchor hb closure waits for
-the first hb query, since most analyses (every rerun's) need none. Every other question is one of three walks over the
-dep sources, each written once: a forward frontier (`_nearest`) gives
-each marked event the marked events reaching it through an unmarked
-interior, for the opaque skeleton and the observation edges of
-happens-before; a forward scan (`_dependents`) yields the events that
-depend on one event, for the value-set audits; and `dep_ancestors` walks
-back from one event, for `dep_reachable` and the value-utilization audit.
+Each run is analysed once: `analyze` stores its `DepInfo` on the run as
+`_deps`, beside the validator's views (`_obs_trace`, `_io_index`) and the
+memo of `io_behavior`; the info holds the run's events, not the run, and
+no view refers back to it, so no cycle forms. `analyze` computes dep and
+cd sources and anchors; the anchor hb closure and its sorted pairs wait
+for the first hb query, since most analyses (every rerun's) need none.
+Every other question is one of three walks over the dep sources, each
+written once: a forward frontier (`_nearest`) gives each marked event the
+marked events reaching it through an unmarked interior, for the opaque
+skeleton and the observation edges of happens-before; a forward scan
+(`_dependents`) yields the events that depend on one event, for the
+value-set audits; and `dep_ancestors` walks back from one event, for
+`dep_reachable` and the value-utilization audit.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from typing import AbstractSet, Optional
 
 from .ir import (
     BinaryExpr,
+    Branch,
     Const,
     Define,
     InstrId,
@@ -100,6 +104,7 @@ class DepInfo:
     opaque_seqs: tuple[int, ...]  # opaque instructions and I/O: `Event.is_opaque`
     anchor_seqs: tuple[int, ...]  # observation and io events, in order
     _anchor_reach: Optional[dict[int, frozenset[int]]] = None
+    _hb_pairs: Optional[tuple[tuple[int, int], ...]] = None
 
     def dep_reachable(self, src: int, dst: int) -> bool:
         """Whether a dep path leads from event src to event dst."""
@@ -174,9 +179,12 @@ class DepInfo:
         """Happens-before between two anchor events."""
         return b in self._anchor_graph().get(a, frozenset())
 
-    def hb_pairs(self) -> set[tuple[int, int]]:
-        reach = self._anchor_graph()
-        return {(a, b) for a, bs in reach.items() for b in bs}
+    def hb_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every hb pair of anchors, in order; sorted once per run."""
+        if self._hb_pairs is None:
+            reach = self._anchor_graph().items()
+            self._hb_pairs = tuple(sorted((a, b) for a, bs in reach for b in bs))
+        return self._hb_pairs
 
 
 def _nearest(dep_sources, marked: AbstractSet[int]) -> dict[int, frozenset[int]]:
@@ -228,6 +236,20 @@ def _postdominators(program: Program) -> dict[str, dict[int, set[int]]]:
     return pdoms
 
 
+def _conditional_branches(program: Program) -> frozenset[InstrId]:
+    """The iids of the program's conditional branches, stored on it like `_postdominators`."""
+    if (found := getattr(program, "_conditional_branches", None)) is None:
+        found = frozenset(
+            (f.name, bi, pos)
+            for f in program.functions
+            for bi, block in enumerate(f.region.blocks)
+            for pos, instr in enumerate(block.instrs)
+            if isinstance(instr, Branch) and instr.cond is not None
+        )
+        object.__setattr__(program, "_conditional_branches", found)
+    return found
+
+
 def analyze(result: RunResult) -> DepInfo:
     """Compute dependence sources for every event of a run in one pass, but
     no reverse edges (see `DepInfo`). The info is stored on the run and
@@ -244,7 +266,7 @@ def analyze(result: RunResult) -> DepInfo:
     io_seqs: list[int] = []
     opaque_seqs: list[int] = []
     third = itemgetter(2)
-    conditional = functools.cache(lambda iid: instr_at(program, iid).cond is not None)
+    conditional = _conditional_branches(program)
     # Per activation: the block index of its latest event, the latest open
     # conditional branch of each block index (the branches of one block
     # close together), and the innermost of them as a cd set.
@@ -266,7 +288,7 @@ def analyze(result: RunResult) -> DepInfo:
                     act[2] = frozenset((max(by_block.values()),)) if by_block else empty
             act[0] = bi
             cd = act[2]
-            if kind == "branch" and conditional(iid):
+            if kind == "branch" and iid in conditional:
                 act[1][bi] = seq
                 act[2] = frozenset((seq,))
         deps = frozenset(map(third, reads))  # the defining events

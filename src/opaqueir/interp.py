@@ -363,10 +363,14 @@ class RunResult:
     memory: Mapping[int, int]
     steps: int
 
-    def io_behavior(self, exclude: frozenset[str] = frozenset()) -> dict:
+    def io_behavior(self, exclude: frozenset[str] = frozenset()) -> Mapping:
         """Per-channel I/O behavior: ordered channels map to the value
         sequence, unordered ones to a sorted multiset. Keyed by
-        (direction, channel)."""
+        (direction, channel). Memoized on the run per `exclude`, and
+        read-only, since every caller gets the same mapping."""
+        memo = self.__dict__.setdefault("_io_behaviors", {})  # the run is frozen
+        if exclude in memo:
+            return memo[exclude]
         seqs: dict[tuple[str, str], list] = {}
         ordered: dict[tuple[str, str], bool] = {}
         for ev in self.events:
@@ -376,12 +380,11 @@ class RunResult:
                 key = (rec.direction, rec.channel)
                 seqs.setdefault(key, []).append(rec.values)
                 ordered[key] = rec.ordered or rec.direction == "r"
-        out = {}
-        for key, values in seqs.items():
-            if ordered[key]:
-                out[key] = ("ordered", tuple(values))
-            else:
-                out[key] = ("unordered", tuple(sorted(values, key=repr)))
+        memo[exclude] = out = MappingProxyType({
+            key: ("ordered", tuple(values)) if ordered[key]
+            else ("unordered", tuple(sorted(values, key=repr)))
+            for key, values in seqs.items()
+        })
         return out
 
     def render_trace(self) -> str:

@@ -1134,15 +1134,17 @@ class PipelineResult:
 
 def _affected(program: Program, result: PassResult) -> int:
     """How many of `program`'s instructions a pass touched: all but those
-    a `kept` edge carries to the very same object."""
-    before = {f.name: f.region.blocks for f in program.functions}
-    after = {f.name: f.region.blocks for f in result.program.functions}
+    a `kept` edge carries to the very same object. Only the functions it
+    rebuilt are read: one carried over as the same object touched none."""
+    after = {f.name: f for f in result.program.functions}
+    rebuilt = {f.name: f.region.blocks for f in program.functions if after.get(f.name) is not f}
     same = {
         s
         for (s, d), k in result.provenance.edges.items()
-        if k == "kept" and after[d[0]][d[1]].instrs[d[2]] is before[s[0]][s[1]].instrs[s[2]]
+        if k == "kept" and s[0] in rebuilt
+        and after[d[0]].region.blocks[d[1]].instrs[d[2]] is rebuilt[s[0]][s[1]].instrs[s[2]]
     }
-    return len(program_iids(program)) - len(same)
+    return sum(len(b.instrs) for blocks in rebuilt.values() for b in blocks) - len(same)
 
 
 def run_pipeline(program: Program, pass_names: Iterable[str]) -> PipelineResult:

@@ -14,6 +14,11 @@ that everything the original promised an outside observer survived:
   zero, and countermeasure statements stay interlaced with the code
   they guard.
 
+Each run's views are built once and kept on the run beside its `DepInfo`:
+the observation trace and the io tag index, from the events `analyze`
+lists, and `RunResult.io_behavior` per set of excluded channels. Every
+check and audit of the run reads them; none refers back to the run.
+
 Events are lined up across the two runs three ways. Io records match by
 their per-channel tag, the mechanism validity itself guarantees.
 Observations match by snapshot tag: each partial state carries the
@@ -36,7 +41,7 @@ exactly; records with no matched sibling still count as invented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .deps import analyze, chain_reports
 from .interp import Event, InputSpec, RunResult, run, value_text
@@ -138,11 +143,11 @@ def _event_loc(result: RunResult, seq: int) -> str:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartialState:
+class PartialState(NamedTuple):
     """One observed partial state: which snapshot produced it (by source
     id), the names it binds, and the values they held. Combined records
-    expand into one state per contributing tag, all sharing `record`."""
+    expand into one state per contributing tag, all sharing `record`. A
+    named tuple: the collector stops tracking a state of plain values."""
 
     source_id: tuple[int, int]
     names: tuple[str, ...]
@@ -160,18 +165,18 @@ class PartialState:
 
 
 def observation_trace(result: RunResult) -> tuple[PartialState, ...]:
-    """Expand a run's observation records into partial states, in
-    execution order, one state per tag."""
-    states: list[PartialState] = []
-    for ev in result.events:
-        for idx, rec in enumerate(ev.obs):
-            for tag in rec.tags:
-                states.append(
-                    PartialState(
-                        tag.source_id, tag.names, rec.values, ev.seq, (ev.seq, idx)
-                    )
-                )
-    return tuple(states)
+    """Expand a run's observation records into partial states, in execution
+    order, one state per tag. Built once per run from the observation
+    events `analyze` lists, and stored on it."""
+    if (trace := getattr(result, "_obs_trace", None)) is None:
+        trace = tuple(
+            PartialState(tag.source_id, tag.names, rec.values, seq, (seq, idx))
+            for seq in analyze(result).obs_seqs
+            for idx, rec in enumerate(result.events[seq].obs)
+            for tag in rec.tags
+        )
+        object.__setattr__(result, "_obs_trace", trace)  # the run is frozen
+    return trace
 
 
 @dataclass(frozen=True)
@@ -332,6 +337,19 @@ class EventMap:
         return self._map.get(ref_seq)
 
 
+def _io_index(result: RunResult) -> dict[tuple[str, str, int], int]:
+    """The seq of each io record's event, by (channel, direction, tag).
+    Built once per run from the io events `analyze` lists, and stored on it."""
+    if (index := getattr(result, "_io_index", None)) is None:
+        index = {
+            (rec.channel, rec.direction, rec.tag): seq
+            for seq in analyze(result).io_seqs
+            for rec in result.events[seq].ios
+        }
+        object.__setattr__(result, "_io_index", index)  # the run is frozen
+    return index
+
+
 def _io_counterparts(
     ref: RunResult, opt: RunResult
 ) -> tuple[dict[int, set[int]], list[str]]:
@@ -339,27 +357,16 @@ def _io_counterparts(
     record tags. Returns the event map and the unmatched-record
     witnesses (a lost io record always means the transformation was not
     even valid)."""
-    opt_index: dict[tuple[str, str, int], int] = {}
-    for ev in opt.events:
-        for rec in ev.ios:
-            opt_index[(rec.channel, rec.direction, rec.tag)] = ev.seq
+    opt_index = _io_index(opt)
     out: dict[int, set[int]] = {}
     lost: list[str] = []
-    for ev in ref.events:
-        for rec in ev.ios:
-            target = opt_index.get((rec.channel, rec.direction, rec.tag))
-            if target is None:
-                lost.append(f"io {rec.channel} #{rec.tag} lost")
-            else:
-                out.setdefault(ev.seq, set()).add(target)
+    for key, seq in _io_index(ref).items():
+        target = opt_index.get(key)
+        if target is None:
+            lost.append(f"io {key[0]} #{key[2]} lost")
+        else:
+            out.setdefault(seq, set()).add(target)
     return out, lost
-
-
-def _obs_counterparts(delta: TraceDelta) -> dict[int, set[int]]:
-    out: dict[int, set[int]] = {}
-    for ref_seq, opt_seq in delta.pairs.values():
-        out.setdefault(ref_seq, set()).add(opt_seq)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -386,8 +393,8 @@ def check_ordering(
 
     counterparts, lost = _io_counterparts(ref, opt)
     delta = delta or compare_traces(observation_trace(ref), observation_trace(opt))
-    for seq, targets in _obs_counterparts(delta).items():
-        counterparts.setdefault(seq, set()).update(targets)
+    for seq, target in delta.pairs.values():
+        counterparts.setdefault(seq, set()).add(target)
     unmatched = [seq for seq in ref_info.anchor_seqs if seq not in counterparts]
     if prov is not None and unmatched:
         em = EventMap(ref.events, opt.events, prov)
@@ -397,7 +404,7 @@ def check_ordering(
 
     witnesses = list(lost)
     opt_reach = None  # the optimized run's anchor reach, read once
-    for a, b in sorted(ref_info.hb_pairs()):
+    for a, b in ref_info.hb_pairs():
         images_a = counterparts.get(a)
         images_b = counterparts.get(b)
         if not images_a or not images_b:
@@ -422,12 +429,11 @@ def _io_delta(ref: RunResult, opt: RunResult) -> list[str]:
     if (ref.trapped is None) != (opt.trapped is None):
         return [f"trap mismatch: ref={ref.trapped!r} opt={opt.trapped!r}"]
     a, b = ref.io_behavior(), opt.io_behavior()
-    out = []
-    for key in sorted(set(a) | set(b), key=repr):
-        if a.get(key) != b.get(key):
-            direction, channel = key
-            out.append(f"{'read' if direction == 'r' else 'write'} {channel} differs")
-    return out
+    return [
+        f"{'read' if key[0] == 'r' else 'write'} {key[1]} differs"
+        for key in sorted(set(a) | set(b), key=repr)
+        if a.get(key) != b.get(key)
+    ]
 
 
 def _entry_iid(program: Program, conditional_on: Union[InstrId, str]) -> InstrId:
@@ -469,12 +475,8 @@ def check_observation_preserving(
         missing = delta.missing
         if missing and anchor_iid is not None:
             em = EventMap(ref.events, opt.events, prov)
-            anchored = [
-                ev
-                for ev in ref.events
-                if ev.iid == anchor_iid and em.counterpart(ev.seq) is not None
-            ]
-            if not anchored:
+            anchored = (em.counterpart(ev.seq) for ev in ref.events if ev.iid == anchor_iid)
+            if all(image is None for image in anchored):
                 missing = ()  # condition applies conditionally: vacuous here
         fwd_w.extend(tag + w for w in missing + delta.mismatched)
         bwd_w.extend(tag + w for w in delta.invented)

@@ -420,7 +420,7 @@ def test_innermost_branch_keeps_dependence_and_hb(text, inputs):
         for ev in result.events
     ]
     assert ancestors(info.dep_sources) == ancestors(full_deps)
-    assert info.hb_pairs() == backward_walk_hb(info, full_deps)
+    assert set(info.hb_pairs()) == backward_walk_hb(info, full_deps)
 
 
 def test_cd_sources_stay_linear_on_a_long_loop():
@@ -1528,6 +1528,36 @@ def test_value_set_reruns_compute_no_frontier_and_no_hb(monkeypatch, text, input
     fresh.hb_pairs()
     assert frontiers == [fresh.dep_sources, fresh.dep_sources]
     assert fresh._anchor_reach is not None
+
+
+def test_every_analysis_of_a_program_shares_its_conditional_branches(monkeypatch):
+    """The analyses of a program's runs, the chain audit's reruns
+    included, all get one set of conditional-branch iids, stored on the
+    program: its branch instructions with a condition."""
+    program, types, spec, result, info = setup(
+        CHAIN_LOOP.replace("TRIPS", "2"), CHAIN_LOOP_INPUT
+    )
+    seen = []
+    original = deps._conditional_branches
+
+    def recorded(p):
+        seen.append((p, original(p)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(deps, "_conditional_branches", recorded)
+    patches = counting_reruns(monkeypatch)
+    chain_reports(program, spec, info)
+    assert patches.runs and len(seen) == patches.runs
+    assert all(p is program for p, _ in seen)
+    assert len({id(found) for _, found in seen}) == 1
+    assert seen[0][1] is original(program) == {
+        (f.name, bi, pos)
+        for f in program.functions
+        for bi, block in enumerate(f.region.blocks)
+        for pos, instr in enumerate(block.instrs)
+        if isinstance(instr, Branch) and instr.cond is not None
+    }
+    assert seen[0][1]  # the loop branches
 
 
 @pytest.mark.parametrize("trips, heads", [(2, 3), (4, 5), (8, 9), (12, 13), (20, 21)])

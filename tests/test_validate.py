@@ -1,9 +1,11 @@
 """Differential validation: trace comparison, ordering, chain audit,
 secret-branch taint, and the protection-specific audits."""
 
+import gc
 import importlib.util
 import random
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +27,8 @@ from opaqueir.passes import (
 from opaqueir.patterns import prepare
 from opaqueir.validate import (
     EventMap,
+    _io_counterparts,
+    _io_index,
     PartialState,
     ValidationReport,
     Verdict,
@@ -1478,6 +1482,168 @@ function main() {
     verdict = audit_interleaving(moved)
     assert not verdict.passed
     assert any("line order broken" in w for w in verdict.witnesses)
+
+
+# --------------------------------------------------------------------------
+# Per-run views
+# --------------------------------------------------------------------------
+
+
+def reference_observation_trace(result):
+    """`observation_trace` as a scan of every event of the run."""
+    states = []
+    for ev in result.events:
+        for idx, rec in enumerate(ev.obs):
+            for tag in rec.tags:
+                states.append(PartialState(tag.source_id, tag.names, rec.values, ev.seq, (ev.seq, idx)))
+    return tuple(states)
+
+
+def reference_io_behavior(result, exclude=frozenset()):
+    """`RunResult.io_behavior` as a scan of every event of the run."""
+    seqs, ordered = {}, {}
+    for ev in result.events:
+        for rec in ev.ios:
+            if rec.channel in exclude:
+                continue
+            key = (rec.direction, rec.channel)
+            seqs.setdefault(key, []).append(rec.values)
+            ordered[key] = rec.ordered or rec.direction == "r"
+    return {
+        key: ("ordered", tuple(values)) if ordered[key]
+        else ("unordered", tuple(sorted(values, key=repr)))
+        for key, values in seqs.items()
+    }
+
+
+def reference_io_index(result):
+    return {
+        (rec.channel, rec.direction, rec.tag): ev.seq for ev in result.events for rec in ev.ios
+    }
+
+
+def reference_io_counterparts(ref, opt):
+    """`_io_counterparts` as a scan of every event of both runs."""
+    opt_index = reference_io_index(opt)
+    out, lost = {}, []
+    for ev in ref.events:
+        for rec in ev.ios:
+            target = opt_index.get((rec.channel, rec.direction, rec.tag))
+            if target is None:
+                lost.append(f"io {rec.channel} #{rec.tag} lost")
+            else:
+                out.setdefault(ev.seq, set()).add(target)
+    return out, lost
+
+
+def view_sources(seed):
+    """(source, input texts) of every program `perfbench/gen.py` makes at
+    `seed`, twins included, or for "sweep" of every sweep program, which
+    reads one value."""
+    if seed == "sweep":
+        return [(sweep_program(shape, pattern), [ONE_INPUT]) for shape, pattern in SWEEP]
+    gen = load_benchmark_generator()
+    return [
+        (text, case.inputs)
+        for make in gen.WORKLOADS.values()
+        for case in make(seed)
+        for text in (case.text, case.twin)
+    ]
+
+
+def assert_views_equal_full_scans(ref, opt):
+    for result in (ref, opt):
+        trace = observation_trace(result)
+        assert trace == reference_observation_trace(result)
+        assert observation_trace(result) is trace
+        index = _io_index(result)
+        assert index == reference_io_index(result)
+        assert _io_index(result) is index
+        for exclude in (frozenset(), frozenset({"tailio", "cc"})):
+            behavior = result.io_behavior(exclude)
+            assert behavior == reference_io_behavior(result, exclude)
+            assert result.io_behavior(exclude) is behavior
+    assert _io_counterparts(ref, opt) == reference_io_counterparts(ref, opt)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 11, 12, 13, "sweep"])  # those of tests/pass_outputs.py
+def test_views_equal_full_scans_on_the_benchmark_and_sweep_programs(seed):
+    """Under every preset, for the reference run and the optimized run on
+    each input: the observation trace, the io index, both io behaviors the
+    benchmark compares and the io counterparts equal whole-trace scans,
+    and a second call returns the same object."""
+    for text, inputs in view_sources(seed):
+        program = prog(text)
+        specs = [parse_input(t) for t in inputs]
+        compared = 0
+        for preset in sorted(PRESETS):
+            try:
+                res = optimize(program, preset=preset)
+            except ir.IRError:
+                continue
+            for spec in specs:
+                ref = run(program, spec)
+                assert ref.trapped is None, ref.trapped
+                assert_views_equal_full_scans(ref, run(res.program, spec))
+                compared += 1
+        assert compared >= 5 * len(specs)  # at most Pz fails to compile
+
+
+def test_each_run_builds_its_views_once_across_presets(monkeypatch):
+    """The checks under all six presets build the reference run's trace
+    and io index once each: the views read `analyze` only to build."""
+    program = prog(MIXED)
+    spec = parse_input(ONE_INPUT)
+    results = [optimize(program, preset=preset) for preset in sorted(PRESETS)]
+    assert len(results) == 6
+    ref = run(program, spec)
+    builds = Counter()
+
+    def counted(result):
+        builds[sys._getframe(1).f_code.co_name, result is ref] += 1
+        return deps.analyze(result)
+
+    monkeypatch.setattr("opaqueir.validate.analyze", counted)
+    for res in results:
+        report = check_observation_preserving(program, res.program, res.provenance, [spec])
+        assert report.passed, report.render()
+    assert builds["observation_trace", True] == 1
+    assert builds["_io_index", True] == 1
+
+
+def test_io_behavior_is_read_only():
+    behavior = run_ok(prog(MONOLITHIC), ONE_INPUT).io_behavior()
+    with pytest.raises(TypeError):
+        behavior[("w", "out")] = ("ordered", ())
+
+
+def test_a_run_and_its_views_die_with_its_last_reference():
+    """With the cyclic collector off, a reference run and an optimized run
+    whose views a check and a chain audit have built are freed as soon as
+    nothing holds them, and so are their analyses and their events (each
+    event's io and observation records stand for it): nothing keeps them
+    past their run, in a cycle or elsewhere."""
+    program = prog(CHAINED)
+    spec = parse_input(TWO_INPUTS)
+    res = optimize(program, preset="P3")
+
+    def checked():
+        ref, opt = run(program, spec), run(res.program, spec)
+        assert check_observation_preserving(program, res.program, res.provenance, [spec]).passed
+        assert audit_chain_preservation(ref, opt, res.provenance, inputs=spec).passed
+        for result in (ref, opt):
+            result.io_behavior(frozenset({"tailio"}))
+            assert {"_deps", "_obs_trace", "_io_index", "_io_behaviors"} <= vars(result).keys()
+        records = [rec for r in (ref, opt) for ev in r.events for rec in (*ev.ios, *ev.obs)]
+        assert records
+        return [weakref.ref(x) for x in (ref, opt, ref._deps, opt._deps, *records)]
+
+    gc.disable()
+    try:
+        alive = [ref for ref in checked() if ref() is not None]
+    finally:
+        gc.enable()
+    assert alive == []
 
 
 # --------------------------------------------------------------------------
