@@ -18,14 +18,16 @@ Three dependence relations are extracted from a run:
                 postdominators are kept per block index.
 
 Their union `dep` drives two derived structures. Happens-before is the
-transitive closure of I/O order, dependence into observation events, and
-dependence between observation events; it is only ever queried between
-anchor events (those that observe or perform I/O), and anchor-to-anchor
-paths never leave the anchor set. The opaque skeleton connects opaque
-events by dep paths with no opaque event in the interior. An opaque
-chain runs from a head (no skeleton predecessor) to a tail (no
-successor); chains are reported per (head, tail) pair and verdict, never
-enumerated path by path.
+transitive closure of edges between anchor events (those that observe or
+perform I/O): I/O order per descriptor, dependence into an observation
+from the nearest earlier ones, and observe-from. `DepInfo` keeps these
+edges unclosed; all point forward in time, so `hb` walks forward, pruned
+past its target, and the validator checks ordering on edges (Aho, Garey &
+Ullman, "The transitive reduction of a directed graph", 1972). The opaque
+skeleton connects opaque events by dep paths with no opaque event in the
+interior. An opaque chain runs from a head (no skeleton predecessor) to a
+tail (no successor); chains are reported per (head, tail) pair and
+verdict, never enumerated path by path.
 
 A chain link is audited by patching the earlier opaque's result and
 rerunning: the set of values arriving at the later opaque (with "the
@@ -46,8 +48,8 @@ Each run is analysed once: `analyze` stores its `DepInfo` on the run as
 `_deps`, beside the validator's views (`_obs_trace`, `_io_index`) and the
 memo of `io_behavior`; the info holds the run's events, not the run, and
 no view refers back to it, so no cycle forms. `analyze` computes dep and
-cd sources and anchors; the anchor hb closure and its sorted pairs wait
-for the first hb query, since most analyses (every rerun's) need none.
+cd sources and anchors; the hb edges wait for the first hb query, since
+most analyses (every rerun's) need none.
 Every other question is one of three walks over the dep sources, each
 written once: a forward frontier (`_nearest`) gives each marked event the
 marked events reaching it through an unmarked interior, for the opaque
@@ -103,8 +105,8 @@ class DepInfo:
     io_seqs: tuple[int, ...]
     opaque_seqs: tuple[int, ...]  # opaque instructions and I/O: `Event.is_opaque`
     anchor_seqs: tuple[int, ...]  # observation and io events, in order
+    _hb_succ: Optional[dict[int, set[int]]] = None  # see `hb_edges`
     _anchor_reach: Optional[dict[int, frozenset[int]]] = None
-    _hb_pairs: Optional[tuple[tuple[int, int], ...]] = None
 
     def dep_reachable(self, src: int, dst: int) -> bool:
         """Whether a dep path leads from event src to event dst."""
@@ -125,19 +127,16 @@ class DepInfo:
 
     # -- happens-before among anchors
 
-    def _anchor_graph(self) -> dict[int, frozenset[int]]:
-        if self._anchor_reach is not None:
-            return self._anchor_reach
-        anchors = self.anchor_seqs
-        anchor_set = set(anchors)
-        succ: dict[int, set[int]] = {a: set() for a in anchors}
-        # I/O order holds between events on the same ordered descriptor; a
-        # chain through consecutive such events gives the same closure as
-        # the per-descriptor total order. Distinct descriptors stay
-        # unordered, and an unordered descriptor (the tail-io channel)
-        # imposes no order at all. Reads count as ordered either way:
-        # consuming from a stream is sequenced no matter how the values
-        # compare.
+    def hb_edges(self) -> dict[int, set[int]]:
+        """Each anchor's successors by the edges that generate hb, unclosed;
+        every edge points forward in time. Built at the first hb query."""
+        if self._hb_succ is not None:
+            return self._hb_succ
+        succ: dict[int, set[int]] = {a: set() for a in self.anchor_seqs}
+        # I/O order: consecutive events on one ordered descriptor, whose
+        # chain closes to its total order; distinct descriptors and unordered
+        # ones (the tail-io channel) impose none. Reads count as ordered:
+        # consuming from a stream is sequenced whatever the values.
         by_channel: dict[str, list[int]] = {}
         for s in self.io_seqs:
             for rec in self.events[s].ios:
@@ -149,10 +148,8 @@ class DepInfo:
         for chain in by_channel.values():
             for a, b in zip(chain, chain[1:]):
                 succ[a].add(b)
-        # Observation ordering: a dependence path from an earlier
-        # observation, through any intermediate events. Paths stop at
-        # observations (later edges plus transitive closure cover longer
-        # ones) but pass through everything else, io events included: a
+        # Observation ordering: a dependence path from the nearest earlier
+        # observations, through everything else, io events included: a
         # plain dependence into an io event is not a happens-before edge.
         for seq, into in _nearest(self.dep_sources, set(self.obs_seqs)).items():
             for s in into:
@@ -161,30 +158,47 @@ class DepInfo:
             # observing instruction uses. Only anchor sources can extend
             # anchor-to-anchor paths, so others are dropped here.
             for _, _, src in self.events[seq].reads:
-                if src in anchor_set:
+                if src in succ:
                     succ[src].add(seq)
-        # Transitive closure, walking anchors newest first so successor
-        # sets are final when referenced.
+        self._hb_succ = succ
+        return succ
+
+    def _anchor_graph(self) -> dict[int, frozenset[int]]:
+        """The hb closure: each anchor's hb successors."""
+        if self._anchor_reach is not None:
+            return self._anchor_reach
+        succ = self.hb_edges()
+        # Walking anchors newest first, successor sets are final when referenced.
         reach: dict[int, frozenset[int]] = {}
-        for a in reversed(anchors):
+        for a in reversed(self.anchor_seqs):
             acc: set[int] = set()
             for b in succ[a]:
                 acc.add(b)
-                acc |= reach.get(b, frozenset())
+                acc |= reach[b]
             reach[a] = frozenset(acc)
         self._anchor_reach = reach
         return reach
 
     def hb(self, a: int, b: int) -> bool:
-        """Happens-before between two anchor events."""
-        return b in self._anchor_graph().get(a, frozenset())
+        """Happens-before between two anchor events: a direct edge, or else
+        a forward walk from a over the hb edges, pruned past b."""
+        succ = self.hb_edges()
+        if b in succ.get(a, ()):
+            return True
+        seen, frontier = {a}, [a]
+        while frontier:
+            for s in succ.get(frontier.pop(), ()):
+                if s == b:
+                    return True
+                if s < b and s not in seen:
+                    seen.add(s)
+                    frontier.append(s)
+        return False
 
     def hb_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Every hb pair of anchors, in order; sorted once per run."""
-        if self._hb_pairs is None:
-            reach = self._anchor_graph().items()
-            self._hb_pairs = tuple(sorted((a, b) for a, bs in reach for b in bs))
-        return self._hb_pairs
+        """Every hb pair of anchors, in order, from the closure: for tools
+        and tests, since no check lists every pair."""
+        return tuple(sorted((a, b) for a, bs in self._anchor_graph().items() for b in bs))
 
 
 def _nearest(dep_sources, marked: AbstractSet[int]) -> dict[int, frozenset[int]]:

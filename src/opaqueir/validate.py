@@ -25,10 +25,11 @@ Observations match by snapshot tag: each partial state carries the
 source id of the snapshot that produced it, combined events carry every
 contributing tag, and the k-th state of a given source id on one side
 pairs with the k-th on the other. Everything else goes through the
-instruction provenance map lifted to events: provenance edges are
-grouped into connected components, and each component's reference events
-match its optimized events positionally, with a repeat-boundary grouping
-absorbing many-to-one merges.
+instruction provenance map lifted to events: provenance edges join
+instructions into connected components, and each component's reference
+events match its optimized events positionally, with a repeat-boundary
+grouping absorbing many-to-one merges; a component is matched when one of
+its events is first asked for.
 
 One asymmetry is deliberate. When identical branch arms are hoisted, the
 merged instruction carries the snapshot tags of both arms, so on any
@@ -41,7 +42,7 @@ exactly; records with no matched sibling still count as invented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Container, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .deps import analyze, chain_reports
 from .interp import Event, InputSpec, RunResult, run, value_text
@@ -253,19 +254,19 @@ def compare_traces(
 
 class EventMap:
     """The transformation's event mapping, lifted from the instruction
-    provenance map.
+    provenance map, on demand.
 
-    Provenance edges are grouped into connected components (a merge makes
-    several sources share one destination, unrolling makes one source
-    fan out). Within a component, reference events of the source
+    Provenance edges join instructions into connected components (a merge
+    makes several sources share one destination, unrolling makes one
+    source fan out). Within a component, reference events of the source
     instructions are listed in execution order and matched against the
     optimized events of the destination instructions: positionally when
     the counts agree, otherwise by grouping the reference side at repeat
     boundaries (a new group starts when a source instruction repeats
     within the current one) and matching whole groups to single
-    optimized events. Events that fit neither way stay unmapped.
-    `check_ordering` and `audit_chain_preservation` build one only when
-    they need a counterpart that io and observation tags do not give."""
+    optimized events. Events that fit neither way stay unmapped. The
+    first `counterpart` query indexes edges and events by instruction; a
+    query matches only the component of its event's instruction, once."""
 
     def __init__(
         self,
@@ -273,68 +274,63 @@ class EventMap:
         opt_events: Sequence[Event],
         prov: ProvenanceMap,
     ):
-        parent: dict = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            parent[find(a)] = find(b)
-
-        # Components do not depend on the order edges are joined in.
-        for src, dst in prov.edges:
-            union(("s", src), ("d", dst))
-
-        srcs_of: dict[object, set[InstrId]] = {}
-        dsts_of: dict[object, set[InstrId]] = {}
-        for src, dst in prov.edges:
-            srcs_of.setdefault(find(("s", src)), set()).add(src)
-            dsts_of.setdefault(find(("d", dst)), set()).add(dst)
-
-        ref_by_iid: dict[InstrId, list[Event]] = {}
-        for ev in ref_events:
-            if ev.iid is not None:
-                ref_by_iid.setdefault(ev.iid, []).append(ev)
-        opt_by_iid: dict[InstrId, list[Event]] = {}
-        for ev in opt_events:
-            if ev.iid is not None:
-                opt_by_iid.setdefault(ev.iid, []).append(ev)
-
+        self._ref_events, self._opt_events, self._prov = ref_events, opt_events, prov
+        self._index = None  # (dsts by src, srcs by dst, ref and opt events by iid)
+        self._matched: set[InstrId] = set()  # source iids whose component is matched
         self._map: dict[int, int] = {}
-        for root, srcs in srcs_of.items():
-            dsts = dsts_of[root]
-            refs = [ev for iid in srcs for ev in ref_by_iid.get(iid, ())]
-            opts = [ev for iid in dsts for ev in opt_by_iid.get(iid, ())]
-            # Execution order: one instruction's events are listed in it
-            # already, and events sort by seq, their first field.
-            if len(srcs) > 1:
-                refs.sort()
-            if len(dsts) > 1:
-                opts.sort()
-            if not refs or not opts:
-                continue
-            if len(refs) == len(opts):
-                for a, b in zip(refs, opts):
-                    self._map[a.seq] = b.seq
-                continue
-            groups: list[list[Event]] = [[]]
-            seen: set[InstrId] = set()
+
+    def counterpart(self, ref_seq: int) -> Optional[int]:
+        iid = self._ref_events[ref_seq].iid
+        if iid is None or iid in self._matched:
+            return self._map.get(ref_seq)
+        if self._index is None:
+            dsts_of: dict[InstrId, list[InstrId]] = {}
+            srcs_of: dict[InstrId, list[InstrId]] = {}
+            for src, dst in self._prov.edges:
+                dsts_of.setdefault(src, []).append(dst)
+                srcs_of.setdefault(dst, []).append(src)
+            self._index = (dsts_of, srcs_of, _by_iid(self._ref_events), _by_iid(self._opt_events))
+        dsts_of, srcs_of, ref_by_iid, opt_by_iid = self._index
+        srcs, dsts, frontier = {iid}, set(), [iid]
+        while frontier:
+            for dst in dsts_of.get(frontier.pop(), ()):
+                if dst not in dsts:
+                    dsts.add(dst)
+                    frontier += [src for src in srcs_of[dst] if src not in srcs]
+                    srcs.update(srcs_of[dst])
+        self._matched |= srcs
+        refs = [ev for src in srcs for ev in ref_by_iid.get(src, ())]
+        opts = [ev for dst in dsts for ev in opt_by_iid.get(dst, ())]
+        # Execution order: one instruction's events are listed in it
+        # already, and events sort by seq, their first field.
+        if len(srcs) > 1:
+            refs.sort()
+        if len(dsts) > 1:
+            opts.sort()
+        if len(refs) == len(opts):
+            groups = [[ev] for ev in refs]
+        else:
+            groups, seen = [[]], set()
             for ev in refs:
                 if ev.iid in seen:
                     groups.append([])
                     seen = set()
                 groups[-1].append(ev)
                 seen.add(ev.iid)
-            if len(groups) == len(opts):
-                for group, target in zip(groups, opts):
-                    for ev in group:
-                        self._map[ev.seq] = target.seq
-
-    def counterpart(self, ref_seq: int) -> Optional[int]:
+        if opts and len(groups) == len(opts):
+            for group, target in zip(groups, opts):
+                for ev in group:
+                    self._map[ev.seq] = target.seq
         return self._map.get(ref_seq)
+
+
+def _by_iid(events: Sequence[Event]) -> dict[InstrId, list[Event]]:
+    """A run's events by instruction, each list in execution order."""
+    out: dict[InstrId, list[Event]] = {}
+    for ev in events:
+        if ev.iid is not None:
+            out.setdefault(ev.iid, []).append(ev)
+    return out
 
 
 def _io_index(result: RunResult) -> dict[tuple[str, str, int], int]:
@@ -387,7 +383,11 @@ def check_ordering(
     counterpart fails outright. Anchors without an io or observation
     counterpart go through an `EventMap` of `prov`, built only when there
     is such an anchor. `delta` is the observation-trace comparison of the
-    two runs, when the caller already has it."""
+    two runs, when the caller already has it. Only the bridged edges
+    are checked (see `_bridged_edges`): their closure is the reference hb
+    among anchors with counterparts, and the optimized hb is transitive,
+    so the verdict is that of checking every pair, with one witness per
+    violated bridged edge."""
     ref_info = analyze(ref)
     opt_info = analyze(opt)
 
@@ -402,22 +402,36 @@ def check_ordering(
             if (target := em.counterpart(seq)) is not None:
                 counterparts[seq] = {target}
 
-    witnesses = list(lost)
-    opt_reach = None  # the optimized run's anchor reach, read once
-    for a, b in ref_info.hb_pairs():
-        images_a = counterparts.get(a)
-        images_b = counterparts.get(b)
-        if not images_a or not images_b:
-            continue  # unmapped observations are the existence check's job
-        if opt_reach is None:
-            opt_reach = opt_info._anchor_graph()
-        for x in images_a:
-            for y in images_b:
-                if x != y and y not in opt_reach.get(x, ()):
-                    witnesses.append(
-                        f"{_event_loc(ref, a)} before {_event_loc(ref, b)} not preserved"
-                    )
-    return Verdict.of(witnesses)
+    edges = ref_info.hb_edges()
+    if len(counterparts) < len(ref_info.anchor_seqs):  # some anchor has no counterpart
+        edges = _bridged_edges(edges, ref_info.anchor_seqs, counterparts)
+    violated = set()
+    for a, bs in edges.items():
+        for b in bs:
+            for x in counterparts[a]:
+                for y in counterparts[b]:
+                    if x != y and not opt_info.hb(x, y):
+                        violated.add((a, b))
+    return Verdict.of(lost + [
+        f"{_event_loc(ref, a)} before {_event_loc(ref, b)} not preserved" for a, b in sorted(violated)
+    ])
+
+
+def _bridged_edges(succ, anchors, mapped: Container[int]) -> dict[int, set[int]]:
+    """Each anchor in `mapped` with those in it that hb edges `succ` reach
+    through anchors outside it. Those are walked through, never checked:
+    unmapped observations are the existence check's job."""
+    bridged: dict[int, set[int]] = {}
+    carried: dict[int, set[int]] = {}  # the mapped anchors reaching each unmapped one
+    for a in anchors:  # in order: every edge points forward
+        sources = (a,) if a in mapped else carried.pop(a, ())
+        for b in succ[a] if sources else ():
+            if b in mapped:
+                for s in sources:
+                    bridged.setdefault(s, set()).add(b)
+            else:
+                carried.setdefault(b, set()).update(sources)
+    return bridged
 
 
 # --------------------------------------------------------------------------

@@ -1,21 +1,26 @@
-"""Report where the cyclic collector runs in the benchmark's jobs: each
-gen-0, gen-1 and gen-2 collection, by case and by section, so that two
-commits can be compared collection by collection.
+"""Report where the cyclic collector runs in the benchmark's jobs: the
+gen-0 and gen-1 collections as per-job totals, and each gen-2 (full)
+collection by case and by section, so that two commits can be compared
+collection by collection.
 
     python3 tests/gc_sections.py --workload corpus --seed 11 --jobs 5
 
 The jobs are those of `perfbench/run.py`: the same set-up, a
 `gc.collect()` before each job, and `run_job` with the plain layer calls,
 so collections fall where they fall in an untraced benchmark run. A
-`gc.callbacks` hook reads the call stack at each collection: the case is
-the one `run_case` is working on, and the section is the outermost layer
-call `run_case` is inside, `prepare`, `optimize` (the unsafe fold
-included), `run`, `check` or `audit`, or else `bench`, the benchmark's
-own code (probes, io comparisons, counting) and anything between cases.
-Nothing is wrapped: the hook runs only as a collection starts. A timing
-difference between two commits at equal call counts that comes with a
-full collection moving from one section to another is the collector's
-doing, not the code's.
+`gc.callbacks` hook runs as each collection starts. At a full collection
+it reads the call stack: the case is the one `run_case` is working on,
+and the section is the outermost layer call `run_case` is inside,
+`prepare`, `optimize` (the unsafe fold included), `run`, `check` or
+`audit`, or else `bench`, the benchmark's own code (probes, io
+comparisons, counting) and anything between cases. At a gen-0 or gen-1
+collection it only counts. Reading the stack materializes frame objects,
+and those allocations advance the collector's counters: done at each of
+the hundreds of young collections of a job, it shifts where the few full
+ones fall, which is the thing to be measured. Nothing is wrapped. A
+timing difference between two commits at equal call counts that comes
+with a full collection moving from one section to another is the
+collector's doing, not the code's.
 
 Pytest does not collect this file; it imports `perfbench` and changes
 nothing there.
@@ -34,15 +39,15 @@ sys.path.insert(0, str(ROOT / "src"))
 import gen  # noqa: E402
 import run as bench  # noqa: E402
 
-SECTIONS = ("prepare", "optimize", "run", "check", "audit", "bench")
-
 
 class Collections:
-    """Every collection of the jobs: (job, case, section, generation)."""
+    """Every collection of the jobs: per-job counts by generation, and each
+    full one as (job, case, section)."""
 
     def __init__(self, api):
         self.job = 0
-        self.seen: list[tuple[int, str, str, int]] = []
+        self.counts: Counter = Counter()  # (job, generation) -> collections
+        self.full: list[tuple[int, str, str]] = []
         self.sections = {
             api.patterns.prepare.__code__: "prepare",
             api.passes.optimize.__code__: "optimize",
@@ -65,22 +70,18 @@ class Collections:
 
     def callback(self, phase: str, info: dict) -> None:
         if phase == "start" and self.job:
-            self.seen.append((self.job, *self.where(), info["generation"]))
+            generation = info["generation"]
+            self.counts[self.job, generation] += 1
+            if generation == 2:
+                self.full.append((self.job, *self.where()))
 
 
 def report(collections: Collections, jobs: int) -> None:
+    counts = collections.counts
     for job in range(1, jobs + 1):
-        mine = [c for c in collections.seen if c[0] == job]
-        gens = Counter(g for *_, g in mine)
-        print(f"job {job}: gen0 {gens[0]}, gen1 {gens[1]}, gen2 {gens[2]}")
-        by_section = Counter((s, g) for _, _, s, g in mine)
-        for section in SECTIONS:
-            counts = [by_section[(section, g)] for g in range(3)]
-            if any(counts):
-                print(f"  {section:<9}", "  ".join(f"gen{g} {n:>3}" for g, n in enumerate(counts)))
-        for _, case, section, g in mine:
-            if g == 2:
-                print(f"  full collection: {case} {section}")
+        print(f"job {job}: gen0 {counts[job, 0]}, gen1 {counts[job, 1]}, gen2 {counts[job, 2]}")
+        for _, case, section in (c for c in collections.full if c[0] == job):
+            print(f"  full collection: {case} {section}")
 
 
 def main(argv=None) -> int:

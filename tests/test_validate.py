@@ -27,6 +27,7 @@ from opaqueir.passes import (
 from opaqueir.patterns import prepare
 from opaqueir.validate import (
     EventMap,
+    _event_loc,
     _io_counterparts,
     _io_index,
     PartialState,
@@ -1587,6 +1588,215 @@ def test_views_equal_full_scans_on_the_benchmark_and_sweep_programs(seed):
                 assert_views_equal_full_scans(ref, run(res.program, spec))
                 compared += 1
         assert compared >= 5 * len(specs)  # at most Pz fails to compile
+
+
+# --------------------------------------------------------------------------
+# Ordering over bridged hb edges and the on-demand event map, against the
+# closure and the union-find map they replaced
+# --------------------------------------------------------------------------
+
+
+class ReferenceEventMap:
+    """`EventMap` as it was built whole: a union-find over every provenance
+    edge, then every component matched at once."""
+
+    def __init__(self, ref_events, opt_events, prov):
+        parent = {}
+
+        def find(x):
+            while parent.setdefault(x, x) != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for src, dst in prov.edges:
+            parent[find(("s", src))] = find(("d", dst))
+        srcs_of, dsts_of = {}, {}
+        for src, dst in prov.edges:
+            srcs_of.setdefault(find(("s", src)), set()).add(src)
+            dsts_of.setdefault(find(("d", dst)), set()).add(dst)
+        ref_by_iid, opt_by_iid = {}, {}
+        for events, by_iid in ((ref_events, ref_by_iid), (opt_events, opt_by_iid)):
+            for ev in events:
+                if ev.iid is not None:
+                    by_iid.setdefault(ev.iid, []).append(ev)
+        self._map = {}
+        for root, srcs in srcs_of.items():
+            dsts = dsts_of[root]
+            refs = sorted(ev for iid in srcs for ev in ref_by_iid.get(iid, ()))
+            opts = sorted(ev for iid in dsts for ev in opt_by_iid.get(iid, ()))
+            if not refs or not opts:
+                continue
+            if len(refs) == len(opts):
+                self._map.update((a.seq, b.seq) for a, b in zip(refs, opts))
+                continue
+            groups, seen = [[]], set()
+            for ev in refs:
+                if ev.iid in seen:
+                    groups.append([])
+                    seen = set()
+                groups[-1].append(ev)
+                seen.add(ev.iid)
+            if len(groups) == len(opts):
+                for group, target in zip(groups, opts):
+                    self._map.update((ev.seq, target.seq) for ev in group)
+
+    def counterpart(self, ref_seq):
+        return self._map.get(ref_seq)
+
+
+def reference_check_ordering(ref, opt, prov=None):
+    """`check_ordering` as it was: every pair of the reference hb closure
+    whose anchors have counterparts, against the optimized closure."""
+    ref_info, opt_info = deps.analyze(ref), deps.analyze(opt)
+    counterparts, lost = _io_counterparts(ref, opt)
+    delta = compare_traces(observation_trace(ref), observation_trace(opt))
+    for seq, target in delta.pairs.values():
+        counterparts.setdefault(seq, set()).add(target)
+    if prov is not None:
+        em = ReferenceEventMap(ref.events, opt.events, prov)
+        for seq in ref_info.anchor_seqs:
+            if seq not in counterparts and (target := em.counterpart(seq)) is not None:
+                counterparts[seq] = {target}
+    witnesses = list(lost)
+    opt_reach = opt_info._anchor_graph()
+    for a, b in ref_info.hb_pairs():
+        for x in counterparts.get(a, ()):
+            for y in counterparts.get(b, ()):
+                if x != y and y not in opt_reach.get(x, ()):
+                    witnesses.append(f"{_event_loc(ref, a)} before {_event_loc(ref, b)} not preserved")
+    return Verdict.of(witnesses)
+
+
+def preset_runs(seed):
+    """(reference run, optimized run, provenance) of every program of
+    `view_sources(seed)` under every preset that compiles it and under the
+    unsafe fold, on each of its inputs."""
+    for text, inputs in view_sources(seed):
+        program = prog(text)
+        specs = [parse_input(t) for t in inputs]
+        for preset in (*sorted(PRESETS), "unsafe"):
+            try:
+                if preset == "unsafe":
+                    res = unsafe_const_fold_opaque(program)
+                else:
+                    res = optimize(program, preset=preset)
+            except ir.IRError:
+                continue  # the exit-capture unroll under Pz (ROADMAP item 3)
+            for spec in specs:
+                yield run(program, spec), run(res.program, spec), res.provenance
+
+
+@pytest.mark.parametrize("seed", [1, 2, 11, 12, 13, "sweep"])  # those of tests/pass_outputs.py
+def test_ordering_and_event_map_match_the_closure_and_union_find(seed):
+    """Under every preset and the unsafe fold: `check_ordering` gives the
+    verdict of checking every pair of the closure, and each of its
+    witnesses is one of the reference's; `EventMap` gives every reference
+    event the counterpart the union-find map gives it. On the sweep runs,
+    `hb` is membership in `hb_pairs` for every pair of anchors."""
+    verdicts = Counter()
+    for ref, opt, prov in preset_runs(seed):
+        verdict = check_ordering(ref, opt, prov)
+        reference = reference_check_ordering(ref, opt, prov)
+        assert verdict.passed == reference.passed
+        assert set(verdict.witnesses) <= set(reference.witnesses)
+        assert len(verdict.witnesses) <= len(reference.witnesses)  # one per violated edge
+        verdicts[verdict.passed] += 1
+        em = EventMap(ref.events, opt.events, prov)
+        expected = ReferenceEventMap(ref.events, opt.events, prov)
+        for ev in reversed(ref.events):  # latest first: no query leans on an earlier one
+            assert em.counterpart(ev.seq) == expected.counterpart(ev.seq)
+        if seed == "sweep":
+            for info in (deps.analyze(ref), deps.analyze(opt)):
+                pairs = set(info.hb_pairs())
+                for a in info.anchor_seqs:
+                    for b in info.anchor_seqs:
+                        assert info.hb(a, b) == ((a, b) in pairs)
+    assert verdicts[True] and (verdicts[False] or seed == "sweep")  # the unsafe fold fails some
+
+
+def test_ordering_walks_through_an_anchor_without_a_counterpart():
+    """Reference `a -> u -> b`: the observation `u` has no counterpart,
+    and the image of `b` runs before that of `a`. The pair (a, b) is only
+    in the closure, so `a` and `b` must be bridged across `u`."""
+    ref = prog(
+        """
+function main() {
+  a = io(inp)
+  u = opaque { s1 = snapshot(a); yield(unit_value) }
+  b = opaque { use(u); s2 = snapshot(7); yield(unit_value) }
+  return()
+}
+"""
+    )
+    opt = prog(
+        """
+function main() {
+  u = unit_value
+  c = 0
+  b = opaque { use(u); s2 = snapshot(7); yield(unit_value) }
+  a = io(inp)
+  return()
+}
+"""
+    )
+    spec = parse_input(ONE_INPUT)
+    ref_run, opt_run = run(ref, spec), run(opt, spec)
+    info = deps.analyze(ref_run)
+    a, u, b = info.anchor_seqs
+    assert info.hb_edges() == {a: {u}, u: {b}, b: set()}  # (a, b) is no edge
+    verdict = check_ordering(ref_run, opt_run)
+    assert verdict.witnesses == ("3:3 before 5:3 not preserved",)
+    assert verdict == reference_check_ordering(ref_run, opt_run)
+
+
+ORDERED_IO_LOOP = """
+function main() {
+  n = io(inp)
+  br head(0, 29648)
+head(i, acc):
+  c = i < n
+  br c, body, done(acc)
+body:
+  w = acc * 56741
+  x = w + i
+  io(out, x)
+  t = observe_decoupled(x)
+  u = observe_tailio(t)
+  i2 = i + 1
+  br head(i2, x)
+done(r):
+  io(out, r)
+  return()
+}
+"""
+
+
+class CountedEdges(dict):
+    """hb edges that count the lookups a walk makes."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_ordering_stays_linear_on_a_long_ordered_io_loop():
+    """2,000 iterations, each writing `out` and observing twice: the check
+    passes without building either run's hb closure, and the optimized
+    side looks up a small multiple of its anchor count in hb edges."""
+    program = prog(ORDERED_IO_LOOP)
+    res = optimize(program, preset="P3")
+    spec = parse_input("desc inp in ordered\n2000\n")
+    assert check_observation_preserving(program, res.program, res.provenance, [spec]).passed
+    ref, opt = run(program, spec), run(res.program, spec)
+    ref_info, opt_info = deps.analyze(ref), deps.analyze(opt)
+    opt_info._hb_succ = counted = CountedEdges(opt_info.hb_edges())
+    assert check_ordering(ref, opt, res.provenance).passed
+    assert ref_info._anchor_reach is None and opt_info._anchor_reach is None
+    assert len(opt_info.anchor_seqs) > 6000
+    assert counted.lookups <= 2 * len(opt_info.anchor_seqs)
 
 
 def test_each_run_builds_its_views_once_across_presets(monkeypatch):
