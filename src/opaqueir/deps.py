@@ -128,8 +128,11 @@ class DepInfo:
     # -- happens-before among anchors
 
     def hb_edges(self) -> dict[int, set[int]]:
-        """Each anchor's successors by the edges that generate hb, unclosed;
-        every edge points forward in time. Built at the first hb query."""
+        """Each anchor, in order, with its successors by the edges that
+        generate hb, unclosed; every edge points forward in time. Built at
+        the first hb query. Read-only: every later hb query on the run
+        walks these sets, so a caller that changed them would change its
+        answers."""
         if self._hb_succ is not None:
             return self._hb_succ
         succ: dict[int, set[int]] = {a: set() for a in self.anchor_seqs}
@@ -180,16 +183,15 @@ class DepInfo:
         return reach
 
     def hb(self, a: int, b: int) -> bool:
-        """Happens-before between two anchor events: a direct edge, or else
-        a forward walk from a over the hb edges, pruned past b."""
+        """Happens-before between two anchor events: a forward walk from a
+        over the hb edges, pruned past b."""
         succ = self.hb_edges()
-        if b in succ.get(a, ()):
-            return True
         seen, frontier = {a}, [a]
         while frontier:
-            for s in succ.get(frontier.pop(), ()):
-                if s == b:
-                    return True
+            out = succ.get(frontier.pop(), ())
+            if b in out:
+                return True
+            for s in out:
                 if s < b and s not in seen:
                     seen.add(s)
                     frontier.append(s)

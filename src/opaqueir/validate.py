@@ -42,7 +42,7 @@ exactly; records with no matched sibling still count as invented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .deps import analyze, chain_reports
 from .interp import Event, InputSpec, RunResult, run, value_text
@@ -384,10 +384,13 @@ def check_ordering(
     counterpart go through an `EventMap` of `prov`, built only when there
     is such an anchor. `delta` is the observation-trace comparison of the
     two runs, when the caller already has it. Only the bridged edges
-    are checked (see `_bridged_edges`): their closure is the reference hb
-    among anchors with counterparts, and the optimized hb is transitive,
-    so the verdict is that of checking every pair, with one witness per
-    violated bridged edge."""
+    are checked: each pair of anchors with counterparts joined by a
+    reference hb edge, or by a path of them whose interior anchors have
+    none. Those are walked through, never checked: unmapped observations
+    are the existence check's job. The closure of the bridged edges is
+    the reference hb among anchors with counterparts, and the optimized
+    hb is transitive, so the verdict is that of checking every pair, with
+    one witness per violated bridged edge."""
     ref_info = analyze(ref)
     opt_info = analyze(opt)
 
@@ -402,36 +405,22 @@ def check_ordering(
             if (target := em.counterpart(seq)) is not None:
                 counterparts[seq] = {target}
 
-    edges = ref_info.hb_edges()
-    if len(counterparts) < len(ref_info.anchor_seqs):  # some anchor has no counterpart
-        edges = _bridged_edges(edges, ref_info.anchor_seqs, counterparts)
+    carried: dict[int, set[int]] = {}  # the mapped anchors reaching each unmapped one
     violated = set()
-    for a, bs in edges.items():
-        for b in bs:
-            for x in counterparts[a]:
-                for y in counterparts[b]:
-                    if x != y and not opt_info.hb(x, y):
-                        violated.add((a, b))
+    for a, bs in ref_info.hb_edges().items():  # in order: every edge points forward
+        sources = (a,) if a in counterparts else carried.pop(a, ())
+        for b in bs if sources else ():
+            if b not in counterparts:
+                carried.setdefault(b, set()).update(sources)
+                continue
+            for s in sources:
+                for x in counterparts[s]:
+                    for y in counterparts[b]:
+                        if x != y and not opt_info.hb(x, y):
+                            violated.add((s, b))
     return Verdict.of(lost + [
         f"{_event_loc(ref, a)} before {_event_loc(ref, b)} not preserved" for a, b in sorted(violated)
     ])
-
-
-def _bridged_edges(succ, anchors, mapped: Container[int]) -> dict[int, set[int]]:
-    """Each anchor in `mapped` with those in it that hb edges `succ` reach
-    through anchors outside it. Those are walked through, never checked:
-    unmapped observations are the existence check's job."""
-    bridged: dict[int, set[int]] = {}
-    carried: dict[int, set[int]] = {}  # the mapped anchors reaching each unmapped one
-    for a in anchors:  # in order: every edge points forward
-        sources = (a,) if a in mapped else carried.pop(a, ())
-        for b in succ[a] if sources else ():
-            if b in mapped:
-                for s in sources:
-                    bridged.setdefault(s, set()).add(b)
-            else:
-                carried.setdefault(b, set()).update(sources)
-    return bridged
 
 
 # --------------------------------------------------------------------------
