@@ -485,55 +485,36 @@ class OpaqueSummary:
         return not (self.has_read or self.has_write or self.performs_io)
 
 
-def _atom_vars(atom: Atom) -> Iterator[str]:
-    if isinstance(atom, Var):
-        yield atom.name
-
-
-def _expr_atoms(expr: Expr) -> Iterator[Atom]:
-    if isinstance(expr, AtomExpr):
-        yield expr.atom
-    elif isinstance(expr, UnaryExpr):
-        yield expr.a
-    elif isinstance(expr, BinaryExpr):
-        yield expr.a
-        yield expr.b
-    elif isinstance(expr, LoadMem):
-        yield expr.addr
-    elif isinstance(expr, IoRead):
-        if expr.desc.is_var:
-            yield Var(expr.desc.name)
-    elif isinstance(expr, SnapshotExpr):
-        yield from expr.args
-    elif isinstance(expr, CallExpr):
-        yield from expr.args
-
-
-def instr_operand_atoms(instr: Instr) -> Iterator[Atom]:
-    """Atoms read by an instruction (not recursing into opaque regions)."""
-    if isinstance(instr, Define):
-        if isinstance(instr.rhs, OpaqueExpr):
-            return
-        yield from _expr_atoms(instr.rhs)
-    elif isinstance(instr, RefAssign):
-        yield instr.value
-    elif isinstance(instr, MemStore):
-        yield instr.addr
-        yield instr.value
-    elif isinstance(instr, IoWrite):
-        if instr.desc.is_var:
-            yield Var(instr.desc.name)
-        yield from instr.values
-    elif isinstance(instr, Use):
-        yield from instr.args
-    elif isinstance(instr, Branch):
-        if instr.cond is not None:
-            yield instr.cond
-        yield from instr.then.args
-        if instr.els is not None:
-            yield from instr.els.args
-    elif isinstance(instr, (Return, Yield)):
-        yield from instr.values
+def instr_operand_atoms(instr: Instr) -> tuple[Atom, ...]:
+    """Atoms read by an instruction (not recursing into opaque regions), a
+    descriptor variable as a `Var`."""
+    t = type(instr)
+    if t is Define:
+        rhs = instr.rhs
+        t = type(rhs)
+        if t is BinaryExpr:
+            return (rhs.a, rhs.b)
+        if t is AtomExpr:
+            return (rhs.atom,)
+        if t is UnaryExpr:
+            return (rhs.a,)
+        if t is SnapshotExpr or t is CallExpr:
+            return rhs.args
+        if t is LoadMem:
+            return (rhs.addr,)
+        return (Var(rhs.desc.name),) if t is IoRead and rhs.desc.is_var else ()
+    if t is Branch:
+        atoms = instr.then.args if instr.cond is None else (instr.cond, *instr.then.args)
+        return atoms if instr.els is None else (*atoms, *instr.els.args)
+    if t is IoWrite:
+        return (Var(instr.desc.name), *instr.values) if instr.desc.is_var else instr.values
+    if t is MemStore:
+        return (instr.addr, instr.value)
+    if t is RefAssign:
+        return (instr.value,)
+    if t is Use:
+        return instr.args
+    return instr.values if t is Return or t is Yield else ()
 
 
 def walk_blocks(region: Region) -> Iterator[Block]:
@@ -550,13 +531,8 @@ def region_defined_names(region: Region) -> set[str]:
     """All names defined anywhere in a region, including nested regions."""
     names: set[str] = set()
     for block in walk_blocks(region):
-        for p in block.params:
-            names.add(p.name)
-        for instr in block.instrs:
-            if isinstance(instr, Define):
-                for r in instr.results:
-                    if isinstance(r, str):
-                        names.add(r)
+        names.update(p.name for p in block.params)
+        names.update(r for i in block.instrs if type(i) is Define for r in i.results if type(r) is str)
     return names
 
 
@@ -582,7 +558,7 @@ def _summarize_region(body: Region) -> OpaqueSummary:
             if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
                 names = instr.rhs.summary.uses
             else:
-                names = [a.name for a in instr_operand_atoms(instr) if isinstance(a, Var)]
+                names = [a.name for a in instr_operand_atoms(instr) if type(a) is Var]
             for name in names:
                 if name not in bound:
                     uses.setdefault(name)
@@ -633,58 +609,71 @@ _PUNCT = [
     "(", ")", "{", "}", "[", "]", ",", ":", "=", "<", ">",
     "+", "-", "*", "/", "%", "&", "|", "^", "!", "~", "@",
 ]
-# One alternative per token class, tried in order; `bad` takes any other
-# character, so every match starts where the last one ended.
+# One alternative per token class, tried in order, each taking the blanks
+# after it: `blank` takes those that start the text and `bad` any other
+# character, so every match starts where the last one ended. `eol` is a
+# line end as `str.splitlines` has them, and a comment runs up to one.
 _TOKEN_RE = re.compile(
-    r"(?P<blank>[ \t]+)|(?P<newline>;)"
+    r"(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<comment>//[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")"
+    r"|(?P<eol>\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029])|(?P<newline>;)"
     r"|(?P<int>(?P<digits>\d+)(?P<suffix>[A-Za-z_][A-Za-z0-9_]*)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")|(?P<bad>.)"
+    r"|(?P<blank>[ \t])|(?P<bad>.))[ \t]*"
 )
 _SUFFIXES = {"u8": Type.U8, "u32": Type.U32, "i32": Type.I32}
+# i32 allows magnitude 2^31 here so `-2147483648i32` lexes; the parser
+# rejects it when no minus sign follows through.
+_LITERAL_LIMITS = {Type.U8: 255, Type.U32: 2**32 - 1, Type.I32: 2**31}
 
 
 def tokenize(text: str) -> list[_Token]:
+    """The tokens of `text`, in one scan over the whole text.
+
+    Lines end where `str.splitlines` ends them (`\\n`, `\\r\\n`, `\\r`,
+    `\\x0b`, `\\x0c`, `\\x1c`-`\\x1e`, `\\x85`, `\\u2028`, `\\u2029`), and
+    lines and columns count from 1. `//` cuts the rest of its line. A line
+    that yields a token other than `;` ends with a `newline` token whose
+    column is one past the line's length after the cut; `;` is a `newline`
+    token of its own, which acts exactly like a line break. The closing
+    `eof` token sits in column 1 of the line after the last."""
     tokens: list[_Token] = []
-    lines = text.splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        comment = line.find("//")
-        if comment >= 0:
-            line = line[:comment]
-        produced = False
-        for m in _TOKEN_RE.finditer(line):
-            kind = m.lastgroup
-            if kind == "blank":
-                continue
-            col = m.start() + 1
-            if kind == "newline":
-                # Instruction separator: acts exactly like a line break.
-                tokens.append(_Token(kind, ";", lineno, col))
-                continue
+    append, new = tokens.append, tuple.__new__
+    line, start, cut, produced = 1, 0, None, False  # start: offset of the line
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        pos = m.start()
+        if kind == "ident" or kind == "punct":
+            append(new(_Token, (kind, m[kind], line, pos - start + 1, None)))
             produced = True
-            if kind == "int":
-                raw, suffix = m.group("digits", "suffix")
-                ty = _SUFFIXES.get(suffix or "u32")
-                if ty is None:
-                    raise ParseError(f"bad integer suffix {suffix!r}", (lineno, col))
-                value = int(raw)
-                _check_literal_range(value, ty, (lineno, col))
-                tokens.append(_Token(kind, raw, lineno, col, Const(value, ty)))
-            elif kind == "bad":
-                raise ParseError(f"unexpected character {m.group()!r}", (lineno, col))
-            else:
-                tokens.append(_Token(kind, m.group(), lineno, col))
-        if produced:
-            tokens.append(_Token("newline", "\\n", lineno, len(line) + 1))
-    tokens.append(_Token("eof", "", len(lines) + 1, 1))
+        elif kind == "eol":
+            if produced:
+                col = (pos if cut is None else cut) - start + 1
+                append(new(_Token, ("newline", "\\n", line, col, None)))
+            line, start, cut, produced = line + 1, pos + len(m[kind]), None, False
+        elif kind == "newline":
+            append(new(_Token, (kind, ";", line, pos - start + 1, None)))
+        elif kind == "int":
+            raw, suffix = m.group("digits", "suffix")
+            if (ty := _SUFFIXES.get(suffix or "u32")) is None:
+                raise ParseError(f"bad integer suffix {suffix!r}", (line, pos - start + 1))
+            value = int(raw)
+            _check_literal_range(value, ty, (line, pos - start + 1))
+            append(new(_Token, (kind, raw, line, pos - start + 1, Const(value, ty))))
+            produced = True
+        elif kind == "comment":
+            cut = pos
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", (line, pos - start + 1))
+    if produced:
+        col = (len(text) if cut is None else cut) - start + 1
+        append(new(_Token, ("newline", "\\n", line, col, None)))
+    append(new(_Token, ("eof", "", line + (start < len(text)), 1, None)))
     return tokens
 
 
 def _check_literal_range(value: int, ty: Type, loc):
-    # i32 allows magnitude 2^31 here so `-2147483648i32` lexes; the parser
-    # rejects it when no minus sign follows through.
-    limits = {Type.U8: 255, Type.U32: 2**32 - 1, Type.I32: 2**31}
-    if value > limits[ty]:
+    if value > _LITERAL_LIMITS[ty]:
         raise ParseError(f"literal {value} out of range for {ty.value}", loc)
 
 
@@ -704,36 +693,39 @@ def _negate_literal(const: Const, loc) -> Const:
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+        # Two more eof tokens: `advance` never moves past the first, and no
+        # lookahead reads more than two past where it stops.
+        self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
+        self.tok = tokens[0]  # the token at `pos`, read without a call
         self.in_macro = False
 
     # -- token plumbing
 
-    def peek(self, k: int = 0) -> _Token:
-        # `advance` never moves past eof, so only a lookahead needs the bound
-        return self.tokens[min(self.pos + k, len(self.tokens) - 1) if k else self.pos]
+    def peek(self, k: int) -> _Token:
+        return self.tokens[self.pos + k]
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok.kind != "eof":
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
 
     def expect(self, text: str) -> _Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", (tok.line, tok.col))
         return self.advance()
 
     def expect_ident(self) -> _Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "ident":
             raise ParseError(f"expected identifier, found {tok.text!r}", (tok.line, tok.col))
         return self.advance()
 
     def expect_newline(self):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "eof" or tok.text == "}":
             return  # a closing brace also ends the last instruction
         if tok.kind != "newline":
@@ -741,7 +733,7 @@ class _Parser:
         self.advance()
 
     def skip_newlines(self):
-        while self.peek().kind == "newline":
+        while self.tok.kind == "newline":
             self.advance()
 
     # -- program / declarations
@@ -750,8 +742,8 @@ class _Parser:
         functions: list[Function] = []
         macros: list[Macro] = []
         self.skip_newlines()
-        while self.peek().kind != "eof":
-            tok = self.peek()
+        while self.tok.kind != "eof":
+            tok = self.tok
             if tok.text == "function":
                 functions.append(self.parse_function())
             elif tok.text == "macro":
@@ -772,13 +764,13 @@ class _Parser:
         params = self.parse_params(types_required=True)
         self.expect(")")
         ret_types = None
-        if self.peek().text == "->":
+        if self.tok.text == "->":
             self.advance()
             self.expect("(")
             types = []
-            while self.peek().text != ")":
+            while self.tok.text != ")":
                 types.append(self.parse_type())
-                if self.peek().text == ",":
+                if self.tok.text == ",":
                     self.advance()
             self.expect(")")
             ret_types = tuple(types)
@@ -805,10 +797,10 @@ class _Parser:
 
     def parse_params(self, types_required: bool) -> tuple[Param, ...]:
         params: list[Param] = []
-        while self.peek().text != ")":
+        while self.tok.text != ")":
             tok = self.expect_ident()
             ty = None
-            if self.peek().text == ":":
+            if self.tok.text == ":":
                 self.advance()
                 ty = self.parse_type()
             elif types_required:
@@ -816,26 +808,26 @@ class _Parser:
                     f"parameter {tok.text!r} needs a type annotation", (tok.line, tok.col)
                 )
             params.append(Param(tok.text, ty))
-            if self.peek().text == ",":
+            if self.tok.text == ",":
                 self.advance()
         return tuple(params)
 
     def parse_formals(self) -> MacroFormals:
         names: list[str] = []
-        while self.peek().text != ")":
-            tok = self.peek()
+        while self.tok.text != ")":
+            tok = self.tok
             if tok.text == "...":
                 self.advance()
                 names.append("...")
             else:
                 names.append(self.expect_ident().text)
-            if self.peek().text == ",":
+            if self.tok.text == ",":
                 self.advance()
         if "..." not in names:
             return MacroFormals(tuple(names))
         i = names.index("...")
         if i == 0 or i != len(names) - 2 or names.count("...") != 1:
-            tok = self.peek()
+            tok = self.tok
             raise ParseError(
                 "variadic formals must end `first, ..., last`", (tok.line, tok.col)
             )
@@ -861,7 +853,7 @@ class _Parser:
 
         self.skip_newlines()
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.text == "}":
                 self.advance()
                 break
@@ -870,7 +862,7 @@ class _Parser:
             if self.at_label():
                 name_tok = self.expect_ident()
                 params: tuple[Param, ...] = ()
-                if self.peek().text == "(":
+                if self.tok.text == "(":
                     self.advance()
                     params = self.parse_params(types_required=False)
                     self.expect(")")
@@ -885,12 +877,13 @@ class _Parser:
         return _finish_region(Region(tuple(Block(n, p, tuple(i)) for n, p, i in blocks)), kind)
 
     def at_label(self) -> bool:
-        if self.peek().kind != "ident":
+        if self.tok.kind != "ident":
             return False
-        if self.peek(1).text == ":":
+        nxt = self.peek(1).text
+        if nxt == ":":
             # `x: u8 = ...` is a typed define, not a label.
             return self.peek(2).text not in TYPE_NAMES
-        if self.peek(1).text == "(":
+        if nxt == "(":
             # Could be a call statement or a labeled block with parameters;
             # a label has `:` right after the closing parenthesis.
             k = 2
@@ -910,7 +903,7 @@ class _Parser:
     # -- instructions
 
     def parse_instruction(self) -> Instr:
-        tok = self.peek()
+        tok = self.tok
         loc = (tok.line, tok.col)
         text = tok.text
         if text == "br":
@@ -930,7 +923,7 @@ class _Parser:
             self.expect("(")
             desc = Desc(self.expect_ident().text)
             values: list[Atom] = []
-            while self.peek().text == ",":
+            while self.tok.text == ",":
                 self.advance()
                 values.append(self.parse_atom())
             self.expect(")")
@@ -965,7 +958,7 @@ class _Parser:
     def parse_branch(self, loc) -> Branch:
         self.expect("br")
         first = self.parse_atom()
-        if self.peek().text != ",":
+        if self.tok.text != ",":
             # Unconditional: `br target(...)`.
             if not isinstance(first, Var):
                 raise ParseError("branch target must be a label", loc)
@@ -975,7 +968,7 @@ class _Parser:
         self.advance()
         then = self.parse_target()
         els = None
-        if self.peek().text == ",":
+        if self.tok.text == ",":
             self.advance()
             els = self.parse_target()
         self.expect_newline()
@@ -993,7 +986,7 @@ class _Parser:
 
     def parse_target_rest(self, name: str) -> BlockCall:
         args: tuple[Atom, ...] = ()
-        if self.peek().text == "(":
+        if self.tok.text == "(":
             self.advance()
             args = self.parse_atom_list(")")
             self.expect(")")
@@ -1003,7 +996,7 @@ class _Parser:
         # Result list, `name <- atom`, or a bare call statement.
         start = self.pos
         name = self.expect_ident().text
-        nxt = self.peek().text
+        nxt = self.tok.text
         if nxt == "<-":
             self.advance()
             value = self.parse_atom()
@@ -1016,30 +1009,30 @@ class _Parser:
             self.expect(")")
             self.expect_newline()
             return Define((), CallExpr(name, args), loc=loc)
-        self.pos = start
+        self.pos, self.tok = start, self.tokens[start]
         results: list[object] = []
         anns: list[Optional[Type]] = []
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.text == "...":
                 self.advance()
                 results.append("...")
                 anns.append(None)
             else:
                 results.append(self.expect_ident().text)
-                if self.peek().text == ":":
+                if self.tok.text == ":":
                     self.advance()
                     anns.append(self.parse_type())
                 else:
                     anns.append(None)
-            if self.peek().text == ",":
+            if self.tok.text == ",":
                 self.advance()
                 continue
             break
         self.expect("=")
         rhs = self.parse_rhs()
         self.expect_newline()
-        res = self.collapse_groups(results, loc)
+        res = self.collapse_groups(results, loc) if "..." in results else results
         # `()` is the one spelling of "no annotation"
         ann = tuple(anns[: len(res)]) if any(a is not None for a in anns) else ()
         return Define(tuple(res), rhs, ann=ann, loc=loc)
@@ -1064,7 +1057,7 @@ class _Parser:
         return out
 
     def parse_rhs(self) -> Expr:
-        tok = self.peek()
+        tok = self.tok
         text = tok.text
         if text == "opaque":
             return self.parse_opaque()
@@ -1077,7 +1070,7 @@ class _Parser:
             self.advance()
             self.expect("(")
             desc = Desc(self.expect_ident().text)
-            if self.peek().text == ",":
+            if self.tok.text == ",":
                 raise ParseError("io used as an expression reads a single value", (tok.line, tok.col))
             self.expect(")")
             return IoRead(desc)
@@ -1103,7 +1096,7 @@ class _Parser:
             self.advance()
             return UnaryExpr("-", self.parse_atom())
         a = self.parse_atom()
-        op = self.peek().text
+        op = self.tok.text
         if op in BINARY_OPS:
             self.advance()
             b = self.parse_atom()
@@ -1117,7 +1110,7 @@ class _Parser:
         return OpaqueExpr(region)
 
     def parse_obs_tags(self) -> tuple[ObsTag, ...]:
-        if self.peek().text != "[":
+        if self.tok.text != "[":
             return ()
         self.advance()
         self.expect("obs")
@@ -1135,7 +1128,7 @@ class _Parser:
             depth = 0
             buf = ""
             while True:
-                tok = self.peek()
+                tok = self.tok
                 if tok.kind in ("newline", "eof"):
                     raise ParseError("unterminated tag", (tok.line, tok.col))
                 if tok.text == "(" :
@@ -1154,7 +1147,7 @@ class _Parser:
             if buf:
                 names.append(buf)
             tags.append(ObsTag((line.value.value, col.value.value), tuple(names)))
-            if self.peek().text == ",":
+            if self.tok.text == ",":
                 self.advance()
                 continue
             break
@@ -1164,7 +1157,7 @@ class _Parser:
     # -- atoms
 
     def parse_atom(self) -> Atom:
-        tok = self.peek()
+        tok = self.tok
         if tok.text == "-" and self.peek(1).kind == "int":
             self.advance()
             lit = self.advance()
@@ -1192,20 +1185,20 @@ class _Parser:
 
     def parse_atom_list(self, closer: str) -> tuple[Atom, ...]:
         items: list[object] = []
-        while self.peek().text != closer:
-            if self.peek().text == "...":
+        while self.tok.text != closer:
+            if self.tok.text == "...":
                 self.advance()
                 items.append("...")
             else:
                 items.append(self.parse_atom())
-            if self.peek().text == ",":
+            if self.tok.text == ",":
                 self.advance()
         # Collapse `v1, ..., vk` groups.
         out: list[Atom] = []
         i = 0
         while i < len(items):
             if items[i] == "...":
-                tok = self.peek()
+                tok = self.tok
                 if (
                     not self.in_macro
                     or i == 0
@@ -1242,13 +1235,11 @@ def _finish_region(region: Region, kind: str) -> Region:
         instrs = list(block.instrs)
         for j, instr in enumerate(instrs[:-1]):
             if isinstance(instr, TERMINATORS):
-                raise ParseError(
-                    "terminator in the middle of a block", _instr_loc(instr)
-                )
+                raise ParseError("terminator in the middle of a block", instr.loc)
         last = instrs[-1] if instrs else None
         next_label = blocks[i + 1].label if i + 1 < len(blocks) else None
         if last is None or not isinstance(last, TERMINATORS):
-            loc = _instr_loc(last) if last is not None else (0, 0)
+            loc = last.loc if last is not None else (0, 0)
             if next_label is not None:
                 instrs.append(Branch(None, BlockCall(next_label), loc=loc))
             elif kind == "opaque":
@@ -1259,15 +1250,11 @@ def _finish_region(region: Region, kind: str) -> Region:
             if next_label is None:
                 raise ParseError(
                     "conditional branch falls through at end of region",
-                    _instr_loc(last),
+                    last.loc,
                 )
             instrs[-1] = dc_replace(last, els=BlockCall(next_label))
         out.append(dc_replace(block, instrs=tuple(instrs)))
     return Region(tuple(out))
-
-
-def _instr_loc(instr: Instr) -> tuple[int, int]:
-    return getattr(instr, "loc", (0, 0))
 
 
 # --------------------------------------------------------------------------
@@ -1293,7 +1280,7 @@ def map_region_instrs(region: Region, fn: Callable[[Instr], Instr]) -> Region:
             new = fn(new)
             changed = changed or new is not instr
             new_instrs.append(new)
-        new_blocks.append(dc_replace(block, instrs=tuple(new_instrs)))
+        new_blocks.append(Block(block.label, block.params, tuple(new_instrs)))
     return Region(tuple(new_blocks)) if changed else region
 
 
@@ -1329,13 +1316,7 @@ def _resolve_names(program: Program) -> Program:
         for f in program.functions
     )
     macros = tuple(
-        dc_replace(
-            m,
-            region=resolve_region(
-                m.region,
-                m.formals.fixed + (m.formals.variadic or ()),
-            ),
-        )
+        dc_replace(m, region=resolve_region(m.region, m.formals.fixed + (m.formals.variadic or ())))
         for m in program.macros
     )
     return Program(functions, macros)
@@ -1602,25 +1583,23 @@ class _Expander:
     def expand_region(self, region: Region) -> Region:
         # Spliced instructions are queued for re-processing, so macros that
         # call macros (including inside opaque regions) settle in one pass.
+        # Both queues are stacks, their heads last.
         blocks: list[Block] = []
-        pending = list(region.blocks)
+        pending = list(reversed(region.blocks))
         while pending:
-            block = pending.pop(0)
+            block = pending.pop()
             instrs: list[Instr] = []
             block_label = block.label
             block_params = block.params
-            remaining = list(block.instrs)
+            remaining = list(reversed(block.instrs))
             while remaining:
-                instr = remaining.pop(0)
-                if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
-                    inner = self.expand_region(instr.rhs._body)
-                    instrs.append(dc_replace(instr, rhs=OpaqueExpr(inner)))
+                instr = remaining.pop()
+                rhs = instr.rhs if type(instr) is Define else None
+                if type(rhs) is OpaqueExpr:
+                    inner = self.expand_region(rhs._body)
+                    instrs.append(Define(instr.results, OpaqueExpr(inner), instr.ann, instr.loc))
                     continue
-                if not (
-                    isinstance(instr, Define)
-                    and isinstance(instr.rhs, CallExpr)
-                    and instr.rhs.callee in self.macros
-                ):
+                if type(rhs) is not CallExpr or rhs.callee not in self.macros:
                     instrs.append(instr)
                     continue
                 macro = self.macros[instr.rhs.callee]
@@ -1645,7 +1624,7 @@ class _Expander:
                         )
                     for res, val in zip(instr.results, ret.values):
                         spliced.append(Define((res,), AtomExpr(val), loc=instr.loc))
-                    remaining[0:0] = spliced
+                    remaining += reversed(spliced)
                     continue
                 # Multi-block macro: split the current block around the call.
                 cont_label = self.fresh("bb_cont")
@@ -1671,9 +1650,8 @@ class _Expander:
                     rewritten.append(dc_replace(mb, instrs=tuple(fixed)))
                 # Process the macro's blocks next, then resume this block
                 # as the continuation taking the call results as params.
-                pending[0:0] = rewritten + [
-                    Block(cont_label, cont_params, tuple(remaining))
-                ]
+                pending.append(Block(cont_label, cont_params, tuple(reversed(remaining))))
+                pending += reversed(rewritten)
                 remaining = []
                 block_label = None
             if block_label is not None:
@@ -1682,7 +1660,8 @@ class _Expander:
 
     def instantiate(self, macro: Macro, call: Define) -> Region:
         """Rename macro locals, substitute formals, splice variadic groups.
-        Every instruction gets the call site's source location."""
+        The renaming walk gives every instruction, nested ones included,
+        the call site's source location."""
         args = call.rhs.args
         fixed, variadic = macro.formals.fixed, macro.formals.variadic
         if variadic is None:
@@ -1705,32 +1684,38 @@ class _Expander:
             if var_actuals:
                 subst.setdefault(variadic[0], var_actuals[0])
                 subst.setdefault(variadic[1], var_actuals[-1])
-        locals_ = region_defined_names(macro.region) | region_ref_names(macro.region)
-        binds = {name: self.fresh(name) for name in sorted(locals_)}
+        if (scan := getattr(macro, "_scan", None)) is None:
+            # The macro's locals, sorted, and its groups in first-use order.
+            region = macro.region
+            groups = {
+                g: None
+                for block in walk_blocks(region)
+                for i in block.instrs
+                for g in (*(i.results if type(i) is Define else ()), *instr_operand_atoms(i))
+                if type(g) is VarGroup
+            }
+            scan = sorted(region_defined_names(region) | region_ref_names(region)), tuple(groups)
+            object.__setattr__(macro, "_scan", scan)  # the macro is frozen
+        binds = {name: self.fresh(name) for name in scan[0]}
         labels = {b.label: self.fresh(b.label) for b in macro.region.blocks}
-        for block in walk_blocks(macro.region):
-            for instr in block.instrs:
-                bound = instr.results if isinstance(instr, Define) else ()
-                for g in (*bound, *instr_operand_atoms(instr)):
-                    if not isinstance(g, VarGroup) or g in subst:
-                        continue
-                    if variadic is None:
-                        raise MacroError(
-                            f"'{g.first}, ..., {g.last}' in non-variadic macro {macro.name}",
-                            call.loc,
-                        )
-                    group = tuple(Var(self.fresh(g.first)) for _ in var_actuals)
-                    subst[g] = group
-                    # The group's first and last names also stand alone:
-                    # after `w1, ..., wk = snapshot(...)`, `yield(w1)`
-                    # means the first fresh result.
-                    if group:
-                        subst[g.first] = group[0]
-                        subst[g.last] = group[-1]
+        for g in scan[1]:
+            if g in subst:
+                continue
+            if variadic is None:
+                raise MacroError(
+                    f"'{g.first}, ..., {g.last}' in non-variadic macro {macro.name}", call.loc
+                )
+            group = tuple(Var(self.fresh(g.first)) for _ in var_actuals)
+            subst[g] = group
+            # The group's first and last names also stand alone: after
+            # `w1, ..., wk = snapshot(...)`, `yield(w1)` means the first
+            # fresh result.
+            if group:
+                subst[g.first] = group[0]
+                subst[g.last] = group[-1]
         uses = {name: Var(new) for name, new in binds.items()}
         uses.update(subst)
-        stamped = map_region_instrs(macro.region, lambda i: dc_replace(i, loc=call.loc))
-        return rename_region(stamped, uses, binds, labels)
+        return rename_region(macro.region, uses, binds, labels, call.loc)
 
 
 def expand_macros(program: Program) -> Program:
@@ -1752,14 +1737,14 @@ def finalize_observations(program: Program) -> Program:
     atoms, with loads rewritten to `mem[addr]` / reference names."""
 
     def region_def_exprs(region: Region) -> dict[str, Expr]:
-        defs: dict[str, Expr] = {}
-        for block in region.blocks:
-            for instr in block.instrs:
-                if isinstance(instr, Define):
-                    for r in instr.results:
-                        if isinstance(r, str):
-                            defs[r] = instr.rhs
-        return defs
+        return {
+            r: i.rhs
+            for block in region.blocks
+            for i in block.instrs
+            if type(i) is Define
+            for r in i.results
+            if type(r) is str
+        }
 
     def arg_name(atom: Atom, defs: dict[str, Expr]) -> str:
         if isinstance(atom, Const):
@@ -1775,26 +1760,26 @@ def finalize_observations(program: Program) -> Program:
 
     def fix_function(f: Function) -> Function:
         def fix_region(region: Region) -> Region:
+            # An unchanged region comes back as itself.
             defs = region_def_exprs(region)
             new_blocks = []
+            changed = False
             for block in region.blocks:
                 new_instrs = []
                 for instr in block.instrs:
-                    if isinstance(instr, Define):
-                        rhs = instr.rhs
-                        if isinstance(rhs, OpaqueExpr):
-                            inner = fix_region(rhs._body)
-                            if inner != rhs._body:
-                                instr = dc_replace(instr, rhs=OpaqueExpr(inner))
-                        elif isinstance(rhs, SnapshotExpr) and not rhs.tags:
-                            tag = ObsTag(
-                                instr.loc,
-                                tuple(arg_name(a, defs) for a in rhs.args),
-                            )
-                            instr = dc_replace(instr, rhs=dc_replace(rhs, tags=(tag,)))
+                    rhs = instr.rhs if type(instr) is Define else None
+                    if type(rhs) is OpaqueExpr:
+                        if (inner := fix_region(rhs._body)) is not rhs._body:
+                            rhs = OpaqueExpr(inner)
+                    elif type(rhs) is SnapshotExpr and not rhs.tags:
+                        tag = ObsTag(instr.loc, tuple(arg_name(a, defs) for a in rhs.args))
+                        rhs = SnapshotExpr(rhs.args, (tag,))
+                    if rhs is not None and rhs is not instr.rhs:
+                        instr = Define(instr.results, rhs, instr.ann, instr.loc)
+                        changed = True
                     new_instrs.append(instr)
-                new_blocks.append(dc_replace(block, instrs=tuple(new_instrs)))
-            return Region(tuple(new_blocks))
+                new_blocks.append(Block(block.label, block.params, tuple(new_instrs)))
+            return Region(tuple(new_blocks)) if changed else region
 
         fixed = dc_replace(f, region=fix_region(f.region))
         fix_region = None  # a recursive closure is a reference cycle: break it
@@ -1843,6 +1828,7 @@ def rename_instr(
     uses: Mapping,
     binds: Mapping[str, str] = _NO_NAMES,
     labels: Mapping[str, str] = _NO_NAMES,
+    loc: Optional[tuple[int, int]] = None,
 ) -> Instr:
     """Barrier-sanctioned renaming of one instruction, through the opaque
     regions nested in it.
@@ -1851,15 +1837,17 @@ def rename_instr(
     atom that replaces it, and a `VarGroup` to the atoms spliced in its
     place (group results take those atoms' names). `binds` maps bound
     names (results, block parameters, references) to new names, and
-    `labels` maps block labels.
+    `labels` maps block labels. A `loc` replaces the source location of
+    the instruction and of every instruction nested in it.
 
     Shadowing rule: inside an opaque region, a name bound there and not
     remapped by `binds` keeps its uses, so a region's behavior is
     preserved value for value whatever `uses` says about outer names.
-    An empty renaming returns `instr` itself.
+    An empty renaming without `loc` returns `instr` itself.
     """
-    if not (uses or binds or labels):
+    if not (uses or binds or labels or loc):
         return instr
+    at = instr.loc if loc is None else loc
 
     def one(atom: Atom) -> Atom:
         if isinstance(atom, Var):
@@ -1892,13 +1880,13 @@ def rename_instr(
     if isinstance(instr, Define):
         rhs = instr.rhs
         if isinstance(rhs, OpaqueExpr):
-            if not binds and uses.keys().isdisjoint(rhs.summary.uses):
+            if not binds and loc is None and uses.keys().isdisjoint(rhs.summary.uses):
                 return instr
             body = rhs._body
             shadowed = {n for n in region_defined_names(body) if n in uses and n not in binds}
             if shadowed:
                 uses = {k: v for k, v in uses.items() if k not in shadowed}
-            rhs = OpaqueExpr(rename_region(body, uses, binds, labels))
+            rhs = OpaqueExpr(rename_region(body, uses, binds, labels, loc))
         elif isinstance(rhs, AtomExpr):
             rhs = AtomExpr(one(rhs.atom))
         elif isinstance(rhs, UnaryExpr):
@@ -1924,22 +1912,22 @@ def rename_instr(
         ann = instr.ann
         if ann and len(results) != len(instr.results):
             ann = (ann + (None,) * len(results))[: len(results)]
-        return Define(tuple(results), rhs, ann, instr.loc)
+        return Define(tuple(results), rhs, ann, at)
     if isinstance(instr, RefAssign):
-        return RefAssign(binds.get(instr.ref, instr.ref), one(instr.value), instr.loc)
+        return RefAssign(binds.get(instr.ref, instr.ref), one(instr.value), at)
     if isinstance(instr, MemStore):
-        return MemStore(one(instr.addr), one(instr.value), instr.loc)
+        return MemStore(one(instr.addr), one(instr.value), at)
     if isinstance(instr, IoWrite):
-        return IoWrite(desc(instr.desc), many(instr.values), instr.loc)
+        return IoWrite(desc(instr.desc), many(instr.values), at)
     if isinstance(instr, Use):
-        return Use(many(instr.args), instr.loc)
+        return Use(many(instr.args), at)
     if isinstance(instr, Branch):
         cond = one(instr.cond) if instr.cond is not None else None
-        return Branch(cond, target(instr.then), target(instr.els), instr.loc)
+        return Branch(cond, target(instr.then), target(instr.els), at)
     if isinstance(instr, Return):
-        return Return(many(instr.values), instr.loc)
+        return Return(many(instr.values), at)
     if isinstance(instr, Yield):
-        return Yield(many(instr.values), instr.loc)
+        return Yield(many(instr.values), at)
     raise TypeError(instr)
 
 
@@ -1948,6 +1936,7 @@ def rename_region(
     uses: Mapping,
     binds: Mapping[str, str] = _NO_NAMES,
     labels: Mapping[str, str] = _NO_NAMES,
+    loc: Optional[tuple[int, int]] = None,
 ) -> Region:
     """`rename_instr` over a whole region, block labels and parameters
     included."""
@@ -1956,7 +1945,7 @@ def rename_region(
             Block(
                 labels.get(b.label, b.label),
                 tuple(Param(binds.get(p.name, p.name), p.type) for p in b.params),
-                tuple(rename_instr(i, uses, binds, labels) for i in b.instrs),
+                tuple(rename_instr(i, uses, binds, labels, loc) for i in b.instrs),
             )
             for b in region.blocks
         )
@@ -2103,16 +2092,6 @@ _CMP_OPS = frozenset(["==", "!="])
 _ORD_OPS = frozenset(["<", "<=", ">", ">="])
 
 
-def _dominates(site: tuple[str, int], dom: dict[str, set[str]], label: str, pos: int) -> bool:
-    """Whether a definition at `site` reaches position `pos` of block `label`.
-    A site is (block label, position): position -1 for a block parameter,
-    label "" for a function parameter."""
-    dblock, dpos = site
-    if dblock == label:
-        return dpos < pos
-    return dblock == "" or dblock in dom.get(label, ())
-
-
 class _Validator:
     def __init__(self, program: Program):
         self.program = program
@@ -2173,12 +2152,14 @@ class _Validator:
             if labels.count(label) > 1:
                 self.error(fn.loc, f"duplicate block label {label!r} in {fn.name}")
 
-        # Unique names over the whole region tree, and the def sites and
-        # dominators of the function body and of each opaque region in it.
+        # Unique names and the references over the whole region tree, and
+        # the def sites and dominators of the function body and of each
+        # opaque region in it.
         defined: dict[str, tuple[int, int]] = {}
         for p in fn.params:
             self._register(defined, p.name, fn.loc)
         scopes: dict[int, tuple[dict[str, tuple[str, int]], dict[str, set[str]]]] = {}
+        ref_names: set[str] = set()
 
         def collect_defs(r: Region, sites: dict[str, tuple[str, int]]):
             for b in r.blocks:
@@ -2186,19 +2167,22 @@ class _Validator:
                     self._register(defined, p.name, (0, 0))
                     sites[p.name] = (b.label, -1)
                 for pos, instr in enumerate(b.instrs):
-                    if isinstance(instr, Define):
+                    if type(instr) is Define:
                         for res in instr.results:
-                            if isinstance(res, str):
+                            if type(res) is str:
                                 self._register(defined, res, instr.loc)
                                 sites.setdefault(res, (b.label, pos))
                             else:
                                 self.error(instr.loc, "unexpanded '...' group")
-                        if isinstance(instr.rhs, OpaqueExpr):
+                        if type(instr.rhs) is OpaqueExpr:
                             collect_defs(instr.rhs._body, {})
+                        elif type(instr.rhs) is LoadRef:
+                            ref_names.add(instr.rhs.ref)
+                    elif type(instr) is RefAssign:
+                        ref_names.add(instr.ref)
             scopes[id(r)] = sites, compute_dominators(r)
 
         collect_defs(region, {p.name: ("", -1) for p in fn.params})
-        ref_names = region_ref_names(region)
         for name in sorted(defined.keys() & ref_names):
             self.error(fn.loc, f"{name!r} is used both as a variable and a reference in {fn.name}")
 
@@ -2214,17 +2198,14 @@ class _Validator:
                 missed.append((types, name))
             return ty
 
-        def check_use(name: str, scope, opaque: bool, label: str, pos: int, loc):
-            sites, dom = scope
-            site = sites.get(name)
+        def check_use(name: str, site, reaches: bool, opaque: bool, loc):
+            # The error paths of a use, if any: `reaches` says whether the
+            # definition at `site` reaches it (see `visit_region`).
             if name in ref_names and (site is None or not opaque):
                 self.error(loc, f"reference {name!r} used as an operand")
-            elif site is not None:
-                if not _dominates(site, dom, label, pos):
-                    self.error(loc, f"use of {name!r} is not dominated by its definition")
-            elif not opaque or name not in defined:
-                # An opaque region may use any name its function defines:
-                # dominance is checked only where the name is region-local.
+            elif not reaches and site is not None:
+                self.error(loc, f"use of {name!r} is not dominated by its definition")
+            elif not reaches:
                 self.error(loc, f"use of undefined variable {name!r}")
 
         def note_var(name: str, ty: Optional[Type], loc) -> None:
@@ -2232,30 +2213,17 @@ class _Validator:
                 self.error(loc, f"{name!r} has conflicting types {old.value} and {ty.value}")
 
         def atom_type(atom: Atom, loc) -> Optional[Type]:
-            if isinstance(atom, Const):
+            if type(atom) is Const:
                 return atom.type
-            if isinstance(atom, VarGroup):
+            if type(atom) is VarGroup:
                 self.error(loc, "unexpanded '...' group")
                 return None
             return read(var_ty, atom.name)
 
         def expr_types(expr: Expr, instr: Define) -> Optional[list[Optional[Type]]]:
             loc = instr.loc
-            if isinstance(expr, AtomExpr):
-                return [atom_type(expr.atom, loc)]
-            if isinstance(expr, UnaryExpr):
-                ty = atom_type(expr.a, loc)
-                if ty is None:
-                    return [None]
-                if expr.op == "!":
-                    if ty is not Type.BOOL:
-                        self.error(loc, "'!' applies to bool values")
-                    return [Type.BOOL]
-                if ty not in INT_TYPES:
-                    self.error(loc, f"'{expr.op}' applies to integer values")
-                    return [None]
-                return [ty]
-            if isinstance(expr, BinaryExpr):
+            t = type(expr)
+            if t is BinaryExpr:
                 ta = atom_type(expr.a, loc)
                 tb = atom_type(expr.b, loc)
                 op = expr.op
@@ -2285,19 +2253,44 @@ class _Validator:
                         self.error(loc, "ordered comparison applies to integer values")
                     return [Type.BOOL]
                 raise AssertionError(op)
-            if isinstance(expr, LoadMem):
+            if t is AtomExpr:
+                return [atom_type(expr.atom, loc)]
+            if t is UnaryExpr:
+                ty = atom_type(expr.a, loc)
+                if ty is None:
+                    return [None]
+                if expr.op == "!":
+                    if ty is not Type.BOOL:
+                        self.error(loc, "'!' applies to bool values")
+                    return [Type.BOOL]
+                if ty not in INT_TYPES:
+                    self.error(loc, f"'{expr.op}' applies to integer values")
+                    return [None]
+                return [ty]
+            if t is SnapshotExpr:
+                return [atom_type(a, loc) for a in expr.args]
+            if t is OpaqueExpr:
+                ytypes: Optional[list[Optional[Type]]] = None
+                for b in expr._body.blocks:
+                    last = b.instrs[-1]
+                    if type(last) is Yield:
+                        tys = [atom_type(v, loc) for v in last.values]
+                        if ytypes is None:
+                            ytypes = tys
+                        elif len(tys) != len(ytypes):
+                            self.error(loc, "yields with different arities in one region")
+                return ytypes if ytypes is not None else []
+            if t is LoadMem:
                 ty = atom_type(expr.addr, loc)
                 if ty is not None and ty is not Type.U32:
                     self.error(loc, "memory addresses are u32 values")
                 return [Type.U32]
-            if isinstance(expr, LoadRef):
+            if t is LoadRef:
                 return [read(ref_ty, expr.ref)]
-            if isinstance(expr, IoRead):
+            if t is IoRead:
                 ann = instr.ann[0] if instr.ann else None
                 return [ann or Type.U32]
-            if isinstance(expr, SnapshotExpr):
-                return [atom_type(a, loc) for a in expr.args]
-            if isinstance(expr, CallExpr):
+            if t is CallExpr:
                 callee = self.fn_map.get(expr.callee)
                 if callee is None:
                     if expr.callee not in self.macro_names:
@@ -2319,50 +2312,55 @@ class _Validator:
                         )
                 rts = self.fn_ret_types(expr.callee, loc)
                 return list(rts) if rts is not None else None
-            if isinstance(expr, DescriptorExpr):
+            if t is DescriptorExpr:
                 return [Type.DESC]
-            if isinstance(expr, OpaqueExpr):
-                ytypes: Optional[list[Optional[Type]]] = None
-                for b in expr._body.blocks:
-                    last = b.instrs[-1]
-                    if isinstance(last, Yield):
-                        tys = [atom_type(v, loc) for v in last.values]
-                        if ytypes is None:
-                            ytypes = tys
-                        elif len(tys) != len(ytypes):
-                            self.error(loc, "yields with different arities in one region")
-                return ytypes if ytypes is not None else []
             raise TypeError(expr)
 
         def visit_region(r: Region, opaque: bool):
             if r.blocks[0].params:
                 self.error(
-                    _instr_loc(r.blocks[0].instrs[0]) if r.blocks[0].instrs else (0, 0),
+                    r.blocks[0].instrs[0].loc if r.blocks[0].instrs else (0, 0),
                     "entry block must not take parameters",
                 )
-            scope = scopes[id(r)]
+            sites, dom = scopes[id(r)]
             block_map = {b.label: b for b in r.blocks}
             for b in r.blocks:
+                label = b.label
+                bdom = dom.get(label, ())
                 for pos, instr in enumerate(b.instrs):
-                    loc = _instr_loc(instr)
+                    loc = instr.loc
                     for atom in instr_operand_atoms(instr):
-                        for name in _atom_vars(atom):
-                            check_use(name, scope, opaque, b.label, pos, loc)
-                    if isinstance(instr, Define):
-                        if isinstance(instr.rhs, SnapshotExpr) and not opaque:
+                        if type(atom) is not Var:
+                            continue
+                        # A site is (block label, position): position -1 for
+                        # a block parameter, label "" for a function
+                        # parameter. An opaque region may use any name its
+                        # function defines: dominance is checked only where
+                        # the name is region-local.
+                        name = atom.name
+                        site = sites.get(name)
+                        if site is None:
+                            reaches = opaque and name in defined
+                        elif site[0] == label:
+                            reaches = site[1] < pos
+                        else:
+                            reaches = site[0] == "" or site[0] in bdom
+                        if not reaches or name in ref_names:
+                            check_use(name, site, reaches, opaque, loc)
+                    t = type(instr)
+                    if t is Define:
+                        rhs = instr.rhs
+                        t = type(rhs)
+                        if t is SnapshotExpr and not opaque:
                             self.lint(loc, "snapshot outside an opaque region")
-                        if (
-                            isinstance(instr.rhs, CallExpr)
-                            and opaque
-                            and instr.rhs.callee in self.fn_map
-                        ):
+                        elif t is CallExpr and opaque and rhs.callee in self.fn_map:
                             self.error(loc, "function call inside an opaque region")
-                        if isinstance(instr.rhs, OpaqueExpr):
-                            visit_region(instr.rhs._body, True)
-                        tys = expr_types(instr.rhs, instr)
+                        elif t is OpaqueExpr:
+                            visit_region(rhs._body, True)
+                        tys = expr_types(rhs, instr)
                         if tys is not None:
                             n = len(instr.results)
-                            if isinstance(instr.rhs, (SnapshotExpr, CallExpr, OpaqueExpr)):
+                            if t is SnapshotExpr or t is CallExpr or t is OpaqueExpr:
                                 if n not in (0, len(tys)):
                                     self.error(
                                         loc,
@@ -2373,32 +2371,14 @@ class _Validator:
                             for res, ty, ann in zip(
                                 instr.results, tys, instr.ann or (None,) * n
                             ):
-                                if isinstance(res, str):
+                                if type(res) is str:
                                     if ann is not None and ty is not None and ann is not ty:
                                         self.error(
                                             loc,
                                             f"{res!r} annotated {ann.value} but has type {ty.value}",
                                         )
                                     note_var(res, ann or ty, loc)
-                    elif isinstance(instr, Use):
-                        if not opaque:
-                            self.lint(loc, "use() outside an opaque region")
-                    elif isinstance(instr, RefAssign):
-                        ty = atom_type(instr.value, loc)
-                        if ty is not None and (old := ref_ty.setdefault(instr.ref, ty)) is not ty:
-                            self.error(
-                                loc,
-                                f"reference {instr.ref!r} assigned both "
-                                f"{old.value} and {ty.value}",
-                            )
-                    elif isinstance(instr, MemStore):
-                        at = atom_type(instr.addr, loc)
-                        vt = atom_type(instr.value, loc)
-                        if at is not None and at is not Type.U32:
-                            self.error(loc, "memory addresses are u32 values")
-                        if vt is not None and vt is not Type.U32:
-                            self.error(loc, "memory cells hold u32 values")
-                    elif isinstance(instr, Branch):
+                    elif t is Branch:
                         if instr.cond is not None:
                             ct = atom_type(instr.cond, loc)
                             if ct is not None and ct is not Type.BOOL and ct not in INT_TYPES:
@@ -2418,14 +2398,32 @@ class _Validator:
                                 )
                             for a, p in zip(bc.args, target.params):
                                 note_var(p.name, p.type or atom_type(a, loc), loc)
-                    elif isinstance(instr, Return):
+                    elif t is Use:
+                        if not opaque:
+                            self.lint(loc, "use() outside an opaque region")
+                    elif t is RefAssign:
+                        ty = atom_type(instr.value, loc)
+                        if ty is not None and (old := ref_ty.setdefault(instr.ref, ty)) is not ty:
+                            self.error(
+                                loc,
+                                f"reference {instr.ref!r} assigned both "
+                                f"{old.value} and {ty.value}",
+                            )
+                    elif t is MemStore:
+                        at = atom_type(instr.addr, loc)
+                        vt = atom_type(instr.value, loc)
+                        if at is not None and at is not Type.U32:
+                            self.error(loc, "memory addresses are u32 values")
+                        if vt is not None and vt is not Type.U32:
+                            self.error(loc, "memory cells hold u32 values")
+                    elif t is Return:
                         if opaque:
                             self.error(loc, "return inside an opaque region")
                         else:
                             tys = tuple(atom_type(v, loc) for v in instr.values)
                             if all(t is not None for t in tys):
                                 returns.append((tys, loc))
-                    elif isinstance(instr, Yield):
+                    elif t is Yield:
                         if not opaque:
                             self.error(loc, "yield outside an opaque region")
 

@@ -6,9 +6,12 @@ by result.
 
 The programs are each workload of `perfbench/gen.py` at seeds 1, 2 and
 11-13, with its observation-stripped twin, and each `SWEEP` program of
-`test_passes`. Each one runs under every preset and under the unsafe fold.
-The entry for one (program, preset) is the printed program, the provenance
-rows and the log, or the `IRError` message. A workload program's entry also
+`test_passes`. The entry for a prepared program holds what its printed
+text leaves out: its inferred variable, reference and return types, and
+the source location of every instruction, nested regions included, per
+function. Each one runs under every preset and under the unsafe fold.
+The entry for one (program, preset) is the printed program, its variable
+types, the provenance rows and the log, or the `IRError` message. A workload program's entry also
 holds each `check_observation_preserving` check over the case's inputs: its
 name, whether it passed and its witnesses; and per input, the opaque
 skeleton of the reference run and the sorted hb pairs of the reference and
@@ -28,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from opaqueir.deps import _value_sets, analyze, chain_reports, opaque_skeleton  # noqa: E402
 from opaqueir.interp import parse_input, run  # noqa: E402
-from opaqueir.ir import IRError, print_program  # noqa: E402
+from opaqueir.ir import IRError, print_program, typecheck, walk_blocks  # noqa: E402
 from opaqueir.passes import PRESETS, optimize, unsafe_const_fold_opaque  # noqa: E402
 from opaqueir.patterns import prepare  # noqa: E402
 from opaqueir.validate import audit_chain_preservation, check_observation_preserving  # noqa: E402
@@ -51,6 +54,30 @@ def programs():
                 yield f"{name}/twin", case.twin, case.inputs, case.audit_preset if case.audit_twin else None
     for shape, pattern in SWEEP:
         yield f"sweep/{shape}/{pattern}", sweep_program(shape, pattern), None, None
+
+
+def var_types(program) -> list:
+    """The program's inferred variable types, sorted, or its `IRError`."""
+    try:
+        info = typecheck(program)
+    except IRError as exc:
+        return str(exc)
+    return sorted([fn, name, ty.value] for (fn, name), ty in info.var_types.items())
+
+
+def prepared(program) -> dict:
+    """What printing leaves out of a prepared program: its types and each
+    instruction's source location, in `walk_blocks` order per function."""
+    info = typecheck(program)
+    return {
+        "var_types": var_types(program),
+        "ref_types": sorted([fn, name, ty.value] for (fn, name), ty in info.ref_types.items()),
+        "ret_types": sorted([fn, [ty.value for ty in tys]] for fn, tys in info.ret_types.items()),
+        "locs": {
+            f.name: [list(i.loc) for b in walk_blocks(f.region) for i in b.instrs]
+            for f in program.functions
+        },
+    }
 
 
 def verdict_entry(verdict) -> list:
@@ -100,6 +127,7 @@ def outputs(program, inputs, audit_preset) -> dict:
             continue
         entry = out[preset] = {
             "program": print_program(res.program),
+            "var_types": var_types(res.program),
             "provenance": res.provenance.rows(),
             "log": log,
         }
@@ -118,7 +146,9 @@ def main(argv) -> int:
         return 2
     table = {}
     for name, text, inputs, audit_preset in programs():
-        for preset, entry in outputs(prepare(text)[0], inputs, audit_preset).items():
+        program = prepare(text)[0]
+        table[f"{name}/prepared"] = prepared(program)
+        for preset, entry in outputs(program, inputs, audit_preset).items():
             table[f"{name}/{preset}"] = entry
     Path(argv[0]).write_text(json.dumps(table, indent=1) + "\n")
     print(f"{len(table)} results written to {argv[0]}")

@@ -13,7 +13,7 @@ import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from opaqueir import ir
@@ -215,6 +215,8 @@ LEXER_PIECES = [
     "(", ")", "{", "}", "[", "]", ",", ":", "+", "*", "%", "&", "|", "^", "~", "@",
     "0", "7", "42", "255", "256", "2147483648", "2147483649", "4294967295", "4294967296",
     "u8", "u32", "i32", "u", "i3", "x", "ab", "_", "a1", "opaque", "io",
+    # the line ends of `str.splitlines` past \n and \r
+    "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
 ]
 
 
@@ -424,6 +426,13 @@ DIAGNOSTICS = {
     "reference-operand": (
         main_fn("  r <- 1\n  io(out, r)\n"),
         [("error", (3, 3), "reference 'r' used as an operand")],
+    ),
+    "variable-and-reference-operand": (
+        main_fn("  r <- 1\n  r = 2\n  io(out, r)\n"),
+        [
+            ("error", (1, 1), "'r' is used both as a variable and a reference in main"),
+            ("error", (4, 3), "reference 'r' used as an operand"),
+        ],
     ),
     "undefined": (
         main_fn("  io(out, x)\n"),
@@ -644,7 +653,8 @@ def test_typecheck_message_counts_the_errors_it_leaves_out():
 
 def count_walks(monkeypatch, program) -> dict:
     """Validate `program`, counting dominator computations and walks: a walk
-    reads the operands of every instruction of the function once."""
+    reads the operands of every instruction of the function once, through
+    one `instr_operand_atoms` call per instruction."""
     counts = {"dominators": 0, "operand_reads": 0}
 
     def dominators(region):
@@ -702,6 +712,589 @@ def test_a_name_read_before_it_is_typed_costs_one_retry(monkeypatch, src, var, t
     assert counts["info"].var_types[("main", var)] is ty
     assert [d.message for d in counts["diags"]] == ["operand types u32 and u8 do not agree"]
 
+
+# -- the typechecker against the validator it replaced
+
+
+def reference_atom_vars(atom: ir.Atom) -> typing.Iterator[str]:
+    if isinstance(atom, ir.Var):
+        yield atom.name
+
+
+def reference_expr_atoms(expr: ir.Expr) -> typing.Iterator[ir.Atom]:
+    if isinstance(expr, ir.AtomExpr):
+        yield expr.atom
+    elif isinstance(expr, ir.UnaryExpr):
+        yield expr.a
+    elif isinstance(expr, ir.BinaryExpr):
+        yield expr.a
+        yield expr.b
+    elif isinstance(expr, ir.LoadMem):
+        yield expr.addr
+    elif isinstance(expr, ir.IoRead):
+        if expr.desc.is_var:
+            yield ir.Var(expr.desc.name)
+    elif isinstance(expr, ir.SnapshotExpr):
+        yield from expr.args
+    elif isinstance(expr, ir.CallExpr):
+        yield from expr.args
+
+
+def reference_operand_atoms(instr: ir.Instr) -> typing.Iterator[ir.Atom]:
+    """Atoms read by an instruction (not recursing into opaque regions)."""
+    if isinstance(instr, ir.Define):
+        if isinstance(instr.rhs, ir.OpaqueExpr):
+            return
+        yield from reference_expr_atoms(instr.rhs)
+    elif isinstance(instr, ir.RefAssign):
+        yield instr.value
+    elif isinstance(instr, ir.MemStore):
+        yield instr.addr
+        yield instr.value
+    elif isinstance(instr, ir.IoWrite):
+        if instr.desc.is_var:
+            yield ir.Var(instr.desc.name)
+        yield from instr.values
+    elif isinstance(instr, ir.Use):
+        yield from instr.args
+    elif isinstance(instr, ir.Branch):
+        if instr.cond is not None:
+            yield instr.cond
+        yield from instr.then.args
+        if instr.els is not None:
+            yield from instr.els.args
+    elif isinstance(instr, (ir.Return, ir.Yield)):
+        yield from instr.values
+
+
+
+def reference_dominates(site: tuple[str, int], dom: dict[str, set[str]], label: str, pos: int):
+    """Whether a definition at `site` reaches position `pos` of block `label`.
+    A site is (block label, position): position -1 for a block parameter,
+    label "" for a function parameter."""
+    dblock, dpos = site
+    if dblock == label:
+        return dpos < pos
+    return dblock == "" or dblock in dom.get(label, ())
+
+
+class ReferenceValidator:
+    """The validator `ir._Validator` replaced: it reads operands through
+    two nested generators, tests dominance in a call per use and picks
+    each case by an `isinstance` chain."""
+
+    def __init__(self, program: ir.Program):
+        self.program = program
+        # An insertion-ordered set: a check that runs again reports nothing new.
+        self.diags: dict[ir.Diagnostic, None] = {}
+        self.info = ir.TypeInfo({}, {}, {})
+        self.fn_map = {f.name: f for f in program.functions}
+        self.macro_names = {m.name for m in program.macros}
+        self._inferring: set[str] = set()
+
+    def error(self, loc, message):
+        self.diags[ir.Diagnostic(loc, message)] = None
+
+    def lint(self, loc, message):
+        self.diags[ir.Diagnostic(loc, message, "lint")] = None
+
+    # -- function return types (call graph order, recursion detected)
+
+    def fn_ret_types(self, name: str, loc) -> typing.Optional[tuple[ir.Type, ...]]:
+        fn = self.fn_map[name]
+        if fn.ret_types is not None:
+            return fn.ret_types
+        if name in self.info.ret_types:
+            return self.info.ret_types[name]
+        if name in self._inferring:
+            self.error(loc, f"recursive function {name!r} needs a return type annotation")
+            return None
+        self.check_function(fn)
+        return self.info.ret_types[name]
+
+    def validate(self) -> tuple[list[ir.Diagnostic], ir.TypeInfo]:
+        names = [f.name for f in self.program.functions]
+        for name in dict.fromkeys(names):
+            if names.count(name) > 1:
+                self.error((0, 0), f"duplicate function {name!r}")
+        for m in self.program.macros:
+            self.lint(m.loc, f"unexpanded macro {m.name!r} (run expand_macros first)")
+        if "main" not in self.fn_map:
+            self.error((0, 0), "program has no function 'main'")
+        elif self.fn_map["main"].params:
+            self.error(self.fn_map["main"].loc, "'main' takes no parameters")
+        for f in self.program.functions:
+            self.check_function(f)
+        return list(self.diags), self.info
+
+    # -- per-function checks
+
+    def check_function(self, fn: ir.Function):
+        if fn.name in self.info.ret_types:
+            return
+        # A call to `fn` met while it is walked is recursion, whichever
+        # function the walk started from.
+        self._inferring.add(fn.name)
+        region = fn.region
+
+        labels = [b.label for b in region.blocks]
+        for label in dict.fromkeys(labels):
+            if labels.count(label) > 1:
+                self.error(fn.loc, f"duplicate block label {label!r} in {fn.name}")
+
+        # Unique names over the whole region tree, and the def sites and
+        # dominators of the function body and of each opaque region in it.
+        defined: dict[str, tuple[int, int]] = {}
+        for p in fn.params:
+            self._register(defined, p.name, fn.loc)
+        scopes: dict[int, tuple[dict[str, tuple[str, int]], dict[str, set[str]]]] = {}
+
+        def collect_defs(r: ir.Region, sites: dict[str, tuple[str, int]]):
+            for b in r.blocks:
+                for p in b.params:
+                    self._register(defined, p.name, (0, 0))
+                    sites[p.name] = (b.label, -1)
+                for pos, instr in enumerate(b.instrs):
+                    if isinstance(instr, ir.Define):
+                        for res in instr.results:
+                            if isinstance(res, str):
+                                self._register(defined, res, instr.loc)
+                                sites.setdefault(res, (b.label, pos))
+                            else:
+                                self.error(instr.loc, "unexpanded '...' group")
+                        if isinstance(instr.rhs, ir.OpaqueExpr):
+                            collect_defs(instr.rhs._body, {})
+            scopes[id(r)] = sites, ir.compute_dominators(r)
+
+        collect_defs(region, {p.name: ("", -1) for p in fn.params})
+        ref_names = ir.region_ref_names(region)
+        for name in sorted(defined.keys() & ref_names):
+            self.error(fn.loc, f"{name!r} is used both as a variable and a reference in {fn.name}")
+
+        var_ty: dict[str, ir.Type] = {p.name: p.type for p in fn.params if p.type is not None}
+        ref_ty: dict[str, ir.Type] = {}
+        returns: list[tuple[tuple[ir.Type, ...], tuple[int, int]]] = []
+        # (var_ty or ref_ty, name) for each read of a name not typed yet
+        missed: list[tuple[dict[str, ir.Type], str]] = []
+
+        def read(types: dict[str, ir.Type], name: str) -> typing.Optional[ir.Type]:
+            ty = types.get(name)
+            if ty is None:
+                missed.append((types, name))
+            return ty
+
+        def check_use(name: str, scope, opaque: bool, label: str, pos: int, loc):
+            sites, dom = scope
+            site = sites.get(name)
+            if name in ref_names and (site is None or not opaque):
+                self.error(loc, f"reference {name!r} used as an operand")
+            elif site is not None:
+                if not reference_dominates(site, dom, label, pos):
+                    self.error(loc, f"use of {name!r} is not dominated by its definition")
+            elif not opaque or name not in defined:
+                # An opaque region may use any name its function defines:
+                # dominance is checked only where the name is region-local.
+                self.error(loc, f"use of undefined variable {name!r}")
+
+        def note_var(name: str, ty: typing.Optional[ir.Type], loc) -> None:
+            if ty is not None and (old := var_ty.setdefault(name, ty)) is not ty:
+                self.error(loc, f"{name!r} has conflicting types {old.value} and {ty.value}")
+
+        def atom_type(atom: ir.Atom, loc) -> typing.Optional[ir.Type]:
+            if isinstance(atom, ir.Const):
+                return atom.type
+            if isinstance(atom, ir.VarGroup):
+                self.error(loc, "unexpanded '...' group")
+                return None
+            return read(var_ty, atom.name)
+
+        def expr_types(expr: ir.Expr, instr: ir.Define) -> typing.Optional[list]:
+            loc = instr.loc
+            if isinstance(expr, ir.AtomExpr):
+                return [atom_type(expr.atom, loc)]
+            if isinstance(expr, ir.UnaryExpr):
+                ty = atom_type(expr.a, loc)
+                if ty is None:
+                    return [None]
+                if expr.op == "!":
+                    if ty is not ir.Type.BOOL:
+                        self.error(loc, "'!' applies to bool values")
+                    return [ir.Type.BOOL]
+                if ty not in ir.INT_TYPES:
+                    self.error(loc, f"'{expr.op}' applies to integer values")
+                    return [None]
+                return [ty]
+            if isinstance(expr, ir.BinaryExpr):
+                ta = atom_type(expr.a, loc)
+                tb = atom_type(expr.b, loc)
+                op = expr.op
+                if ta is None or tb is None:
+                    if op in ir._CMP_OPS or op in ir._ORD_OPS:
+                        return [ir.Type.BOOL]
+                    return [ta or tb] if op in ir._SHIFT_OPS else [ta if ta is not None else tb]
+                if op in ir._SHIFT_OPS:
+                    if ta not in ir.INT_TYPES or tb not in ir.INT_TYPES:
+                        self.error(loc, "shift operands must be integers")
+                    return [ta]
+                if ta is not tb:
+                    self.error(loc, f"operand types {ta.value} and {tb.value} do not agree")
+                    return [None]
+                if op in ir._ARITH_OPS:
+                    if ta not in ir.INT_TYPES:
+                        self.error(loc, f"'{op}' applies to integer values")
+                    return [ta]
+                if op in ir._BIT_OPS:
+                    if ta not in ir.INT_TYPES and ta is not ir.Type.BOOL:
+                        self.error(loc, f"'{op}' applies to integer or bool values")
+                    return [ta]
+                if op in ir._CMP_OPS:
+                    return [ir.Type.BOOL]
+                if op in ir._ORD_OPS:
+                    if ta not in ir.INT_TYPES:
+                        self.error(loc, "ordered comparison applies to integer values")
+                    return [ir.Type.BOOL]
+                raise AssertionError(op)
+            if isinstance(expr, ir.LoadMem):
+                ty = atom_type(expr.addr, loc)
+                if ty is not None and ty is not ir.Type.U32:
+                    self.error(loc, "memory addresses are u32 values")
+                return [ir.Type.U32]
+            if isinstance(expr, ir.LoadRef):
+                return [read(ref_ty, expr.ref)]
+            if isinstance(expr, ir.IoRead):
+                ann = instr.ann[0] if instr.ann else None
+                return [ann or ir.Type.U32]
+            if isinstance(expr, ir.SnapshotExpr):
+                return [atom_type(a, loc) for a in expr.args]
+            if isinstance(expr, ir.CallExpr):
+                callee = self.fn_map.get(expr.callee)
+                if callee is None:
+                    if expr.callee not in self.macro_names:
+                        self.error(loc, f"call to unknown function {expr.callee!r}")
+                    return None
+                if len(expr.args) != len(callee.params):
+                    self.error(
+                        loc,
+                        f"{expr.callee} takes {len(callee.params)} arguments, "
+                        f"got {len(expr.args)}",
+                    )
+                for a, p in zip(expr.args, callee.params):
+                    ta = atom_type(a, loc)
+                    if ta is not None and p.type is not None and ta is not p.type:
+                        self.error(
+                            loc,
+                            f"argument {p.name!r} of {expr.callee} expects "
+                            f"{p.type.value}, got {ta.value}",
+                        )
+                rts = self.fn_ret_types(expr.callee, loc)
+                return list(rts) if rts is not None else None
+            if isinstance(expr, ir.DescriptorExpr):
+                return [ir.Type.DESC]
+            if isinstance(expr, ir.OpaqueExpr):
+                ytypes: typing.Optional[list[typing.Optional[ir.Type]]] = None
+                for b in expr._body.blocks:
+                    last = b.instrs[-1]
+                    if isinstance(last, ir.Yield):
+                        tys = [atom_type(v, loc) for v in last.values]
+                        if ytypes is None:
+                            ytypes = tys
+                        elif len(tys) != len(ytypes):
+                            self.error(loc, "yields with different arities in one region")
+                return ytypes if ytypes is not None else []
+            raise TypeError(expr)
+
+        def visit_region(r: ir.Region, opaque: bool):
+            if r.blocks[0].params:
+                self.error(
+                    getattr(r.blocks[0].instrs[0], "loc", (0, 0))
+                    if r.blocks[0].instrs
+                    else (0, 0),
+                    "entry block must not take parameters",
+                )
+            scope = scopes[id(r)]
+            block_map = {b.label: b for b in r.blocks}
+            for b in r.blocks:
+                for pos, instr in enumerate(b.instrs):
+                    loc = getattr(instr, "loc", (0, 0))
+                    for atom in reference_operand_atoms(instr):
+                        for name in reference_atom_vars(atom):
+                            check_use(name, scope, opaque, b.label, pos, loc)
+                    if isinstance(instr, ir.Define):
+                        if isinstance(instr.rhs, ir.SnapshotExpr) and not opaque:
+                            self.lint(loc, "snapshot outside an opaque region")
+                        if (
+                            isinstance(instr.rhs, ir.CallExpr)
+                            and opaque
+                            and instr.rhs.callee in self.fn_map
+                        ):
+                            self.error(loc, "function call inside an opaque region")
+                        if isinstance(instr.rhs, ir.OpaqueExpr):
+                            visit_region(instr.rhs._body, True)
+                        tys = expr_types(instr.rhs, instr)
+                        if tys is not None:
+                            n = len(instr.results)
+                            if isinstance(instr.rhs, (ir.SnapshotExpr, ir.CallExpr, ir.OpaqueExpr)):
+                                if n not in (0, len(tys)):
+                                    self.error(
+                                        loc,
+                                        f"expected 0 or {len(tys)} results, got {n}",
+                                    )
+                            elif n != len(tys):
+                                self.error(loc, f"expected {len(tys)} results, got {n}")
+                            for res, ty, ann in zip(
+                                instr.results, tys, instr.ann or (None,) * n
+                            ):
+                                if isinstance(res, str):
+                                    if ann is not None and ty is not None and ann is not ty:
+                                        self.error(
+                                            loc,
+                                            f"{res!r} annotated {ann.value} but has type {ty.value}",
+                                        )
+                                    note_var(res, ann or ty, loc)
+                    elif isinstance(instr, ir.Use):
+                        if not opaque:
+                            self.lint(loc, "use() outside an opaque region")
+                    elif isinstance(instr, ir.RefAssign):
+                        ty = atom_type(instr.value, loc)
+                        if ty is not None and (old := ref_ty.setdefault(instr.ref, ty)) is not ty:
+                            self.error(
+                                loc,
+                                f"reference {instr.ref!r} assigned both "
+                                f"{old.value} and {ty.value}",
+                            )
+                    elif isinstance(instr, ir.MemStore):
+                        at = atom_type(instr.addr, loc)
+                        vt = atom_type(instr.value, loc)
+                        if at is not None and at is not ir.Type.U32:
+                            self.error(loc, "memory addresses are u32 values")
+                        if vt is not None and vt is not ir.Type.U32:
+                            self.error(loc, "memory cells hold u32 values")
+                    elif isinstance(instr, ir.Branch):
+                        if instr.cond is not None:
+                            ct = atom_type(instr.cond, loc)
+                            if ct is not None and ct is not ir.Type.BOOL and ct not in ir.INT_TYPES:
+                                self.error(loc, "branch condition must be bool or integer")
+                        for bc in (instr.then, instr.els):
+                            if bc is None:
+                                continue
+                            target = block_map.get(bc.label)
+                            if target is None:
+                                self.error(loc, f"branch to unknown block {bc.label!r}")
+                                continue
+                            if len(bc.args) != len(target.params):
+                                self.error(
+                                    loc,
+                                    f"block {bc.label!r} takes {len(target.params)} "
+                                    f"arguments, got {len(bc.args)}",
+                                )
+                            for a, p in zip(bc.args, target.params):
+                                note_var(p.name, p.type or atom_type(a, loc), loc)
+                    elif isinstance(instr, ir.Return):
+                        if opaque:
+                            self.error(loc, "return inside an opaque region")
+                        else:
+                            tys = tuple(atom_type(v, loc) for v in instr.values)
+                            if all(t is not None for t in tys):
+                                returns.append((tys, loc))
+                    elif isinstance(instr, ir.Yield):
+                        if not opaque:
+                            self.error(loc, "yield outside an opaque region")
+
+        # Block parameter types flow around loops and blocks may be listed
+        # after their uses, so a walk may read a name before typing it; then
+        # it walks again. A retry follows a walk that typed a name it had read
+        # untyped, and a name once typed keeps its type, so there are at most
+        # as many retries as names.
+        while True:
+            missed.clear()
+            visit_region(region, False)
+            if all(types.get(name) is None for types, name in missed):
+                break
+        # The recursive closures hold themselves and `self`, a reference
+        # cycle that would pin the program until the cyclic collector runs.
+        collect_defs = visit_region = None
+
+        # Settle return types.
+        rts: typing.Optional[tuple[ir.Type, ...]] = fn.ret_types
+        for tys, loc in returns:
+            if rts is None:
+                rts = tys
+            elif tuple(rts) != tys:
+                self.error(
+                    loc,
+                    f"return types {[t.value for t in tys]} disagree with "
+                    f"{[t.value for t in rts]}",
+                )
+        self.info.ret_types[fn.name] = rts or ()
+        self._inferring.discard(fn.name)
+        if fn.name == "main" and rts:
+            self.error(fn.loc, "'main' must not return values")
+        self.info.var_types.update({(fn.name, name): ty for name, ty in var_ty.items()})
+        self.info.ref_types.update({(fn.name, name): ty for name, ty in ref_ty.items()})
+
+    def _register(self, defined: dict, name: str, loc):
+        if name in defined:
+            self.error(loc, f"{name!r} defined more than once (single assignment)")
+        defined[name] = loc
+
+
+def validated(validator, program):
+    """The diagnostics and inferred types `validator` gives `program`, each
+    type table with its order, or the exception it raises."""
+    try:
+        diags, info = validator(program).validate()
+    except Exception as exc:  # an ill-formed variant may break both alike
+        return type(exc).__name__, str(exc)
+    tables = (info.var_types, info.ref_types, info.ret_types)
+    return diags, [list(table.items()) for table in tables]
+
+
+def assert_validated_as_the_reference(program):
+    assert validated(ir._Validator, program) == validated(ReferenceValidator, program)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 11, 12, 13, "sweep"])  # those of tests/pass_outputs.py
+def test_typecheck_matches_the_reference_on_the_benchmark_and_sweep_programs(seed):
+    """Every workload program and twin at `seed`, or every sweep program:
+    as prepared and after each preset that compiles it."""
+    if seed == "sweep":
+        texts = [sweep_program(shape, pattern) for shape, pattern in SWEEP]
+    else:
+        gen = load_benchmark_generator()
+        texts = [text for make in gen.WORKLOADS.values() for case in make(seed)
+                 for text in (case.text, case.twin)]
+    for text in texts:
+        program, _ = prepare(text)
+        assert_validated_as_the_reference(program)
+        for preset in PRESETS:
+            try:
+                assert_validated_as_the_reference(optimize(program, preset=preset).program)
+            except IRError:
+                assert preset == "Pz"  # the exit-capture defect (ROADMAP item 3)
+
+
+@functools.cache
+def mutation_bases() -> list[ir.Program]:
+    """Well-formed programs to break: the seed-11 corpus programs and
+    twins, the sweep programs and the validator examples that parse."""
+    gen = load_benchmark_generator()
+    texts = [text for case in gen.corpus(11) for text in (case.text, case.twin)]
+    texts += [sweep_program(shape, pattern) for shape, pattern in SWEEP]
+    bases = [prepare(text)[0] for text in texts]
+    return bases + [parse_program(src) for src in (NESTED_OPAQUE, OUT_OF_ORDER, REF_LOOP)]
+
+
+def int_literals_retyped(x, ty: Type):
+    """`x` with every integer literal given type `ty`, opaque regions aside."""
+    if isinstance(x, Const):
+        return Const(x.value, ty) if x.type in ir.INT_TYPES else x
+    if isinstance(x, tuple):
+        return tuple(int_literals_retyped(y, ty) for y in x)
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        fields = dataclasses.fields(x)
+        return dataclasses.replace(
+            x, **{f.name: int_literals_retyped(getattr(x, f.name), ty) for f in fields}
+        )
+    return x
+
+
+def bound_names(instr) -> list[str]:
+    """The variables and references an instruction binds."""
+    names = [r for r in getattr(instr, "results", ()) if isinstance(r, str)]
+    return names + [x.ref for x in (instr, getattr(instr, "rhs", None)) if hasattr(x, "ref")]
+
+
+def read_names(instr) -> list[str]:
+    return [a.name for a in ir.instr_operand_atoms(instr) if isinstance(a, Var)]
+
+
+BREAKS = (
+    "drop", "swap", "undefined name", "other name", "rebind", "suffix", "missing label",
+    "call argument",
+)
+
+
+def breaks(kind: str, instrs: tuple, j: int) -> bool:
+    """Whether `kind` of break applies to instruction j of `instrs`."""
+    instr = instrs[j]
+    if kind == "swap":
+        return j + 1 < len(instrs)
+    if kind in ("undefined name", "other name"):
+        return bool(read_names(instr))
+    if kind == "rebind":
+        return bool(bound_names(instr))
+    if kind == "suffix":
+        return any(int_literals_retyped(instr, t) != instr for t in ir.INT_TYPES)
+    if kind == "missing label":
+        return isinstance(instr, Branch)
+    if kind == "call argument":
+        return isinstance(instr, Define) and isinstance(instr.rhs, ir.CallExpr)
+    return True
+
+
+def break_at(kind: str, instrs: list, j: int, names: list[str], data) -> None:
+    """Break instruction j of `instrs` in place; `names` are the variables
+    and references of the function."""
+    instr = instrs[j]
+    if kind == "drop":
+        del instrs[j]
+    elif kind == "swap":
+        instrs[j : j + 2] = instrs[j + 1], instr
+    elif kind in ("undefined name", "other name"):
+        new = "undefined" if kind == "undefined name" else data.draw(st.sampled_from(names))
+        instrs[j] = rename_instr(instr, {data.draw(st.sampled_from(read_names(instr))): Var(new)})
+    elif kind == "rebind":
+        old = data.draw(st.sampled_from(bound_names(instr)))
+        instrs[j] = rename_instr(instr, {}, {old: data.draw(st.sampled_from(names))})
+    elif kind == "suffix":
+        instrs[j] = int_literals_retyped(instr, data.draw(st.sampled_from(ir.INT_TYPES)))
+    elif kind == "missing label":
+        instrs[j] = dataclasses.replace(instr, then=ir.BlockCall("nowhere", instr.then.args))
+    else:
+        args = instr.rhs.args
+        extra = data.draw(st.sampled_from([*args, Const(1, Type.U32)]))
+        instrs[j] = dataclasses.replace(instr, rhs=ir.CallExpr(instr.rhs.callee, args + (extra,)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(data=st.data())
+def test_typecheck_matches_the_reference_on_ill_formed_variants(data):
+    """A well-formed program with one instruction, nested ones included,
+    dropped, swapped with the next, reading an undefined or another name,
+    binding another name, with its integer literals retyped, branching to
+    a missing label or passing one call argument too many."""
+    program = data.draw(st.sampled_from(mutation_bases()))
+    kind = data.draw(st.sampled_from(BREAKS))
+    sites = [
+        (fi, block, j)
+        for fi, f in enumerate(program.functions)
+        for block in ir.walk_blocks(f.region)
+        for j in range(len(block.instrs))
+        if breaks(kind, block.instrs, j)
+    ]
+    assume(sites)
+    fi, target, j = data.draw(st.sampled_from(sites))
+    f = program.functions[fi]
+    names = sorted(
+        ir.region_defined_names(f.region) | ir.region_ref_names(f.region) | {p.name for p in f.params}
+    )
+
+    def rebuild(region: ir.Region) -> ir.Region:
+        new_blocks = []
+        for block in region.blocks:
+            instrs = []
+            for instr in block.instrs:
+                if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
+                    instr = dataclasses.replace(instr, rhs=OpaqueExpr(rebuild(instr.rhs._body)))
+                instrs.append(instr)
+            if block is target:
+                break_at(kind, instrs, j, names, data)
+            new_blocks.append(dataclasses.replace(block, instrs=tuple(instrs)))
+        return ir.Region(tuple(new_blocks))
+
+    functions = list(program.functions)
+    functions[fi] = dataclasses.replace(f, region=rebuild(f.region))
+    assert_validated_as_the_reference(ir.Program(tuple(functions), program.macros))
 
 BLOCK_ORDER_PROGRAMS = {
     "loop": main_fn(
@@ -922,6 +1515,57 @@ function main() {
         if isinstance(i, Branch) and i.then.label.startswith("bb_cont")
     ]
     assert len(conts) == 2 and all(len(t.args) == 1 for t in conts)
+
+
+EXPANSION_SITES = """
+macro clamp(v) {
+bb_m:
+  c = v < 10
+  br c, small, big
+small:
+  w = opaque { s = snapshot(v); t = opaque { use(s); yield(unit_value) }; yield(v) }
+  return(w)
+big:
+  return(10)
+}
+function main() {
+  a = io(inp)
+  b = clamp(a)
+  d = observe_monolithic(a, b)
+  io(out, b)
+}
+"""
+
+
+def test_expansion_stamps_the_call_site_on_every_instruction_it_makes():
+    """A multi-block macro with a nested opaque region, and a prelude
+    pattern whose region expands a macro of its own: every instruction
+    either stays where the source has it or carries its call site, down
+    through nested regions, and each snapshot's tag names that site."""
+    lines = EXPANSION_SITES.splitlines()
+    main_at = lines.index("function main() {") + 1
+    sites = {(n, 3): line.strip() for n, line in enumerate(lines, start=1) if n > main_at}
+    clamp, pattern = [loc for loc, text in sites.items() if "clamp(" in text or "observe_" in text]
+    program, _ = prepare(EXPANSION_SITES)
+    by_loc: dict = {}
+
+    def walk(region: ir.Region, outer=None):
+        for block in region.blocks:
+            for instr in block.instrs:
+                assert instr.loc in sites and instr.loc == (outer or instr.loc)
+                by_loc.setdefault(instr.loc, []).append(instr)
+                if isinstance(instr, Define) and isinstance(instr.rhs, SnapshotExpr):
+                    assert [t.source_id for t in instr.rhs.tags] == [instr.loc]
+                if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
+                    walk(instr.rhs.region, instr.loc if instr.loc in (clamp, pattern) else outer)
+
+    walk(program.entry.region)
+    macro = parse_program(EXPANSION_SITES).macros[0]
+    # The branch into the macro, and the macro's instructions with the
+    # nested ones; each return became a branch to the continuation.
+    made = sum(len(b.instrs) for b in ir.walk_blocks(macro.region))
+    assert len(by_loc[clamp]) == 1 + made
+    assert sum(isinstance(i.rhs, SnapshotExpr) for i in by_loc[pattern] if isinstance(i, Define)) == 1
 
 
 # -- observation tags

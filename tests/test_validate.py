@@ -3,6 +3,7 @@ secret-branch taint, and the protection-specific audits."""
 
 import gc
 import importlib.util
+import itertools
 import random
 import sys
 import weakref
@@ -1748,6 +1749,73 @@ function main() {
     verdict = check_ordering(ref_run, opt_run)
     assert verdict.witnesses == ("3:3 before 5:3 not preserved",)
     assert verdict == reference_check_ordering(ref_run, opt_run)
+
+
+UNIT_ATOM = ir.Const(ir.UNIT_VALUE, ir.Type.UNIT)
+
+
+def drop_and_reorder(program, spec):
+    """A bad pass: on a reference hb path `a -> u -> b` through an
+    observation `u`, where `b` is no hb successor of `a` of its own, drop
+    `u` and move `a` past `b`. `u` must be an opaque instruction without
+    I/O whose results are unit tokens; they become `unit_value`. The three
+    instructions sit in one block and run once, and `a` has no other hb
+    successor between itself and `b`, so the move breaks no hb edge: only
+    the bridge across `u` is broken. Yields (mutated program, reference
+    run, a, b) for each such path whose mutated program is well formed."""
+    ref = run(program, spec)
+    info = deps.analyze(ref)
+    edges = info.hb_edges()
+    types = ir.typecheck(program).var_types
+    iids = Counter(ref.events[s].iid for s in info.anchor_seqs)
+    for u in info.obs_seqs:
+        fn, bi, pu = ref.events[u].iid
+        dropped = ir.instr_at(program, (fn, bi, pu))
+        if iids[fn, bi, pu] != 1 or dropped.rhs.summary.performs_io:
+            continue
+        if any(types.get((fn, r)) is not ir.Type.UNIT for r in dropped.results):
+            continue
+        for a in info.anchor_seqs:
+            for b in sorted(edges[u]) if u in edges[a] else ():
+                (fa, ba, pa), (fb, bb, pb) = ref.events[a].iid, ref.events[b].iid
+                if b in edges[a] or (fa, ba) != (fn, bi) or (fb, bb) != (fn, bi):
+                    continue
+                if iids[fa, ba, pa] != 1 or iids[fb, bb, pb] != 1:
+                    continue
+                if edges[a] & {x for x in info.anchor_seqs if a < x < b} - {u}:
+                    continue
+                f = program.function(fn)
+                instrs = list(f.region.blocks[bi].instrs)
+                instrs.insert(pb + 1, instrs[pa])
+                instrs[pu] = ir.Define(dropped.results, ir.AtomExpr(UNIT_ATOM), loc=dropped.loc)
+                del instrs[pa]
+                blocks = list(f.region.blocks)
+                blocks[bi] = replace(blocks[bi], instrs=tuple(instrs))
+                g = replace(f, region=ir.Region(tuple(blocks)))
+                mutated = ir.Program(tuple(g if h is f else h for h in program.functions))
+                if not any(d.severity == "error" for d in ir.validate_ssa(mutated)):
+                    yield mutated, ref, a, b
+
+
+@pytest.mark.parametrize("seed", [1, 2, 11, 12, 13])
+def test_ordering_walks_through_a_dropped_observation_in_generated_programs(seed):
+    """The corpus programs after P2, which leaves no copy between an
+    opaque instruction and its readers, under `drop_and_reorder`: the
+    check fails on the bridged pair alone, as the closure check does."""
+    gen = load_benchmark_generator()
+    mutated = 0
+    for case in gen.corpus(seed):
+        spec = parse_input(case.inputs[0])
+        program = optimize(prepare(case.text)[0], preset="P2").program
+        for bad, ref, a, b in itertools.islice(drop_and_reorder(program, spec), 1):
+            opt = run(bad, spec)
+            verdict, reference = check_ordering(ref, opt), reference_check_ordering(ref, opt)
+            assert not reference.passed and set(verdict.witnesses) <= set(reference.witnesses)
+            assert verdict.witnesses == (
+                f"{_event_loc(ref, a)} before {_event_loc(ref, b)} not preserved",
+            )
+            mutated += 1
+    assert mutated >= 2
 
 
 ORDERED_IO_LOOP = """
