@@ -1032,7 +1032,7 @@ class _Parser:
         self.expect("=")
         rhs = self.parse_rhs()
         self.expect_newline()
-        res = self.collapse_groups(results, loc) if "..." in results else results
+        res = self.collapse_groups(results, loc)
         # `()` is the one spelling of "no annotation"
         ann = tuple(anns[: len(res)]) if any(a is not None for a in anns) else ()
         return Define(tuple(res), rhs, ann=ann, loc=loc)
@@ -1316,7 +1316,13 @@ def _resolve_names(program: Program) -> Program:
         for f in program.functions
     )
     macros = tuple(
-        dc_replace(m, region=resolve_region(m.region, m.formals.fixed + (m.formals.variadic or ())))
+        dc_replace(
+            m,
+            region=resolve_region(
+                m.region,
+                m.formals.fixed + (m.formals.variadic or ()),
+            ),
+        )
         for m in program.macros
     )
     return Program(functions, macros)

@@ -6,21 +6,21 @@ by result.
 
 The programs are each workload of `perfbench/gen.py` at seeds 1, 2 and
 11-13, with its observation-stripped twin, and each `SWEEP` program of
-`test_passes`. The entry for a prepared program holds what its printed
-text leaves out: its inferred variable, reference and return types, and
-the source location of every instruction, nested regions included, per
-function. Each one runs under every preset and under the unsafe fold.
-The entry for one (program, preset) is the printed program, its variable
-types, the provenance rows and the log, or the `IRError` message. A workload program's entry also
-holds each `check_observation_preserving` check over the case's inputs: its
-name, whether it passed and its witnesses; and per input, the opaque
-skeleton of the reference run and the sorted hb pairs of the reference and
-the optimized runs. At the case's audit preset, the
-entry of the program the benchmark audits (the twin where `audit_twin`)
-holds the chain audit on the first input: the chain reports, each link's
-value-set report (status, bound and outcomes) and the audit verdict. Pytest
-does not collect this file; run it in two checkouts and compare the two
-JSON files entry by entry.
+`test_passes`. Each one runs under every preset and under the unsafe fold.
+The entry for a prepared program holds what its printed text leaves out:
+its inferred variable, reference and return types, and the source
+location of every instruction, nested regions included, per function. The
+entry for one (program, preset) is the printed program, its variable
+types, the provenance rows and the log, or the `IRError` message. A
+workload program's entry also holds each `check_observation_preserving`
+check over the case's inputs: its name, whether it passed and its
+witnesses; and per input, the opaque skeleton of the reference run and the
+sorted hb pairs of the reference and the optimized runs. At the case's
+audit preset, the entry of the program the benchmark audits (the twin
+where `audit_twin`) holds the chain audit on the first input: the chain
+reports, each link's value-set report (status, bound and outcomes) and the
+audit verdict. Pytest does not collect this file; run it in two checkouts
+and compare the two JSON files entry by entry.
 """
 
 import json
@@ -56,13 +56,18 @@ def programs():
         yield f"sweep/{shape}/{pattern}", sweep_program(shape, pattern), None, None
 
 
+def type_table(types: dict) -> list:
+    """A `TypeInfo` table keyed by (function, name), as sorted rows."""
+    return sorted([fn, name, ty.value] for (fn, name), ty in types.items())
+
+
 def var_types(program) -> list:
     """The program's inferred variable types, sorted, or its `IRError`."""
     try:
         info = typecheck(program)
     except IRError as exc:
         return str(exc)
-    return sorted([fn, name, ty.value] for (fn, name), ty in info.var_types.items())
+    return type_table(info.var_types)
 
 
 def prepared(program) -> dict:
@@ -70,8 +75,8 @@ def prepared(program) -> dict:
     instruction's source location, in `walk_blocks` order per function."""
     info = typecheck(program)
     return {
-        "var_types": var_types(program),
-        "ref_types": sorted([fn, name, ty.value] for (fn, name), ty in info.ref_types.items()),
+        "var_types": type_table(info.var_types),
+        "ref_types": type_table(info.ref_types),
         "ret_types": sorted([fn, [ty.value for ty in tys]] for fn, tys in info.ret_types.items()),
         "locs": {
             f.name: [list(i.loc) for b in walk_blocks(f.region) for i in b.instrs]
