@@ -2006,8 +2006,6 @@ def _dominators_from(succ: dict[str, list[str]], entry: str) -> dict[str, set[st
     same greatest fixpoint; a label without predecessors is dominated by
     itself alone."""
     labels = list(succ)
-    if labels == [entry]:
-        return {entry: {entry}}
     preds: dict[str, list[str]] = {l: [] for l in labels}
     for l, ts in succ.items():
         for t in ts:
@@ -2044,6 +2042,8 @@ def _dominators_from(succ: dict[str, list[str]], entry: str) -> dict[str, set[st
 
 def compute_dominators(region: Region) -> dict[str, set[str]]:
     """Map each block label to the set of labels dominating it."""
+    if len(region.blocks) == 1:  # as most opaque regions are: no successor map to build
+        return {region.entry.label: {region.entry.label}}
     return _dominators_from(block_successors(region), region.entry.label)
 
 

@@ -4,9 +4,10 @@ by result.
 
     python3 tests/pass_outputs.py OUT.json
 
-The programs are each workload of `perfbench/gen.py` at seeds 1, 2 and
-11-13, with its observation-stripped twin, and each `SWEEP` program of
-`test_passes`. Each one runs under every preset and under the unsafe fold.
+The programs are those of the test supply, `tests/programs.py`: each
+workload of `perfbench/gen.py` at seeds 1, 2 and 11-13, with its
+observation-stripped twin, and each `SWEEP` program, as the supply
+prepares them and compiles them under every preset and the unsafe fold.
 The entry for a prepared program holds what its printed text leaves out:
 its inferred variable, reference and return types, and the source
 location of every instruction, nested regions included, per function. The
@@ -30,30 +31,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from opaqueir.deps import _value_sets, analyze, chain_reports, opaque_skeleton  # noqa: E402
-from opaqueir.interp import parse_input, run  # noqa: E402
+from opaqueir.interp import run  # noqa: E402
 from opaqueir.ir import IRError, print_program, typecheck, walk_blocks  # noqa: E402
-from opaqueir.passes import PRESETS, optimize, unsafe_const_fold_opaque  # noqa: E402
-from opaqueir.patterns import prepare  # noqa: E402
 from opaqueir.validate import audit_chain_preservation, check_observation_preserving  # noqa: E402
-from test_passes import SWEEP, sweep_program  # noqa: E402
-from test_validate import load_benchmark_generator  # noqa: E402
+from programs import COLUMNS, SWEEP, UNSAFE, group  # noqa: E402
 
 SEEDS = (1, 2, 11, 12, 13)
-
-
-def programs():
-    """(name, source text, input texts, audit preset) of every program
-    compared; a sweep program has no inputs, and only the program the
-    benchmark audits has an audit preset."""
-    gen = load_benchmark_generator()
-    for workload, make in gen.WORKLOADS.items():
-        for seed in SEEDS:
-            for case in make(seed):
-                name = f"{workload}/{seed}/{case.name}"
-                yield name, case.text, case.inputs, None if case.audit_twin else case.audit_preset
-                yield f"{name}/twin", case.twin, case.inputs, case.audit_preset if case.audit_twin else None
-    for shape, pattern in SWEEP:
-        yield f"sweep/{shape}/{pattern}", sweep_program(shape, pattern), None, None
 
 
 def type_table(types: dict) -> list:
@@ -70,10 +53,10 @@ def var_types(program) -> list:
     return type_table(info.var_types)
 
 
-def prepared(program) -> dict:
-    """What printing leaves out of a prepared program: its types and each
-    instruction's source location, in `walk_blocks` order per function."""
-    info = typecheck(program)
+def prepared(program, info) -> dict:
+    """What printing leaves out of a prepared program: its types `info`
+    and each instruction's source location, in `walk_blocks` order per
+    function."""
     return {
         "var_types": type_table(info.var_types),
         "ref_types": type_table(info.ref_types),
@@ -115,32 +98,28 @@ def audit(program, res, spec) -> dict:
     }
 
 
-def outputs(program, inputs, audit_preset) -> dict:
-    """Every preset's and the unsafe fold's output on one program, with the
-    checks over `inputs` and the audit at `audit_preset`."""
-    specs = None if inputs is None else [parse_input(text) for text in inputs]
+def outputs(p) -> dict:
+    """Every preset's and the unsafe fold's output on one supply program,
+    with the checks over its inputs (a sweep program's are left out) and
+    the audit at its audit preset."""
+    program, specs = p.program, None if p.workload == "sweep" else p.specs
     out = {}
-    for preset in (*sorted(PRESETS), "unsafe"):
-        try:
-            if preset == "unsafe":
-                res, log = unsafe_const_fold_opaque(program), None
-            else:
-                res = optimize(program, preset)
-                log = res.log
-        except IRError as exc:
-            out[preset] = str(exc)
+    for preset in COLUMNS:
+        res = p.results[preset]
+        if isinstance(res, IRError):
+            out[preset] = str(res)
             continue
         entry = out[preset] = {
             "program": print_program(res.program),
             "var_types": var_types(res.program),
             "provenance": res.provenance.rows(),
-            "log": log,
+            "log": None if preset == UNSAFE else res.log,
         }
         if specs is not None:
             report = check_observation_preserving(program, res.program, res.provenance, specs)
             entry["checks"] = [[name, *verdict_entry(v)] for name, v in report.checks()]
             entry["dependence"] = [dependence(program, res, spec) for spec in specs]
-        if preset == audit_preset:
+        if preset == p.audit_preset:
             entry["audit"] = audit(program, res, specs[0])
     return out
 
@@ -149,12 +128,14 @@ def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    table = {}
-    for name, text, inputs, audit_preset in programs():
-        program = prepare(text)[0]
-        table[f"{name}/prepared"] = prepared(program)
-        for preset, entry in outputs(program, inputs, audit_preset).items():
-            table[f"{name}/{preset}"] = entry
+    tables = {}  # per workload, so the file lists each workload's seeds in turn
+    for key in (*SEEDS, *SWEEP):
+        for p in group.__wrapped__(key):  # each group built and dropped in turn
+            table = tables.setdefault(p.workload, {})
+            table[f"{p.name}/prepared"] = prepared(p.program, p.types)
+            for preset, entry in outputs(p).items():
+                table[f"{p.name}/{preset}"] = entry
+    table = {name: entry for entries in tables.values() for name, entry in entries.items()}
     Path(argv[0]).write_text(json.dumps(table, indent=1) + "\n")
     print(f"{len(table)} results written to {argv[0]}")
     return 0

@@ -2,13 +2,12 @@
 chains, and value-set audits with hand-computed expectations."""
 
 import dataclasses
-import functools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opaqueir import deps, parse_program
+from opaqueir import deps
 from opaqueir.deps import (
     ValueSetReport,
     _BOTTOM,
@@ -22,20 +21,11 @@ from opaqueir.deps import (
     witness_var,
 )
 from opaqueir.interp import Diverged, Lanes, parse_input, run
-from opaqueir.ir import (
-    Branch,
-    IRError,
-    Type,
-    compute_postdominators,
-    instr_at,
-    instr_signature,
-    typecheck,
-)
-from opaqueir.passes import PRESETS, optimize
+from opaqueir.ir import Branch, Type, compute_postdominators, instr_at
+from opaqueir.passes import optimize
 from opaqueir.patterns import prepare
 from opaqueir.validate import audit_chain_preservation
-from test_passes import SWEEP, sweep_program
-from test_validate import load_benchmark_generator
+from references import assert_matches_reference, reference_value_sets, signatures, value_at_dependent
 
 
 def setup(text, inputs=None):
@@ -451,176 +441,9 @@ done:
 # --------------------------------------------------------------------------
 
 
-def reference_analysis(program, result):
-    """The per-event loop `analyze` once ran, kept as its reference: every
-    field read through the event, every open branch tested at every event,
-    and the innermost one recomputed at each."""
-    pdoms = deps._postdominators(program)
-    dep_sources, cd_sources, obs_seqs, io_seqs, opaque_seqs = [], [], [], [], []
-    open_branches = {}
-    for ev in result.events:
-        cd = frozenset()
-        if (iid := ev.iid) is not None:
-            bi = iid[1]
-            by_block = open_branches.setdefault(ev.activation, {})
-            if by_block:
-                pd = pdoms.get(iid[0], {})
-                for b in [b for b in by_block if b != bi and bi in pd.get(b, ())]:
-                    del by_block[b]
-                if by_block:
-                    cd = frozenset((max(seqs[-1] for seqs in by_block.values()),))
-            if ev.kind == "branch":
-                instr = instr_at(program, iid)
-                if isinstance(instr, Branch) and instr.cond is not None:
-                    by_block.setdefault(bi, []).append(ev.seq)
-        dep_sources.append(frozenset(src for _, _, src in ev.reads) | frozenset(ev.rf) | cd)
-        cd_sources.append(cd)
-        if ev.obs:
-            obs_seqs.append(ev.seq)
-        if ev.ios:
-            io_seqs.append(ev.seq)
-        if ev.is_opaque:
-            opaque_seqs.append(ev.seq)
-    anchors = tuple(sorted({*obs_seqs, *io_seqs}))
-    return dep_sources, cd_sources, (tuple(obs_seqs), tuple(io_seqs), tuple(opaque_seqs), anchors)
-
-
-def sweep_runs(shape, pattern):
-    """The reference run of a `test_passes` sweep program and its run under
-    every preset that compiles it."""
-    program = prepare(sweep_program(shape, pattern))[0]
-    spec = parse_input("desc inp in ordered\n5\n")
-    runs = [run(program, spec)]
-    for preset in sorted(PRESETS):
-        try:
-            res = optimize(program, preset=preset)
-        except IRError:
-            continue  # the exit-capture unroll under Pz (ROADMAP item 3)
-        runs.append(run(res.program, spec))
-    return runs
-
-
-def assert_matches_reference(result):
-    info = analyze(result)
-    dep_sources, cd_sources, seqs = reference_analysis(result.program, result)
-    assert info.dep_sources == dep_sources
-    assert info.cd_sources == cd_sources
-    assert (info.obs_seqs, info.io_seqs, info.opaque_seqs, info.anchor_seqs) == seqs
-
-
-@pytest.mark.parametrize("shape, pattern", SWEEP)
-def test_analyze_matches_the_per_event_reference_on_the_sweep(shape, pattern):
-    for result in sweep_runs(shape, pattern):
-        assert result.trapped is None
-        assert_matches_reference(result)
-
-
 @pytest.mark.parametrize("text, inputs", INNERMOST_PROGRAMS)
 def test_analyze_matches_the_per_event_reference(text, inputs):
     assert_matches_reference(setup(text, inputs)[3])
-
-
-# --------------------------------------------------------------------------
-# The walks against forward searches over reverse dep edges
-# --------------------------------------------------------------------------
-
-
-def reverse_edges(info):
-    """Each event's dependents in ascending seq."""
-    out = {}
-    for seq, sources in enumerate(info.dep_sources):
-        for src in sources:
-            out.setdefault(src, []).append(seq)
-    return out
-
-
-def reference_skeleton(info, out):
-    """The opaque skeleton by a depth-first search forward from each opaque
-    event, stopping at the opaque events it meets."""
-    events = info.events
-    edges = {}
-    for start in (ev.seq for ev in events if ev.is_opaque):
-        frontier = list(out.get(start, ()))
-        seen, found = set(), set()
-        while frontier:
-            s = frontier.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            if events[s].is_opaque:
-                found.add(s)
-                continue
-            frontier.extend(out.get(s, ()))
-        edges[start] = tuple(sorted(found))
-    return edges
-
-
-def reference_reach(out, src):
-    """Every event a dep path from `src` reaches, `src` included, by a
-    forward search."""
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        for t in out.get(frontier.pop(), ()):
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return seen
-
-
-def assert_walks_match_the_reference(info, later):
-    """The skeleton equals the reference's, and `dep_reachable` agrees with
-    it from every anchor or opaque event to each event `later` names."""
-    out = reverse_edges(info)
-    assert opaque_skeleton(info) == reference_skeleton(info, out)
-    sources = sorted({*info.anchor_seqs, *(ev.seq for ev in info.events if ev.is_opaque)})
-    for i, src in enumerate(sources):
-        reach = reference_reach(out, src)
-        for dst in later(sources, i, len(info.events)):
-            assert info.dep_reachable(src, dst) == (dst in reach), (src, dst)
-
-
-def every_later_event(sources, i, n):
-    return range(sources[i] + 1, n)
-
-
-def later_sources(sources, i, n):
-    """The later anchor and opaque events; a run with over 200 of them,
-    where walks back from far targets make every pair cost minutes, gets
-    the next 16."""
-    return sources[i + 1 : None if len(sources) <= 200 else i + 17]
-
-
-def benchmark_runs():
-    """A run of each program `perfbench/gen.py` makes at seeds 1, 2 and
-    11-13, twins included, on each input of its case."""
-    gen = load_benchmark_generator()
-    for make in gen.WORKLOADS.values():
-        for seed in (1, 2, 11, 12, 13):
-            for case in make(seed):
-                for text in (case.text, case.twin):
-                    program = prepare(text)[0]
-                    for inputs in case.inputs:
-                        yield run(program, parse_input(inputs))
-
-
-@pytest.mark.parametrize("shape, pattern", SWEEP)
-def test_walks_match_the_reference_on_the_sweep(shape, pattern):
-    for result in sweep_runs(shape, pattern):
-        info = analyze(result)
-        assert_walks_match_the_reference(info, every_later_event)
-        out = reverse_edges(info)
-        ancestors = [[] for _ in info.events]
-        for src in range(len(info.events)):
-            for dst in reference_reach(out, src) - {src}:
-                ancestors[dst].append(src)
-        for dst, want in enumerate(ancestors):
-            assert sorted(info.dep_ancestors(dst)) == want, dst
-
-
-def test_walks_match_the_reference_on_the_benchmark_programs():
-    for result in benchmark_runs():
-        assert_walks_match_the_reference(analyze(result), later_sources)
 
 
 # --------------------------------------------------------------------------
@@ -746,45 +569,6 @@ def links(result):
     return ops[0].seq, ops[1].seq
 
 
-def value_at_dependent(info, j, k_iid, sign):
-    """Reference for `deps.dependent_outcomes`, one link at a time: scan
-    the run's events for the first event that depends on event j and
-    executes the later opaque's own instruction `k_iid`, and return the
-    operand value that arrived there. Only a run that never executes it
-    falls back to the first dependent event whose instruction has the
-    same `sign`. Never reaching either is `_BOTTOM`; reaching one through
-    control or effects alone is `_REACHED`. Dependence does not propagate
-    through any other opaque event, but the scan goes on past it."""
-    events = info.events
-    if j >= len(events):
-        return _BOTTOM
-    dependent = {j}
-    fallback, k_sig = _BOTTOM, sign(k_iid)
-    for ev in events[j + 1 :]:
-        if not (info.dep_sources[ev.seq] & dependent):
-            continue
-        dependent.add(ev.seq)
-        if ev.iid is None:
-            continue
-        if ev.iid == k_iid or (fallback is _BOTTOM and sign(ev.iid) == k_sig):
-            value = _REACHED
-            for _, read, src in ev.reads:
-                if src in dependent:
-                    value = read
-                    break
-            if ev.iid == k_iid:
-                return value
-            fallback = value
-        if ev.is_opaque:
-            dependent.discard(ev.seq)
-    return fallback
-
-
-def signatures(program):
-    """The `sign` of `deps._value_sets`: each instruction id's signature."""
-    return functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
-
-
 def full_domain_outcomes(program, spec, info, types, j, ks):
     """Reference for the rerun loop of a value-set audit, without its stop
     at the second outcome: patch event j's witness variable to every other
@@ -804,43 +588,6 @@ def full_domain_outcomes(program, spec, info, types, j, ks):
         for k in ks:
             outcomes[k].add(value_at_dependent(alt_info, j, events[k].iid, sign))
     return outcomes
-
-
-def reference_value_sets(program, spec, info, pairs):
-    """Reference for `deps._value_sets`, its links grouped and classified
-    the same way, but every alternative value of a group rerun on its
-    own, in order, until each of the group's links has two outcomes."""
-    events = info.events
-    var_types = typecheck(program).var_types
-    sign = signatures(program)
-    reports, groups = {}, {}
-    for j, k in pairs:
-        var = witness_var(info, j, k)
-        ty = None if var is None else var_types.get((events[j].iid[0], var))
-        if var is None or ty is Type.UNIT:
-            reports[j, k] = ValueSetReport(2, "rule_derived")
-        elif ty is None or events[k].iid is None:
-            reports[j, k] = ValueSetReport(0, "unknown")
-        else:
-            groups.setdefault((j, var), []).append(k)
-    for (j, var), ks in groups.items():
-        ty = var_types[events[j].iid[0], var]
-        observed = dict(events[j].defs)[var]
-        outcomes = {k: {value_at_dependent(info, j, events[k].iid, sign)} for k in ks}
-        pending = set(ks)
-        for value in deps._domain(ty) or _sample_values(program, ty, observed):
-            if not pending:
-                break
-            if value == observed:
-                continue
-            alt_info = analyze(run(program, spec, patch=(j, var, value)))
-            for k in pending:
-                outcomes[k].add(value_at_dependent(alt_info, j, events[k].iid, sign))
-            pending = {k for k in pending if len(outcomes[k]) < 2}
-        status = "enumerated" if deps._domain(ty) else "sampled"
-        for k, seen in outcomes.items():
-            reports[j, k] = ValueSetReport(len(seen), status, frozenset(seen))
-    return reports
 
 
 def test_ov_u8_bijection_enumerates_full_domain():
@@ -1635,39 +1382,6 @@ def test_value_sets_equal_the_per_value_reference(text, inputs):
     )
 
 
-@pytest.mark.parametrize("shape, pattern", SWEEP)
-def test_value_sets_equal_the_per_value_reference_on_the_sweep(shape, pattern):
-    spec = parse_input("desc inp in ordered\n5\n")
-    for result in sweep_runs(shape, pattern):
-        info = analyze(result)
-        pairs = audited_links(info)
-        got = deps._value_sets(result.program, spec, info, pairs)
-        assert got == reference_value_sets(result.program, spec, info, pairs)
-
-
-def test_value_sets_equal_the_per_value_reference_on_the_benchmark_programs():
-    """Every program the benchmark workloads audit at seeds 1, 2 and 11,
-    as the audit sees it: the reference run of the program or its twin
-    on the first input. Each corpus seed has singleton groups that run
-    all 64 samples."""
-    gen = load_benchmark_generator()
-    sampled_singletons = 0
-    for make in gen.WORKLOADS.values():
-        for seed in (1, 2, 11):
-            for case in make(seed):
-                if case.audit_preset is None:
-                    continue
-                text = case.twin if case.audit_twin else case.text
-                program = prepare(text)[0]
-                spec = parse_input(case.inputs[0])
-                info = analyze(run(program, spec))
-                pairs = audited_links(info)
-                got = deps._value_sets(program, spec, info, pairs)
-                assert got == reference_value_sets(program, spec, info, pairs), case.name
-                sampled_singletons += sum(w.bound == 1 and w.status == "sampled" for w in got.values())
-    assert sampled_singletons  # groups whose lanes ran to the end
-
-
 def lane_case(site, yielded="42u8", helpers=""):
     """A link from an opaque result `a` to a snapshot of `b`, joined by `site`."""
     return (
@@ -1750,49 +1464,6 @@ def test_lane_batched_reruns(monkeypatch, text, runs, diverged, report):
 # --------------------------------------------------------------------------
 # One dependent scan per group
 # --------------------------------------------------------------------------
-
-
-def checking_scans(monkeypatch):
-    """Wrap `deps.dependent_outcomes` so that each scan the audit makes is
-    checked against `value_at_dependent` link by link; returns the list
-    of the scans' target counts."""
-    scans = []
-    original = deps.dependent_outcomes
-
-    def checked(info, j, targets, sign):
-        got = original(info, j, targets, sign)
-        assert got == {k: value_at_dependent(info, j, iid, sign) for k, iid in targets.items()}
-        scans.append(len(targets))
-        return got
-
-    monkeypatch.setattr(deps, "dependent_outcomes", checked)
-    return scans
-
-
-@pytest.mark.parametrize("shape, pattern", SWEEP)
-def test_one_scan_equals_the_per_link_scan_on_the_sweep(monkeypatch, shape, pattern):
-    spec = parse_input("desc inp in ordered\n5\n")
-    checking_scans(monkeypatch)
-    for result in sweep_runs(shape, pattern):
-        info = analyze(result)
-        deps._value_sets(result.program, spec, info, audited_links(info))
-
-
-def test_one_scan_equals_the_per_link_scan_on_the_benchmark_programs(monkeypatch):
-    """Every scan the audit makes, of the reference run and of each rerun,
-    on every program the benchmark workloads audit at seeds 1 and 11."""
-    scans = checking_scans(monkeypatch)
-    gen = load_benchmark_generator()
-    for make in gen.WORKLOADS.values():
-        for seed in (1, 11):
-            for case in make(seed):
-                if case.audit_preset is None:
-                    continue
-                program = prepare(case.twin if case.audit_twin else case.text)[0]
-                spec = parse_input(case.inputs[0])
-                info = analyze(run(program, spec))
-                deps._value_sets(program, spec, info, audited_links(info))
-    assert sum(n > 1 for n in scans)  # scans serving several links at once
 
 
 # `a` picks an arm: `hit` runs w1 and w3, `miss` runs w2, identical to w1

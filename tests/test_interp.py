@@ -7,7 +7,6 @@ computed with the code under test.
 import dataclasses
 import gc
 import weakref
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,44 +21,13 @@ from opaqueir.interp import (
     Event,
     InputSpec,
     InterpError,
-    IoRecord,
     Lanes,
-    ObsRecord,
     eval_binary,
     parse_input,
     run,
 )
-from opaqueir.ir import (
-    UNIT_VALUE as unit_value,
-    AtomExpr,
-    BinaryExpr,
-    Branch,
-    CallExpr,
-    Const,
-    Define,
-    DescriptorExpr,
-    DescValue,
-    IoRead,
-    IoWrite,
-    IRError,
-    LoadMem,
-    LoadRef,
-    MemStore,
-    OpaqueExpr,
-    RefAssign,
-    Return,
-    SnapshotExpr,
-    Type,
-    UnaryExpr,
-    Use,
-    Var,
-    Yield,
-    instr_at,
-    typecheck,
-)
-from opaqueir.passes import PRESETS, optimize
+from opaqueir.ir import UNIT_VALUE as unit_value, DescValue, Type
 from opaqueir.patterns import prepare
-from test_passes import SWEEP, sweep_program
 
 
 def run_main(body: str, inputs: str = "", **kw):
@@ -690,335 +658,6 @@ def test_pinned_trace(src, inputs, kw, trace, steps, trapped, memory):
     assert got == trace
     assert repr(got) == repr(trace)  # tells True from 1
     assert (r.steps, r.trapped, r.memory) == (steps, trapped, memory)
-
-
-# --------------------------------------------------------------------------
-# The executor against the per-instruction reference
-# --------------------------------------------------------------------------
-
-
-class RefCode:
-    def __init__(self, region, fname=None):
-        self.blocks, self.index = [], {}
-        for bi, block in enumerate(region.blocks):
-            steps = []
-            for pos, instr in enumerate(block.instrs):
-                kind = type(instr.rhs) if type(instr) is Define else type(instr)
-                body = RefCode(instr.rhs.region) if kind is OpaqueExpr else None
-                steps.append((instr, kind, (fname, bi, pos) if fname is not None else None, body))
-            self.blocks.append((block.label, tuple(p.name for p in block.params), tuple(steps)))
-            self.index[block.label] = bi
-
-
-class RefFrame:
-    def __init__(self, fname, activation):
-        self.fname, self.activation, self.env, self.refs = fname, activation, {}, {}
-
-
-class RefAgg:
-    def __init__(self):
-        self.du, self.operands, self.fx = {}, [], None
-
-    def reads(self):
-        """The event's `reads`: `du` and `operands` zipped, first read first."""
-        return tuple((n, v, src) for (n, src), (_, v) in zip(self.du.items(), self.operands))
-
-    def effects(self):
-        if self.fx is None:
-            self.fx = SimpleNamespace(rf=[], stores=[], ios=[], obs=[], pos=0)
-        return self.fx
-
-
-def next_pos(fx):
-    fx.pos += 1
-    return fx.pos
-
-
-class ReferenceInterp:
-    """The executor before instructions were decoded into steps: every
-    operand read through `atom_value` into an event buffer (`RefAgg`), every
-    type looked up by (function, name), every event built by `Event`."""
-
-    def __init__(self, program, inputs, patch=None):
-        self.functions = {}
-        for f in program.functions:
-            self.functions.setdefault(f.name, (tuple(p.name for p in f.params), RefCode(f.region, f.name)))
-        self.program, self.type_info = program, typecheck(program).var_types
-        self.channels = inputs.channels if inputs is not None else {}
-        self.step_budget, self.opaque_budget = DEFAULT_STEP_BUDGET, interp.DEFAULT_OPAQUE_BUDGET
-        self.patch_seq, self.patch_name, self.patch_value = patch or (-1, None, None)
-        self.steps = self.region_steps = self.activations = 0
-        self.events, self.memory, self.read_cursor, self.write_count = [], {}, {}, {}
-
-    def bind(self, frame, names, values, seq):
-        defs = tuple(zip(names, values))
-        if seq == self.patch_seq:
-            defs = tuple((n, self.patch_value if n == self.patch_name else v) for n, v in defs)
-        for name, value in defs:
-            frame.env[name] = (value, seq)
-        return defs
-
-    def atom_value(self, frame, scopes, atom, agg):
-        if type(atom) is Const:
-            return atom.value
-        name = atom.name
-        if scopes:
-            for env in reversed(scopes):
-                if name in env:
-                    return env[name]
-        entry = frame.env.get(name)
-        if entry is None:
-            raise interp._Trap(f"undefined variable {name}")
-        if name not in agg.du:
-            agg.du[name] = entry[1]
-            agg.operands.append((name, entry[0]))
-        return entry[0]
-
-    def desc_value(self, frame, scopes, desc, agg):
-        if desc.is_var:
-            value = self.atom_value(frame, scopes, Var(desc.name), agg)
-            if not isinstance(value, DescValue):
-                raise interp._Trap(f"{desc.name} does not hold a descriptor")
-            return value
-        return DescValue(desc.name)
-
-    def channel_config(self, channel):
-        if channel == "tailio":
-            return ("out", False)
-        if channel == "cc":
-            return ("out", True)
-        cfg = self.channels.get(channel)
-        return (cfg.direction, cfg.ordered) if cfg is not None else ("out", True)
-
-    def io_read(self, channel):
-        direction, _ = self.channel_config(channel)
-        cfg = self.channels.get(channel)
-        if cfg is None or direction != "in":
-            raise interp._Trap(f"read from undeclared input channel {channel}")
-        cursor = self.read_cursor.get(channel, 0)
-        if cursor >= len(cfg.values):
-            raise interp._Trap(f"input channel {channel} exhausted")
-        self.read_cursor[channel] = cursor + 1
-        return cfg.values[cursor], cursor
-
-    def io_write(self, channel):
-        if self.channel_config(channel)[0] == "in":
-            raise interp._Trap(f"write to input channel {channel}")
-        tag = self.write_count.get(channel, 0)
-        self.write_count[channel] = tag + 1
-        return tag
-
-    def operand_type(self, fname, atom, value):
-        if type(atom) is Const:
-            return atom.type
-        ty = self.type_info.get((fname, atom.name))
-        return ty if ty is not None else interp._type_of_value(value)
-
-    def exec_instr(self, frame, scopes, instr, kind, agg, seq):
-        read = lambda atom: self.atom_value(frame, scopes, atom, agg)  # noqa: E731
-        if kind is BinaryExpr:
-            a, b = read(instr.rhs.a), read(instr.rhs.b)
-            ty = self.operand_type(frame.fname, instr.rhs.a, a)
-            return (interp.eval_binary(instr.rhs.op, a, b, ty),)
-        if kind is AtomExpr:
-            return (read(instr.rhs.atom),)
-        if kind is UnaryExpr:
-            a = read(instr.rhs.a)
-            return (interp.eval_unary(instr.rhs.op, a, self.operand_type(frame.fname, instr.rhs.a, a)),)
-        if kind is LoadMem:
-            value, writer = self.memory.get(read(instr.rhs.addr), (0, 0))
-            fx = agg.effects()
-            if writer != seq and writer not in fx.rf:
-                fx.rf.append(writer)
-            return (value,)
-        if kind is SnapshotExpr:
-            values = tuple(read(a) for a in instr.rhs.args)
-            fx = agg.effects()
-            fx.obs.append(ObsRecord(instr.rhs.tags, values, next_pos(fx)))
-            return values
-        if kind is IoRead:
-            dv = self.desc_value(frame, scopes, instr.rhs.desc, agg)
-            _, ordered = self.channel_config(dv.channel)
-            value, tag = self.io_read(dv.channel)
-            fx = agg.effects()
-            fx.ios.append(IoRecord(dv.channel, ordered, "r", tag, (value,), next_pos(fx)))
-            return (value,)
-        if kind is IoWrite:
-            dv = self.desc_value(frame, scopes, instr.desc, agg)
-            values = tuple(read(v) for v in instr.values)
-            _, ordered = self.channel_config(dv.channel)
-            tag = self.io_write(dv.channel)
-            fx = agg.effects()
-            fx.ios.append(IoRecord(dv.channel, ordered, "w", tag, values, next_pos(fx)))
-            return ()
-        if kind is MemStore:
-            addr, value = read(instr.addr), read(instr.value)
-            self.memory[addr] = (value, seq)
-            agg.effects().stores.append((addr, value))
-            return ()
-        if kind is Use:
-            for a in instr.args:
-                read(a)
-            return ()
-        if kind is LoadRef:
-            if instr.rhs.ref not in frame.refs:
-                raise interp._Trap(f"reference {instr.rhs.ref} read before assignment")
-            value, writer = frame.refs[instr.rhs.ref]
-            fx = agg.effects()
-            if writer != seq and writer not in fx.rf:
-                fx.rf.append(writer)
-            return (value,)
-        if kind is RefAssign:
-            frame.refs[instr.ref] = (read(instr.value), seq)
-            return ()
-        if kind is DescriptorExpr:
-            return (DescValue(instr.rhs.channel),)
-        if kind is CallExpr:
-            raise interp._Trap("function call inside an opaque region")
-        where = "in an opaque region" if scopes is not None else "at function level"
-        raise interp._Trap(f"illegal instruction {where}: {instr!r}")
-
-    def take_branch(self, frame, scopes, instr, agg):
-        target = instr.then
-        if instr.cond is not None:
-            cond = self.atom_value(frame, scopes, instr.cond, agg)
-            target = instr.then if (cond if isinstance(cond, bool) else cond != 0) else instr.els
-        return target, tuple(self.atom_value(frame, scopes, a, agg) for a in target.args)
-
-    def run_region(self, frame, code, scopes, agg, seq):
-        env = {}
-        scopes = scopes + [env]
-        steps = code.blocks[0][2]
-        while True:
-            for instr, kind, _, body in steps:
-                self.steps += 1
-                if self.steps > self.step_budget:
-                    raise interp._Trap("step budget exceeded")
-                self.region_steps += 1
-                if self.region_steps > self.opaque_budget:
-                    raise interp._Trap("opaque region budget exceeded")
-                if kind is Branch:
-                    target, args = self.take_branch(frame, scopes, instr, agg)
-                    _, params, steps = code.blocks[code.index[target.label]]
-                    env.update(zip(params, args))
-                    break
-                if kind is Yield:
-                    return tuple(self.atom_value(frame, scopes, v, agg) for v in instr.values)
-                if body is not None:
-                    values = self.run_region(frame, body, scopes, agg, seq)
-                else:
-                    values = self.exec_instr(frame, scopes, instr, kind, agg, seq)
-                if values:
-                    env.update(zip(instr.results, values))
-            else:
-                raise interp._Trap("opaque region block fell through")
-
-    def call_function(self, fname, args, arg_agg, call_iid, caller, result_names, depth):
-        if depth > 200:
-            raise interp._Trap("call stack too deep")
-        params, code = self.functions[fname]
-        label, _, steps = code.blocks[0]
-        self.activations += 1
-        frame = RefFrame(fname, self.activations)
-        events = self.events
-        seq = len(events)
-        events.append(Event(
-            seq, "call", call_iid, caller.activation if caller else frame.activation,
-            self.bind(frame, params, args, seq), arg_agg.reads(),
-        ))
-        while True:
-            for instr, kind, iid, body in steps:
-                self.steps += 1
-                if self.steps > self.step_budget:
-                    raise interp._Trap("step budget exceeded")
-                agg = RefAgg()
-                seq = len(events)
-                if kind is CallExpr:
-                    call_args = tuple(self.atom_value(frame, None, a, agg) for a in instr.rhs.args)
-                    results = tuple(r for r in instr.results if isinstance(r, str))
-                    self.call_function(instr.rhs.callee, call_args, agg, iid, frame, results, depth + 1)
-                    continue
-                if kind is Branch:
-                    target, args = self.take_branch(frame, None, instr, agg)
-                    label, params, steps = code.blocks[code.index[target.label]]
-                    events.append(Event(
-                        seq, "branch", iid, frame.activation, self.bind(frame, params, args, seq),
-                        agg.reads(),
-                    ))
-                    break
-                if kind is Return:
-                    values = tuple(self.atom_value(frame, None, v, agg) for v in instr.values)
-                    events.append(Event(
-                        seq, "ret", iid, frame.activation,
-                        self.bind(caller, result_names, values, seq) if caller else (),
-                        agg.reads(),
-                    ))
-                    return values
-                if body is not None:
-                    self.region_steps = 0
-                    values = self.run_region(frame, body, [], agg, seq)
-                else:
-                    values = self.exec_instr(frame, None, instr, kind, agg, seq)
-                fx = agg.fx or SimpleNamespace(rf=(), stores=(), ios=(), obs=())
-                events.append(Event(
-                    seq, "opaque" if body is not None else "instr", iid, frame.activation,
-                    self.bind(frame, instr.results, values, seq) if values else (),
-                    agg.reads(), tuple(fx.rf), tuple(fx.stores), tuple(fx.ios), tuple(fx.obs),
-                ))
-            else:
-                raise interp._Trap(f"block {label} has no terminator")
-
-    def run(self):
-        trapped = None
-        self.events.append(Event(0, "init", None, 0))
-        try:
-            self.call_function("main", (), RefAgg(), None, None, (), 0)
-        except interp._Trap as trap:
-            trapped = trap.reason
-        memory = {addr: value for addr, (value, _) in self.memory.items()}
-        return tuple(self.events), trapped, self.steps, memory
-
-
-def assert_matches_the_reference(program, spec, **kw):
-    r = run(program, spec, **kw)
-    want = ReferenceInterp(program, spec, **kw).run()
-    assert repr((r.events, r.trapped, r.steps, dict(r.memory))) == repr(want)
-    return r
-
-
-def other_value(value):
-    """A value of the same type as `value`, when there is another one."""
-    if type(value) is bool:
-        return not value
-    return value ^ 1 if type(value) is int else None
-
-
-PURE = (AtomExpr, UnaryExpr, BinaryExpr, DescriptorExpr)
-
-
-@pytest.mark.parametrize("shape, pattern", SWEEP)
-def test_runs_match_the_reference_executor_on_the_sweep(shape, pattern):
-    """The reference run of each sweep program and its run under every
-    preset that compiles it, and each of these runs patched at the first
-    execution of each pure define, equal the reference executor's: events,
-    trap, steps and memory."""
-    program = prepare(sweep_program(shape, pattern))[0]
-    spec = parse_input("desc inp in ordered\n5\n")
-    programs = [program]
-    for preset in sorted(PRESETS):
-        try:
-            programs.append(optimize(program, preset=preset).program)
-        except IRError:
-            continue  # the exit-capture unroll under Pz (ROADMAP item 3)
-    for p in programs:
-        patched = set()
-        for ev in assert_matches_the_reference(p, spec).events:
-            instr = instr_at(p, ev.iid) if ev.kind == "instr" else None
-            if type(instr) is Define and type(instr.rhs) in PURE and ev.iid not in patched:
-                patched.add(ev.iid)
-                (name, value), = ev.defs
-                if (alt := other_value(value)) is not None:
-                    assert_matches_the_reference(p, spec, patch=(ev.seq, name, alt))
 
 
 # -- I/O

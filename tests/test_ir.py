@@ -6,7 +6,6 @@ import functools
 import itertools
 import json
 import os
-import re
 import subprocess
 import sys
 import typing
@@ -45,10 +44,9 @@ from opaqueir.ir import (
     validate_ssa,
     Var,
 )
-from opaqueir.passes import PRESETS, optimize, unsafe_const_fold_opaque
-from opaqueir.patterns import inject_prelude, prelude_source, prepare
-from test_passes import SWEEP, sweep_program
-from test_validate import load_benchmark_generator
+from opaqueir.patterns import prelude_source, prepare
+from programs import SWEEP, group
+from references import assert_validated_as_the_reference, lexed, reference_tokenize
 
 
 BRANCHY = """
@@ -134,80 +132,6 @@ def test_literal_types_and_ranges():
 # Lexer
 # --------------------------------------------------------------------------
 
-REFERENCE_PUNCT = [
-    "<-", "->", "...", "<<", ">>", "==", "!=", "<=", ">=",
-    "(", ")", "{", "}", "[", "]", ",", ":", "=", "<", ">",
-    "+", "-", "*", "/", "%", "&", "|", "^", "!", "~", "@",
-]
-REFERENCE_INT = re.compile(r"\d+")
-REFERENCE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-REFERENCE_SUFFIXES = {"u8": Type.U8, "u32": Type.U32, "i32": Type.I32}
-
-
-def reference_tokenize(text):
-    """The character-by-character lexer `ir.tokenize` replaced, returning
-    `(kind, text, line, col, value)` tuples."""
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        comment = line.find("//")
-        if comment >= 0:
-            line = line[:comment]
-        pos = 0
-        produced = False
-        while pos < len(line):
-            ch = line[pos]
-            if ch in " \t":
-                pos += 1
-                continue
-            col = pos + 1
-            if ch == ";":
-                tokens.append(("newline", ";", lineno, col, None))
-                pos += 1
-                continue
-            m = REFERENCE_INT.match(line, pos)
-            if m:
-                raw = m.group()
-                pos = m.end()
-                suffix_m = REFERENCE_IDENT.match(line, pos)
-                ty = Type.U32
-                if suffix_m and suffix_m.group() in REFERENCE_SUFFIXES:
-                    ty = REFERENCE_SUFFIXES[suffix_m.group()]
-                    pos = suffix_m.end()
-                elif suffix_m:
-                    raise ParseError(f"bad integer suffix {suffix_m.group()!r}", (lineno, col))
-                value = int(raw)
-                ir._check_literal_range(value, ty, (lineno, col))
-                tokens.append(("int", raw, lineno, col, Const(value, ty)))
-                produced = True
-                continue
-            m = REFERENCE_IDENT.match(line, pos)
-            if m:
-                tokens.append(("ident", m.group(), lineno, col, None))
-                pos = m.end()
-                produced = True
-                continue
-            for p in REFERENCE_PUNCT:
-                if line.startswith(p, pos):
-                    tokens.append(("punct", p, lineno, col, None))
-                    pos += len(p)
-                    produced = True
-                    break
-            else:
-                raise ParseError(f"unexpected character {ch!r}", (lineno, col))
-        if produced:
-            tokens.append(("newline", "\\n", lineno, len(line) + 1, None))
-    tokens.append(("eof", "", len(text.splitlines()) + 1, 1, None))
-    return tokens
-
-
-def lexed(tokenize, text):
-    """The token tuples, or the ParseError's message and location."""
-    try:
-        return [tuple(t) if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col, t.value)
-                for t in tokenize(text)]
-    except ParseError as exc:
-        return ("ParseError", exc.message, exc.loc)
-
 
 LEXER_PIECES = [
     " ", "\t", ";", "\n", "\r\n", "\r", "//", "/", "#", "é", "٣", " ", ".", "..", "...",
@@ -227,12 +151,9 @@ def test_tokenize_matches_the_character_lexer(pieces):
     assert lexed(ir.tokenize, text) == lexed(reference_tokenize, text)
 
 
-def test_tokenize_matches_the_character_lexer_on_the_sweep():
-    texts = [sweep_program(shape, pattern) for shape, pattern in SWEEP]
-    texts.append(prelude_source())
-    for text in texts:
-        tokens = lexed(ir.tokenize, text)
-        assert isinstance(tokens, list) and tokens == lexed(reference_tokenize, text)
+def test_tokenize_matches_the_character_lexer_on_the_prelude():
+    tokens = lexed(ir.tokenize, prelude_source())
+    assert isinstance(tokens, list) and tokens == lexed(reference_tokenize, prelude_source())
 
 
 U32, I32 = Type.U32, Type.I32
@@ -652,21 +573,27 @@ def test_typecheck_message_counts_the_errors_it_leaves_out():
 
 
 def count_walks(monkeypatch, program) -> dict:
-    """Validate `program`, counting dominator computations and walks: a walk
-    reads the operands of every instruction of the function once, through
-    one `instr_operand_atoms` call per instruction."""
-    counts = {"dominators": 0, "operand_reads": 0}
+    """Validate `program`, counting dominator computations, the successor
+    maps they build, and walks: a walk reads the operands of every
+    instruction of the function once, through one `instr_operand_atoms`
+    call per instruction."""
+    counts = {"dominators": 0, "successor maps": 0, "operand_reads": 0}
 
     def dominators(region):
         counts["dominators"] += 1
         return compute_dominators(region)
 
+    def successors(region):
+        counts["successor maps"] += 1
+        return original_successors(region)
+
     def operands(instr):
         counts["operand_reads"] += 1
         return original_operands(instr)
 
-    original_operands = ir.instr_operand_atoms
+    original_operands, original_successors = ir.instr_operand_atoms, ir.block_successors
     monkeypatch.setattr(ir, "compute_dominators", dominators)
+    monkeypatch.setattr(ir, "block_successors", successors)
     monkeypatch.setattr(ir, "instr_operand_atoms", operands)
     counts["diags"], counts["info"] = ir._Validator(program).validate()
     n_instrs = sum(len(b.instrs) for f in program.functions for b in ir.walk_blocks(f.region))
@@ -696,8 +623,10 @@ NESTED_OPAQUE = main_fn(
 def test_one_walk_and_one_dominator_computation_per_region(monkeypatch):
     counts = count_walks(monkeypatch, parse_program(NESTED_OPAQUE))
     assert counts["diags"] == []
-    # The function body and its two opaque regions.
+    # The function body and its two opaque regions; only `w`'s region has
+    # more than one block.
     assert counts["dominators"] == 3
+    assert counts["successor maps"] == 1
     assert counts["walks"] == 1
 
 
@@ -716,471 +645,12 @@ def test_a_name_read_before_it_is_typed_costs_one_retry(monkeypatch, src, var, t
 # -- the typechecker against the validator it replaced
 
 
-def reference_atom_vars(atom: ir.Atom) -> typing.Iterator[str]:
-    if isinstance(atom, ir.Var):
-        yield atom.name
-
-
-def reference_expr_atoms(expr: ir.Expr) -> typing.Iterator[ir.Atom]:
-    if isinstance(expr, ir.AtomExpr):
-        yield expr.atom
-    elif isinstance(expr, ir.UnaryExpr):
-        yield expr.a
-    elif isinstance(expr, ir.BinaryExpr):
-        yield expr.a
-        yield expr.b
-    elif isinstance(expr, ir.LoadMem):
-        yield expr.addr
-    elif isinstance(expr, ir.IoRead):
-        if expr.desc.is_var:
-            yield ir.Var(expr.desc.name)
-    elif isinstance(expr, ir.SnapshotExpr):
-        yield from expr.args
-    elif isinstance(expr, ir.CallExpr):
-        yield from expr.args
-
-
-def reference_operand_atoms(instr: ir.Instr) -> typing.Iterator[ir.Atom]:
-    """Atoms read by an instruction (not recursing into opaque regions)."""
-    if isinstance(instr, ir.Define):
-        if isinstance(instr.rhs, ir.OpaqueExpr):
-            return
-        yield from reference_expr_atoms(instr.rhs)
-    elif isinstance(instr, ir.RefAssign):
-        yield instr.value
-    elif isinstance(instr, ir.MemStore):
-        yield instr.addr
-        yield instr.value
-    elif isinstance(instr, ir.IoWrite):
-        if instr.desc.is_var:
-            yield ir.Var(instr.desc.name)
-        yield from instr.values
-    elif isinstance(instr, ir.Use):
-        yield from instr.args
-    elif isinstance(instr, ir.Branch):
-        if instr.cond is not None:
-            yield instr.cond
-        yield from instr.then.args
-        if instr.els is not None:
-            yield from instr.els.args
-    elif isinstance(instr, (ir.Return, ir.Yield)):
-        yield from instr.values
-
-
-
-def reference_dominates(site: tuple[str, int], dom: dict[str, set[str]], label: str, pos: int):
-    """Whether a definition at `site` reaches position `pos` of block `label`.
-    A site is (block label, position): position -1 for a block parameter,
-    label "" for a function parameter."""
-    dblock, dpos = site
-    if dblock == label:
-        return dpos < pos
-    return dblock == "" or dblock in dom.get(label, ())
-
-
-class ReferenceValidator:
-    """The validator `ir._Validator` replaced: it reads operands through
-    two nested generators, tests dominance in a call per use and picks
-    each case by an `isinstance` chain."""
-
-    def __init__(self, program: ir.Program):
-        self.program = program
-        # An insertion-ordered set: a check that runs again reports nothing new.
-        self.diags: dict[ir.Diagnostic, None] = {}
-        self.info = ir.TypeInfo({}, {}, {})
-        self.fn_map = {f.name: f for f in program.functions}
-        self.macro_names = {m.name for m in program.macros}
-        self._inferring: set[str] = set()
-
-    def error(self, loc, message):
-        self.diags[ir.Diagnostic(loc, message)] = None
-
-    def lint(self, loc, message):
-        self.diags[ir.Diagnostic(loc, message, "lint")] = None
-
-    # -- function return types (call graph order, recursion detected)
-
-    def fn_ret_types(self, name: str, loc) -> typing.Optional[tuple[ir.Type, ...]]:
-        fn = self.fn_map[name]
-        if fn.ret_types is not None:
-            return fn.ret_types
-        if name in self.info.ret_types:
-            return self.info.ret_types[name]
-        if name in self._inferring:
-            self.error(loc, f"recursive function {name!r} needs a return type annotation")
-            return None
-        self.check_function(fn)
-        return self.info.ret_types[name]
-
-    def validate(self) -> tuple[list[ir.Diagnostic], ir.TypeInfo]:
-        names = [f.name for f in self.program.functions]
-        for name in dict.fromkeys(names):
-            if names.count(name) > 1:
-                self.error((0, 0), f"duplicate function {name!r}")
-        for m in self.program.macros:
-            self.lint(m.loc, f"unexpanded macro {m.name!r} (run expand_macros first)")
-        if "main" not in self.fn_map:
-            self.error((0, 0), "program has no function 'main'")
-        elif self.fn_map["main"].params:
-            self.error(self.fn_map["main"].loc, "'main' takes no parameters")
-        for f in self.program.functions:
-            self.check_function(f)
-        return list(self.diags), self.info
-
-    # -- per-function checks
-
-    def check_function(self, fn: ir.Function):
-        if fn.name in self.info.ret_types:
-            return
-        # A call to `fn` met while it is walked is recursion, whichever
-        # function the walk started from.
-        self._inferring.add(fn.name)
-        region = fn.region
-
-        labels = [b.label for b in region.blocks]
-        for label in dict.fromkeys(labels):
-            if labels.count(label) > 1:
-                self.error(fn.loc, f"duplicate block label {label!r} in {fn.name}")
-
-        # Unique names over the whole region tree, and the def sites and
-        # dominators of the function body and of each opaque region in it.
-        defined: dict[str, tuple[int, int]] = {}
-        for p in fn.params:
-            self._register(defined, p.name, fn.loc)
-        scopes: dict[int, tuple[dict[str, tuple[str, int]], dict[str, set[str]]]] = {}
-
-        def collect_defs(r: ir.Region, sites: dict[str, tuple[str, int]]):
-            for b in r.blocks:
-                for p in b.params:
-                    self._register(defined, p.name, (0, 0))
-                    sites[p.name] = (b.label, -1)
-                for pos, instr in enumerate(b.instrs):
-                    if isinstance(instr, ir.Define):
-                        for res in instr.results:
-                            if isinstance(res, str):
-                                self._register(defined, res, instr.loc)
-                                sites.setdefault(res, (b.label, pos))
-                            else:
-                                self.error(instr.loc, "unexpanded '...' group")
-                        if isinstance(instr.rhs, ir.OpaqueExpr):
-                            collect_defs(instr.rhs._body, {})
-            scopes[id(r)] = sites, ir.compute_dominators(r)
-
-        collect_defs(region, {p.name: ("", -1) for p in fn.params})
-        ref_names = ir.region_ref_names(region)
-        for name in sorted(defined.keys() & ref_names):
-            self.error(fn.loc, f"{name!r} is used both as a variable and a reference in {fn.name}")
-
-        var_ty: dict[str, ir.Type] = {p.name: p.type for p in fn.params if p.type is not None}
-        ref_ty: dict[str, ir.Type] = {}
-        returns: list[tuple[tuple[ir.Type, ...], tuple[int, int]]] = []
-        # (var_ty or ref_ty, name) for each read of a name not typed yet
-        missed: list[tuple[dict[str, ir.Type], str]] = []
-
-        def read(types: dict[str, ir.Type], name: str) -> typing.Optional[ir.Type]:
-            ty = types.get(name)
-            if ty is None:
-                missed.append((types, name))
-            return ty
-
-        def check_use(name: str, scope, opaque: bool, label: str, pos: int, loc):
-            sites, dom = scope
-            site = sites.get(name)
-            if name in ref_names and (site is None or not opaque):
-                self.error(loc, f"reference {name!r} used as an operand")
-            elif site is not None:
-                if not reference_dominates(site, dom, label, pos):
-                    self.error(loc, f"use of {name!r} is not dominated by its definition")
-            elif not opaque or name not in defined:
-                # An opaque region may use any name its function defines:
-                # dominance is checked only where the name is region-local.
-                self.error(loc, f"use of undefined variable {name!r}")
-
-        def note_var(name: str, ty: typing.Optional[ir.Type], loc) -> None:
-            if ty is not None and (old := var_ty.setdefault(name, ty)) is not ty:
-                self.error(loc, f"{name!r} has conflicting types {old.value} and {ty.value}")
-
-        def atom_type(atom: ir.Atom, loc) -> typing.Optional[ir.Type]:
-            if isinstance(atom, ir.Const):
-                return atom.type
-            if isinstance(atom, ir.VarGroup):
-                self.error(loc, "unexpanded '...' group")
-                return None
-            return read(var_ty, atom.name)
-
-        def expr_types(expr: ir.Expr, instr: ir.Define) -> typing.Optional[list]:
-            loc = instr.loc
-            if isinstance(expr, ir.AtomExpr):
-                return [atom_type(expr.atom, loc)]
-            if isinstance(expr, ir.UnaryExpr):
-                ty = atom_type(expr.a, loc)
-                if ty is None:
-                    return [None]
-                if expr.op == "!":
-                    if ty is not ir.Type.BOOL:
-                        self.error(loc, "'!' applies to bool values")
-                    return [ir.Type.BOOL]
-                if ty not in ir.INT_TYPES:
-                    self.error(loc, f"'{expr.op}' applies to integer values")
-                    return [None]
-                return [ty]
-            if isinstance(expr, ir.BinaryExpr):
-                ta = atom_type(expr.a, loc)
-                tb = atom_type(expr.b, loc)
-                op = expr.op
-                if ta is None or tb is None:
-                    if op in ir._CMP_OPS or op in ir._ORD_OPS:
-                        return [ir.Type.BOOL]
-                    return [ta or tb] if op in ir._SHIFT_OPS else [ta if ta is not None else tb]
-                if op in ir._SHIFT_OPS:
-                    if ta not in ir.INT_TYPES or tb not in ir.INT_TYPES:
-                        self.error(loc, "shift operands must be integers")
-                    return [ta]
-                if ta is not tb:
-                    self.error(loc, f"operand types {ta.value} and {tb.value} do not agree")
-                    return [None]
-                if op in ir._ARITH_OPS:
-                    if ta not in ir.INT_TYPES:
-                        self.error(loc, f"'{op}' applies to integer values")
-                    return [ta]
-                if op in ir._BIT_OPS:
-                    if ta not in ir.INT_TYPES and ta is not ir.Type.BOOL:
-                        self.error(loc, f"'{op}' applies to integer or bool values")
-                    return [ta]
-                if op in ir._CMP_OPS:
-                    return [ir.Type.BOOL]
-                if op in ir._ORD_OPS:
-                    if ta not in ir.INT_TYPES:
-                        self.error(loc, "ordered comparison applies to integer values")
-                    return [ir.Type.BOOL]
-                raise AssertionError(op)
-            if isinstance(expr, ir.LoadMem):
-                ty = atom_type(expr.addr, loc)
-                if ty is not None and ty is not ir.Type.U32:
-                    self.error(loc, "memory addresses are u32 values")
-                return [ir.Type.U32]
-            if isinstance(expr, ir.LoadRef):
-                return [read(ref_ty, expr.ref)]
-            if isinstance(expr, ir.IoRead):
-                ann = instr.ann[0] if instr.ann else None
-                return [ann or ir.Type.U32]
-            if isinstance(expr, ir.SnapshotExpr):
-                return [atom_type(a, loc) for a in expr.args]
-            if isinstance(expr, ir.CallExpr):
-                callee = self.fn_map.get(expr.callee)
-                if callee is None:
-                    if expr.callee not in self.macro_names:
-                        self.error(loc, f"call to unknown function {expr.callee!r}")
-                    return None
-                if len(expr.args) != len(callee.params):
-                    self.error(
-                        loc,
-                        f"{expr.callee} takes {len(callee.params)} arguments, "
-                        f"got {len(expr.args)}",
-                    )
-                for a, p in zip(expr.args, callee.params):
-                    ta = atom_type(a, loc)
-                    if ta is not None and p.type is not None and ta is not p.type:
-                        self.error(
-                            loc,
-                            f"argument {p.name!r} of {expr.callee} expects "
-                            f"{p.type.value}, got {ta.value}",
-                        )
-                rts = self.fn_ret_types(expr.callee, loc)
-                return list(rts) if rts is not None else None
-            if isinstance(expr, ir.DescriptorExpr):
-                return [ir.Type.DESC]
-            if isinstance(expr, ir.OpaqueExpr):
-                ytypes: typing.Optional[list[typing.Optional[ir.Type]]] = None
-                for b in expr._body.blocks:
-                    last = b.instrs[-1]
-                    if isinstance(last, ir.Yield):
-                        tys = [atom_type(v, loc) for v in last.values]
-                        if ytypes is None:
-                            ytypes = tys
-                        elif len(tys) != len(ytypes):
-                            self.error(loc, "yields with different arities in one region")
-                return ytypes if ytypes is not None else []
-            raise TypeError(expr)
-
-        def visit_region(r: ir.Region, opaque: bool):
-            if r.blocks[0].params:
-                self.error(
-                    getattr(r.blocks[0].instrs[0], "loc", (0, 0))
-                    if r.blocks[0].instrs
-                    else (0, 0),
-                    "entry block must not take parameters",
-                )
-            scope = scopes[id(r)]
-            block_map = {b.label: b for b in r.blocks}
-            for b in r.blocks:
-                for pos, instr in enumerate(b.instrs):
-                    loc = getattr(instr, "loc", (0, 0))
-                    for atom in reference_operand_atoms(instr):
-                        for name in reference_atom_vars(atom):
-                            check_use(name, scope, opaque, b.label, pos, loc)
-                    if isinstance(instr, ir.Define):
-                        if isinstance(instr.rhs, ir.SnapshotExpr) and not opaque:
-                            self.lint(loc, "snapshot outside an opaque region")
-                        if (
-                            isinstance(instr.rhs, ir.CallExpr)
-                            and opaque
-                            and instr.rhs.callee in self.fn_map
-                        ):
-                            self.error(loc, "function call inside an opaque region")
-                        if isinstance(instr.rhs, ir.OpaqueExpr):
-                            visit_region(instr.rhs._body, True)
-                        tys = expr_types(instr.rhs, instr)
-                        if tys is not None:
-                            n = len(instr.results)
-                            if isinstance(instr.rhs, (ir.SnapshotExpr, ir.CallExpr, ir.OpaqueExpr)):
-                                if n not in (0, len(tys)):
-                                    self.error(
-                                        loc,
-                                        f"expected 0 or {len(tys)} results, got {n}",
-                                    )
-                            elif n != len(tys):
-                                self.error(loc, f"expected {len(tys)} results, got {n}")
-                            for res, ty, ann in zip(
-                                instr.results, tys, instr.ann or (None,) * n
-                            ):
-                                if isinstance(res, str):
-                                    if ann is not None and ty is not None and ann is not ty:
-                                        self.error(
-                                            loc,
-                                            f"{res!r} annotated {ann.value} but has type {ty.value}",
-                                        )
-                                    note_var(res, ann or ty, loc)
-                    elif isinstance(instr, ir.Use):
-                        if not opaque:
-                            self.lint(loc, "use() outside an opaque region")
-                    elif isinstance(instr, ir.RefAssign):
-                        ty = atom_type(instr.value, loc)
-                        if ty is not None and (old := ref_ty.setdefault(instr.ref, ty)) is not ty:
-                            self.error(
-                                loc,
-                                f"reference {instr.ref!r} assigned both "
-                                f"{old.value} and {ty.value}",
-                            )
-                    elif isinstance(instr, ir.MemStore):
-                        at = atom_type(instr.addr, loc)
-                        vt = atom_type(instr.value, loc)
-                        if at is not None and at is not ir.Type.U32:
-                            self.error(loc, "memory addresses are u32 values")
-                        if vt is not None and vt is not ir.Type.U32:
-                            self.error(loc, "memory cells hold u32 values")
-                    elif isinstance(instr, ir.Branch):
-                        if instr.cond is not None:
-                            ct = atom_type(instr.cond, loc)
-                            if ct is not None and ct is not ir.Type.BOOL and ct not in ir.INT_TYPES:
-                                self.error(loc, "branch condition must be bool or integer")
-                        for bc in (instr.then, instr.els):
-                            if bc is None:
-                                continue
-                            target = block_map.get(bc.label)
-                            if target is None:
-                                self.error(loc, f"branch to unknown block {bc.label!r}")
-                                continue
-                            if len(bc.args) != len(target.params):
-                                self.error(
-                                    loc,
-                                    f"block {bc.label!r} takes {len(target.params)} "
-                                    f"arguments, got {len(bc.args)}",
-                                )
-                            for a, p in zip(bc.args, target.params):
-                                note_var(p.name, p.type or atom_type(a, loc), loc)
-                    elif isinstance(instr, ir.Return):
-                        if opaque:
-                            self.error(loc, "return inside an opaque region")
-                        else:
-                            tys = tuple(atom_type(v, loc) for v in instr.values)
-                            if all(t is not None for t in tys):
-                                returns.append((tys, loc))
-                    elif isinstance(instr, ir.Yield):
-                        if not opaque:
-                            self.error(loc, "yield outside an opaque region")
-
-        # Block parameter types flow around loops and blocks may be listed
-        # after their uses, so a walk may read a name before typing it; then
-        # it walks again. A retry follows a walk that typed a name it had read
-        # untyped, and a name once typed keeps its type, so there are at most
-        # as many retries as names.
-        while True:
-            missed.clear()
-            visit_region(region, False)
-            if all(types.get(name) is None for types, name in missed):
-                break
-        # The recursive closures hold themselves and `self`, a reference
-        # cycle that would pin the program until the cyclic collector runs.
-        collect_defs = visit_region = None
-
-        # Settle return types.
-        rts: typing.Optional[tuple[ir.Type, ...]] = fn.ret_types
-        for tys, loc in returns:
-            if rts is None:
-                rts = tys
-            elif tuple(rts) != tys:
-                self.error(
-                    loc,
-                    f"return types {[t.value for t in tys]} disagree with "
-                    f"{[t.value for t in rts]}",
-                )
-        self.info.ret_types[fn.name] = rts or ()
-        self._inferring.discard(fn.name)
-        if fn.name == "main" and rts:
-            self.error(fn.loc, "'main' must not return values")
-        self.info.var_types.update({(fn.name, name): ty for name, ty in var_ty.items()})
-        self.info.ref_types.update({(fn.name, name): ty for name, ty in ref_ty.items()})
-
-    def _register(self, defined: dict, name: str, loc):
-        if name in defined:
-            self.error(loc, f"{name!r} defined more than once (single assignment)")
-        defined[name] = loc
-
-
-def validated(validator, program):
-    """The diagnostics and inferred types `validator` gives `program`, each
-    type table with its order, or the exception it raises."""
-    try:
-        diags, info = validator(program).validate()
-    except Exception as exc:  # an ill-formed variant may break both alike
-        return type(exc).__name__, str(exc)
-    tables = (info.var_types, info.ref_types, info.ret_types)
-    return diags, [list(table.items()) for table in tables]
-
-
-def assert_validated_as_the_reference(program):
-    assert validated(ir._Validator, program) == validated(ReferenceValidator, program)
-
-
-@pytest.mark.parametrize("seed", [1, 2, 11, 12, 13, "sweep"])  # those of tests/pass_outputs.py
-def test_typecheck_matches_the_reference_on_the_benchmark_and_sweep_programs(seed):
-    """Every workload program and twin at `seed`, or every sweep program:
-    as prepared and after each preset that compiles it."""
-    if seed == "sweep":
-        texts = [sweep_program(shape, pattern) for shape, pattern in SWEEP]
-    else:
-        gen = load_benchmark_generator()
-        texts = [text for make in gen.WORKLOADS.values() for case in make(seed)
-                 for text in (case.text, case.twin)]
-    for text in texts:
-        program, _ = prepare(text)
-        assert_validated_as_the_reference(program)
-        for preset in PRESETS:
-            try:
-                assert_validated_as_the_reference(optimize(program, preset=preset).program)
-            except IRError:
-                assert preset == "Pz"  # the exit-capture defect (ROADMAP item 3)
-
-
 @functools.cache
 def mutation_bases() -> list[ir.Program]:
     """Well-formed programs to break: the seed-11 corpus programs and
     twins, the sweep programs and the validator examples that parse."""
-    gen = load_benchmark_generator()
-    texts = [text for case in gen.corpus(11) for text in (case.text, case.twin)]
-    texts += [sweep_program(shape, pattern) for shape, pattern in SWEEP]
-    bases = [prepare(text)[0] for text in texts]
+    supply = [p for key in (11, *SWEEP) for p in group(key)]
+    bases = [p.program for p in supply if p.workload in ("corpus", "sweep")]
     return bases + [parse_program(src) for src in (NESTED_OPAQUE, OUT_OF_ORDER, REF_LOOP)]
 
 
@@ -1768,24 +1238,13 @@ b:
     assert block_signature(region.block("t")) != block_signature(region.block("e"))
 
 
-@functools.cache
 def workload_outputs():
-    """Every seed-11 workload program and twin and every sweep program: as
-    prepared, after each preset and after the unsafe fold."""
-    gen = load_benchmark_generator()
-    texts = [text for make in gen.WORKLOADS.values() for case in make(11)
-             for text in (case.text, case.twin)]
-    texts += [sweep_program(shape, pattern) for shape, pattern in SWEEP]
-    outputs = []
-    for text in texts:
-        program, _ = prepare(text)
-        outputs += [program, unsafe_const_fold_opaque(program).program]
-        for preset in PRESETS:
-            try:
-                outputs.append(optimize(program, preset=preset).program)
-            except IRError as exc:  # the exit-capture defect, a strict xfail of its own
-                assert preset == "Pz" and "use of undefined variable" in str(exc)
-    return outputs
+    """Every seed-11 workload program and twin and every sweep program of
+    the supply: as prepared, after each preset and after the unsafe fold."""
+    for key in (11, *SWEEP):
+        for p in group(key):
+            yield p.program
+            yield from (res.program for _, res in p.compiled())
 
 
 def test_printed_outputs_parse_back_equal():

@@ -23,11 +23,8 @@ from opaqueir.ir import (
     Program,
     Region,
     Type,
-    UnaryExpr,
     Var,
-    block_successors,
     print_program,
-    rename_instr,
     sealed_opaque_regions,
     validate_ssa,
     walk_blocks,
@@ -50,6 +47,8 @@ from opaqueir.passes import (
 )
 from opaqueir.patterns import prepare
 from opaqueir.validate import audit_chain_preservation, check_observation_preserving
+from programs import SWEEP, sweep_program
+from references import reference_constprop
 
 
 def prog(text):
@@ -1194,58 +1193,19 @@ def test_passes_decide_from_summaries_not_interiors():
 # Every pass leaves well-formed IR
 # --------------------------------------------------------------------------
 
-# Each site observes `{v}` and carries a value on as `{n}`.
-PATTERN_SITES = {
-    "monolithic": "o = observe_monolithic({v})\n  {n} = {v} + 1",
-    "decoupled_tailio": "o = observe_decoupled({v})\n  p = observe_tailio(o)\n  {n} = {v} + 1",
-    "cc": "observe_cc({v})\n  {n} = {v} + 1",
-    "artificial_def_cc": "{n} = artificial_def_cc({v})",
-    "pair": "mem[{v}] <- {v}\n  o = observe_pair({v})\n  {n} = {v} + 1",
-    "opacify": "{n} = observe_and_opacify({v})",
-}
-
-LOOP = """
-function main() {{
-  a = io(inp)
-  br head(0, a)
-head(i, acc):
-  c = i < {trips}
-  br c, body, {exit_call}
-body:
-  {site}
-  i2 = i + 1
-  br head(i2, nxt)
-done({exit_param}):
-  io(out, {result})
-  return()
-}}
-"""
-
-
-def sweep_program(shape, pattern):
-    if shape == "straight":
-        site = PATTERN_SITES[pattern].format(v="a", n="b")
-        return f"function main() {{\n  a = io(inp)\n  {site}\n  io(out, b)\n  return()\n}}\n"
-    site = PATTERN_SITES[pattern].format(v="acc", n="nxt")
-    if shape == "exit_capture":
-        # the exit reads the header parameter directly, not through an argument
-        return LOOP.format(trips=3, exit_call="done", site=site, exit_param="", result="acc")
-    trips = {"loop3": 3, "loop20": 20}[shape]
-    return LOOP.format(trips=trips, exit_call="done(acc)", site=site, exit_param="r", result="r")
-
-
 EXIT_CAPTURE_XFAIL = pytest.mark.xfail(
     strict=True,
     reason="loop_unroll renames header parameters, so an exit block reading one "
     "directly reads an undefined name. Fixing it turns the corpus loop/monolithic/"
     "exit_capture Pz verdict recorded as IRError in perfbench/expected.json into "
-    "pass, which perfbench/test_perfbench.py rejects until the benchmark re-records it.",
+    "pass, which perfbench/test_perfbench.py rejects until the benchmark re-records it. "
+    "With the fix, `known_failure` in tests/programs.py is the one line to change, "
+    "and these marks go.",
 )
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-@pytest.mark.parametrize("pattern", sorted(PATTERN_SITES))
-@pytest.mark.parametrize("shape", ["straight", "loop3", "loop20", "exit_capture"])
+@pytest.mark.parametrize("shape, pattern", SWEEP)
 def test_every_pass_leaves_well_formed_ir(request, shape, pattern, preset):
     if shape == "exit_capture" and preset == "Pz":
         request.applymarker(EXIT_CAPTURE_XFAIL)
@@ -1260,12 +1220,6 @@ def test_every_pass_leaves_well_formed_ir(request, shape, pattern, preset):
 # --------------------------------------------------------------------------
 # Pass results shared across presets
 # --------------------------------------------------------------------------
-
-SWEEP = [
-    (shape, pattern)
-    for shape in ("straight", "loop3", "loop20", "exit_capture")
-    for pattern in sorted(PATTERN_SITES)
-]
 
 
 def optimize_or_error(program, preset):
@@ -1591,71 +1545,8 @@ def test_every_pass_carries_untouched_functions_over(name):
 
 
 # --------------------------------------------------------------------------
-# dce against the fixpoint it replaced
+# dce in one scan (tests/test_oracles.py compares it with the fixpoint it replaced)
 # --------------------------------------------------------------------------
-
-
-def received_by(monkeypatch, name, shape, pattern):
-    """The sweep program and every program pass `name` receives in a preset."""
-    received = [prog(sweep_program(shape, pattern))]
-    fn = PASSES[name]
-
-    def spy(program):
-        received.append(program)
-        return fn(program)
-
-    monkeypatch.setitem(PASSES, name, spy)
-    for preset in sorted(PRESETS):
-        optimize_or_error(prog(sweep_program(shape, pattern)), preset)
-    monkeypatch.setitem(PASSES, name, fn)
-    assert len(received) > 1
-    return received
-
-
-def reference_dce(program):
-    """The fixpoint `dce` replaced: rescan every live instruction until no
-    definition dies."""
-    reaches, dead_iids = {}, set()
-    for f in program.functions:
-        succ = block_successors(f.region)
-        reach = reaches[f.name] = {f.region.entry.label}
-        frontier = [f.region.entry.label]
-        while frontier:
-            for t in succ.get(frontier.pop(), []):
-                if t not in reach:
-                    reach.add(t)
-                    frontier.append(t)
-        live_blocks = [(bi, b) for bi, b in enumerate(f.region.blocks) if b.label in reach]
-        dead = set()
-        while True:
-            used = set()
-            for bi, block in live_blocks:
-                for pos, instr in enumerate(block.instrs):
-                    if (bi, pos) not in dead:
-                        used |= passes._instr_uses(instr)
-            grew = False
-            for bi, block in live_blocks:
-                for pos, instr in enumerate(block.instrs):
-                    if (bi, pos) in dead or not passes._removable(instr):
-                        continue
-                    if all(r not in used for r in instr.results if isinstance(r, str)):
-                        dead.add((bi, pos))
-                        grew = True
-            if not grew:
-                break
-        dead_iids |= {(f.name, bi, pos) for bi, pos in dead}
-    return passes._per_instr_pass(program, {iid: [] for iid in dead_iids}, reaches)
-
-
-@pytest.mark.parametrize("shape, pattern", SWEEP)
-def test_dce_matches_the_fixpoint_reference(monkeypatch, shape, pattern):
-    """On the sweep program and on every program `dce` receives in a preset."""
-    with sealed_opaque_regions():
-        for program in received_by(monkeypatch, "dce", shape, pattern):
-            got, want = dce(program), reference_dce(program)
-            assert got.program == want.program
-            assert print_program(got.program) == print_program(want.program)
-            assert got.provenance.rows() == want.provenance.rows()
 
 
 def test_dce_removes_a_dead_copy_chain_in_one_scan(monkeypatch):
@@ -1679,88 +1570,8 @@ def test_dce_removes_a_dead_copy_chain_in_one_scan(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# constprop against the round-robin iteration it replaced
+# constprop's worklist (tests/test_oracles.py compares it with the round robin it replaced)
 # --------------------------------------------------------------------------
-
-
-def reference_constprop(program):
-    """The round-robin `constprop` SCCP replaced: evaluate every instruction
-    of every executable block until a sweep changes nothing, then rewrite
-    every instruction of the executable blocks."""
-    top, meet = passes._TOP, passes._meet
-    edits, executable_blocks = {}, {}
-    for f in program.functions:
-        values = {p.name: passes._BOT for p in f.params}
-        executable = executable_blocks[f.name] = {f.region.entry.label}
-        taken = {}
-        changed = True
-        while changed:
-            changed = False
-            for block in f.region.blocks:
-                if block.label not in executable:
-                    continue
-                for instr in block.instrs:
-                    lowered = []
-                    if isinstance(instr, Define):
-                        lowered = passes._eval_define(instr, values)
-                    elif isinstance(instr, Branch):
-                        if instr.cond is None:
-                            outs = [instr.then]
-                        else:
-                            cv = passes._atom_value(instr.cond, values)
-                            if cv == top:
-                                outs = []
-                            elif cv[0] == "const":
-                                outs = [instr.then if bool(cv[1]) else instr.els]
-                            else:
-                                outs = [instr.then, instr.els]
-                        outs = [o for o in outs if o is not None]
-                        if [o.label for o in outs] != [o.label for o in taken.get(block.label, [])]:
-                            taken[block.label] = outs
-                            changed = True
-                        for call in outs:
-                            if call.label not in executable:
-                                executable.add(call.label)
-                                changed = True
-                            params = f.region.block(call.label).params
-                            lowered += [
-                                (p.name, passes._atom_value(a, values))
-                                for p, a in zip(params, call.args)
-                            ]
-                    for name, val in lowered:
-                        new = meet(values.get(name, top), val)
-                        if values.get(name, top) != new:
-                            values[name] = new
-                            changed = True
-        consts = {n: Const(v[1], v[2]) for n, v in values.items() if v[0] == "const"}
-        for bi, block in enumerate(f.region.blocks):
-            outs = taken.get(block.label, ())
-            for pos, instr in enumerate(block.instrs if block.label in executable else ()):
-                arith = (
-                    isinstance(instr, Define)
-                    and len(instr.results) == 1
-                    and isinstance(instr.results[0], str)
-                    and isinstance(instr.rhs, (UnaryExpr, BinaryExpr))
-                )
-                if isinstance(instr, Branch) and instr.cond is not None and len(outs) == 1:
-                    new = rename_instr(Branch(None, outs[0], None, instr.loc), consts)
-                    edits[(f.name, bi, pos)] = [(new, "rewritten")]
-                elif arith and (v := values.get(instr.results[0], top))[0] == "const":
-                    new = dc_replace(instr, rhs=AtomExpr(Const(v[1], v[2])))
-                    edits[(f.name, bi, pos)] = [(new, "rewritten")]
-                elif (new := rename_instr(instr, consts)) != instr:
-                    edits[(f.name, bi, pos)] = [(new, "kept")]
-    return passes._per_instr_pass(program, edits, executable_blocks)
-
-
-@pytest.mark.parametrize("shape, pattern", SWEEP)
-def test_constprop_matches_the_round_robin_reference(monkeypatch, shape, pattern):
-    with sealed_opaque_regions():
-        for program in received_by(monkeypatch, "constprop", shape, pattern):
-            got, want = constprop(program), reference_constprop(program)
-            assert got.program == want.program
-            assert print_program(got.program) == print_program(want.program)
-            assert got.provenance.rows() == want.provenance.rows()
 
 
 @pytest.mark.parametrize("start", ["io(inp)", "1"])

@@ -2,35 +2,22 @@
 secret-branch taint, and the protection-specific audits."""
 
 import gc
-import importlib.util
 import itertools
-import random
 import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 from opaqueir import deps, interp, ir
 from opaqueir.deps import DepInfo
 from opaqueir.interp import parse_input, run
-from opaqueir.passes import (
-    PRESETS,
-    ProvenanceMap,
-    constprop,
-    dce,
-    instcombine,
-    optimize,
-    unsafe_const_fold_opaque,
-)
+from opaqueir.passes import PRESETS, ProvenanceMap, instcombine, optimize, unsafe_const_fold_opaque
 from opaqueir.patterns import prepare
 from opaqueir.validate import (
     EventMap,
     _event_loc,
-    _io_counterparts,
-    _io_index,
     PartialState,
     ValidationReport,
     Verdict,
@@ -45,7 +32,8 @@ from opaqueir.validate import (
     compare_traces,
     observation_trace,
 )
-from test_passes import SWEEP, sweep_program
+from programs import group
+from references import reference_check_ordering, reference_check_secret_branches
 
 
 def prog(text):
@@ -1115,163 +1103,6 @@ b:
     assert verdict.passed, verdict.witnesses
 
 
-def reference_check_secret_branches(program, secrets):
-    """`check_secret_branches` as it was before its flows became one edge
-    list: a per-kind fixpoint over four taint stores. It follows no
-    reference an opaque region touches, nor a secret defined inside an
-    opaque region, so it is a reference only for programs whose opaque
-    regions touch no reference, and for secrets defined outside them."""
-    names_of = {
-        f.name: ir.region_defined_names(f.region) | {p.name for p in f.params}
-        for f in program.functions
-    }
-    for name in secrets:
-        if not any(name in names for names in names_of.values()):
-            raise ValueError(f"secret {name!r} names nothing in the program")
-    tainted = {(f.name, n) for f in program.functions for n in secrets if n in names_of[f.name]}
-    tainted_refs: set = set()
-    tainted_returns: set = set()
-    mem_tainted = False
-
-    def hot(fname, atom):
-        return isinstance(atom, ir.Var) and (fname, atom.name) in tainted
-
-    def taint_call(fname, target, args):
-        changed = False
-        for param, arg in zip(target, args):
-            if hot(fname, arg) and param not in tainted:
-                tainted.add(param)
-                changed = True
-        return changed
-
-    blocks_by_label = {f.name: {b.label: b for b in f.region.blocks} for f in program.functions}
-    fn_params = {f.name: tuple(p.name for p in f.params) for f in program.functions}
-    changed = True
-    while changed:
-        changed = False
-        for f in program.functions:
-            for block in f.region.blocks:
-                for instr in block.instrs:
-                    if isinstance(instr, ir.Define):
-                        rhs = instr.rhs
-                        if isinstance(rhs, ir.OpaqueExpr):
-                            dirty = any((f.name, u) in tainted for u in rhs.summary.uses) or (
-                                rhs.summary.has_read and mem_tainted
-                            )
-                            if dirty and rhs.summary.has_write and not mem_tainted:
-                                mem_tainted = changed = True
-                        elif isinstance(rhs, ir.LoadRef):
-                            dirty = (f.name, rhs.ref) in tainted_refs
-                        elif isinstance(rhs, ir.LoadMem):
-                            dirty = mem_tainted or hot(f.name, rhs.addr)
-                        elif isinstance(rhs, ir.CallExpr):
-                            params = fn_params.get(rhs.callee, ())
-                            if taint_call(f.name, [(rhs.callee, p) for p in params], rhs.args):
-                                changed = True
-                            dirty = rhs.callee in tainted_returns
-                        elif isinstance(
-                            rhs, (ir.AtomExpr, ir.UnaryExpr, ir.BinaryExpr, ir.SnapshotExpr)
-                        ):
-                            dirty = any(hot(f.name, a) for a in ir.instr_operand_atoms(instr))
-                        else:
-                            dirty = False
-                        if dirty:
-                            for r in instr.results:
-                                if isinstance(r, str) and (f.name, r) not in tainted:
-                                    tainted.add((f.name, r))
-                                    changed = True
-                    elif isinstance(instr, ir.RefAssign):
-                        if hot(f.name, instr.value) and (f.name, instr.ref) not in tainted_refs:
-                            tainted_refs.add((f.name, instr.ref))
-                            changed = True
-                    elif isinstance(instr, ir.MemStore):
-                        if (hot(f.name, instr.value) or hot(f.name, instr.addr)) and not mem_tainted:
-                            mem_tainted = changed = True
-                    elif isinstance(instr, ir.Return):
-                        if any(hot(f.name, v) for v in instr.values) and f.name not in tainted_returns:
-                            tainted_returns.add(f.name)
-                            changed = True
-                    elif isinstance(instr, ir.Branch):
-                        for call in (instr.then, instr.els):
-                            target = blocks_by_label[f.name].get(call.label) if call else None
-                            if target is not None:
-                                params = [(f.name, p.name) for p in target.params]
-                                if taint_call(f.name, params, call.args):
-                                    changed = True
-
-    witnesses = [
-        f"{f.name} {instr.loc[0]}:{instr.loc[1]} branches on {instr.cond.name}"
-        for f in program.functions
-        for block in f.region.blocks
-        for instr in block.instrs
-        if isinstance(instr, ir.Branch) and instr.cond is not None and hot(f.name, instr.cond)
-    ]
-    return Verdict.of(witnesses)
-
-
-def load_benchmark_generator():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
-def test_taint_matches_the_reference_on_the_benchmark_and_sweep_programs():
-    """Every program `perfbench/gen.py` makes at seeds 0-3, twins included,
-    and every pass-sweep program, as prepared and after P2 and Pz: none
-    touches a reference in an opaque region, so the reference applies to
-    every query that names no variable defined inside an opaque region.
-    The other queries may only be stricter: every witness of the
-    reference is also one of the taint's. Queries: a sample of single
-    names and of name pairs per program."""
-    gen = load_benchmark_generator()
-    texts = [
-        text
-        for make in gen.WORKLOADS.values()
-        for seed in range(4)
-        for case in make(seed)
-        for text in (case.text, case.twin)
-    ] + [sweep_program(shape, pattern) for shape, pattern in SWEEP]
-    rng = random.Random(0)
-    queries = failed = inner_queries = 0
-    for text in texts:
-        source = prog(text)
-        programs = [source]
-        for preset in ("P2", "Pz"):
-            try:
-                programs.append(optimize(source, preset=preset).program)
-            except ir.IRError:
-                pass  # the known Pz exit-capture defect
-        for program in programs:
-            regions = [
-                instr.rhs.region
-                for f in program.functions
-                for block in ir.walk_blocks(f.region)
-                for instr in block.instrs
-                if isinstance(instr, ir.Define) and isinstance(instr.rhs, ir.OpaqueExpr)
-            ]
-            assert not any(ir.region_ref_names(r) for r in regions)
-            inner = set().union(*map(ir.region_defined_names, regions))
-            names = sorted(set().union(*(
-                ir.region_defined_names(f.region) | {p.name for p in f.params}
-                for f in program.functions
-            )))
-            singles = rng.sample(names, min(3, len(names)))
-            for secrets in [[n] for n in singles] + [rng.sample(names, 2) for _ in range(3)]:
-                verdict = check_secret_branches(program, secrets)
-                reference = reference_check_secret_branches(program, set(secrets))
-                if inner.isdisjoint(secrets):
-                    assert verdict == reference
-                    queries += 1
-                    failed += not verdict.passed
-                else:
-                    assert set(reference.witnesses) <= set(verdict.witnesses)
-                    inner_queries += 1
-    assert failed and failed < queries  # both verdicts occur
-    assert inner_queries
-
-
 SECRET_BRANCH = """  c = v == 0
   br c, a, b
 a:
@@ -1487,233 +1318,9 @@ function main() {
 
 
 # --------------------------------------------------------------------------
-# Per-run views
-# --------------------------------------------------------------------------
-
-
-def reference_observation_trace(result):
-    """`observation_trace` as a scan of every event of the run."""
-    states = []
-    for ev in result.events:
-        for idx, rec in enumerate(ev.obs):
-            for tag in rec.tags:
-                states.append(PartialState(tag.source_id, tag.names, rec.values, ev.seq, (ev.seq, idx)))
-    return tuple(states)
-
-
-def reference_io_behavior(result, exclude=frozenset()):
-    """`RunResult.io_behavior` as a scan of every event of the run."""
-    seqs, ordered = {}, {}
-    for ev in result.events:
-        for rec in ev.ios:
-            if rec.channel in exclude:
-                continue
-            key = (rec.direction, rec.channel)
-            seqs.setdefault(key, []).append(rec.values)
-            ordered[key] = rec.ordered or rec.direction == "r"
-    return {
-        key: ("ordered", tuple(values)) if ordered[key]
-        else ("unordered", tuple(sorted(values, key=repr)))
-        for key, values in seqs.items()
-    }
-
-
-def reference_io_index(result):
-    return {
-        (rec.channel, rec.direction, rec.tag): ev.seq for ev in result.events for rec in ev.ios
-    }
-
-
-def reference_io_counterparts(ref, opt):
-    """`_io_counterparts` as a scan of every event of both runs."""
-    opt_index = reference_io_index(opt)
-    out, lost = {}, []
-    for ev in ref.events:
-        for rec in ev.ios:
-            target = opt_index.get((rec.channel, rec.direction, rec.tag))
-            if target is None:
-                lost.append(f"io {rec.channel} #{rec.tag} lost")
-            else:
-                out.setdefault(ev.seq, set()).add(target)
-    return out, lost
-
-
-def view_sources(seed):
-    """(source, input texts) of every program `perfbench/gen.py` makes at
-    `seed`, twins included, or for "sweep" of every sweep program, which
-    reads one value."""
-    if seed == "sweep":
-        return [(sweep_program(shape, pattern), [ONE_INPUT]) for shape, pattern in SWEEP]
-    gen = load_benchmark_generator()
-    return [
-        (text, case.inputs)
-        for make in gen.WORKLOADS.values()
-        for case in make(seed)
-        for text in (case.text, case.twin)
-    ]
-
-
-def assert_views_equal_full_scans(ref, opt):
-    for result in (ref, opt):
-        trace = observation_trace(result)
-        assert trace == reference_observation_trace(result)
-        assert observation_trace(result) is trace
-        index = _io_index(result)
-        assert index == reference_io_index(result)
-        assert _io_index(result) is index
-        for exclude in (frozenset(), frozenset({"tailio", "cc"})):
-            behavior = result.io_behavior(exclude)
-            assert behavior == reference_io_behavior(result, exclude)
-            assert result.io_behavior(exclude) is behavior
-    assert _io_counterparts(ref, opt) == reference_io_counterparts(ref, opt)
-
-
-@pytest.mark.parametrize("seed", [1, 2, 11, 12, 13, "sweep"])  # those of tests/pass_outputs.py
-def test_views_equal_full_scans_on_the_benchmark_and_sweep_programs(seed):
-    """Under every preset, for the reference run and the optimized run on
-    each input: the observation trace, the io index, both io behaviors the
-    benchmark compares and the io counterparts equal whole-trace scans,
-    and a second call returns the same object."""
-    for text, inputs in view_sources(seed):
-        program = prog(text)
-        specs = [parse_input(t) for t in inputs]
-        compared = 0
-        for preset in sorted(PRESETS):
-            try:
-                res = optimize(program, preset=preset)
-            except ir.IRError:
-                continue
-            for spec in specs:
-                ref = run(program, spec)
-                assert ref.trapped is None, ref.trapped
-                assert_views_equal_full_scans(ref, run(res.program, spec))
-                compared += 1
-        assert compared >= 5 * len(specs)  # at most Pz fails to compile
-
-
-# --------------------------------------------------------------------------
 # Ordering over bridged hb edges and the on-demand event map, against the
 # closure and the union-find map they replaced
 # --------------------------------------------------------------------------
-
-
-class ReferenceEventMap:
-    """`EventMap` as it was built whole: a union-find over every provenance
-    edge, then every component matched at once."""
-
-    def __init__(self, ref_events, opt_events, prov):
-        parent = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for src, dst in prov.edges:
-            parent[find(("s", src))] = find(("d", dst))
-        srcs_of, dsts_of = {}, {}
-        for src, dst in prov.edges:
-            srcs_of.setdefault(find(("s", src)), set()).add(src)
-            dsts_of.setdefault(find(("d", dst)), set()).add(dst)
-        ref_by_iid, opt_by_iid = {}, {}
-        for events, by_iid in ((ref_events, ref_by_iid), (opt_events, opt_by_iid)):
-            for ev in events:
-                if ev.iid is not None:
-                    by_iid.setdefault(ev.iid, []).append(ev)
-        self._map = {}
-        for root, srcs in srcs_of.items():
-            dsts = dsts_of[root]
-            refs = sorted(ev for iid in srcs for ev in ref_by_iid.get(iid, ()))
-            opts = sorted(ev for iid in dsts for ev in opt_by_iid.get(iid, ()))
-            if not refs or not opts:
-                continue
-            if len(refs) == len(opts):
-                self._map.update((a.seq, b.seq) for a, b in zip(refs, opts))
-                continue
-            groups, seen = [[]], set()
-            for ev in refs:
-                if ev.iid in seen:
-                    groups.append([])
-                    seen = set()
-                groups[-1].append(ev)
-                seen.add(ev.iid)
-            if len(groups) == len(opts):
-                for group, target in zip(groups, opts):
-                    self._map.update((ev.seq, target.seq) for ev in group)
-
-    def counterpart(self, ref_seq):
-        return self._map.get(ref_seq)
-
-
-def reference_check_ordering(ref, opt, prov=None):
-    """`check_ordering` as it was: every pair of the reference hb closure
-    whose anchors have counterparts, against the optimized closure."""
-    ref_info, opt_info = deps.analyze(ref), deps.analyze(opt)
-    counterparts, lost = _io_counterparts(ref, opt)
-    delta = compare_traces(observation_trace(ref), observation_trace(opt))
-    for seq, target in delta.pairs.values():
-        counterparts.setdefault(seq, set()).add(target)
-    if prov is not None:
-        em = ReferenceEventMap(ref.events, opt.events, prov)
-        for seq in ref_info.anchor_seqs:
-            if seq not in counterparts and (target := em.counterpart(seq)) is not None:
-                counterparts[seq] = {target}
-    witnesses = list(lost)
-    opt_reach = opt_info._anchor_graph()
-    for a, b in ref_info.hb_pairs():
-        for x in counterparts.get(a, ()):
-            for y in counterparts.get(b, ()):
-                if x != y and y not in opt_reach.get(x, ()):
-                    witnesses.append(f"{_event_loc(ref, a)} before {_event_loc(ref, b)} not preserved")
-    return Verdict.of(witnesses)
-
-
-def preset_runs(seed):
-    """(reference run, optimized run, provenance) of every program of
-    `view_sources(seed)` under every preset that compiles it and under the
-    unsafe fold, on each of its inputs."""
-    for text, inputs in view_sources(seed):
-        program = prog(text)
-        specs = [parse_input(t) for t in inputs]
-        for preset in (*sorted(PRESETS), "unsafe"):
-            try:
-                if preset == "unsafe":
-                    res = unsafe_const_fold_opaque(program)
-                else:
-                    res = optimize(program, preset=preset)
-            except ir.IRError:
-                continue  # the exit-capture unroll under Pz (ROADMAP item 3)
-            for spec in specs:
-                yield run(program, spec), run(res.program, spec), res.provenance
-
-
-@pytest.mark.parametrize("seed", [1, 2, 11, 12, 13, "sweep"])  # those of tests/pass_outputs.py
-def test_ordering_and_event_map_match_the_closure_and_union_find(seed):
-    """Under every preset and the unsafe fold: `check_ordering` gives the
-    verdict of checking every pair of the closure, and each of its
-    witnesses is one of the reference's; `EventMap` gives every reference
-    event the counterpart the union-find map gives it. On the sweep runs,
-    `hb` is membership in `hb_pairs` for every pair of anchors."""
-    verdicts = Counter()
-    for ref, opt, prov in preset_runs(seed):
-        verdict = check_ordering(ref, opt, prov)
-        reference = reference_check_ordering(ref, opt, prov)
-        assert verdict.passed == reference.passed
-        assert set(verdict.witnesses) <= set(reference.witnesses)
-        assert len(verdict.witnesses) <= len(reference.witnesses)  # one per violated edge
-        verdicts[verdict.passed] += 1
-        em = EventMap(ref.events, opt.events, prov)
-        expected = ReferenceEventMap(ref.events, opt.events, prov)
-        for ev in reversed(ref.events):  # latest first: no query leans on an earlier one
-            assert em.counterpart(ev.seq) == expected.counterpart(ev.seq)
-        if seed == "sweep":
-            for info in (deps.analyze(ref), deps.analyze(opt)):
-                pairs = set(info.hb_pairs())
-                for a in info.anchor_seqs:
-                    for b in info.anchor_seqs:
-                        assert info.hb(a, b) == ((a, b) in pairs)
-    assert verdicts[True] and (verdicts[False] or seed == "sweep")  # the unsafe fold fails some
 
 
 def test_ordering_walks_through_an_anchor_without_a_counterpart():
@@ -1802,11 +1409,11 @@ def test_ordering_walks_through_a_dropped_observation_in_generated_programs(seed
     """The corpus programs after P2, which leaves no copy between an
     opaque instruction and its readers, under `drop_and_reorder`: the
     check fails on the bridged pair alone, as the closure check does."""
-    gen = load_benchmark_generator()
     mutated = 0
-    for case in gen.corpus(seed):
-        spec = parse_input(case.inputs[0])
-        program = optimize(prepare(case.text)[0], preset="P2").program
+    for p in group(seed):
+        if p.workload != "corpus" or p.name.endswith("/twin"):
+            continue
+        spec, program = p.specs[0], p.results["P2"].program
         for bad, ref, a, b in itertools.islice(drop_and_reorder(program, spec), 1):
             opt = run(bad, spec)
             verdict, reference = check_ordering(ref, opt), reference_check_ordering(ref, opt)
