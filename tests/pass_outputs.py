@@ -130,7 +130,7 @@ def main(argv) -> int:
         return 2
     tables = {}  # per workload, so the file lists each workload's seeds in turn
     for key in (*SEEDS, *SWEEP):
-        for p in group.__wrapped__(key):  # each group built and dropped in turn
+        for p in group(key):
             table = tables.setdefault(p.workload, {})
             table[f"{p.name}/prepared"] = prepared(p.program, p.types)
             for preset, entry in outputs(p).items():

@@ -4,10 +4,11 @@ preset and once under the unsafe fold.
 The supply comes in groups. Each seed of `SEEDS` is a group: every
 program `perfbench/gen.py` makes at that seed, each followed by its
 observation-stripped twin, in the generator's order. Each `SWEEP` program
-is a group of its own. A group is built on first use and kept for the
-session (all of them hold about 66 MB); interpreter runs are not kept. A
-compile error fails a test unless `known_failure` accepts it. Pytest does
-not collect this module, and it imports neither pytest nor hypothesis, so
+is a group of its own. Only the group last asked for is kept, so a user
+takes the groups in `GROUPS` order, as `tests/test_oracles.py` does; all
+of them would hold about 66 MB. Interpreter runs are not kept. A compile
+error fails a test unless `known_failure` accepts it. Pytest does not
+collect this module, and it imports neither pytest nor hypothesis, so
 `tests/pass_outputs.py` reads the same supply.
 """
 
@@ -158,7 +159,7 @@ def supplied(name, workload, text, inputs, audit_preset) -> Supplied:
     return Supplied(name, workload, text, specs, audit_preset, program, types, results)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def group(key) -> tuple[Supplied, ...]:
     """The programs of a seed or of a `SWEEP` entry."""
     if isinstance(key, tuple):

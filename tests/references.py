@@ -13,47 +13,9 @@ import typing
 from dataclasses import replace as dc_replace
 from types import SimpleNamespace
 
-from opaqueir import deps, interp, ir, passes
+from opaqueir import deps, interp, ir, passes, validate
 from opaqueir.deps import ValueSetReport, _BOTTOM, _REACHED, _sample_values, analyze, witness_var
 from opaqueir.interp import DEFAULT_STEP_BUDGET, Event, IoRecord, ObsRecord, run
-from opaqueir.ir import (
-    AtomExpr,
-    BinaryExpr,
-    Branch,
-    CallExpr,
-    Const,
-    Define,
-    DescriptorExpr,
-    DescValue,
-    IoRead,
-    IoWrite,
-    LoadMem,
-    LoadRef,
-    MemStore,
-    OpaqueExpr,
-    ParseError,
-    RefAssign,
-    Return,
-    SnapshotExpr,
-    Type,
-    UnaryExpr,
-    Use,
-    Var,
-    Yield,
-    block_successors,
-    instr_at,
-    instr_signature,
-    rename_instr,
-    typecheck,
-)
-from opaqueir.validate import (
-    PartialState,
-    Verdict,
-    _event_loc,
-    _io_counterparts,
-    compare_traces,
-    observation_trace,
-)
 
 
 REFERENCE_PUNCT = [
@@ -69,7 +31,7 @@ REFERENCE_INT = re.compile(r"\d+")
 REFERENCE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-REFERENCE_SUFFIXES = {"u8": Type.U8, "u32": Type.U32, "i32": Type.I32}
+REFERENCE_SUFFIXES = {"u8": ir.Type.U8, "u32": ir.Type.U32, "i32": ir.Type.I32}
 
 
 def reference_tokenize(text):
@@ -97,15 +59,15 @@ def reference_tokenize(text):
                 raw = m.group()
                 pos = m.end()
                 suffix_m = REFERENCE_IDENT.match(line, pos)
-                ty = Type.U32
+                ty = ir.Type.U32
                 if suffix_m and suffix_m.group() in REFERENCE_SUFFIXES:
                     ty = REFERENCE_SUFFIXES[suffix_m.group()]
                     pos = suffix_m.end()
                 elif suffix_m:
-                    raise ParseError(f"bad integer suffix {suffix_m.group()!r}", (lineno, col))
+                    raise ir.ParseError(f"bad integer suffix {suffix_m.group()!r}", (lineno, col))
                 value = int(raw)
                 ir._check_literal_range(value, ty, (lineno, col))
-                tokens.append(("int", raw, lineno, col, Const(value, ty)))
+                tokens.append(("int", raw, lineno, col, ir.Const(value, ty)))
                 produced = True
                 continue
             m = REFERENCE_IDENT.match(line, pos)
@@ -121,7 +83,7 @@ def reference_tokenize(text):
                     produced = True
                     break
             else:
-                raise ParseError(f"unexpected character {ch!r}", (lineno, col))
+                raise ir.ParseError(f"unexpected character {ch!r}", (lineno, col))
         if produced:
             tokens.append(("newline", "\\n", lineno, len(line) + 1, None))
     tokens.append(("eof", "", len(text.splitlines()) + 1, 1, None))
@@ -133,7 +95,7 @@ def lexed(tokenize, text):
     try:
         return [tuple(t) if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col, t.value)
                 for t in tokenize(text)]
-    except ParseError as exc:
+    except ir.ParseError as exc:
         return ("ParseError", exc.message, exc.loc)
 
 
@@ -579,8 +541,8 @@ class RefCode:
         for bi, block in enumerate(region.blocks):
             steps = []
             for pos, instr in enumerate(block.instrs):
-                kind = type(instr.rhs) if type(instr) is Define else type(instr)
-                body = RefCode(instr.rhs.region) if kind is OpaqueExpr else None
+                kind = type(instr.rhs) if type(instr) is ir.Define else type(instr)
+                body = RefCode(instr.rhs.region) if kind is ir.OpaqueExpr else None
                 steps.append((instr, kind, (fname, bi, pos) if fname is not None else None, body))
             self.blocks.append((block.label, tuple(p.name for p in block.params), tuple(steps)))
             self.index[block.label] = bi
@@ -619,7 +581,7 @@ class ReferenceInterp:
         self.functions = {}
         for f in program.functions:
             self.functions.setdefault(f.name, (tuple(p.name for p in f.params), RefCode(f.region, f.name)))
-        self.program, self.type_info = program, typecheck(program).var_types
+        self.program, self.type_info = program, ir.typecheck(program).var_types
         self.channels = inputs.channels if inputs is not None else {}
         self.step_budget, self.opaque_budget = DEFAULT_STEP_BUDGET, interp.DEFAULT_OPAQUE_BUDGET
         self.patch_seq, self.patch_name, self.patch_value = patch or (-1, None, None)
@@ -635,7 +597,7 @@ class ReferenceInterp:
         return defs
 
     def atom_value(self, frame, scopes, atom, agg):
-        if type(atom) is Const:
+        if type(atom) is ir.Const:
             return atom.value
         name = atom.name
         if scopes:
@@ -652,11 +614,11 @@ class ReferenceInterp:
 
     def desc_value(self, frame, scopes, desc, agg):
         if desc.is_var:
-            value = self.atom_value(frame, scopes, Var(desc.name), agg)
-            if not isinstance(value, DescValue):
+            value = self.atom_value(frame, scopes, ir.Var(desc.name), agg)
+            if not isinstance(value, ir.DescValue):
                 raise interp._Trap(f"{desc.name} does not hold a descriptor")
             return value
-        return DescValue(desc.name)
+        return ir.DescValue(desc.name)
 
     def channel_config(self, channel):
         if channel == "tailio":
@@ -685,41 +647,41 @@ class ReferenceInterp:
         return tag
 
     def operand_type(self, fname, atom, value):
-        if type(atom) is Const:
+        if type(atom) is ir.Const:
             return atom.type
         ty = self.type_info.get((fname, atom.name))
         return ty if ty is not None else interp._type_of_value(value)
 
     def exec_instr(self, frame, scopes, instr, kind, agg, seq):
         read = lambda atom: self.atom_value(frame, scopes, atom, agg)  # noqa: E731
-        if kind is BinaryExpr:
+        if kind is ir.BinaryExpr:
             a, b = read(instr.rhs.a), read(instr.rhs.b)
             ty = self.operand_type(frame.fname, instr.rhs.a, a)
             return (interp.eval_binary(instr.rhs.op, a, b, ty),)
-        if kind is AtomExpr:
+        if kind is ir.AtomExpr:
             return (read(instr.rhs.atom),)
-        if kind is UnaryExpr:
+        if kind is ir.UnaryExpr:
             a = read(instr.rhs.a)
             return (interp.eval_unary(instr.rhs.op, a, self.operand_type(frame.fname, instr.rhs.a, a)),)
-        if kind is LoadMem:
+        if kind is ir.LoadMem:
             value, writer = self.memory.get(read(instr.rhs.addr), (0, 0))
             fx = agg.effects()
             if writer != seq and writer not in fx.rf:
                 fx.rf.append(writer)
             return (value,)
-        if kind is SnapshotExpr:
+        if kind is ir.SnapshotExpr:
             values = tuple(read(a) for a in instr.rhs.args)
             fx = agg.effects()
             fx.obs.append(ObsRecord(instr.rhs.tags, values, next_pos(fx)))
             return values
-        if kind is IoRead:
+        if kind is ir.IoRead:
             dv = self.desc_value(frame, scopes, instr.rhs.desc, agg)
             _, ordered = self.channel_config(dv.channel)
             value, tag = self.io_read(dv.channel)
             fx = agg.effects()
             fx.ios.append(IoRecord(dv.channel, ordered, "r", tag, (value,), next_pos(fx)))
             return (value,)
-        if kind is IoWrite:
+        if kind is ir.IoWrite:
             dv = self.desc_value(frame, scopes, instr.desc, agg)
             values = tuple(read(v) for v in instr.values)
             _, ordered = self.channel_config(dv.channel)
@@ -727,16 +689,16 @@ class ReferenceInterp:
             fx = agg.effects()
             fx.ios.append(IoRecord(dv.channel, ordered, "w", tag, values, next_pos(fx)))
             return ()
-        if kind is MemStore:
+        if kind is ir.MemStore:
             addr, value = read(instr.addr), read(instr.value)
             self.memory[addr] = (value, seq)
             agg.effects().stores.append((addr, value))
             return ()
-        if kind is Use:
+        if kind is ir.Use:
             for a in instr.args:
                 read(a)
             return ()
-        if kind is LoadRef:
+        if kind is ir.LoadRef:
             if instr.rhs.ref not in frame.refs:
                 raise interp._Trap(f"reference {instr.rhs.ref} read before assignment")
             value, writer = frame.refs[instr.rhs.ref]
@@ -744,12 +706,12 @@ class ReferenceInterp:
             if writer != seq and writer not in fx.rf:
                 fx.rf.append(writer)
             return (value,)
-        if kind is RefAssign:
+        if kind is ir.RefAssign:
             frame.refs[instr.ref] = (read(instr.value), seq)
             return ()
-        if kind is DescriptorExpr:
-            return (DescValue(instr.rhs.channel),)
-        if kind is CallExpr:
+        if kind is ir.DescriptorExpr:
+            return (ir.DescValue(instr.rhs.channel),)
+        if kind is ir.CallExpr:
             raise interp._Trap("function call inside an opaque region")
         where = "in an opaque region" if scopes is not None else "at function level"
         raise interp._Trap(f"illegal instruction {where}: {instr!r}")
@@ -773,12 +735,12 @@ class ReferenceInterp:
                 self.region_steps += 1
                 if self.region_steps > self.opaque_budget:
                     raise interp._Trap("opaque region budget exceeded")
-                if kind is Branch:
+                if kind is ir.Branch:
                     target, args = self.take_branch(frame, scopes, instr, agg)
                     _, params, steps = code.blocks[code.index[target.label]]
                     env.update(zip(params, args))
                     break
-                if kind is Yield:
+                if kind is ir.Yield:
                     return tuple(self.atom_value(frame, scopes, v, agg) for v in instr.values)
                 if body is not None:
                     values = self.run_region(frame, body, scopes, agg, seq)
@@ -809,12 +771,12 @@ class ReferenceInterp:
                     raise interp._Trap("step budget exceeded")
                 agg = RefAgg()
                 seq = len(events)
-                if kind is CallExpr:
+                if kind is ir.CallExpr:
                     call_args = tuple(self.atom_value(frame, None, a, agg) for a in instr.rhs.args)
                     results = tuple(r for r in instr.results if isinstance(r, str))
                     self.call_function(instr.rhs.callee, call_args, agg, iid, frame, results, depth + 1)
                     continue
-                if kind is Branch:
+                if kind is ir.Branch:
                     target, args = self.take_branch(frame, None, instr, agg)
                     label, params, steps = code.blocks[code.index[target.label]]
                     events.append(Event(
@@ -822,7 +784,7 @@ class ReferenceInterp:
                         agg.reads(),
                     ))
                     break
-                if kind is Return:
+                if kind is ir.Return:
                     values = tuple(self.atom_value(frame, None, v, agg) for v in instr.values)
                     events.append(Event(
                         seq, "ret", iid, frame.activation,
@@ -874,8 +836,8 @@ def reference_analysis(program, result):
                 if by_block:
                     cd = frozenset((max(seqs[-1] for seqs in by_block.values()),))
             if ev.kind == "branch":
-                instr = instr_at(program, iid)
-                if isinstance(instr, Branch) and instr.cond is not None:
+                instr = ir.instr_at(program, iid)
+                if isinstance(instr, ir.Branch) and instr.cond is not None:
                     by_block.setdefault(bi, []).append(ev.seq)
         dep_sources.append(frozenset(src for _, _, src in ev.reads) | frozenset(ev.rf) | cd)
         cd_sources.append(cd)
@@ -976,7 +938,7 @@ def value_at_dependent(info, j, k_iid, sign):
 
 def signatures(program):
     """The `sign` of `deps._value_sets`: each instruction id's signature."""
-    return functools.cache(lambda iid: instr_signature(instr_at(program, iid)))
+    return functools.cache(lambda iid: ir.instr_signature(ir.instr_at(program, iid)))
 
 
 def reference_value_sets(program, spec, info, pairs):
@@ -984,13 +946,13 @@ def reference_value_sets(program, spec, info, pairs):
     the same way, but every alternative value of a group rerun on its
     own, in order, until each of the group's links has two outcomes."""
     events = info.events
-    var_types = typecheck(program).var_types
+    var_types = ir.typecheck(program).var_types
     sign = signatures(program)
     reports, groups = {}, {}
     for j, k in pairs:
         var = witness_var(info, j, k)
         ty = None if var is None else var_types.get((events[j].iid[0], var))
-        if var is None or ty is Type.UNIT:
+        if var is None or ty is ir.Type.UNIT:
             reports[j, k] = ValueSetReport(2, "rule_derived")
         elif ty is None or events[k].iid is None:
             reports[j, k] = ValueSetReport(0, "unknown")
@@ -1021,7 +983,7 @@ def reference_dce(program):
     definition dies."""
     reaches, dead_iids = {}, set()
     for f in program.functions:
-        succ = block_successors(f.region)
+        succ = ir.block_successors(f.region)
         reach = reaches[f.name] = {f.region.entry.label}
         frontier = [f.region.entry.label]
         while frontier:
@@ -1069,9 +1031,9 @@ def reference_constprop(program):
                     continue
                 for instr in block.instrs:
                     lowered = []
-                    if isinstance(instr, Define):
+                    if isinstance(instr, ir.Define):
                         lowered = passes._eval_define(instr, values)
-                    elif isinstance(instr, Branch):
+                    elif isinstance(instr, ir.Branch):
                         if instr.cond is None:
                             outs = [instr.then]
                         else:
@@ -1100,23 +1062,23 @@ def reference_constprop(program):
                         if values.get(name, top) != new:
                             values[name] = new
                             changed = True
-        consts = {n: Const(v[1], v[2]) for n, v in values.items() if v[0] == "const"}
+        consts = {n: ir.Const(v[1], v[2]) for n, v in values.items() if v[0] == "const"}
         for bi, block in enumerate(f.region.blocks):
             outs = taken.get(block.label, ())
             for pos, instr in enumerate(block.instrs if block.label in executable else ()):
                 arith = (
-                    isinstance(instr, Define)
+                    isinstance(instr, ir.Define)
                     and len(instr.results) == 1
                     and isinstance(instr.results[0], str)
-                    and isinstance(instr.rhs, (UnaryExpr, BinaryExpr))
+                    and isinstance(instr.rhs, (ir.UnaryExpr, ir.BinaryExpr))
                 )
-                if isinstance(instr, Branch) and instr.cond is not None and len(outs) == 1:
-                    new = rename_instr(Branch(None, outs[0], None, instr.loc), consts)
+                if isinstance(instr, ir.Branch) and instr.cond is not None and len(outs) == 1:
+                    new = ir.rename_instr(ir.Branch(None, outs[0], None, instr.loc), consts)
                     edits[(f.name, bi, pos)] = [(new, "rewritten")]
                 elif arith and (v := values.get(instr.results[0], top))[0] == "const":
-                    new = dc_replace(instr, rhs=AtomExpr(Const(v[1], v[2])))
+                    new = dc_replace(instr, rhs=ir.AtomExpr(ir.Const(v[1], v[2])))
                     edits[(f.name, bi, pos)] = [(new, "rewritten")]
-                elif (new := rename_instr(instr, consts)) != instr:
+                elif (new := ir.rename_instr(instr, consts)) != instr:
                     edits[(f.name, bi, pos)] = [(new, "kept")]
     return passes._per_instr_pass(program, edits, executable_blocks)
 
@@ -1212,7 +1174,7 @@ def reference_check_secret_branches(program, secrets):
         for instr in block.instrs
         if isinstance(instr, ir.Branch) and instr.cond is not None and hot(f.name, instr.cond)
     ]
-    return Verdict.of(witnesses)
+    return validate.Verdict.of(witnesses)
 
 
 def reference_observation_trace(result):
@@ -1221,7 +1183,8 @@ def reference_observation_trace(result):
     for ev in result.events:
         for idx, rec in enumerate(ev.obs):
             for tag in rec.tags:
-                states.append(PartialState(tag.source_id, tag.names, rec.values, ev.seq, (ev.seq, idx)))
+                state = (tag.source_id, tag.names, rec.values, ev.seq, (ev.seq, idx))
+                states.append(validate.PartialState(*state))
     return tuple(states)
 
 
@@ -1315,8 +1278,9 @@ def reference_check_ordering(ref, opt, prov=None):
     """`check_ordering` as it was: every pair of the reference hb closure
     whose anchors have counterparts, against the optimized closure."""
     ref_info, opt_info = deps.analyze(ref), deps.analyze(opt)
-    counterparts, lost = _io_counterparts(ref, opt)
-    delta = compare_traces(observation_trace(ref), observation_trace(opt))
+    counterparts, lost = validate._io_counterparts(ref, opt)
+    trace = validate.observation_trace
+    delta = validate.compare_traces(trace(ref), trace(opt))
     for seq, target in delta.pairs.values():
         counterparts.setdefault(seq, set()).add(target)
     if prov is not None:
@@ -1330,5 +1294,6 @@ def reference_check_ordering(ref, opt, prov=None):
         for x in counterparts.get(a, ()):
             for y in counterparts.get(b, ()):
                 if x != y and y not in opt_reach.get(x, ()):
-                    witnesses.append(f"{_event_loc(ref, a)} before {_event_loc(ref, b)} not preserved")
-    return Verdict.of(witnesses)
+                    loc_a, loc_b = validate._event_loc(ref, a), validate._event_loc(ref, b)
+                    witnesses.append(f"{loc_a} before {loc_b} not preserved")
+    return validate.Verdict.of(witnesses)

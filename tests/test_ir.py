@@ -646,11 +646,19 @@ def test_a_name_read_before_it_is_typed_costs_one_retry(monkeypatch, src, var, t
 
 
 @functools.cache
+def workload_programs() -> list[tuple[str, ir.Program, list[ir.Program]]]:
+    """(workload, program as prepared, its output under each column that
+    compiles it) of every seed-11 workload program and twin and every sweep
+    program of the supply, whose groups are read once."""
+    supply = [p for key in (11, *SWEEP) for p in group(key)]
+    return [(p.workload, p.program, [res.program for _, res in p.compiled()]) for p in supply]
+
+
+@functools.cache
 def mutation_bases() -> list[ir.Program]:
     """Well-formed programs to break: the seed-11 corpus programs and
     twins, the sweep programs and the validator examples that parse."""
-    supply = [p for key in (11, *SWEEP) for p in group(key)]
-    bases = [p.program for p in supply if p.workload in ("corpus", "sweep")]
+    bases = [q for workload, q, _ in workload_programs() if workload in ("corpus", "sweep")]
     return bases + [parse_program(src) for src in (NESTED_OPAQUE, OUT_OF_ORDER, REF_LOOP)]
 
 
@@ -1239,12 +1247,11 @@ b:
 
 
 def workload_outputs():
-    """Every seed-11 workload program and twin and every sweep program of
-    the supply: as prepared, after each preset and after the unsafe fold."""
-    for key in (11, *SWEEP):
-        for p in group(key):
-            yield p.program
-            yield from (res.program for _, res in p.compiled())
+    """The programs of `workload_programs`: as prepared, after each preset
+    and after the unsafe fold."""
+    for _, program, outputs in workload_programs():
+        yield program
+        yield from outputs
 
 
 def test_printed_outputs_parse_back_equal():
@@ -1491,9 +1498,11 @@ CFGS = st.integers(1, 8).flatmap(
 @example([()])
 def test_dominators_equal_the_round_robin_reference_in_block_order(cfg):
     region = cfg_region(cfg)
+    # called directly: `compute_dominators` answers a single-block region itself
+    dominators = reference_dominators_from(ir.block_successors(region), region.entry.label)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ir, "_dominators_from", reference_dominators_from)
-        want = compute_dominators(region), compute_postdominators(region)
+        want = dominators, compute_postdominators(region)
     got = compute_dominators(region), compute_postdominators(region)
     labels = [b.label for b in region.blocks]
     for have, reference in zip(got, want):

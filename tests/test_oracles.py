@@ -5,6 +5,7 @@ program of a group, and its row's floor on the tally fails the test of a
 row that a supply change has emptied.
 """
 
+import itertools
 import random
 from collections import Counter
 
@@ -12,12 +13,12 @@ import pytest
 
 from opaqueir import deps, interp, ir, validate
 from opaqueir.deps import DepInfo, analyze, opaque_skeleton
-from opaqueir.interp import RunResult, run
+from opaqueir.interp import run
 from opaqueir.ir import AtomExpr, BinaryExpr, Define, DescriptorExpr, UnaryExpr, instr_at
 from opaqueir.passes import PASSES, PRESETS, constprop, dce, optimize
 from opaqueir.patterns import prepare
 import references
-from programs import COLUMNS, GROUPS, SEEDS, SWEEP, group, known_failure
+from programs import GROUPS, SEEDS, SWEEP, group, known_failure
 
 PRESET_NAMES = sorted(PRESETS)
 
@@ -109,43 +110,32 @@ def same_analysis(reference, replacement, p, tally, monkeypatch):
         tally["compared"] += 1
 
 
-def every_later_event(sources, i, n):
-    return range(sources[i] + 1, n)
-
-
-def later_sources(sources, i, n):
-    """The later anchor and opaque events; a run with over 200 of them,
-    where walks back from far targets make every pair cost minutes, gets
-    the next 16."""
-    return sources[i + 1 : None if len(sources) <= 200 else i + 17]
-
-
 def same_walks(reference, replacement, p, tally, monkeypatch):
     """The skeleton, and `dep_reachable` from every anchor or opaque event:
     on a sweep program's preset runs to every later event, with every
     event's `dep_ancestors`; on a generated program's reference run on
-    each input to the later anchor and opaque events."""
-    (skeleton, reachable, ancestors), (ref_skeleton, ref_reach) = replacement, reference
-    if p.workload == "sweep":
-        infos, later = [analyze(r) for r in preset_runs(p)], every_later_event
-    else:
-        infos, later = [analyze(run(p.program, spec)) for spec in p.specs], later_sources
-    for info in infos:
+    each input to the later anchor and opaque events, or to the next 16 in
+    a run with over 200 of them, where walks back from far targets make
+    every pair cost minutes."""
+    sweep = p.workload == "sweep"
+    runs = preset_runs(p) if sweep else [run(p.program, spec) for spec in p.specs]
+    for info in map(analyze, runs):
         out = references.reverse_edges(info)
-        assert skeleton(info) == ref_skeleton(info, out)
+        assert opaque_skeleton(info) == references.reference_skeleton(info, out)
         sources = sorted({*info.anchor_seqs, *(ev.seq for ev in info.events if ev.is_opaque)})
         for i, src in enumerate(sources):
-            reach = ref_reach(out, src)
-            for dst in later(sources, i, len(info.events)):
-                assert reachable(info, src, dst) == (dst in reach), (src, dst)
+            reach = reference(out, src)
+            far = None if len(sources) <= 200 else i + 17
+            for dst in range(src + 1, len(info.events)) if sweep else sources[i + 1 : far]:
+                assert replacement(info, src, dst) == (dst in reach), (src, dst)
                 tally["compared"] += 1
-        if p.workload == "sweep":
+        if sweep:
             want = [[] for _ in info.events]
             for src in range(len(info.events)):
-                for dst in ref_reach(out, src) - {src}:
+                for dst in reference(out, src) - {src}:
                     want[dst].append(src)
             for dst, srcs in enumerate(want):
-                assert sorted(ancestors(info, dst)) == srcs, dst
+                assert sorted(info.dep_ancestors(dst)) == srcs, dst
                 tally["compared"] += 1
 
 
@@ -239,61 +229,47 @@ def same_taint(reference, replacement, p, tally, monkeypatch):
             tally["compared"] += 1
             if inner.isdisjoint(secrets):
                 assert verdict == want
-                tally["failed"] += not verdict.passed
+                tally["passed" if verdict.passed else "failed"] += 1
             else:
                 assert set(want.witnesses) <= set(verdict.witnesses)
                 tally["inner"] += 1
 
 
-def paired_runs(p, columns):
-    """(reference run, optimized run, output) under each of `columns` that
-    compiles `p`, on each input."""
-    for _, res in p.compiled(columns):
-        for spec in p.specs:
-            ref = run(p.program, spec)
-            assert ref.trapped is None, ref.trapped
-            yield ref, run(res.program, spec), res
-
-
-def same_views(reference, replacement, p, tally, monkeypatch):
-    """Under every preset, for the reference run and the optimized run on
-    each input: the observation trace, the io index, both io behaviors the
-    benchmark compares and the io counterparts equal whole-trace scans,
-    and a second call returns the same object."""
-    (trace_of, index_of, behavior_of, counterparts), refs = replacement, reference
-    ref_trace, ref_index, ref_behavior, ref_counterparts = refs
-    for ref, opt, _ in paired_runs(p, PRESET_NAMES):
+def same_views_and_ordering(reference, replacement, p, tally, monkeypatch):
+    """Under every preset and the unsafe fold, for the reference run and
+    the optimized run on each input: the observation trace, the io index,
+    both io behaviors the benchmark compares and the io counterparts equal
+    whole-trace scans, and a second call returns the same object;
+    `check_ordering` gives the verdict of checking every pair of the
+    closure, and each of its witnesses is one of the reference's;
+    `EventMap` gives every reference event the counterpart the union-find
+    map gives it. On the sweep runs, `hb` is membership in `hb_pairs` for
+    every pair of anchors."""
+    for (_, res), spec in itertools.product(p.compiled(), p.specs):
+        ref, opt = run(p.program, spec), run(res.program, spec)
+        assert ref.trapped is None, ref.trapped
         for result in (ref, opt):
-            trace = trace_of(result)
-            assert trace == ref_trace(result)
-            assert trace_of(result) is trace
-            index = index_of(result)
-            assert index == ref_index(result)
-            assert index_of(result) is index
+            trace = validate.observation_trace(result)
+            assert trace == references.reference_observation_trace(result)
+            assert validate.observation_trace(result) is trace
+            index = validate._io_index(result)
+            assert index == references.reference_io_index(result)
+            assert validate._io_index(result) is index
             for exclude in (frozenset(), frozenset({"tailio", "cc"})):
-                behavior = behavior_of(result, exclude)
-                assert behavior == ref_behavior(result, exclude)
-                assert behavior_of(result, exclude) is behavior
-        assert counterparts(ref, opt) == ref_counterparts(ref, opt)
-        tally["compared"] += 1
-
-
-def same_ordering(reference, replacement, p, tally, monkeypatch):
-    """Under every preset and the unsafe fold: `check_ordering` gives the
-    verdict of checking every pair of the closure, and each of its
-    witnesses is one of the reference's; `EventMap` gives every reference
-    event the counterpart the union-find map gives it. On the sweep runs,
-    `hb` is membership in `hb_pairs` for every pair of anchors."""
-    (check, event_map), (ref_check, ref_event_map) = replacement, reference
-    for ref, opt, res in paired_runs(p, COLUMNS):
+                behavior = result.io_behavior(exclude)
+                assert behavior == references.reference_io_behavior(result, exclude)
+                assert result.io_behavior(exclude) is behavior
+        want = references.reference_io_counterparts(ref, opt)
+        assert validate._io_counterparts(ref, opt) == want
         prov = res.provenance
-        verdict, want = check(ref, opt, prov), ref_check(ref, opt, prov)
+        verdict, want = replacement(ref, opt, prov), reference(ref, opt, prov)
         assert verdict.passed == want.passed
         assert set(verdict.witnesses) <= set(want.witnesses)
         assert len(verdict.witnesses) <= len(want.witnesses)  # one per violated edge
         tally["compared"] += 1
         tally["passed" if verdict.passed else "failed"] += 1
-        em, expected = (m(ref.events, opt.events, prov) for m in (event_map, ref_event_map))
+        em = validate.EventMap(ref.events, opt.events, prov)
+        expected = references.ReferenceEventMap(ref.events, opt.events, prov)
         for ev in reversed(ref.events):  # latest first: no query leans on an earlier one
             assert em.counterpart(ev.seq) == expected.counterpart(ev.seq)
         if p.workload == "sweep":
@@ -306,10 +282,10 @@ def same_ordering(reference, replacement, p, tally, monkeypatch):
 
 BENCHMARK = (1, 2, 11, 12, 13, *SWEEP)  # the programs of tests/pass_outputs.py
 # Per row: the name, the reference, the replacement (a row comparing
-# several functions lists them as tuples, in the same order), the
-# comparison, the supply groups, and the floor: at least n comparisons per
-# program of the group (or per input, or per group), and on a seed's group
-# a positive tally of each further key.
+# several functions names its main pair; the comparison names the rest),
+# the comparison, the supply groups, and the floor: at least n comparisons
+# per program of the group (or per input, or per group), and a positive
+# tally of each further key on each of the groups given for it.
 ORACLES = [
     ("tokenize", references.reference_tokenize, ir.tokenize, same_tokens, SWEEP, (1, "program")),
     (
@@ -319,37 +295,28 @@ ORACLES = [
     ("interpreter", references.ReferenceInterp, interp.run, same_runs, SWEEP, (6, "program")),
     ("analyze", references.reference_analysis, analyze, same_analysis, SWEEP, (6, "program")),
     (
-        "walks", (references.reference_skeleton, references.reference_reach),
-        (opaque_skeleton, DepInfo.dep_reachable, DepInfo.dep_ancestors),
-        same_walks, BENCHMARK, (1, "input"),
+        "walks", references.reference_reach, DepInfo.dep_reachable, same_walks, BENCHMARK,
+        (1, "input"),
     ),
     (
         "value sets", references.reference_value_sets, deps._value_sets, same_value_sets,
-        (1, 2, 11, *SWEEP), (1, "group", "sampled singletons"),  # lanes that ran to the end
+        (1, 2, 11, *SWEEP), (1, "group", {"sampled singletons": SEEDS}),  # lanes run to the end
     ),
     (
         "one scan", references.value_at_dependent, deps.dependent_outcomes, same_scans,
-        (1, 11, *SWEEP), (1, "group", "serving several links"),
+        (1, 11, *SWEEP), (1, "group", {"serving several links": SEEDS}),
     ),
     ("dce", references.reference_dce, dce, same_pass_output, SWEEP, (2, "program")),
     ("constprop", references.reference_constprop, constprop, same_pass_output, SWEEP, (2, "program")),
     (
         "taint", references.reference_check_secret_branches, validate.check_secret_branches,
-        same_taint, (0, 1, 2, 3, *SWEEP), (12, "program", "failed", "inner"),
+        same_taint, (0, 1, 2, 3, *SWEEP),
+        (12, "program", {"passed": GROUPS, "inner": GROUPS, "failed": SEEDS}),
     ),
     (
-        "views",
-        (references.reference_observation_trace, references.reference_io_index,
-         references.reference_io_behavior, references.reference_io_counterparts),
-        (validate.observation_trace, validate._io_index, RunResult.io_behavior,
-         validate._io_counterparts),
-        same_views, BENCHMARK, (5, "input"),
-    ),
-    (
-        "ordering and event map",
-        (references.reference_check_ordering, references.ReferenceEventMap),
-        (validate.check_ordering, validate.EventMap), same_ordering, BENCHMARK,
-        (6, "input", "passed", "failed"),  # the unsafe fold fails some
+        "views and ordering", references.reference_check_ordering,
+        validate.check_ordering, same_views_and_ordering, BENCHMARK,
+        (6, "input", {"passed": GROUPS, "failed": SEEDS}),  # the unsafe fold fails some
     ),
 ]
 
@@ -370,8 +337,8 @@ def test_replacement_matches_its_reference(monkeypatch, reference, replacement, 
     tally = Counter()
     for p in programs:
         compare(reference, replacement, p, tally, monkeypatch)
-    n, per, *generated = floor
+    n, per, *positive = floor
     units = {"program": len(programs), "input": sum(len(p.specs) for p in programs), "group": 1}
     assert tally["compared"] >= n * units[per], dict(tally)
-    if key in SEEDS:
-        assert all(tally[k] for k in generated), dict(tally)
+    for k, groups in dict(*positive).items():
+        assert tally[k] or key not in groups, dict(tally)

@@ -32,7 +32,7 @@ from opaqueir.validate import (
     compare_traces,
     observation_trace,
 )
-from programs import group
+from programs import load_benchmark_generator
 from references import reference_check_ordering, reference_check_secret_branches
 
 
@@ -945,8 +945,6 @@ def test_value_utilization_audits_values_bound_by_calls(consumer):
 # Secret branches
 # --------------------------------------------------------------------------
 
-SECRET_INPUT = "desc sec in ordered\n3\n"
-
 
 def test_branch_on_secret_is_flagged():
     p = prog(
@@ -1410,10 +1408,9 @@ def test_ordering_walks_through_a_dropped_observation_in_generated_programs(seed
     opaque instruction and its readers, under `drop_and_reorder`: the
     check fails on the bridged pair alone, as the closure check does."""
     mutated = 0
-    for p in group(seed):
-        if p.workload != "corpus" or p.name.endswith("/twin"):
-            continue
-        spec, program = p.specs[0], p.results["P2"].program
+    for case in load_benchmark_generator().corpus(seed):
+        spec = parse_input(case.inputs[0])
+        program = optimize(prepare(case.text)[0], preset="P2").program
         for bad, ref, a, b in itertools.islice(drop_and_reorder(program, spec), 1):
             opt = run(bad, spec)
             verdict, reference = check_ordering(ref, opt), reference_check_ordering(ref, opt)
