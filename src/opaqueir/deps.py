@@ -44,12 +44,12 @@ alternative value reruns alone, and the rest together, one lane per
 value (delta execution, Tucek et al., ASPLOS'09), unless their lanes
 diverge; one scan of each run gives every link its outcome, read at the
 link's own target instruction.
-Each run is analysed once: `analyze` stores its `DepInfo` on the run as
-`_deps`, beside the validator's views (`_obs_trace`, `_io_index`) and the
-memo of `io_behavior`; the info holds the run's events, not the run, and
-no view refers back to it, so no cycle forms. `analyze` computes dep and
-cd sources and anchors; the hb edges wait for the first hb query, since
-most analyses (every rerun's) need none.
+Each run is analysed once: `analyze`, like the validator's views, is
+derived from the run and kept on it (`ir.derived`); the info holds the
+run's events, not the run, and no view refers back to it, so no cycle
+forms. `analyze` computes dep and cd sources and anchors; the hb edges
+wait for the first hb query, since most analyses (every rerun's) need
+none.
 Every other question is one of three walks over the dep sources, each
 written once: a forward frontier (`_nearest`) gives each marked event the
 marked events reaching it through an unmarked interior, for the opaque
@@ -76,6 +76,7 @@ from .ir import (
     Program,
     Type,
     compute_postdominators,
+    derived,
     instr_at,
     instr_signature,
     typecheck,
@@ -239,41 +240,35 @@ def _dependents(info: DepInfo, j: int, end: int, stop_at_opaque: bool = False):
                 dependent.add(seq)
 
 
+@derived("_postdominators")
 def _postdominators(program: Program) -> dict[str, dict[int, set[int]]]:
     """Per function, each block's postdominators, blocks by index as in an
-    `iid`; stored on the immutable program like its `typecheck`."""
-    if (pdoms := getattr(program, "_postdominators", None)) is None:
-        pdoms = {}
-        for f in program.functions:
-            index = {b.label: bi for bi, b in enumerate(f.region.blocks)}
-            pdom = compute_postdominators(f.region)
-            pdoms[f.name] = {index[b]: {index[p] for p in ps} for b, ps in pdom.items()}
-        object.__setattr__(program, "_postdominators", pdoms)
+    `iid`."""
+    pdoms = {}
+    for f in program.functions:
+        index = {b.label: bi for bi, b in enumerate(f.region.blocks)}
+        pdom = compute_postdominators(f.region)
+        pdoms[f.name] = {index[b]: {index[p] for p in ps} for b, ps in pdom.items()}
     return pdoms
 
 
+@derived("_conditional_branches")
 def _conditional_branches(program: Program) -> frozenset[InstrId]:
-    """The iids of the program's conditional branches, stored on it like `_postdominators`."""
-    if (found := getattr(program, "_conditional_branches", None)) is None:
-        found = frozenset(
-            (f.name, bi, pos)
-            for f in program.functions
-            for bi, block in enumerate(f.region.blocks)
-            for pos, instr in enumerate(block.instrs)
-            if isinstance(instr, Branch) and instr.cond is not None
-        )
-        object.__setattr__(program, "_conditional_branches", found)
-    return found
+    """The iids of the program's conditional branches."""
+    return frozenset(
+        (f.name, bi, pos)
+        for f in program.functions
+        for bi, block in enumerate(f.region.blocks)
+        for pos, instr in enumerate(block.instrs)
+        if isinstance(instr, Branch) and instr.cond is not None
+    )
 
 
+@derived("_deps")
 def analyze(result: RunResult) -> DepInfo:
     """Compute dependence sources for every event of a run in one pass, but
-    no reverse edges (see `DepInfo`). The info is stored on the run and
-    reused while it lives."""
-    if (info := getattr(result, "_deps", None)) is not None:
-        return info
+    no reverse edges (see `DepInfo`)."""
     program = result.program
-    pdoms = None  # computed at the first close test: only a run that branches needs them
     events = result.events
     empty: frozenset[int] = frozenset()
     dep_sources: list[frozenset[int]] = []
@@ -296,8 +291,8 @@ def analyze(result: RunResult) -> DepInfo:
                 act = acts[activation] = [bi, {}, empty]
             elif act[0] != bi and (by_block := act[1]):
                 # A branch opens at the end of its block: only moving on can close one.
-                pdoms = pdoms or _postdominators(program)
-                pd = pdoms.get(iid[0], {})
+                # derived at the first close test: only a run that branches needs them
+                pd = _postdominators(program).get(iid[0], {})
                 if closed := [b for b in by_block if b != bi and bi in pd.get(b, ())]:
                     for b in closed:
                         del by_block[b]
@@ -319,7 +314,7 @@ def analyze(result: RunResult) -> DepInfo:
         if ios or kind == "opaque":
             opaque_seqs.append(seq)
 
-    info = DepInfo(
+    return DepInfo(
         events=events,
         dep_sources=dep_sources,
         cd_sources=cd_sources,
@@ -328,8 +323,6 @@ def analyze(result: RunResult) -> DepInfo:
         opaque_seqs=tuple(opaque_seqs),
         anchor_seqs=tuple(sorted({*obs_seqs, *io_seqs})),
     )
-    object.__setattr__(result, "_deps", info)  # the run is frozen
-    return info
 
 
 # --------------------------------------------------------------------------
@@ -445,24 +438,21 @@ def _domain(ty: Type) -> Optional[list]:
     return [False, True] if ty is Type.BOOL else list(range(256)) if ty is Type.U8 else None
 
 
+@derived("_comparands")
 def _comparands(program: Program) -> list[Const]:
     """Each constant operand of a comparison in the program, nested opaque
-    regions included, in program order; stored on the immutable program
-    like its `_postdominators`."""
-    if (found := getattr(program, "_comparands", None)) is None:
-        found = [
-            c
-            for f in program.functions
-            for block in walk_blocks(f.region)
-            for instr in block.instrs
-            if isinstance(instr, Define)
-            and isinstance(rhs := instr.rhs, BinaryExpr)
-            and rhs.op in ("==", "!=", "<", "<=", ">", ">=")
-            for c in (rhs.a, rhs.b)
-            if isinstance(c, Const)
-        ]
-        object.__setattr__(program, "_comparands", found)
-    return found
+    regions included, in program order."""
+    return [
+        c
+        for f in program.functions
+        for block in walk_blocks(f.region)
+        for instr in block.instrs
+        if isinstance(instr, Define)
+        and isinstance(rhs := instr.rhs, BinaryExpr)
+        and rhs.op in ("==", "!=", "<", "<=", ">", ">=")
+        for c in (rhs.a, rhs.b)
+        if isinstance(c, Const)
+    ]
 
 
 def _sample_values(program: Program, ty: Type, observed) -> list:

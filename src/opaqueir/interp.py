@@ -26,11 +26,11 @@ remainder by zero, reading an exhausted or undeclared input channel,
 reading a reference before assignment, and exceeded step budgets. A trap
 ends the run; the events up to that point are kept.
 
-A program's functions are decoded once into steps, stored on the program
-(see `_Code`), and the executor builds each event straight from its step:
-only an opaque instruction or one with effects (a load, store, I/O or
-snapshot) fills an effect buffer. Runs are stored on the program too,
-weakly, and shared (see `run`).
+A program's functions are decoded once into steps, kept on the program
+by `ir.derived` (see `_Code`), and the executor builds each event straight
+from its step: only an opaque instruction or one with effects (a load,
+store, I/O or snapshot) fills an effect buffer. A program's runs are
+held weakly, in a dict kept on it the same way, and shared (see `run`).
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from .ir import (
     TAILIO_CHANNEL,
     CC_CHANNEL,
     _SUFFIXES,
+    derived,
 )
 
 DEFAULT_STEP_BUDGET = 10_000_000
@@ -368,7 +369,7 @@ class RunResult:
         sequence, unordered ones to a sorted multiset. Keyed by
         (direction, channel). Memoized on the run per `exclude`, and
         read-only, since every caller gets the same mapping."""
-        memo = self.__dict__.setdefault("_io_behaviors", {})  # the run is frozen
+        memo = self._io_memo()
         if exclude in memo:
             return memo[exclude]
         seqs: dict[tuple[str, str], list] = {}
@@ -386,6 +387,8 @@ class RunResult:
             for key, values in seqs.items()
         })
         return out
+
+    _io_memo = derived("_io_behaviors")(lambda self: {})  # kept dicts hide same-named methods
 
     def render_trace(self) -> str:
         """Spec'd line format: OBS and IO lines in execution order."""
@@ -519,15 +522,13 @@ def _step(instr, fname: str, index: dict[str, int], iid: Optional[InstrId]) -> t
     return kind, iid, results, _uses(*reads), args, body
 
 
+@derived("_code")
 def _functions(program: Program) -> dict[str, tuple[tuple[str, ...], _Code]]:
-    """Each function's parameter names and decoded body, stored on the
-    immutable program like its `typecheck`."""
-    if (code := getattr(program, "_code", None)) is None:
-        code = {}
-        for f in program.functions:
-            if f.name not in code:  # the first of a duplicate, as Program.function
-                code[f.name] = (tuple(p.name for p in f.params), _Code(f.region, f.name, True))
-        object.__setattr__(program, "_code", code)
+    """Each function's parameter names and decoded body."""
+    code = {}
+    for f in program.functions:
+        if f.name not in code:  # the first of a duplicate, as Program.function
+            code[f.name] = (tuple(p.name for p in f.params), _Code(f.region, f.name, True))
     return code
 
 
@@ -908,6 +909,9 @@ class _LaneInterp(_Interp):
         return super().take_branch(names, args)
 
 
+_runs = derived("_runs")(lambda program: weakref.WeakValueDictionary())
+
+
 def run(
     program: Program,
     inputs: Optional[InputSpec] = None,
@@ -943,14 +947,12 @@ def run(
     if patch is not None:
         interp = _LaneInterp if type(patch[2]) is Lanes else _Interp
         return interp(program, inputs, step_budget, opaque_budget, patch, types).run()
-    if (runs := getattr(program, "_runs", None)) is None:
-        object.__setattr__(program, "_runs", runs := weakref.WeakValueDictionary())
+    runs = _runs(program)
     # What the run reads of `inputs`, values typed: `true == 1` traces apart.
     channels = inputs.channels.items() if inputs is not None else ()
     key = (step_budget, opaque_budget, *(
         (n, c.direction, c.ordered, tuple((type(v), v) for v in c.values)) for n, c in channels
     ))
     if (result := runs.get(key)) is None:
-        result = _Interp(program, inputs, step_budget, opaque_budget, None, types).run()
-        runs[key] = result
+        runs[key] = result = _Interp(program, inputs, step_budget, opaque_budget, None, types).run()
     return result

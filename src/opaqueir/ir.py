@@ -28,12 +28,16 @@ One printer gives both program text and identity: the signatures
 (`region_signature`, hence `OpaqueSummary.identity`, `instr_signature`
 and `block_signature`) print as `print_program` does, with names
 numbered by first occurrence.
+
+Every fact derived from an immutable object, from a program's types to a
+run's dependence info, is derived once and kept on the object (`derived`).
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field, replace as dc_replace
@@ -61,6 +65,24 @@ class MacroError(IRError):
 
 class OpacityBreach(RuntimeError):
     """An optimization pass touched the inside of an opaque region."""
+
+
+def derived(attr: str):
+    """Make a function of one immutable object run at most once per object,
+    keeping its result in the object's `__dict__` (writable even when the
+    dataclass is frozen) under `attr`. An empty result is kept too; a call
+    that raises keeps nothing. A keyed memo derives its dict this way."""
+
+    def decorate(build):
+        @functools.wraps(build)
+        def get(obj):
+            if attr not in (facts := obj.__dict__):
+                facts[attr] = build(obj)
+            return facts[attr]
+
+        return get
+
+    return decorate
 
 
 # --------------------------------------------------------------------------
@@ -242,11 +264,8 @@ class OpaqueExpr:
     round-trip tests); identity-up-to-renaming uses `summary.identity`.
     """
 
-    __slots__ = ("_body", "_summary")
-
     def __init__(self, body: "Region"):
-        object.__setattr__(self, "_body", body)
-        object.__setattr__(self, "_summary", None)
+        self._body = body
 
     @property
     def region(self) -> "Region":
@@ -259,9 +278,7 @@ class OpaqueExpr:
 
     @property
     def summary(self) -> "OpaqueSummary":
-        if self._summary is None:
-            object.__setattr__(self, "_summary", _summarize_region(self._body))
-        return self._summary
+        return _summarize(self)
 
     def __eq__(self, other):
         return isinstance(other, OpaqueExpr) and self._body == other._body
@@ -529,11 +546,21 @@ def walk_blocks(region: Region) -> Iterator[Block]:
 
 def region_defined_names(region: Region) -> set[str]:
     """All names defined anywhere in a region, including nested regions."""
-    names: set[str] = set()
-    for block in walk_blocks(region):
-        names.update(p.name for p in block.params)
-        names.update(r for i in block.instrs if type(i) is Define for r in i.results if type(r) is str)
-    return names
+    return set(_opaque_bound_names(OpaqueExpr(region)))
+
+
+@derived("_bound_names")
+def _opaque_bound_names(expr: OpaqueExpr) -> tuple[str, ...]:
+    """Every name bound in an opaque region, nested ones included, each time
+    it is bound, in the order `freshen` renames them: by block in
+    `walk_blocks` order, a block's parameters before its results."""
+    out: list[str] = []
+    for block in expr._body.blocks:
+        out += [p.name for p in block.params]
+        defines = [i for i in block.instrs if type(i) is Define]
+        out += [r for i in defines for r in i.results if type(r) is str]
+        out += [n for i in defines if type(i.rhs) is OpaqueExpr for n in _opaque_bound_names(i.rhs)]
+    return tuple(out)
 
 
 def region_ref_names(region: Region) -> set[str]:
@@ -547,39 +574,40 @@ def region_ref_names(region: Region) -> set[str]:
     return refs
 
 
-def _summarize_region(body: Region) -> OpaqueSummary:
-    bound = region_defined_names(body)
+@derived("_summary")
+def _summarize(expr: OpaqueExpr) -> OpaqueSummary:
+    """`expr.summary`, from its own blocks and its nested regions' summaries."""
+    bound = set(_opaque_bound_names(expr))
     # Free uses in first-use order; a nested region's summary lists its
     # own in that order, which keeps the whole walk in program order.
     uses: dict[str, None] = {}
-    yield_arity = 0
-    for block in body.blocks:
+    yield_arity = snapshots = 0
+    has_read = has_write = performs_io = False
+    for block in expr._body.blocks:
         for instr in block.instrs:
-            if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
-                names = instr.rhs.summary.uses
+            rhs = instr.rhs if isinstance(instr, Define) else None
+            if isinstance(rhs, OpaqueExpr):
+                inner = rhs.summary
+                names = inner.uses
+                has_read |= inner.has_read
+                has_write |= inner.has_write
+                performs_io |= inner.performs_io
+                snapshots += inner.snapshot_slots
             else:
                 names = [a.name for a in instr_operand_atoms(instr) if type(a) is Var]
+                if isinstance(instr, (MemStore, RefAssign)):
+                    has_write = True
+                elif isinstance(instr, IoWrite) or isinstance(rhs, IoRead):
+                    performs_io = True
+                elif isinstance(rhs, (LoadMem, LoadRef)):
+                    has_read = True
+                elif isinstance(rhs, SnapshotExpr):
+                    snapshots += 1
             for name in names:
                 if name not in bound:
                     uses.setdefault(name)
             if isinstance(instr, Yield):
                 yield_arity = len(instr.values)
-    has_read = has_write = performs_io = False
-    snapshots = 0
-    for block in walk_blocks(body):
-        for instr in block.instrs:
-            if isinstance(instr, (MemStore, RefAssign)):
-                has_write = True
-            elif isinstance(instr, IoWrite):
-                performs_io = True
-            elif isinstance(instr, Define):
-                rhs = instr.rhs
-                if isinstance(rhs, (LoadMem, LoadRef)):
-                    has_read = True
-                elif isinstance(rhs, IoRead):
-                    performs_io = True
-                elif isinstance(rhs, SnapshotExpr):
-                    snapshots += 1
     return OpaqueSummary(
         uses=tuple(uses),
         has_read=has_read,
@@ -587,7 +615,7 @@ def _summarize_region(body: Region) -> OpaqueSummary:
         performs_io=performs_io,
         yield_arity=yield_arity,
         snapshot_slots=snapshots,
-        identity=region_signature(body),
+        identity=region_signature(expr._body),
     )
 
 
@@ -1690,21 +1718,10 @@ class _Expander:
             if var_actuals:
                 subst.setdefault(variadic[0], var_actuals[0])
                 subst.setdefault(variadic[1], var_actuals[-1])
-        if (scan := getattr(macro, "_scan", None)) is None:
-            # The macro's locals, sorted, and its groups in first-use order.
-            region = macro.region
-            groups = {
-                g: None
-                for block in walk_blocks(region)
-                for i in block.instrs
-                for g in (*(i.results if type(i) is Define else ()), *instr_operand_atoms(i))
-                if type(g) is VarGroup
-            }
-            scan = sorted(region_defined_names(region) | region_ref_names(region)), tuple(groups)
-            object.__setattr__(macro, "_scan", scan)  # the macro is frozen
-        binds = {name: self.fresh(name) for name in scan[0]}
+        local_names, groups = _macro_scan(macro)
+        binds = {name: self.fresh(name) for name in local_names}
         labels = {b.label: self.fresh(b.label) for b in macro.region.blocks}
-        for g in scan[1]:
+        for g in groups:
             if g in subst:
                 continue
             if variadic is None:
@@ -1722,6 +1739,20 @@ class _Expander:
         uses = {name: Var(new) for name, new in binds.items()}
         uses.update(subst)
         return rename_region(macro.region, uses, binds, labels, call.loc)
+
+
+@derived("_scan")
+def _macro_scan(macro: Macro) -> tuple[list[str], tuple[VarGroup, ...]]:
+    """A macro's locals, sorted, and its groups in first-use order."""
+    region = macro.region
+    groups = {
+        g: None
+        for block in walk_blocks(region)
+        for i in block.instrs
+        for g in (*(i.results if type(i) is Define else ()), *instr_operand_atoms(i))
+        if type(g) is VarGroup
+    }
+    return sorted(region_defined_names(region) | region_ref_names(region)), tuple(groups)
 
 
 def expand_macros(program: Program) -> Program:
@@ -1888,11 +1919,10 @@ def rename_instr(
         if isinstance(rhs, OpaqueExpr):
             if not binds and loc is None and uses.keys().isdisjoint(rhs.summary.uses):
                 return instr
-            body = rhs._body
-            shadowed = {n for n in region_defined_names(body) if n in uses and n not in binds}
+            shadowed = {n for n in _opaque_bound_names(rhs) if n in uses and n not in binds}
             if shadowed:
                 uses = {k: v for k, v in uses.items() if k not in shadowed}
-            rhs = OpaqueExpr(rename_region(body, uses, binds, labels, loc))
+            rhs = OpaqueExpr(rename_region(rhs._body, uses, binds, labels, loc))
         elif isinstance(rhs, AtomExpr):
             rhs = AtomExpr(one(rhs.atom))
         elif isinstance(rhs, UnaryExpr):
@@ -1967,14 +1997,8 @@ def freshen(instr: Instr, renames: dict[str, str], fresh: Callable[[str], str]) 
     identity are preserved."""
     if isinstance(instr, Define) and isinstance(instr.rhs, OpaqueExpr):
         renames = dict(renames)
-        for block in walk_blocks(instr.rhs._body):
-            for p in block.params:
-                renames[p.name] = fresh(p.name)
-            for i in block.instrs:
-                if isinstance(i, Define):
-                    for r in i.results:
-                        if isinstance(r, str):
-                            renames[r] = fresh(r)
+        for name in _opaque_bound_names(instr.rhs):
+            renames[name] = fresh(name)
     uses = {name: Var(new) for name, new in renames.items()}
     return rename_instr(instr, uses, renames)
 
@@ -2042,8 +2066,6 @@ def _dominators_from(succ: dict[str, list[str]], entry: str) -> dict[str, set[st
 
 def compute_dominators(region: Region) -> dict[str, set[str]]:
     """Map each block label to the set of labels dominating it."""
-    if len(region.blocks) == 1:  # as most opaque regions are: no successor map to build
-        return {region.entry.label: {region.entry.label}}
     return _dominators_from(block_successors(region), region.entry.label)
 
 
@@ -2479,15 +2501,13 @@ def validate_ssa(program: Program) -> list[Diagnostic]:
     return diags
 
 
+@derived("_type_info")
 def typecheck(program: Program) -> TypeInfo:
     """Run validation and return inferred types, raising on errors: the
     message lists the first five, each once in the order found, and counts
-    the rest. Only a success is stored on the immutable program, for later
-    calls to share."""
-    if (info := getattr(program, "_type_info", None)) is None:
-        diags, info = _Validator(program).validate()
-        if errors := [str(d) for d in diags if d.severity == "error"]:
-            more = f"; and {len(errors) - 5} more" if len(errors) > 5 else ""
-            raise IRError("; ".join(errors[:5]) + more)
-        object.__setattr__(program, "_type_info", info)
+    the rest. Only a success is kept on the program (see `derived`)."""
+    diags, info = _Validator(program).validate()
+    if errors := [str(d) for d in diags if d.severity == "error"]:
+        more = f"; and {len(errors) - 5} more" if len(errors) > 5 else ""
+        raise IRError("; ".join(errors[:5]) + more)
     return info

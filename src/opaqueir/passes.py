@@ -33,16 +33,17 @@ the program and the provenance from the blocks the pass emits for each
 function it changes. Most passes only state their edits, instruction id
 to replacements (none deletes), and `_per_instr_pass` rebuilds just the
 functions with an edit or a dropped block. Edits are found through each
-function's use table, built once per `Function` object: copyprop and
-constprop edit only the readers of the names they resolve. A function a
-pass leaves alone is carried over as the same object, table included,
-with identity edges, and a pass that changes nothing returns its input:
-the `Program` object it was given, with identity provenance. That is the
-one no-op signal.
+function's use table, derived once per `Function` object (`ir.derived`):
+copyprop and constprop edit only the readers of the names they resolve.
+A function a pass leaves alone is carried over as the same object, table
+included, with identity edges, and a pass that changes nothing returns
+its input: the `Program` object it was given, with identity provenance.
+That is the one no-op signal. `_rewrite_functions` also counts the
+instructions a pass affected, for the pipeline's log.
 
-`run_pipeline` memoizes pass results on the program it is given, for
-that program's lifetime, keyed by the pass functions that changed
-something so far plus the next one: presets that share a prefix run it
+`run_pipeline` memoizes pass results in a dict kept on the program it
+is given, for that program's lifetime, keyed by the pass functions that
+changed something so far plus the next one: presets that share a prefix run it
 once, and a patched `PASSES` entry is never served a stale result. An
 entry holds the output, the provenance composed from the memo's program
 to that output (so each changed-pass prefix is composed once, and a hit
@@ -86,6 +87,7 @@ from .ir import (
     Yield,
     block_signature,
     block_successors,
+    derived,
     fresh_namer,
     freshen,
     instr_operand_atoms,
@@ -161,6 +163,7 @@ def program_iids(program: Program) -> list[InstrId]:
 class PassResult:
     program: Program
     provenance: ProvenanceMap
+    affected: int  # input instructions not carried over as the very same object
 
 
 # --------------------------------------------------------------------------
@@ -181,23 +184,26 @@ def _rewrite_functions(
     source instructions it came from. When every function is carried
     over, the pass changed nothing and its input comes back."""
     pm = ProvenanceMap()
-    functions = []
+    functions, affected = [], 0
     for f in program.functions:
         blocks = rewrite(f)
         if blocks is None:
             functions.append(f)
             pm.edges.update({(iid, iid): "kept" for iid in _function_iids(f)})
             continue
-        new_blocks = []
+        old, new_blocks, same = f.region.blocks, [], set()
         for bi, (label, params, instrs) in enumerate(blocks):
             new_blocks.append(Block(label, params, tuple(i for i, _ in instrs)))
-            for pos, (_, srcs) in enumerate(instrs):
+            for pos, (instr, srcs) in enumerate(instrs):
                 for src, kind in srcs:
                     pm.add(src, (f.name, bi, pos), kind)
+                    if kind == "kept" and instr is old[src[1]].instrs[src[2]]:
+                        same.add(src)
+        affected += sum(len(b.instrs) for b in old) - len(same)
         functions.append(dc_replace(f, region=Region(tuple(new_blocks))))
-    if all(new is old for new, old in zip(functions, program.functions)):
-        return PassResult(program, pm)
-    return PassResult(Program(tuple(functions), program.macros), pm)
+    if not all(new is old for new, old in zip(functions, program.functions)):
+        program = Program(tuple(functions), program.macros)
+    return PassResult(program, pm, affected)
 
 
 # An edit map: instruction id -> its replacements, each with its provenance
@@ -257,20 +263,17 @@ def _instr_uses(instr) -> set[str]:
 _BLOCK = 1 << 32
 
 
+@derived("_readers")
 def _use_table(f: Function) -> dict[str, tuple[int, ...]]:
     """Each name `f` reads, with the slots of the instructions that read
-    it. Built once per function object and stored on it, like a program's
-    `typecheck`: a function a pass carries over keeps its table for the
-    passes and presets after it."""
-    if (readers := getattr(f, "_readers", None)) is None:
-        slots: dict[str, list[int]] = {}
-        for bi, block in enumerate(f.region.blocks):
-            for pos, instr in enumerate(block.instrs):
-                for n in _instr_uses(instr):
-                    slots.setdefault(n, []).append(bi * _BLOCK + pos)
-        readers = {n: tuple(ss) for n, ss in slots.items()}
-        object.__setattr__(f, "_readers", readers)  # the function is frozen
-    return readers
+    it. Derived once per function object: a function a pass carries over
+    keeps its table for the passes and presets after it."""
+    slots: dict[str, list[int]] = {}
+    for bi, block in enumerate(f.region.blocks):
+        for pos, instr in enumerate(block.instrs):
+            for n in _instr_uses(instr):
+                slots.setdefault(n, []).append(bi * _BLOCK + pos)
+    return {n: tuple(ss) for n, ss in slots.items()}
 
 
 def _edit_readers(f: Function, uses: dict[str, object], edits: _Edits) -> None:
@@ -1132,27 +1135,14 @@ class PipelineResult:
     log: tuple[tuple[str, int], ...]  # (pass name, instructions affected)
 
 
-def _affected(program: Program, result: PassResult) -> int:
-    """How many of `program`'s instructions a pass touched: all but those
-    a `kept` edge carries to the very same object. Only the functions it
-    rebuilt are read: one carried over as the same object touched none."""
-    after = {f.name: f for f in result.program.functions}
-    rebuilt = {f.name: f.region.blocks for f in program.functions if after.get(f.name) is not f}
-    same = {
-        s
-        for (s, d), k in result.provenance.edges.items()
-        if k == "kept" and s[0] in rebuilt
-        and after[d[0]].region.blocks[d[1]].instrs[d[2]] is rebuilt[s[0]][s[1]].instrs[s[2]]
-    }
-    return sum(len(b.instrs) for blocks in rebuilt.values() for b in blocks) - len(same)
+_pass_results = derived("_pass_results")(lambda program: {})
 
 
 def run_pipeline(program: Program, pass_names: Iterable[str]) -> PipelineResult:
     """Apply passes in order with the opacity seal engaged, composing
     provenance across the whole pipeline. Each (changed-pass prefix,
     pass) runs once per `program`; see the module docstring."""
-    if (memo := getattr(program, "_pass_results", None)) is None:
-        object.__setattr__(program, "_pass_results", memo := {})
+    memo = _pass_results(program)
     log = []
     current, prov, changed = program, None, ()
     with sealed_opaque_regions():
@@ -1164,7 +1154,7 @@ def run_pipeline(program: Program, pass_names: Iterable[str]) -> PipelineResult:
                     memo[key] = None
                 else:  # the first changed pass's map already starts at `program`
                     pm = result.provenance if prov is None else prov.compose(result.provenance)
-                    memo[key] = (result.program, pm, _affected(current, result))
+                    memo[key] = (result.program, pm, result.affected)
             if (step := memo[key]) is None:  # a no-op: go on with `current`
                 log.append((name, 0))
                 continue

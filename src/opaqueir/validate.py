@@ -14,10 +14,11 @@ that everything the original promised an outside observer survived:
   zero, and countermeasure statements stay interlaced with the code
   they guard.
 
-Each run's views are built once and kept on the run beside its `DepInfo`:
-the observation trace and the io tag index, from the events `analyze`
-lists, and `RunResult.io_behavior` per set of excluded channels. Every
-check and audit of the run reads them; none refers back to the run.
+Each run's views are derived once and kept on the run beside its
+`DepInfo` (`ir.derived`): the observation trace and the io tag index, from
+the events `analyze` lists, and `RunResult.io_behavior` per set of
+excluded channels. Every check and audit of the run reads them; none
+refers back to the run.
 
 Events are lined up across the two runs three ways. Io records match by
 their per-channel tag, the mechanism validity itself guarantees.
@@ -65,7 +66,9 @@ from .ir import (
     UnaryExpr,
     Var,
     instr_at,
+    derived,
     instr_operand_atoms,
+    _opaque_bound_names,
     region_defined_names,
     typecheck,  # noqa: F401 -- unused here, but perfbench/spans.py wraps validate.typecheck
     walk_blocks,
@@ -165,19 +168,17 @@ class PartialState(NamedTuple):
         return f"{_loc_text(self.source_id)} {body}"
 
 
+@derived("_obs_trace")
 def observation_trace(result: RunResult) -> tuple[PartialState, ...]:
     """Expand a run's observation records into partial states, in execution
-    order, one state per tag. Built once per run from the observation
-    events `analyze` lists, and stored on it."""
-    if (trace := getattr(result, "_obs_trace", None)) is None:
-        trace = tuple(
-            PartialState(tag.source_id, tag.names, rec.values, seq, (seq, idx))
-            for seq in analyze(result).obs_seqs
-            for idx, rec in enumerate(result.events[seq].obs)
-            for tag in rec.tags
-        )
-        object.__setattr__(result, "_obs_trace", trace)  # the run is frozen
-    return trace
+    order, one state per tag, from the observation events `analyze`
+    lists."""
+    return tuple(
+        PartialState(tag.source_id, tag.names, rec.values, seq, (seq, idx))
+        for seq in analyze(result).obs_seqs
+        for idx, rec in enumerate(result.events[seq].obs)
+        for tag in rec.tags
+    )
 
 
 @dataclass(frozen=True)
@@ -333,17 +334,15 @@ def _by_iid(events: Sequence[Event]) -> dict[InstrId, list[Event]]:
     return out
 
 
+@derived("_io_index")
 def _io_index(result: RunResult) -> dict[tuple[str, str, int], int]:
-    """The seq of each io record's event, by (channel, direction, tag).
-    Built once per run from the io events `analyze` lists, and stored on it."""
-    if (index := getattr(result, "_io_index", None)) is None:
-        index = {
-            (rec.channel, rec.direction, rec.tag): seq
-            for seq in analyze(result).io_seqs
-            for rec in result.events[seq].ios
-        }
-        object.__setattr__(result, "_io_index", index)  # the run is frozen
-    return index
+    """The seq of each io record's event, by (channel, direction, tag),
+    from the io events `analyze` lists."""
+    return {
+        (rec.channel, rec.direction, rec.tag): seq
+        for seq in analyze(result).io_seqs
+        for rec in result.events[seq].ios
+    }
 
 
 def _io_counterparts(
@@ -599,9 +598,7 @@ def audit_value_utilization(
 
 
 def _function_names(f: Function) -> set[str]:
-    names = set(region_defined_names(f.region))
-    names.update(p.name for p in f.params)
-    return names
+    return region_defined_names(f.region) | {p.name for p in f.params}
 
 
 _MEM = ("", "mem")  # memory is one taint key: field-insensitive
@@ -639,11 +636,11 @@ def _taint_edges(program: Program):
                             yield keys([arg]), [(rhs.callee, param)]
                         yield [(rhs.callee, "")], results
                     elif isinstance(rhs, OpaqueExpr):
-                        s, region = rhs.summary, rhs.region
-                        sources = [(fn, u) for u in (*s.uses, *region_defined_names(region))]
+                        s = rhs.summary
+                        sources = [(fn, u) for u in (*s.uses, *_opaque_bound_names(rhs))]
                         sources += [_MEM] * s.has_read
                         sinks = results + [_MEM] * s.has_write
-                        for inner in walk_blocks(region):
+                        for inner in walk_blocks(rhs.region):
                             for i in inner.instrs:
                                 if isinstance(i, RefAssign):
                                     sinks.append((fn, "&" + i.ref))

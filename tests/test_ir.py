@@ -1,6 +1,7 @@
 """Parser, printer, macro expansion, opacity barrier and validation."""
 
 import ast
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from opaqueir import ir
+from opaqueir import deps, interp, ir, passes, validate
 from opaqueir.ir import (
     Branch,
     Const,
@@ -623,10 +624,10 @@ NESTED_OPAQUE = main_fn(
 def test_one_walk_and_one_dominator_computation_per_region(monkeypatch):
     counts = count_walks(monkeypatch, parse_program(NESTED_OPAQUE))
     assert counts["diags"] == []
-    # The function body and its two opaque regions; only `w`'s region has
-    # more than one block.
+    # The function body and its two opaque regions, each with its own
+    # successor map.
     assert counts["dominators"] == 3
-    assert counts["successor maps"] == 1
+    assert counts["successor maps"] == 3
     assert counts["walks"] == 1
 
 
@@ -1498,16 +1499,159 @@ CFGS = st.integers(1, 8).flatmap(
 @example([()])
 def test_dominators_equal_the_round_robin_reference_in_block_order(cfg):
     region = cfg_region(cfg)
-    # called directly: `compute_dominators` answers a single-block region itself
-    dominators = reference_dominators_from(ir.block_successors(region), region.entry.label)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ir, "_dominators_from", reference_dominators_from)
-        want = dominators, compute_postdominators(region)
+        want = compute_dominators(region), compute_postdominators(region)
     got = compute_dominators(region), compute_postdominators(region)
     labels = [b.label for b in region.blocks]
     for have, reference in zip(got, want):
         assert have == reference
         assert list(have) == list(reference) == labels
+
+
+# -- derived facts
+
+
+@contextlib.contextmanager
+def builds(*derived_fns):
+    """Each object that a function decorated with `ir.derived` builds its
+    fact for while the context runs, per function: a call that finds the
+    fact kept runs no build."""
+    made: dict = {fn: [] for fn in derived_fns}
+    codes = {fn.__wrapped__.__code__: fn for fn in derived_fns}
+    before = sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            made[codes[frame.f_code]].append(frame.f_locals[frame.f_code.co_varnames[0]])
+
+    sys.setprofile(profile)
+    try:
+        yield made
+    finally:
+        sys.setprofile(before)
+
+
+DERIVING = """
+macro keep(v) {
+bb_m:
+  w = opaque { s = snapshot(v); t = opaque { use(s); yield(unit_value) }; yield(v) }
+  return(w)
+}
+function main() {
+  a = io(inp)
+  b = keep(a)
+  c = b < 3
+  br c, small, big
+small:
+  io(out, b)
+big:
+  io(out, 1)
+}
+"""
+NO_COMPARISON = main_fn("  a = io(inp)\n  io(out, a)\n")
+
+
+def prepared(text=DERIVING):
+    return prepare(text)[0]
+
+
+def prepared_run(text=DERIVING):
+    return interp.run(prepared(text), interp.parse_input("desc inp in ordered\n5\n"))
+
+
+def fresh_opaque():
+    """An opaque expression no fact was derived from, over a region of
+    `DERIVING` with a nested one."""
+    main = parse_program(DERIVING).macros[0].region.blocks[0]
+    return OpaqueExpr(main.instrs[0].rhs._body)
+
+
+# (function, object to derive from, attribute, outcome): every fact the
+# package derives and keeps, one row per `ir.derived` site.
+DERIVED = [
+    (typecheck, lambda: expand_macros(parse_program(DERIVING)), "_type_info", "kept"),
+    (typecheck, lambda: parse_program(main_fn("  io(out, x)\n")), "_type_info", "raises"),
+    (ir._macro_scan, lambda: parse_program(DERIVING).macros[0], "_scan", "kept"),
+    (ir._summarize, fresh_opaque, "_summary", "kept"),
+    (ir._opaque_bound_names, fresh_opaque, "_bound_names", "kept"),
+    (interp._functions, prepared, "_code", "kept"),
+    (interp._runs, prepared, "_runs", "kept"),
+    (interp.RunResult._io_memo, prepared_run, "_io_behaviors", "kept"),
+    (passes._use_table, lambda: prepared().entry, "_readers", "kept"),
+    (passes._pass_results, prepared, "_pass_results", "kept"),
+    (deps._postdominators, prepared, "_postdominators", "kept"),
+    (deps._conditional_branches, prepared, "_conditional_branches", "kept"),
+    (deps.analyze, prepared_run, "_deps", "kept"),
+    (deps._comparands, prepared, "_comparands", "kept"),
+    (deps._comparands, lambda: prepared(NO_COMPARISON), "_comparands", "empty"),
+    (validate.observation_trace, prepared_run, "_obs_trace", "kept"),
+    (validate._io_index, prepared_run, "_io_index", "kept"),
+]
+
+
+@pytest.mark.parametrize(
+    "derive, make, attr, outcome",
+    DERIVED,
+    ids=[f"{attr}-{outcome}" for _, _, attr, outcome in DERIVED],
+)
+def test_a_derived_fact_is_built_once_per_object_and_kept_only_on_success(
+    derive, make, attr, outcome
+):
+    obj = make()
+    assert attr not in vars(obj)
+    facts = []
+    with builds(derive) as made:
+        for _ in range(2):
+            try:
+                facts.append(derive(obj))
+            except IRError as e:
+                facts.append(e)
+    built = [x for x in made[derive] if x is obj]
+    nested = [x for x in made[derive] if x is not obj]  # a summary's nested region, once
+    assert len({id(x) for x in nested}) == len(nested)
+    if outcome == "raises":
+        assert all(isinstance(f, IRError) for f in facts)
+        assert len(built) == 2 and attr not in vars(obj)
+    else:
+        assert len(built) == 1 and facts[1] is facts[0] is vars(obj)[attr]
+        assert (facts[0] == []) == (outcome == "empty")
+
+
+def test_expanding_two_calls_of_a_macro_walks_its_opaque_regions_once(monkeypatch):
+    """The bound names of the macro's opaque regions, the nested one
+    included, are derived once each, as the macro is parsed: both
+    expansions, through `rename_instr`'s shadowing test, read them, and
+    no opaque region is walked by `region_defined_names`."""
+    walked = []
+
+    def defined_names(region):
+        walked.append(region)
+        return original(region)
+
+    original = ir.region_defined_names
+    monkeypatch.setattr(ir, "region_defined_names", defined_names)
+    text = DERIVING.replace("b = keep(a)", "b = keep(a)\n  b2 = keep(a)\n  io(out, b2)")
+    with builds(ir._opaque_bound_names) as made:
+        program = parse_program(text)
+        expanded = expand_macros(program)
+
+    def opaques(region):
+        return [
+            i.rhs
+            for b in ir.walk_blocks(region)
+            for i in b.instrs
+            if isinstance(i, Define) and isinstance(i.rhs, OpaqueExpr)
+        ]
+
+    regions = opaques(program.macros[0].region)
+    built = made[ir._opaque_bound_names]
+    assert len(regions) == 2
+    assert [sum(x is r for x in built) for r in regions] == [1, 1]
+    assert len({id(x) for x in built}) == len(built)
+    everywhere = [*program.functions, *program.macros, *expanded.functions]
+    bodies = {id(o._body) for f in everywhere for o in opaques(f.region)}
+    assert walked and not any(id(region) in bodies for region in walked)
 
 
 # -- the package's own imports
@@ -1552,3 +1696,29 @@ c()
 @pytest.mark.parametrize("module", sorted(p.name for p in Path(ir.__file__).parent.glob("*.py")))
 def test_package_modules_import_no_unused_name(module):
     assert unused_imports(Path(ir.__file__).with_name(module).read_text()) == []
+
+
+def test_the_benchmark_tracer_patches_names_that_exist_and_puts_them_back(monkeypatch):
+    """`perfbench/spans.py` wraps layer functions by name: on the package
+    imported afresh, as the benchmark imports it, installing the tracer
+    finds every name it patches, and restoring puts each original back."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    for name in [n for n in sys.modules if n == "opaqueir" or n.startswith("opaqueir.")]:
+        monkeypatch.delitem(sys.modules, name)  # put back at teardown
+    import run as bench
+    from spans import Tracer
+
+    api = bench.load_api()
+    assert api.ir is not ir
+    tracer = Tracer()
+    tracer.install(api)  # raises on a name that does not exist
+    patched = list(tracer._undo)
+
+    def current(owner, attr):
+        return owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
+
+    assert len(patched) > 20
+    assert all(current(owner, attr).__wrapped__ is fn for owner, attr, fn in patched)
+    tracer.restore()
+    assert all(current(owner, attr) is fn for owner, attr, fn in patched)

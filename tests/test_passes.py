@@ -1385,7 +1385,8 @@ def test_presets_share_one_output_per_changed_pass_sequence(monkeypatch, shape, 
 
 
 def relocate(program):
-    """Equal instructions (`==` ignores `loc`) at new locations."""
+    """Equal instructions (`==` ignores `loc`) at new locations: each
+    instruction is a new object, so every one is affected."""
     functions = []
     for f in program.functions:
         blocks = [
@@ -1393,15 +1394,17 @@ def relocate(program):
             for b in f.region.blocks
         ]
         functions.append(dc_replace(f, region=Region(tuple(blocks))))
-    return PassResult(Program(tuple(functions), program.macros), ProvenanceMap.identity(program))
+    out = Program(tuple(functions), program.macros)
+    return PassResult(out, ProvenanceMap.identity(program), len(program_iids(program)))
 
 
 def reprovenance(program):
-    """The same instruction objects in place, each reported rewritten."""
+    """The same instruction objects in place, each reported rewritten:
+    every function is carried over, so none is affected."""
     pm = ProvenanceMap()
     for iid in program_iids(program):
         pm.add(iid, iid, "rewritten")
-    return PassResult(Program(program.functions, program.macros), pm)
+    return PassResult(Program(program.functions, program.macros), pm, 0)
 
 
 def test_new_locations_or_provenance_are_not_a_no_op(monkeypatch):
