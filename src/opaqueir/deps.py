@@ -106,8 +106,6 @@ class DepInfo:
     io_seqs: tuple[int, ...]
     opaque_seqs: tuple[int, ...]  # opaque instructions and I/O: `Event.is_opaque`
     anchor_seqs: tuple[int, ...]  # observation and io events, in order
-    _hb_succ: Optional[dict[int, set[int]]] = None  # see `hb_edges`
-    _anchor_reach: Optional[dict[int, frozenset[int]]] = None
 
     def dep_reachable(self, src: int, dst: int) -> bool:
         """Whether a dep path leads from event src to event dst."""
@@ -128,14 +126,13 @@ class DepInfo:
 
     # -- happens-before among anchors
 
+    @derived("_hb_succ")
     def hb_edges(self) -> dict[int, set[int]]:
         """Each anchor, in order, with its successors by the edges that
         generate hb, unclosed; every edge points forward in time. Built at
         the first hb query. Read-only: every later hb query on the run
         walks these sets, so a caller that changed them would change its
         answers."""
-        if self._hb_succ is not None:
-            return self._hb_succ
         succ: dict[int, set[int]] = {a: set() for a in self.anchor_seqs}
         # I/O order: consecutive events on one ordered descriptor, whose
         # chain closes to its total order; distinct descriptors and unordered
@@ -164,13 +161,11 @@ class DepInfo:
             for _, _, src in self.events[seq].reads:
                 if src in succ:
                     succ[src].add(seq)
-        self._hb_succ = succ
         return succ
 
+    @derived("_anchor_reach")
     def _anchor_graph(self) -> dict[int, frozenset[int]]:
         """The hb closure: each anchor's hb successors."""
-        if self._anchor_reach is not None:
-            return self._anchor_reach
         succ = self.hb_edges()
         # Walking anchors newest first, successor sets are final when referenced.
         reach: dict[int, frozenset[int]] = {}
@@ -180,7 +175,6 @@ class DepInfo:
                 acc.add(b)
                 acc |= reach[b]
             reach[a] = frozenset(acc)
-        self._anchor_reach = reach
         return reach
 
     def hb(self, a: int, b: int) -> bool:

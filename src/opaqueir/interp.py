@@ -27,15 +27,27 @@ reading a reference before assignment, and exceeded step budgets. A trap
 ends the run; the events up to that point are kept.
 
 A program's functions are decoded once into steps, kept on the program
-by `ir.derived` (see `_Code`), and the executor builds each event straight
-from its step: only an opaque instruction or one with effects (a load,
-store, I/O or snapshot) fills an effect buffer. A program's runs are
-held weakly, in a dict kept on it the same way, and shared (see `run`).
+by `ir.derived`, and each opaque region once per function, kept on its
+`OpaqueExpr`, which the programs passes make from one another share (see
+`_Code`). The executor builds each event straight from its step: only an
+opaque instruction or one with effects (a load, store, I/O or snapshot)
+fills an effect buffer. A pure step (an atom, a descriptor, a comparison
+or u32 `+ - * & | ^` on a left operand of known type) runs a module-level
+handler picked at decode instead of dispatching on its kind. A
+straight-line opaque region, one block ending in `yield` whose nested
+regions are straight-line too, is decoded into one flat list of steps
+with its free variables in first-read order and its step count: it runs
+in a plain dict seeded with those variables, which are its event's
+`reads`, its budgets checked once up front. Any other region runs in
+chained scopes, step by step. A program's runs are held weakly, in a dict
+kept on it the same way, and shared (see `run`).
 """
 
 from __future__ import annotations
 
+import operator
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
@@ -74,6 +86,7 @@ from .ir import (
     CC_CHANNEL,
     _SUFFIXES,
     derived,
+    typecheck,
 )
 
 DEFAULT_STEP_BUDGET = 10_000_000
@@ -131,7 +144,7 @@ def _parse_value(text: str, lineno: int):
     suffix = next((s for s in _SUFFIXES if body.endswith(s)), "")
     ty = _SUFFIXES.get(suffix, Type.U32)  # unsuffixed is u32, as for program literals
     digits = body[: len(body) - len(suffix)]
-    if not digits.isdigit():
+    if not (digits.isascii() and digits.isdigit()):  # ASCII digits only, as in programs
         raise InterpError(f"bad input value {text!r}", (lineno, 1))
     value = -int(digits) if neg else int(digits)
     if _wrap(value, ty) != value:  # the program literals' limits
@@ -177,8 +190,7 @@ def parse_input(text: str) -> InputSpec:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IoRecord:
+class IoRecord(NamedTuple):
     channel: str
     ordered: bool
     direction: str  # r | w
@@ -187,8 +199,7 @@ class IoRecord:
     pos: int = 0  # intra-event order, interleaving observations and I/O
 
 
-@dataclass(frozen=True)
-class ObsRecord:
+class ObsRecord(NamedTuple):
     tags: tuple[ObsTag, ...]
     values: tuple
     pos: int = 0
@@ -440,53 +451,208 @@ def _values(names: Mapping, atoms: tuple) -> tuple:
     return tuple([value if name is None else names[name] for name, value in atoms])
 
 
+# Handlers of pure steps (see `_Code`): each computes the one value of a
+# Define from its scope and its step's `args`, in place of `exec_instr`.
+
+
+def _copy(names: Mapping, atom: tuple):
+    return names[atom[0]]
+
+
+def _constant(names: Mapping, atom: tuple):
+    return atom[1]
+
+
+def _descriptor(names: Mapping, value: DescValue):
+    return value
+
+
+def _comparison(compare):
+    def handler(names, args):
+        _, _, (an, a), (bn, b), _ = args
+        if an is not None:
+            a = names[an]
+        if bn is not None:
+            b = names[bn]
+        return compare(a, b)
+
+    return handler
+
+
+def _u32(op: str, fn):
+    def handler(names, args):
+        _, _, (an, a), (bn, b), _ = args
+        if an is not None:
+            a = names[an]
+        if bn is not None:
+            b = names[bn]
+        if type(a) is bool and type(b) is bool:
+            return eval_binary(op, a, b, Type.U32)
+        return fn(a, b) & 0xFFFFFFFF
+
+    return handler
+
+
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+            ">": operator.gt, ">=": operator.ge}
+# By operator: a comparison's for any operands, the others' for a u32 left operand.
+_HANDLERS = {
+    **{op: _comparison(fn) for op, fn in _COMPARE.items()},
+    **{op: _u32(op, fn) for op, fn in (("+", operator.add), ("-", operator.sub),
+                                       ("*", operator.mul), ("&", operator.and_),
+                                       ("|", operator.or_), ("^", operator.xor))},
+}
+
 _EFFECTS = frozenset({LoadMem, LoadRef, SnapshotExpr, IoRead, IoWrite, MemStore})
-_new = tuple.__new__  # builds an Event without its Python-level __new__
+_NOT_STRAIGHT = frozenset({Branch, Return, Yield, CallExpr})
+_NO_EFFECTS = ((), (), (), ())
+_position = operator.itemgetter(4)  # of a flat step
+_new = tuple.__new__  # builds an Event or a record without its Python-level __new__
 
 
 class _Code:
-    """A region decoded for execution, once per program: per block its
-    label, parameter names and steps. A step is what executing one
-    instruction needs, as a tuple (kind, iid, results, uses, args, body):
+    """A region decoded for execution: a function body once per program,
+    an opaque region once per function (see `_region_codes`). A function
+    body, and an opaque region that is not straight-line, has per block
+    its label, parameter names and steps. A step is what executing one
+    instruction needs, as a tuple (kind, iid, results, uses, args, body,
+    handler):
 
     * `kind`, the class the executor dispatches on (the expression's, for
       a Define), and `iid`, the instruction's id at function level;
     * `results`, the names a Define or a call binds;
     * `uses`, the variables the instruction reads, first read first: at
-      function level, its event's `reads`;
+      function level, its event's `reads`; for an opaque instruction
+      whose region is straight-line, the region's free variables;
     * `args`, the operands, each variable as (name, None) and each
       constant as (None, value), a literal descriptor as its `DescValue`;
       with an operator, its `_BINARY` entry and the type key (function,
       variable) of its left operand, or a constant's type; a branch's
       targets as (block index, arguments, uses); a call's callee by name
       (functions may recurse); an instruction illegal where it stands;
-    * `body`, the decoded region of an opaque instruction.
+    * `body`, the decoded region of an opaque instruction;
+    * `handler`, for a pure Define with a result, the module-level
+      function that computes its value from the scope and `args`:
+      `_copy` or `_constant` for an atom, `_descriptor`, and from
+      `_HANDLERS` a comparison's, or a u32 `+ - * & | ^`'s where the
+      program's types give its left operand as u32 (in an opaque region,
+      only a literal's type counts: no program's types enter a region's
+      decode). It takes no `Lanes` (see `_LaneInterp`).
+
+    A straight-line opaque region (one block ending in `yield`, its nested
+    regions straight-line too) has instead `flat`: the steps of it and its
+    nested regions in execution order, run in one scope, each as (handler,
+    kind, results, args, pos), `pos` its step number from the region's
+    start. A nested opaque instruction has no step of its own, nor has a
+    `use`, which can neither trap nor act there; a nested region's `yield`
+    binds its instruction's results, as a copy if it yields one value; the
+    region's own `yield` has results None. `free` lists the variables read
+    before any binding, first read first, `first` the step numbers of
+    those reads, and `size` counts every step. A region whose reads one
+    scope would change keeps the blocks (see `_flatten`).
 
     Only the steps of `_EFFECTS` and opaque instructions fill an `_Effects`."""
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "flat", "free", "first", "size")
 
-    def __init__(self, region: Region, fname: str, top: bool = False):
+    def __init__(self, region: Region, fname: str, types: Mapping, top: bool = False):
+        self.flat = None if top else _flatten(self, region, fname)
+        if self.flat is not None:
+            return
         index = {block.label: bi for bi, block in enumerate(region.blocks)}
         self.blocks: list[tuple[str, tuple[str, ...], tuple]] = [
             (b.label, tuple(p.name for p in b.params),
-             tuple(_step(instr, fname, index, (fname, bi, pos) if top else None)
+             tuple(_step(instr, fname, index, types, (fname, bi, pos) if top else None)
                    for pos, instr in enumerate(b.instrs)))
             for bi, b in enumerate(region.blocks)
         ]
 
 
-def _step(instr, fname: str, index: dict[str, int], iid: Optional[InstrId]) -> tuple:
+def _flatten(code: _Code, region: Region, fname: str) -> Optional[list]:
+    """Decode a straight-line region into `code`'s flat steps, free
+    variables and size (see `_Code`), and return the steps; None if the
+    region branches, or if one scope would change what some read sees: a
+    read must find its variable unbound so far, or last bound by its own
+    region or one enclosing it, as the chained scopes find it."""
+    flat: list[tuple] = []
+    first: dict[str, int] = {}  # free variable -> step number of its first read
+    bound: dict[str, int] = {}  # variable -> the region that bound it last
+    open_regions: list[int] = []
+    pos = regions = 0
+
+    def reads(names) -> bool:
+        for name in names:
+            if name in bound:
+                if bound[name] not in open_regions:
+                    return False
+            elif name not in first:
+                first[name] = pos
+        return True
+
+    def walk(region: Region, results: Optional[tuple]) -> bool:
+        nonlocal pos, regions
+        if len(region.blocks) != 1 or not region.blocks[0].instrs:
+            return False
+        *instrs, last = region.blocks[0].instrs
+        if type(last) is not Yield:
+            return False
+        regions += 1
+        open_regions.append(regions)
+        for instr in instrs:
+            pos += 1
+            e = instr.rhs if type(instr) is Define else instr
+            kind = type(e)
+            if kind is OpaqueExpr:
+                if not walk(e._body, instr.results):
+                    return False
+                continue
+            if kind in _NOT_STRAIGHT:
+                return False
+            _, _, names, uses, args, _, handler = _step(instr, fname, {}, {}, None)
+            if not reads(uses):
+                return False
+            bound.update(dict.fromkeys(names, open_regions[-1]))
+            if kind is not Use:  # reads that cannot trap here, and nothing else
+                flat.append((handler, kind, names, args, pos))
+        pos += 1
+        atoms = tuple(map(_atom, last.values))
+        if not reads(_uses(*atoms)):
+            return False
+        open_regions.pop()
+        if results is None:
+            flat.append((None, Yield, None, atoms, pos))
+        elif results:  # a nested region's yield binds its instruction's results
+            bound.update(dict.fromkeys(results, open_regions[-1]))
+            if len(atoms) == 1:  # as a copy
+                flat.append((_constant if atoms[0][0] is None else _copy, AtomExpr, results,
+                             atoms[0], pos))
+            else:
+                flat.append((None, Yield, results, atoms, pos))
+        return True
+
+    if not walk(region, None):
+        return None
+    code.free, code.first, code.size = tuple(first), tuple(first.values()), pos
+    return flat
+
+
+def _step(instr, fname: str, index: dict[str, int], types: Mapping,
+          iid: Optional[InstrId]) -> tuple:
     """Decode one instruction (see `_Code`)."""
     e = instr.rhs if type(instr) is Define else instr
-    kind, reads, args, body = type(e), (), instr, None
+    kind, reads, args, body, handler = type(e), (), instr, None, None
     results = instr.results if e is not instr else ()
     if kind is BinaryExpr or kind is UnaryExpr:
         reads = (_atom(e.a), _atom(e.b)) if kind is BinaryExpr else (_atom(e.a),)
         key = e.a.type if type(e.a) is Const else (fname, e.a.name)  # the left operand's type
         args = (e.op, _BINARY.get(e.op), *reads, key)
+        ty = key if type(e.a) is Const else types.get(key)
+        if kind is BinaryExpr and results and (e.op in _COMPARE or ty is Type.U32):
+            handler = _HANDLERS.get(e.op)
     elif kind is AtomExpr or kind is LoadMem:
         reads = (args := _atom(e.atom if kind is AtomExpr else e.addr),)
+        if kind is AtomExpr and results:
+            handler = _constant if args[0] is None else _copy
     elif kind is MemStore:
         args = reads = (_atom(e.addr), _atom(e.value))
     elif kind is RefAssign:
@@ -509,6 +675,7 @@ def _step(instr, fname: str, index: dict[str, int], iid: Optional[InstrId]) -> t
         args, reads = (desc, values), (desc, *values)
     elif kind is DescriptorExpr:
         args = DescValue(e.channel)
+        handler = _descriptor if results else None
     elif kind is Branch:
         cond = _atom(e.cond) if e.cond is not None else (None, True)  # always taken
 
@@ -518,17 +685,29 @@ def _step(instr, fname: str, index: dict[str, int], iid: Optional[InstrId]) -> t
 
         args = (cond, target(e.then), target(e.els) if e.els is not None else None)
     elif kind is OpaqueExpr:
-        body = _Code(e._body, fname)
-    return kind, iid, results, _uses(*reads), args, body
+        codes = _region_codes(e)
+        if (body := codes.get(fname)) is None:
+            codes[fname] = body = _Code(e._body, fname, {})
+        if body.flat is not None:
+            return kind, iid, results, body.free, args, body, None
+    return kind, iid, results, _uses(*reads), args, body, handler
+
+
+# An opaque instruction's decoded regions by function, kept on its
+# `OpaqueExpr`: the programs passes make from one another share it, so a
+# region is decoded once for them all.
+_region_codes = derived("_codes")(lambda e: {})
 
 
 @derived("_code")
 def _functions(program: Program) -> dict[str, tuple[tuple[str, ...], _Code]]:
-    """Each function's parameter names and decoded body."""
+    """Each function's parameter names and decoded body. The types are
+    those `run` has just derived."""
+    types = typecheck(program).var_types
     code = {}
     for f in program.functions:
         if f.name not in code:  # the first of a duplicate, as Program.function
-            code[f.name] = (tuple(p.name for p in f.params), _Code(f.region, f.name, True))
+            code[f.name] = (tuple(p.name for p in f.params), _Code(f.region, f.name, types, True))
     return code
 
 
@@ -582,15 +761,13 @@ class _Effects:
         self.obs: list[ObsRecord] = []
         self.pos = 0
 
-    def next_pos(self) -> int:
-        self.pos += 1
-        return self.pos
-
     def fields(self) -> tuple:
         return tuple(self.rf), tuple(self.stores), tuple(self.ios), tuple(self.obs)
 
 
 class _Interp:
+    handlers = True  # pure steps run their decoded handler
+
     def __init__(
         self,
         program: Program,
@@ -700,7 +877,8 @@ class _Interp:
         if kind is SnapshotExpr:
             atoms, tags = args
             values = _values(names, atoms)
-            fx.obs.append(ObsRecord(tags, values, fx.next_pos()))
+            fx.pos += 1
+            fx.obs.append(_new(ObsRecord, (tags, values, fx.pos)))
             return values
         if kind is IoRead or kind is IoWrite:
             (name, dv), atoms = args
@@ -708,12 +886,13 @@ class _Interp:
                 raise _Trap(f"{name} does not hold a descriptor")
             values = _values(names, atoms)  # none for a read
             direction, ordered = self.channel_config(dv.channel)
+            fx.pos += 1
             if kind is IoWrite:
                 tag = self.io_write(dv.channel, values)
-                fx.ios.append(IoRecord(dv.channel, ordered, "w", tag, values, fx.next_pos()))
+                fx.ios.append(_new(IoRecord, (dv.channel, ordered, "w", tag, values, fx.pos)))
                 return ()
             value, tag = self.io_read(dv.channel)
-            fx.ios.append(IoRecord(dv.channel, ordered, "r", tag, (value,), fx.next_pos()))
+            fx.ios.append(_new(IoRecord, (dv.channel, ordered, "r", tag, (value,), fx.pos)))
             return (value,)
         if kind is MemStore:
             addr, value = _values(names, args)
@@ -748,14 +927,15 @@ class _Interp:
     def run_region(
         self, frame: _Frame, code: _Code, outer: _Names, fx: _Effects, seq: int
     ) -> tuple:
-        """Execute a decoded opaque region atomically on behalf of event
-        `seq` and return the values it yields. Region-local names live in
-        a scope of their own; free names are read from `outer`."""
+        """Execute a decoded opaque region that keeps its blocks (see
+        `_Code`) atomically on behalf of event `seq` and return the values
+        it yields. Region-local names live in a scope of their own; free
+        names are read from `outer`."""
         names = _Names(outer)
         blocks = code.blocks
         steps = blocks[0][2]
         while True:
-            for kind, _, results, _, args, body in steps:
+            for kind, _, results, _, args, body, _ in steps:
                 self.steps += 1
                 if self.steps > self.step_budget:
                     raise _Trap("step budget exceeded")
@@ -769,14 +949,57 @@ class _Interp:
                     break
                 if kind is Yield:
                     return _values(names, args)
-                if body is not None:
+                if body is None:
+                    values = self.exec_instr(frame, names, kind, args, fx, seq)
+                elif body.flat is None:
                     values = self.run_region(frame, body, names, fx, seq)
                 else:
-                    values = self.exec_instr(frame, names, kind, args, fx, seq)
+                    values = self.run_flat(frame, body, names, fx, seq)
                 if values:
                     names.update(zip(results, values))
             else:
                 raise _Trap("opaque region block fell through")
+
+    def run_flat(self, frame: _Frame, code: _Code, outer: Mapping, fx: _Effects, seq: int) -> tuple:
+        """Execute a decoded straight-line region (see `_Code`) as
+        `run_region` would, in one plain scope seeded with its free
+        variables from `outer`. Where the step budget, the opaque budget
+        or an undefined free variable would trap, the steps before it run
+        and the same trap follows on the same step."""
+        free, steps, size = code.free, code.flat, code.size
+        scope, cut = {}, None
+        try:
+            for name in free:
+                scope[name] = outer[name]
+        except _Trap as trap:  # the first undefined one traps where it is first read
+            cut, reason = code.first[free.index(name)], trap.reason
+        if self.steps + size > self.step_budget or self.region_steps + size > self.opaque_budget:
+            room = max(min(self.step_budget - self.steps, self.opaque_budget - self.region_steps), 0)
+            if cut is None or room < cut:
+                cut = room + 1
+                over = self.steps + cut > self.step_budget  # checked first, as in `run_region`
+                reason = "step budget exceeded" if over else "opaque region budget exceeded"
+        if cut is not None:
+            steps = steps[:bisect_left(steps, cut, key=_position)]
+        handlers = self.handlers
+        try:
+            for handler, kind, results, args, pos in steps:
+                if handler is not None and handlers:
+                    scope[results[0]] = handler(scope, args)
+                elif kind is Yield:
+                    values = tuple([value if name is None else scope[name] for name, value in args])
+                    if results is None:
+                        self.steps += pos
+                        self.region_steps += pos
+                        return values
+                    scope.update(zip(results, values))
+                elif values := self.exec_instr(frame, scope, kind, args, fx, seq):
+                    scope.update(zip(results, values))
+        except _Trap:
+            self.steps += pos
+            raise
+        self.steps += cut
+        raise _Trap(reason)
 
     # -- function execution
 
@@ -785,7 +1008,9 @@ class _Interp:
         """Run `fname` on `args` as a new activation, building each event here:
         an opaque instruction's `reads` are of the frame variables its region
         reads, any other's of its step's `uses`. `call_reads` is the call
-        event's `reads`, read in the caller."""
+        event's `reads`, read in the caller. The step count is kept in a
+        local and stored to `self.steps` around calls and regions, on
+        return and on a trap."""
         if depth > 200:
             raise _Trap("call stack too deep")
         params, code = self.functions[fname]
@@ -796,7 +1021,8 @@ class _Interp:
         activation = frame.activation
         names, seqs = frame.names, frame.seqs
         events = self.events
-        patch_seq = self.patch_seq
+        patch_seq, patch_name = self.patch_seq, self.patch_name
+        step_budget, handlers = self.step_budget, self.handlers
 
         # The call event defines the callee's parameters. The call
         # instruction executes in the caller's control context.
@@ -805,57 +1031,90 @@ class _Interp:
         events.append(_new(Event, (seq, "call", call_iid, caller.activation if caller else
                                    activation, defs, call_reads, (), (), (), ())))
 
-        while True:
-            for kind, iid, results, uses, args, body in steps:
-                self.steps += 1
-                if self.steps > self.step_budget:
-                    raise _Trap("step budget exceeded")
-                seq = len(events)
-                if kind is Branch:
-                    (bi, _, uses), values = self.take_branch(names, args)
-                    label, params, steps = blocks[bi]
-                    reads = frame.reads(uses)
-                    defs = self.bind(frame, params, values, seq)
-                    events.append(_new(Event, (seq, "branch", iid, activation, defs,
-                                               reads, (), (), (), ())))
-                    break
-                if kind is Return:
-                    values = _values(names, args)
-                    reads = frame.reads(uses)
-                    defs = self.bind(caller, result_names, values, seq) if caller else ()
-                    events.append(_new(Event, (seq, "ret", iid, activation, defs,
-                                               reads, (), (), (), ())))
-                    return values
-                if kind is CallExpr:
-                    callee, atoms = args
-                    values = _values(names, atoms)
-                    reads = frame.reads(uses)
-                    self.call_function(callee, values, iid, frame, results, reads, depth + 1)
-                    continue
-                fx = _Effects() if body is not None or kind in _EFFECTS else None
-                if body is not None:
-                    self.region_steps = 0
-                    uses = _Names(names, keeps=True)  # the frame variables the region reads
-                    values = self.run_region(frame, body, uses, fx, seq)
+        n = self.steps
+        try:
+            while True:
+                for kind, iid, results, uses, args, body, handler in steps:
+                    n += 1
+                    if n > step_budget:
+                        raise _Trap("step budget exceeded")
+                    seq = len(events)
+                    if handler is not None and handlers:
+                        if len(uses) == 1:
+                            (u,) = uses
+                            reads = ((u, names[u], seqs[u]),)
+                        else:
+                            reads = tuple([(u, names[u], seqs[u]) for u in uses])
+                        value = handler(names, args)
+                        name = results[0]
+                        if seq == patch_seq and name == patch_name:
+                            value = self.patch_value
+                        names[name] = value
+                        seqs[name] = seq
+                        events.append(_new(Event, (seq, "instr", iid, activation, ((name, value),),
+                                                   reads, (), (), (), ())))
+                        continue
+                    if kind is Branch:
+                        (bi, _, uses), values = self.take_branch(names, args)
+                        label, params, steps = blocks[bi]
+                        reads = frame.reads(uses)
+                        defs = self.bind(frame, params, values, seq)
+                        events.append(_new(Event, (seq, "branch", iid, activation, defs,
+                                                   reads, (), (), (), ())))
+                        break
+                    if kind is Return:
+                        values = _values(names, args)
+                        reads = frame.reads(uses)
+                        defs = self.bind(caller, result_names, values, seq) if caller else ()
+                        events.append(_new(Event, (seq, "ret", iid, activation, defs,
+                                                   reads, (), (), (), ())))
+                        self.steps = n
+                        return values
+                    if kind is CallExpr:
+                        callee, atoms = args
+                        values = _values(names, atoms)
+                        reads = frame.reads(uses)
+                        self.steps = n
+                        self.call_function(callee, values, iid, frame, results, reads, depth + 1)
+                        n = self.steps
+                        continue
+                    if body is None:
+                        fx = _Effects() if kind in _EFFECTS else None
+                        values = self.exec_instr(frame, names, kind, args, fx, seq)
+                    else:
+                        fx = _Effects()
+                        self.steps, self.region_steps = n, 0
+                        if body.flat is not None:
+                            values = self.run_flat(frame, body, names, fx, seq)
+                        else:
+                            uses = _Names(names, keeps=True)  # the frame variables the region reads
+                            values = self.run_region(frame, body, uses, fx, seq)
+                        n = self.steps
+                    if len(uses) == 1:
+                        (u,) = uses
+                        reads = ((u, names[u], seqs[u]),)
+                    else:
+                        reads = tuple([(u, names[u], seqs[u]) for u in uses])
+                    rf, stores, ios, obs = fx.fields() if fx is not None else _NO_EFFECTS
+                    if not values:
+                        defs = ()
+                    elif len(values) == 1 and results:  # one result, bound inline
+                        name, value = results[0], values[0]
+                        if seq == patch_seq and name == patch_name:
+                            value = self.patch_value
+                        names[name] = value
+                        seqs[name] = seq
+                        defs = ((name, value),)
+                    else:
+                        defs = self.bind(frame, results, values, seq)
+                    events.append(_new(Event, (seq, "instr" if body is None else "opaque", iid,
+                                               activation, defs, reads, rf, stores, ios, obs)))
                 else:
-                    values = self.exec_instr(frame, names, kind, args, fx, seq)
-                reads = frame.reads(uses)
-                rf, stores, ios, obs = fx.fields() if fx is not None else ((), (), (), ())
-                if not values:
-                    defs = ()
-                elif len(values) == 1 and results:  # one result, bound inline
-                    name, value = results[0], values[0]
-                    if seq == patch_seq and name == self.patch_name:
-                        value = self.patch_value
-                    names[name] = value
-                    seqs[name] = seq
-                    defs = ((name, value),)
-                else:
-                    defs = self.bind(frame, results, values, seq)
-                events.append(_new(Event, (seq, "instr" if body is None else "opaque", iid,
-                                           activation, defs, reads, rf, stores, ios, obs)))
-            else:
-                raise _Trap(f"block {label} has no terminator")
+                    raise _Trap(f"block {label} has no terminator")
+        except _Trap:
+            if n > self.steps:  # this activation's count is the latest
+                self.steps = n
+            raise
 
     def run(self) -> RunResult:
         trapped = None
@@ -874,7 +1133,10 @@ class _LaneInterp(_Interp):
     that every lane follows one path; where they would part, `Diverged`.
     A u32 `+ - * & | ^` runs as one `_U32_COLUMNS` kernel over its operand
     columns, a scalar operand repeated; any other operator runs lane by
-    lane, and a trap in any lane diverges."""
+    lane, and a trap in any lane diverges. Pure steps run here too, not
+    through their handlers, which take no lanes."""
+
+    handlers = False
 
     def exec_instr(self, frame, names, kind, args, fx, seq):
         if kind is BinaryExpr or kind is UnaryExpr:

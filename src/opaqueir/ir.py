@@ -646,7 +646,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<comment>//[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)"
     r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")"
     r"|(?P<eol>\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029])|(?P<newline>;)"
-    r"|(?P<int>(?P<digits>\d+)(?P<suffix>[A-Za-z_][A-Za-z0-9_]*)?)"
+    r"|(?P<int>(?P<digits>[0-9]+)(?P<suffix>[A-Za-z_][A-Za-z0-9_]*)?)"
     r"|(?P<blank>[ \t])|(?P<bad>.))[ \t]*"
 )
 _SUFFIXES = {"u8": Type.U8, "u32": Type.U32, "i32": Type.I32}

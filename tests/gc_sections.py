@@ -3,7 +3,7 @@ gen-0 and gen-1 collections as per-job totals, and each gen-2 (full)
 collection by case and by section, so that two commits can be compared
 collection by collection.
 
-    python3 tests/gc_sections.py --workload corpus --seed 11 --jobs 5
+    python3 tests/gc_sections.py --workload corpus --seed 1 3 11 --jobs 5
 
 The jobs are those of `perfbench/run.py`: the same set-up, a
 `gc.collect()` before each job, and `run_job` with the plain layer calls,
@@ -87,22 +87,24 @@ def report(collections: Collections, jobs: int) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=sorted(gen.WORKLOADS))
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=int, nargs="+", required=True, help="one report per seed")
     ap.add_argument("--jobs", type=int, default=5)
     args = ap.parse_args(argv)
-    _, api, cases = bench.setup(args.workload, args.seed)
-    collections = Collections(api)
-    plain = bench.layer_calls(api)
-    gc.callbacks.append(collections.callback)
-    try:
-        for job in range(1, args.jobs + 1):
-            collections.job = 0  # the collection between jobs is not counted
-            gc.collect()
-            collections.job = job
-            bench.run_job(api, plain, cases)
-    finally:
-        gc.callbacks.remove(collections.callback)
-    report(collections, args.jobs)
+    for seed in args.seed:
+        _, api, cases = bench.setup(args.workload, seed)
+        collections = Collections(api)
+        plain = bench.layer_calls(api)
+        gc.callbacks.append(collections.callback)
+        try:
+            for job in range(1, args.jobs + 1):
+                collections.job = 0  # the collection between jobs is not counted
+                gc.collect()
+                collections.job = job
+                bench.run_job(api, plain, cases)
+        finally:
+            gc.callbacks.remove(collections.callback)
+        print(f"seed {seed}:")
+        report(collections, args.jobs)
     return 0
 
 

@@ -25,7 +25,7 @@ REFERENCE_PUNCT = [
 ]
 
 
-REFERENCE_INT = re.compile(r"\d+")
+REFERENCE_INT = re.compile(r"[0-9]+")
 
 
 REFERENCE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -577,13 +577,14 @@ class ReferenceInterp:
     operand read through `atom_value` into an event buffer (`RefAgg`), every
     type looked up by (function, name), every event built by `Event`."""
 
-    def __init__(self, program, inputs, patch=None):
+    def __init__(self, program, inputs, patch=None, step_budget=DEFAULT_STEP_BUDGET,
+                 opaque_budget=interp.DEFAULT_OPAQUE_BUDGET):
         self.functions = {}
         for f in program.functions:
             self.functions.setdefault(f.name, (tuple(p.name for p in f.params), RefCode(f.region, f.name)))
         self.program, self.type_info = program, ir.typecheck(program).var_types
         self.channels = inputs.channels if inputs is not None else {}
-        self.step_budget, self.opaque_budget = DEFAULT_STEP_BUDGET, interp.DEFAULT_OPAQUE_BUDGET
+        self.step_budget, self.opaque_budget = step_budget, opaque_budget
         self.patch_seq, self.patch_name, self.patch_value = patch or (-1, None, None)
         self.steps = self.region_steps = self.activations = 0
         self.events, self.memory, self.read_cursor, self.write_count = [], {}, {}, {}

@@ -28,6 +28,7 @@ from opaqueir.interp import (
 )
 from opaqueir.ir import UNIT_VALUE as unit_value, DescValue, Type
 from opaqueir.patterns import prepare
+import references
 
 
 def run_main(body: str, inputs: str = "", **kw):
@@ -695,6 +696,8 @@ def test_reserved_channels_not_declarable():
         "-2147483649i32",
         "4294967296",
         "-5",
+        "\u0661\u0662",  # Arabic-Indic digits: ASCII digits only
+        "\u00b2",  # a digit to str.isdigit, not to int
     ],
 )
 def test_out_of_range_input_values_are_rejected(value):
@@ -857,6 +860,10 @@ def test_kernel_ops_evaluate_no_lane_alone_and_other_ops_still_diverge(monkeypat
 # -- budgets, to the step
 
 LOOP = "  br loop(0)\nloop(i: u32):\n  j = i + 1\n  br loop(j)"
+# Eleven steps: a, the opaque instruction, its six region steps (the
+# snapshot, the nested opaque instruction, its use and yield, the copy of
+# the token, the yield), the copy out of the macro, the io and the return.
+NESTED = "  a = 1\n  x = observe_decoupled(a)\n  io(out, x)"
 # Seven steps: a, the opaque instruction, its three region instructions
 # (which alone count against the opaque budget), the io and the return.
 SHORT = "  a = 1\n  x = opaque {\n    b = a + 1;\n    c = b + 1;\n    yield(c);\n  }\n  io(out, x)"
@@ -874,11 +881,111 @@ SHORT = "  a = 1\n  x = opaque {\n    b = a + 1;\n    c = b + 1;\n    yield(c);\
         (SHORT, dict(opaque_budget=2), 5, 3, "opaque region budget exceeded"),
         # Both budgets run out on the same step: the step budget is checked first.
         (SHORT, dict(step_budget=2, opaque_budget=0), 3, 3, "step budget exceeded"),
+        # Every step of a region with a nested one, from the opaque step to its yield.
+        *[(NESTED, dict(step_budget=b), b + 1, 3 + (b == 8), "step budget exceeded")
+          for b in range(1, 9)],
+        *[(NESTED, dict(opaque_budget=b), 3 + b, 3, "opaque region budget exceeded")
+          for b in range(6)],
+        (NESTED, dict(opaque_budget=6), 11, 7, None),
     ],
 )
 def test_budgets_trap_at_the_exact_step(body, budgets, steps, n_events, trapped):
     r = run_main(body, **budgets)
     assert (r.steps, len(r.events), r.trapped) == (steps, n_events, trapped)
+
+
+# A branching region inside a straight-line one: both keep their blocks,
+# the straight-line region nested beside it runs in one scope.
+BRANCHING_INSIDE = """
+function main() {
+  a = io(inp)
+  x = opaque {
+    w = a + 1;
+    t = opaque {
+      c = w < 3;
+      br c, small, big;
+    small:
+      yield(1);
+    big:
+      yield(2);
+    };
+    u = opaque {
+      use(t);
+      yield(w);
+    };
+    yield(u);
+  }
+  io(out, x)
+}
+"""
+# The outer region reads `w` after the nested region that binds it has
+# ended: chained scopes do not find it, so one scope would not do.
+NESTED_NAME_READ_OUTSIDE = """
+function main() {
+  x = opaque {
+    t = opaque {
+      w = 1;
+      yield(w);
+    };
+    yield(w);
+  }
+  io(out, x)
+}
+"""
+# An undefined free variable read after a store and a write: they happen,
+# then the read traps.
+UNDEFINED_LATE = """
+function main() {
+  a = 1000
+  x = opaque {
+    mem[a] <- 7;
+    io(out, a);
+    yield(y);
+  }
+  y = a + 1
+  io(out, x)
+}
+"""
+
+
+def region_shapes(program) -> list:
+    """Per function-level opaque instruction, how its region is decoded:
+    "flat", or else the shapes of its nested regions."""
+
+    def nested(code):
+        return [body for _, _, steps in code.blocks for *_, body, _ in steps if body is not None]
+
+    def shape(code):
+        return "flat" if code.flat is not None else [shape(body) for body in nested(code)]
+
+    return [shape(body) for _, code in interp._functions(program).values() for body in nested(code)]
+
+
+@pytest.mark.parametrize(
+    "src, inputs, shapes",
+    [
+        (f"function main() {{\n{NESTED}\n}}\n", "", ["flat"]),
+        (OPAQUE, "desc inp in ordered\n5\n", ["flat"]),
+        (BRANCHING_INSIDE, ONE_INP, [[[], "flat"]]),
+        (NESTED_NAME_READ_OUTSIDE, "", [["flat"]]),
+        (UNDEFINED_LATE, "", ["flat"]),
+        (UNDEFINED, "", ["flat"]),
+    ],
+    ids=["nested", "effects", "branching-inside", "name-read-outside", "undefined-late", "undefined"],
+)
+def test_regions_run_as_the_reference_at_every_budget(src, inputs, shapes):
+    """A straight-line region runs in one scope, and any other keeps its
+    blocks; either way, cut by any budget or not, the run is the
+    reference interpreter's: events, trap, steps and memory."""
+    program, _ = prepare(src)
+    assert region_shapes(program) == shapes
+    spec = parse_input(inputs) if inputs else None
+    steps = run(program, spec).steps
+    cuts = [dict(step_budget=b) for b in range(steps + 1)]
+    for budgets in [{}, *cuts, *(dict(opaque_budget=b) for b in range(steps))]:
+        r = run(program, spec, **budgets)
+        want = references.ReferenceInterp(program, spec, **budgets).run()
+        assert repr((r.events, r.trapped, r.steps, dict(r.memory))) == repr(want), budgets
 
 
 def test_runs_leave_the_input_spec_alone():

@@ -170,6 +170,7 @@ LEXER_CASES = {
     "u8 out of range": ("a = 256u8", ("ParseError", "literal 256 out of range for u8", (1, 5))),
     "bad suffix": ("12ab", ("ParseError", "bad integer suffix 'ab'", (1, 1))),
     "bad character": ("a #", ("ParseError", "unexpected character '#'", (1, 3))),
+    "non-ASCII digits": ("x = \u0661\u0662", ("ParseError", "unexpected character '\u0661'", (1, 5))),
     "eof after blank lines": ("7\n\n\n", [
         ("int", "7", 1, 1, Const(7, U32)), ("newline", "\\n", 1, 2, None), ("eof", "", 4, 1, None)]),
     "empty text": ("", [("eof", "", 1, 1, None)]),
@@ -1576,6 +1577,7 @@ DERIVED = [
     (ir._summarize, fresh_opaque, "_summary", "kept"),
     (ir._opaque_bound_names, fresh_opaque, "_bound_names", "kept"),
     (interp._functions, prepared, "_code", "kept"),
+    (interp._region_codes, fresh_opaque, "_codes", "kept"),
     (interp._runs, prepared, "_runs", "kept"),
     (interp.RunResult._io_memo, prepared_run, "_io_behaviors", "kept"),
     (passes._use_table, lambda: prepared().entry, "_readers", "kept"),
@@ -1583,6 +1585,8 @@ DERIVED = [
     (deps._postdominators, prepared, "_postdominators", "kept"),
     (deps._conditional_branches, prepared, "_conditional_branches", "kept"),
     (deps.analyze, prepared_run, "_deps", "kept"),
+    (deps.DepInfo.hb_edges, lambda: deps.analyze(prepared_run()), "_hb_succ", "kept"),
+    (deps.DepInfo._anchor_graph, lambda: deps.analyze(prepared_run()), "_anchor_reach", "kept"),
     (deps._comparands, prepared, "_comparands", "kept"),
     (deps._comparands, lambda: prepared(NO_COMPARISON), "_comparands", "empty"),
     (validate.observation_trace, prepared_run, "_obs_trace", "kept"),

@@ -99,6 +99,21 @@ def same_runs(reference, replacement, p, tally, monkeypatch):
                     compared(q, spec, patch=(ev.seq, name, alt))
 
 
+def same_cut_runs(reference, replacement, p, tally, monkeypatch):
+    """Each preset program's run cut short, by a step budget of half its
+    steps and by an opaque budget of 3 steps: events, trap, steps and
+    memory. The trap is tallied."""
+    (spec,) = p.specs
+    for q in preset_programs(p):
+        steps = replacement(q, spec).steps
+        for budgets in (dict(step_budget=steps // 2), dict(opaque_budget=3)):
+            r = replacement(q, spec, **budgets)
+            want = reference(q, spec, **budgets).run()
+            assert repr((r.events, r.trapped, r.steps, dict(r.memory))) == repr(want)
+            tally["compared"] += 1
+            tally[r.trapped] += 1
+
+
 def same_analysis(reference, replacement, p, tally, monkeypatch):
     for result in preset_runs(p):
         assert result.trapped is None
@@ -281,6 +296,8 @@ def same_views_and_ordering(reference, replacement, p, tally, monkeypatch):
 
 
 BENCHMARK = (1, 2, 11, 12, 13, *SWEEP)  # the programs of tests/pass_outputs.py
+# The sweep programs whose observation regions run more than 3 steps.
+OPAQUE_CUT = [key for key in SWEEP if key[1] in ("monolithic", "decoupled_tailio", "cc", "pair")]
 # Per row: the name, the reference, the replacement (a row comparing
 # several functions names its main pair; the comparison names the rest),
 # the comparison, the supply groups, and the floor: at least n comparisons
@@ -293,6 +310,10 @@ ORACLES = [
         (6, "program"),
     ),
     ("interpreter", references.ReferenceInterp, interp.run, same_runs, SWEEP, (6, "program")),
+    (
+        "interpreter cut by budgets", references.ReferenceInterp, interp.run, same_cut_runs, SWEEP,
+        (2, "program", {"step budget exceeded": SWEEP, "opaque region budget exceeded": OPAQUE_CUT}),
+    ),
     ("analyze", references.reference_analysis, analyze, same_analysis, SWEEP, (6, "program")),
     (
         "walks", references.reference_reach, DepInfo.dep_reachable, same_walks, BENCHMARK,

@@ -1464,9 +1464,9 @@ def test_ordering_stays_linear_on_a_long_ordered_io_loop():
     assert check_observation_preserving(program, res.program, res.provenance, [spec]).passed
     ref, opt = run(program, spec), run(res.program, spec)
     ref_info, opt_info = deps.analyze(ref), deps.analyze(opt)
-    opt_info._hb_succ = counted = CountedEdges(opt_info.hb_edges())
+    vars(opt_info)["_hb_succ"] = counted = CountedEdges(opt_info.hb_edges())
     assert check_ordering(ref, opt, res.provenance).passed
-    assert ref_info._anchor_reach is None and opt_info._anchor_reach is None
+    assert "_anchor_reach" not in vars(ref_info) and "_anchor_reach" not in vars(opt_info)
     assert len(opt_info.anchor_seqs) > 6000
     assert counted.lookups <= 2 * len(opt_info.anchor_seqs)
 
@@ -1502,9 +1502,10 @@ def test_io_behavior_is_read_only():
 def test_a_run_and_its_views_die_with_its_last_reference():
     """With the cyclic collector off, a reference run and an optimized run
     whose views a check and a chain audit have built are freed as soon as
-    nothing holds them, and so are their analyses and their events (each
-    event's io and observation records stand for it): nothing keeps them
-    past their run, in a cycle or elsewhere."""
+    nothing holds them, and so are their analyses; their events tuples,
+    each event and each io and observation record are then held only by
+    the one container they sit in: nothing keeps them past their run, in
+    a cycle or elsewhere."""
     program = prog(CHAINED)
     spec = parse_input(TWO_INPUTS)
     res = optimize(program, preset="P3")
@@ -1516,16 +1517,27 @@ def test_a_run_and_its_views_die_with_its_last_reference():
         for result in (ref, opt):
             result.io_behavior(frozenset({"tailio"}))
             assert {"_deps", "_obs_trace", "_io_index", "_io_behaviors"} <= vars(result).keys()
-        records = [rec for r in (ref, opt) for ev in r.events for rec in (*ev.ios, *ev.obs)]
-        assert records
-        return [weakref.ref(x) for x in (ref, opt, ref._deps, opt._deps, *records)]
+        assert any(ev.ios or ev.obs for r in (ref, opt) for ev in r.events)
+        return [weakref.ref(x) for x in (ref, opt, ref._deps, opt._deps)], [ref.events, opt.events]
 
     gc.disable()
     try:
-        alive = [ref for ref in checked() if ref() is not None]
+        watched, held = checked()
+        alive = [ref for ref in watched if ref() is not None]
+
+        def count(container, i):
+            return sys.getrefcount(container[i])
+
+        once = count([object()], 0)  # an object that only its container holds
+        kept = [("events", k) for k in range(len(held)) if count(held, k) != once]
+        for events in held:
+            kept += [("event", i) for i in range(len(events)) if count(events, i) != once]
+            for ev in events:
+                for records in (ev.ios, ev.obs):
+                    kept += [records[j] for j in range(len(records)) if count(records, j) != once]
     finally:
         gc.enable()
-    assert alive == []
+    assert alive == [] and kept == []
 
 
 # --------------------------------------------------------------------------
